@@ -45,7 +45,7 @@ fn bench_monolithic_solvers(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("fast_unimodal", |bench| {
+    group.bench_function("breakpoint", |bench| {
         bench.iter(|| {
             black_box(
                 MonolithicProblem::new(&p, params, 1.0, 1.0)

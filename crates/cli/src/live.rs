@@ -38,6 +38,17 @@ impl LiveSession {
         registry: Arc<Registry>,
         render: impl Fn(&MetricsSnapshot, Duration) -> String + Send + 'static,
     ) -> Result<LiveSession, String> {
+        Self::start_painting_to(opts, registry, render, std::io::stderr())
+    }
+
+    /// [`LiveSession::start`] with the progress line painted to `sink`
+    /// instead of stderr.
+    fn start_painting_to(
+        opts: &LiveOpts,
+        registry: Arc<Registry>,
+        render: impl Fn(&MetricsSnapshot, Duration) -> String + Send + 'static,
+        mut sink: impl Write + Send + 'static,
+    ) -> Result<LiveSession, String> {
         // The arg scanner already rejects `--live-interval 0`, but
         // `LiveOpts` is constructible in code too; a zero interval
         // would turn the painter loop into a busy spin on stderr.
@@ -59,12 +70,13 @@ impl LiveSession {
             let interval = Duration::from_millis(opts.interval_ms);
             let handle = std::thread::spawn(move || {
                 let started = Instant::now();
-                let paint = |terminal: bool| {
+                let mut paint = |terminal: bool| {
                     let line = render(&registry.snapshot(), started.elapsed());
-                    let mut err = std::io::stderr().lock();
                     let end = if terminal { "\n" } else { "" };
-                    let _ = write!(err, "\r\x1b[2K{line}{end}");
-                    let _ = err.flush();
+                    // One write per repaint, so the line is never split
+                    // by other output to the same stream.
+                    let _ = sink.write_all(format!("\r\x1b[2K{line}{end}").as_bytes());
+                    let _ = sink.flush();
                 };
                 while !thread_stop.load(Ordering::Acquire) {
                     paint(false);
@@ -219,9 +231,35 @@ mod tests {
             metrics_listen: Some("127.0.0.1:0".into()),
         };
         let registry = registry_with(3, 9.0);
-        let session = LiveSession::start(&opts, registry, render_sweep).unwrap();
+        // Paint into a buffer: the test harness does not capture writes
+        // from spawned threads, so stderr would garble its report.
+        let painted = SharedBuf::default();
+        let session =
+            LiveSession::start_painting_to(&opts, registry, render_sweep, painted.clone()).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         session.finish();
+        let text = String::from_utf8(painted.0.lock().unwrap().clone()).unwrap();
+        assert!(
+            text.starts_with("\r\x1b[2Ksweep 3/9 cells (33%)"),
+            "{text:?}"
+        );
+        assert!(
+            text.ends_with('\n'),
+            "final state stays on screen: {text:?}"
+        );
+    }
+
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     /// A zero interval (reachable via a hand-built `LiveOpts`) must be

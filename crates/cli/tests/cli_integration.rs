@@ -13,11 +13,29 @@ fn run_to_string(cmd: &str) -> Result<String, String> {
     Ok(String::from_utf8(out).expect("utf8 output"))
 }
 
-/// Write the example pipeline to a temp file and return its path.
+/// Run the real binary and return its (stdout, stderr). The `--live`
+/// painter writes straight to the process's stderr, which the test
+/// harness does not capture; run in-process it would interleave with
+/// the harness's own `test ... ok` lines.
+fn run_bin(cmd: &str) -> (String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rtsdf-cli"))
+        .args(argv(cmd))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(out.status.success(), "{cmd}: {stderr}");
+    (String::from_utf8(out.stdout).expect("utf8 output"), stderr)
+}
+
+/// Write the example pipeline to a temp file and return its path. Each
+/// call gets its own file: tests run in parallel, and one test reading
+/// the file while another rewrites it would see it truncated.
 fn pipeline_file() -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("rtsdf-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("blast.json");
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = dir.join(format!("blast-{n}.json"));
     let json = run_to_string("example-pipeline").unwrap();
     std::fs::write(&path, json).unwrap();
     path
@@ -331,19 +349,18 @@ fn trace_monolithic_strategy_works() {
 #[test]
 fn sweep_live_output_is_bit_identical_to_plain() {
     let path = pipeline_file();
-    let plain = run_to_string(&format!(
+    let (plain, _) = run_bin(&format!(
         "sweep --pipeline {} --grid 4x4 --csv",
         path.display()
-    ))
-    .unwrap();
+    ));
     // --live-interval implies --live; 127.0.0.1:0 binds an ephemeral
     // port so parallel test runs never collide.
-    let live = run_to_string(&format!(
+    let (live, progress) = run_bin(&format!(
         "sweep --pipeline {} --grid 4x4 --csv --live-interval 10 --metrics-listen 127.0.0.1:0",
         path.display()
-    ))
-    .unwrap();
+    ));
     assert_eq!(plain, live, "live telemetry must not change results");
+    assert!(progress.contains("sweep 16/16 cells (100%)"), "{progress}");
 }
 
 #[test]
@@ -404,14 +421,14 @@ fn sweep_manifest_embeds_live_metrics_snapshot() {
 fn stress_live_output_is_bit_identical_to_plain() {
     let path = pipeline_file();
     let cmd = |extra: &str| {
-        run_to_string(&format!(
+        run_bin(&format!(
             "stress --pipeline {} --tau0 10 --deadline 1e5 --b 1,3,9,6 \
              --items 400 --seeds 2 --intensities 0,1 --json{extra}",
             path.display()
         ))
-        .unwrap()
     };
-    let plain = cmd("");
-    let live = cmd(" --live --live-interval 10");
+    let (plain, _) = cmd("");
+    let (live, progress) = cmd(" --live --live-interval 10");
     assert_eq!(plain, live, "live telemetry must not change results");
+    assert!(progress.contains("stress 12/12 runs (100%)"), "{progress}");
 }

@@ -5,9 +5,9 @@
 //! times and deadlines, and their difference (monolithic − enforced,
 //! positive where enforced waits win).
 
-use crate::dag::{EnforcedDagProblem, MonolithicDagProblem};
+use crate::dag::EnforcedDagProblem;
 use crate::enforced::{EnforcedWaitsProblem, WarmStart};
-use crate::monolithic::MonolithicProblem;
+use crate::monolithic::{MonolithicDagProblem, MonolithicProblem};
 use crate::schedule::ScheduleError;
 use crate::telemetry::SolveTelemetry;
 use crate::threads::worker_threads;
@@ -661,10 +661,10 @@ fn sweep_graph_cells(
 }
 
 /// Optimize both strategies at one operating point on a DAG topology.
-/// Chain topologies delegate to the chain solvers inside
-/// [`EnforcedDagProblem`] and [`MonolithicDagProblem`], so sweeping a
-/// [`Topology::chain`] is bit-identical to [`compare_at`] under cold
-/// solves.
+/// [`EnforcedDagProblem`] delegates chain topologies to the chain
+/// solver and [`MonolithicDagProblem`] reads only the per-node totals,
+/// so sweeping a [`Topology::chain`] is bit-identical to [`compare_at`]
+/// under cold solves.
 pub fn compare_at_topology(
     topology: &Topology,
     params: RtParams,
@@ -1113,7 +1113,7 @@ mod tests {
         assert!(et.wall_micros >= 0.0);
         let mt = cell.monolithic_telemetry.expect("monolithic telemetry");
         assert!(mt.iterations > 0, "{mt:?}");
-        assert_eq!(mt.method, "unimodal");
+        assert_eq!(mt.method, "breakpoint");
     }
 
     #[test]

@@ -23,17 +23,12 @@ use crate::enforced::{
 };
 use crate::feasibility::{check_enforced_feasibility, minimal_periods, FeasibilityError};
 use crate::kkt::{active_fraction_gradient, kkt_report, KktReport};
-use crate::monolithic::{MonolithicProblem, MonolithicSchedule};
 use crate::policy;
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
-use dataflow_model::analysis::{
-    topology_enforced_active_fraction, topology_monolithic_active_fraction,
-    topology_monolithic_block_time, topology_monolithic_latency_bound, topology_monolithic_stable,
-};
+use dataflow_model::analysis::topology_enforced_active_fraction;
 use dataflow_model::{RtParams, Topology};
 use solver::convex::{find_interior_point_detailed, minimize, SolverOptions};
-use solver::integer::{minimize_scan, minimize_unimodal};
 use solver::linear::ConstraintSet;
 
 /// The componentwise-minimal feasible firing periods on a DAG: a
@@ -454,164 +449,6 @@ impl<'a> EnforcedDagProblem<'a> {
     }
 }
 
-/// The Fig.-2 block-size program on a DAG topology.
-///
-/// The monolithic runtime is topology-agnostic at the design level: a
-/// block of `M` inputs costs `T̄(M) = Σ_i ⌈M·G_i/v⌉·t_i` on the single
-/// shared device whether the `G_i` come from a chain's cumulative gain
-/// product or a DAG's per-edge flow propagation
-/// ([`Topology::total_gains`]). Chains delegate to [`MonolithicProblem`]
-/// (bit-exact).
-#[derive(Debug, Clone)]
-pub struct MonolithicDagProblem<'a> {
-    topology: &'a Topology,
-    params: RtParams,
-    b: f64,
-    s: f64,
-}
-
-impl<'a> MonolithicDagProblem<'a> {
-    /// Construct with queue multiplier `b ≥ 1` and worst-case scale
-    /// `s ≥ 1`.
-    ///
-    /// # Panics
-    /// Panics on non-finite or sub-unit parameters.
-    pub fn new(topology: &'a Topology, params: RtParams, b: f64, s: f64) -> Self {
-        assert!(b.is_finite() && b >= 1.0, "queue multiplier b must be >= 1");
-        assert!(s.is_finite() && s >= 1.0, "worst-case scale S must be >= 1");
-        MonolithicDagProblem {
-            topology,
-            params,
-            b,
-            s,
-        }
-    }
-
-    /// The operating point.
-    pub fn params(&self) -> &RtParams {
-        &self.params
-    }
-
-    /// Largest block size the deadline could possibly allow:
-    /// `b·M·τ0 ≤ D`.
-    pub fn max_block_size(&self) -> u64 {
-        let m = self.params.deadline / (self.b * self.params.tau0);
-        if m < 1.0 {
-            0
-        } else if m >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            m.floor() as u64
-        }
-    }
-
-    /// Objective at block size `m`, or `None` if `m` is infeasible.
-    pub fn objective(&self, m: u64) -> Option<f64> {
-        if m == 0 {
-            return None;
-        }
-        if !topology_monolithic_stable(self.topology, &self.params, m) {
-            return None;
-        }
-        let bound =
-            topology_monolithic_latency_bound(self.topology, &self.params, m, self.b, self.s);
-        if bound > self.params.deadline {
-            return None;
-        }
-        Some(topology_monolithic_active_fraction(
-            self.topology,
-            &self.params,
-            m,
-        ))
-    }
-
-    /// Solve exactly by exhaustive scan over `M ∈ [1, max_block_size]`.
-    /// Chains delegate to [`MonolithicProblem::solve`].
-    pub fn solve(&self) -> Result<MonolithicSchedule, ScheduleError> {
-        if let Some(chain) = self.topology.as_chain() {
-            return MonolithicProblem::new(&chain, self.params, self.b, self.s).solve();
-        }
-        let hi = self.max_block_size();
-        let evals = std::cell::Cell::new(0u64);
-        let (best, micros) = timed(|| {
-            minimize_scan(1, hi, |m| {
-                evals.set(evals.get() + 1);
-                self.objective(m)
-            })
-        });
-        let best = best.ok_or_else(|| {
-            ScheduleError::Solver(format!(
-                "no feasible block size in [1, {hi}] (deadline {:.0}, tau0 {:.1})",
-                self.params.deadline, self.params.tau0
-            ))
-        })?;
-        Ok(self.schedule_at_observed(best.arg, "scan", evals.get(), micros))
-    }
-
-    /// Solve with the accelerated unimodal search; same ripple-aware
-    /// neighborhood sweep as the chain version, with the longest
-    /// ceiling period `v / G_min` taken over the DAG's node totals.
-    /// Chains delegate to [`MonolithicProblem::solve_fast`].
-    pub fn solve_fast(&self) -> Result<MonolithicSchedule, ScheduleError> {
-        if let Some(chain) = self.topology.as_chain() {
-            return MonolithicProblem::new(&chain, self.params, self.b, self.s).solve_fast();
-        }
-        let hi = self.max_block_size();
-        let g_min_positive = self
-            .topology
-            .total_gains()
-            .into_iter()
-            .filter(|&g| g > 0.0)
-            .fold(f64::INFINITY, f64::min);
-        let ripple = if g_min_positive.is_finite() {
-            (self.topology.vector_width() as f64 / g_min_positive).ceil() as u64
-        } else {
-            self.topology.vector_width() as u64
-        };
-        let slop = ripple
-            .saturating_mul(2)
-            .max(4 * self.topology.vector_width() as u64)
-            .max(64);
-        let evals = std::cell::Cell::new(0u64);
-        let (best, micros) = timed(|| {
-            minimize_unimodal(1, hi, slop, |m| {
-                evals.set(evals.get() + 1);
-                self.objective(m)
-            })
-        });
-        let best = best
-            .ok_or_else(|| ScheduleError::Solver(format!("no feasible block size in [1, {hi}]")))?;
-        Ok(self.schedule_at_observed(best.arg, "unimodal", evals.get(), micros))
-    }
-
-    fn schedule_at_observed(
-        &self,
-        m: u64,
-        method: &str,
-        evaluations: u64,
-        wall_micros: f64,
-    ) -> MonolithicSchedule {
-        let mut telemetry = SolveTelemetry::new(method);
-        telemetry.iterations = evaluations;
-        telemetry.wall_micros = wall_micros;
-        MonolithicSchedule {
-            block_size: m,
-            block_time: topology_monolithic_block_time(self.topology, m),
-            active_fraction: topology_monolithic_active_fraction(self.topology, &self.params, m),
-            latency_bound: topology_monolithic_latency_bound(
-                self.topology,
-                &self.params,
-                m,
-                self.b,
-                self.s,
-            ),
-            b: self.b,
-            s: self.s,
-            telemetry: Some(telemetry),
-        }
-    }
-}
-
 /// Check the KKT conditions for `periods` on the DAG design program —
 /// [`crate::kkt::verify_kkt`] generalized to
 /// [`EnforcedDagProblem::constraint_set`]. Large active sets route
@@ -670,6 +507,7 @@ pub fn escalate_schedule_topology(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monolithic::{MonolithicDagProblem, MonolithicProblem};
     use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, TopologyBuilder};
 
     fn blast() -> PipelineSpec {
@@ -989,16 +827,17 @@ mod tests {
         let p = blast();
         let t = Topology::chain(&p);
         let params = RtParams::new(50.0, 2e5).unwrap();
-        let chain = MonolithicProblem::new(&p, params, 1.0, 1.0)
-            .solve()
-            .unwrap();
-        let dag = MonolithicDagProblem::new(&t, params, 1.0, 1.0)
-            .solve()
-            .unwrap();
-        assert_eq!(dag.block_size, chain.block_size);
-        assert_eq!(dag.block_time, chain.block_time);
-        assert_eq!(dag.active_fraction, chain.active_fraction);
-        assert_eq!(dag.latency_bound, chain.latency_bound);
+        let chain = MonolithicProblem::new(&p, params, 1.0, 1.0);
+        let dag = MonolithicDagProblem::new(&t, params, 1.0, 1.0);
+        for (chain, dag) in [
+            (chain.solve().unwrap(), dag.solve().unwrap()),
+            (chain.solve_fast().unwrap(), dag.solve_fast().unwrap()),
+        ] {
+            assert_eq!(dag.block_size, chain.block_size);
+            assert_eq!(dag.block_time, chain.block_time);
+            assert_eq!(dag.active_fraction, chain.active_fraction);
+            assert_eq!(dag.latency_bound, chain.latency_bound);
+        }
     }
 
     #[test]
@@ -1008,11 +847,10 @@ mod tests {
             let params = RtParams::new(tau0, d).unwrap();
             let prob = MonolithicDagProblem::new(&t, params, 1.0, 1.0);
             match (prob.solve(), prob.solve_fast()) {
-                (Ok(exact), Ok(fast)) => assert!(
-                    (exact.active_fraction - fast.active_fraction).abs() < 1e-9,
-                    "tau0={tau0} D={d}: exact M={} vs fast M={}",
-                    exact.block_size,
-                    fast.block_size
+                (Ok(exact), Ok(fast)) => assert_eq!(
+                    (exact.block_size, exact.active_fraction),
+                    (fast.block_size, fast.active_fraction),
+                    "tau0={tau0} D={d}"
                 ),
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!("feasibility disagreement at tau0={tau0} D={d}: {a:?} vs {b:?}"),

@@ -10,10 +10,8 @@
 //!   the minimal periods) and `D ≥ Σ b_i·x̂_i` — both closed forms.
 //! * **Monolithic** is feasible iff some block size `M` satisfies both
 //!   Fig.-2 constraints; the smallest workable deadline at a given τ0
-//!   is `min_M { b·M·τ0 + S·T̄(M) : T̄(M) ≤ M·τ0 }`, found by scanning
-//!   `M` over the stability region (the expression eventually grows
-//!   linearly in `M`, so the scan can stop once it has risen past the
-//!   incumbent for a stretch).
+//!   is `min_M { b·M·τ0 + S·T̄(M) : T̄(M) ≤ M·τ0 }`. The bound increases
+//!   with `M`, so the minimum is at the smallest stable `M`.
 
 use crate::feasibility::minimal_periods;
 use dataflow_model::analysis::{monolithic_block_time, monolithic_latency_bound};
@@ -53,8 +51,9 @@ pub fn monolithic_min_tau0_asymptote(pipeline: &PipelineSpec) -> f64 {
 }
 
 /// Smallest deadline the monolithic strategy can meet at `tau0` with
-/// knobs `(b, s)`, or `None` if no block size is stable. `m_cap` bounds
-/// the scan (blocks beyond it only increase the accumulation term).
+/// knobs `(b, s)`, or `None` if no block size up to `m_cap` is stable.
+/// The latency bound is increasing in `M`, so this is the bound at the
+/// first stable `M`.
 pub fn monolithic_min_deadline(
     pipeline: &PipelineSpec,
     b: f64,
@@ -63,30 +62,9 @@ pub fn monolithic_min_deadline(
     m_cap: u64,
 ) -> Option<f64> {
     let params = RtParams::new(tau0, f64::MAX / 4.0).expect("placeholder deadline");
-    let mut best: Option<f64> = None;
-    let mut rising_streak = 0u32;
-    for m in 1..=m_cap {
-        if monolithic_block_time(pipeline, m) > m as f64 * tau0 {
-            continue; // unstable at this block size
-        }
-        let bound = monolithic_latency_bound(pipeline, &params, m, b, s);
-        match best {
-            Some(cur) if bound >= cur => {
-                rising_streak += 1;
-                // The bound is eventually increasing in M (the b·M·τ0
-                // term dominates); a long rising streak past the
-                // incumbent means the minimum is behind us.
-                if rising_streak > 4 * pipeline.vector_width() {
-                    break;
-                }
-            }
-            _ => {
-                rising_streak = 0;
-                best = Some(best.map_or(bound, |cur: f64| cur.min(bound)));
-            }
-        }
-    }
-    best
+    (1..=m_cap)
+        .find(|&m| monolithic_block_time(pipeline, m) <= m as f64 * tau0)
+        .map(|m| monolithic_latency_bound(pipeline, &params, m, b, s))
 }
 
 /// A frontier sample: at inter-arrival `tau0`, the minimum feasible

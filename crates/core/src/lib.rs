@@ -18,8 +18,9 @@
 //! * [`monolithic`] — **monolithic batching** (paper §5): accumulate
 //!   blocks of `M` inputs and run the whole pipeline per block. The
 //!   optimal `M` solves the one-dimensional integer program of the
-//!   paper's Figure 2, by exhaustive scan (exact) or accelerated
-//!   unimodal search.
+//!   paper's Figure 2, on chains and DAGs alike, by an exact search over
+//!   the ceiling breakpoints of the block time, checked against an
+//!   exhaustive scan.
 //!
 //! [`comparison`] sweeps both strategies over an `(τ0, D)` grid to
 //! regenerate the paper's Figures 3 and 4, and [`feasibility`] provides
@@ -45,12 +46,12 @@ pub mod threads;
 
 pub use dag::{
     check_topology_feasibility, escalate_schedule_topology, topology_minimal_periods,
-    verify_kkt_dag, EnforcedDagProblem, MonolithicDagProblem,
+    verify_kkt_dag, EnforcedDagProblem,
 };
 pub use enforced::{EnforcedWaitsProblem, SolveMethod, WaitSchedule, WarmStart};
 pub use feasibility::{check_enforced_feasibility, minimal_periods, FeasibilityError};
 pub use flexible::{FlexibleSchedule, FlexibleSharesProblem};
-pub use monolithic::{MonolithicProblem, MonolithicSchedule};
+pub use monolithic::{MonolithicDagProblem, MonolithicProblem, MonolithicSchedule};
 pub use policy::{escalate_schedule, needs_escalation};
 pub use schedule::{AnySchedule, ScheduleError};
 pub use telemetry::SolveTelemetry;

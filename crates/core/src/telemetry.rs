@@ -15,7 +15,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolveTelemetry {
     /// Algorithm that produced the result (e.g. `"water-filling"`,
-    /// `"interior-point"`, `"unimodal"`, `"scan"`, `"bnb"`).
+    /// `"interior-point"`, `"breakpoint"`, `"scan"`).
     pub method: String,
     /// Iteration count in the method's natural unit: total Newton
     /// iterations (phase-1 included) for interior point, bisection steps

@@ -1,14 +1,28 @@
 //! Property-based tests for the scheduling strategies: solver agreement,
 //! feasibility, and KKT certification on randomized pipelines.
 
-use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
+use dataflow_model::analysis::block_time;
+use dataflow_model::{
+    GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology, TopologyBuilder,
+};
 use proptest::prelude::*;
 use rtsdf_core::comparison::{
     sweep, sweep_parallel, sweep_parallel_with, sweep_with, SweepConfig, SweepOptions,
 };
 use rtsdf_core::feasibility::minimal_periods;
 use rtsdf_core::kkt::verify_kkt;
+use rtsdf_core::monolithic::BlockModel;
 use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem, SolveMethod, WarmStart};
+
+/// Two-point empirical law with mean `gain`: stresses the Empirical code
+/// path rather than only Bernoulli.
+fn two_point(gain: f64) -> GainModel {
+    let k = gain.ceil().max(1.0) as u32;
+    let p_hi = gain / k as f64;
+    GainModel::Empirical {
+        pmf: vec![(0, 1.0 - p_hi), (k, p_hi)],
+    }
+}
 
 /// A random pipeline with strictly positive mean gains (so both Fig.-1
 /// solution methods apply).
@@ -16,20 +30,106 @@ fn pipeline() -> impl Strategy<Value = PipelineSpec> {
     prop::collection::vec((10.0..2000.0f64, 0.1..3.0f64), 2..=6).prop_map(|stages| {
         let mut b = PipelineSpecBuilder::new(64);
         for (i, (t, gain)) in stages.into_iter().enumerate() {
-            // Two-point empirical law with the requested mean: stresses
-            // the Empirical code path rather than only Bernoulli.
-            let k = gain.ceil().max(1.0) as u32;
-            let p_hi = gain / k as f64;
-            b = b.stage(
-                format!("s{i}"),
-                t,
-                GainModel::Empirical {
-                    pmf: vec![(0, 1.0 - p_hi), (k, p_hi)],
-                },
-            );
+            b = b.stage(format!("s{i}"), t, two_point(gain));
         }
         b.build().expect("valid")
     })
+}
+
+/// Vector widths from scalar to very wide.
+fn vector_width() -> impl Strategy<Value = u32> {
+    (0..4usize).prop_map(|i| [1, 32, 128, 1024][i])
+}
+
+/// A chain whose stage gains span 10^-2..10^0.5, so the totals `G_i`
+/// range from ~1e-4 and below to well above 1.
+fn extreme_chain() -> impl Strategy<Value = PipelineSpec> {
+    (
+        vector_width(),
+        prop::collection::vec((10.0..3000.0f64, -2.0..0.5f64), 1..=6),
+    )
+        .prop_map(|(v, stages)| {
+            let mut b = PipelineSpecBuilder::new(v);
+            for (i, (t, log_gain)) in stages.into_iter().enumerate() {
+                b = b.stage(format!("s{i}"), t, two_point(10f64.powf(log_gain)));
+            }
+            b.build().expect("valid")
+        })
+}
+
+/// A single-source DAG: the source fans out over thinned edges to 2–4
+/// branches that fan back in to a join (a diamond at 2), then a sink.
+fn fan_in_dag() -> impl Strategy<Value = Topology> {
+    (
+        vector_width(),
+        prop::collection::vec((10.0..3000.0f64, -2.0..0.5f64, 0.05..=1.0f64), 2..=4),
+        (10.0..3000.0f64, 10.0..3000.0f64, 10.0..3000.0f64),
+        -2.0..0.5f64,
+    )
+        .prop_map(|(v, branches, (t_source, t_join, t_sink), log_tail)| {
+            let join = branches.len() + 1;
+            let mut b = TopologyBuilder::new(v).node("source", t_source);
+            for (i, &(t, _, _)) in branches.iter().enumerate() {
+                b = b.node(format!("b{i}"), t);
+            }
+            b = b.node("join", t_join).node("sink", t_sink);
+            for (i, &(_, log_gain, weight)) in branches.iter().enumerate() {
+                b = b
+                    .edge(0, i + 1, GainModel::Deterministic { k: 1 }, weight)
+                    .edge(i + 1, join, two_point(10f64.powf(log_gain)), 1.0);
+            }
+            b.edge(join, join + 1, two_point(10f64.powf(log_tail)), 1.0)
+                .build()
+                .expect("valid")
+        })
+}
+
+/// τ0 as a multiple of the asymptotic stability limit `Σ G_i·t_i / v`:
+/// below it nothing is stable, just above it only large blocks are.
+fn tau_scale() -> impl Strategy<Value = f64> {
+    prop_oneof![0.9..1.0f64, 1.0..1.5f64, 1.5..6.0f64]
+}
+
+/// D as a multiple of the smallest feasible deadline, often right on it.
+fn d_scale() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(1.0), 1.0..1.01f64, 1.01..4.0f64]
+}
+
+/// Check the breakpoint search against the exhaustive scan on `model`:
+/// same feasibility, same block size, bit-equal active fraction.
+/// `max_block_size` stays at most `MAX_M` so the scan stays fast.
+fn breakpoint_matches_scan(
+    model: &impl BlockModel,
+    tau_scale: f64,
+    d_scale: f64,
+    b: f64,
+    s: f64,
+) -> Result<(), TestCaseError> {
+    const MAX_M: u64 = 200_000;
+    let (v, t, g) = model.block_model();
+    let limit = t.iter().zip(&g).map(|(t, g)| t * g).sum::<f64>() / v as f64;
+    let tau0 = limit * tau_scale;
+    // The smallest feasible deadline is the latency bound at the first
+    // stable block size.
+    let d_min = (1..=MAX_M)
+        .find(|&m| block_time(v, &t, &g, m) <= m as f64 * tau0)
+        .map_or(f64::INFINITY, |m| {
+            b * m as f64 * tau0 + s * block_time(v, &t, &g, m)
+        });
+    let d = (d_min * d_scale).min(MAX_M as f64 * b * tau0);
+    let prob = MonolithicProblem::new(model, RtParams::new(tau0, d).unwrap(), b, s);
+    match (prob.solve(), prob.solve_fast()) {
+        (Ok(scan), Ok(fast)) => {
+            prop_assert_eq!(scan.block_size, fast.block_size, "tau0={} D={}", tau0, d);
+            prop_assert_eq!(
+                scan.active_fraction.to_bits(),
+                fast.active_fraction.to_bits()
+            );
+        }
+        (Err(_), Err(_)) => {}
+        (scan, fast) => prop_assert!(false, "tau0={tau0} D={d}: {scan:?} vs {fast:?}"),
+    }
+    Ok(())
 }
 
 /// A feasible operating point + factors for the given pipeline, derived
@@ -198,6 +298,32 @@ proptest! {
                 prop_assert!(best.active_fraction <= v + 1e-12);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn monolithic_breakpoint_matches_scan_on_chains(
+        p in extreme_chain(),
+        tau_scale in tau_scale(),
+        d_scale in d_scale(),
+        b in 1.0..2.0f64,
+        s in 1.0..1.5f64,
+    ) {
+        breakpoint_matches_scan(&p, tau_scale, d_scale, b, s)?;
+    }
+
+    #[test]
+    fn monolithic_breakpoint_matches_scan_on_dags(
+        t in fan_in_dag(),
+        tau_scale in tau_scale(),
+        d_scale in d_scale(),
+        b in 1.0..2.0f64,
+        s in 1.0..1.5f64,
+    ) {
+        breakpoint_matches_scan(&t, tau_scale, d_scale, b, s)?;
     }
 }
 

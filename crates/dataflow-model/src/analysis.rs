@@ -91,24 +91,37 @@ pub fn enforced_latency_bound(pipeline: &PipelineSpec, periods: &[f64], b: &[f64
     periods.iter().zip(b).map(|(&x, &bi)| bi * x).sum()
 }
 
-/// Average time for the monolithic pipeline to consume a block of `M`
-/// inputs (paper §5.1):
+/// Monolithic block time from per-node service times `t_i` and total
+/// gains `G_i` at vector width `v` — the one definition of
 ///
 /// ```text
 /// T̄(M) = Σ_i ⌈M·G_i / v⌉ · t_i
 /// ```
-pub fn monolithic_block_time(pipeline: &PipelineSpec, m: u64) -> f64 {
-    let v = pipeline.vector_width() as f64;
-    let totals = pipeline.total_gains();
-    pipeline
-        .nodes()
+///
+/// behind [`monolithic_block_time`] and
+/// [`topology_monolithic_block_time`]. Solvers that evaluate many `M`
+/// hoist the two slices and call this directly.
+pub fn block_time(vector_width: u32, service_times: &[f64], totals: &[f64], m: u64) -> f64 {
+    let v = vector_width as f64;
+    service_times
         .iter()
-        .zip(&totals)
-        .map(|(node, &g_total)| {
+        .zip(totals)
+        .map(|(&t, &g_total)| {
             let vectors = (m as f64 * g_total / v).ceil();
-            vectors * node.service_time
+            vectors * t
         })
         .sum()
+}
+
+/// Average time for the monolithic pipeline to consume a block of `M`
+/// inputs (paper §5.1): `T̄(M) = Σ_i ⌈M·G_i / v⌉ · t_i`.
+pub fn monolithic_block_time(pipeline: &PipelineSpec, m: u64) -> f64 {
+    block_time(
+        pipeline.vector_width(),
+        &pipeline.service_times(),
+        &pipeline.total_gains(),
+        m,
+    )
 }
 
 /// Average-case active fraction of the monolithic strategy at block size
@@ -244,17 +257,12 @@ pub fn topology_enforced_latency_bound(topology: &Topology, periods: &[f64], b: 
 /// order on the single shared device, so the same per-node vector-count
 /// formula as the chain applies.
 pub fn topology_monolithic_block_time(topology: &Topology, m: u64) -> f64 {
-    let v = topology.vector_width() as f64;
-    let totals = topology.total_gains();
-    topology
-        .nodes()
-        .iter()
-        .zip(&totals)
-        .map(|(node, &g_total)| {
-            let vectors = (m as f64 * g_total / v).ceil();
-            vectors * node.service_time
-        })
-        .sum()
+    block_time(
+        topology.vector_width(),
+        &topology.service_times(),
+        &topology.total_gains(),
+        m,
+    )
 }
 
 /// Average-case active fraction of the monolithic strategy on the DAG at

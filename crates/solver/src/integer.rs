@@ -2,16 +2,12 @@
 //!
 //! The monolithic strategy's design variable is an integer block size
 //! `M ∈ [1, M_max]` (paper Fig. 2). The feasible objective is piecewise
-//! (it contains ceilings), so we provide:
-//!
-//! * [`minimize_scan`] — exhaustive evaluation, always exact; and
-//! * [`minimize_unimodal`] — ternary search for unimodal objectives,
-//!   O(log range) evaluations, cross-checked against the scan in tests
-//!   and falling back to a local neighborhood sweep to absorb small
-//!   plateaus.
+//! (it contains ceilings), so [`minimize_scan`] evaluates every point;
+//! it is the oracle that faster, problem-specific searches are checked
+//! against.
 //!
 //! Infeasible points are modeled by returning `None` from the objective;
-//! both searches skip them.
+//! the scan skips them.
 
 /// Result of an integer minimization: the argument and its value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,39 +43,6 @@ pub fn minimize_scan(lo: u64, hi: u64, mut f: impl FnMut(u64) -> Option<f64>) ->
     best
 }
 
-/// Minimize a *unimodal* `f` over `lo..=hi` by ternary search, then sweep
-/// a ±`slop` neighborhood of the candidate to absorb small plateaus and
-/// ceiling-induced ripples.
-///
-/// If `f` is not unimodal the result is a local minimum only; use
-/// [`minimize_scan`] when exactness matters more than speed. Infeasible
-/// (`None`) points are treated as `+∞`.
-pub fn minimize_unimodal(
-    lo: u64,
-    hi: u64,
-    slop: u64,
-    mut f: impl FnMut(u64) -> Option<f64>,
-) -> Option<IntOpt> {
-    if lo > hi {
-        return None;
-    }
-    let eval = |m: u64, f: &mut dyn FnMut(u64) -> Option<f64>| f(m).unwrap_or(f64::INFINITY);
-    let (mut a, mut b) = (lo, hi);
-    while b - a > 2 {
-        let m1 = a + (b - a) / 3;
-        let m2 = b - (b - a) / 3;
-        if eval(m1, &mut f) <= eval(m2, &mut f) {
-            b = m2;
-        } else {
-            a = m1;
-        }
-    }
-    // Neighborhood sweep around the narrowed bracket.
-    let sweep_lo = a.saturating_sub(slop).max(lo);
-    let sweep_hi = b.saturating_add(slop).min(hi);
-    minimize_scan(sweep_lo, sweep_hi, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,64 +76,5 @@ mod tests {
     fn scan_tie_breaks_low() {
         let f = |m: u64| Some(if (5..=7).contains(&m) { 1.0 } else { 2.0 });
         assert_eq!(minimize_scan(1, 10, f).unwrap().arg, 5);
-    }
-
-    #[test]
-    fn unimodal_matches_scan_on_convex() {
-        let f = |m: u64| Some(((m as f64) - 512.3).powi(2) + 7.0);
-        let a = minimize_scan(1, 2000, f).unwrap();
-        let b = minimize_unimodal(1, 2000, 4, f).unwrap();
-        assert_eq!(a.arg, b.arg);
-        assert_eq!(a.value, b.value);
-    }
-
-    #[test]
-    fn unimodal_handles_boundary_minimum() {
-        let f = |m: u64| Some(m as f64);
-        let opt = minimize_unimodal(5, 500, 4, f).unwrap();
-        assert_eq!(opt.arg, 5);
-    }
-
-    #[test]
-    fn unimodal_handles_plateau_via_slop() {
-        // Flat bottom of width 6 with the true edge at 40.
-        let f = |m: u64| {
-            Some(if (40..46).contains(&m) {
-                1.0
-            } else {
-                (m as f64 - 43.0).abs()
-            })
-        };
-        let opt = minimize_unimodal(1, 100, 8, f).unwrap();
-        assert_eq!(opt.arg, 40);
-    }
-
-    #[test]
-    fn unimodal_single_point_range() {
-        let opt = minimize_unimodal(7, 7, 4, |m| Some(m as f64)).unwrap();
-        assert_eq!(opt.arg, 7);
-    }
-
-    #[test]
-    fn unimodal_all_infeasible_is_none() {
-        assert!(minimize_unimodal(1, 100, 4, |_| None).is_none());
-    }
-
-    #[test]
-    fn unimodal_with_ceiling_ripple_matches_scan() {
-        // The monolithic objective shape: ceil-induced steps over a
-        // smooth 1/M decay plus a linear term.
-        let f = |m: u64| {
-            let m_f = m as f64;
-            Some(((m_f / 128.0).ceil() * 1000.0) / m_f + 0.01 * m_f)
-        };
-        let a = minimize_scan(1, 4000, f).unwrap();
-        let b = minimize_unimodal(1, 4000, 256, f).unwrap();
-        assert!(
-            (a.value - b.value).abs() < 1e-9,
-            "scan {:?} vs ternary {:?}",
-            a,
-            b
-        );
     }
 }

@@ -17,21 +17,16 @@
 //!   convex objectives over linear constraints, with a phase-1 routine to
 //!   find a strictly feasible start.
 //! * [`scalar`] — bisection and golden-section search.
-//! * [`integer`] — exact integer minimization by exhaustive scan and a
-//!   faster certified search for unimodal objectives.
-//! * [`bnb`] — one-dimensional branch-and-bound with relaxation-based
-//!   pruning, the miniature BONMIN used as a third cross-check on the
-//!   monolithic block-size program.
+//! * [`integer`] — exact integer minimization by exhaustive scan.
 //!
 //! Independent methods are cross-checked in this workspace's tests: the
 //! interior-point solution of Fig. 1 must agree with a specialized KKT
-//! water-filling solver (in `rtsdf-core`), and the unimodal integer
-//! search must agree with the exhaustive scan.
+//! water-filling solver, and the breakpoint search for Fig. 2 must agree
+//! with the exhaustive scan (both in `rtsdf-core`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bnb;
 pub mod convex;
 pub mod integer;
 pub mod linalg;

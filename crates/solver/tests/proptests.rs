@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use solver::convex::{find_interior_point, minimize, ConvexProblem, SolverOptions};
-use solver::integer::{minimize_scan, minimize_unimodal};
+use solver::integer::minimize_scan;
 use solver::linalg::Mat;
 use solver::linear::ConstraintSet;
 use solver::scalar::{bisect, golden_section};
@@ -75,18 +75,6 @@ proptest! {
                 prop_assert!(f(m).is_none());
             }
         }
-    }
-
-    #[test]
-    fn unimodal_matches_scan_on_convex_integer_objectives(
-        center in 0.0..2000.0f64,
-        scale in 0.01..10.0f64,
-        hi in 100u64..2000,
-    ) {
-        let f = |m: u64| Some(scale * (m as f64 - center).powi(2));
-        let a = minimize_scan(1, hi, f).unwrap();
-        let b = minimize_unimodal(1, hi, 4, f).unwrap();
-        prop_assert_eq!(a.arg, b.arg);
     }
 
     #[test]
