@@ -10,7 +10,8 @@
 //!   last, so static chunking serializes the expensive tail behind one
 //!   thread — exactly the shape work stealing fixes.
 //! * **Solver** — a cold `solve_with_fallback` vs the same solve warm-
-//!   started from a neighboring deadline's schedule.
+//!   started from a neighboring deadline's schedule, and the monolithic
+//!   block-size search (`solve_fast`) at its own bench point.
 //! * **Simulator** — the allocation-free enforced/monolithic hot loops,
 //!   reported as items/second.
 //!
@@ -140,6 +141,9 @@ fn main() {
         .solve_with_fallback()
         .expect("neighbor point is feasible");
     let hint = WarmStart::from_schedule(&hint_sched);
+    // The monolithic block-size search, at the monolithic simulator's
+    // operating point.
+    let mono_prob = MonolithicProblem::new(&pipeline, RtParams::new(50.0, 1e5).unwrap(), 1.0, 1.0);
     {
         let mut group = c.benchmark_group("solver");
         group.bench_function("cold", |b| {
@@ -148,20 +152,24 @@ fn main() {
         group.bench_function("warm", |b| {
             b.iter(|| black_box(prob.solve_with_fallback_warm(&hint).unwrap()))
         });
+        group.bench_function("monolithic", |b| {
+            b.iter(|| black_box(mono_prob.solve_fast().unwrap()))
+        });
         group.finish();
     }
     let cold_sched = prob.solve_with_fallback().unwrap();
     let warm_sched = prob.solve_with_fallback_warm(&hint).unwrap();
     let cold_iters = cold_sched.telemetry.as_ref().map_or(0, |t| t.iterations);
     let warm_iters = warm_sched.telemetry.as_ref().map_or(0, |t| t.iterations);
+    let mono_sched = mono_prob
+        .solve_fast()
+        .expect("monolithic point is feasible");
+    let mono_iters = mono_sched.telemetry.as_ref().map_or(0, |t| t.iterations);
 
     // Simulators: fixed-seed BLAST streams through the hot loops.
     let sim_items = 2_000usize;
     let sim_cfg = SimConfig::quick(10.0, 7, sim_items);
     let mono_cfg = SimConfig::quick(50.0, 7, sim_items);
-    let mono_sched = MonolithicProblem::new(&pipeline, RtParams::new(50.0, 1e5).unwrap(), 1.0, 1.0)
-        .solve_fast()
-        .expect("monolithic point is feasible");
     {
         let mut group = c.benchmark_group("sim");
         group.bench_function("enforced", |b| {
@@ -284,7 +292,9 @@ fn main() {
         cells_per_sec(chunked),
         chunked / ws
     );
-    println!("solver: cold {cold_iters} iters, warm {warm_iters} iters");
+    println!(
+        "solver: cold {cold_iters} iters, warm {warm_iters} iters, monolithic {mono_iters} evals"
+    );
     println!(
         "profile {prof_rows}x{prof_cols}: work stealing {:.2}s vs chunked {:.2}s ({:.2}x), \
          {prof_steals:.0} steals / {prof_claims:.0} cells, busy min {busy_min:.2} mean {busy_mean:.2}",
@@ -323,6 +333,10 @@ fn main() {
                     "warm": json!({
                         "iterations": warm_iters,
                         "wall_micros": mean_ns(&results, "solver/warm") / 1e3,
+                    }),
+                    "monolithic": json!({
+                        "iterations": mono_iters,
+                        "wall_micros": mean_ns(&results, "solver/monolithic") / 1e3,
                     }),
                 }),
                 "sim": json!({

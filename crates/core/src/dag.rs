@@ -24,6 +24,7 @@ use crate::enforced::{
 use crate::feasibility::{check_enforced_feasibility, minimal_periods, FeasibilityError};
 use crate::kkt::{active_fraction_gradient, kkt_report, KktReport};
 use crate::policy;
+use crate::price::{exact_price, seed_mu};
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
 use dataflow_model::analysis::topology_enforced_active_fraction;
@@ -145,15 +146,16 @@ impl<'a> EnforcedDagProblem<'a> {
 
     /// Solve for the optimal waits. Chains delegate to
     /// [`EnforcedWaitsProblem::solve_with_fallback`] (bit-exact); general
-    /// DAGs run a λ-bisection over the scaled-period water-filling
-    /// relaxation with an order-respecting projection (see module docs).
+    /// DAGs find the exact deadline price of the scaled-period
+    /// water-filling relaxation with an order-respecting projection (see
+    /// module docs).
     pub fn solve(&self) -> Result<WaitSchedule, ScheduleError> {
         self.solve_inner(None)
     }
 
     /// [`EnforcedDagProblem::solve`] seeded from a nearby solution's
-    /// periods: the deadline-price bracket opens around the KKT estimate
-    /// at the warm point instead of sweeping from zero.
+    /// periods: the hint only seeds the first deadline-price step, so the
+    /// schedule equals the cold one bit for bit.
     pub fn solve_warm(&self, warm: &WarmStart) -> Result<WaitSchedule, ScheduleError> {
         self.solve_inner(Some(warm))
     }
@@ -336,12 +338,13 @@ impl<'a> EnforcedDagProblem<'a> {
         }
     }
 
-    /// λ-bisection on the deadline price. For a fixed λ the separable
-    /// relaxation has the closed form `z_i = √(a_i/(λ·c_i))`; clamping
-    /// to `[lo, cap]` and projecting onto the edge order constraints
-    /// (forward sweep against a reverse-swept floor) yields a candidate
-    /// whose deadline usage is monotone nonincreasing in λ, so bisection
-    /// on `Σ c_i·z_i = D` converges.
+    /// Exact deadline price over the projected water-filling relaxation.
+    /// For a fixed λ, each node in topo order takes `√(a_i/(λ·c_i))`
+    /// clamped to `cap`, lowered to its parents' values and raised to its
+    /// floor. Every node then equals the free value `μ·√(a_j/c_j)` of
+    /// itself or an ancestor, or a bound, so within one tie pattern the
+    /// budget is affine in `μ = λ^(-1/2)`, and the smallest fitting λ is
+    /// found exactly as on chains.
     fn solve_dag_waterfilling(
         &self,
         warm: Option<&WarmStart>,
@@ -357,13 +360,15 @@ impl<'a> EnforcedDagProblem<'a> {
             )));
         }
         let cap = topo.vector_width() as f64 * self.params.tau0;
+        let deadline = self.params.deadline;
         let a: Vec<f64> = (0..n).map(|i| t[i] * g[i] / n as f64).collect();
         let c: Vec<f64> = (0..n).map(|i| self.b[i] / g[i]).collect();
         let lo: Vec<f64> = (0..n).map(|i| t[i] * g[i]).collect();
+        let root: Vec<f64> = (0..n).map(|i| (a[i] / c[i]).sqrt()).collect();
 
         // Floors that already respect the order constraints: z may never
         // drop below its own lo nor below any descendant's floor.
-        let mut floor = lo.clone();
+        let mut floor = lo;
         for &i in topo.topo_order().iter().rev() {
             for &e in topo.out_edges(i) {
                 let dst = topo.edge(e).dst;
@@ -374,76 +379,72 @@ impl<'a> EnforcedDagProblem<'a> {
         let mut telemetry = SolveTelemetry::new("dag-water-filling");
         telemetry.warm_start = warm.is_some();
 
-        let project = |lambda: f64, z: &mut Vec<f64>| {
-            z.clear();
-            z.resize(n, 0.0);
+        // z_i, and its slope in μ: the root of the node whose free value
+        // it took, or 0 at a bound.
+        let mut z = vec![0.0; n];
+        let mut slope_of = vec![0.0; n];
+        let mut project = |lambda: f64, z: &mut [f64]| {
+            let (mut slope, mut offset) = (0.0, 0.0);
             for &i in topo.topo_order() {
-                let candidate = if lambda <= 0.0 {
-                    cap
+                let free = (a[i] / (lambda * c[i])).sqrt();
+                let (mut zi, mut si) = if free < cap {
+                    (free, root[i])
                 } else {
-                    (a[i] / (lambda * c[i])).sqrt().min(cap)
+                    (cap, 0.0)
                 };
-                let parent_cap = topo
-                    .in_edges(i)
-                    .iter()
-                    .map(|&e| z[topo.edge(e).src])
-                    .fold(f64::INFINITY, f64::min);
-                z[i] = candidate.min(parent_cap).max(floor[i]);
+                for &e in topo.in_edges(i) {
+                    let src = topo.edge(e).src;
+                    if z[src] < zi {
+                        (zi, si) = (z[src], slope_of[src]);
+                    }
+                }
+                if zi < floor[i] {
+                    (zi, si) = (floor[i], 0.0);
+                }
+                z[i] = zi;
+                slope_of[i] = si;
+                if si > 0.0 {
+                    slope += c[i] * si;
+                } else {
+                    offset += c[i] * zi;
+                }
             }
+            (slope, offset)
         };
         let usage = |z: &[f64]| -> f64 { z.iter().zip(&c).map(|(&zi, &ci)| ci * zi).sum() };
+        let latency = |z: &[f64]| -> f64 {
+            z.iter()
+                .zip(&g)
+                .zip(&self.b)
+                .map(|((&zi, &gi), &bi)| bi * (zi / gi))
+                .sum()
+        };
 
-        let mut z = Vec::with_capacity(n);
-        project(0.0, &mut z);
-        let mut steps = 1u64;
-        if usage(&z) > self.params.deadline {
-            // Bracket the deadline price. A warm hint seeds the bracket
-            // at the KKT stationarity estimate λ̂ = a_i/(c_i·z_i²)
-            // evaluated at the clamped warm point; otherwise grow from
-            // a tiny price until the deadline budget is satisfied.
-            let mut lambda_lo = 0.0;
-            let mut lambda_hi = warm
-                .map(|w| {
-                    let mut est = f64::MIN_POSITIVE;
-                    for i in 0..n {
-                        let zi = (g[i] * w.periods[i]).clamp(floor[i], cap);
-                        est = est.max(a[i] / (c[i] * zi * zi));
-                    }
-                    est
-                })
-                .unwrap_or(1e-12)
-                .max(1e-300);
-            loop {
-                project(lambda_hi, &mut z);
-                steps += 1;
-                if usage(&z) <= self.params.deadline {
-                    break;
-                }
-                lambda_lo = lambda_hi;
-                lambda_hi *= 10.0;
-                if !lambda_hi.is_finite() {
-                    return Err(ScheduleError::Solver(
-                        "DAG water-filling failed to bracket the deadline price".into(),
-                    ));
-                }
+        let mu0 = seed_mu(
+            deadline,
+            &a,
+            &c,
+            &g,
+            &floor,
+            cap,
+            warm.map(|w| &w.periods[..]),
+        );
+        let lambda = exact_price(deadline, mu0, |lambda| {
+            let (slope, offset) = project(lambda, &mut z);
+            let used = usage(&z);
+            telemetry.iterations += 1;
+            if lambda > 0.0 {
+                telemetry.residual_series.push(deadline - used);
             }
-            for _ in 0..200 {
-                let mid = 0.5 * (lambda_lo + lambda_hi);
-                project(mid, &mut z);
-                steps += 1;
-                let u = usage(&z);
-                telemetry.residual_series.push(self.params.deadline - u);
-                if u > self.params.deadline {
-                    lambda_lo = mid;
-                } else {
-                    lambda_hi = mid;
-                }
-            }
-            // Land on the feasible side of the final bracket.
-            project(lambda_hi, &mut z);
-        }
-        telemetry.iterations = steps;
-        telemetry.residual = self.params.deadline - usage(&z);
+            // As on chains: the z-space budget and the reported bound
+            // must both meet the deadline in floating point.
+            (used <= deadline && latency(&z) <= deadline, slope, offset)
+        })
+        .ok_or_else(|| {
+            ScheduleError::Solver("DAG water-filling found no deadline price that fits".into())
+        })?;
+        project(lambda, &mut z);
+        telemetry.residual = deadline - usage(&z);
         let periods: Vec<f64> = (0..n).map(|i| z[i] / g[i]).collect();
         Ok((periods, telemetry))
     }
@@ -646,9 +647,7 @@ mod tests {
                 periods: cold.periods.clone(),
             })
             .unwrap();
-        for (w, c) in warm.periods.iter().zip(&cold.periods) {
-            assert!((w - c).abs() / c < 1e-6, "warm {w} vs cold {c}");
-        }
+        assert_eq!(warm.periods, cold.periods);
         assert!(warm.telemetry.unwrap().warm_start);
     }
 

@@ -23,10 +23,13 @@
 //!   monotonicity requirement (`z` nonincreasing) and the head bound
 //!   into `z_i ≤ v·τ0`, leaving a separable convex objective. For a
 //!   fixed deadline price λ the inner problem is solved exactly by
-//!   pool-adjacent-violators; an outer bisection finds the λ that
-//!   exhausts (or slackens) the deadline budget.
+//!   pool-adjacent-violators. Within one block structure the budget is
+//!   affine in `μ = λ^(-1/2)`, so a few bracketed Newton steps find the
+//!   exact λ that exhausts (or slackens) the deadline budget, and the
+//!   schedule is the closed form at that λ.
 
 use crate::feasibility::{check_enforced_feasibility, minimal_periods};
+use crate::price::{exact_price, seed_mu};
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
 use dataflow_model::analysis::enforced_active_fraction;
@@ -44,7 +47,7 @@ use solver::linear::ConstraintSet;
 pub enum SolveMethod {
     /// General log-barrier interior-point Newton method.
     InteriorPoint,
-    /// Exact specialized water-filling (λ-bisection + PAV).
+    /// Exact specialized water-filling (exact deadline price + PAV).
     WaterFilling,
 }
 
@@ -161,14 +164,12 @@ impl<'a> EnforcedWaitsProblem<'a> {
 
     /// [`EnforcedWaitsProblem::solve`] seeded from a nearby solution.
     ///
-    /// Warm-started solves converge to the same schedule as cold starts
-    /// (within solver tolerance) but spend fewer iterations: the
-    /// interior-point method skips its loose early centering steps (or
-    /// runs phase-1 from the warm point instead of from scratch), and
-    /// water-filling brackets the deadline price around a KKT estimate
-    /// taken at the warm point instead of sweeping from λ = 10⁻³⁰.
-    /// The returned telemetry has `warm_start = true` so the effect is
-    /// visible in manifests.
+    /// The interior-point method converges to the cold schedule (within
+    /// solver tolerance) in fewer iterations: it skips its loose early
+    /// centering steps, or runs phase-1 from the warm point instead of
+    /// from scratch. Water-filling only seeds its first deadline-price
+    /// step from the hint and returns the cold schedule bit for bit.
+    /// The returned telemetry has `warm_start = true`.
     pub fn solve_warm(
         &self,
         method: SolveMethod,
@@ -179,9 +180,9 @@ impl<'a> EnforcedWaitsProblem<'a> {
 
     /// [`EnforcedWaitsProblem::solve`] with solver span tracing: emits
     /// an enclosing solve span on [`Track::solver`]`(attempt)` (wall
-    /// microseconds as the time axis), with one child span per
-    /// water-filling bisection step or interior-point barrier centering
-    /// step.
+    /// microseconds as the time axis), with one child `price` span per
+    /// water-filling budget evaluation or one `centering` span per
+    /// interior-point barrier step.
     pub fn solve_traced(
         &self,
         method: SolveMethod,
@@ -216,11 +217,8 @@ impl<'a> EnforcedWaitsProblem<'a> {
             (SolveMethod::InteriorPoint, Some(w)) => {
                 self.solve_interior_point_warm(&w.periods, spans.as_deref_mut(), attempt)
             }
-            (SolveMethod::WaterFilling, None) => {
-                self.solve_waterfilling(spans.as_deref_mut(), attempt)
-            }
-            (SolveMethod::WaterFilling, Some(w)) => {
-                self.solve_waterfilling_warm(&w.periods, spans.as_deref_mut(), attempt)
+            (SolveMethod::WaterFilling, w) => {
+                self.solve_waterfilling(w.map(|w| &w.periods[..]), spans.as_deref_mut(), attempt)
             }
         });
         if let Some(sink) = spans {
@@ -558,8 +556,13 @@ impl<'a> EnforcedWaitsProblem<'a> {
             .then_some(seed)
     }
 
+    /// Exact water-filling: the smallest deadline price λ whose
+    /// pool-adjacent-violators schedule `z(λ)` fits the deadline, from
+    /// [`exact_price`]. A warm hint (periods) only seeds the first price
+    /// step, so warm and cold solves return the same schedule.
     fn solve_waterfilling(
         &self,
+        warm: Option<&[f64]>,
         mut spans: Option<&mut SpanSink>,
         attempt: u64,
     ) -> Result<(Vec<f64>, SolveTelemetry), ScheduleError> {
@@ -572,6 +575,7 @@ impl<'a> EnforcedWaitsProblem<'a> {
         let n = self.pipeline.len();
         let t = self.pipeline.service_times();
         let cap = self.pipeline.vector_width() as f64 * self.params.tau0;
+        let deadline = self.params.deadline;
         // z_i = G_i·x_i. Objective coefficient a_i (from t_i/(N·x_i) =
         // a_i/z_i), budget coefficient c_i (from b_i·x_i = c_i·z_i).
         let a: Vec<f64> = (0..n).map(|i| t[i] * g_total[i] / n as f64).collect();
@@ -583,297 +587,56 @@ impl<'a> EnforcedWaitsProblem<'a> {
         );
 
         let budget_of = |z: &[f64]| -> f64 { z.iter().zip(&c).map(|(&zi, &ci)| zi * ci).sum() };
-
-        let mut telemetry = SolveTelemetry::new("water-filling");
-        let t0 = std::time::Instant::now();
-        let elapsed_us = |t0: &std::time::Instant| t0.elapsed().as_secs_f64() * 1e6;
-        let track = Track::solver(attempt);
-
-        // λ = 0: everything at the cap. If the deadline is slack there,
-        // the stability bounds are the binding constraints and we are
-        // done (maximal waits everywhere).
-        let z_cap = vec![cap; n];
-        if budget_of(&z_cap) <= self.params.deadline {
-            telemetry.iterations = 1; // one budget evaluation decided it
-            telemetry.residual = self.params.deadline - budget_of(&z_cap);
-            telemetry.residual_series.push(telemetry.residual);
-            if let Some(sink) = spans.as_deref_mut() {
-                sink.span_detail(
-                    track,
-                    "cap-check",
-                    "solver",
-                    "deadline slack at λ=0",
-                    0.0,
-                    elapsed_us(&t0),
-                );
-            }
-            return Ok((
-                z_cap.iter().zip(&g_total).map(|(&z, &gt)| z / gt).collect(),
-                telemetry,
-            ));
-        }
-
-        // Otherwise bisect the deadline price λ. The budget used by the
-        // inner solution is continuous and nonincreasing in λ.
-        let inner = |lambda: f64| pav_nonincreasing(&a, &c, &lo, cap, lambda);
-        let mut lam_lo = 1e-30;
-        let mut lam_hi = 1.0;
-        loop {
-            let started = if spans.is_some() {
-                elapsed_us(&t0)
-            } else {
-                0.0
-            };
-            let bud = budget_of(&inner(lam_hi));
-            let over = bud > self.params.deadline;
-            if let Some(sink) = spans.as_deref_mut() {
-                sink.span_detail(
-                    track,
-                    "bracket",
-                    "solver",
-                    format!("lambda={lam_hi:.4e} over={over}"),
-                    started,
-                    elapsed_us(&t0),
-                );
-            }
-            if !over {
-                break;
-            }
-            telemetry.iterations += 1;
-            telemetry
-                .residual_series
-                .push((self.params.deadline - bud).abs());
-            lam_hi *= 10.0;
-            if lam_hi > 1e30 {
-                return Err(ScheduleError::Solver(
-                    "water-filling bisection failed to bracket the deadline price".into(),
-                ));
-            }
-        }
-        for _ in 0..200 {
-            telemetry.iterations += 1;
-            let mid = (lam_lo * lam_hi).sqrt(); // geometric: λ spans decades
-            let started = if spans.is_some() {
-                elapsed_us(&t0)
-            } else {
-                0.0
-            };
-            let bud = budget_of(&inner(mid));
-            let over = bud > self.params.deadline;
-            telemetry
-                .residual_series
-                .push((self.params.deadline - bud).abs());
-            if let Some(sink) = spans.as_deref_mut() {
-                sink.span_detail(
-                    track,
-                    "bisection",
-                    "solver",
-                    format!("lambda={mid:.4e} over={over}"),
-                    started,
-                    elapsed_us(&t0),
-                );
-                sink.counter(
-                    track,
-                    "residual",
-                    elapsed_us(&t0),
-                    (self.params.deadline - bud).abs(),
-                );
-            }
-            if over {
-                lam_lo = mid;
-            } else {
-                lam_hi = mid;
-            }
-        }
-        let z = inner(lam_hi);
-        telemetry.residual = (self.params.deadline - budget_of(&z)).abs();
-        Ok((
-            z.iter().zip(&g_total).map(|(&z, &gt)| z / gt).collect(),
-            telemetry,
-        ))
-    }
-
-    /// Warm water-filling: instead of sweeping the deadline price λ up
-    /// from 10⁻³⁰, bracket it around the KKT stationarity estimate
-    /// `λ̂_i = a_i / (c_i·ẑ_i²)` taken at the warm point's `ẑ`, then
-    /// bisect with an early exit once the bracket collapses. Converges
-    /// to the same λ as the cold solve (the budget is monotone in λ)
-    /// in far fewer inner evaluations when the hint is close.
-    fn solve_waterfilling_warm(
-        &self,
-        warm: &[f64],
-        mut spans: Option<&mut SpanSink>,
-        attempt: u64,
-    ) -> Result<(Vec<f64>, SolveTelemetry), ScheduleError> {
-        let g_total = self.pipeline.total_gains();
-        if g_total.iter().any(|&g| g <= 0.0) {
-            return Err(ScheduleError::Solver(
-                "water-filling requires strictly positive mean gains; use InteriorPoint".into(),
-            ));
-        }
-        let n = self.pipeline.len();
-        let t = self.pipeline.service_times();
-        let cap = self.pipeline.vector_width() as f64 * self.params.tau0;
-        let a: Vec<f64> = (0..n).map(|i| t[i] * g_total[i] / n as f64).collect();
-        let c: Vec<f64> = (0..n).map(|i| self.b[i] / g_total[i]).collect();
-        let lo: Vec<f64> = (0..n).map(|i| t[i] * g_total[i]).collect();
-
-        let budget_of = |z: &[f64]| -> f64 { z.iter().zip(&c).map(|(&zi, &ci)| zi * ci).sum() };
-
-        let mut telemetry = SolveTelemetry::new("water-filling");
-        telemetry.warm_start = true;
-        let t0 = std::time::Instant::now();
-        let elapsed_us = |t0: &std::time::Instant| t0.elapsed().as_secs_f64() * 1e6;
-        let track = Track::solver(attempt);
-
-        // λ = 0 cap check, exactly as in the cold solve.
-        let z_cap = vec![cap; n];
-        if budget_of(&z_cap) <= self.params.deadline {
-            telemetry.iterations = 1;
-            telemetry.residual = self.params.deadline - budget_of(&z_cap);
-            telemetry.residual_series.push(telemetry.residual);
-            if let Some(sink) = spans.as_deref_mut() {
-                sink.span_detail(
-                    track,
-                    "cap-check",
-                    "solver",
-                    "deadline slack at λ=0",
-                    0.0,
-                    elapsed_us(&t0),
-                );
-            }
-            return Ok((
-                z_cap.iter().zip(&g_total).map(|(&z, &gt)| z / gt).collect(),
-                telemetry,
-            ));
-        }
-
-        // Stationarity of a_i/z_i + λ·c_i·z_i gives λ = a_i/(c_i·z_i²);
-        // the optimal λ lies within the range of these estimates over
-        // the warm ẑ (modulo pooled/clamped coordinates, absorbed by the
-        // 16× guard band).
-        let mut lam_min = f64::INFINITY;
-        let mut lam_max = 0.0_f64;
-        for i in 0..n {
-            let z = (g_total[i] * warm[i]).clamp(lo[i], cap);
-            let est = a[i] / (c[i] * z * z);
-            if est.is_finite() && est > 0.0 {
-                lam_min = lam_min.min(est);
-                lam_max = lam_max.max(est);
-            }
-        }
-        let (mut lam_lo, mut lam_hi) = if lam_max > 0.0 && lam_min.is_finite() {
-            ((lam_min / 16.0).max(1e-30), (lam_max * 16.0).min(1e30))
-        } else {
-            (1e-30, 1.0)
+        // The latency bound `schedule_from_periods` reports for z.
+        let latency_of = |z: &[f64]| -> f64 {
+            z.iter()
+                .zip(&g_total)
+                .zip(&t)
+                .zip(&self.b)
+                .map(|(((&zi, &gi), &ti), &bi)| bi * (zi / gi).max(ti))
+                .sum()
         };
 
-        let inner = |lambda: f64| pav_nonincreasing(&a, &c, &lo, cap, lambda);
-        // Restore the bracket invariant the bisection needs: over-budget
-        // at lam_lo, under-budget at lam_hi.
-        loop {
-            let started = if spans.is_some() {
-                elapsed_us(&t0)
-            } else {
-                0.0
-            };
-            let bud = budget_of(&inner(lam_hi));
-            let over = bud > self.params.deadline;
+        let mut telemetry = SolveTelemetry::new("water-filling");
+        telemetry.warm_start = warm.is_some();
+        let t0 = std::time::Instant::now();
+        let elapsed_us = |t0: &std::time::Instant| t0.elapsed().as_secs_f64() * 1e6;
+        let track = Track::solver(attempt);
+        let mu0 = seed_mu(deadline, &a, &c, &g_total, &lo, cap, warm);
+
+        let mut pav = Pav::default();
+        let lambda = exact_price(deadline, mu0, |lambda| {
+            let started = spans.as_ref().map_or(0.0, |_| elapsed_us(&t0));
+            let (slope, offset) = pav.solve(&a, &c, &lo, cap, lambda);
+            let used = budget_of(&pav.z);
+            // The z-space budget and the reported bound `Σ b_i·x_i`
+            // round differently; both must meet the deadline.
+            let fits = used <= deadline && latency_of(&pav.z) <= deadline;
+            telemetry.iterations += 1;
+            if lambda > 0.0 {
+                telemetry.residual_series.push((deadline - used).abs());
+            }
             if let Some(sink) = spans.as_deref_mut() {
+                let now = elapsed_us(&t0);
                 sink.span_detail(
                     track,
-                    "bracket",
+                    "price",
                     "solver",
-                    format!("lambda={lam_hi:.4e} over={over}"),
+                    format!("lambda={lambda:.4e} fits={fits}"),
                     started,
-                    elapsed_us(&t0),
+                    now,
                 );
+                sink.counter(track, "residual", now, (deadline - used).abs());
             }
-            if !over {
-                break;
-            }
-            telemetry.iterations += 1;
-            telemetry
-                .residual_series
-                .push((self.params.deadline - bud).abs());
-            lam_hi *= 10.0;
-            if lam_hi > 1e30 {
-                return Err(ScheduleError::Solver(
-                    "water-filling bisection failed to bracket the deadline price".into(),
-                ));
-            }
-        }
-        while lam_lo > 1e-30 {
-            telemetry.iterations += 1;
-            let started = if spans.is_some() {
-                elapsed_us(&t0)
-            } else {
-                0.0
-            };
-            let bud = budget_of(&inner(lam_lo));
-            let over = bud > self.params.deadline;
-            telemetry
-                .residual_series
-                .push((self.params.deadline - bud).abs());
-            if let Some(sink) = spans.as_deref_mut() {
-                sink.span_detail(
-                    track,
-                    "bracket",
-                    "solver",
-                    format!("lambda={lam_lo:.4e} over={over}"),
-                    started,
-                    elapsed_us(&t0),
-                );
-            }
-            if over {
-                break;
-            }
-            lam_lo = (lam_lo / 10.0).max(1e-30);
-        }
-        for _ in 0..200 {
-            // Early exit: once the bracket has collapsed to machine
-            // precision further bisection cannot move λ.
-            if lam_hi / lam_lo < 1.0 + 1e-13 {
-                break;
-            }
-            telemetry.iterations += 1;
-            let mid = (lam_lo * lam_hi).sqrt();
-            let started = if spans.is_some() {
-                elapsed_us(&t0)
-            } else {
-                0.0
-            };
-            let bud = budget_of(&inner(mid));
-            let over = bud > self.params.deadline;
-            telemetry
-                .residual_series
-                .push((self.params.deadline - bud).abs());
-            if let Some(sink) = spans.as_deref_mut() {
-                sink.span_detail(
-                    track,
-                    "bisection",
-                    "solver",
-                    format!("lambda={mid:.4e} over={over}"),
-                    started,
-                    elapsed_us(&t0),
-                );
-                sink.counter(
-                    track,
-                    "residual",
-                    elapsed_us(&t0),
-                    (self.params.deadline - bud).abs(),
-                );
-            }
-            if over {
-                lam_lo = mid;
-            } else {
-                lam_hi = mid;
-            }
-        }
-        let z = inner(lam_hi);
-        telemetry.residual = (self.params.deadline - budget_of(&z)).abs();
+            (fits, slope, offset)
+        })
+        .ok_or_else(|| {
+            ScheduleError::Solver("water-filling found no deadline price that fits".into())
+        })?;
+        pav.solve(&a, &c, &lo, cap, lambda);
+        telemetry.residual = (deadline - budget_of(&pav.z)).abs();
         Ok((
-            z.iter().zip(&g_total).map(|(&z, &gt)| z / gt).collect(),
+            pav.z.iter().zip(&g_total).map(|(&z, &gt)| z / gt).collect(),
             telemetry,
         ))
     }
@@ -918,55 +681,72 @@ impl ConvexProblem for ActiveFractionObjective {
     }
 }
 
-/// Exact minimizer of `Σ_i a_i/z_i + λ·c_i·z_i` subject to
-/// `z_0 ≥ z_1 ≥ … ≥ z_{n-1}`, `lo_i ≤ z_i ≤ cap`, via
-/// pool-adjacent-violators. Each pooled block takes the value
-/// `clamp(√(Σa / (λ·Σc)), max lo over block, cap)`.
-fn pav_nonincreasing(a: &[f64], c: &[f64], lo: &[f64], cap: f64, lambda: f64) -> Vec<f64> {
-    #[derive(Clone, Copy)]
-    struct Block {
-        a_sum: f64,
-        c_sum: f64,
-        lo_max: f64,
-        len: usize,
-        value: f64,
-    }
-    fn block_value(a_sum: f64, c_sum: f64, lo_max: f64, cap: f64, lambda: f64) -> f64 {
-        (a_sum / (lambda * c_sum)).sqrt().clamp(lo_max, cap)
-    }
+/// One pooled block of [`Pav`].
+#[derive(Clone, Copy)]
+struct PavBlock {
+    a_sum: f64,
+    c_sum: f64,
+    lo_max: f64,
+    len: usize,
+    value: f64,
+}
 
-    let n = a.len();
-    let mut stack: Vec<Block> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut blk = Block {
-            a_sum: a[i],
-            c_sum: c[i],
-            lo_max: lo[i],
-            len: 1,
-            value: block_value(a[i], c[i], lo[i], cap, lambda),
-        };
-        // Nonincreasing order: the previous block's value must be >= the
-        // new block's. Pool while violated.
-        while let Some(prev) = stack.last() {
-            if prev.value >= blk.value {
-                break;
+/// Pool-adjacent-violators with reusable buffers.
+#[derive(Default)]
+struct Pav {
+    blocks: Vec<PavBlock>,
+    /// The last solution.
+    z: Vec<f64>,
+}
+
+impl Pav {
+    /// Exact minimizer of `Σ_i a_i/z_i + λ·c_i·z_i` subject to
+    /// `z_0 ≥ z_1 ≥ … ≥ z_{n-1}`, `lo_i ≤ z_i ≤ cap`, written to `self.z`.
+    /// Each pooled block takes the value
+    /// `clamp(√(Σa / (λ·Σc)), max lo over block, cap)`. Returns the
+    /// budget `Σ c_i·z_i` of this block structure as `slope·μ + offset`
+    /// with `μ = λ^(-1/2)`: a free block adds `√(Σa·Σc)` to the slope, a
+    /// clamped one its `Σc·value` to the offset.
+    fn solve(&mut self, a: &[f64], c: &[f64], lo: &[f64], cap: f64, lambda: f64) -> (f64, f64) {
+        let raw = |a_sum: f64, c_sum: f64| (a_sum / (lambda * c_sum)).sqrt();
+        let stack = &mut self.blocks;
+        stack.clear();
+        for i in 0..a.len() {
+            let mut blk = PavBlock {
+                a_sum: a[i],
+                c_sum: c[i],
+                lo_max: lo[i],
+                len: 1,
+                value: raw(a[i], c[i]).clamp(lo[i], cap),
+            };
+            // Nonincreasing order: the previous block's value must be >=
+            // the new block's. Pool while violated.
+            while let Some(prev) = stack.last() {
+                if prev.value >= blk.value {
+                    break;
+                }
+                let prev = stack.pop().expect("just peeked");
+                blk.a_sum += prev.a_sum;
+                blk.c_sum += prev.c_sum;
+                blk.lo_max = blk.lo_max.max(prev.lo_max);
+                blk.len += prev.len;
+                blk.value = raw(blk.a_sum, blk.c_sum).clamp(blk.lo_max, cap);
             }
-            let prev = stack.pop().expect("just peeked");
-            blk.a_sum += prev.a_sum;
-            blk.c_sum += prev.c_sum;
-            blk.lo_max = blk.lo_max.max(prev.lo_max);
-            blk.len += prev.len;
-            blk.value = block_value(blk.a_sum, blk.c_sum, blk.lo_max, cap, lambda);
+            stack.push(blk);
         }
-        stack.push(blk);
-    }
-    let mut z = Vec::with_capacity(n);
-    for blk in stack {
-        for _ in 0..blk.len {
-            z.push(blk.value);
+        self.z.clear();
+        let (mut slope, mut offset) = (0.0, 0.0);
+        for blk in stack.iter() {
+            self.z.resize(self.z.len() + blk.len, blk.value);
+            let r = raw(blk.a_sum, blk.c_sum);
+            if r > blk.lo_max && r < cap {
+                slope += (blk.a_sum * blk.c_sum).sqrt();
+            } else {
+                offset += blk.c_sum * blk.value;
+            }
         }
+        (slope, offset)
     }
-    z
 }
 
 #[cfg(test)]
@@ -1237,14 +1017,10 @@ mod tests {
                 assert_eq!(s.depth, 1, "child spans nest inside the solve");
             }
         }
-        // Water-filling: every λ evaluation leaves a span. The bracket
-        // loop emits one more span than it counts iterations (the final,
-        // passing check), so spans == iterations + 1.
+        // Water-filling: every budget evaluation is one iteration and
+        // leaves one `price` span.
         let wf_tel = wf.telemetry.expect("telemetry");
-        assert_eq!(
-            count(0, "bisection") + count(0, "bracket"),
-            wf_tel.iterations + 1
-        );
+        assert_eq!(count(0, "price"), wf_tel.iterations);
         // Interior point: one centering span per barrier step, plus the
         // phase-1 span.
         let ip_tel = ip.telemetry.expect("telemetry");
@@ -1296,24 +1072,29 @@ mod tests {
             let hint = WarmStart::from_schedule(&prev);
             let prob =
                 EnforcedWaitsProblem::new(&p, RtParams::new(10.0, d).unwrap(), PAPER_B.to_vec());
-            for method in [SolveMethod::WaterFilling, SolveMethod::InteriorPoint] {
-                let cold = prob.solve(method).unwrap();
-                let warm = prob.solve_warm(method, &hint).unwrap();
-                assert!(warm.telemetry.as_ref().unwrap().warm_start);
+            // Water-filling: the hint only seeds the price search, so the
+            // schedule is the cold one bit for bit.
+            let cold = prob.solve(SolveMethod::WaterFilling).unwrap();
+            let warm = prob.solve_warm(SolveMethod::WaterFilling, &hint).unwrap();
+            assert!(warm.telemetry.as_ref().unwrap().warm_start);
+            assert_eq!(warm.periods, cold.periods, "D={d}");
+            assert_eq!(warm.active_fraction, cold.active_fraction, "D={d}");
+            let cold = prob.solve(SolveMethod::InteriorPoint).unwrap();
+            let warm = prob.solve_warm(SolveMethod::InteriorPoint, &hint).unwrap();
+            assert!(warm.telemetry.as_ref().unwrap().warm_start);
+            assert!(
+                (warm.active_fraction - cold.active_fraction).abs() < 1e-5,
+                "InteriorPoint at D={d}: warm {} vs cold {}",
+                warm.active_fraction,
+                cold.active_fraction
+            );
+            for (a, b) in warm.periods.iter().zip(&cold.periods) {
                 assert!(
-                    (warm.active_fraction - cold.active_fraction).abs() < 1e-5,
-                    "{method:?} at D={d}: warm {} vs cold {}",
-                    warm.active_fraction,
-                    cold.active_fraction
+                    (a - b).abs() / b < 1e-3,
+                    "InteriorPoint at D={d}: {:?} vs {:?}",
+                    warm.periods,
+                    cold.periods
                 );
-                for (a, b) in warm.periods.iter().zip(&cold.periods) {
-                    assert!(
-                        (a - b).abs() / b < 1e-3,
-                        "{method:?} at D={d}: {:?} vs {:?}",
-                        warm.periods,
-                        cold.periods
-                    );
-                }
             }
         }
     }
@@ -1322,14 +1103,14 @@ mod tests {
     fn warm_start_uses_fewer_iterations_on_blast() {
         // Acceptance criterion: mean interior-point iterations with
         // warm-start enabled < disabled on the Table-1 BLAST pipeline.
-        // The same must hold for water-filling's λ-search.
+        // Water-filling's exact price search takes a handful of budget
+        // evaluations either way; its warm solve must return the cold
+        // schedule bit for bit.
         let p = blast();
         let deadlines = [3e4, 5e4, 8e4, 1.2e5, 2e5, 3.5e5];
         let mut prev: Option<WaitSchedule> = None;
         let mut cold_ip = 0u64;
         let mut warm_ip = 0u64;
-        let mut cold_wf = 0u64;
-        let mut warm_wf = 0u64;
         let mut warmed = 0u32;
         for &d in &deadlines {
             let prob =
@@ -1342,8 +1123,7 @@ mod tests {
                 let wf_warm = prob.solve_warm(SolveMethod::WaterFilling, &hint).unwrap();
                 cold_ip += ip_cold.telemetry.as_ref().unwrap().iterations;
                 warm_ip += ip_warm.telemetry.as_ref().unwrap().iterations;
-                cold_wf += wf_cold.telemetry.as_ref().unwrap().iterations;
-                warm_wf += wf_warm.telemetry.as_ref().unwrap().iterations;
+                assert_eq!(wf_warm.periods, wf_cold.periods, "D={d}");
                 warmed += 1;
             }
             prev = Some(wf_cold);
@@ -1354,12 +1134,6 @@ mod tests {
             "mean warm IP iterations {} should beat cold {}",
             warm_ip as f64 / warmed as f64,
             cold_ip as f64 / warmed as f64
-        );
-        assert!(
-            warm_wf < cold_wf,
-            "mean warm WF iterations {} should beat cold {}",
-            warm_wf as f64 / warmed as f64,
-            cold_wf as f64 / warmed as f64
         );
     }
 
@@ -1482,7 +1256,9 @@ mod tests {
         let lo = [0.1, 0.2, 0.4, 0.3];
         let cap = 100.0;
         for lambda in [1e-4, 1e-2, 1.0, 100.0] {
-            let z = pav_nonincreasing(&a, &c, &lo, cap, lambda);
+            let mut pav = Pav::default();
+            pav.solve(&a, &c, &lo, cap, lambda);
+            let z = &pav.z;
             for w in z.windows(2) {
                 assert!(w[0] >= w[1] - 1e-12, "not nonincreasing: {z:?}");
             }
@@ -1510,7 +1286,9 @@ mod tests {
                 .map(|((&zi, &ai), &ci)| ai / zi + lambda * ci * zi)
                 .sum()
         };
-        let z = pav_nonincreasing(&a, &c, &lo, cap, lambda);
+        let mut pav = Pav::default();
+        pav.solve(&a, &c, &lo, cap, lambda);
+        let z = pav.z;
         let steps = 80;
         let mut best = f64::INFINITY;
         for i0 in 0..=steps {

@@ -13,8 +13,8 @@
 //!   `x_i = t_i + w_i`. The optimal waits solve the convex program of the
 //!   paper's Figure 1. Two independent solution methods are implemented —
 //!   a log-barrier interior-point method and an exact water-filling
-//!   method (λ-bisection over a pool-adjacent-violators inner solve) —
-//!   and a KKT verifier ([`kkt`]) certifies optimality of either.
+//!   method (an exact deadline price over a pool-adjacent-violators
+//!   inner solve) — and a KKT verifier ([`kkt`]) certifies either.
 //! * [`monolithic`] — **monolithic batching** (paper §5): accumulate
 //!   blocks of `M` inputs and run the whole pipeline per block. The
 //!   optimal `M` solves the one-dimensional integer program of the
@@ -40,6 +40,7 @@ pub mod frontier;
 pub mod kkt;
 pub mod monolithic;
 pub mod policy;
+mod price;
 pub mod schedule;
 pub mod telemetry;
 pub mod threads;

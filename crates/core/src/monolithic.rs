@@ -38,11 +38,17 @@
 //!   `T̄ ≤ M·τ0`, once met, stays met. The best feasible `M` of each such
 //!   run is its last one.
 //!
-//! So the minimum over `[1, M_D]` lies at `M_D` or at a breakpoint
-//! `⌊k·v/G_i⌋ ≤ M_D`. Both neighbours of each breakpoint are candidates
-//! too, since the floating-point ceiling can step one `M` early or late.
-//! Ties go to the smaller `M`, as in the scan, so the two agree bit for
-//! bit.
+//! So the minimum over `[1, M_D]` lies at `M_D` or at the end of a run:
+//! an `M` where some node's `⌈M·G_i/v⌉` is smaller than at `M + 1`. In
+//! floating point that `M` is a breakpoint `⌊k·v/G_i⌋` or one of its
+//! neighbours, since the ceiling can step one `M` early or late; the
+//! search evaluates those of the three where node `i`'s ceiling does
+//! step. Ties go to the smaller `M`, as in the scan, so the two agree
+//! bit for bit.
+//!
+//! Before any of this, `T̄(M) ≥ M·Σ t_i·G_i/v` for every `M`, so when `τ0`
+//! is below that stability floor no block size is stable and the search
+//! answers at once.
 
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
@@ -180,15 +186,27 @@ impl MonolithicProblem {
 
     /// Solve exactly by evaluating only `M_D` and the ceiling
     /// breakpoints below it (see the module docs). Returns the same
-    /// schedule as [`Self::solve`] from about `3·M_D·Σ G_i/v`
-    /// evaluations; where that exceeds `M_D`, it scans `[1, M_D]`.
+    /// schedule as [`Self::solve`] from about `M_D·Σ G_i/v` evaluations;
+    /// where three times that exceeds `M_D`, it scans `[1, M_D]`.
     pub fn solve_fast(&self) -> Result<MonolithicSchedule, ScheduleError> {
         self.solve_with("breakpoint", |f| self.breakpoint_search(f))
     }
 
     fn breakpoint_search(&self, f: &mut dyn FnMut(u64) -> Option<f64>) -> Option<IntOpt> {
-        let m_d = self.deadline_limit();
         let v = self.vector_width as f64;
+        // T̄(M) ≥ M·Σ t_i·G_i/v for every M, so below this floor no block
+        // size is stable (the margin covers rounding in T̄).
+        let floor = self
+            .service_times
+            .iter()
+            .zip(&self.totals)
+            .map(|(t, g)| t * g)
+            .sum::<f64>()
+            / v;
+        if self.params.tau0 < floor * (1.0 - 1e-9) {
+            return None;
+        }
+        let m_d = self.deadline_limit();
         // Node i has about M_D·G_i/v breakpoints below M_D. With narrow
         // vectors and large gains, three candidates per breakpoint
         // outnumber [1, M_D] itself, and the scan is the cheaper exact
@@ -207,13 +225,19 @@ impl MonolithicProblem {
             }
         };
         for &g in self.totals.iter().filter(|&&g| g > 0.0) {
+            // Node i's ceiling steps between m and m + 1, by the float
+            // expression of `block_time`: m ends a run of constant T̄.
+            let steps =
+                |m: u64| (m.saturating_add(1) as f64 * g / v).ceil() > (m as f64 * g / v).ceil();
             for k in 1u64.. {
                 let m = (k as f64 * v / g).floor() as u64;
                 if m.saturating_sub(1) > m_d {
                     break;
                 }
                 for m in m.saturating_sub(1).max(1)..=m.saturating_add(1).min(m_d) {
-                    consider(m);
+                    if steps(m) {
+                        consider(m);
+                    }
                 }
             }
         }
@@ -343,6 +367,16 @@ mod tests {
                 (a, b) => panic!("feasibility disagreement at tau0={tau0} D={d}: {a:?} vs {b:?}"),
             }
         }
+    }
+
+    #[test]
+    fn below_the_stability_floor_fails_at_once() {
+        // τ0 = 1 is far below Σ t_i·G_i/v ≈ 7.9; D = 1e15 puts M_D near
+        // 1e15, whose breakpoints would take ages to walk.
+        let p = blast();
+        let params = RtParams::new(1.0, 1e15).unwrap();
+        let prob = MonolithicProblem::new(&p, params, 1.0, 1.0);
+        assert!(prob.solve_fast().is_err());
     }
 
     #[test]

@@ -18,9 +18,9 @@ pub struct SolveTelemetry {
     /// `"interior-point"`, `"breakpoint"`, `"scan"`).
     pub method: String,
     /// Iteration count in the method's natural unit: total Newton
-    /// iterations (phase-1 included) for interior point, bisection steps
-    /// for water-filling, objective evaluations for the integer
-    /// searches.
+    /// iterations (phase-1 included) for interior point, budget
+    /// evaluations for water-filling, objective evaluations for the
+    /// integer searches.
     pub iterations: u64,
     /// Final residual in the method's natural unit: duality-gap bound
     /// for interior point, deadline-budget slack for water-filling,
@@ -30,7 +30,9 @@ pub struct SolveTelemetry {
     pub barrier_mu: Vec<f64>,
     /// Per-iteration convergence series in the method's residual unit:
     /// duality-gap bound per barrier stage for interior point,
-    /// deadline-budget slack per bisection step for water-filling.
+    /// deadline-budget slack per budget evaluation at a positive price
+    /// for water-filling (the λ = 0 check that the deadline is slack at
+    /// the stability caps records none).
     /// Empty for exact integer searches.
     pub residual_series: Vec<f64>,
     /// Wall-clock time the solve took, in microseconds.

@@ -12,7 +12,10 @@ use rtsdf_core::comparison::{
 use rtsdf_core::feasibility::minimal_periods;
 use rtsdf_core::kkt::verify_kkt;
 use rtsdf_core::monolithic::BlockModel;
-use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem, SolveMethod, WarmStart};
+use rtsdf_core::{
+    topology_minimal_periods, verify_kkt_dag, EnforcedDagProblem, EnforcedWaitsProblem,
+    MonolithicProblem, SolveMethod, WarmStart,
+};
 
 /// Two-point empirical law with mean `gain`: stresses the Empirical code
 /// path rather than only Bernoulli.
@@ -132,6 +135,165 @@ fn breakpoint_matches_scan(
     Ok(())
 }
 
+/// A chain whose totals `G_i` span 1e-4 to 100: up to five stages with
+/// mean gains 10^-1..10^0.5.
+fn price_chain() -> impl Strategy<Value = PipelineSpec> {
+    (
+        vector_width(),
+        prop::collection::vec((10.0..3000.0f64, -1.0..0.5f64), 1..=5),
+    )
+        .prop_map(|(v, stages)| {
+            let mut b = PipelineSpecBuilder::new(v);
+            for (i, (t, log_gain)) in stages.into_iter().enumerate() {
+                b = b.stage(format!("s{i}"), t, two_point(10f64.powf(log_gain)));
+            }
+            b.build().expect("valid")
+        })
+}
+
+/// D as a multiple of the smallest feasible deadline, mostly just above
+/// it.
+fn d_just_above() -> impl Strategy<Value = f64> {
+    prop_oneof![1.0 + 1e-9..1.0 + 1e-6, 1.0 + 1e-6..1.01f64, 1.01..4.0f64]
+}
+
+/// Pool-adjacent-violators at deadline price `lambda`, as the chain
+/// water-filling solver computes it: the minimizer of
+/// `Σ a_i/z_i + λ·c_i·z_i` over nonincreasing `z` with `lo_i ≤ z_i ≤ cap`.
+fn pav(a: &[f64], c: &[f64], lo: &[f64], cap: f64, lambda: f64) -> Vec<f64> {
+    let value =
+        |a_sum: f64, c_sum: f64, lo_max: f64| (a_sum / (lambda * c_sum)).sqrt().clamp(lo_max, cap);
+    // (a_sum, c_sum, lo_max, len, value)
+    let mut stack: Vec<(f64, f64, f64, usize, f64)> = Vec::new();
+    for i in 0..a.len() {
+        let mut blk = (a[i], c[i], lo[i], 1, value(a[i], c[i], lo[i]));
+        while let Some(&prev) = stack.last() {
+            if prev.4 >= blk.4 {
+                break;
+            }
+            stack.pop();
+            blk = (
+                blk.0 + prev.0,
+                blk.1 + prev.1,
+                blk.2.max(prev.2),
+                blk.3 + prev.3,
+                0.0,
+            );
+            blk.4 = value(blk.0, blk.1, blk.2);
+        }
+        stack.push(blk);
+    }
+    let mut z = Vec::with_capacity(a.len());
+    for b in stack {
+        z.resize(z.len() + b.3, b.4);
+    }
+    z
+}
+
+/// The chain water-filling solver before the exact price search, kept
+/// as a differential oracle: a 200-step geometric bisection of the
+/// deadline price λ over [`pav`]. Returns the periods before clamping
+/// to the service times.
+fn bisection_chain_periods(p: &PipelineSpec, params: RtParams, b: &[f64]) -> Vec<f64> {
+    let n = p.len();
+    let (t, g) = (p.service_times(), p.total_gains());
+    let cap = p.vector_width() as f64 * params.tau0;
+    let a: Vec<f64> = (0..n).map(|i| t[i] * g[i] / n as f64).collect();
+    let c: Vec<f64> = (0..n).map(|i| b[i] / g[i]).collect();
+    let lo: Vec<f64> = (0..n).map(|i| t[i] * g[i]).collect();
+    let budget = |z: &[f64]| -> f64 { z.iter().zip(&c).map(|(&zi, &ci)| zi * ci).sum() };
+    let z = if budget(&vec![cap; n]) <= params.deadline {
+        vec![cap; n]
+    } else {
+        let (mut lam_lo, mut lam_hi) = (1e-30, 1.0);
+        while budget(&pav(&a, &c, &lo, cap, lam_hi)) > params.deadline {
+            lam_hi *= 10.0;
+        }
+        for _ in 0..200 {
+            let mid = (lam_lo * lam_hi).sqrt();
+            if budget(&pav(&a, &c, &lo, cap, mid)) > params.deadline {
+                lam_lo = mid;
+            } else {
+                lam_hi = mid;
+            }
+        }
+        pav(&a, &c, &lo, cap, lam_hi)
+    };
+    z.iter().zip(&g).map(|(z, g)| z / g).collect()
+}
+
+/// The DAG water-filling solver before the exact price search, kept as a
+/// differential oracle: a 200-step arithmetic bisection of λ over the
+/// topo-order projection (clamp to `cap`, lower to the parents, raise to
+/// the floor).
+fn bisection_dag_periods(topo: &Topology, params: RtParams, b: &[f64]) -> Vec<f64> {
+    let n = topo.len();
+    let (t, g) = (topo.service_times(), topo.total_gains());
+    let cap = topo.vector_width() as f64 * params.tau0;
+    let a: Vec<f64> = (0..n).map(|i| t[i] * g[i] / n as f64).collect();
+    let c: Vec<f64> = (0..n).map(|i| b[i] / g[i]).collect();
+    let mut floor: Vec<f64> = (0..n).map(|i| t[i] * g[i]).collect();
+    for &i in topo.topo_order().iter().rev() {
+        for &e in topo.out_edges(i) {
+            floor[i] = floor[i].max(floor[topo.edge(e).dst]);
+        }
+    }
+    let project = |lambda: f64| {
+        let mut z = vec![0.0; n];
+        for &i in topo.topo_order() {
+            let parents = topo
+                .in_edges(i)
+                .iter()
+                .map(|&e| z[topo.edge(e).src])
+                .fold(f64::INFINITY, f64::min);
+            z[i] = (a[i] / (lambda * c[i]))
+                .sqrt()
+                .min(cap)
+                .min(parents)
+                .max(floor[i]);
+        }
+        z
+    };
+    let usage = |z: &[f64]| -> f64 { z.iter().zip(&c).map(|(&zi, &ci)| ci * zi).sum() };
+    let mut z = project(0.0);
+    if usage(&z) > params.deadline {
+        let (mut lam_lo, mut lam_hi) = (0.0, 1e-12);
+        while usage(&project(lam_hi)) > params.deadline {
+            lam_lo = lam_hi;
+            lam_hi *= 10.0;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lam_lo + lam_hi);
+            if usage(&project(mid)) > params.deadline {
+                lam_lo = mid;
+            } else {
+                lam_hi = mid;
+            }
+        }
+        z = project(lam_hi);
+    }
+    z.iter().zip(&g).map(|(z, g)| z / g).collect()
+}
+
+/// KKT activity tolerance for a deadline `d_scale` times the smallest
+/// feasible one. Just above that deadline, free periods sit barely above
+/// their bounds; a looser tolerance would count those bounds active and
+/// force negative multipliers onto them.
+fn active_tol(d_scale: f64) -> f64 {
+    (1e-3 * (d_scale - 1.0)).min(1e-5)
+}
+
+/// Periods agree to `1e-9` relative.
+fn periods_agree(got: &[f64], oracle: &[f64]) -> Result<(), TestCaseError> {
+    for (x, y) in got.iter().zip(oracle) {
+        prop_assert!(
+            (x - y).abs() <= 1e-9 * y.abs(),
+            "{got:?} vs oracle {oracle:?}"
+        );
+    }
+    Ok(())
+}
+
 /// A feasible operating point + factors for the given pipeline, derived
 /// from its minimal periods.
 fn feasible_point(p: &PipelineSpec, tau_scale: f64, d_scale: f64) -> Option<(RtParams, Vec<f64>)> {
@@ -241,7 +403,7 @@ proptest! {
     ) {
         // A warm start seeded from a *different* operating point's
         // schedule must land on the same optimum as a cold solve, for
-        // both Fig.-1 methods.
+        // both Fig.-1 methods; for water-filling, on the same bits.
         let Some((params, b)) = feasible_point(&p, tau_scale, d_scale) else {
             return Ok(());
         };
@@ -256,6 +418,9 @@ proptest! {
             let prob = EnforcedWaitsProblem::new(&p, params, b.clone());
             let cold = prob.solve(method).expect("feasible by construction");
             let warm = prob.solve_warm(method, &hint).expect("warm solve succeeds");
+            if method == SolveMethod::WaterFilling {
+                prop_assert_eq!(&cold.periods, &warm.periods);
+            }
             prop_assert!(
                 (cold.active_fraction - warm.active_fraction).abs()
                     <= 1e-4 * cold.active_fraction.max(1e-9),
@@ -302,6 +467,60 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn exact_price_matches_bisection_on_chains(
+        p in price_chain(),
+        tau_scale in 1.0..20.0f64,
+        d_scale in d_just_above(),
+    ) {
+        let Some((params, b)) = feasible_point(&p, tau_scale, d_scale) else {
+            return Ok(());
+        };
+        let prob = EnforcedWaitsProblem::new(&p, params, b.clone());
+        let s = prob.solve(SolveMethod::WaterFilling).expect("feasible by construction");
+        let oracle: Vec<f64> = bisection_chain_periods(&p, params, &b)
+            .iter()
+            .zip(p.service_times())
+            .map(|(&x, t)| x.max(t))
+            .collect();
+        periods_agree(&s.periods, &oracle)?;
+        prop_assert!(s.latency_bound <= params.deadline, "{} > {}", s.latency_bound, params.deadline);
+        let kkt = verify_kkt(&prob, &s.periods, active_tol(d_scale));
+        prop_assert!(kkt.is_optimal(5e-3), "{kkt:?}");
+    }
+
+    #[test]
+    fn exact_price_matches_bisection_on_dags(
+        t in fan_in_dag(),
+        tau_scale in 1.0..20.0f64,
+        d_scale in d_just_above(),
+    ) {
+        let b = EnforcedDagProblem::optimistic_backlog(&t);
+        let xmin = topology_minimal_periods(&t);
+        let tau0 = xmin[t.source()] * t.total_gains()[t.source()] / t.vector_width() as f64 * tau_scale;
+        let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
+        let params = RtParams::new(tau0, min_d * d_scale).unwrap();
+        let prob = EnforcedDagProblem::new(&t, params, b.clone());
+        let s = prob.solve().expect("feasible by construction");
+        periods_agree(&s.periods, &bisection_dag_periods(&t, params, &b))?;
+        prop_assert!(s.latency_bound <= params.deadline, "{} > {}", s.latency_bound, params.deadline);
+        prop_assert!(prob.constraint_set().is_feasible(&s.periods, 1e-9 * params.deadline));
+        // The projection is conservative at fan-ins, so it is not a KKT
+        // point of the DAG program. The certificate goes to the interior
+        // point, away from the degenerate corner at the smallest
+        // deadline, and water-filling may not beat it.
+        if d_scale >= 1.01 {
+            let ip = prob.solve_interior_point().expect("feasible by construction");
+            let kkt = verify_kkt_dag(&prob, &ip.periods, 1e-5);
+            prop_assert!(kkt.is_optimal(5e-3), "{kkt:?}");
+            prop_assert!(s.active_fraction >= ip.active_fraction * (1.0 - 1e-6));
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
@@ -324,6 +543,17 @@ proptest! {
         s in 1.0..1.5f64,
     ) {
         breakpoint_matches_scan(&t, tau_scale, d_scale, b, s)?;
+    }
+
+    #[test]
+    fn monolithic_breakpoint_matches_scan_at_the_stability_floor(
+        p in extreme_chain(),
+        t in fan_in_dag(),
+        tau_scale in 1.0 - 1e-6..1.0 + 1e-6,
+        d_scale in d_scale(),
+    ) {
+        breakpoint_matches_scan(&p, tau_scale, d_scale, 1.0, 1.0)?;
+        breakpoint_matches_scan(&t, tau_scale, d_scale, 1.0, 1.0)?;
     }
 }
 
