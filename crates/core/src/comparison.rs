@@ -7,7 +7,7 @@
 
 use crate::dag::EnforcedDagProblem;
 use crate::enforced::{EnforcedWaitsProblem, WarmStart};
-use crate::monolithic::{MonolithicDagProblem, MonolithicProblem};
+use crate::monolithic::{BlockModel, BlockTable, MonolithicDagProblem, MonolithicProblem};
 use crate::schedule::ScheduleError;
 use crate::telemetry::SolveTelemetry;
 use crate::threads::worker_threads;
@@ -179,27 +179,57 @@ impl SweepOptions {
 
 /// Optimize both strategies at one operating point.
 pub fn compare_at(pipeline: &PipelineSpec, params: RtParams, config: &SweepConfig) -> CellResult {
-    compare_at_full(pipeline, params, config, None).0
+    // An empty table: the block-size search builds its own.
+    solve_cell(
+        pipeline,
+        params,
+        config,
+        &BlockTable::default(),
+        None,
+        false,
+    )
+    .0
 }
 
-/// [`compare_at`] that also returns the enforced schedule's periods as a
-/// warm-start hint for neighboring cells (when the cell was enforced
-/// feasible).
-fn compare_at_full(
+/// One [`BlockTable`] for every cell of `tau0s × deadlines`: each row's
+/// largest `M_D` is at the grid's largest deadline.
+fn grid_table(
+    model: &impl BlockModel,
+    tau0s: &[f64],
+    deadlines: &[f64],
+    config: &SweepConfig,
+) -> BlockTable {
+    let d_max = deadlines.iter().copied().fold(0.0, f64::max);
+    let rows = tau0s
+        .iter()
+        .filter_map(|&tau0| RtParams::new(tau0, d_max).ok());
+    BlockTable::covering(model, rows, config.monolithic_b, config.monolithic_s)
+}
+
+/// [`compare_at`] with the block size walked on a shared `table` and the
+/// enforced solve seeded from `warm`. With `keep_hint` it also returns
+/// the enforced schedule's periods as a warm-start hint for neighboring
+/// cells (when the cell was enforced feasible).
+fn solve_cell(
     pipeline: &PipelineSpec,
     params: RtParams,
     config: &SweepConfig,
+    table: &BlockTable,
     warm: Option<&WarmStart>,
+    keep_hint: bool,
 ) -> (CellResult, Option<WarmStart>) {
     let prob = EnforcedWaitsProblem::new(pipeline, params, config.enforced_b.clone());
     let enforced = match warm {
         Some(hint) => prob.solve_with_fallback_warm(hint).ok(),
         None => prob.solve_with_fallback().ok(),
     };
-    let hint = enforced.as_ref().map(WarmStart::from_schedule);
+    let hint = enforced
+        .as_ref()
+        .filter(|_| keep_hint)
+        .map(WarmStart::from_schedule);
     let monolithic =
         MonolithicProblem::new(pipeline, params, config.monolithic_b, config.monolithic_s)
-            .solve_fast()
+            .solve_on(table)
             .ok();
     let cell = CellResult {
         tau0: params.tau0,
@@ -251,11 +281,12 @@ pub fn sweep_with(
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
     let cols = deadlines.len();
+    let table = grid_table(pipeline, tau0s, deadlines, config);
     if opts.warm_graph {
         return Ok(SweepResult {
             tau0s: tau0s.to_vec(),
             deadlines: deadlines.to_vec(),
-            cells: sweep_graph_cells(pipeline, tau0s, deadlines, config, 1, None),
+            cells: sweep_graph_cells(pipeline, tau0s, deadlines, config, &table, 1, None),
         });
     }
     let mut cells = Vec::with_capacity(tau0s.len() * cols);
@@ -263,17 +294,18 @@ pub fn sweep_with(
         for &tau0 in tau0s {
             for &d in deadlines {
                 let params = RtParams::new(tau0, d).expect("grid validated above");
-                cells.push(compare_at(pipeline, params, config));
+                cells.push(solve_cell(pipeline, params, config, &table, None, false).0);
             }
         }
     } else if cols > 0 {
         for (i, &tau0) in tau0s.iter().enumerate() {
             let anchor_params =
                 RtParams::new(tau0, deadlines[cols - 1]).expect("grid validated above");
-            let (anchor_cell, hint) = compare_at_full(pipeline, anchor_params, config, None);
+            let (anchor_cell, hint) =
+                solve_cell(pipeline, anchor_params, config, &table, None, true);
             for &d in &deadlines[..cols - 1] {
                 let params = RtParams::new(tau0, d).expect("grid validated above");
-                let mut cell = compare_at_full(pipeline, params, config, hint.as_ref()).0;
+                let mut cell = solve_cell(pipeline, params, config, &table, hint.as_ref(), false).0;
                 if hint.is_some() {
                     cell.warm_seed = Some(SeedEdge {
                         row: i as u64,
@@ -510,9 +542,10 @@ pub fn sweep_parallel_live(
     if let Some(p) = progress {
         p.set_total(total);
     }
+    let table = grid_table(pipeline, tau0s, deadlines, config);
     if opts.warm_graph {
         return Ok(result(sweep_graph_cells(
-            pipeline, tau0s, deadlines, config, threads, progress,
+            pipeline, tau0s, deadlines, config, &table, threads, progress,
         )));
     }
     if !opts.warm_start {
@@ -522,7 +555,7 @@ pub fn sweep_parallel_live(
             |idx| {
                 let (i, j) = (idx / cols, idx % cols);
                 let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
-                compare_at(pipeline, params, config)
+                solve_cell(pipeline, params, config, &table, None, false).0
             },
             progress,
         );
@@ -535,7 +568,7 @@ pub fn sweep_parallel_live(
         |i| {
             let params =
                 RtParams::new(tau0s[i], deadlines[cols - 1]).expect("grid validated above");
-            compare_at_full(pipeline, params, config, None)
+            solve_cell(pipeline, params, config, &table, None, true)
         },
         progress,
     );
@@ -547,7 +580,7 @@ pub fn sweep_parallel_live(
             let (i, j) = (idx / (cols - 1), idx % (cols - 1));
             let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
             let hint = anchors[i].1.as_ref();
-            let mut cell = compare_at_full(pipeline, params, config, hint).0;
+            let mut cell = solve_cell(pipeline, params, config, &table, hint, false).0;
             if hint.is_some() {
                 cell.warm_seed = Some(SeedEdge {
                     row: i as u64,
@@ -606,6 +639,7 @@ fn sweep_graph_cells(
     tau0s: &[f64],
     deadlines: &[f64],
     config: &SweepConfig,
+    table: &BlockTable,
     threads: usize,
     progress: Option<&SweepProgress>,
 ) -> Vec<CellResult> {
@@ -635,7 +669,7 @@ fn sweep_graph_cells(
                 let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
                 let parent = graph_parent(i, j, cols, &iters);
                 let hint = parent.and_then(|(pi, pj)| hints[pi * cols + pj].as_ref());
-                let (mut cell, hint_out) = compare_at_full(pipeline, params, config, hint);
+                let (mut cell, hint_out) = solve_cell(pipeline, params, config, table, hint, true);
                 if hint.is_some() {
                     cell.warm_seed = parent.map(|(pi, pj)| SeedEdge {
                         row: pi as u64,
@@ -669,12 +703,24 @@ pub fn compare_at_topology(
     params: RtParams,
     config: &SweepConfig,
 ) -> CellResult {
+    // An empty table: the block-size search builds its own.
+    solve_topology_cell(topology, params, config, &BlockTable::default())
+}
+
+/// [`compare_at_topology`] with the block size walked on a shared
+/// `table`.
+fn solve_topology_cell(
+    topology: &Topology,
+    params: RtParams,
+    config: &SweepConfig,
+    table: &BlockTable,
+) -> CellResult {
     let enforced = EnforcedDagProblem::new(topology, params, config.enforced_b.clone())
         .solve()
         .ok();
     let monolithic =
         MonolithicDagProblem::new(topology, params, config.monolithic_b, config.monolithic_s)
-            .solve_fast()
+            .solve_on(table)
             .ok();
     CellResult {
         tau0: params.tau0,
@@ -703,13 +749,14 @@ pub fn sweep_topology_parallel_live(
     if let Some(p) = progress {
         p.set_total(total);
     }
+    let table = grid_table(topology, tau0s, deadlines, config);
     let cells = work_steal_live(
         total,
         worker_threads(),
         |idx| {
             let (i, j) = (idx / cols, idx % cols);
             let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
-            compare_at_topology(topology, params, config)
+            solve_topology_cell(topology, params, config, &table)
         },
         progress,
     );
@@ -733,6 +780,7 @@ pub fn sweep_parallel_chunked(
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
     let threads = worker_threads();
+    let table = &grid_table(pipeline, tau0s, deadlines, config);
     let mut rows: Vec<Option<Vec<CellResult>>> = vec![None; tau0s.len()];
     std::thread::scope(|scope| {
         let chunk = tau0s.len().div_ceil(threads).max(1);
@@ -743,7 +791,7 @@ pub fn sweep_parallel_chunked(
                         .iter()
                         .map(|&d| {
                             let params = RtParams::new(tau0, d).expect("grid validated above");
-                            compare_at(pipeline, params, config)
+                            solve_cell(pipeline, params, config, table, None, false).0
                         })
                         .collect();
                     *slot = Some(row);
@@ -871,6 +919,34 @@ mod tests {
             assert_eq!(a.deadline, b.deadline);
             assert_eq!(a.enforced, b.enforced);
             assert_eq!(a.monolithic, b.monolithic);
+        }
+    }
+
+    #[test]
+    fn sweep_on_one_table_equals_per_cell_compare_at() {
+        let p = blast();
+        let cfg = SweepConfig::paper_blast();
+        let (tau0s, ds) = RtParams::paper_grid(16, 16);
+        // The τ0 = 8 probes sit just above the stability floor, where
+        // the feasible block sizes are scattered runs far below M_D.
+        let probes = [2.63e5, 3.07e5, 3.28e5];
+        // Everything but the timings, floats printed to round-trip.
+        let untimed = |mut cell: CellResult| {
+            let telemetry = [&mut cell.enforced_telemetry, &mut cell.monolithic_telemetry];
+            for t in telemetry.into_iter().flatten() {
+                t.wall_micros = 0.0;
+                t.newton_solve_micros = t.newton_solve_micros.map(|_| 0.0);
+            }
+            format!("{cell:?}")
+        };
+        for (tau0s, ds) in [(&tau0s[..], &ds[..]), (&[8.0][..], &probes[..])] {
+            let swept = sweep_parallel(&p, tau0s, ds, &cfg).unwrap();
+            assert_eq!(swept.cells.len(), tau0s.len() * ds.len());
+            for cell in swept.cells {
+                let params = RtParams::new(cell.tau0, cell.deadline).unwrap();
+                let own = compare_at(&p, params, &cfg);
+                assert_eq!(untimed(cell), untimed(own));
+            }
         }
     }
 

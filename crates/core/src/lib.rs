@@ -52,7 +52,7 @@ pub use dag::{
 pub use enforced::{EnforcedWaitsProblem, SolveMethod, WaitSchedule, WarmStart};
 pub use feasibility::{check_enforced_feasibility, minimal_periods, FeasibilityError};
 pub use flexible::{FlexibleSchedule, FlexibleSharesProblem};
-pub use monolithic::{MonolithicDagProblem, MonolithicProblem, MonolithicSchedule};
+pub use monolithic::{BlockTable, MonolithicDagProblem, MonolithicProblem, MonolithicSchedule};
 pub use policy::{escalate_schedule, needs_escalation};
 pub use schedule::{AnySchedule, ScheduleError};
 pub use telemetry::SolveTelemetry;

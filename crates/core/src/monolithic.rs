@@ -42,13 +42,30 @@
 //! an `M` where some node's `⌈M·G_i/v⌉` is smaller than at `M + 1`. In
 //! floating point that `M` is a breakpoint `⌊k·v/G_i⌋` or one of its
 //! neighbours, since the ceiling can step one `M` early or late; the
-//! search evaluates those of the three where node `i`'s ceiling does
+//! candidates are those of the three where node `i`'s ceiling does
 //! step. Ties go to the smaller `M`, as in the scan, so the two agree
 //! bit for bit.
 //!
 //! Before any of this, `T̄(M) ≥ M·Σ t_i·G_i/v` for every `M`, so when `τ0`
 //! is below that stability floor no block size is stable and the search
 //! answers at once.
+//!
+//! # One table per pipeline
+//!
+//! The run ends and `T̄` at each depend only on `v`, `t_i` and `G_i`,
+//! never on `τ0` or `D`. So the search splits in two: a [`BlockTable`]
+//! of `(M, T̄(M))` at every run end up to a bound, built once per
+//! pipeline, and a walk per operating point that finds `M_D`, then tests
+//! stability and evaluates `ρ0·T̄/M` on the entries below `M_D` and on
+//! `M_D` itself. The table stores the same candidates, computed by the
+//! same float expressions, that a per-point search would enumerate, and
+//! the walk keeps the same tie rule, so a table shared by a whole sweep
+//! (sized at the grid's largest `M_D`) returns exactly what each cell's
+//! own [`MonolithicProblem::solve_fast`] would. Where `3·Σ G_i/v ≥ 1`,
+//! run ends are nearly every `M`, and the table holds every `M`: the
+//! walk is then the scan over `[1, M_D]` with `T̄` precomputed. A table
+//! costs 16 B per entry, as many entries as one cell at the bound would
+//! evaluate.
 
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
@@ -120,6 +137,52 @@ pub struct MonolithicProblem {
 /// [`MonolithicProblem`], because `T̄(M)` only needs the totals `G_i`.
 pub type MonolithicDagProblem = MonolithicProblem;
 
+/// The per-pipeline half of [`MonolithicProblem::solve_fast`]: the
+/// ascending ceiling run ends up to a bound, each with its `T̄(M)` (see
+/// the module docs). It reads only `v`, `t_i` and `G_i`, so one table
+/// serves every operating point whose `M_D` it reaches. Build one with
+/// [`MonolithicProblem::block_table`] or [`BlockTable::covering`]; walk
+/// it with [`MonolithicProblem::solve_on`].
+#[derive(Debug, Clone, Default)]
+pub struct BlockTable {
+    /// `(M, T̄(M))`, ascending in `M`.
+    entries: Vec<(u64, f64)>,
+    /// Every run end `≤ bound` is an entry.
+    bound: u64,
+}
+
+impl BlockTable {
+    /// The table for `model` under `(b, s)` that reaches the largest
+    /// `M_D` of `points`. `M_D` grows with the deadline, so for a grid
+    /// it is enough to pass each `τ0` at the grid's largest deadline.
+    ///
+    /// # Panics
+    /// As [`MonolithicProblem::new`] on bad `b` or `s`.
+    pub fn covering(
+        model: &impl BlockModel,
+        points: impl IntoIterator<Item = RtParams>,
+        b: f64,
+        s: f64,
+    ) -> Self {
+        let mut points = points.into_iter();
+        let Some(first) = points.next() else {
+            return Self::default();
+        };
+        let mut prob = MonolithicProblem::new(model, first, b, s);
+        let mut bound = prob.table_bound();
+        for params in points {
+            prob.params = params;
+            bound = bound.max(prob.table_bound());
+        }
+        prob.block_table(bound)
+    }
+
+    /// Largest `M` the table covers.
+    pub fn bound(&self) -> u64 {
+        self.bound
+    }
+}
+
 impl MonolithicProblem {
     /// Construct with queue multiplier `b ≥ 1` and worst-case scale
     /// `s ≥ 1`.
@@ -172,76 +235,151 @@ impl MonolithicProblem {
             return None;
         }
         let t = self.block_time(m);
-        let stable = t <= m as f64 * self.params.tau0;
-        if !stable || self.latency_bound(m, t) > self.params.deadline {
+        if self.latency_bound(m, t) > self.params.deadline {
             return None;
         }
-        Some(self.params.rho0() * t / m as f64)
+        self.stable_objective(m, t)
+    }
+
+    /// `ρ0·T̄/M` at block size `m` with block time `t`, or `None` unless
+    /// the block finishes before the next fills.
+    fn stable_objective(&self, m: u64, t: f64) -> Option<f64> {
+        (t <= m as f64 * self.params.tau0).then(|| self.params.rho0() * t / m as f64)
     }
 
     /// Solve exactly by exhaustive scan over `M ∈ [1, max_block_size]`.
     pub fn solve(&self) -> Result<MonolithicSchedule, ScheduleError> {
-        self.solve_with("scan", |f| minimize_scan(1, self.max_block_size(), f))
+        self.solve_with("scan", |evaluations| {
+            minimize_scan(1, self.max_block_size(), |m| {
+                *evaluations += 1;
+                self.objective(m)
+            })
+        })
     }
 
-    /// Solve exactly by evaluating only `M_D` and the ceiling
-    /// breakpoints below it (see the module docs). Returns the same
-    /// schedule as [`Self::solve`] from about `M_D·Σ G_i/v` evaluations;
-    /// where three times that exceeds `M_D`, it scans `[1, M_D]`.
+    /// Solve exactly from `M_D` and the ceiling run ends below it (see
+    /// the module docs): build a [`BlockTable`] up to `M_D`, then walk
+    /// it. Returns the same schedule as [`Self::solve`].
     pub fn solve_fast(&self) -> Result<MonolithicSchedule, ScheduleError> {
-        self.solve_with("breakpoint", |f| self.breakpoint_search(f))
+        // An empty table: the walk builds one up to M_D.
+        self.solve_on(&BlockTable::default())
     }
 
-    fn breakpoint_search(&self, f: &mut dyn FnMut(u64) -> Option<f64>) -> Option<IntOpt> {
+    /// [`Self::solve_fast`] on a table built once for this problem's
+    /// pipeline, shared across operating points (a sweep builds one with
+    /// [`BlockTable::covering`]). `table` must come from the same
+    /// `v`, `t_i` and `G_i`; if it stops short of this point's `M_D`, the
+    /// solve builds its own. The answer is the same either way.
+    pub fn solve_on(&self, table: &BlockTable) -> Result<MonolithicSchedule, ScheduleError> {
+        self.solve_with("breakpoint", |evaluations| self.walk(table, evaluations))
+    }
+
+    /// The ceiling run ends up to `bound`, each with its `T̄`: where some
+    /// node's `⌈M·G_i/v⌉` steps between `M` and `M + 1`. When
+    /// `3·Σ G_i/v ≥ 1` three candidates per breakpoint would outnumber
+    /// the block sizes themselves, and the table holds every `M`.
+    pub fn block_table(&self, bound: u64) -> BlockTable {
         let v = self.vector_width as f64;
-        // T̄(M) ≥ M·Σ t_i·G_i/v for every M, so below this floor no block
-        // size is stable (the margin covers rounding in T̄).
+        let mut entries: Vec<(u64, f64)> = if 3.0 * self.totals.iter().sum::<f64>() / v >= 1.0 {
+            (1..=bound).map(|m| (m, 0.0)).collect()
+        } else {
+            // About one run end per breakpoint.
+            let expected: f64 = self
+                .totals
+                .iter()
+                .map(|&g| bound as f64 * g / v + 1.0)
+                .sum();
+            let mut entries = Vec::with_capacity(expected.min(1e6) as usize);
+            for &g in self.totals.iter().filter(|&&g| g > 0.0) {
+                // Node i's ceiling, by the float expression of
+                // `block_time`.
+                let ceil = |m: u64| (m as f64 * g / v).ceil();
+                for k in 1u64.. {
+                    let m = (k as f64 * v / g).floor() as u64;
+                    if m.saturating_sub(1) > bound {
+                        break;
+                    }
+                    // x ends a run of constant T̄ where the ceiling steps
+                    // between x and x + 1. In floating point that happens
+                    // at a breakpoint ⌊k·v/G_i⌋ or one of its neighbours.
+                    let near = m.saturating_sub(1).max(1)..=m.saturating_add(1).min(bound);
+                    let mut at = ceil(*near.start());
+                    for x in near {
+                        let next = ceil(x.saturating_add(1));
+                        if next > at {
+                            entries.push((x, 0.0));
+                        }
+                        at = next;
+                    }
+                }
+            }
+            // One ascending run per node: the stable sort merges runs.
+            entries.sort_by_key(|&(m, _)| m);
+            entries.dedup_by_key(|&mut (m, _)| m);
+            entries
+        };
+        for (m, t) in &mut entries {
+            *t = self.block_time(*m);
+        }
+        BlockTable { entries, bound }
+    }
+
+    /// The `M` a [`BlockTable`] must reach to serve this operating point:
+    /// `M_D`, or 0 below the stability floor, where the walk answers
+    /// without it.
+    fn table_bound(&self) -> u64 {
+        if self.below_stability_floor() {
+            0
+        } else {
+            self.deadline_limit()
+        }
+    }
+
+    /// `T̄(M) ≥ M·Σ t_i·G_i/v` for every `M`, so below this floor no block
+    /// size is stable (the margin covers rounding in `T̄`).
+    fn below_stability_floor(&self) -> bool {
         let floor = self
             .service_times
             .iter()
             .zip(&self.totals)
             .map(|(t, g)| t * g)
             .sum::<f64>()
-            / v;
-        if self.params.tau0 < floor * (1.0 - 1e-9) {
+            / self.vector_width as f64;
+        self.params.tau0 < floor * (1.0 - 1e-9)
+    }
+
+    /// The per-operating-point half of [`Self::solve_fast`]: every table
+    /// entry below `M_D` meets the deadline, so only stability is tested;
+    /// then `M_D` itself. Ties go to the smaller `M`, as in the scan.
+    fn walk(&self, table: &BlockTable, evaluations: &mut u64) -> Option<IntOpt> {
+        if self.below_stability_floor() {
             return None;
         }
         let m_d = self.deadline_limit();
-        // Node i has about M_D·G_i/v breakpoints below M_D. With narrow
-        // vectors and large gains, three candidates per breakpoint
-        // outnumber [1, M_D] itself, and the scan is the cheaper exact
-        // search.
-        let breakpoints: f64 = self.totals.iter().map(|&g| m_d as f64 * g / v).sum();
-        if 3.0 * breakpoints >= m_d as f64 {
-            return minimize_scan(1, m_d, f);
-        }
+        let own;
+        let table = if table.bound >= m_d {
+            table
+        } else {
+            own = self.block_table(m_d);
+            &own
+        };
+        let below = &table.entries[..table.entries.partition_point(|&(m, _)| m < m_d)];
         let mut best: Option<IntOpt> = None;
-        let mut consider = |m: u64| {
-            if let Some(value) = f(m) {
-                // Ties go to the smaller M, as in the scan.
-                if !best.is_some_and(|b| (b.value, b.arg) <= (value, m)) {
+        let mut consider = |m: u64, t: f64| {
+            if let Some(value) = self.stable_objective(m, t) {
+                if best.is_none_or(|b| value < b.value) {
                     best = Some(IntOpt { arg: m, value });
                 }
             }
         };
-        for &g in self.totals.iter().filter(|&&g| g > 0.0) {
-            // Node i's ceiling steps between m and m + 1, by the float
-            // expression of `block_time`: m ends a run of constant T̄.
-            let steps =
-                |m: u64| (m.saturating_add(1) as f64 * g / v).ceil() > (m as f64 * g / v).ceil();
-            for k in 1u64.. {
-                let m = (k as f64 * v / g).floor() as u64;
-                if m.saturating_sub(1) > m_d {
-                    break;
-                }
-                for m in m.saturating_sub(1).max(1)..=m.saturating_add(1).min(m_d) {
-                    if steps(m) {
-                        consider(m);
-                    }
-                }
-            }
+        for &(m, t) in below {
+            consider(m, t);
         }
-        consider(m_d);
+        *evaluations += below.len() as u64;
+        if m_d > 0 {
+            consider(m_d, self.block_time(m_d));
+            *evaluations += 1;
+        }
         best
     }
 
@@ -262,20 +400,15 @@ impl MonolithicProblem {
         lo
     }
 
-    /// Run `search` over [`Self::objective`], counting evaluations, and
-    /// build the schedule at the block size it returns.
+    /// Run `search`, which counts its objective evaluations, and build
+    /// the schedule at the block size it returns.
     fn solve_with(
         &self,
         method: &str,
-        search: impl FnOnce(&mut dyn FnMut(u64) -> Option<f64>) -> Option<IntOpt>,
+        search: impl FnOnce(&mut u64) -> Option<IntOpt>,
     ) -> Result<MonolithicSchedule, ScheduleError> {
         let mut evaluations = 0u64;
-        let (best, wall_micros) = timed(|| {
-            search(&mut |m| {
-                evaluations += 1;
-                self.objective(m)
-            })
-        });
+        let (best, wall_micros) = timed(|| search(&mut evaluations));
         let best = best.ok_or_else(|| {
             ScheduleError::Solver(format!(
                 "no feasible block size in [1, {}] (deadline {:.0}, tau0 {:.1})",

@@ -13,8 +13,8 @@ use rtsdf_core::feasibility::minimal_periods;
 use rtsdf_core::kkt::verify_kkt;
 use rtsdf_core::monolithic::BlockModel;
 use rtsdf_core::{
-    topology_minimal_periods, verify_kkt_dag, EnforcedDagProblem, EnforcedWaitsProblem,
-    MonolithicProblem, SolveMethod, WarmStart,
+    topology_minimal_periods, verify_kkt_dag, BlockTable, EnforcedDagProblem, EnforcedWaitsProblem,
+    MonolithicProblem, MonolithicSchedule, ScheduleError, SolveMethod, WarmStart,
 };
 
 /// Two-point empirical law with mean `gain`: stresses the Empirical code
@@ -98,6 +98,31 @@ fn d_scale() -> impl Strategy<Value = f64> {
     prop_oneof![Just(1.0), 1.0..1.01f64, 1.01..4.0f64]
 }
 
+/// The operating point `τ0 = tau_scale × Σ G_i·t_i/v` (the stability
+/// floor), `D = d_scale ×` the smallest feasible deadline there, with `D`
+/// capped so `max_block_size` stays at most `max_m`.
+fn scaled_point(
+    model: &impl BlockModel,
+    tau_scale: f64,
+    d_scale: f64,
+    b: f64,
+    s: f64,
+    max_m: u64,
+) -> RtParams {
+    let (v, t, g) = model.block_model();
+    let limit = t.iter().zip(&g).map(|(t, g)| t * g).sum::<f64>() / v as f64;
+    let tau0 = limit * tau_scale;
+    // The smallest feasible deadline is the latency bound at the first
+    // stable block size.
+    let d_min = (1..=max_m)
+        .find(|&m| block_time(v, &t, &g, m) <= m as f64 * tau0)
+        .map_or(f64::INFINITY, |m| {
+            b * m as f64 * tau0 + s * block_time(v, &t, &g, m)
+        });
+    let d = (d_min * d_scale).min(max_m as f64 * b * tau0);
+    RtParams::new(tau0, d).unwrap()
+}
+
 /// Check the breakpoint search against the exhaustive scan on `model`:
 /// same feasibility, same block size, bit-equal active fraction.
 /// `max_block_size` stays at most `MAX_M` so the scan stays fast.
@@ -109,18 +134,9 @@ fn breakpoint_matches_scan(
     s: f64,
 ) -> Result<(), TestCaseError> {
     const MAX_M: u64 = 200_000;
-    let (v, t, g) = model.block_model();
-    let limit = t.iter().zip(&g).map(|(t, g)| t * g).sum::<f64>() / v as f64;
-    let tau0 = limit * tau_scale;
-    // The smallest feasible deadline is the latency bound at the first
-    // stable block size.
-    let d_min = (1..=MAX_M)
-        .find(|&m| block_time(v, &t, &g, m) <= m as f64 * tau0)
-        .map_or(f64::INFINITY, |m| {
-            b * m as f64 * tau0 + s * block_time(v, &t, &g, m)
-        });
-    let d = (d_min * d_scale).min(MAX_M as f64 * b * tau0);
-    let prob = MonolithicProblem::new(model, RtParams::new(tau0, d).unwrap(), b, s);
+    let params = scaled_point(model, tau_scale, d_scale, b, s, MAX_M);
+    let (tau0, d) = (params.tau0, params.deadline);
+    let prob = MonolithicProblem::new(model, params, b, s);
     match (prob.solve(), prob.solve_fast()) {
         (Ok(scan), Ok(fast)) => {
             prop_assert_eq!(scan.block_size, fast.block_size, "tau0={} D={}", tau0, d);
@@ -131,6 +147,70 @@ fn breakpoint_matches_scan(
         }
         (Err(_), Err(_)) => {}
         (scan, fast) => prop_assert!(false, "tau0={tau0} D={d}: {scan:?} vs {fast:?}"),
+    }
+    Ok(())
+}
+
+/// At least 20 operating points as `(tau_scale, d_scale)` for
+/// [`scaled_point`], always including `τ0` a hair on either side of the
+/// stability floor at the minimum feasible deadline.
+fn operating_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    prop::collection::vec((tau_scale(), d_scale()), 16..=24).prop_map(|mut points| {
+        points.extend([
+            (1.0 - 1e-6, 1.0),
+            (1.0 + 1e-6, 1.0),
+            (1.0 - 1e-6, 2.0),
+            (1.0 + 1e-6, 2.0),
+        ]);
+        points
+    })
+}
+
+/// Build one [`BlockTable`] for `model` at a large bound and solve every
+/// point of `points` on it: the table walk, the point's own
+/// `solve_fast` and the exhaustive scan agree on feasibility, block
+/// size and active-fraction bits, and the walk evaluates exactly the
+/// candidates `solve_fast` does. The sweep's table
+/// ([`BlockTable::covering`] the points) gives the same answers.
+fn shared_table_matches_per_point_solves(
+    model: &impl BlockModel,
+    points: &[(f64, f64)],
+    b: f64,
+    s: f64,
+) -> Result<(), TestCaseError> {
+    const MAX_M: u64 = 20_000;
+    let params: Vec<RtParams> = points
+        .iter()
+        .map(|&(tau_scale, d_scale)| scaled_point(model, tau_scale, d_scale, b, s, MAX_M))
+        .collect();
+    let table = MonolithicProblem::new(model, params[0], b, s).block_table(MAX_M);
+    let covering = BlockTable::covering(model, params.iter().copied(), b, s);
+    prop_assert!(covering.bound() <= MAX_M);
+    for &p in &params {
+        let prob = MonolithicProblem::new(model, p, b, s);
+        let (tau0, d) = (p.tau0, p.deadline);
+        let solves = [
+            prob.solve_on(&table),
+            prob.solve_on(&covering),
+            prob.solve_fast(),
+            prob.solve(),
+        ];
+        type Solved = Result<MonolithicSchedule, ScheduleError>;
+        let key = |r: &Solved| {
+            r.as_ref()
+                .ok()
+                .map(|m| (m.block_size, m.active_fraction.to_bits()))
+        };
+        for other in &solves[1..] {
+            prop_assert_eq!(key(&solves[0]), key(other), "tau0={} D={}", tau0, d);
+        }
+        let evaluations = |r: &Solved| {
+            r.as_ref()
+                .ok()
+                .and_then(|m| m.telemetry.as_ref())
+                .map(|t| t.iterations)
+        };
+        prop_assert_eq!(evaluations(&solves[0]), evaluations(&solves[2]));
     }
     Ok(())
 }
@@ -554,6 +634,23 @@ proptest! {
     ) {
         breakpoint_matches_scan(&p, tau_scale, d_scale, 1.0, 1.0)?;
         breakpoint_matches_scan(&t, tau_scale, d_scale, 1.0, 1.0)?;
+    }
+}
+
+proptest! {
+    // Each case solves 20+ points three ways on two models, scan included.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn monolithic_shared_table_matches_per_point_solves(
+        p in extreme_chain(),
+        t in fan_in_dag(),
+        points in operating_points(),
+        b in 1.0..2.0f64,
+        s in 1.0..1.5f64,
+    ) {
+        shared_table_matches_per_point_solves(&p, &points, b, s)?;
+        shared_table_matches_per_point_solves(&t, &points, b, s)?;
     }
 }
 

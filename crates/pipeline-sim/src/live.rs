@@ -9,9 +9,12 @@
 //! `metrics_overhead` bench gates that the disabled path stays within
 //! 1% of plain throughput.
 //!
-//! Queue-depth high-water marks and wall-clock throughput are published
-//! on a periodic tick (every [`TICK_EVERY`] arrivals plus once at run
-//! end) rather than per event, so the enabled path stays cheap too.
+//! Item counters accumulate in the handle, and they, the queue-depth
+//! high-water marks and wall-clock throughput are published on a
+//! periodic tick (every [`TICK_EVERY`] arrivals plus once at run end)
+//! rather than per event, so the enabled path stays cheap too: a hook is
+//! a local add, and the registry sees one atomic add per counter per
+//! tick. Dropping a handle publishes whatever it still holds.
 
 use ::metrics::{CounterHandle, GaugeHandle, Registry};
 use std::cell::Cell;
@@ -122,7 +125,10 @@ impl SimLiveMetrics {
             m: self,
             worker,
             started: Instant::now(),
-            local_completed: Cell::new(0),
+            arrived: Cell::new(0),
+            completed: Cell::new(0),
+            completed_published: Cell::new(0),
+            shed: Cell::new(0),
             until_tick: Cell::new(TICK_EVERY),
         }
     }
@@ -134,7 +140,14 @@ pub struct SimLive<'a> {
     m: &'a SimLiveMetrics,
     worker: usize,
     started: Instant,
-    local_completed: Cell<u64>,
+    /// Arrivals not yet published.
+    arrived: Cell<u64>,
+    /// Completions in this run so far, of which `completed_published`
+    /// are in the registry.
+    completed: Cell<u64>,
+    completed_published: Cell<u64>,
+    /// Sheds not yet published.
+    shed: Cell<u64>,
     until_tick: Cell<u32>,
 }
 
@@ -143,7 +156,7 @@ impl SimLive<'_> {
     /// due; the simulator then calls [`tick`](Self::tick) with its
     /// current per-stage depth high-water marks.
     pub fn on_arrival(&self) -> bool {
-        self.m.registry.inc(self.m.arrived, self.worker, 1);
+        self.arrived.set(self.arrived.get() + 1);
         let left = self.until_tick.get();
         if left <= 1 {
             self.until_tick.set(TICK_EVERY);
@@ -158,7 +171,7 @@ impl SimLive<'_> {
     /// `true` when a periodic tick is due, like
     /// [`on_arrival`](Self::on_arrival).
     pub fn on_arrivals(&self, n: u64) -> bool {
-        self.m.registry.inc(self.m.arrived, self.worker, n);
+        self.arrived.set(self.arrived.get() + n);
         let left = u64::from(self.until_tick.get());
         if n >= left {
             self.until_tick.set(TICK_EVERY);
@@ -171,14 +184,12 @@ impl SimLive<'_> {
 
     /// One item completed end to end.
     pub fn on_completion(&self) {
-        self.m.registry.inc(self.m.completed, self.worker, 1);
-        self.local_completed.set(self.local_completed.get() + 1);
+        self.completed.set(self.completed.get() + 1);
     }
 
     /// `n` items completed at once (block completion).
     pub fn on_completions(&self, n: u64) {
-        self.m.registry.inc(self.m.completed, self.worker, n);
-        self.local_completed.set(self.local_completed.get() + n);
+        self.completed.set(self.completed.get() + n);
     }
 
     /// `n` items were unresolved at the safety horizon.
@@ -188,14 +199,16 @@ impl SimLive<'_> {
 
     /// One item rejected at admission by the shedding mitigation.
     pub fn on_shed(&self) {
-        self.m.registry.inc(self.m.shed, self.worker, 1);
+        self.shed.set(self.shed.get() + 1);
     }
 
-    /// Publish per-stage queue-depth high-water marks and this run's
-    /// wall-clock throughput. Called by the simulator when
+    /// Publish the item counters held since the last tick, per-stage
+    /// queue-depth high-water marks and this run's wall-clock
+    /// throughput. Called by the simulator when
     /// [`on_arrival`](Self::on_arrival) signals a due tick, and once at
     /// run end.
     pub fn tick(&self, max_depth: &[u64]) {
+        self.flush();
         for (handle, &depth) in self.m.queue_hwm.iter().zip(max_depth) {
             self.m
                 .registry
@@ -206,9 +219,32 @@ impl SimLive<'_> {
             self.m.registry.gauge_set(
                 self.m.items_per_sec,
                 self.worker,
-                self.local_completed.get() as f64 / elapsed,
+                self.completed.get() as f64 / elapsed,
             );
         }
+    }
+
+    /// Add the held item counters to the registry.
+    fn flush(&self) {
+        let completed = self.completed.get();
+        for (counter, n) in [
+            (self.m.arrived, self.arrived.take()),
+            (
+                self.m.completed,
+                completed - self.completed_published.replace(completed),
+            ),
+            (self.m.shed, self.shed.take()),
+        ] {
+            if n > 0 {
+                self.m.registry.inc(counter, self.worker, n);
+            }
+        }
+    }
+}
+
+impl Drop for SimLive<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -252,6 +288,25 @@ mod tests {
         let hwm = snap.family("rtsdf_sim_queue_depth_hwm").unwrap();
         let values: Vec<f64> = hwm.samples.iter().map(|s| s.value).collect();
         assert_eq!(values, vec![7.0, 9.0, 2.0]);
+    }
+
+    #[test]
+    fn counters_publish_at_ticks_and_on_drop() {
+        let m = SimLiveMetrics::new(1, 1);
+        let h = m.handle(0);
+        h.on_arrivals(3);
+        h.on_completions(2);
+        h.on_shed();
+        assert_eq!(m.item_counts(), (0, 0, 0), "held until a tick");
+        h.tick(&[1]);
+        assert_eq!(m.item_counts(), (3, 2, 1));
+        h.on_arrival();
+        h.on_completion();
+        h.tick(&[1]);
+        assert_eq!(m.item_counts(), (4, 3, 1), "each item published once");
+        h.on_arrival();
+        drop(h);
+        assert_eq!(m.item_counts(), (5, 3, 1));
     }
 
     #[test]
