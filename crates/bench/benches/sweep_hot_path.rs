@@ -13,7 +13,7 @@
 //!   started from a neighboring deadline's schedule, and the monolithic
 //!   block-size search (`solve_fast`) at its own bench point.
 //! * **Simulator** — the allocation-free enforced/monolithic hot loops,
-//!   reported as items/second.
+//!   reported as items/second, plus one 200k-item enforced stream.
 //!
 //! `--metrics json` writes a `BENCH_perf.json` run manifest (wall times
 //! informational, solver iteration counts gated) so `bench_diff` tracks
@@ -166,14 +166,22 @@ fn main() {
         .expect("monolithic point is feasible");
     let mono_iters = mono_sched.telemetry.as_ref().map_or(0, |t| t.iterations);
 
-    // Simulators: fixed-seed BLAST streams through the hot loops.
+    // Simulators: fixed-seed BLAST streams through the hot loops. The
+    // 2,000-item streams fit in cache whatever the loop keeps per
+    // input; the 200k-item enforced stream shows what per-run state
+    // sized by the stream costs.
     let sim_items = 2_000usize;
     let sim_cfg = SimConfig::quick(10.0, 7, sim_items);
     let mono_cfg = SimConfig::quick(50.0, 7, sim_items);
+    let long_items = 200_000usize;
+    let long_cfg = SimConfig::quick(10.0, 7, long_items);
     {
         let mut group = c.benchmark_group("sim");
         group.bench_function("enforced", |b| {
             b.iter(|| black_box(simulate_enforced(&pipeline, &cold_sched, 1e5, &sim_cfg)))
+        });
+        group.bench_function("enforced_200k", |b| {
+            b.iter(|| black_box(simulate_enforced(&pipeline, &cold_sched, 1e5, &long_cfg)))
         });
         group.bench_function("monolithic", |b| {
             b.iter(|| black_box(simulate_monolithic(&pipeline, &mono_sched, 1e5, &mono_cfg)))
@@ -344,6 +352,10 @@ fn main() {
                         "wall_micros": mean_ns(&results, "sim/enforced") / 1e3,
                         "items_per_sec": per_sec(sim_items as f64, mean_ns(&results, "sim/enforced")),
                     }),
+                    "enforced_200k": json!({
+                        "wall_micros": mean_ns(&results, "sim/enforced_200k") / 1e3,
+                        "items_per_sec": per_sec(long_items as f64, mean_ns(&results, "sim/enforced_200k")),
+                    }),
                     "monolithic": json!({
                         "wall_micros": mean_ns(&results, "sim/monolithic") / 1e3,
                         "items_per_sec": per_sec(sim_items as f64, mean_ns(&results, "sim/monolithic")),
@@ -380,6 +392,7 @@ fn main() {
                 "grid_cols": cols,
                 "sweep": sweep_config,
                 "sim_items": sim_items,
+                "sim_long_items": long_items,
             });
             let path = RunManifest::new("perf", config_blob, results_blob)
                 .write()

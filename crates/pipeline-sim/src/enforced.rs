@@ -23,10 +23,48 @@
 //! [`PipelineSpec`] in [`Topology::chain`] — edge `i`'s substream label
 //! equals the per-stage label the chain implementation used, so the
 //! chain path is bit-identical to the frozen scalar reference.
+//!
+//! # The streaming kernel
+//!
+//! One event loop serves every entry point; instrumentation layers are
+//! `Option`s. Three things keep its per-item cost and footprint low.
+//!
+//! * **Bulk arrival drain.** Stream arrivals are a sorted lane, not
+//!   calendar events. At an instant with no calendar event, nothing but
+//!   arrivals can happen before the next calendar event, so every
+//!   arrival up to it is taken in one step: one origin range into the
+//!   lineage window, one `extend` of queue 0, one high-water update.
+//!   This keeps the order within an instant (arrivals, then deliveries,
+//!   then fires) because no delivery or fire is passed over; at an
+//!   instant that has calendar events, only that instant's arrivals are
+//!   drained, before its events run. The one event an arrival can
+//!   create is the wake of a dormant head under
+//!   [`FiringDiscipline::Vacation`]: the wake fire is due at the
+//!   arrival's own instant, so the drain stops after that instant's
+//!   arrivals and the fire runs next. Per-arrival hooks still see each
+//!   arrival inside the drain, with the queue depth and high-water marks
+//!   it left: obs and spans run once per item, and live records the run
+//!   as its per-item calls would, ticking where they would. Under fault
+//!   injection, admission control reads that state per arrival, so
+//!   stressed arrivals are admitted one at a time.
+//! * **Fused firing pass.** Per out-edge, one pass over the consumed
+//!   slice appends the outputs and — on the last edge — settles each
+//!   item's lineage with a branch-free live-count/completion/count step
+//!   (see `LineageWindow::consume`).
+//! * **In-flight lineage window.** `LineageWindow` holds only the
+//!   origins from the lowest unresolved one to the last arrived, in a
+//!   ring that doubles when full. After each firing that resolved an
+//!   input, the resolved prefix is folded, in origin order, into the
+//!   latency moments, the miss count and (when tracing) the item fates;
+//!   at run end the rest is folded with unresolved inputs counted as
+//!   dropped. Every input is folded exactly once and in origin order, so
+//!   the Welford pushes are the sequence of one pass over the whole
+//!   stream — the moments are bit-identical to the reference, which
+//!   keeps per-input lanes for the whole stream.
 
 use crate::config::{FiringDiscipline, SimConfig};
 use crate::faults::{FaultState, MitigationPolicy, FAULT_ARRIVAL_STREAM};
-use crate::item::LineageTracker;
+use crate::item::LineageWindow;
 use crate::live::SimLive;
 use crate::metrics::SimMetrics;
 use crate::soa::SoaQueue;
@@ -407,13 +445,174 @@ struct StressState {
     design_b: Vec<f64>,
     /// Continuous periods of the current schedule (warm-start seed).
     periods_f: Vec<f64>,
-    /// Per-origin shed flags (indexed by origin).
-    shed: Vec<bool>,
     items_shed: u64,
     resolves: u64,
     /// Set after an infeasible re-solve: keep the current schedule and
     /// stop escalating.
     escalation_dead: bool,
+}
+
+/// Round generated arrival times onto the integer clock, never moving
+/// backwards. Collecting the vector's own `into_iter` reuses its
+/// allocation (`f64` and [`SimTime`] have the same size and alignment),
+/// so a run holds one arrival lane, not a float lane and a cycle lane.
+fn round_onto_clock(arrivals: Vec<f64>) -> Vec<SimTime> {
+    let mut last = 0u64;
+    arrivals
+        .into_iter()
+        .map(|t| {
+            let c = round_to_cycles(t).max(last);
+            last = c;
+            SimTime::from_cycles(c)
+        })
+        .collect()
+}
+
+/// `t.round() as u64` without the `round` library call (the baseline
+/// x86-64 target has no rounding instruction, and a million calls were
+/// a tenth of a run). On `[0, 2^52)`, `t - trunc(t)` is exactly
+/// representable, so comparing it with 0.5 rounds half away from zero
+/// as `round` does; anything else takes the library path.
+#[inline]
+fn round_to_cycles(t: f64) -> u64 {
+    if (0.0..4_503_599_627_370_496.0).contains(&t) {
+        let whole = t as i64;
+        (whole + i64::from(t - whole as f64 >= 0.5)) as u64
+    } else {
+        t.round() as u64
+    }
+}
+
+/// First index at or after `from` whose arrival is not before `limit`
+/// (`arrivals` is sorted). Gallops from `from`, so a drain of `k`
+/// arrivals costs O(log k) probes near the cursor instead of a binary
+/// search over the whole stream.
+fn arrivals_before(arrivals: &[SimTime], from: usize, limit: SimTime) -> usize {
+    let mut step = 1;
+    while from + step < arrivals.len() && arrivals[from + step] < limit {
+        step *= 2;
+    }
+    let hi = (from + step).min(arrivals.len());
+    from + arrivals[from..hi].partition_point(|&a| a < limit)
+}
+
+/// One out-edge of a firing, in a single pass over the consumed slice:
+/// draw the batch's gains from the edge's substream, thin them by the
+/// routing weight when it is below 1 (one draw per drawn output, item
+/// by item — the order of the scalar reference), append each item's
+/// kept outputs to `outs`, and hand `each(i, origin, kept)` the count.
+///
+/// `outs` is pre-sized so that an item with at most one output is a
+/// store plus a conditional bump of the write cursor — no branch, no
+/// capacity check. The invariant `outs.len() >= pos + (remaining
+/// items)` keeps that store in bounds; only an item with more than one
+/// output may grow the buffer.
+#[inline(always)]
+fn route_edge(
+    gain: &GainModel,
+    weight: f64,
+    rng: &mut RngStream,
+    consumed: &[u64],
+    gains: &mut Vec<u32>,
+    outs: &mut Vec<u64>,
+    mut each: impl FnMut(usize, u64, u32),
+) {
+    let take = consumed.len();
+    gains.clear();
+    gains.resize(take, 0);
+    gain.sample_batch(rng, gains);
+    let thin = weight < 1.0;
+    outs.clear();
+    outs.resize(take, 0);
+    let mut pos = 0usize;
+    for (i, (&origin, &k)) in consumed.iter().zip(gains.iter()).enumerate() {
+        let kept = if thin {
+            // Never taken on chain topologies (weight == 1), so the
+            // chain draw sequence is unchanged.
+            let mut kept = 0u32;
+            for _ in 0..k {
+                kept += u32::from(rng.next_f64() < weight);
+            }
+            kept
+        } else {
+            k
+        };
+        if kept <= 1 {
+            outs[pos] = origin;
+            pos += kept as usize;
+        } else {
+            let need = pos + kept as usize + (take - i - 1);
+            if outs.len() < need {
+                outs.resize(need, 0);
+            }
+            outs[pos..pos + kept as usize].fill(origin);
+            pos += kept as usize;
+        }
+        each(i, origin, kept);
+    }
+    outs.truncate(pos);
+}
+
+/// Deadline accounting of resolved inputs, fed in origin order as the
+/// lineage window slides. Folding in origin order is the push sequence
+/// of one pass over the whole stream, so the Welford moments are
+/// bit-identical to it.
+struct Tally {
+    deadline: f64,
+    latency: OnlineStats,
+    misses: u64,
+    dropped: u64,
+}
+
+impl Tally {
+    /// Input `origin`, arrived at `arrival`, resolved at cycle
+    /// `completion` (or was shed: then it is neither a completion, a
+    /// miss, nor a latency sample).
+    #[inline]
+    fn resolved(
+        &mut self,
+        origin: u64,
+        arrival: SimTime,
+        completion: u64,
+        spans: Option<&mut SpanSink>,
+    ) {
+        if completion == LineageWindow::SHED {
+            return;
+        }
+        let lat = (completion - arrival.cycles()) as f64;
+        self.latency.push(lat);
+        self.misses += u64::from(lat > self.deadline);
+        if let Some(sink) = spans {
+            sink.fate(ItemFate {
+                origin,
+                arrival: arrival.as_f64(),
+                completion: Some(completion as f64),
+            });
+        }
+    }
+
+    /// Input `origin` was unresolved at the safety horizon: dropped, and
+    /// counted as a miss.
+    fn unresolved(
+        &mut self,
+        origin: u64,
+        arrival: SimTime,
+        obs: Option<&mut ObsSink>,
+        spans: Option<&mut SpanSink>,
+    ) {
+        self.misses += 1;
+        self.dropped += 1;
+        if let Some(sink) = obs {
+            sink.on_drop();
+        }
+        if let Some(sink) = spans {
+            sink.fate(ItemFate {
+                origin,
+                arrival: arrival.as_f64(),
+                completion: None,
+            });
+        }
+    }
 }
 
 /// Full-generality core: aggregate observability (`obs`), causal span
@@ -465,7 +664,7 @@ fn simulate_enforced_full(
         .map(|e| master.substream(1 + e as u64))
         .collect();
 
-    // Precompute arrival times, rounded onto the integer clock.
+    // Precompute arrival times.
     let mut arrivals_f = config
         .arrivals
         .generate(config.stream_length, &mut arrival_rng);
@@ -486,23 +685,12 @@ fn simulate_enforced_full(
             params: RtParams::new(config.arrivals.mean_interarrival(), deadline).ok(),
             design_b: schedule.backlog_factors.clone(),
             periods_f: schedule.periods.clone(),
-            shed: vec![false; config.stream_length],
             items_shed: 0,
             resolves: 0,
             escalation_dead: false,
         }
     });
-    let arrivals: Vec<SimTime> = {
-        let mut last = 0u64;
-        arrivals_f
-            .iter()
-            .map(|&t| {
-                let c = (t.round() as u64).max(last);
-                last = c;
-                SimTime::from_cycles(c)
-            })
-            .collect()
-    };
+    let arrivals = round_onto_clock(arrivals_f);
     let last_arrival = arrivals.last().copied().unwrap_or(SimTime::ZERO);
     let safety_horizon =
         last_arrival.saturating_add(SimTime::from_f64_rounded(config.drain_factor * deadline));
@@ -549,13 +737,10 @@ fn simulate_enforced_full(
     let mut vec_pool: Vec<Vec<u64>> = Vec::new();
     // Reusable per-firing gain-draw lane (one entry per consumed item).
     let mut gains_buf: Vec<u32> = Vec::with_capacity(v as usize);
-    // Per-item output total across all out-edges of a firing, for the
-    // lineage ledger (an item is resolved only when *all* its outputs
-    // on every edge are resolved).
+    // Per-item output total over a fan-out node's earlier out-edges
+    // (an input resolves only when *all* its outputs on every edge
+    // are resolved); the last edge's pass adds its own count.
     let mut ktot_buf: Vec<u32> = Vec::with_capacity(v as usize);
-    // Deliveries staged per out-edge during a firing; drained into the
-    // calendar after the lineage pass releases the queue borrow.
-    let mut pending_deliver: Vec<(usize, Vec<u64>)> = Vec::new();
     // Parallel per-stage enqueue-timestamp lanes for sojourn
     // measurement, plus a reusable batch buffer for the samples;
     // allocated only when the observability layer is on.
@@ -587,7 +772,13 @@ fn simulate_enforced_full(
     // Vacation discipline: a dormant node skipped its firing on an
     // empty queue and is waiting for input to wake it.
     let mut dormant = vec![false; n];
-    let mut lineage = LineageTracker::new(config.stream_length);
+    let mut lineage = LineageWindow::new(config.stream_length);
+    let mut tally = Tally {
+        deadline,
+        latency: OnlineStats::new(),
+        misses: 0,
+        dropped: 0,
+    };
     let mut ledger = ActiveTimeLedger::new(n);
     let mut occupancy: Vec<OccupancyStats> = (0..n).map(|_| OccupancyStats::new()).collect();
     let mut last_completion = SimTime::ZERO;
@@ -599,7 +790,7 @@ fn simulate_enforced_full(
     // when they lived in the calendar), so an item that arrives exactly
     // when a node fires is visible to that firing.
     let mut batch: Vec<Ev> = Vec::new();
-    'outer: loop {
+    loop {
         let cal_next = cal.peek_time();
         let arr_next = arrivals.get(next_arrival).copied();
         let now = match (arr_next, cal_next) {
@@ -610,125 +801,165 @@ fn simulate_enforced_full(
         };
         if now > safety_horizon {
             truncated = true;
-            break 'outer;
+            break;
         }
-        // Calendar events already scheduled at this instant. Collected
-        // *before* the arrival drain, so a dormant-node wake scheduled
-        // by one of these arrivals runs in the next iteration of this
-        // loop (still at `now`) — exactly the order the all-in-calendar
-        // implementation produced.
-        batch.clear();
-        while cal.peek_time() == Some(now) {
-            batch.push(cal.pop().expect("peeked").payload);
-        }
-        sort_batch_by_class(&mut batch);
+        // The arrivals this iteration drains. With a calendar event at
+        // `now`, that is the arrivals at `now`, and the events are
+        // collected *before* the drain, so a dormant-node wake scheduled
+        // by one of these arrivals runs in the next iteration (still at
+        // `now`) — the order the all-in-calendar implementation
+        // produced. Without one, nothing but arrivals can happen before
+        // the next calendar event, so every arrival up to it is drained
+        // in one step (the bulk drain; see the module docs).
+        let mut end = if cal_next == Some(now) {
+            batch.clear();
+            while cal.peek_time() == Some(now) {
+                batch.push(cal.pop().expect("peeked").payload);
+            }
+            sort_batch_by_class(&mut batch);
+            arrivals_before(&arrivals, next_arrival, now + SimTime::from_cycles(1))
+        } else {
+            cal_next.map_or(arrivals.len(), |c| {
+                arrivals_before(&arrivals, next_arrival, c)
+            })
+        };
 
-        // Class 0: stream arrivals at `now`, in origin (FIFO) order.
-        while next_arrival < arrivals.len() && arrivals[next_arrival] == now {
-            let origin = next_arrival as u64;
-            next_arrival += 1;
-            if let Some(sink) = obs.as_deref_mut() {
-                sink.on_event();
-            }
-            if let Some(l) = live {
-                if l.on_arrival() {
-                    l.tick(&max_depth);
-                }
-            }
-            {
-                if let Some(st) = stress.as_mut() {
-                    // Escalation: when the backlog high-water mark
-                    // exceeds the factors the running periods were
-                    // solved for, re-solve the waits at the observed
-                    // ceilings (warm-started from the current
-                    // schedule) and adopt the new periods.
-                    if st.policy.escalate
-                        && !st.escalation_dead
-                        && st.resolves < u64::from(st.policy.max_resolves)
-                    {
-                        let headroom = st.policy.escalate_headroom;
-                        let overload = max_depth
-                            .iter()
-                            .zip(&st.design_b)
-                            .any(|(&d, &b)| (d as f64 / v as f64).ceil() > b + headroom);
-                        if overload {
-                            if let Some(params) = st.params {
-                                let observed: Vec<f64> = max_depth
-                                    .iter()
-                                    .map(|&d| (d as f64 / v as f64).ceil())
-                                    .collect();
-                                match rtsdf_core::dag::escalate_schedule_topology(
-                                    topology,
-                                    params,
-                                    &st.periods_f,
-                                    &st.design_b,
-                                    &observed,
-                                ) {
-                                    Ok(new_sched) => {
-                                        st.resolves += 1;
-                                        for (p, (&x, &t)) in periods
-                                            .iter_mut()
-                                            .zip(new_sched.periods.iter().zip(&service))
-                                        {
-                                            *p = (x.round() as u64).max(t);
-                                        }
-                                        st.periods_f = new_sched.periods;
-                                        st.design_b = new_sched.backlog_factors;
+        // Class 0: stream arrivals, in origin (FIFO) order, entering
+        // the lineage window and queue 0 as origin ranges.
+        while next_arrival < end {
+            let start = next_arrival;
+            let at = arrivals[start];
+            let stop = if let Some(st) = stress.as_mut() {
+                // Admission control reads the queues and high-water
+                // marks each arrival leaves behind, so stressed
+                // arrivals are admitted one at a time.
+                //
+                // Escalation: when the backlog high-water mark exceeds
+                // the factors the running periods were solved for,
+                // re-solve the waits at the observed ceilings
+                // (warm-started from the current schedule) and adopt
+                // the new periods.
+                if st.policy.escalate
+                    && !st.escalation_dead
+                    && st.resolves < u64::from(st.policy.max_resolves)
+                {
+                    let headroom = st.policy.escalate_headroom;
+                    let overload = max_depth
+                        .iter()
+                        .zip(&st.design_b)
+                        .any(|(&d, &b)| (d as f64 / v as f64).ceil() > b + headroom);
+                    if overload {
+                        if let Some(params) = st.params {
+                            let observed: Vec<f64> = max_depth
+                                .iter()
+                                .map(|&d| (d as f64 / v as f64).ceil())
+                                .collect();
+                            match rtsdf_core::dag::escalate_schedule_topology(
+                                topology,
+                                params,
+                                &st.periods_f,
+                                &st.design_b,
+                                &observed,
+                            ) {
+                                Ok(new_sched) => {
+                                    st.resolves += 1;
+                                    for (p, (&x, &t)) in periods
+                                        .iter_mut()
+                                        .zip(new_sched.periods.iter().zip(&service))
+                                    {
+                                        *p = (x.round() as u64).max(t);
                                     }
-                                    // No feasible schedule at the
-                                    // observed backlog: keep the
-                                    // current one and stop trying.
-                                    Err(_) => st.escalation_dead = true,
+                                    st.periods_f = new_sched.periods;
+                                    st.design_b = new_sched.backlog_factors;
                                 }
-                            } else {
-                                st.escalation_dead = true;
+                                // No feasible schedule at the observed
+                                // backlog: keep the current one and
+                                // stop trying.
+                                Err(_) => st.escalation_dead = true,
                             }
-                        }
-                    }
-                    // Deadline-aware load shedding: admit only if the
-                    // latency predicted from current queue depths
-                    // (floored at the design factors) fits the
-                    // deadline. The item still resolves in the
-                    // lineage tracker — as shed, not completed.
-                    if st.policy.shed {
-                        let mut overload = false;
-                        let mut predicted = 0.0;
-                        for i in 0..n {
-                            let q = queues[i].len() as u64 + u64::from(i == 0);
-                            let obs = (q as f64 / v as f64).ceil();
-                            if obs > st.design_b[i] {
-                                overload = true;
-                            }
-                            predicted += periods[i] as f64 * obs.max(st.design_b[i]);
-                        }
-                        if overload && predicted > deadline {
-                            st.items_shed += 1;
-                            st.shed[origin as usize] = true;
-                            if let Some(l) = live {
-                                l.on_shed();
-                            }
-                            lineage.arrive(origin);
-                            lineage.consume(origin, 0, now);
-                            continue;
+                        } else {
+                            st.escalation_dead = true;
                         }
                     }
                 }
-                lineage.arrive(origin);
-                queues[0].push_back(origin);
-                max_depth[0] = max_depth[0].max(queues[0].len() as u64);
-                if let Some(sink) = obs.as_deref_mut() {
-                    sink.on_enqueue(0, 1, queues[0].len());
-                    enq_times[0].push_back(now);
+                // Deadline-aware load shedding: admit only if the
+                // latency predicted from current queue depths (floored
+                // at the design factors) fits the deadline. The item
+                // still resolves in the lineage window — as shed, not
+                // completed.
+                if st.policy.shed {
+                    let mut overload = false;
+                    let mut predicted = 0.0;
+                    for i in 0..n {
+                        let q = queues[i].len() as u64 + u64::from(i == 0);
+                        let obs = (q as f64 / v as f64).ceil();
+                        if obs > st.design_b[i] {
+                            overload = true;
+                        }
+                        predicted += periods[i] as f64 * obs.max(st.design_b[i]);
+                    }
+                    if overload && predicted > deadline {
+                        st.items_shed += 1;
+                        if let Some(sink) = obs.as_deref_mut() {
+                            sink.on_event();
+                        }
+                        if let Some(l) = live {
+                            if l.on_arrival() {
+                                l.tick(&max_depth);
+                            }
+                            l.on_shed();
+                        }
+                        lineage.arrive_shed();
+                        next_arrival += 1;
+                        continue;
+                    }
                 }
-                if spans.is_some() {
-                    span_queue[0].push_back((origin, now, now.max(next_fire[0])));
+                start + 1
+            } else if dormant[0] {
+                // The arrival wakes the head, whose fire is due at this
+                // instant: only the instant's arrivals come first.
+                arrivals_before(&arrivals, start, at + SimTime::from_cycles(1))
+            } else {
+                end
+            };
+            let base = queues[0].len();
+            lineage.arrive_until(stop as u64);
+            queues[0].extend(start as u64..stop as u64);
+            if let Some(l) = live {
+                l.on_arrival_run((stop - start) as u64, |i| {
+                    // The marks as arrival `i` found them.
+                    max_depth[0] = max_depth[0].max(base as u64 + i);
+                    l.tick(&max_depth);
+                });
+            }
+            if obs.is_some() || spans.is_some() {
+                for (i, origin) in (start..stop).enumerate() {
+                    let t = arrivals[origin];
+                    if let Some(sink) = obs.as_deref_mut() {
+                        sink.on_event();
+                        sink.on_enqueue(0, 1, base + i + 1);
+                        enq_times[0].push_back(t);
+                    }
+                    if spans.is_some() {
+                        span_queue[0].push_back((origin as u64, t, t.max(next_fire[0])));
+                    }
                 }
-                if dormant[0] {
-                    // Wake: the mandatory period already elapsed when
-                    // the node went dormant, so firing now is legal.
-                    dormant[0] = false;
-                    cal.schedule(now, Ev::Fire { node: 0 });
-                }
+            }
+            // No queue shrinks during a drain: the range's high-water
+            // mark is the queue's length after it.
+            max_depth[0] = max_depth[0].max(queues[0].len() as u64);
+            next_arrival = stop;
+            if dormant[0] {
+                // Wake: the mandatory period already elapsed when the
+                // node went dormant, so firing now is legal. The drain
+                // ends with this instant's arrivals.
+                dormant[0] = false;
+                cal.schedule(at, Ev::Fire { node: 0 });
+                end = end.min(arrivals_before(
+                    &arrivals,
+                    next_arrival,
+                    at + SimTime::from_cycles(1),
+                ));
             }
         }
 
@@ -813,82 +1044,91 @@ fn simulate_enforced_full(
                     }
                     if take > 0 {
                         let consumed = queues[node].take_front(take);
-                        ktot_buf.clear();
-                        ktot_buf.resize(take, 0);
-                        // Route along out-edges: per edge, draw the
-                        // whole firing's gains in one hoisted-dispatch
-                        // pass from the edge's own substream (the draw
-                        // sequence is identical to one `sample` per
-                        // item — the scalar reference pins this), thin
-                        // by the routing weight when it is below 1, and
-                        // stage one delivery batch. A sink node has no
+                        let at = completion.cycles();
+                        let mut done = 0u64;
+                        // Route along out-edges, one fused pass per edge
+                        // (gain draws in the order of one `sample` per
+                        // item — the scalar reference pins this), each
+                        // staging one delivery batch. The last edge's
+                        // pass also settles each consumed item's
+                        // lineage; a fan-out node first sums the earlier
+                        // edges' outputs per item. A sink node has no
                         // out-edges, so its outputs exit immediately
-                        // (no draw, k = 0) — exactly the old last-stage
-                        // special case.
-                        for &e in topology.out_edges(node) {
-                            gains_buf.clear();
-                            gains_buf.resize(take, 0);
-                            gain_of[e].sample_batch(&mut gain_rngs[e], &mut gains_buf);
+                        // (no draw, k = 0).
+                        let edges = topology.out_edges(node);
+                        let fan_out = edges.len() > 1;
+                        if fan_out {
+                            ktot_buf.clear();
+                            ktot_buf.resize(take, 0);
+                        }
+                        if edges.is_empty() {
+                            for &origin in consumed {
+                                done += lineage.consume(origin, 0, at);
+                            }
+                        }
+                        for (j, &e) in edges.iter().enumerate() {
                             let edge = topology.edge(e);
-                            let mut outs: Vec<u64> = vec_pool.pop().unwrap_or_default();
-                            if edge.weight < 1.0 {
-                                // Bernoulli thinning per output, from
-                                // the same edge substream. Never taken
-                                // on chain topologies (weight == 1), so
-                                // the chain draw sequence is unchanged.
-                                for (i, &origin) in consumed.iter().enumerate() {
-                                    let mut kept = 0u32;
-                                    for _ in 0..gains_buf[i] {
-                                        if gain_rngs[e].next_f64() < edge.weight {
-                                            kept += 1;
-                                        }
-                                    }
-                                    ktot_buf[i] += kept;
-                                    for _ in 0..kept {
-                                        outs.push(origin);
-                                    }
-                                }
+                            let mut outs = vec_pool.pop().unwrap_or_default();
+                            let (gain, rng) = (gain_of[e], &mut gain_rngs[e]);
+                            if j + 1 == edges.len() {
+                                route_edge(
+                                    gain,
+                                    edge.weight,
+                                    rng,
+                                    consumed,
+                                    &mut gains_buf,
+                                    &mut outs,
+                                    |i, origin, k| {
+                                        let k = if fan_out { k + ktot_buf[i] } else { k };
+                                        done += lineage.consume(origin, k, at);
+                                    },
+                                );
                             } else {
-                                for (i, &origin) in consumed.iter().enumerate() {
-                                    let k = gains_buf[i];
-                                    ktot_buf[i] += k;
-                                    for _ in 0..k {
-                                        outs.push(origin);
-                                    }
-                                }
+                                route_edge(
+                                    gain,
+                                    edge.weight,
+                                    rng,
+                                    consumed,
+                                    &mut gains_buf,
+                                    &mut outs,
+                                    |i, _, k| ktot_buf[i] += k,
+                                );
                             }
-                            if !outs.is_empty() {
-                                pending_deliver.push((edge.dst, outs));
-                            } else {
+                            if outs.is_empty() {
                                 vec_pool.push(outs);
+                            } else {
+                                cal.schedule(
+                                    completion,
+                                    Ev::Deliver {
+                                        node: edge.dst,
+                                        origins: outs,
+                                    },
+                                );
                             }
                         }
-                        for (i, &origin) in consumed.iter().enumerate() {
-                            if lineage.consume(origin, ktot_buf[i], completion) {
-                                last_completion = last_completion.max(completion);
-                                if let Some(sink) = obs.as_deref_mut() {
-                                    sink.on_completion();
-                                }
-                                if let Some(l) = live {
-                                    l.on_completion();
-                                }
+                        if done > 0 {
+                            last_completion = last_completion.max(completion);
+                            if let Some(sink) = obs.as_deref_mut() {
+                                sink.on_completions(done);
                             }
-                        }
-                        for (dst, outs) in pending_deliver.drain(..) {
-                            cal.schedule(
-                                completion,
-                                Ev::Deliver {
-                                    node: dst,
-                                    origins: outs,
-                                },
-                            );
+                            if let Some(l) = live {
+                                l.on_completions(done);
+                            }
+                            lineage.fold(|origin, c| {
+                                tally.resolved(
+                                    origin,
+                                    arrivals[origin as usize],
+                                    c,
+                                    spans.as_deref_mut(),
+                                )
+                            });
                         }
                     }
                     // Periodic refire, but only while there is still work
                     // in flight (once every input is resolved the run is
                     // over and further firings would only extend the
                     // horizon without processing anything).
-                    if !lineage.all_complete() {
+                    if !lineage.all_resolved() {
                         // A faulted firing can outlast the period; the
                         // node cannot re-fire before it completes. At
                         // intensity 0 (and without stress) the period
@@ -903,72 +1143,28 @@ fn simulate_enforced_full(
                 }
             }
         }
-        if lineage.all_complete() {
+        if lineage.all_resolved() {
             break;
         }
     }
 
-    // Account misses, drops, and latency. Latencies are computed into a
-    // flat buffer and folded into the Welford accumulator in one pass —
-    // the same push sequence (hence bit-identical moments) as the
-    // per-item scalar loop the reference simulator keeps.
-    let mut misses = 0u64;
-    let mut dropped = 0u64;
-    let mut latency = OnlineStats::new();
-    let mut lat_buf: Vec<f64> = Vec::with_capacity(arrivals.len());
-    if stress.is_none() && spans.is_none() {
-        // Hot path: stream straight over the parallel (arrival,
-        // completion) cycle lanes.
-        for (&c, &a) in lineage.completion_cycles().iter().zip(&arrivals) {
-            if c == LineageTracker::INCOMPLETE {
-                // Unresolved at the safety horizon: dropped, and counted
-                // as a miss.
-                misses += 1;
-                dropped += 1;
-                if let Some(sink) = obs.as_deref_mut() {
-                    sink.on_drop();
-                }
-            } else {
-                let lat = (c - a.cycles()) as f64;
-                lat_buf.push(lat);
-                misses += u64::from(lat > deadline);
-            }
+    // Close the window: the rest of the stream in origin order, inputs
+    // still unresolved at the safety horizon counted as dropped.
+    let all_resolved = lineage.all_resolved();
+    let resolved = lineage.resolved();
+    lineage.finish(|origin, c| {
+        let arrival = arrivals[origin as usize];
+        match c {
+            Some(c) => tally.resolved(origin, arrival, c, spans.as_deref_mut()),
+            None => tally.unresolved(origin, arrival, obs.as_deref_mut(), spans.as_deref_mut()),
         }
-    } else {
-        for (origin, completion) in lineage.completions() {
-            // Shed items never entered the pipeline: they are neither
-            // completions, misses, nor latency samples.
-            if let Some(st) = stress.as_ref() {
-                if st.shed[origin as usize] {
-                    continue;
-                }
-            }
-            if let Some(sink) = spans.as_deref_mut() {
-                sink.fate(ItemFate {
-                    origin,
-                    arrival: arrivals[origin as usize].as_f64(),
-                    completion: completion.map(|c| c.as_f64()),
-                });
-            }
-            match completion {
-                Some(c) => {
-                    let lat = c.since(arrivals[origin as usize]).as_f64();
-                    lat_buf.push(lat);
-                    if lat > deadline {
-                        misses += 1;
-                    }
-                }
-                None => {
-                    misses += 1;
-                    dropped += 1;
-                    if let Some(sink) = obs.as_deref_mut() {
-                        sink.on_drop();
-                    }
-                }
-            }
-        }
-    }
-    latency.push_slice(&lat_buf);
+    });
+    let Tally {
+        latency,
+        misses,
+        dropped,
+        ..
+    } = tally;
 
     // Live metrics run-end flush: drop totals are only known after the
     // accounting pass, and the final tick publishes the run's closing
@@ -978,7 +1174,7 @@ fn simulate_enforced_full(
         l.tick(&max_depth);
     }
 
-    let horizon = if lineage.all_complete() {
+    let horizon = if all_resolved {
         last_completion.as_f64()
     } else {
         safety_horizon.as_f64()
@@ -991,9 +1187,9 @@ fn simulate_enforced_full(
     let items_shed = stress.as_ref().map_or(0, |st| st.items_shed);
     SimMetrics {
         items_arrived: arrivals.len() as u64,
-        // Shed items resolve in the lineage tracker (so the run
+        // Shed items resolve in the lineage window (so the run
         // terminates) but were never processed.
-        items_completed: lineage.completed() - items_shed,
+        items_completed: resolved - items_shed,
         items_dropped: dropped,
         deadline_misses: misses,
         items_shed,
@@ -1018,6 +1214,7 @@ fn simulate_enforced_full(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::simulate_enforced_reference;
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
     use rtsdf_core::{EnforcedWaitsProblem, SolveMethod};
 
@@ -1043,6 +1240,69 @@ mod tests {
         EnforcedWaitsProblem::new(pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
             .solve(SolveMethod::WaterFilling)
             .unwrap()
+    }
+
+    #[test]
+    fn round_to_cycles_matches_round_then_cast() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_497.0,
+            9.3e18,
+            18_446_744_073_709_551_615.0,
+            1e300,
+            -0.7,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = RngStream::new(3);
+        let random = (0..10_000).map(|i| {
+            let scale = 10f64.powi(i % 16);
+            (rng.next_f64() - 0.01) * scale
+        });
+        for t in edges.into_iter().chain(random) {
+            assert_eq!(round_to_cycles(t), t.round() as u64, "t = {t:e}");
+        }
+    }
+
+    #[test]
+    fn arrival_lane_is_rounded_in_place() {
+        let times = vec![0.4, 10.5, 9.0, 30.2];
+        let lane = times.as_ptr() as usize;
+        let cycles = round_onto_clock(times);
+        assert_eq!(cycles.as_ptr() as usize, lane, "one arrival lane");
+        let got: Vec<u64> = cycles.iter().map(|c| c.cycles()).collect();
+        // Rounded, and never moving backwards.
+        assert_eq!(got, vec![0, 11, 11, 30]);
+    }
+
+    #[test]
+    fn arrivals_before_finds_the_first_arrival_at_or_after_a_limit() {
+        let lane: Vec<SimTime> = [0u64, 0, 3, 3, 3, 7, 9, 9, 20]
+            .into_iter()
+            .map(SimTime::from_cycles)
+            .collect();
+        for from in 0..=lane.len() {
+            for limit in 0..=21 {
+                let want = from
+                    + lane[from..]
+                        .iter()
+                        .take_while(|t| t.cycles() < limit)
+                        .count();
+                assert_eq!(
+                    arrivals_before(&lane, from, SimTime::from_cycles(limit)),
+                    want,
+                    "from {from}, limit {limit}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1311,6 +1571,23 @@ mod tests {
         let m = simulate_enforced(&p, &sched, 1000.0, &cfg);
         assert!(m.truncated);
         assert!(m.deadline_misses > 0);
+        // Unresolved inputs are closed out of the lineage window exactly
+        // as the whole-stream oracle counts them.
+        let bits = |m: &SimMetrics| serde_json::to_string(m).expect("metrics serialize");
+        let oracle = simulate_enforced_reference(&p, &sched, 1000.0, &cfg, None, None);
+        assert_eq!(bits(&m), bits(&oracle));
+        assert!(m.items_dropped > 0);
+
+        // Same schedule with room to drain: all 3,000 inputs are in
+        // flight at once, far past the window's starting capacity, so
+        // the ring grows mid-run — and the run still matches the oracle.
+        let cfg = SimConfig::quick(1.0, 3, 3_000);
+        assert!(3_000 > LineageWindow::new(3_000).capacity());
+        let m = simulate_enforced(&p, &sched, 1e9, &cfg);
+        assert!(!m.truncated);
+        assert_eq!(m.items_completed, 3_000);
+        let oracle = simulate_enforced_reference(&p, &sched, 1e9, &cfg, None, None);
+        assert_eq!(bits(&m), bits(&oracle));
     }
 
     #[test]

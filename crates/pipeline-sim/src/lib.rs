@@ -39,7 +39,7 @@ pub mod calibration;
 pub mod config;
 pub mod enforced;
 pub mod faults;
-pub mod item;
+mod item;
 pub mod live;
 pub mod metrics;
 pub mod monolithic;

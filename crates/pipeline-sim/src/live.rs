@@ -182,6 +182,25 @@ impl SimLive<'_> {
         }
     }
 
+    /// `n` stream items arrived one after another. Records exactly what
+    /// `n` calls of [`on_arrival`](Self::on_arrival) would, calling
+    /// `due(i)` for each arrival `i` (0-based, in order) at which one of
+    /// those calls would have signalled a tick — in O(1 + ticks), not
+    /// O(n), for the simulator's bulk arrival drain.
+    pub fn on_arrival_run(&self, n: u64, mut due: impl FnMut(u64)) {
+        let mut done = 0;
+        loop {
+            let left = u64::from(self.until_tick.get());
+            if n - done < left {
+                self.on_arrivals(n - done);
+                return;
+            }
+            self.on_arrivals(left);
+            done += left;
+            due(done - 1);
+        }
+    }
+
     /// One item completed end to end.
     pub fn on_completion(&self) {
         self.completed.set(self.completed.get() + 1);
@@ -307,6 +326,27 @@ mod tests {
         h.on_arrival();
         drop(h);
         assert_eq!(m.item_counts(), (5, 3, 1));
+    }
+
+    #[test]
+    fn arrival_run_ticks_where_single_arrivals_would() {
+        let m = SimLiveMetrics::new(1, 1);
+        let (single, run) = (m.handle(0), m.handle(0));
+        let mut arrived = 0u64;
+        for n in [0u64, 1, 5, 1017, 1, 3000, 1024, 1023, 2, 4096] {
+            let mut want = Vec::new();
+            for i in 0..n {
+                if single.on_arrival() {
+                    want.push(i);
+                }
+            }
+            let mut got = Vec::new();
+            run.on_arrival_run(n, |i| got.push(i));
+            assert_eq!(got, want, "run of {n} after {arrived} arrivals");
+            arrived += n;
+        }
+        drop((single, run));
+        assert_eq!(m.item_counts().0, 2 * arrived);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use crate::config::{FiringDiscipline, SimConfig};
 use crate::faults::{FaultState, MitigationPolicy, FAULT_ARRIVAL_STREAM};
-use crate::item::{Item, LineageTracker};
 use crate::metrics::SimMetrics;
 use dataflow_model::{GainModel, Perturbation, PipelineSpec, RtParams};
 use des::calendar::Calendar;
@@ -50,6 +49,84 @@ fn sort_batch_by_class(batch: &mut [Ev]) {
             batch.swap(j - 1, j);
             j -= 1;
         }
+    }
+}
+
+/// A work item inside the pipeline: the identity and arrival time of
+/// its ancestral stream input, because deadlines attach to stream inputs
+/// (paper §2.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Item {
+    origin: u64,
+    arrival: SimTime,
+}
+
+/// Per stream input, how many derived items are still alive in the
+/// pipeline and when the last one left — over the whole stream, one
+/// slot per input.
+///
+/// An input starts with one live item (itself). When a node consumes an
+/// item and emits `k` outputs, the live count changes by `k − 1`; when
+/// it reaches zero the input is *complete* — either its outputs all
+/// exited the final stage or its lineage died at a filter stage.
+#[derive(Debug)]
+struct LineageTracker {
+    live: Vec<u32>,
+    /// Completion cycle per input, `INCOMPLETE` while unresolved.
+    completion: Vec<u64>,
+    completed: u64,
+}
+
+impl LineageTracker {
+    const INCOMPLETE: u64 = u64::MAX;
+
+    fn new(n: usize) -> Self {
+        LineageTracker {
+            live: vec![0; n],
+            completion: vec![Self::INCOMPLETE; n],
+            completed: 0,
+        }
+    }
+
+    /// Register the arrival of input `origin` (live count 0 → 1).
+    fn arrive(&mut self, origin: u64) {
+        let o = origin as usize;
+        debug_assert_eq!(self.live[o], 0, "input {origin} arrived twice");
+        self.live[o] = 1;
+    }
+
+    /// One item of `origin`'s lineage was consumed and produced
+    /// `outputs` new items, at firing-completion time `at`. Returns
+    /// `true` if this completed the input.
+    fn consume(&mut self, origin: u64, outputs: u32, at: SimTime) -> bool {
+        let o = origin as usize;
+        debug_assert!(self.live[o] > 0, "consuming dead lineage of input {origin}");
+        self.live[o] = self.live[o] - 1 + outputs;
+        if self.live[o] == 0 && self.completion[o] == Self::INCOMPLETE {
+            self.completion[o] = at.cycles();
+            self.completed += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn completed(&self) -> u64 {
+        self.completed
+    }
+
+    fn all_complete(&self) -> bool {
+        self.completed as usize == self.completion.len()
+    }
+
+    /// Completion times with input indices, in origin order.
+    fn completions(&self) -> impl Iterator<Item = (u64, Option<SimTime>)> + '_ {
+        self.completion.iter().enumerate().map(|(i, &c)| {
+            (
+                i as u64,
+                (c != Self::INCOMPLETE).then(|| SimTime::from_cycles(c)),
+            )
+        })
     }
 }
 

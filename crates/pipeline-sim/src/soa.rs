@@ -95,6 +95,14 @@ impl<T: Copy> SoaQueue<T> {
         self.buf.extend_from_slice(xs);
     }
 
+    /// Append every element of `xs`, oldest first (e.g. a run of
+    /// consecutive origins as one range).
+    #[inline]
+    pub fn extend(&mut self, xs: impl IntoIterator<Item = T>) {
+        self.maybe_compact();
+        self.buf.extend(xs);
+    }
+
     /// Append `n` copies of `x`.
     #[inline]
     pub fn push_n(&mut self, x: T, n: usize) {

@@ -1,9 +1,12 @@
 //! Property-based tests for the pipeline simulator: conservation laws
 //! and metric sanity on randomized pipelines and schedules.
 
-use dataflow_model::{GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams};
+use dataflow_model::{
+    ArrivalProcess, GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams,
+};
 use des::obs::ObsConfig;
 use obs_trace::{ForensicsConfig, TraceConfig, TraceLog};
+use pipeline_sim::config::FiringDiscipline;
 use pipeline_sim::{
     simulate_enforced, simulate_enforced_observed, simulate_enforced_perturbed,
     simulate_enforced_traced, simulate_monolithic, simulate_monolithic_observed,
@@ -466,6 +469,44 @@ fn intensity() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), 0.3..2.5f64]
 }
 
+/// Run configuration for the enforced bit-identity comparisons: the
+/// arrival process (periodic; Poisson and bursty, both of which put
+/// several arrivals on one clock instant), the firing discipline and
+/// the stream length (5,000 items cross `SoaQueue`'s 1,024-entry
+/// compaction) all vary, because the simulator's arrival drain takes a
+/// different path for each.
+fn enforced_config() -> impl Strategy<Value = (u8, FiringDiscipline, usize)> {
+    (
+        0u8..3,
+        prop_oneof![
+            Just(FiringDiscipline::StrictPeriodic),
+            Just(FiringDiscipline::Vacation)
+        ],
+        prop_oneof![Just(400usize), Just(5_000)],
+    )
+}
+
+fn sim_config(
+    tau0: f64,
+    seed: u64,
+    (arrivals, discipline, items): (u8, FiringDiscipline, usize),
+) -> SimConfig {
+    let mut cfg = SimConfig::quick(tau0, seed, items);
+    cfg.discipline = discipline;
+    cfg.arrivals = match arrivals {
+        0 => ArrivalProcess::Periodic { tau0 },
+        1 => ArrivalProcess::Poisson { tau0 },
+        // Bursts of four arrivals per cycle, idle long enough between
+        // bursts to keep the long-run mean interval at `tau0`.
+        _ => ArrivalProcess::Bursty {
+            tau_on: 0.25,
+            on_mean: 60.0,
+            off_mean: 60.0 * (tau0 / 0.25 - 1.0),
+        },
+    };
+    cfg
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -474,6 +515,7 @@ proptest! {
         p in pipeline(),
         seed in 0u64..1000,
         intensity in intensity(),
+        run in enforced_config(),
     ) {
         use des::obs::ObsSink;
         use pipeline_sim::reference::simulate_enforced_reference;
@@ -486,7 +528,12 @@ proptest! {
         let sched = EnforcedWaitsProblem::new(&p, params, b)
             .solve(SolveMethod::WaterFilling)
             .unwrap();
-        let cfg = SimConfig::quick(tau0, seed, 400);
+        let cfg = sim_config(tau0, seed, run);
+
+        // Plain run, no hooks: the bulk arrival drain.
+        let live = simulate_enforced(&p, &sched, params.deadline, &cfg);
+        let oracle = simulate_enforced_reference(&p, &sched, params.deadline, &cfg, None, None);
+        prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
 
         // Observed run: SimMetrics + full ObsReport must agree.
         let live = simulate_enforced_observed(
@@ -568,11 +615,13 @@ proptest! {
         p in pipeline(),
         seed in 0u64..1000,
         intensity in intensity(),
+        run in enforced_config(),
     ) {
         use des::obs::ObsSink;
         use pipeline_sim::reference::simulate_enforced_reference;
         use pipeline_sim::{
-            simulate_enforced_topology_observed, simulate_enforced_topology_perturbed,
+            simulate_enforced_topology, simulate_enforced_topology_observed,
+            simulate_enforced_topology_perturbed,
         };
 
         let t = dataflow_model::Topology::chain(&p);
@@ -584,7 +633,12 @@ proptest! {
         let sched = EnforcedWaitsProblem::new(&p, params, b)
             .solve(SolveMethod::WaterFilling)
             .unwrap();
-        let cfg = SimConfig::quick(tau0, seed, 400);
+        let cfg = sim_config(tau0, seed, run);
+
+        // Plain run, no hooks: the bulk arrival drain.
+        let live = simulate_enforced_topology(&t, &sched, params.deadline, &cfg);
+        let oracle = simulate_enforced_reference(&p, &sched, params.deadline, &cfg, None, None);
+        prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
 
         // Observed run: SimMetrics + full ObsReport must agree.
         let live = simulate_enforced_topology_observed(
