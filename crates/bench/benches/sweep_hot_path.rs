@@ -3,12 +3,15 @@
 //! Measures the three layers the sweep acceleration touched, against
 //! their baselines, on one deliberately *imbalanced* grid:
 //!
-//! * **Scheduling** — cell-level work stealing (`sweep_parallel`) vs the
-//!   old static row-chunked scheduler (`sweep_parallel_chunked`). The
-//!   grid puts its cheap, infeasible rows (τ0 below the enforced
+//! * **Scheduling** — segment-level work stealing (`sweep_parallel`) vs
+//!   the old static row-chunked scheduler (`sweep_parallel_chunked`).
+//!   The grid puts its cheap, infeasible rows (τ0 below the enforced
 //!   head-stability limit ≈ 2.83) first and its expensive feasible rows
 //!   last, so static chunking serializes the expensive tail behind one
-//!   thread — exactly the shape work stealing fixes.
+//!   thread — exactly the shape work stealing fixes. Separately, the
+//!   paper's 64×64 grid runs through the one-worker `sweep`, whose whole
+//!   rows are the row kernel's segments; its cell rate does not depend
+//!   on the core count, so `bench_diff` gates it.
 //! * **Solver** — a cold `solve_with_fallback` vs the same solve warm-
 //!   started from a neighboring deadline's schedule, and the monolithic
 //!   block-size search (`solve_fast`) at its own bench point.
@@ -27,8 +30,8 @@
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
 use criterion::{black_box, Criterion};
 use rtsdf::core::comparison::{
-    sweep_parallel, sweep_parallel_chunked, sweep_parallel_live, sweep_parallel_with, SweepConfig,
-    SweepOptions, SweepProgress, SweepResult,
+    sweep, sweep_parallel, sweep_parallel_chunked, sweep_parallel_live, sweep_parallel_with,
+    SweepConfig, SweepOptions, SweepProgress, SweepResult,
 };
 use rtsdf::core::{worker_threads, WarmStart};
 use rtsdf::prelude::*;
@@ -98,6 +101,7 @@ fn main() {
     let pipeline = rtsdf::blast::paper_pipeline();
     let (tau0s, ds) = imbalanced_grid(rows, cols);
     let sweep_config = SweepConfig::paper_blast();
+    let (paper_tau0s, paper_ds) = RtParams::paper_grid(64, 64);
 
     // This bench parses its own flags, so the shim's positional-filter
     // sniffing must be disabled.
@@ -112,6 +116,9 @@ fn main() {
         });
         group.bench_function("work_stealing", |b| {
             b.iter(|| black_box(sweep_parallel(&pipeline, &tau0s, &ds, &sweep_config).unwrap()))
+        });
+        group.bench_function("paper_64x64", |b| {
+            b.iter(|| black_box(sweep(&pipeline, &paper_tau0s, &paper_ds, &sweep_config).unwrap()))
         });
         group.bench_function("warm_work_stealing", |b| {
             b.iter(|| {
@@ -291,6 +298,8 @@ fn main() {
     let chunked = mean_ns(&results, "sweep/chunked");
     let ws = mean_ns(&results, "sweep/work_stealing");
     let warm_ws = mean_ns(&results, "sweep/warm_work_stealing");
+    let paper = mean_ns(&results, "sweep/paper_64x64");
+    let paper_cells = (paper_tau0s.len() * paper_ds.len()) as f64;
     let cells_per_sec = |ns: f64| cells / (ns / 1e9);
     let per_sec = |count: f64, ns: f64| count / (ns / 1e9);
     println!();
@@ -299,6 +308,10 @@ fn main() {
         cells_per_sec(ws),
         cells_per_sec(chunked),
         chunked / ws
+    );
+    println!(
+        "sweep paper 64x64, one worker: {:.0} cells/s",
+        paper_cells / (paper / 1e9)
     );
     println!(
         "solver: cold {cold_iters} iters, warm {warm_iters} iters, monolithic {mono_iters} evals"
@@ -331,6 +344,10 @@ fn main() {
                     "chunked": timing(chunked),
                     "work_stealing": timing(ws),
                     "warm_work_stealing": timing(warm_ws),
+                    "paper_64x64": json!({
+                        "wall_micros": paper / 1e3,
+                        "cells_per_sec": paper_cells / (paper / 1e9),
+                    }),
                     "speedup_vs_chunked": chunked / ws,
                 }),
                 "solver": json!({

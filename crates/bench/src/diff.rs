@@ -21,7 +21,7 @@
 //! | `iterations`, `deadline_misses`, `misses`, `items_dropped` | higher is worse (gated) |
 //! | `items_shed`, `resolves`, `total_shed`, `total_misses`, `total_dropped`, `total_resolves` | higher is worse (gated) |
 //! | `conservation_violations`, `agreement_failures` | higher is worse (gated) |
-//! | `items_per_sec`, `samples_per_sec`     | lower is worse (gated at the wider `--throughput-threshold`) |
+//! | `items_per_sec`, `samples_per_sec`, `sweep.paper_64x64.cells_per_sec` | lower is worse (gated at the wider `--throughput-threshold`) |
 //! | `wall_micros`                          | info (gated with `--gate-wall`) |
 //! | everything else                        | informational             |
 //!
@@ -69,9 +69,11 @@ pub fn direction(path: &str) -> Direction {
         // or agreement failure in the threaded executor is a regression.
         "conservation_violations" | "agreement_failures" => Direction::Gated,
         // Hot-path throughput rates: lower is a regression. The
-        // parallel-sweep `cells_per_sec` stays informational (it depends
-        // on machine core count, not on the code's hot paths).
+        // parallel sweeps' `cells_per_sec` stays informational (it
+        // depends on machine core count, not on the code's hot paths);
+        // the one-worker paper-grid sweep's does not, so it gates.
         "items_per_sec" | "samples_per_sec" => Direction::Throughput,
+        "cells_per_sec" if path == "sweep.paper_64x64.cells_per_sec" => Direction::Throughput,
         "wall_micros" => Direction::Wall,
         _ => Direction::Info,
     }
@@ -664,8 +666,13 @@ mod tests {
             direction("stats.histogram.samples_per_sec"),
             Direction::Throughput
         );
-        // `cells_per_sec` depends on core count, stays informational.
+        // Parallel `cells_per_sec` depends on core count, stays
+        // informational; the one-worker paper-grid sweep's gates.
         assert_eq!(direction("sweep.chunked.cells_per_sec"), Direction::Info);
+        assert_eq!(
+            direction("sweep.paper_64x64.cells_per_sec"),
+            Direction::Throughput
+        );
 
         let cfg = DiffConfig::default();
         // Losing 60% of throughput (past the 50% default) gates.

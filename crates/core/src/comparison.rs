@@ -4,10 +4,32 @@
 //! strategies' optimized active fractions on a grid of inter-arrival
 //! times and deadlines, and their difference (monolithic − enforced,
 //! positive where enforced waits win).
+//!
+//! # The row kernel
+//!
+//! Every cell of every sweep goes through one kernel, which solves a
+//! *segment*: one τ0 and a contiguous run of deadlines. A segment builds
+//! one [`EnforcedWaitsProblem`] and one [`MonolithicProblem`] and moves
+//! them along its deadlines. So the per-pipeline data (service times,
+//! totals, minimal periods, water-filling weights) is built once per
+//! segment, and the water-filling buffers are reused. The block-size
+//! searches share the sweep's one [`BlockTable`], one running minimum
+//! over it per segment, and the run that held the previous cell's `M_D`
+//! (see [`crate::monolithic`]). The kernel keeps only each cell's active
+//! fractions and telemetry, and it times both solves with three clock
+//! reads. [`compare_at`] is a one-cell segment on an empty table.
+//!
+//! The work-stealing scheduler claims whole segments. They are whole
+//! rows when that still leaves about eight claims per worker, and
+//! shorter runs otherwise, so a 1×N grid spreads over every worker too.
+//! Live progress still counts cells. The warm modes pass their hints
+//! through the same kernel: a row's anchor hint seeds that row's
+//! segments, and graph warm starts run one-cell segments, each with its
+//! own hint.
 
 use crate::dag::EnforcedDagProblem;
-use crate::enforced::{EnforcedWaitsProblem, WarmStart};
-use crate::monolithic::{BlockModel, BlockTable, MonolithicDagProblem, MonolithicProblem};
+use crate::enforced::{CellScratch, EnforcedWaitsProblem, WarmStart};
+use crate::monolithic::{BlockModel, BlockTable, MonolithicDagProblem, MonolithicProblem, RowWalk};
 use crate::schedule::ScheduleError;
 use crate::telemetry::SolveTelemetry;
 use crate::threads::worker_threads;
@@ -177,18 +199,200 @@ impl SweepOptions {
     }
 }
 
-/// Optimize both strategies at one operating point.
+/// Optimize both strategies at one operating point: a one-cell row of
+/// the sweep kernel.
 pub fn compare_at(pipeline: &PipelineSpec, params: RtParams, config: &SweepConfig) -> CellResult {
-    // An empty table: the block-size search builds its own.
-    solve_cell(
-        pipeline,
-        params,
+    one_cell(Model::Chain(pipeline), params, config)
+}
+
+/// The model a sweep solves: a chain, whose enforced half takes the
+/// row kernel's reusable solve, or a DAG topology.
+#[derive(Clone, Copy)]
+enum Model<'a> {
+    Chain(&'a PipelineSpec),
+    Topology(&'a Topology),
+}
+
+/// One row segment of a sweep: grid row `row` (one τ0) and the
+/// deadline columns `start..end`.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    row: usize,
+    start: usize,
+    end: usize,
+}
+
+impl Segment {
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+}
+
+/// Rows `rows` of a grid, columns `cols`, cut into segments of at most
+/// `len` cells, in row-major order.
+fn segments(
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+    len: usize,
+) -> Vec<Segment> {
+    let mut out = Vec::new();
+    for row in rows {
+        let mut start = cols.start;
+        while start < cols.end {
+            let end = (start + len).min(cols.end);
+            out.push(Segment { row, start, end });
+            start = end;
+        }
+    }
+    out
+}
+
+/// Segment length for `cells` cells in rows of `cols` on `threads`
+/// workers: whole rows when that still leaves about 8 claims per
+/// worker, shorter runs otherwise, so a 1×N grid spreads over every
+/// worker too.
+fn segment_len(cells: usize, cols: usize, threads: usize) -> usize {
+    (cells / (threads * 8)).clamp(1, cols.max(1))
+}
+
+/// What every cell of one sweep shares: the model, the configuration
+/// and the block table.
+#[derive(Clone, Copy)]
+struct Kernel<'a> {
+    model: Model<'a>,
+    config: &'a SweepConfig,
+    table: &'a BlockTable,
+}
+
+/// A row's enforced half: the chain problem that moves along the row,
+/// with its reusable buffers, or a DAG solved cell by cell. One lives on
+/// the stack per row segment, so the variants' sizes do not matter.
+#[allow(clippy::large_enum_variant)]
+enum EnforcedRow<'a> {
+    Chain(EnforcedWaitsProblem<'a>, CellScratch),
+    Topology(&'a Topology),
+}
+
+impl Kernel<'_> {
+    /// The row kernel every sweep cell goes through: `tau0` at each of
+    /// `deadlines`, in order, each cell handed to `emit` with its
+    /// enforced periods as a hint for neighbours when `keep_hint` asks
+    /// for them (and the cell is enforced feasible). One enforced and one
+    /// monolithic problem move along the row, the enforced solve seeded
+    /// from `hint`; the block-size searches share the table and one
+    /// running minimum over it.
+    fn row(
+        &self,
+        tau0: f64,
+        deadlines: &[f64],
+        hint: Option<&WarmStart>,
+        keep_hint: bool,
+        emit: &mut dyn FnMut((CellResult, Option<WarmStart>)),
+    ) {
+        let Some(&first) = deadlines.first() else {
+            return;
+        };
+        let config = self.config;
+        let params = RtParams::new(tau0, first).expect("grid validated above");
+        let (b, s) = (config.monolithic_b, config.monolithic_s);
+        let (mut enforced_row, mut mono) = match self.model {
+            Model::Chain(p) => {
+                let prob = EnforcedWaitsProblem::new(p, params, config.enforced_b.clone());
+                (
+                    EnforcedRow::Chain(prob, CellScratch::default()),
+                    MonolithicProblem::new(p, params, b, s),
+                )
+            }
+            Model::Topology(t) => (
+                EnforcedRow::Topology(t),
+                MonolithicDagProblem::new(t, params, b, s),
+            ),
+        };
+        let mut walk = RowWalk::default();
+        let micros = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e6;
+        for &d in deadlines {
+            let params = RtParams::new(tau0, d).expect("grid validated above");
+            let started = Instant::now();
+            let (enforced, mut enforced_telemetry, hint_out) = match &mut enforced_row {
+                EnforcedRow::Chain(prob, scratch) => {
+                    prob.set_params(params);
+                    match prob.solve_cell(hint, scratch) {
+                        Ok((af, telemetry)) => {
+                            let out = keep_hint.then(|| WarmStart {
+                                periods: scratch.periods.clone(),
+                            });
+                            (Some(af), telemetry, out)
+                        }
+                        Err(_) => (None, None, None),
+                    }
+                }
+                EnforcedRow::Topology(t) => {
+                    match EnforcedDagProblem::new(t, params, config.enforced_b.clone()).solve() {
+                        Ok(s) => (Some(s.active_fraction), s.telemetry, None),
+                        Err(_) => (None, None, None),
+                    }
+                }
+            };
+            let solved = Instant::now();
+            mono.set_params(params);
+            let (monolithic, mut monolithic_telemetry) =
+                match mono.solve_in_row(self.table, &mut walk) {
+                    Ok((af, telemetry)) => (Some(af), Some(telemetry)),
+                    Err(_) => (None, None),
+                };
+            let done = Instant::now();
+            // Both solves' wall times, from three clock reads.
+            if let Some(t) = &mut enforced_telemetry {
+                t.wall_micros = micros(started, solved);
+            }
+            if let Some(t) = &mut monolithic_telemetry {
+                t.wall_micros = micros(solved, done);
+            }
+            let cell = CellResult {
+                tau0,
+                deadline: d,
+                enforced,
+                monolithic,
+                enforced_telemetry,
+                monolithic_telemetry,
+                warm_seed: None,
+            };
+            emit((cell, hint_out));
+        }
+    }
+
+    /// [`Self::row`] on segment `seg` of the grid `tau0s × deadlines`.
+    fn segment(
+        &self,
+        seg: Segment,
+        tau0s: &[f64],
+        deadlines: &[f64],
+        hint: Option<&WarmStart>,
+        keep_hint: bool,
+        emit: &mut dyn FnMut((CellResult, Option<WarmStart>)),
+    ) {
+        let deadlines = &deadlines[seg.start..seg.end];
+        self.row(tau0s[seg.row], deadlines, hint, keep_hint, emit);
+    }
+}
+
+/// [`compare_at`] and [`compare_at_topology`]: a one-cell row on an
+/// empty table, so the block-size search builds its own.
+fn one_cell(model: Model, params: RtParams, config: &SweepConfig) -> CellResult {
+    let table = BlockTable::default();
+    let kernel = Kernel {
+        model,
         config,
-        &BlockTable::default(),
-        None,
-        false,
-    )
-    .0
+        table: &table,
+    };
+    let mut out = None;
+    kernel.row(params.tau0, &[params.deadline], None, false, &mut |(
+        cell,
+        _,
+    )| {
+        out = Some(cell)
+    });
+    out.expect("one deadline, one cell")
 }
 
 /// One [`BlockTable`] for every cell of `tau0s × deadlines`: each row's
@@ -204,43 +408,6 @@ fn grid_table(
         .iter()
         .filter_map(|&tau0| RtParams::new(tau0, d_max).ok());
     BlockTable::covering(model, rows, config.monolithic_b, config.monolithic_s)
-}
-
-/// [`compare_at`] with the block size walked on a shared `table` and the
-/// enforced solve seeded from `warm`. With `keep_hint` it also returns
-/// the enforced schedule's periods as a warm-start hint for neighboring
-/// cells (when the cell was enforced feasible).
-fn solve_cell(
-    pipeline: &PipelineSpec,
-    params: RtParams,
-    config: &SweepConfig,
-    table: &BlockTable,
-    warm: Option<&WarmStart>,
-    keep_hint: bool,
-) -> (CellResult, Option<WarmStart>) {
-    let prob = EnforcedWaitsProblem::new(pipeline, params, config.enforced_b.clone());
-    let enforced = match warm {
-        Some(hint) => prob.solve_with_fallback_warm(hint).ok(),
-        None => prob.solve_with_fallback().ok(),
-    };
-    let hint = enforced
-        .as_ref()
-        .filter(|_| keep_hint)
-        .map(WarmStart::from_schedule);
-    let monolithic =
-        MonolithicProblem::new(pipeline, params, config.monolithic_b, config.monolithic_s)
-            .solve_on(table)
-            .ok();
-    let cell = CellResult {
-        tau0: params.tau0,
-        deadline: params.deadline,
-        enforced: enforced.as_ref().map(|s| s.active_fraction),
-        monolithic: monolithic.as_ref().map(|s| s.active_fraction),
-        enforced_telemetry: enforced.and_then(|s| s.telemetry),
-        monolithic_telemetry: monolithic.and_then(|s| s.telemetry),
-        warm_seed: None,
-    };
-    (cell, hint)
 }
 
 /// Validate every `(τ0, D)` grid point up front so a malformed grid is
@@ -282,46 +449,47 @@ pub fn sweep_with(
     validate_grid(tau0s, deadlines)?;
     let cols = deadlines.len();
     let table = grid_table(pipeline, tau0s, deadlines, config);
-    if opts.warm_graph {
-        return Ok(SweepResult {
-            tau0s: tau0s.to_vec(),
-            deadlines: deadlines.to_vec(),
-            cells: sweep_graph_cells(pipeline, tau0s, deadlines, config, &table, 1, None),
-        });
-    }
-    let mut cells = Vec::with_capacity(tau0s.len() * cols);
-    if !opts.warm_start {
-        for &tau0 in tau0s {
-            for &d in deadlines {
-                let params = RtParams::new(tau0, d).expect("grid validated above");
-                cells.push(solve_cell(pipeline, params, config, &table, None, false).0);
-            }
-        }
-    } else if cols > 0 {
-        for (i, &tau0) in tau0s.iter().enumerate() {
-            let anchor_params =
-                RtParams::new(tau0, deadlines[cols - 1]).expect("grid validated above");
-            let (anchor_cell, hint) =
-                solve_cell(pipeline, anchor_params, config, &table, None, true);
-            for &d in &deadlines[..cols - 1] {
-                let params = RtParams::new(tau0, d).expect("grid validated above");
-                let mut cell = solve_cell(pipeline, params, config, &table, hint.as_ref(), false).0;
-                if hint.is_some() {
-                    cell.warm_seed = Some(SeedEdge {
-                        row: i as u64,
-                        col: (cols - 1) as u64,
-                    });
-                }
-                cells.push(cell);
-            }
-            cells.push(anchor_cell);
-        }
-    }
-    Ok(SweepResult {
+    let result = |cells| SweepResult {
         tau0s: tau0s.to_vec(),
         deadlines: deadlines.to_vec(),
         cells,
-    })
+    };
+    if opts.warm_graph {
+        return Ok(result(sweep_graph_cells(
+            pipeline, tau0s, deadlines, config, &table, 1, None,
+        )));
+    }
+    let kernel = Kernel {
+        model: Model::Chain(pipeline),
+        config,
+        table: &table,
+    };
+    let mut cells = Vec::with_capacity(tau0s.len() * cols);
+    if !opts.warm_start {
+        for &tau0 in tau0s {
+            kernel.row(tau0, deadlines, None, false, &mut |(cell, _)| {
+                cells.push(cell)
+            });
+        }
+    } else if cols > 0 {
+        for (i, &tau0) in tau0s.iter().enumerate() {
+            let mut anchor = None;
+            let last = &deadlines[cols - 1..];
+            kernel.row(tau0, last, None, true, &mut |solved| anchor = Some(solved));
+            let (anchor_cell, hint) = anchor.expect("one deadline, one cell");
+            let seed = hint.as_ref().map(|_| SeedEdge {
+                row: i as u64,
+                col: (cols - 1) as u64,
+            });
+            let rest = &deadlines[..cols - 1];
+            kernel.row(tau0, rest, hint.as_ref(), false, &mut |(mut cell, _)| {
+                cell.warm_seed = seed;
+                cells.push(cell)
+            });
+            cells.push(anchor_cell);
+        }
+    }
+    Ok(result(cells))
 }
 
 /// Live telemetry for the work-stealing sweep scheduler: a sharded
@@ -356,7 +524,7 @@ impl SweepProgress {
         );
         let steals = r.counter_full(
             "rtsdf_sweep_steals",
-            "cursor claims (steals) performed, per worker",
+            "cursor claims (steals) of row segments performed, per worker",
             &[],
             true,
         );
@@ -411,84 +579,80 @@ impl SweepProgress {
     }
 }
 
-/// Run `f` over `0..total` with `threads` workers pulling indices from a
-/// shared atomic cursor (cell-level work stealing). Results come back in
-/// index order. Unlike static chunking, a worker that drains its cheap
-/// items immediately steals from the expensive tail, so imbalanced
-/// workloads no longer serialize behind one thread.
+/// Run `solve` over `segments` with `threads` workers claiming whole
+/// segments from a shared atomic cursor (segment-level work stealing).
+/// `solve(segment, emit)` hands the segment's cells to `emit` in order;
+/// they come back in segment order. A worker that drains its cheap
+/// segments immediately steals from the expensive tail, so imbalanced
+/// grids do not serialize behind one thread.
 ///
 /// With `live` attached, each claim and cell completion is published
 /// into the progress registry; the uninstrumented path stays
-/// allocation- and timing-free — each hook is one untaken branch on the
-/// `Option`.
+/// timing-free — each hook is one untaken branch on the `Option`.
 fn work_steal_live<T: Send>(
-    total: usize,
+    segments: &[Segment],
     threads: usize,
-    f: impl Fn(usize) -> T + Sync,
+    solve: impl Fn(Segment, &mut dyn FnMut(T)) + Sync,
     live: Option<&SweepProgress>,
 ) -> Vec<T> {
-    let threads = threads.min(total.max(1));
+    let threads = threads.min(segments.len().max(1));
     let cursor = AtomicUsize::new(0);
-    // Each cursor bump claims a run of `chunk` indices instead of one:
-    // on large grids (64×64 = 4096 cells) this divides the contended
-    // read-modify-write traffic by the chunk factor, while ~8 claims
-    // per worker still leaves enough grains to balance an expensive
-    // tail across the pool.
-    let chunk = (total / (threads * 8)).max(1);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
-    slots.resize_with(total, || None);
+    let mut slots: Vec<Vec<T>> = Vec::with_capacity(segments.len());
+    slots.resize_with(segments.len(), Vec::new);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let cursor = &cursor;
-            let f = &f;
+            let solve = &solve;
             handles.push(scope.spawn(move || {
-                // Workers buffer (index, result) pairs locally; the crate
+                // Workers buffer each segment's cells locally; the crate
                 // forbids unsafe code, so disjoint slot writes are merged
                 // single-threaded after the join instead.
                 let mut local = Vec::new();
                 let started = Instant::now();
                 let mut busy = Duration::ZERO;
                 loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= total {
+                    let k = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&seg) = segments.get(k) else {
                         break;
-                    }
-                    let stop = (start + chunk).min(total);
+                    };
+                    let mut cells = Vec::with_capacity(seg.len());
                     if let Some(p) = live {
-                        p.on_claim(worker, (stop - start) as u64);
-                    }
-                    for idx in start..stop {
-                        if let Some(p) = live {
-                            let cell_start = Instant::now();
-                            local.push((idx, f(idx)));
-                            busy += cell_start.elapsed();
+                        p.on_claim(worker, seg.len() as u64);
+                        let mut last = Instant::now();
+                        solve(seg, &mut |cell| {
+                            cells.push(cell);
+                            let now = Instant::now();
+                            busy += now - last;
+                            last = now;
                             p.on_cell_done(worker, busy, started.elapsed());
-                        } else {
-                            local.push((idx, f(idx)));
-                        }
+                        });
+                    } else {
+                        solve(seg, &mut |cell| cells.push(cell));
                     }
+                    local.push((k, cells));
                 }
                 local
             }));
         }
         for handle in handles {
-            for (idx, value) in handle.join().expect("sweep worker panicked") {
-                slots[idx] = Some(value);
+            for (k, cells) in handle.join().expect("sweep worker panicked") {
+                slots[k] = cells;
             }
         }
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("cursor covered every index"))
-        .collect()
+    let mut out = Vec::with_capacity(slots.iter().map(Vec::len).sum());
+    for cells in slots {
+        out.extend(cells);
+    }
+    out
 }
 
-/// [`sweep`], parallelized with a cell-level work-stealing scheduler
-/// (shared atomic cursor over the flattened grid, scoped threads).
-/// Produces bit-identical results to [`sweep`] — cells are independent
-/// and each cell's solve does not depend on scheduling order. The
-/// worker count honors `RTSDF_THREADS` (see [`crate::threads`]).
+/// [`sweep`], parallelized with a segment-level work-stealing scheduler
+/// (shared atomic cursor over row segments, scoped threads). Produces
+/// bit-identical results to [`sweep`] — each cell's solve does not
+/// depend on how the grid is cut or scheduled. The worker count honors
+/// `RTSDF_THREADS` (see [`crate::threads`]).
 pub fn sweep_parallel(
     pipeline: &PipelineSpec,
     tau0s: &[f64],
@@ -514,10 +678,10 @@ pub fn sweep_parallel_with(
 }
 
 /// [`sweep_parallel_with`] plus optional live telemetry: when
-/// `progress` is attached, workers publish per-cell claim, steal,
-/// completion, and busy-fraction metrics into its registry as the sweep
-/// runs. Results remain bit-identical to the uninstrumented sweep —
-/// publishing happens outside each cell's solve.
+/// `progress` is attached, workers publish per-segment claim and steal
+/// and per-cell completion and busy-fraction metrics into its registry
+/// as the sweep runs. Results remain bit-identical to the
+/// uninstrumented sweep — publishing happens outside each cell's solve.
 pub fn sweep_parallel_live(
     pipeline: &PipelineSpec,
     tau0s: &[f64],
@@ -527,79 +691,89 @@ pub fn sweep_parallel_live(
     progress: Option<&SweepProgress>,
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
-    let rows = tau0s.len();
-    let cols = deadlines.len();
-    let total = rows * cols;
     let threads = worker_threads();
-    let result = |cells| SweepResult {
+    let cells = sweep_cells(pipeline, tau0s, deadlines, config, opts, threads, progress);
+    Ok(SweepResult {
         tau0s: tau0s.to_vec(),
         deadlines: deadlines.to_vec(),
         cells,
-    };
+    })
+}
+
+/// The cells of [`sweep_parallel_live`] on `threads` workers.
+fn sweep_cells(
+    pipeline: &PipelineSpec,
+    tau0s: &[f64],
+    deadlines: &[f64],
+    config: &SweepConfig,
+    opts: &SweepOptions,
+    threads: usize,
+    progress: Option<&SweepProgress>,
+) -> Vec<CellResult> {
+    let rows = tau0s.len();
+    let cols = deadlines.len();
+    let total = rows * cols;
     if total == 0 {
-        return Ok(result(Vec::new()));
+        return Vec::new();
     }
     if let Some(p) = progress {
         p.set_total(total);
     }
     let table = grid_table(pipeline, tau0s, deadlines, config);
     if opts.warm_graph {
-        return Ok(result(sweep_graph_cells(
+        return sweep_graph_cells(
             pipeline, tau0s, deadlines, config, &table, threads, progress,
-        )));
+        );
     }
+    let kernel = Kernel {
+        model: Model::Chain(pipeline),
+        config,
+        table: &table,
+    };
+    let row = |seg, hint, keep_hint, emit: &mut dyn FnMut(_)| {
+        kernel.segment(seg, tau0s, deadlines, hint, keep_hint, emit)
+    };
     if !opts.warm_start {
-        let cells = work_steal_live(
-            total,
+        let len = segment_len(total, cols, threads);
+        return work_steal_live(
+            &segments(0..rows, 0..cols, len),
             threads,
-            |idx| {
-                let (i, j) = (idx / cols, idx % cols);
-                let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
-                solve_cell(pipeline, params, config, &table, None, false).0
-            },
+            |seg, emit| row(seg, None, false, &mut |(cell, _)| emit(cell)),
             progress,
         );
-        return Ok(result(cells));
     }
     // Phase 1: one cold anchor per row (the largest deadline).
     let anchors = work_steal_live(
-        rows,
+        &segments(0..rows, cols - 1..cols, 1),
         threads,
-        |i| {
-            let params =
-                RtParams::new(tau0s[i], deadlines[cols - 1]).expect("grid validated above");
-            solve_cell(pipeline, params, config, &table, None, true)
-        },
+        |seg, emit| row(seg, None, true, emit),
         progress,
     );
     // Phase 2: every remaining cell, warmed from its row's anchor.
+    let len = segment_len(rows * (cols - 1), cols - 1, threads);
     let rest = work_steal_live(
-        rows * (cols - 1),
+        &segments(0..rows, 0..cols - 1, len),
         threads,
-        |idx| {
-            let (i, j) = (idx / (cols - 1), idx % (cols - 1));
-            let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
-            let hint = anchors[i].1.as_ref();
-            let mut cell = solve_cell(pipeline, params, config, &table, hint, false).0;
-            if hint.is_some() {
-                cell.warm_seed = Some(SeedEdge {
-                    row: i as u64,
-                    col: (cols - 1) as u64,
-                });
-            }
-            cell
+        |seg, emit| {
+            let hint = anchors[seg.row].1.as_ref();
+            let seed = hint.map(|_| SeedEdge {
+                row: seg.row as u64,
+                col: (cols - 1) as u64,
+            });
+            row(seg, hint, false, &mut |(mut cell, _)| {
+                cell.warm_seed = seed;
+                emit(cell)
+            })
         },
         progress,
     );
     let mut cells = Vec::with_capacity(total);
     let mut rest = rest.into_iter();
     for (anchor_cell, _) in anchors {
-        for _ in 0..cols - 1 {
-            cells.push(rest.next().expect("phase-2 covered every cell"));
-        }
+        cells.extend(rest.by_ref().take(cols - 1));
         cells.push(anchor_cell);
     }
-    Ok(result(cells))
+    cells
 }
 
 /// Pick the warm-start parent of grid cell `(i, j)` from its two
@@ -631,9 +805,9 @@ fn graph_parent(i: usize, j: usize, cols: usize, iters: &[Option<u64>]) -> Optio
 /// is seeded from its best-converged neighbor via [`graph_parent`].
 /// Cells within a wave are independent (their parents are all in the
 /// completed previous wave), so each wave runs under the work-stealing
-/// scheduler with a barrier between waves; results are bit-identical
-/// for any `threads`, and the chosen seed edge is recorded on each
-/// [`CellResult`] for audit.
+/// scheduler, one-cell segments each with its own hint, with a barrier
+/// between waves; results are bit-identical for any `threads`, and the
+/// chosen seed edge is recorded on each [`CellResult`] for audit.
 fn sweep_graph_cells(
     pipeline: &PipelineSpec,
     tau0s: &[f64],
@@ -653,35 +827,43 @@ fn sweep_graph_cells(
     let mut hints: Vec<Option<WarmStart>> = Vec::with_capacity(total);
     hints.resize_with(total, || None);
     let mut iters: Vec<Option<u64>> = vec![None; total];
+    let kernel = Kernel {
+        model: Model::Chain(pipeline),
+        config,
+        table,
+    };
     for wave in 0..rows + cols - 1 {
         // Cells with i + (cols−1−j) == wave, in ascending-row order.
-        let wave_cells: Vec<(usize, usize)> = (0..rows)
+        let wave_cells: Vec<Segment> = (0..rows)
             .filter_map(|i| {
                 let off = wave.checked_sub(i)?;
-                (off < cols).then(|| (i, cols - 1 - off))
+                (off < cols).then(|| Segment {
+                    row: i,
+                    start: cols - 1 - off,
+                    end: cols - off,
+                })
             })
             .collect();
         let solved = work_steal_live(
-            wave_cells.len(),
+            &wave_cells,
             threads,
-            |k| {
-                let (i, j) = wave_cells[k];
-                let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
+            |seg, emit| {
+                let (i, j) = (seg.row, seg.start);
                 let parent = graph_parent(i, j, cols, &iters);
                 let hint = parent.and_then(|(pi, pj)| hints[pi * cols + pj].as_ref());
-                let (mut cell, hint_out) = solve_cell(pipeline, params, config, table, hint, true);
-                if hint.is_some() {
-                    cell.warm_seed = parent.map(|(pi, pj)| SeedEdge {
-                        row: pi as u64,
-                        col: pj as u64,
-                    });
-                }
-                (cell, hint_out)
+                let seed = hint.and(parent).map(|(pi, pj)| SeedEdge {
+                    row: pi as u64,
+                    col: pj as u64,
+                });
+                kernel.segment(seg, tau0s, deadlines, hint, true, &mut |(mut cell, out)| {
+                    cell.warm_seed = seed;
+                    emit((cell, out))
+                });
             },
             progress,
         );
-        for (&(i, j), (cell, hint)) in wave_cells.iter().zip(solved) {
-            let idx = i * cols + j;
+        for (seg, (cell, hint)) in wave_cells.iter().zip(solved) {
+            let idx = seg.row * cols + seg.start;
             iters[idx] = cell.enforced_telemetry.as_ref().map(|t| t.iterations);
             cells[idx] = Some(cell);
             hints[idx] = hint;
@@ -703,39 +885,13 @@ pub fn compare_at_topology(
     params: RtParams,
     config: &SweepConfig,
 ) -> CellResult {
-    // An empty table: the block-size search builds its own.
-    solve_topology_cell(topology, params, config, &BlockTable::default())
-}
-
-/// [`compare_at_topology`] with the block size walked on a shared
-/// `table`.
-fn solve_topology_cell(
-    topology: &Topology,
-    params: RtParams,
-    config: &SweepConfig,
-    table: &BlockTable,
-) -> CellResult {
-    let enforced = EnforcedDagProblem::new(topology, params, config.enforced_b.clone())
-        .solve()
-        .ok();
-    let monolithic =
-        MonolithicDagProblem::new(topology, params, config.monolithic_b, config.monolithic_s)
-            .solve_on(table)
-            .ok();
-    CellResult {
-        tau0: params.tau0,
-        deadline: params.deadline,
-        enforced: enforced.as_ref().map(|s| s.active_fraction),
-        monolithic: monolithic.as_ref().map(|s| s.active_fraction),
-        enforced_telemetry: enforced.and_then(|s| s.telemetry),
-        monolithic_telemetry: monolithic.and_then(|s| s.telemetry),
-        warm_seed: None,
-    }
+    one_cell(Model::Topology(topology), params, config)
 }
 
 /// [`sweep_parallel_live`] generalized to DAG topologies: both
 /// strategies' DAG design problems solved cold at every grid cell, with
-/// the same work-stealing scheduler and optional live telemetry.
+/// the same row kernel, work-stealing scheduler and optional live
+/// telemetry.
 pub fn sweep_topology_parallel_live(
     topology: &Topology,
     tau0s: &[f64],
@@ -750,13 +906,19 @@ pub fn sweep_topology_parallel_live(
         p.set_total(total);
     }
     let table = grid_table(topology, tau0s, deadlines, config);
+    let kernel = Kernel {
+        model: Model::Topology(topology),
+        config,
+        table: &table,
+    };
+    let threads = worker_threads();
     let cells = work_steal_live(
-        total,
-        worker_threads(),
-        |idx| {
-            let (i, j) = (idx / cols, idx % cols);
-            let params = RtParams::new(tau0s[i], deadlines[j]).expect("grid validated above");
-            solve_topology_cell(topology, params, config, &table)
+        &segments(0..tau0s.len(), 0..cols, segment_len(total, cols, threads)),
+        threads,
+        |seg, emit| {
+            kernel.segment(seg, tau0s, deadlines, None, false, &mut |(cell, _)| {
+                emit(cell)
+            })
         },
         progress,
     );
@@ -768,10 +930,11 @@ pub fn sweep_topology_parallel_live(
 }
 
 /// The previous static scheduler: τ0 rows divided into contiguous
-/// chunks, one scoped thread per chunk. Kept as the comparison baseline
-/// for the `sweep_hot_path` bench — imbalanced grids serialize their
-/// expensive rows behind single threads here, which is exactly what
-/// [`sweep_parallel`]'s work stealing fixes.
+/// chunks, one scoped thread per chunk, each row one segment of the row
+/// kernel. Kept as the comparison baseline for the `sweep_hot_path`
+/// bench — imbalanced grids serialize their expensive rows behind single
+/// threads here, which is exactly what [`sweep_parallel`]'s work
+/// stealing fixes.
 pub fn sweep_parallel_chunked(
     pipeline: &PipelineSpec,
     tau0s: &[f64],
@@ -780,21 +943,21 @@ pub fn sweep_parallel_chunked(
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
     let threads = worker_threads();
-    let table = &grid_table(pipeline, tau0s, deadlines, config);
-    let mut rows: Vec<Option<Vec<CellResult>>> = vec![None; tau0s.len()];
+    let table = grid_table(pipeline, tau0s, deadlines, config);
+    let kernel = Kernel {
+        model: Model::Chain(pipeline),
+        config,
+        table: &table,
+    };
+    let mut rows: Vec<Vec<CellResult>> = vec![Vec::new(); tau0s.len()];
     std::thread::scope(|scope| {
         let chunk = tau0s.len().div_ceil(threads).max(1);
         for (tau0_chunk, row_chunk) in tau0s.chunks(chunk).zip(rows.chunks_mut(chunk)) {
             scope.spawn(move || {
-                for (&tau0, slot) in tau0_chunk.iter().zip(row_chunk.iter_mut()) {
-                    let row: Vec<CellResult> = deadlines
-                        .iter()
-                        .map(|&d| {
-                            let params = RtParams::new(tau0, d).expect("grid validated above");
-                            solve_cell(pipeline, params, config, table, None, false).0
-                        })
-                        .collect();
-                    *slot = Some(row);
+                for (&tau0, row) in tau0_chunk.iter().zip(row_chunk.iter_mut()) {
+                    kernel.row(tau0, deadlines, None, false, &mut |(cell, _)| {
+                        row.push(cell)
+                    });
                 }
             });
         }
@@ -802,10 +965,7 @@ pub fn sweep_parallel_chunked(
     Ok(SweepResult {
         tau0s: tau0s.to_vec(),
         deadlines: deadlines.to_vec(),
-        cells: rows
-            .into_iter()
-            .flat_map(|r| r.expect("all rows computed"))
-            .collect(),
+        cells: rows.into_iter().flatten().collect(),
     })
 }
 
@@ -813,6 +973,7 @@ pub fn sweep_parallel_chunked(
 mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
+    use proptest::prelude::*;
 
     fn blast() -> PipelineSpec {
         PipelineSpecBuilder::new(128)
@@ -1180,6 +1341,160 @@ mod tests {
         let params = RtParams::new(1.0, 3.5e5).unwrap();
         let cell = compare_at(&p, params, &SweepConfig::paper_blast());
         assert!(cell.monolithic.is_none());
+    }
+
+    /// A cell without its timings, floats printed to round-trip.
+    fn untimed(mut cell: CellResult) -> String {
+        let telemetry = [&mut cell.enforced_telemetry, &mut cell.monolithic_telemetry];
+        for t in telemetry.into_iter().flatten() {
+            t.wall_micros = 0.0;
+            t.newton_solve_micros = t.newton_solve_micros.map(|_| 0.0);
+        }
+        format!("{cell:?}")
+    }
+
+    /// A chain of vector width 1 to 1024 whose totals `G_i` run from
+    /// ~1e-4 to above 1, through two-point gain laws.
+    fn extreme_chain() -> impl Strategy<Value = PipelineSpec> {
+        (
+            (0..4usize).prop_map(|i| [1, 32, 128, 1024][i]),
+            prop::collection::vec((10.0..3000.0f64, -2.0..0.5f64), 1..=5),
+        )
+            .prop_map(|(v, stages)| {
+                let mut b = PipelineSpecBuilder::new(v);
+                for (i, (t, log_gain)) in stages.into_iter().enumerate() {
+                    let gain = 10f64.powf(log_gain);
+                    let k = gain.ceil().max(1.0) as u32;
+                    let pmf = vec![(0, 1.0 - gain / k as f64), (k, gain / k as f64)];
+                    b = b.stage(format!("s{i}"), t, GainModel::Empirical { pmf });
+                }
+                b.build().expect("valid")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every way a grid reaches the row kernel returns, cell for cell,
+        /// what `compare_at` returns on its own: sequential and parallel
+        /// sweeps, any worker count (so any segment length), a chain
+        /// topology, and a table that stops short of most cells' `M_D`.
+        #[test]
+        fn row_kernel_equals_per_cell_compare_at(
+            p in extreme_chain(),
+            tau_scales in prop::collection::vec(
+                prop_oneof![Just(1.0 - 1e-6), Just(1.0 + 1e-6), 0.5..6.0f64],
+                0..=3,
+            ),
+            d_scales in prop::collection::vec(0.3..40.0f64, 0..=5),
+            repeats in prop::collection::vec(0..5usize, 0..=2),
+            b in 1.0..2.0f64,
+            s in 1.0..1.5f64,
+        ) {
+            // τ0 around the stability floor Σ t_i·G_i/v, the floor ± 1e-6
+            // included; deadlines from below S·T̄(1) up, unsorted, with
+            // repeats, and block sizes capped at 20k.
+            let (v, t, g) = p.block_model();
+            let floor = t.iter().zip(&g).map(|(t, g)| t * g).sum::<f64>() / v as f64;
+            let tau0s: Vec<f64> = tau_scales.iter().map(|k| k * floor).collect();
+            let cap = tau0s.iter().copied().fold(f64::INFINITY, f64::min) * b * 2e4;
+            let t1 = s * dataflow_model::analysis::block_time(v, &t, &g, 1);
+            let mut ds: Vec<f64> = d_scales.iter().map(|k| (k * t1).min(cap)).collect();
+            for &k in &repeats {
+                if let Some(&d) = ds.get(k) {
+                    ds.push(d);
+                }
+            }
+            let config = SweepConfig {
+                enforced_b: p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect(),
+                monolithic_b: b,
+                monolithic_s: s,
+            };
+            let per_cell: Vec<String> = tau0s
+                .iter()
+                .flat_map(|&tau0| ds.iter().map(move |&d| RtParams::new(tau0, d).unwrap()))
+                .map(|params| untimed(compare_at(&p, params, &config)))
+                .collect();
+            let untimed_all = |cells: Vec<CellResult>| cells.into_iter().map(untimed).collect::<Vec<_>>();
+            let swept = sweep(&p, &tau0s, &ds, &config).unwrap().cells;
+            prop_assert_eq!(&untimed_all(swept), &per_cell);
+            let swept = sweep_parallel(&p, &tau0s, &ds, &config).unwrap().cells;
+            prop_assert_eq!(&untimed_all(swept), &per_cell);
+            for threads in [1, 3] {
+                let opts = SweepOptions::default();
+                let swept = sweep_cells(&p, &tau0s, &ds, &config, &opts, threads, None);
+                prop_assert_eq!(&untimed_all(swept), &per_cell);
+            }
+            let chain = Topology::chain(&p);
+            let swept = sweep_topology_parallel_live(&chain, &tau0s, &ds, &config, None).unwrap();
+            prop_assert_eq!(&untimed_all(swept.cells), &per_cell);
+            // A table sized at the first deadline only: cells whose M_D
+            // lies beyond it walk tables of their own.
+            let short = grid_table(&p, &tau0s, &ds[..ds.len().min(1)], &config);
+            let kernel = Kernel {
+                model: Model::Chain(&p),
+                config: &config,
+                table: &short,
+            };
+            let mut swept = Vec::new();
+            for &tau0 in &tau0s {
+                kernel.row(tau0, &ds, None, false, &mut |(cell, _)| swept.push(cell));
+            }
+            prop_assert_eq!(&untimed_all(swept), &per_cell);
+        }
+    }
+
+    #[test]
+    fn wide_rows_spread_over_every_worker() {
+        // A 1×512 grid on 2 workers is cut into short row segments: each
+        // worker claims several and both do work, and live progress
+        // still counts every cell once. A 64-stage chain makes each cell
+        // cost microseconds, so the second worker starts long before
+        // the row is done; a loaded host may still starve it, so the
+        // property has to hold in one of a few runs.
+        let mut builder = PipelineSpecBuilder::new(128);
+        for i in 0..64 {
+            let gain = GainModel::Bernoulli { p: 0.9 };
+            builder = builder.stage(format!("s{i}"), 100.0 + i as f64, gain);
+        }
+        let p = builder.build().unwrap();
+        let cfg = SweepConfig {
+            enforced_b: vec![1.0; 64],
+            monolithic_b: 1.0,
+            monolithic_s: 1.0,
+        };
+        let tau0s = [20.0];
+        let ds: Vec<f64> = (0..512).map(|j| 1e4 + 1e3 * j as f64).collect();
+        let plain: Vec<String> = sweep(&p, &tau0s, &ds, &cfg)
+            .unwrap()
+            .cells
+            .into_iter()
+            .map(untimed)
+            .collect();
+        let per_worker = |snap: &metrics::MetricsSnapshot, name: &str| {
+            let mut values = [0.0; 2];
+            for sample in &snap.family(name).unwrap().samples {
+                let worker = sample.labels.iter().find(|(k, _)| k == "worker");
+                let w: usize = worker.unwrap().1.parse().unwrap();
+                values[w] += sample.value;
+            }
+            values
+        };
+        let spread = (0..5).any(|_| {
+            let progress = SweepProgress::new(2);
+            let opts = SweepOptions::default();
+            let cells = sweep_cells(&p, &tau0s, &ds, &cfg, &opts, 2, Some(&progress));
+            let cells: Vec<String> = cells.into_iter().map(untimed).collect();
+            assert_eq!(cells, plain);
+            assert_eq!(progress.completed(), 512);
+            let snap = progress.registry().snapshot();
+            assert_eq!(snap.total("rtsdf_sweep_cells_claimed"), 512.0);
+            assert!(snap.total("rtsdf_sweep_steals") >= 16.0);
+            let claims = per_worker(&snap, "rtsdf_sweep_steals");
+            let busy = per_worker(&snap, "rtsdf_sweep_worker_busy_fraction");
+            claims.iter().all(|&c| c > 1.0) && busy.iter().all(|&b| b > 0.0)
+        });
+        assert!(spread, "one worker did all the work in every run");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   exact λ that exhausts (or slackens) the deadline budget, and the
 //!   schedule is the closed form at that λ.
 
-use crate::feasibility::{check_enforced_feasibility, minimal_periods};
+use crate::feasibility::{check_backlog_factors, check_minimal_periods, minimal_periods_of};
 use crate::price::{exact_price, seed_mu};
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
@@ -95,6 +95,27 @@ pub struct EnforcedWaitsProblem<'a> {
     pipeline: &'a PipelineSpec,
     params: RtParams,
     b: Vec<f64>,
+    /// Service times `t_i`.
+    t: Vec<f64>,
+    /// Total gains `G_i`.
+    g_total: Vec<f64>,
+    /// Minimal periods `x̂` (see [`crate::minimal_periods`]).
+    xmin: Vec<f64>,
+    /// Water-filling weights over `z_i = G_i·x_i`: objective `a_i` (from
+    /// `t_i/(N·x_i) = a_i/z_i`), budget `c_i` (from `b_i·x_i = c_i·z_i`)
+    /// and lower bound `lo_i = t_i·G_i`.
+    a: Vec<f64>,
+    c: Vec<f64>,
+    lo: Vec<f64>,
+}
+
+/// Reusable buffers for the cells of a sweep row
+/// ([`EnforcedWaitsProblem::solve_cell`]).
+#[derive(Default)]
+pub(crate) struct CellScratch {
+    pav: Pav,
+    /// The last cell's firing periods.
+    pub(crate) periods: Vec<f64>,
 }
 
 impl<'a> EnforcedWaitsProblem<'a> {
@@ -102,10 +123,34 @@ impl<'a> EnforcedWaitsProblem<'a> {
     /// per pipeline stage (the paper's `b_i`; `⌈g_i⌉` is the optimistic
     /// starting choice, calibrated upward empirically in §6.2).
     pub fn new(pipeline: &'a PipelineSpec, params: RtParams, b: Vec<f64>) -> Self {
+        let t = pipeline.service_times();
+        // One pass over the gain laws (a censored Poisson mean is an
+        // `exp` and a PMF sum) serves the minimal periods and the totals
+        // `G_i = Π_{j<i} g_j`, multiplied as `PipelineSpec::total_gains`
+        // does.
+        let g = pipeline.mean_gains();
+        let g_total: Vec<f64> = (g.iter())
+            .scan(1.0, |into, &gi| {
+                let total = *into;
+                *into *= gi;
+                Some(total)
+            })
+            .collect();
+        let n = t.len();
+        let a = (0..n).map(|i| t[i] * g_total[i] / n as f64).collect();
+        // A short `b` is reported by the feasibility check, not here.
+        let c = (b.iter().zip(&g_total)).map(|(bi, gi)| bi / gi).collect();
+        let lo = (0..n).map(|i| t[i] * g_total[i]).collect();
         EnforcedWaitsProblem {
             pipeline,
             params,
             b,
+            xmin: minimal_periods_of(&t, &g),
+            t,
+            g_total,
+            a,
+            c,
+            lo,
         }
     }
 
@@ -132,6 +177,24 @@ impl<'a> EnforcedWaitsProblem<'a> {
     /// The backlog factors.
     pub fn backlog_factors(&self) -> &[f64] {
         &self.b
+    }
+
+    /// Move the problem to another operating point of the same pipeline
+    /// (a sweep row's next cell).
+    pub(crate) fn set_params(&mut self, params: RtParams) {
+        self.params = params;
+    }
+
+    /// [`crate::check_enforced_feasibility`] on the stored minimal periods.
+    fn check_feasibility(&self) -> Result<(), ScheduleError> {
+        check_backlog_factors(self.pipeline.len(), &self.b)?;
+        check_minimal_periods(
+            &self.xmin,
+            self.pipeline.vector_width(),
+            &self.params,
+            &self.b,
+        )?;
+        Ok(())
     }
 
     /// Build the Fig.-1 constraint set over the period variables `x`.
@@ -199,10 +262,8 @@ impl<'a> EnforcedWaitsProblem<'a> {
         mut spans: Option<&mut SpanSink>,
         attempt: u64,
     ) -> Result<WaitSchedule, ScheduleError> {
-        check_enforced_feasibility(self.pipeline, &self.params, &self.b)?;
-        // A hint with the wrong arity came from a different pipeline;
-        // ignore it rather than index out of bounds.
-        let warm = warm.filter(|w| w.periods.len() == self.pipeline.len());
+        self.check_feasibility()?;
+        let warm = self.usable(warm);
         if let Some(sink) = spans.as_deref_mut() {
             let name = match method {
                 SolveMethod::InteriorPoint => "solve interior-point",
@@ -229,6 +290,43 @@ impl<'a> EnforcedWaitsProblem<'a> {
         let mut schedule = self.schedule_from_periods(periods, method);
         schedule.telemetry = Some(telemetry);
         Ok(schedule)
+    }
+
+    /// A hint with the wrong arity came from a different pipeline; it is
+    /// ignored rather than indexed out of bounds.
+    fn usable<'w>(&self, warm: Option<&'w WarmStart>) -> Option<&'w WarmStart> {
+        warm.filter(|w| w.periods.len() == self.pipeline.len())
+    }
+
+    /// [`Self::solve_with_fallback_warm`] (or, without a hint,
+    /// [`Self::solve_with_fallback`]) for one cell of a sweep row: the
+    /// active fraction and the telemetry (the caller stamps the wall
+    /// time), with the firing periods left in `scratch.periods`. The
+    /// water-filling buffers in `scratch` carry over from cell to cell;
+    /// the answer is the public solve's bit for bit.
+    pub(crate) fn solve_cell(
+        &self,
+        warm: Option<&WarmStart>,
+        scratch: &mut CellScratch,
+    ) -> Result<(f64, Option<SolveTelemetry>), ScheduleError> {
+        self.check_feasibility()?;
+        let hint = self.usable(warm).map(|w| &w.periods[..]);
+        let Ok(telemetry) = self.waterfill(hint, None, 0, &mut scratch.pav) else {
+            // Water-filling declined: the interior-point fallback.
+            let s = self.solve_with_fallback_inner(warm, None, 0)?;
+            scratch.periods.clone_from(&s.periods);
+            return Ok((s.active_fraction, s.telemetry));
+        };
+        scratch.periods.clear();
+        let z = &scratch.pav.z;
+        scratch
+            .periods
+            .extend(z.iter().zip(&self.g_total).map(|(&z, &g)| z / g));
+        self.clamp_to_service_times(&mut scratch.periods);
+        Ok((
+            enforced_active_fraction(self.pipeline, &scratch.periods),
+            Some(telemetry),
+        ))
     }
 
     /// Solve with water-filling, falling back to the interior-point
@@ -291,16 +389,23 @@ impl<'a> EnforcedWaitsProblem<'a> {
         }
     }
 
-    fn schedule_from_periods(&self, mut periods: Vec<f64>, method: SolveMethod) -> WaitSchedule {
-        let t = self.pipeline.service_times();
-        // Numerical solutions can sit a hair below t_i; clamp so waits
-        // are exactly nonnegative.
-        for (x, &ti) in periods.iter_mut().zip(&t) {
+    /// Numerical solutions can sit a hair below `t_i`; clamp so waits
+    /// are exactly nonnegative.
+    fn clamp_to_service_times(&self, periods: &mut [f64]) {
+        for (x, &ti) in periods.iter_mut().zip(&self.t) {
             if *x < ti {
                 *x = ti;
             }
         }
-        let waits: Vec<f64> = periods.iter().zip(&t).map(|(&x, &ti)| x - ti).collect();
+    }
+
+    fn schedule_from_periods(&self, mut periods: Vec<f64>, method: SolveMethod) -> WaitSchedule {
+        self.clamp_to_service_times(&mut periods);
+        let waits: Vec<f64> = periods
+            .iter()
+            .zip(&self.t)
+            .map(|(&x, &ti)| x - ti)
+            .collect();
         let active_fraction = enforced_active_fraction(self.pipeline, &periods);
         let latency_bound = periods.iter().zip(&self.b).map(|(&x, &bi)| bi * x).sum();
         WaitSchedule {
@@ -325,14 +430,14 @@ impl<'a> EnforcedWaitsProblem<'a> {
         let opts = SolverOptions::default();
         // Start from the minimal periods, nudged to the interior by the
         // solver's phase-1.
-        let x0 = minimal_periods(self.pipeline);
+        let x0 = &self.xmin;
         let radius = (self.params.deadline
             + self.pipeline.vector_width() as f64 * self.params.tau0)
             .max(1.0)
             * 4.0;
         let (interior, phase1_newtons) = match self.analytic_interior_seed(&cs) {
             Some(seed) => (seed, 0),
-            None => find_interior_point_detailed(&cs, &x0, radius, &opts)
+            None => find_interior_point_detailed(&cs, x0, radius, &opts)
                 .map_err(|e| ScheduleError::Solver(format!("phase-1: {e}")))?,
         };
         let phase1_done = elapsed_us(&t0);
@@ -476,15 +581,12 @@ impl<'a> EnforcedWaitsProblem<'a> {
     /// zero-gain stages); callers then let phase-1 handle the raw hint.
     fn interiorized_warm(&self, warm: &[f64]) -> Option<Vec<f64>> {
         const EPS: f64 = 1e-6;
-        let g_total = self.pipeline.total_gains();
+        let (g_total, c, lo) = (&self.g_total, &self.c, &self.lo);
         if g_total.iter().any(|&g| g <= 0.0) {
             return None;
         }
         let n = self.pipeline.len();
-        let t = self.pipeline.service_times();
         let cap = self.pipeline.vector_width() as f64 * self.params.tau0;
-        let lo: Vec<f64> = (0..n).map(|i| t[i] * g_total[i]).collect();
-        let c: Vec<f64> = (0..n).map(|i| self.b[i] / g_total[i]).collect();
 
         let mut z: Vec<f64> = (0..n)
             .map(|i| (g_total[i] * warm[i]).max(lo[i] * (1.0 + EPS)))
@@ -493,16 +595,16 @@ impl<'a> EnforcedWaitsProblem<'a> {
 
         // Restore strict deadline slack by shrinking toward the lower
         // bounds if the hint exhausted (or overshot) the budget.
-        let budget = |z: &[f64]| -> f64 { z.iter().zip(&c).map(|(&zi, &ci)| zi * ci).sum() };
+        let budget = |z: &[f64]| -> f64 { z.iter().zip(c).map(|(&zi, &ci)| zi * ci).sum() };
         let target = self.params.deadline * (1.0 - EPS);
         let b_now = budget(&z);
         if b_now >= target {
-            let b_lo: f64 = lo.iter().zip(&c).map(|(&li, &ci)| li * ci).sum();
+            let b_lo: f64 = lo.iter().zip(c).map(|(&li, &ci)| li * ci).sum();
             if b_lo >= target {
                 return None;
             }
             let s = (target - b_lo) / (b_now - b_lo);
-            for (zi, &li) in z.iter_mut().zip(&lo) {
+            for (zi, &li) in z.iter_mut().zip(lo) {
                 *zi = li + s * (*zi - li);
             }
         }
@@ -518,7 +620,7 @@ impl<'a> EnforcedWaitsProblem<'a> {
                 return None;
             }
         }
-        Some(z.iter().zip(&g_total).map(|(&zi, &gi)| zi / gi).collect())
+        Some(z.iter().zip(g_total).map(|(&zi, &gi)| zi / gi).collect())
     }
 
     fn objective(&self) -> ActiveFractionObjective {
@@ -549,7 +651,7 @@ impl<'a> EnforcedWaitsProblem<'a> {
         if self.pipeline.len() < 32 {
             return None;
         }
-        let seed = self.interiorized_warm(&minimal_periods(self.pipeline))?;
+        let seed = self.interiorized_warm(&self.xmin)?;
         cs.constraints()
             .iter()
             .all(|c| c.slack(&seed) > 0.0)
@@ -563,35 +665,52 @@ impl<'a> EnforcedWaitsProblem<'a> {
     fn solve_waterfilling(
         &self,
         warm: Option<&[f64]>,
-        mut spans: Option<&mut SpanSink>,
+        spans: Option<&mut SpanSink>,
         attempt: u64,
     ) -> Result<(Vec<f64>, SolveTelemetry), ScheduleError> {
-        let g_total = self.pipeline.total_gains();
+        let mut pav = Pav::default();
+        let telemetry = self.waterfill(warm, spans, attempt, &mut pav)?;
+        Ok((
+            pav.z
+                .iter()
+                .zip(&self.g_total)
+                .map(|(&z, &gt)| z / gt)
+                .collect(),
+            telemetry,
+        ))
+    }
+
+    /// The water-filling core behind [`Self::solve_waterfilling`] and
+    /// [`Self::solve_cell`]: leaves the scaled periods `z_i = G_i·x_i` of
+    /// the schedule in `pav.z` and returns the telemetry (without wall
+    /// time). The clock is read only for spans.
+    fn waterfill(
+        &self,
+        warm: Option<&[f64]>,
+        mut spans: Option<&mut SpanSink>,
+        attempt: u64,
+        pav: &mut Pav,
+    ) -> Result<SolveTelemetry, ScheduleError> {
+        let (t, g_total) = (&self.t, &self.g_total);
+        let (a, c, lo) = (&self.a, &self.c, &self.lo);
         if g_total.iter().any(|&g| g <= 0.0) {
             return Err(ScheduleError::Solver(
                 "water-filling requires strictly positive mean gains; use InteriorPoint".into(),
             ));
         }
-        let n = self.pipeline.len();
-        let t = self.pipeline.service_times();
         let cap = self.pipeline.vector_width() as f64 * self.params.tau0;
         let deadline = self.params.deadline;
-        // z_i = G_i·x_i. Objective coefficient a_i (from t_i/(N·x_i) =
-        // a_i/z_i), budget coefficient c_i (from b_i·x_i = c_i·z_i).
-        let a: Vec<f64> = (0..n).map(|i| t[i] * g_total[i] / n as f64).collect();
-        let c: Vec<f64> = (0..n).map(|i| self.b[i] / g_total[i]).collect();
-        let lo: Vec<f64> = (0..n).map(|i| t[i] * g_total[i]).collect();
         debug_assert!(
             lo.iter().all(|&l| l <= cap * (1.0 + 1e-9)),
             "feasibility precheck should guarantee lo <= cap"
         );
 
-        let budget_of = |z: &[f64]| -> f64 { z.iter().zip(&c).map(|(&zi, &ci)| zi * ci).sum() };
+        let budget_of = |z: &[f64]| -> f64 { z.iter().zip(c).map(|(&zi, &ci)| zi * ci).sum() };
         // The latency bound `schedule_from_periods` reports for z.
         let latency_of = |z: &[f64]| -> f64 {
             z.iter()
-                .zip(&g_total)
-                .zip(&t)
+                .zip(g_total)
+                .zip(t)
                 .zip(&self.b)
                 .map(|(((&zi, &gi), &ti), &bi)| bi * (zi / gi).max(ti))
                 .sum()
@@ -599,15 +718,16 @@ impl<'a> EnforcedWaitsProblem<'a> {
 
         let mut telemetry = SolveTelemetry::new("water-filling");
         telemetry.warm_start = warm.is_some();
-        let t0 = std::time::Instant::now();
-        let elapsed_us = |t0: &std::time::Instant| t0.elapsed().as_secs_f64() * 1e6;
+        // Generic instances take a handful of price steps.
+        telemetry.residual_series.reserve(8);
+        let clock = spans.is_some().then(std::time::Instant::now);
+        let elapsed_us = || clock.map_or(0.0, |t0| t0.elapsed().as_secs_f64() * 1e6);
         let track = Track::solver(attempt);
-        let mu0 = seed_mu(deadline, &a, &c, &g_total, &lo, cap, warm);
+        let mu0 = seed_mu(deadline, a, c, g_total, lo, cap, warm);
 
-        let mut pav = Pav::default();
         let lambda = exact_price(deadline, mu0, |lambda| {
-            let started = spans.as_ref().map_or(0.0, |_| elapsed_us(&t0));
-            let (slope, offset) = pav.solve(&a, &c, &lo, cap, lambda);
+            let started = elapsed_us();
+            let (slope, offset) = pav.solve(a, c, lo, cap, lambda);
             let used = budget_of(&pav.z);
             // The z-space budget and the reported bound `Σ b_i·x_i`
             // round differently; both must meet the deadline.
@@ -617,7 +737,7 @@ impl<'a> EnforcedWaitsProblem<'a> {
                 telemetry.residual_series.push((deadline - used).abs());
             }
             if let Some(sink) = spans.as_deref_mut() {
-                let now = elapsed_us(&t0);
+                let now = elapsed_us();
                 sink.span_detail(
                     track,
                     "price",
@@ -633,12 +753,9 @@ impl<'a> EnforcedWaitsProblem<'a> {
         .ok_or_else(|| {
             ScheduleError::Solver("water-filling found no deadline price that fits".into())
         })?;
-        pav.solve(&a, &c, &lo, cap, lambda);
+        pav.solve(a, c, lo, cap, lambda);
         telemetry.residual = (deadline - budget_of(&pav.z)).abs();
-        Ok((
-            pav.z.iter().zip(&g_total).map(|(&z, &gt)| z / gt).collect(),
-            telemetry,
-        ))
+        Ok(telemetry)
     }
 }
 
@@ -752,6 +869,7 @@ impl Pav {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feasibility::minimal_periods;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
 
     fn blast() -> PipelineSpec {
@@ -917,6 +1035,17 @@ mod tests {
             prob.solve(SolveMethod::InteriorPoint),
             Err(ScheduleError::Infeasible(_))
         ));
+    }
+
+    #[test]
+    fn stored_pipeline_data_matches_the_pipeline() {
+        let p = blast();
+        let prob =
+            EnforcedWaitsProblem::new(&p, RtParams::new(10.0, 1e5).unwrap(), PAPER_B.to_vec());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&prob.g_total), bits(&p.total_gains()));
+        assert_eq!(bits(&prob.xmin), bits(&minimal_periods(&p)));
+        assert_eq!(bits(&prob.t), bits(&p.service_times()));
     }
 
     #[test]

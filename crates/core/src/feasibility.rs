@@ -47,6 +47,16 @@ pub enum FeasibilityError {
         /// Explanation.
         reason: String,
     },
+    /// Monolithic batching: no block size `M ∈ [1, max_block_size]` is
+    /// stable (`T̄(M) ≤ M·τ0`) and meets the deadline.
+    NoFeasibleBlockSize {
+        /// The largest block size the deadline could allow, `⌊D/(b·τ0)⌋`.
+        max_block_size: u64,
+        /// The requested deadline.
+        deadline: f64,
+        /// The inter-arrival time.
+        tau0: f64,
+    },
 }
 
 impl fmt::Display for FeasibilityError {
@@ -70,6 +80,14 @@ impl fmt::Display for FeasibilityError {
             FeasibilityError::BadBacklogFactors { reason } => {
                 write!(f, "bad backlog factors: {reason}")
             }
+            FeasibilityError::NoFeasibleBlockSize {
+                max_block_size,
+                deadline,
+                tau0,
+            } => write!(
+                f,
+                "no feasible block size in [1, {max_block_size}] (deadline {deadline:.0}, tau0 {tau0:.1})"
+            ),
         }
     }
 }
@@ -79,10 +97,13 @@ impl std::error::Error for FeasibilityError {}
 /// The componentwise-minimal feasible firing periods `x̂` (see module
 /// docs). Every feasible period vector dominates this one.
 pub fn minimal_periods(pipeline: &PipelineSpec) -> Vec<f64> {
-    let t = pipeline.service_times();
-    let g = pipeline.mean_gains();
+    minimal_periods_of(&pipeline.service_times(), &pipeline.mean_gains())
+}
+
+/// [`minimal_periods`] from the service times `t` and mean gains `g`.
+pub(crate) fn minimal_periods_of(t: &[f64], g: &[f64]) -> Vec<f64> {
     let n = t.len();
-    let mut x = t.clone();
+    let mut x = t.to_vec();
     for i in (0..n.saturating_sub(1)).rev() {
         // Edge i → i+1 requires x_i >= g_i * x_{i+1}.
         x[i] = x[i].max(g[i] * x[i + 1]);
@@ -98,9 +119,21 @@ pub fn check_enforced_feasibility(
     params: &RtParams,
     b: &[f64],
 ) -> Result<(), FeasibilityError> {
-    if b.len() != pipeline.len() {
+    check_backlog_factors(pipeline.len(), b)?;
+    check_minimal_periods(
+        &minimal_periods(pipeline),
+        pipeline.vector_width(),
+        params,
+        b,
+    )
+}
+
+/// The backlog-factor half of [`check_enforced_feasibility`]: one
+/// strictly positive, finite factor per node.
+pub(crate) fn check_backlog_factors(nodes: usize, b: &[f64]) -> Result<(), FeasibilityError> {
+    if b.len() != nodes {
         return Err(FeasibilityError::BadBacklogFactors {
-            reason: format!("expected {} factors, got {}", pipeline.len(), b.len()),
+            reason: format!("expected {nodes} factors, got {}", b.len()),
         });
     }
     if let Some(bad) = b.iter().find(|&&bi| bi <= 0.0 || !bi.is_finite()) {
@@ -108,9 +141,18 @@ pub fn check_enforced_feasibility(
             reason: format!("factor {bad} is not strictly positive and finite"),
         });
     }
+    Ok(())
+}
 
-    let xmin = minimal_periods(pipeline);
-    let max_head = pipeline.vector_width() as f64 * params.tau0;
+/// The operating-point half of [`check_enforced_feasibility`], on the
+/// minimal periods `xmin` of a pipeline of vector width `v`.
+pub(crate) fn check_minimal_periods(
+    xmin: &[f64],
+    v: u32,
+    params: &RtParams,
+    b: &[f64],
+) -> Result<(), FeasibilityError> {
+    let max_head = v as f64 * params.tau0;
     if xmin[0] > max_head {
         return Err(FeasibilityError::ArrivalRateTooHigh {
             min_head_period: xmin[0],

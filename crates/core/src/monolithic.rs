@@ -31,7 +31,9 @@
 //!
 //! * The latency bound `b·M·τ0 + S·T̄(M)` is nondecreasing in `M` (both
 //!   terms are, in floating point too), so the deadline-feasible block
-//!   sizes are a prefix `[1, M_D]`; a binary search finds `M_D`.
+//!   sizes are a prefix `[1, M_D]`; a binary search finds `M_D`, inside
+//!   the bracket that `M·F ≤ T̄(M) ≤ M·F + Σ t_i` gives for the stability
+//!   floor `F = Σ t_i·G_i/v` (both ends checked exactly).
 //! * `T̄(M)` only changes where some `⌈M·G_i/v⌉` steps up, after the
 //!   breakpoints `M = ⌊k·v/G_i⌋`. Between two breakpoints `T̄` is
 //!   constant, so the objective `ρ0·T̄/M` strictly falls and stability
@@ -66,10 +68,35 @@
 //! walk is then the scan over `[1, M_D]` with `T̄` precomputed. A table
 //! costs 16 B per entry, as many entries as one cell at the bound would
 //! evaluate.
+//!
+//! # One running minimum per τ0
+//!
+//! A cell's candidates are the table entries below its `M_D`, a prefix
+//! of the table, and `M_D` itself. Whether an entry is stable, and its
+//! objective, depend on `τ0` alone, not on `D`. So a sweep row keeps the
+//! prefix minimum over the entries (ties low), extended as its cells
+//! reach further into the table: each entry is tested once per row, and
+//! a cell reads the best entry below its `M_D` in O(1), then evaluates
+//! `M_D`. The answer is the per-cell walk's, and so is the telemetry's
+//! `iterations`: it counts the candidates the answer minimizes over, the
+//! entries below `M_D` plus `M_D` itself.
+//!
+//! # `M_D` from the table
+//!
+//! `T̄` is constant on the run of block sizes that ends at each entry, so
+//! `M_D` needs no `T̄(M)` evaluation where the table reaches it. `M_D`
+//! lies in the last run whose first `M` meets the deadline; a gallop
+//! from the previous cell's run finds that run, testing the bisection's
+//! own predicate at the run's stored `T̄`. A bisection inside the run, at
+//! that constant `T̄`, then finds `M_D`. Where `M_D` may lie beyond the
+//! table's bound, and in [`MonolithicProblem::solve_fast`], whose table
+//! is sized at `M_D`, `M_D` comes from the plain bisection over
+//! `[0, ⌊D/(b·τ0)⌋]`.
 
+use crate::feasibility::FeasibilityError;
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
-use dataflow_model::analysis::block_time;
+use dataflow_model::analysis::{block_time, vectors};
 use dataflow_model::{PipelineSpec, RtParams, Topology};
 use serde::{Deserialize, Serialize};
 use solver::integer::{minimize_scan, IntOpt};
@@ -128,6 +155,8 @@ pub struct MonolithicProblem {
     vector_width: u32,
     service_times: Vec<f64>,
     totals: Vec<f64>,
+    /// The stability floor `Σ t_i·G_i/v` (see [`Self::below_stability_floor`]).
+    floor: f64,
     params: RtParams,
     b: f64,
     s: f64,
@@ -149,6 +178,8 @@ pub struct BlockTable {
     entries: Vec<(u64, f64)>,
     /// Every run end `≤ bound` is an entry.
     bound: u64,
+    /// `T̄` on the run after the last entry, up to `bound`.
+    tail: f64,
 }
 
 impl BlockTable {
@@ -181,6 +212,62 @@ impl BlockTable {
     pub fn bound(&self) -> u64 {
         self.bound
     }
+
+    /// Runs of constant `T̄` the table covers: one ending at each entry,
+    /// and the tail up to `bound` when the last entry stops short of it.
+    fn runs(&self) -> usize {
+        let last = self.entries.last().map_or(0, |&(m, _)| m);
+        self.entries.len() + usize::from(last < self.bound)
+    }
+
+    /// Run `r` as its first and last `M` and its `T̄`.
+    fn run(&self, r: usize) -> (u64, u64, f64) {
+        let first = r.checked_sub(1).map_or(1, |k| self.entries[k].0 + 1);
+        match self.entries.get(r) {
+            Some(&(last, t)) => (first, last, t),
+            None => (first, self.bound, self.tail),
+        }
+    }
+}
+
+/// The per-`τ0` state a sweep row keeps between its cells' block-size
+/// searches on one shared [`BlockTable`]: the running minimum over the
+/// table's entries, so each entry is tested for stability and evaluated
+/// once per row instead of once per cell, and the run that held the
+/// last cell's `M_D`, where the next cell's search for it starts.
+#[derive(Debug, Default)]
+pub(crate) struct RowWalk {
+    /// The `τ0` the running minimum was taken at.
+    tau0: f64,
+    /// `best[k]`: the best stable entry among the table's first `k`,
+    /// ties to the smaller `M`.
+    best: Vec<Option<IntOpt>>,
+    /// The run that held the last cell's `M_D`.
+    run: usize,
+}
+
+impl RowWalk {
+    /// The best stable entry among the table's first `below`, from the
+    /// running minimum, extended as far as `below` reaches.
+    fn best_below(
+        &mut self,
+        prob: &MonolithicProblem,
+        table: &BlockTable,
+        below: usize,
+    ) -> Option<IntOpt> {
+        if self.best.is_empty() || self.tau0.to_bits() != prob.params.tau0.to_bits() {
+            self.tau0 = prob.params.tau0;
+            self.best.clear();
+            self.best.reserve(table.entries.len() + 1);
+            self.best.push(None);
+        }
+        let done = self.best.len() - 1;
+        for &(m, t) in table.entries.get(done..below).unwrap_or_default() {
+            let prefix = self.best[self.best.len() - 1];
+            self.best.push(prob.improve(prefix, m, t));
+        }
+        self.best[below]
+    }
 }
 
 impl MonolithicProblem {
@@ -193,10 +280,17 @@ impl MonolithicProblem {
         assert!(b.is_finite() && b >= 1.0, "queue multiplier b must be >= 1");
         assert!(s.is_finite() && s >= 1.0, "worst-case scale S must be >= 1");
         let (vector_width, service_times, totals) = model.block_model();
+        let floor = service_times
+            .iter()
+            .zip(&totals)
+            .map(|(t, g)| t * g)
+            .sum::<f64>()
+            / vector_width as f64;
         MonolithicProblem {
             vector_width,
             service_times,
             totals,
+            floor,
             params,
             b,
             s,
@@ -208,6 +302,12 @@ impl MonolithicProblem {
         &self.params
     }
 
+    /// Move the problem to another operating point of the same pipeline
+    /// (a sweep row's next cell).
+    pub(crate) fn set_params(&mut self, params: RtParams) {
+        self.params = params;
+    }
+
     /// Largest block size the deadline could possibly allow:
     /// `b·M·τ0 ≤ D` (the processing term only tightens this).
     pub fn max_block_size(&self) -> u64 {
@@ -217,7 +317,8 @@ impl MonolithicProblem {
         } else if m >= u64::MAX as f64 {
             u64::MAX
         } else {
-            m.floor() as u64
+            // Truncation is the floor of a positive value.
+            m as u64
         }
     }
 
@@ -247,6 +348,16 @@ impl MonolithicProblem {
         (t <= m as f64 * self.params.tau0).then(|| self.params.rho0() * t / m as f64)
     }
 
+    /// `best`, or block size `m` with block time `t` if it is stable and
+    /// strictly better: candidates come in ascending `M`, so ties stay
+    /// with the smaller one, as in the scan.
+    fn improve(&self, best: Option<IntOpt>, m: u64, t: f64) -> Option<IntOpt> {
+        match self.stable_objective(m, t) {
+            Some(value) if best.is_none_or(|b| value < b.value) => Some(IntOpt { arg: m, value }),
+            _ => best,
+        }
+    }
+
     /// Solve exactly by exhaustive scan over `M ∈ [1, max_block_size]`.
     pub fn solve(&self) -> Result<MonolithicSchedule, ScheduleError> {
         self.solve_with("scan", |evaluations| {
@@ -271,7 +382,23 @@ impl MonolithicProblem {
     /// `v`, `t_i` and `G_i`; if it stops short of this point's `M_D`, the
     /// solve builds its own. The answer is the same either way.
     pub fn solve_on(&self, table: &BlockTable) -> Result<MonolithicSchedule, ScheduleError> {
-        self.solve_with("breakpoint", |evaluations| self.walk(table, evaluations))
+        self.solve_with("breakpoint", |evaluations| {
+            self.walk(table, None, evaluations)
+        })
+    }
+
+    /// [`Self::solve_on`] for one cell of a sweep row that keeps `row`
+    /// across its cells: the active fraction and the telemetry (the
+    /// caller stamps the wall time), without the schedule.
+    pub(crate) fn solve_in_row(
+        &self,
+        table: &BlockTable,
+        row: &mut RowWalk,
+    ) -> Result<(f64, SolveTelemetry), ScheduleError> {
+        let (best, telemetry) = self.search("breakpoint", |evaluations| {
+            self.walk(table, Some(row), evaluations)
+        })?;
+        Ok((best.value, telemetry))
     }
 
     /// The ceiling run ends up to `bound`, each with its `T̄`: where some
@@ -291,21 +418,20 @@ impl MonolithicProblem {
                 .sum();
             let mut entries = Vec::with_capacity(expected.min(1e6) as usize);
             for &g in self.totals.iter().filter(|&&g| g > 0.0) {
-                // Node i's ceiling, by the float expression of
-                // `block_time`.
-                let ceil = |m: u64| (m as f64 * g / v).ceil();
                 for k in 1u64.. {
-                    let m = (k as f64 * v / g).floor() as u64;
+                    // Truncation is the floor of a positive value.
+                    let m = (k as f64 * v / g) as u64;
                     if m.saturating_sub(1) > bound {
                         break;
                     }
-                    // x ends a run of constant T̄ where the ceiling steps
-                    // between x and x + 1. In floating point that happens
-                    // at a breakpoint ⌊k·v/G_i⌋ or one of its neighbours.
+                    // x ends a run of constant T̄ where node i's ceiling
+                    // steps between x and x + 1. In floating point that
+                    // happens at a breakpoint ⌊k·v/G_i⌋ or one of its
+                    // neighbours.
                     let near = m.saturating_sub(1).max(1)..=m.saturating_add(1).min(bound);
-                    let mut at = ceil(*near.start());
+                    let mut at = vectors(*near.start(), g, v);
                     for x in near {
-                        let next = ceil(x.saturating_add(1));
+                        let next = vectors(x.saturating_add(1), g, v);
                         if next > at {
                             entries.push((x, 0.0));
                         }
@@ -313,15 +439,25 @@ impl MonolithicProblem {
                     }
                 }
             }
-            // One ascending run per node: the stable sort merges runs.
-            entries.sort_by_key(|&(m, _)| m);
+            // One ascending run per node; equal `M`s are equal entries.
+            entries.sort_unstable_by_key(|&(m, _)| m);
             entries.dedup_by_key(|&mut (m, _)| m);
             entries
         };
         for (m, t) in &mut entries {
             *t = self.block_time(*m);
         }
-        BlockTable { entries, bound }
+        let last = entries.last().map_or(0, |&(m, _)| m);
+        let tail = if last < bound {
+            self.block_time(last + 1)
+        } else {
+            0.0
+        };
+        BlockTable {
+            entries,
+            bound,
+            tail,
+        }
     }
 
     /// The `M` a [`BlockTable`] must reach to serve this operating point:
@@ -338,57 +474,117 @@ impl MonolithicProblem {
     /// `T̄(M) ≥ M·Σ t_i·G_i/v` for every `M`, so below this floor no block
     /// size is stable (the margin covers rounding in `T̄`).
     fn below_stability_floor(&self) -> bool {
-        let floor = self
-            .service_times
-            .iter()
-            .zip(&self.totals)
-            .map(|(t, g)| t * g)
-            .sum::<f64>()
-            / self.vector_width as f64;
-        self.params.tau0 < floor * (1.0 - 1e-9)
+        self.params.tau0 < self.floor * (1.0 - 1e-9)
     }
 
     /// The per-operating-point half of [`Self::solve_fast`]: every table
-    /// entry below `M_D` meets the deadline, so only stability is tested;
-    /// then `M_D` itself. Ties go to the smaller `M`, as in the scan.
-    fn walk(&self, table: &BlockTable, evaluations: &mut u64) -> Option<IntOpt> {
+    /// entry below `M_D` meets the deadline, so only stability is tested,
+    /// through `row`'s running minimum; then `M_D` itself. When `M_D`
+    /// lies beyond `table`, it walks a table of its own.
+    fn walk(
+        &self,
+        table: &BlockTable,
+        row: Option<&mut RowWalk>,
+        evaluations: &mut u64,
+    ) -> Option<IntOpt> {
         if self.below_stability_floor() {
             return None;
         }
-        let m_d = self.deadline_limit();
-        let own;
-        let table = if table.bound >= m_d {
-            table
-        } else {
-            own = self.block_table(m_d);
-            &own
+        let scan = |entries: &[(u64, f64)]| {
+            (entries.iter()).fold(None, |best, &(m, t)| self.improve(best, m, t))
         };
-        let below = &table.entries[..table.entries.partition_point(|&(m, _)| m < m_d)];
-        let mut best: Option<IntOpt> = None;
-        let mut consider = |m: u64, t: f64| {
-            if let Some(value) = self.stable_objective(m, t) {
-                if best.is_none_or(|b| value < b.value) {
-                    best = Some(IntOpt { arg: m, value });
-                }
+        let from = row.as_ref().map_or(0, |row| row.run);
+        let (best, below, m_d, t_d) = match self.deadline_run(table, from) {
+            // The entries before M_D's run lie below it; T̄ is constant
+            // on the run.
+            Some((m_d, run)) => {
+                let best = match row {
+                    Some(row) => {
+                        row.run = run;
+                        row.best_below(self, table, run)
+                    }
+                    None => scan(&table.entries[..run]),
+                };
+                (best, run, m_d, table.run(run).2)
+            }
+            None => {
+                let m_d = self.deadline_limit();
+                let own = self.block_table(m_d);
+                let below = own.entries.partition_point(|&(m, _)| m < m_d);
+                (
+                    scan(&own.entries[..below]),
+                    below,
+                    m_d,
+                    self.block_time(m_d),
+                )
             }
         };
-        for &(m, t) in below {
-            consider(m, t);
+        *evaluations += below as u64;
+        if m_d == 0 {
+            return best;
         }
-        *evaluations += below.len() as u64;
-        if m_d > 0 {
-            consider(m_d, self.block_time(m_d));
-            *evaluations += 1;
+        *evaluations += 1;
+        self.improve(best, m_d, t_d)
+    }
+
+    /// `M_D` from `table`, with the run that holds it (run 0 when
+    /// `M_D = 0`), or `None` when `M_D` may lie beyond the table. `T̄` is
+    /// constant on each run and the latency bound is nondecreasing in
+    /// `M`, so the run is the last one whose first `M` meets the
+    /// deadline (searched outward from run `from`), and `M_D` the last
+    /// `M` of that run that does, at the run's `T̄`. Both tests are the
+    /// bisection's own predicate, so the two agree exactly.
+    fn deadline_run(&self, table: &BlockTable, from: usize) -> Option<(u64, usize)> {
+        let max_m = self.max_block_size();
+        if max_m == 0 {
+            return Some((0, 0));
         }
-        best
+        let hi = max_m.min(table.bound);
+        let meets = |m: u64, t: f64| self.latency_bound(m, t) <= self.params.deadline;
+        let opens = |r: usize| {
+            let (first, _, t) = table.run(r);
+            first <= hi && meets(first, t)
+        };
+        let Some(run) = last_true(table.runs(), from, opens) else {
+            return (hi > 0).then_some((0, 0));
+        };
+        let (mut lo, last, t) = table.run(run);
+        let mut up = last.min(hi);
+        while lo < up {
+            let mid = up - (up - lo) / 2;
+            if meets(mid, t) {
+                lo = mid;
+            } else {
+                up = mid - 1;
+            }
+        }
+        // At the table's bound M_D may run on past it.
+        (lo < hi || hi == max_m).then_some((lo, run))
     }
 
     /// `M_D`: the largest `M ≤ max_block_size` whose latency bound meets
     /// the deadline, or 0 if none does. The bound is nondecreasing in
-    /// `M`, so this bisects.
+    /// `M`, so this bisects, within a bracket: `M·F ≤ T̄(M) ≤ M·F + Σ t_i`
+    /// for the stability floor `F`, so `M_D` lies between where the two
+    /// bounds reach the deadline. Each end of the bracket is checked with
+    /// the exact predicate, and one that fails is widened to `[0,
+    /// max_block_size]`, so the answer is the plain bisection's.
     fn deadline_limit(&self) -> u64 {
         let meets = |m: u64| self.latency_bound(m, self.block_time(m)) <= self.params.deadline;
-        let (mut lo, mut hi) = (0, self.max_block_size());
+        let max_m = self.max_block_size();
+        let below = |x: f64| if x >= 1.0 { (x as u64).min(max_m) } else { 0 };
+        let slope = self.b * self.params.tau0 + self.s * self.floor;
+        let slack = self.params.deadline - self.s * self.service_times.iter().sum::<f64>();
+        let mut lo = below(slack / slope).saturating_sub(1);
+        let mut hi = below(self.params.deadline / slope)
+            .saturating_add(1)
+            .min(max_m);
+        if lo > 0 && !meets(lo) {
+            lo = 0;
+        }
+        if hi < max_m && meets(hi + 1) {
+            hi = max_m;
+        }
         while lo < hi {
             let mid = hi - (hi - lo) / 2;
             if meets(mid) {
@@ -407,20 +603,10 @@ impl MonolithicProblem {
         method: &str,
         search: impl FnOnce(&mut u64) -> Option<IntOpt>,
     ) -> Result<MonolithicSchedule, ScheduleError> {
-        let mut evaluations = 0u64;
-        let (best, wall_micros) = timed(|| search(&mut evaluations));
-        let best = best.ok_or_else(|| {
-            ScheduleError::Solver(format!(
-                "no feasible block size in [1, {}] (deadline {:.0}, tau0 {:.1})",
-                self.max_block_size(),
-                self.params.deadline,
-                self.params.tau0
-            ))
-        })?;
-        let block_time = self.block_time(best.arg);
-        let mut telemetry = SolveTelemetry::new(method);
-        telemetry.iterations = evaluations;
+        let (result, wall_micros) = timed(|| self.search(method, search));
+        let (best, mut telemetry) = result?;
         telemetry.wall_micros = wall_micros;
+        let block_time = self.block_time(best.arg);
         Ok(MonolithicSchedule {
             block_size: best.arg,
             block_time,
@@ -431,6 +617,78 @@ impl MonolithicProblem {
             telemetry: Some(telemetry),
         })
     }
+
+    /// Run `search` and return its answer with the telemetry:
+    /// `iterations` counts the candidates the answer minimizes over.
+    fn search(
+        &self,
+        method: &str,
+        search: impl FnOnce(&mut u64) -> Option<IntOpt>,
+    ) -> Result<(IntOpt, SolveTelemetry), ScheduleError> {
+        let mut evaluations = 0u64;
+        let best = search(&mut evaluations).ok_or(ScheduleError::Infeasible(
+            FeasibilityError::NoFeasibleBlockSize {
+                max_block_size: self.max_block_size(),
+                deadline: self.params.deadline,
+                tau0: self.params.tau0,
+            },
+        ))?;
+        let mut telemetry = SolveTelemetry::new(method);
+        telemetry.iterations = evaluations;
+        Ok((best, telemetry))
+    }
+}
+
+/// The last `i < n` with `pred(i)`, for a `pred` that holds up to some
+/// index and fails after it; `None` if it fails at 0. Gallops outward
+/// from `from`, so an answer near `from` costs O(log distance) tests.
+fn last_true(n: usize, from: usize, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
+    if n == 0 {
+        return None;
+    }
+    // Invariant: `pred(lo)` holds, `pred(hi)` fails (or `hi == n`).
+    let (mut lo, mut hi);
+    let mut stride = 1;
+    let from = from.min(n - 1);
+    if pred(from) {
+        lo = from;
+        loop {
+            let probe = lo + stride;
+            if probe >= n {
+                hi = n;
+                break;
+            }
+            if !pred(probe) {
+                hi = probe;
+                break;
+            }
+            lo = probe;
+            stride *= 2;
+        }
+    } else {
+        hi = from;
+        loop {
+            if hi == 0 {
+                return None;
+            }
+            let probe = hi.saturating_sub(stride);
+            if pred(probe) {
+                lo = probe;
+                break;
+            }
+            hi = probe;
+            stride *= 2;
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }
 
 #[cfg(test)]
@@ -565,6 +823,138 @@ mod tests {
         let params = RtParams::new(50.0, 1000.0).unwrap();
         let prob = MonolithicProblem::new(&p, params, 1.0, 1.0);
         assert!(prob.solve().is_err());
+    }
+
+    #[test]
+    fn infeasibility_is_a_typed_error() {
+        let p = blast();
+        // Below the stability floor (τ0 = 1) and a deadline below T̄(1)
+        // (D = 1000 at τ0 = 50): every search reports the cap, deadline
+        // and τ0 as `NoFeasibleBlockSize`.
+        for (tau0, d, cap, shown) in [
+            (
+                1.0,
+                3.5e5,
+                350_000,
+                "[1, 350000] (deadline 350000, tau0 1.0)",
+            ),
+            (50.0, 1000.0, 20, "[1, 20] (deadline 1000, tau0 50.0)"),
+        ] {
+            let prob = MonolithicProblem::new(&p, RtParams::new(tau0, d).unwrap(), 1.0, 1.0);
+            let expected = ScheduleError::Infeasible(FeasibilityError::NoFeasibleBlockSize {
+                max_block_size: cap,
+                deadline: d,
+                tau0,
+            });
+            let table = prob.block_table(cap);
+            let mut row = RowWalk::default();
+            for err in [
+                prob.solve().unwrap_err(),
+                prob.solve_fast().unwrap_err(),
+                prob.solve_on(&table).unwrap_err(),
+                prob.solve_in_row(&table, &mut row).unwrap_err(),
+            ] {
+                assert_eq!(err, expected);
+                assert_eq!(
+                    err.to_string(),
+                    format!("infeasible: no feasible block size in {shown}")
+                );
+            }
+        }
+    }
+
+    /// `M_D` read from `table`, with the search started from the first,
+    /// middle and past-the-end runs, is the bisection's `M_D`, and its
+    /// run's `T̄` is `T̄(M_D)` bit for bit; the table may decline only
+    /// when `M_D` reaches its bound.
+    fn assert_table_m_d(prob: &MonolithicProblem, table: &BlockTable) {
+        let m_d = prob.deadline_limit();
+        // The bracketed bisection is the plain one over [0, max_block_size].
+        let meets = |m: u64| prob.latency_bound(m, prob.block_time(m)) <= prob.params.deadline;
+        let (mut lo, mut hi) = (0, prob.max_block_size());
+        while lo < hi {
+            let mid = hi - (hi - lo) / 2;
+            if meets(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        assert_eq!(m_d, lo);
+        for from in [0, table.runs() / 2, table.runs()] {
+            match prob.deadline_run(table, from) {
+                Some((m, run)) => {
+                    let params = prob.params();
+                    assert_eq!(m, m_d, "tau0={} D={}", params.tau0, params.deadline);
+                    if m_d > 0 {
+                        let (first, last, t) = table.run(run);
+                        assert!((first..=last).contains(&m_d));
+                        assert_eq!(t.to_bits(), prob.block_time(m_d).to_bits());
+                    }
+                }
+                None => assert!(m_d >= table.bound(), "M_D {m_d} < {}", table.bound()),
+            }
+        }
+    }
+
+    #[test]
+    fn table_m_d_equals_bisection_on_the_paper_grid() {
+        let p = blast();
+        let (tau0s, ds) = RtParams::paper_grid(64, 64);
+        let d_max = ds.iter().copied().fold(0.0, f64::max);
+        let rows = tau0s.iter().map(|&t| RtParams::new(t, d_max).unwrap());
+        let table = BlockTable::covering(&p, rows, 1.0, 1.0);
+        for &tau0 in &tau0s {
+            for &d in &ds {
+                let prob = MonolithicProblem::new(&p, RtParams::new(tau0, d).unwrap(), 1.0, 1.0);
+                assert_table_m_d(&prob, &table);
+            }
+        }
+    }
+
+    #[test]
+    fn table_m_d_equals_bisection_on_extreme_chains() {
+        // v = 1 makes every table dense (3·ΣG_i/v ≥ 1); v = 1024 with
+        // thinning stages makes sparse ones with long runs.
+        let gains: [Vec<f64>; 4] = [
+            vec![1.0],
+            vec![0.01, 3.0],
+            vec![0.379, 1.92, 0.0332, 1.0],
+            vec![2.5, 0.5, 0.02],
+        ];
+        for v in [1, 1024] {
+            for g in &gains {
+                let mut builder = PipelineSpecBuilder::new(v);
+                for (i, &gain) in g.iter().enumerate() {
+                    let k = gain.ceil().max(1.0) as u32;
+                    let pmf = vec![(0, 1.0 - gain / k as f64), (k, gain / k as f64)];
+                    builder = builder.stage(
+                        format!("s{i}"),
+                        100.0 + 700.0 * i as f64,
+                        GainModel::Empirical { pmf },
+                    );
+                }
+                let p = builder.build().unwrap();
+                let floor =
+                    MonolithicProblem::new(&p, RtParams::new(1.0, 1.0).unwrap(), 1.0, 1.0).floor;
+                for scale in [1.0 - 1e-6, 1.0 + 1e-6, 1.3, 4.0] {
+                    let tau0 = floor * scale;
+                    let at = |d: f64| {
+                        MonolithicProblem::new(&p, RtParams::new(tau0, d).unwrap(), 1.0, 1.5)
+                    };
+                    // Block sizes up to ~20k, from below T̄(1) upwards.
+                    let d_max = 2e4 * tau0;
+                    let full = at(d_max).block_table(at(d_max).deadline_limit());
+                    let short = at(d_max).block_table(at(d_max / 3.0).deadline_limit());
+                    for k in 0..=60 {
+                        let prob = at(d_max * (k as f64 / 60.0).powi(3).max(1e-6));
+                        assert_table_m_d(&prob, &full);
+                        assert_table_m_d(&prob, &short);
+                        assert_table_m_d(&prob, &BlockTable::default());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -106,11 +106,32 @@ pub fn block_time(vector_width: u32, service_times: &[f64], totals: &[f64], m: u
     service_times
         .iter()
         .zip(totals)
-        .map(|(&t, &g_total)| {
-            let vectors = (m as f64 * g_total / v).ceil();
-            vectors * t
-        })
+        .map(|(&t, &g_total)| vectors(m, g_total, v) * t)
         .sum()
+}
+
+/// Node `i`'s vector count in a block of `m` inputs, `⌈m·G_i/v⌉`, by the
+/// float expression [`block_time`] sums: the one place the block-size
+/// search's breakpoints and `T̄(M)` take their ceilings from.
+#[inline]
+pub fn vectors(m: u64, total_gain: f64, v: f64) -> f64 {
+    ceil(m as f64 * total_gain / v)
+}
+
+/// `x.ceil()` without the library call (the baseline x86-64 target has
+/// no rounding instruction, and the block-size search takes four
+/// ceilings per `T̄(M)`). On `(0, 2^52)` truncation is exact, so the
+/// truncated value, plus one when it fell below `x`, is the ceiling,
+/// with no branch on the fraction. Anything else (zeros of either sign
+/// included) takes the library path.
+#[inline]
+pub fn ceil(x: f64) -> f64 {
+    if x > 0.0 && x < 4_503_599_627_370_496.0 {
+        let whole = x as i64 as f64;
+        whole + f64::from(u8::from(whole < x))
+    } else {
+        x.ceil()
+    }
 }
 
 /// Average time for the monolithic pipeline to consume a block of `M`
@@ -390,6 +411,65 @@ mod tests {
         // M = 1: every stage needs ⌈G_i/128⌉ = 1 vector (G_i ≤ 1.92... well
         // below 128), so T̄(1) = total service time.
         assert!((monolithic_block_time(&p, 1) - p.total_service_time()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ceil_equals_the_library_ceil() {
+        let same = |x: f64| {
+            let (ours, libm) = (ceil(x), x.ceil());
+            assert!(
+                ours.to_bits() == libm.to_bits() || (ours.is_nan() && libm.is_nan()),
+                "ceil({x:e}) = {ours:e}, library {libm:e}"
+            );
+        };
+        let two52 = 4_503_599_627_370_496.0_f64;
+        for x in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0 + f64::EPSILON,
+            -0.5,
+            -1.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two52 + 2.0,
+            9.3e18,
+            1e300,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            same(x);
+        }
+        for k in 0..100_000u64 {
+            same(k as f64);
+        }
+        // Every breakpoint ⌊k·v/G_i⌋ of BLAST up to M = 10^6, and its two
+        // neighbours, at the argument `vectors` passes.
+        let p = blast();
+        let v = p.vector_width() as f64;
+        for g in p.total_gains() {
+            for k in 1u64.. {
+                let m = (k as f64 * v / g).floor() as u64;
+                if m > 1_000_000 {
+                    break;
+                }
+                for x in m.saturating_sub(1)..=m + 1 {
+                    same(x as f64 * g / v);
+                    assert_eq!(
+                        vectors(x, g, v).to_bits(),
+                        (x as f64 * g / v).ceil().to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
