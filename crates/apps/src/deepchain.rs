@@ -4,9 +4,9 @@
 //! scheduling machinery is built for pipelines orders of magnitude
 //! deeper — micro-service meshes, compiler pass stacks, deep packet
 //! inspection cascades. This module synthesizes a deterministic
-//! `N`-stage chain whose enforced-waits design problem has an exactly
-//! tridiagonal KKT structure, so it exercises the banded interior-point
-//! path end to end: stage `i` costs `base_service + service_step·i`
+//! `N`-stage chain that drives the exact water-filling solver and the
+//! KKT certificate's banded multiplier solve at depth: stage `i` costs
+//! `base_service + service_step·i`
 //! cycles and passes each item independently with probability
 //! `pass_rate` (a Bernoulli gain), giving smooth geometric attenuation
 //! down the chain.
@@ -95,9 +95,10 @@ mod tests {
     }
 
     #[test]
-    fn deep_chain_is_schedulable_with_banded_interior_point() {
+    fn deep_chain_is_schedulable_and_certified() {
         use dataflow_model::RtParams;
-        use rtsdf_core::{minimal_periods, EnforcedWaitsProblem, SolveMethod};
+        use rtsdf_core::kkt::verify_kkt;
+        use rtsdf_core::{minimal_periods, EnforcedWaitsProblem};
 
         let p = deep_chain(128).unwrap();
         let b = EnforcedWaitsProblem::optimistic_backlog(&p);
@@ -107,12 +108,10 @@ mod tests {
             .map(|(x, bi)| x * bi)
             .sum();
         let params = RtParams::new(5.0, min_d * 2.0).unwrap();
-        let s = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::InteriorPoint)
-            .unwrap();
-        let t = s.telemetry.expect("telemetry");
-        assert_eq!(t.factorization.as_deref(), Some("banded"));
-        assert_eq!(t.bandwidth, Some(1));
+        let prob = EnforcedWaitsProblem::new(&p, params, b);
+        let s = prob.solve().unwrap();
         assert!(s.active_fraction > 0.0 && s.active_fraction <= 1.0);
+        let kkt = verify_kkt(&prob, &s.periods, 1e-5);
+        assert!(kkt.is_optimal(1e-3), "{kkt:?}");
     }
 }

@@ -333,7 +333,7 @@ mod tests {
             .collect();
         let params = RtParams::new(60.0, 1e5).unwrap();
         assert!(rtsdf_core::EnforcedWaitsProblem::new(&p, params, b)
-            .solve(rtsdf_core::SolveMethod::WaterFilling)
+            .solve()
             .is_ok());
     }
 
@@ -344,8 +344,7 @@ mod tests {
         let p = synthesize(&GammaConfig::default(), 11).unwrap();
         let b: Vec<f64> = p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect();
         let params = RtParams::new(20.0, 1e5).unwrap();
-        let sched = rtsdf_core::EnforcedWaitsProblem::new(&p, params, b)
-            .solve(rtsdf_core::SolveMethod::WaterFilling);
+        let sched = rtsdf_core::EnforcedWaitsProblem::new(&p, params, b).solve();
         assert!(sched.is_ok(), "{sched:?}");
     }
 }

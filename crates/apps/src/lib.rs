@@ -19,9 +19,8 @@
 //!   it synthesizes a [`dataflow_model::Topology`] with per-edge gains
 //!   and routing weights rather than a linear chain.
 //! * [`deepchain`] — deterministic `N`-stage synthetic chains (no RNG)
-//!   for solver scaling studies: their tridiagonal KKT structure
-//!   exercises the banded interior-point path at depths (N up to 1000)
-//!   far beyond the measured workloads.
+//!   for solver scaling studies at depths (N up to 1000) far beyond the
+//!   measured workloads.
 //!
 //! Each module synthesizes a workload, *measures* its gain
 //! distributions from actual (simplified but real) computations over

@@ -66,7 +66,7 @@ fn main() {
         RtParams::new(10.0, 1e5).unwrap(),
         vec![1.0, 3.0, 9.0, 6.0],
     )
-    .solve(SolveMethod::WaterFilling)
+    .solve()
     .expect("enforced point is feasible");
     let mono_sched = MonolithicProblem::new(&pipeline, RtParams::new(50.0, 1e5).unwrap(), 1.0, 1.0)
         .solve_fast()

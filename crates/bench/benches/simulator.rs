@@ -10,7 +10,7 @@ fn bench_enforced_simulation(c: &mut Criterion) {
     let p = rtsdf::blast::paper_pipeline();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let items = 5_000usize;
     let mut group = c.benchmark_group("simulate");
@@ -46,7 +46,7 @@ fn bench_multi_seed(c: &mut Criterion) {
     let p = rtsdf::blast::paper_pipeline();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     c.bench_function("run_seeds_enforced_8x2k", |b| {
         b.iter(|| {

@@ -20,13 +20,7 @@ fn bench_enforced_solvers(c: &mut Criterion) {
     group.bench_function("waterfilling", |bench| {
         bench.iter(|| {
             let prob = EnforcedWaitsProblem::new(&p, params, b.clone());
-            black_box(prob.solve(SolveMethod::WaterFilling).unwrap())
-        })
-    });
-    group.bench_function("interior_point", |bench| {
-        bench.iter(|| {
-            let prob = EnforcedWaitsProblem::new(&p, params, b.clone());
-            black_box(prob.solve(SolveMethod::InteriorPoint).unwrap())
+            black_box(prob.solve().unwrap())
         })
     });
     group.finish();
@@ -58,8 +52,8 @@ fn bench_monolithic_solvers(c: &mut Criterion) {
 }
 
 fn bench_deep_pipeline_scaling(c: &mut Criterion) {
-    // Solver cost vs pipeline depth (the dense Newton is O(N^3) per
-    // step; the water-filling inner solve is O(N) per λ).
+    // Solver cost vs pipeline depth (the water-filling inner solve is
+    // O(N) per λ).
     let mut group = c.benchmark_group("enforced_solve_depth");
     for n in [4usize, 16, 64] {
         let mut b = PipelineSpecBuilder::new(128);
@@ -76,7 +70,7 @@ fn bench_deep_pipeline_scaling(c: &mut Criterion) {
         group.bench_function(format!("waterfilling_n{n}"), |bench| {
             bench.iter_batched(
                 || EnforcedWaitsProblem::new(&p, params, factors.clone()),
-                |prob| black_box(prob.solve(SolveMethod::WaterFilling).unwrap()),
+                |prob| black_box(prob.solve().unwrap()),
                 BatchSize::SmallInput,
             )
         });

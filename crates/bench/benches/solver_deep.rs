@@ -1,73 +1,87 @@
-//! Criterion bench: interior-point scaling on deep synthetic chains.
+//! Criterion bench: exact water-filling on deep synthetic chains.
 //!
 //! The paper's pipelines are 4 stages deep; this bench drives the
-//! enforced-waits interior point through the deterministic
-//! `deepchain` workloads at N ∈ {4, 32, 64, 128, 512, 1000} to show
-//! the banded Newton path holds its O(N·b²)-per-step promise. Each
-//! depth's solve is measured cold, and one representative solve's
-//! telemetry records the factorization kind (`dense` below the
-//! banded engagement threshold, `banded` with bandwidth 1 above it),
-//! total Newton iterations, and the derived wall-per-iteration cost.
+//! enforced-waits solver through the deterministic `deepchain`
+//! workloads at N ∈ {4, 64, 512, 1000}, each at τ0 = 5 and twice the
+//! smallest feasible deadline. Each depth's solve is timed cold, in
+//! batches interleaved across depths for `CRITERION_MEASURE_MS`
+//! (default 300), and one schedule per depth is certified by the KKT
+//! check outside the timed loop.
 //!
-//! The scaling gate: the per-Newton-step KKT kernel cost (assembly +
-//! banded factor + solve, reported by `SolveTelemetry::
-//! newton_solve_micros`) between N=512 and N=64 must stay ≤ 12× (a
-//! dense O(N³) step would be ~64×). The full wall per iteration is
-//! recorded alongside but not gated: the Armijo line search runs an
-//! instance-dependent number of barrier evaluations per step (5–13 on
-//! these chains), which measures conditioning, not factorization
-//! scaling. The bench exits non-zero when the gate fails, and
+//! Water-filling costs O(N) per deadline-price evaluation and takes a
+//! handful of evaluations, so its wall time should grow at most
+//! linearly in N. The scaling gate: the fastest solve at N = 1000 over
+//! the fastest at N = 64 must stay ≤ 1000/64. The bench exits non-zero
+//! when the gate fails or a schedule is not KKT-optimal, and
 //! `--metrics json` writes the measurements to `BENCH_deep.json`
-//! (iterations gated by `bench_diff`, wall times informational) so CI
-//! tracks the trajectory.
+//! (per-depth `iterations` gated by `bench_diff`, wall times
+//! informational) so CI tracks the trajectory.
 //!
 //! ```text
 //! cargo bench -p bench --bench solver_deep -- [--metrics json|csv]
 //! ```
 
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
-use criterion::{black_box, Criterion};
+use rtsdf::core::kkt::verify_kkt;
 use rtsdf::core::minimal_periods;
 use rtsdf::prelude::*;
 use serde_json::json;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-/// Chain depths to measure (the acceptance gate compares 512 vs 64).
-const DEPTHS: &[usize] = &[4, 32, 64, 128, 512, 1000];
+/// Chain depths to measure (the gate compares 1000 vs 64).
+const DEPTHS: &[usize] = &[4, 64, 512, 1000];
 
-/// Maximum allowed per-Newton-step KKT kernel ratio between N=512 and
-/// N=64 (linear scaling predicts 8×; dense O(N³) steps would be ~512×).
-const MAX_KERNEL_PER_ITER_RATIO: f64 = 12.0;
+/// Largest allowed min-wall ratio N=1000 / N=64: linear scaling.
+const MAX_WALL_RATIO: f64 = 1000.0 / 64.0;
+
+/// Active-constraint and optimality tolerances of the KKT check.
+const KKT_ACTIVE_TOL: f64 = 1e-5;
+const KKT_TOL: f64 = 1e-3;
+
+/// Stages solved per timed batch: a batch runs `BATCH_STAGES / N`
+/// solves, a few milliseconds at every depth.
+const BATCH_STAGES: usize = 32_000;
+
+/// Timed rounds at least, whatever the measurement window.
+const MIN_ROUNDS: usize = 5;
 
 /// One depth's measurements.
 struct DepthRow {
     n: usize,
     wall_micros: f64,
     min_wall_micros: f64,
-    /// Smallest per-solve Newton-kernel wall over the repeat solves
-    /// (`None` on the dense path below the banded engagement size).
-    kernel_micros: Option<f64>,
     iterations: u64,
-    phase1_iterations: u64,
-    factorization: String,
-    bandwidth: Option<u64>,
     active_fraction: f64,
+    stationarity: f64,
 }
 
-impl DepthRow {
-    /// Full-solve wall per Newton iteration, from the fastest sample:
-    /// the minimum is the run-to-run-stable measure of what the work
-    /// itself costs, while the mean absorbs scheduler and frequency
-    /// interference that scales with wall time.
-    fn wall_per_iter(&self) -> f64 {
-        self.min_wall_micros / self.iterations.max(1) as f64
+/// Mean and fastest per-solve wall (µs) of each problem. Each round
+/// times one batch per depth, depths interleaved, so a slow stretch of
+/// the host hits every depth alike; rounds repeat until `window` has
+/// passed. The fastest batch mean is the stable measure of what the
+/// work itself costs.
+fn time_solves(probs: &[EnforcedWaitsProblem<'_>], window: Duration) -> Vec<(f64, f64)> {
+    let mut sums = vec![(0.0, 0usize); probs.len()];
+    let mut mins = vec![f64::INFINITY; probs.len()];
+    let started = Instant::now();
+    let mut rounds = 0;
+    while rounds < MIN_ROUNDS || started.elapsed() < window {
+        for (k, prob) in probs.iter().enumerate() {
+            let solves = (BATCH_STAGES / prob.pipeline().len()).max(1);
+            let t0 = Instant::now();
+            for _ in 0..solves {
+                black_box(prob.solve().unwrap());
+            }
+            let total = t0.elapsed().as_secs_f64() * 1e6;
+            sums[k] = (sums[k].0 + total, sums[k].1 + solves);
+            mins[k] = mins[k].min(total / solves as f64);
+        }
+        rounds += 1;
     }
-
-    /// Gated metric: KKT assembly + banded factor + solve per Newton
-    /// step, excluding the instance-conditioned line-search work.
-    fn kernel_per_iter(&self) -> Option<f64> {
-        self.kernel_micros
-            .map(|k| k / self.iterations.max(1) as f64)
-    }
+    (sums.iter().zip(mins))
+        .map(|(&(sum, count), min)| (sum / count as f64, min))
+        .collect()
 }
 
 fn main() {
@@ -76,95 +90,64 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
+    // Same knob as the other benches: the measurement window.
+    let window_ms = std::env::var("CRITERION_MEASURE_MS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(300);
 
-    // This bench parses its own flags, so the shim's positional-filter
-    // sniffing must be disabled.
-    let mut c = Criterion::default().with_filter(None);
+    let pipelines: Vec<PipelineSpec> = DEPTHS
+        .iter()
+        .map(|&n| rtsdf::apps::deepchain::deep_chain(n).expect("deep chain builds"))
+        .collect();
+    let probs: Vec<EnforcedWaitsProblem<'_>> = pipelines
+        .iter()
+        .map(|p| {
+            let b = EnforcedWaitsProblem::optimistic_backlog(p);
+            let min_d: f64 = minimal_periods(p)
+                .iter()
+                .zip(&b)
+                .map(|(x, bi)| x * bi)
+                .sum();
+            let params = RtParams::new(5.0, min_d * 2.0).expect("valid operating point");
+            EnforcedWaitsProblem::new(p, params, b)
+        })
+        .collect();
 
-    let mut rows: Vec<DepthRow> = Vec::with_capacity(DEPTHS.len());
-    for &n in DEPTHS {
-        let p = rtsdf::apps::deepchain::deep_chain(n).expect("deep chain builds");
-        let b = EnforcedWaitsProblem::optimistic_backlog(&p);
-        let min_d: f64 = minimal_periods(&p)
-            .iter()
-            .zip(&b)
-            .map(|(x, bi)| x * bi)
-            .sum();
-        let params = RtParams::new(5.0, min_d * 2.0).expect("valid operating point");
-        let prob = EnforcedWaitsProblem::new(&p, params, b);
-        {
-            let mut group = c.benchmark_group("deep_ip");
-            group.bench_function(format!("n{n}"), |bench| {
-                bench.iter(|| black_box(prob.solve(SolveMethod::InteriorPoint).unwrap()))
-            });
-            group.finish();
+    // Outside the timed loop: one schedule per depth, KKT-certified.
+    let mut rows = Vec::with_capacity(DEPTHS.len());
+    let mut uncertified = Vec::new();
+    for (&n, prob) in DEPTHS.iter().zip(&probs) {
+        let sched = prob.solve().expect("deep chain is schedulable");
+        let kkt = verify_kkt(prob, &sched.periods, KKT_ACTIVE_TOL);
+        if !kkt.is_optimal(KKT_TOL) {
+            uncertified.push(n);
         }
-        // Representative solves for telemetry; min-of-repeats stabilizes
-        // the in-solve kernel timer against scheduler interference.
-        let mut kernel_micros: Option<f64> = None;
-        let mut last = None;
-        for _ in 0..3 {
-            let sched = prob
-                .solve(SolveMethod::InteriorPoint)
-                .expect("deep chain is schedulable");
-            let t = sched
-                .telemetry
-                .clone()
-                .expect("interior point reports telemetry");
-            if let Some(k) = t.newton_solve_micros {
-                kernel_micros = Some(kernel_micros.map_or(k, |b: f64| b.min(k)));
-            }
-            last = Some((sched, t));
-        }
-        let (sched, t) = last.expect("at least one solve ran");
         rows.push(DepthRow {
             n,
-            wall_micros: f64::NAN,     // filled from criterion below
-            min_wall_micros: f64::NAN, // filled from criterion below
-            kernel_micros,
-            iterations: t.iterations,
-            phase1_iterations: t.phase1_iterations.unwrap_or(0),
-            factorization: t.factorization.unwrap_or_else(|| "unknown".into()),
-            bandwidth: t.bandwidth,
+            wall_micros: f64::NAN,
+            min_wall_micros: f64::NAN,
+            iterations: sched.telemetry.map_or(0, |t| t.iterations),
             active_fraction: sched.active_fraction,
+            stationarity: kkt.stationarity_residual,
         });
     }
-
-    let results = c.take_results();
-    for row in &mut rows {
-        let hit = results
-            .iter()
-            .find(|r| r.id == format!("deep_ip/n{}", row.n));
-        row.wall_micros = hit.map(|r| r.mean_ns / 1e3).unwrap_or(f64::NAN);
-        row.min_wall_micros = hit.map(|r| r.min_ns / 1e3).unwrap_or(f64::NAN);
+    let timings = time_solves(&probs, Duration::from_millis(window_ms));
+    for (row, (mean, min)) in rows.iter_mut().zip(timings) {
+        (row.wall_micros, row.min_wall_micros) = (mean, min);
     }
 
     println!();
     for row in &rows {
         println!(
-            "N={:<5} {:>10.1} µs/solve  {:>4} iters ({} phase-1)  {:>8.2} µs/iter  {} kernel µs/iter  {}{}",
-            row.n,
-            row.wall_micros,
-            row.iterations,
-            row.phase1_iterations,
-            row.wall_per_iter(),
-            row.kernel_per_iter()
-                .map_or("     n/a".into(), |k| format!("{k:>8.2}")),
-            row.factorization,
-            row.bandwidth.map_or(String::new(), |b| format!("(bw={b})")),
+            "N={:<5} {:>9.2} µs/solve (min {:>9.2})  {:>3} price evaluations  KKT residual {:.1e}",
+            row.n, row.wall_micros, row.min_wall_micros, row.iterations, row.stationarity,
         );
     }
 
     let at = |n: usize| rows.iter().find(|r| r.n == n).expect("depth measured");
-    let wall_ratio = at(512).wall_per_iter() / at(64).wall_per_iter();
-    let kernel_ratio = match (at(512).kernel_per_iter(), at(64).kernel_per_iter()) {
-        (Some(a), Some(b)) => a / b,
-        _ => f64::NAN,
-    };
-    println!(
-        "scaling: per-step KKT kernel N=512 / N=64 = {kernel_ratio:.2}x \
-         (gate: <= {MAX_KERNEL_PER_ITER_RATIO}x); full wall per iter = {wall_ratio:.2}x (info)"
-    );
+    let wall_ratio = at(1000).min_wall_micros / at(64).min_wall_micros;
+    println!("scaling: min wall N=1000 / N=64 = {wall_ratio:.2}x (gate: <= {MAX_WALL_RATIO}x)");
 
     if let Some(format) = metrics {
         match format {
@@ -176,23 +159,17 @@ fn main() {
                         json!({
                             "wall_micros": row.wall_micros,
                             "min_wall_micros": row.min_wall_micros,
-                            "kernel_micros": row.kernel_micros,
                             "iterations": row.iterations,
-                            "phase1_newton_steps": row.phase1_iterations,
-                            "wall_per_iter_micros": row.wall_per_iter(),
-                            "kernel_per_iter_micros": row.kernel_per_iter(),
-                            "factorization": row.factorization,
-                            "bandwidth_value": row.bandwidth,
                             "active_fraction_value": row.active_fraction,
+                            "kkt_stationarity_residual": row.stationarity,
                         }),
                     );
                 }
                 let results_blob = json!({
                     "depths": depths,
                     "scaling": json!({
-                        "kernel_per_iter_ratio_512_over_64": kernel_ratio,
-                        "wall_per_iter_ratio_512_over_64": wall_ratio,
-                        "max_allowed_kernel_ratio": MAX_KERNEL_PER_ITER_RATIO,
+                        "min_wall_ratio_1000_over_64": wall_ratio,
+                        "max_allowed_wall_ratio": MAX_WALL_RATIO,
                     }),
                 });
                 let config_blob = json!({
@@ -212,21 +189,14 @@ fn main() {
                         vec![
                             format!("n{}", r.n),
                             format!("{:.3}", r.wall_micros),
+                            format!("{:.3}", r.min_wall_micros),
                             r.iterations.to_string(),
-                            format!("{:.4}", r.wall_per_iter()),
-                            r.factorization.clone(),
                         ]
                     })
                     .collect();
                 let path = write_metrics_csv(
                     "deep",
-                    &[
-                        "id",
-                        "wall_micros",
-                        "iterations",
-                        "wall_per_iter",
-                        "factorization",
-                    ],
+                    &["id", "wall_micros", "min_wall_micros", "iterations"],
                     &csv_rows,
                 )
                 .expect("metrics written");
@@ -235,12 +205,15 @@ fn main() {
         }
     }
 
-    // NaN (missing banded kernel telemetry) must fail the gate too.
-    if kernel_ratio.is_nan() || kernel_ratio > MAX_KERNEL_PER_ITER_RATIO {
+    if !uncertified.is_empty() {
+        eprintln!("FAIL: water-filling schedules at N = {uncertified:?} are not KKT-optimal");
+        std::process::exit(1);
+    }
+    // NaN (a missing measurement) must fail the gate too.
+    if wall_ratio.is_nan() || wall_ratio > MAX_WALL_RATIO {
         eprintln!(
-            "FAIL: per-step KKT kernel ratio N=512/N=64 = {kernel_ratio:.2}x exceeds \
-             {MAX_KERNEL_PER_ITER_RATIO}x — the banded Newton path is not engaging \
-             (or regressed to dense scaling)"
+            "FAIL: min wall N=1000 / N=64 = {wall_ratio:.2}x exceeds {MAX_WALL_RATIO}x — \
+             water-filling has stopped scaling linearly in depth"
         );
         std::process::exit(1);
     }

@@ -12,9 +12,8 @@
 //!   paper's 64×64 grid runs through the one-worker `sweep`, whose whole
 //!   rows are the row kernel's segments; its cell rate does not depend
 //!   on the core count, so `bench_diff` gates it.
-//! * **Solver** — a cold `solve_with_fallback` vs the same solve warm-
-//!   started from a neighboring deadline's schedule, and the monolithic
-//!   block-size search (`solve_fast`) at its own bench point.
+//! * **Solver** — one enforced water-filling `solve` and the monolithic
+//!   block-size search (`solve_fast`), each at its own bench point.
 //! * **Simulator** — the allocation-free enforced/monolithic hot loops,
 //!   reported as items/second, plus one 200k-item enforced stream.
 //!
@@ -30,10 +29,9 @@
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
 use criterion::{black_box, Criterion};
 use rtsdf::core::comparison::{
-    sweep, sweep_parallel, sweep_parallel_chunked, sweep_parallel_live, sweep_parallel_with,
-    SweepConfig, SweepOptions, SweepProgress, SweepResult,
+    sweep, sweep_parallel, sweep_parallel_chunked, sweep_parallel_live, SweepConfig, SweepProgress,
 };
-use rtsdf::core::{worker_threads, WarmStart};
+use rtsdf::core::worker_threads;
 use rtsdf::prelude::*;
 use serde_json::json;
 use std::time::Instant;
@@ -120,54 +118,25 @@ fn main() {
         group.bench_function("paper_64x64", |b| {
             b.iter(|| black_box(sweep(&pipeline, &paper_tau0s, &paper_ds, &sweep_config).unwrap()))
         });
-        group.bench_function("warm_work_stealing", |b| {
-            b.iter(|| {
-                black_box(
-                    sweep_parallel_with(
-                        &pipeline,
-                        &tau0s,
-                        &ds,
-                        &sweep_config,
-                        &SweepOptions::warm(),
-                    )
-                    .unwrap(),
-                )
-            })
-        });
         group.finish();
     }
 
-    // Solver: one feasible BLAST operating point, warm hint from the
-    // neighboring (next larger) deadline — the sweep's actual access
-    // pattern.
-    let b_factors = sweep_config.enforced_b.clone();
+    // Solver: one feasible BLAST operating point.
     let point = RtParams::new(10.0, 1e5).unwrap();
-    let neighbor = RtParams::new(10.0, 1.2e5).unwrap();
-    let prob = EnforcedWaitsProblem::new(&pipeline, point, b_factors.clone());
-    let hint_sched = EnforcedWaitsProblem::new(&pipeline, neighbor, b_factors.clone())
-        .solve_with_fallback()
-        .expect("neighbor point is feasible");
-    let hint = WarmStart::from_schedule(&hint_sched);
+    let prob = EnforcedWaitsProblem::new(&pipeline, point, sweep_config.enforced_b.clone());
     // The monolithic block-size search, at the monolithic simulator's
     // operating point.
     let mono_prob = MonolithicProblem::new(&pipeline, RtParams::new(50.0, 1e5).unwrap(), 1.0, 1.0);
     {
         let mut group = c.benchmark_group("solver");
-        group.bench_function("cold", |b| {
-            b.iter(|| black_box(prob.solve_with_fallback().unwrap()))
-        });
-        group.bench_function("warm", |b| {
-            b.iter(|| black_box(prob.solve_with_fallback_warm(&hint).unwrap()))
-        });
+        group.bench_function("cold", |b| b.iter(|| black_box(prob.solve().unwrap())));
         group.bench_function("monolithic", |b| {
             b.iter(|| black_box(mono_prob.solve_fast().unwrap()))
         });
         group.finish();
     }
-    let cold_sched = prob.solve_with_fallback().unwrap();
-    let warm_sched = prob.solve_with_fallback_warm(&hint).unwrap();
+    let cold_sched = prob.solve().unwrap();
     let cold_iters = cold_sched.telemetry.as_ref().map_or(0, |t| t.iterations);
-    let warm_iters = warm_sched.telemetry.as_ref().map_or(0, |t| t.iterations);
     let mono_sched = mono_prob
         .solve_fast()
         .expect("monolithic point is feasible");
@@ -237,8 +206,7 @@ fn main() {
     // criterion groups: at 4096 cells one pass is already seconds, and
     // the wall keys are informational. The work-stealing pass publishes
     // into a live metrics registry so the row records actual steals and
-    // per-worker busy fractions; the two warm modes' deterministic
-    // iteration totals quantify the cross-cell seeding win at scale.
+    // per-worker busy fractions.
     let (prof_rows, prof_cols) = (64usize, 64usize);
     let (prof_tau0s, prof_ds) = imbalanced_grid(prof_rows, prof_cols);
     let t0 = Instant::now();
@@ -251,38 +219,10 @@ fn main() {
         &prof_tau0s,
         &prof_ds,
         &sweep_config,
-        &SweepOptions::default(),
         Some(&progress),
     )
     .unwrap();
     let prof_ws = t0.elapsed();
-    let total_iters = |r: &SweepResult| {
-        r.cells
-            .iter()
-            .filter_map(|c| c.enforced_telemetry.as_ref())
-            .map(|t| t.iterations)
-            .sum::<u64>()
-    };
-    let warm_rows_sweep = sweep_parallel_with(
-        &pipeline,
-        &prof_tau0s,
-        &prof_ds,
-        &sweep_config,
-        &SweepOptions::warm(),
-    )
-    .unwrap();
-    let warm_graph_sweep = sweep_parallel_with(
-        &pipeline,
-        &prof_tau0s,
-        &prof_ds,
-        &sweep_config,
-        &SweepOptions::warm_graph(),
-    )
-    .unwrap();
-    let (warm_rows_iters, warm_graph_iters) = (
-        total_iters(&warm_rows_sweep),
-        total_iters(&warm_graph_sweep),
-    );
     let snap = progress.registry().snapshot();
     let prof_steals = snap.total("rtsdf_sweep_steals");
     let prof_claims = snap.total("rtsdf_sweep_cells_claimed");
@@ -297,7 +237,6 @@ fn main() {
     let cells = (rows * cols) as f64;
     let chunked = mean_ns(&results, "sweep/chunked");
     let ws = mean_ns(&results, "sweep/work_stealing");
-    let warm_ws = mean_ns(&results, "sweep/warm_work_stealing");
     let paper = mean_ns(&results, "sweep/paper_64x64");
     let paper_cells = (paper_tau0s.len() * paper_ds.len()) as f64;
     let cells_per_sec = |ns: f64| cells / (ns / 1e9);
@@ -313,18 +252,13 @@ fn main() {
         "sweep paper 64x64, one worker: {:.0} cells/s",
         paper_cells / (paper / 1e9)
     );
-    println!(
-        "solver: cold {cold_iters} iters, warm {warm_iters} iters, monolithic {mono_iters} evals"
-    );
+    println!("solver: enforced {cold_iters} iters, monolithic {mono_iters} evals");
     println!(
         "profile {prof_rows}x{prof_cols}: work stealing {:.2}s vs chunked {:.2}s ({:.2}x), \
          {prof_steals:.0} steals / {prof_claims:.0} cells, busy min {busy_min:.2} mean {busy_mean:.2}",
         prof_ws.as_secs_f64(),
         prof_chunked.as_secs_f64(),
         prof_chunked.as_secs_f64() / prof_ws.as_secs_f64(),
-    );
-    println!(
-        "profile {prof_rows}x{prof_cols} warm: row chaining {warm_rows_iters} iters vs graph {warm_graph_iters} iters"
     );
 
     let Some(format) = metrics else { return };
@@ -343,7 +277,6 @@ fn main() {
                     "cells": cells,
                     "chunked": timing(chunked),
                     "work_stealing": timing(ws),
-                    "warm_work_stealing": timing(warm_ws),
                     "paper_64x64": json!({
                         "wall_micros": paper / 1e3,
                         "cells_per_sec": paper_cells / (paper / 1e9),
@@ -354,10 +287,6 @@ fn main() {
                     "cold": json!({
                         "iterations": cold_iters,
                         "wall_micros": mean_ns(&results, "solver/cold") / 1e3,
-                    }),
-                    "warm": json!({
-                        "iterations": warm_iters,
-                        "wall_micros": mean_ns(&results, "solver/warm") / 1e3,
                     }),
                     "monolithic": json!({
                         "iterations": mono_iters,
@@ -400,8 +329,6 @@ fn main() {
                     "cells_claimed": prof_claims,
                     "busy_fraction_min": busy_min,
                     "busy_fraction_mean": busy_mean,
-                    "warm_rows": json!({ "iterations": warm_rows_iters }),
-                    "warm_graph": json!({ "iterations": warm_graph_iters }),
                 }),
             });
             let config_blob = json!({

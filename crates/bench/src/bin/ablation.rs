@@ -37,7 +37,7 @@ fn main() {
     ] {
         let p = blast();
         let af = EnforcedWaitsProblem::new(&p, params, b.clone())
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .map(|s| s.active_fraction);
         rows.push(vec![
             label.to_string(),
@@ -76,7 +76,7 @@ fn main() {
     for v in [32, 64, 128, 256, 512] {
         let p = blast_with_width(v);
         let e = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .ok()
             .map(|s| s.active_fraction);
         let m = MonolithicProblem::new(&p, params, 1.0, 1.0)

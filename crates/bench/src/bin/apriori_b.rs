@@ -28,7 +28,7 @@ fn main() {
         // the paper's factors for the design, then estimate what the
         // theory would have prescribed.
         let sched = EnforcedWaitsProblem::new(&pipeline, *params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .expect("feasible");
         let est = estimate_backlog_factors(
             &pipeline,

@@ -4,7 +4,7 @@
 //! Prints two ASCII surfaces plus the underlying CSV so the numbers can
 //! be replotted. `--metrics json` additionally writes a `BENCH_fig3.json`
 //! run manifest with per-cell solver telemetry (method, iterations,
-//! wall time, fallbacks); `--metrics csv` writes the same data flat to
+//! wall time); `--metrics csv` writes the same data flat to
 //! `BENCH_fig3.csv`.
 //!
 //! `--grid RxC` shrinks the τ0 × D grid from the paper's 16x16 (CI

@@ -67,7 +67,6 @@ fn main() {
         active_fraction: sched.utilization,
         backlog_factors: b,
         latency_bound: sched.latency_bound,
-        method: SolveMethod::WaterFilling,
         telemetry: None,
     };
     let report = run_seeds_enforced(

@@ -25,7 +25,7 @@ fn main() {
     for (tau0, d) in [(5.0, 2.6e4), (10.0, 3e4), (10.0, 1e5)] {
         let params = RtParams::new(tau0, d).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b.clone())
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .expect("feasible");
         let mut stats = Vec::new();
         for arrivals in [
@@ -83,9 +83,7 @@ fn main() {
             RtParams::new(5.0, 2.6e4).unwrap(),
             RtParams::new(10.0, 3e4).unwrap(),
         ] {
-            let Ok(sched) = EnforcedWaitsProblem::new(&p, params, b_poisson.clone())
-                .solve(SolveMethod::WaterFilling)
-            else {
+            let Ok(sched) = EnforcedWaitsProblem::new(&p, params, b_poisson.clone()).solve() else {
                 continue;
             };
             let mut cfg = SimConfig::quick(params.tau0, 0, 8_000);

@@ -86,7 +86,7 @@ pub enum Leaf {
     Null,
     /// Any JSON number, widened to `f64`.
     Num(f64),
-    /// A boolean (e.g. `fallback`).
+    /// A boolean.
     Bool(bool),
     /// A string (e.g. `method`).
     Text(String),

@@ -156,7 +156,6 @@ pub fn emit_sweep_metrics_live(
                         t(&c.enforced_telemetry, &|s| s.method.clone()),
                         t(&c.enforced_telemetry, &|s| s.iterations.to_string()),
                         t(&c.enforced_telemetry, &|s| format!("{:.1}", s.wall_micros)),
-                        t(&c.enforced_telemetry, &|s| s.fallback.to_string()),
                         t(&c.monolithic_telemetry, &|s| s.iterations.to_string()),
                         t(&c.monolithic_telemetry, &|s| {
                             format!("{:.1}", s.wall_micros)
@@ -174,7 +173,6 @@ pub fn emit_sweep_metrics_live(
                     "enf_method",
                     "enf_iters",
                     "enf_wall_us",
-                    "enf_fallback",
                     "mono_iters",
                     "mono_wall_us",
                 ],

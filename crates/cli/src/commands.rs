@@ -6,7 +6,7 @@ use crate::live::{render_stress, render_sweep, LiveSession};
 use bench::{MetricsFormat, RunManifest};
 use obs_trace::{chrome_trace_string, render_blame, ForensicsConfig, SpanSink, TraceConfig};
 use rtsdf::core::comparison::{
-    sweep_parallel_live, sweep_topology_parallel_live, SweepConfig, SweepOptions, SweepProgress,
+    sweep_parallel_live, sweep_topology_parallel_live, SweepConfig, SweepProgress,
 };
 use rtsdf::core::{
     worker_threads, AnySchedule, EnforcedDagProblem, FlexibleSharesProblem, MonolithicDagProblem,
@@ -165,9 +165,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             let mut report = serde_json::Map::new();
 
             if matches!(strategy, Strategy::Enforced | Strategy::All) {
-                match EnforcedWaitsProblem::new(&p, params, b.clone())
-                    .solve(SolveMethod::WaterFilling)
-                {
+                match EnforcedWaitsProblem::new(&p, params, b.clone()).solve() {
                     Ok(s) => {
                         if !json {
                             writeln!(
@@ -258,7 +256,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 Dataflow::Chain(p) => {
                     let b = backlog(p, b)?;
                     let sched = EnforcedWaitsProblem::new(p, params, b.clone())
-                        .solve(SolveMethod::WaterFilling)
+                        .solve()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
                     let report = run_seeds_enforced(p, &sched, deadline, &cfg, seeds);
                     (b, sched, report)
@@ -393,14 +391,9 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             // the CSV/manifest output is unchanged — just faster. Live
             // telemetry publishes on the side of each cell's solve.
             let r = match &flow {
-                Dataflow::Chain(p) => sweep_parallel_live(
-                    p,
-                    &tau0s,
-                    &ds,
-                    &config,
-                    &SweepOptions::default(),
-                    progress.as_ref(),
-                ),
+                Dataflow::Chain(p) => {
+                    sweep_parallel_live(p, &tau0s, &ds, &config, progress.as_ref())
+                }
                 Dataflow::Dag(t) => {
                     sweep_topology_parallel_live(t, &tau0s, &ds, &config, progress.as_ref())
                 }
@@ -457,7 +450,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             let params = params(tau0, deadline)?;
             let b = backlog(&p, b)?;
             let sched = EnforcedWaitsProblem::new(&p, params, b)
-                .solve(SolveMethod::WaterFilling)
+                .solve()
                 .map_err(|e| CommandError::Params(e.to_string()))?;
             let cfg = SimConfig::quick(tau0, 0, 2_000);
             let tl = rtsdf::sim::timeline::record_timeline(&p, &sched, deadline, &cfg, window);
@@ -510,7 +503,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                     let b = backlog(&p, b)?;
                     let mut solver_sink = SpanSink::with_defaults();
                     let sched = EnforcedWaitsProblem::new(&p, params, b)
-                        .solve_with_fallback_traced(&mut solver_sink, 0)
+                        .solve_traced(&mut solver_sink, 0)
                         .map_err(|e| CommandError::Params(e.to_string()))?;
                     let (m, mut log) = simulate_enforced_traced(
                         &p,
@@ -578,7 +571,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 Dataflow::Chain(p) => {
                     let b = backlog(p, b)?;
                     let enforced = EnforcedWaitsProblem::new(p, params, b.clone())
-                        .solve(SolveMethod::WaterFilling)
+                        .solve()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
                     let mono = MonolithicProblem::new(p, params, 1.0, 1.0)
                         .solve_fast()

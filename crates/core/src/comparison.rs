@@ -22,13 +22,10 @@
 //! The work-stealing scheduler claims whole segments. They are whole
 //! rows when that still leaves about eight claims per worker, and
 //! shorter runs otherwise, so a 1×N grid spreads over every worker too.
-//! Live progress still counts cells. The warm modes pass their hints
-//! through the same kernel: a row's anchor hint seeds that row's
-//! segments, and graph warm starts run one-cell segments, each with its
-//! own hint.
+//! Live progress still counts cells.
 
 use crate::dag::EnforcedDagProblem;
-use crate::enforced::{CellScratch, EnforcedWaitsProblem, WarmStart};
+use crate::enforced::{CellScratch, EnforcedWaitsProblem};
 use crate::monolithic::{BlockModel, BlockTable, MonolithicDagProblem, MonolithicProblem, RowWalk};
 use crate::schedule::ScheduleError;
 use crate::telemetry::SolveTelemetry;
@@ -39,20 +36,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Grid coordinates of the cell whose schedule seeded a warm-started
-/// cell (`row` indexes `tau0s`, `col` indexes `deadlines`). Recording
-/// the edge makes warm sweeps auditable: the seeding choice is a pure
-/// function of already-solved neighbors, so replaying the recorded
-/// edges reproduces the sweep bit-identically regardless of which
-/// worker solved which cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeedEdge {
-    /// τ0 axis index of the seeding cell.
-    pub row: u64,
-    /// Deadline axis index of the seeding cell.
-    pub col: u64,
-}
 
 /// One grid cell's results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -69,11 +52,6 @@ pub struct CellResult {
     pub enforced_telemetry: Option<SolveTelemetry>,
     /// Telemetry of the monolithic solve (when it succeeded).
     pub monolithic_telemetry: Option<SolveTelemetry>,
-    /// Which cell seeded this one's enforced solve, when the sweep ran
-    /// warm (`None` for cold solves and anchors). Skipped when absent so
-    /// cold-sweep output stays byte-identical to earlier versions.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub warm_seed: Option<SeedEdge>,
 }
 
 impl CellResult {
@@ -155,50 +133,6 @@ impl SweepConfig {
     }
 }
 
-/// Options controlling how a sweep runs. The default (`warm_start:
-/// false`) reproduces the original cold-solve-per-cell behaviour
-/// exactly.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SweepOptions {
-    /// Seed each cell's enforced-waits solve from its row's anchor — the
-    /// largest-deadline cell of the same τ0, solved cold first. The
-    /// anchor choice is deterministic, so the sequential and parallel
-    /// warm sweeps stay bit-identical to each other. The sweep's
-    /// water-filling solves only seed their price search from the hint,
-    /// so warm cells equal the cold ones bit for bit and save no work.
-    pub warm_start: bool,
-    /// Seed each cell from its *best-converged already-solved neighbor*
-    /// instead of the row anchor: the grid is swept in anti-diagonal
-    /// waves from the single cold anchor at `(row 0, largest deadline)`,
-    /// and every other cell picks whichever of its two wave-`w−1`
-    /// predecessors — `(i−1, j)` or `(i, j+1)` — converged in fewer
-    /// iterations. Each seed is one grid step away (vs up to `cols−1`
-    /// for row chaining), so the hints are closer. Supersedes
-    /// `warm_start` when both are set. The parent choice depends only on
-    /// the completed previous wave, never on scheduling order, so
-    /// parallel graph sweeps stay bit-identical to sequential ones.
-    #[serde(default)]
-    pub warm_graph: bool,
-}
-
-impl SweepOptions {
-    /// Options with row-anchor warm-starting enabled.
-    pub fn warm() -> Self {
-        SweepOptions {
-            warm_start: true,
-            warm_graph: false,
-        }
-    }
-
-    /// Options with cross-cell warm-start graph seeding enabled.
-    pub fn warm_graph() -> Self {
-        SweepOptions {
-            warm_start: true,
-            warm_graph: true,
-        }
-    }
-}
-
 /// Optimize both strategies at one operating point: a one-cell row of
 /// the sweep kernel.
 pub fn compare_at(pipeline: &PipelineSpec, params: RtParams, config: &SweepConfig) -> CellResult {
@@ -275,20 +209,10 @@ enum EnforcedRow<'a> {
 
 impl Kernel<'_> {
     /// The row kernel every sweep cell goes through: `tau0` at each of
-    /// `deadlines`, in order, each cell handed to `emit` with its
-    /// enforced periods as a hint for neighbours when `keep_hint` asks
-    /// for them (and the cell is enforced feasible). One enforced and one
-    /// monolithic problem move along the row, the enforced solve seeded
-    /// from `hint`; the block-size searches share the table and one
-    /// running minimum over it.
-    fn row(
-        &self,
-        tau0: f64,
-        deadlines: &[f64],
-        hint: Option<&WarmStart>,
-        keep_hint: bool,
-        emit: &mut dyn FnMut((CellResult, Option<WarmStart>)),
-    ) {
+    /// `deadlines`, in order, each cell handed to `emit`. One enforced
+    /// and one monolithic problem move along the row; the block-size
+    /// searches share the table and one running minimum over it.
+    fn row(&self, tau0: f64, deadlines: &[f64], emit: &mut dyn FnMut(CellResult)) {
         let Some(&first) = deadlines.first() else {
             return;
         };
@@ -313,23 +237,18 @@ impl Kernel<'_> {
         for &d in deadlines {
             let params = RtParams::new(tau0, d).expect("grid validated above");
             let started = Instant::now();
-            let (enforced, mut enforced_telemetry, hint_out) = match &mut enforced_row {
+            let (enforced, mut enforced_telemetry) = match &mut enforced_row {
                 EnforcedRow::Chain(prob, scratch) => {
                     prob.set_params(params);
-                    match prob.solve_cell(hint, scratch) {
-                        Ok((af, telemetry)) => {
-                            let out = keep_hint.then(|| WarmStart {
-                                periods: scratch.periods.clone(),
-                            });
-                            (Some(af), telemetry, out)
-                        }
-                        Err(_) => (None, None, None),
+                    match prob.solve_cell(scratch) {
+                        Ok((af, telemetry)) => (Some(af), Some(telemetry)),
+                        Err(_) => (None, None),
                     }
                 }
                 EnforcedRow::Topology(t) => {
                     match EnforcedDagProblem::new(t, params, config.enforced_b.clone()).solve() {
-                        Ok(s) => (Some(s.active_fraction), s.telemetry, None),
-                        Err(_) => (None, None, None),
+                        Ok(s) => (Some(s.active_fraction), s.telemetry),
+                        Err(_) => (None, None),
                     }
                 }
             };
@@ -348,16 +267,14 @@ impl Kernel<'_> {
             if let Some(t) = &mut monolithic_telemetry {
                 t.wall_micros = micros(solved, done);
             }
-            let cell = CellResult {
+            emit(CellResult {
                 tau0,
                 deadline: d,
                 enforced,
                 monolithic,
                 enforced_telemetry,
                 monolithic_telemetry,
-                warm_seed: None,
-            };
-            emit((cell, hint_out));
+            });
         }
     }
 
@@ -367,12 +284,9 @@ impl Kernel<'_> {
         seg: Segment,
         tau0s: &[f64],
         deadlines: &[f64],
-        hint: Option<&WarmStart>,
-        keep_hint: bool,
-        emit: &mut dyn FnMut((CellResult, Option<WarmStart>)),
+        emit: &mut dyn FnMut(CellResult),
     ) {
-        let deadlines = &deadlines[seg.start..seg.end];
-        self.row(tau0s[seg.row], deadlines, hint, keep_hint, emit);
+        self.row(tau0s[seg.row], &deadlines[seg.start..seg.end], emit);
     }
 }
 
@@ -386,10 +300,7 @@ fn one_cell(model: Model, params: RtParams, config: &SweepConfig) -> CellResult 
         table: &table,
     };
     let mut out = None;
-    kernel.row(params.tau0, &[params.deadline], None, false, &mut |(
-        cell,
-        _,
-    )| {
+    kernel.row(params.tau0, &[params.deadline], &mut |cell| {
         out = Some(cell)
     });
     out.expect("one deadline, one cell")
@@ -433,63 +344,22 @@ pub fn sweep(
     deadlines: &[f64],
     config: &SweepConfig,
 ) -> Result<SweepResult, ScheduleError> {
-    sweep_with(pipeline, tau0s, deadlines, config, &SweepOptions::default())
-}
-
-/// [`sweep`] with explicit [`SweepOptions`]. With `warm_start` each row
-/// solves its anchor (largest-deadline) cell cold and seeds every other
-/// cell of the row from the anchor's enforced schedule.
-pub fn sweep_with(
-    pipeline: &PipelineSpec,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-    opts: &SweepOptions,
-) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
-    let cols = deadlines.len();
     let table = grid_table(pipeline, tau0s, deadlines, config);
-    let result = |cells| SweepResult {
-        tau0s: tau0s.to_vec(),
-        deadlines: deadlines.to_vec(),
-        cells,
-    };
-    if opts.warm_graph {
-        return Ok(result(sweep_graph_cells(
-            pipeline, tau0s, deadlines, config, &table, 1, None,
-        )));
-    }
     let kernel = Kernel {
         model: Model::Chain(pipeline),
         config,
         table: &table,
     };
-    let mut cells = Vec::with_capacity(tau0s.len() * cols);
-    if !opts.warm_start {
-        for &tau0 in tau0s {
-            kernel.row(tau0, deadlines, None, false, &mut |(cell, _)| {
-                cells.push(cell)
-            });
-        }
-    } else if cols > 0 {
-        for (i, &tau0) in tau0s.iter().enumerate() {
-            let mut anchor = None;
-            let last = &deadlines[cols - 1..];
-            kernel.row(tau0, last, None, true, &mut |solved| anchor = Some(solved));
-            let (anchor_cell, hint) = anchor.expect("one deadline, one cell");
-            let seed = hint.as_ref().map(|_| SeedEdge {
-                row: i as u64,
-                col: (cols - 1) as u64,
-            });
-            let rest = &deadlines[..cols - 1];
-            kernel.row(tau0, rest, hint.as_ref(), false, &mut |(mut cell, _)| {
-                cell.warm_seed = seed;
-                cells.push(cell)
-            });
-            cells.push(anchor_cell);
-        }
+    let mut cells = Vec::with_capacity(tau0s.len() * deadlines.len());
+    for &tau0 in tau0s {
+        kernel.row(tau0, deadlines, &mut |cell| cells.push(cell));
     }
-    Ok(result(cells))
+    Ok(SweepResult {
+        tau0s: tau0s.to_vec(),
+        deadlines: deadlines.to_vec(),
+        cells,
+    })
 }
 
 /// Live telemetry for the work-stealing sweep scheduler: a sharded
@@ -659,40 +529,24 @@ pub fn sweep_parallel(
     deadlines: &[f64],
     config: &SweepConfig,
 ) -> Result<SweepResult, ScheduleError> {
-    sweep_parallel_with(pipeline, tau0s, deadlines, config, &SweepOptions::default())
+    sweep_parallel_live(pipeline, tau0s, deadlines, config, None)
 }
 
-/// [`sweep_parallel`] with explicit [`SweepOptions`]. The warm variant
-/// runs two work-stealing phases — row anchors first, then all remaining
-/// cells seeded from their row's anchor — and stays bit-identical to
-/// [`sweep_with`] under the same options, because each cell's input
-/// (operating point + anchor hint) is independent of scheduling order.
-pub fn sweep_parallel_with(
-    pipeline: &PipelineSpec,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-    opts: &SweepOptions,
-) -> Result<SweepResult, ScheduleError> {
-    sweep_parallel_live(pipeline, tau0s, deadlines, config, opts, None)
-}
-
-/// [`sweep_parallel_with`] plus optional live telemetry: when
-/// `progress` is attached, workers publish per-segment claim and steal
-/// and per-cell completion and busy-fraction metrics into its registry
-/// as the sweep runs. Results remain bit-identical to the
-/// uninstrumented sweep — publishing happens outside each cell's solve.
+/// [`sweep_parallel`] plus optional live telemetry: when `progress` is
+/// attached, workers publish per-segment claim and steal and per-cell
+/// completion and busy-fraction metrics into its registry as the sweep
+/// runs. Results remain bit-identical to the uninstrumented sweep —
+/// publishing happens outside each cell's solve.
 pub fn sweep_parallel_live(
     pipeline: &PipelineSpec,
     tau0s: &[f64],
     deadlines: &[f64],
     config: &SweepConfig,
-    opts: &SweepOptions,
     progress: Option<&SweepProgress>,
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
     let threads = worker_threads();
-    let cells = sweep_cells(pipeline, tau0s, deadlines, config, opts, threads, progress);
+    let cells = sweep_cells(pipeline, tau0s, deadlines, config, threads, progress);
     Ok(SweepResult {
         tau0s: tau0s.to_vec(),
         deadlines: deadlines.to_vec(),
@@ -706,7 +560,6 @@ fn sweep_cells(
     tau0s: &[f64],
     deadlines: &[f64],
     config: &SweepConfig,
-    opts: &SweepOptions,
     threads: usize,
     progress: Option<&SweepProgress>,
 ) -> Vec<CellResult> {
@@ -720,159 +573,17 @@ fn sweep_cells(
         p.set_total(total);
     }
     let table = grid_table(pipeline, tau0s, deadlines, config);
-    if opts.warm_graph {
-        return sweep_graph_cells(
-            pipeline, tau0s, deadlines, config, &table, threads, progress,
-        );
-    }
     let kernel = Kernel {
         model: Model::Chain(pipeline),
         config,
         table: &table,
     };
-    let row = |seg, hint, keep_hint, emit: &mut dyn FnMut(_)| {
-        kernel.segment(seg, tau0s, deadlines, hint, keep_hint, emit)
-    };
-    if !opts.warm_start {
-        let len = segment_len(total, cols, threads);
-        return work_steal_live(
-            &segments(0..rows, 0..cols, len),
-            threads,
-            |seg, emit| row(seg, None, false, &mut |(cell, _)| emit(cell)),
-            progress,
-        );
-    }
-    // Phase 1: one cold anchor per row (the largest deadline).
-    let anchors = work_steal_live(
-        &segments(0..rows, cols - 1..cols, 1),
+    work_steal_live(
+        &segments(0..rows, 0..cols, segment_len(total, cols, threads)),
         threads,
-        |seg, emit| row(seg, None, true, emit),
+        |seg, emit| kernel.segment(seg, tau0s, deadlines, emit),
         progress,
-    );
-    // Phase 2: every remaining cell, warmed from its row's anchor.
-    let len = segment_len(rows * (cols - 1), cols - 1, threads);
-    let rest = work_steal_live(
-        &segments(0..rows, 0..cols - 1, len),
-        threads,
-        |seg, emit| {
-            let hint = anchors[seg.row].1.as_ref();
-            let seed = hint.map(|_| SeedEdge {
-                row: seg.row as u64,
-                col: (cols - 1) as u64,
-            });
-            row(seg, hint, false, &mut |(mut cell, _)| {
-                cell.warm_seed = seed;
-                emit(cell)
-            })
-        },
-        progress,
-    );
-    let mut cells = Vec::with_capacity(total);
-    let mut rest = rest.into_iter();
-    for (anchor_cell, _) in anchors {
-        cells.extend(rest.by_ref().take(cols - 1));
-        cells.push(anchor_cell);
-    }
-    cells
-}
-
-/// Pick the warm-start parent of grid cell `(i, j)` from its two
-/// anti-diagonal predecessors — `(i−1, j)` (previous τ0 row, same
-/// deadline) and `(i, j+1)` (same row, next larger deadline): whichever
-/// enforced solve *converged best* (fewest total iterations), breaking
-/// ties toward the same-row neighbor whose operating point differs only
-/// in deadline. Predecessors whose enforced solve failed are skipped;
-/// `None` means solve cold. Both predecessors live on wave
-/// `i + (cols−1−j) − 1`, so by the time a wave starts every candidate
-/// parent is final — the choice is a pure function of grid contents,
-/// never of scheduling order.
-fn graph_parent(i: usize, j: usize, cols: usize, iters: &[Option<u64>]) -> Option<(usize, usize)> {
-    let converged = |cand: Option<(usize, usize)>| {
-        cand.and_then(|(pi, pj)| iters[pi * cols + pj].map(|n| (n, (pi, pj))))
-    };
-    let right = converged((j + 1 < cols).then(|| (i, j + 1)));
-    let up = converged((i > 0).then(|| (i - 1, j)));
-    match (right, up) {
-        (Some((rn, rc)), Some((un, uc))) => Some(if un < rn { uc } else { rc }),
-        (Some((_, c)), None) | (None, Some((_, c))) => Some(c),
-        (None, None) => None,
-    }
-}
-
-/// Sweep the grid as a cross-cell warm-start *graph*: anti-diagonal
-/// waves expand from a single cold anchor at `(row 0, largest
-/// deadline)` — the most-slack operating point — and every later cell
-/// is seeded from its best-converged neighbor via [`graph_parent`].
-/// Cells within a wave are independent (their parents are all in the
-/// completed previous wave), so each wave runs under the work-stealing
-/// scheduler, one-cell segments each with its own hint, with a barrier
-/// between waves; results are bit-identical for any `threads`, and the
-/// chosen seed edge is recorded on each [`CellResult`] for audit.
-fn sweep_graph_cells(
-    pipeline: &PipelineSpec,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-    table: &BlockTable,
-    threads: usize,
-    progress: Option<&SweepProgress>,
-) -> Vec<CellResult> {
-    let rows = tau0s.len();
-    let cols = deadlines.len();
-    if rows == 0 || cols == 0 {
-        return Vec::new();
-    }
-    let total = rows * cols;
-    let mut cells: Vec<Option<CellResult>> = vec![None; total];
-    let mut hints: Vec<Option<WarmStart>> = Vec::with_capacity(total);
-    hints.resize_with(total, || None);
-    let mut iters: Vec<Option<u64>> = vec![None; total];
-    let kernel = Kernel {
-        model: Model::Chain(pipeline),
-        config,
-        table,
-    };
-    for wave in 0..rows + cols - 1 {
-        // Cells with i + (cols−1−j) == wave, in ascending-row order.
-        let wave_cells: Vec<Segment> = (0..rows)
-            .filter_map(|i| {
-                let off = wave.checked_sub(i)?;
-                (off < cols).then(|| Segment {
-                    row: i,
-                    start: cols - 1 - off,
-                    end: cols - off,
-                })
-            })
-            .collect();
-        let solved = work_steal_live(
-            &wave_cells,
-            threads,
-            |seg, emit| {
-                let (i, j) = (seg.row, seg.start);
-                let parent = graph_parent(i, j, cols, &iters);
-                let hint = parent.and_then(|(pi, pj)| hints[pi * cols + pj].as_ref());
-                let seed = hint.and(parent).map(|(pi, pj)| SeedEdge {
-                    row: pi as u64,
-                    col: pj as u64,
-                });
-                kernel.segment(seg, tau0s, deadlines, hint, true, &mut |(mut cell, out)| {
-                    cell.warm_seed = seed;
-                    emit((cell, out))
-                });
-            },
-            progress,
-        );
-        for (seg, (cell, hint)) in wave_cells.iter().zip(solved) {
-            let idx = seg.row * cols + seg.start;
-            iters[idx] = cell.enforced_telemetry.as_ref().map(|t| t.iterations);
-            cells[idx] = Some(cell);
-            hints[idx] = hint;
-        }
-    }
-    cells
-        .into_iter()
-        .map(|c| c.expect("waves covered every cell"))
-        .collect()
+    )
 }
 
 /// Optimize both strategies at one operating point on a DAG topology.
@@ -915,11 +626,7 @@ pub fn sweep_topology_parallel_live(
     let cells = work_steal_live(
         &segments(0..tau0s.len(), 0..cols, segment_len(total, cols, threads)),
         threads,
-        |seg, emit| {
-            kernel.segment(seg, tau0s, deadlines, None, false, &mut |(cell, _)| {
-                emit(cell)
-            })
-        },
+        |seg, emit| kernel.segment(seg, tau0s, deadlines, emit),
         progress,
     );
     Ok(SweepResult {
@@ -955,9 +662,7 @@ pub fn sweep_parallel_chunked(
         for (tau0_chunk, row_chunk) in tau0s.chunks(chunk).zip(rows.chunks_mut(chunk)) {
             scope.spawn(move || {
                 for (&tau0, row) in tau0_chunk.iter().zip(row_chunk.iter_mut()) {
-                    kernel.row(tau0, deadlines, None, false, &mut |(cell, _)| {
-                        row.push(cell)
-                    });
+                    kernel.row(tau0, deadlines, &mut |cell| row.push(cell));
                 }
             });
         }
@@ -1096,7 +801,6 @@ mod tests {
             let telemetry = [&mut cell.enforced_telemetry, &mut cell.monolithic_telemetry];
             for t in telemetry.into_iter().flatten() {
                 t.wall_micros = 0.0;
-                t.newton_solve_micros = t.newton_solve_micros.map(|_| 0.0);
             }
             format!("{cell:?}")
         };
@@ -1116,33 +820,27 @@ mod tests {
         let p = blast();
         let (tau0s, ds) = RtParams::paper_grid(4, 4);
         let cfg = SweepConfig::paper_blast();
-        for opts in [
-            SweepOptions::default(),
-            SweepOptions::warm(),
-            SweepOptions::warm_graph(),
-        ] {
-            let plain = sweep_parallel_with(&p, &tau0s, &ds, &cfg, &opts).unwrap();
-            let progress = SweepProgress::new(worker_threads());
-            let live = sweep_parallel_live(&p, &tau0s, &ds, &cfg, &opts, Some(&progress)).unwrap();
-            for (a, b) in plain.cells.iter().zip(&live.cells) {
-                assert_eq!((a.tau0, a.deadline), (b.tau0, b.deadline));
-                assert_eq!(a.enforced, b.enforced);
-                assert_eq!(a.monolithic, b.monolithic);
-            }
-            // Every cell is claimed exactly once and completed exactly once.
-            assert_eq!(progress.total(), 16);
-            assert_eq!(progress.completed(), 16);
-            let snap = progress.registry().snapshot();
-            assert_eq!(snap.total("rtsdf_sweep_cells_claimed"), 16.0);
-            assert!(snap.total("rtsdf_sweep_steals") >= 1.0);
-            let busy = snap.family("rtsdf_sweep_worker_busy_fraction").unwrap();
-            for sample in &busy.samples {
-                assert!(
-                    (0.0..=1.0 + 1e-9).contains(&sample.value),
-                    "busy fraction {} out of range",
-                    sample.value
-                );
-            }
+        let plain = sweep_parallel(&p, &tau0s, &ds, &cfg).unwrap();
+        let progress = SweepProgress::new(worker_threads());
+        let live = sweep_parallel_live(&p, &tau0s, &ds, &cfg, Some(&progress)).unwrap();
+        for (a, b) in plain.cells.iter().zip(&live.cells) {
+            assert_eq!((a.tau0, a.deadline), (b.tau0, b.deadline));
+            assert_eq!(a.enforced, b.enforced);
+            assert_eq!(a.monolithic, b.monolithic);
+        }
+        // Every cell is claimed exactly once and completed exactly once.
+        assert_eq!(progress.total(), 16);
+        assert_eq!(progress.completed(), 16);
+        let snap = progress.registry().snapshot();
+        assert_eq!(snap.total("rtsdf_sweep_cells_claimed"), 16.0);
+        assert!(snap.total("rtsdf_sweep_steals") >= 1.0);
+        let busy = snap.family("rtsdf_sweep_worker_busy_fraction").unwrap();
+        for sample in &busy.samples {
+            assert!(
+                (0.0..=1.0 + 1e-9).contains(&sample.value),
+                "busy fraction {} out of range",
+                sample.value
+            );
         }
     }
 
@@ -1182,115 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_parallel_bit_identical_to_warm_sequential() {
-        let p = blast();
-        let (tau0s, ds) = RtParams::paper_grid(5, 5);
-        let cfg = SweepConfig::paper_blast();
-        let opts = SweepOptions::warm();
-        let seq = sweep_with(&p, &tau0s, &ds, &cfg, &opts).unwrap();
-        let par = sweep_parallel_with(&p, &tau0s, &ds, &cfg, &opts).unwrap();
-        assert_eq!(seq.cells.len(), par.cells.len());
-        for (a, b) in seq.cells.iter().zip(&par.cells) {
-            assert_eq!((a.tau0, a.deadline), (b.tau0, b.deadline));
-            assert_eq!(a.enforced, b.enforced);
-            assert_eq!(a.monolithic, b.monolithic);
-        }
-    }
-
-    #[test]
-    fn warm_sweep_matches_cold_within_tolerance_and_saves_iterations() {
-        let p = blast();
-        let (tau0s, ds) = RtParams::paper_grid(5, 5);
-        let cfg = SweepConfig::paper_blast();
-        let cold = sweep(&p, &tau0s, &ds, &cfg).unwrap();
-        let warm = sweep_with(&p, &tau0s, &ds, &cfg, &SweepOptions::warm()).unwrap();
-        for (a, b) in cold.cells.iter().zip(&warm.cells) {
-            // Water-filling hints only seed the price search: warm cells
-            // reproduce the cold schedule bit for bit.
-            assert_eq!(a.enforced, b.enforced, "{a:?} vs {b:?}");
-            // Monolithic solves are untouched by warm-starting.
-            assert_eq!(a.monolithic, b.monolithic);
-        }
-        // Anchors (last column) run cold; other feasible cells are warm.
-        let cols = ds.len();
-        for (k, cell) in warm.cells.iter().enumerate() {
-            if let Some(t) = &cell.enforced_telemetry {
-                let is_anchor = k % cols == cols - 1;
-                assert_eq!(t.warm_start, !is_anchor, "cell {k}: {t:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn graph_sweep_parallel_bit_identical_to_sequential() {
-        let p = blast();
-        let (tau0s, ds) = RtParams::paper_grid(5, 5);
-        let cfg = SweepConfig::paper_blast();
-        let opts = SweepOptions::warm_graph();
-        let seq = sweep_with(&p, &tau0s, &ds, &cfg, &opts).unwrap();
-        let par = sweep_parallel_with(&p, &tau0s, &ds, &cfg, &opts).unwrap();
-        assert_eq!(seq.cells.len(), par.cells.len());
-        for (a, b) in seq.cells.iter().zip(&par.cells) {
-            assert_eq!((a.tau0, a.deadline), (b.tau0, b.deadline));
-            assert_eq!(a.enforced, b.enforced);
-            assert_eq!(a.monolithic, b.monolithic);
-            assert_eq!(a.warm_seed, b.warm_seed, "seed edges must be deterministic");
-        }
-    }
-
-    #[test]
-    fn graph_sweep_matches_cold_within_tolerance_and_records_seed_edges() {
-        let p = blast();
-        let (tau0s, ds) = RtParams::paper_grid(5, 5);
-        let cfg = SweepConfig::paper_blast();
-        let cold = sweep(&p, &tau0s, &ds, &cfg).unwrap();
-        let graph = sweep_with(&p, &tau0s, &ds, &cfg, &SweepOptions::warm_graph()).unwrap();
-        let cols = ds.len();
-        for (k, (a, b)) in cold.cells.iter().zip(&graph.cells).enumerate() {
-            let (i, j) = (k / cols, k % cols);
-            assert_eq!(a.enforced.is_some(), b.enforced.is_some(), "{a:?} vs {b:?}");
-            if let (Some(c), Some(w)) = (a.enforced, b.enforced) {
-                assert!((c - w).abs() < 1e-5, "cell {k}: cold {c} vs graph {w}");
-            }
-            assert_eq!(a.monolithic, b.monolithic);
-            // The single anchor (row 0, largest deadline) runs cold;
-            // every recorded seed edge points to an adjacent
-            // predecessor from the previous anti-diagonal wave.
-            if (i, j) == (0, cols - 1) {
-                assert!(b.warm_seed.is_none(), "anchor must run cold: {b:?}");
-            }
-            if let Some(edge) = b.warm_seed {
-                let (pi, pj) = (edge.row as usize, edge.col as usize);
-                assert!(
-                    (pi == i && pj == j + 1) || (pi + 1 == i && pj == j),
-                    "cell ({i},{j}) seeded from non-neighbor ({pi},{pj})"
-                );
-            }
-            if let Some(t) = &b.enforced_telemetry {
-                assert_eq!(t.warm_start, b.warm_seed.is_some(), "cell {k}: {t:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn graph_warm_start_beats_row_chaining_on_fig3_grid() {
-        // The sweep's enforced solves are water-filling, where a hint
-        // only seeds the exact price search: on the fig3-style grid,
-        // nearest-neighbor graph seeds and row-anchor chaining both
-        // reproduce the cold sweep bit for bit.
-        let p = blast();
-        let (tau0s, ds) = RtParams::paper_grid(8, 8);
-        let cfg = SweepConfig::paper_blast();
-        let cold = sweep(&p, &tau0s, &ds, &cfg).unwrap();
-        for opts in [SweepOptions::warm(), SweepOptions::warm_graph()] {
-            let warm = sweep_with(&p, &tau0s, &ds, &cfg, &opts).unwrap();
-            for (c, w) in cold.cells.iter().zip(&warm.cells) {
-                assert_eq!(c.enforced, w.enforced, "tau0={} D={}", c.tau0, c.deadline);
-            }
-        }
-    }
-
-    #[test]
     fn difference_requires_both_feasible() {
         let c = CellResult {
             tau0: 1.0,
@@ -1299,7 +888,6 @@ mod tests {
             monolithic: None,
             enforced_telemetry: None,
             monolithic_telemetry: None,
-            warm_seed: None,
         };
         assert!(c.difference().is_none());
     }
@@ -1348,7 +936,6 @@ mod tests {
         let telemetry = [&mut cell.enforced_telemetry, &mut cell.monolithic_telemetry];
         for t in telemetry.into_iter().flatten() {
             t.wall_micros = 0.0;
-            t.newton_solve_micros = t.newton_solve_micros.map(|_| 0.0);
         }
         format!("{cell:?}")
     }
@@ -1421,8 +1008,7 @@ mod tests {
             let swept = sweep_parallel(&p, &tau0s, &ds, &config).unwrap().cells;
             prop_assert_eq!(&untimed_all(swept), &per_cell);
             for threads in [1, 3] {
-                let opts = SweepOptions::default();
-                let swept = sweep_cells(&p, &tau0s, &ds, &config, &opts, threads, None);
+                let swept = sweep_cells(&p, &tau0s, &ds, &config, threads, None);
                 prop_assert_eq!(&untimed_all(swept), &per_cell);
             }
             let chain = Topology::chain(&p);
@@ -1438,7 +1024,7 @@ mod tests {
             };
             let mut swept = Vec::new();
             for &tau0 in &tau0s {
-                kernel.row(tau0, &ds, None, false, &mut |(cell, _)| swept.push(cell));
+                kernel.row(tau0, &ds, &mut |cell| swept.push(cell));
             }
             prop_assert_eq!(&untimed_all(swept), &per_cell);
         }
@@ -1482,8 +1068,7 @@ mod tests {
         };
         let spread = (0..5).any(|_| {
             let progress = SweepProgress::new(2);
-            let opts = SweepOptions::default();
-            let cells = sweep_cells(&p, &tau0s, &ds, &cfg, &opts, 2, Some(&progress));
+            let cells = sweep_cells(&p, &tau0s, &ds, &cfg, 2, Some(&progress));
             let cells: Vec<String> = cells.into_iter().map(untimed).collect();
             assert_eq!(cells, plain);
             assert_eq!(progress.completed(), 512);

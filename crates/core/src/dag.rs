@@ -17,10 +17,16 @@
 //! but conservative: it requires the consumer to keep up with each
 //! producer's scaled rate individually, which implies (and slightly
 //! over-provisions) the aggregate-rate requirement `x_i ≤ v·τ0/G_i`.
+//!
+//! [`EnforcedDagProblem::solve`] is water-filling: exact on chains
+//! (including their zero-gain segments), and on general DAGs the exact
+//! deadline price of an order-respecting projection, which needs every
+//! node's mean inflow `G_i` to be positive.
+//! [`EnforcedDagProblem::solve_interior_point`] optimizes the DAG
+//! program directly with the dense interior-point oracle, O(N³) per
+//! Newton step; only tests call it.
 
-use crate::enforced::{
-    ActiveFractionObjective, EnforcedWaitsProblem, SolveMethod, WaitSchedule, WarmStart,
-};
+use crate::enforced::{dense_interior_point, EnforcedWaitsProblem, WaitSchedule};
 use crate::feasibility::{check_enforced_feasibility, minimal_periods, FeasibilityError};
 use crate::kkt::{active_fraction_gradient, kkt_report, KktReport};
 use crate::policy;
@@ -29,7 +35,6 @@ use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
 use dataflow_model::analysis::topology_enforced_active_fraction;
 use dataflow_model::{RtParams, Topology};
-use solver::convex::{find_interior_point_detailed, minimize, SolverOptions};
 use solver::linear::ConstraintSet;
 
 /// The componentwise-minimal feasible firing periods on a DAG: a
@@ -145,32 +150,15 @@ impl<'a> EnforcedDagProblem<'a> {
     }
 
     /// Solve for the optimal waits. Chains delegate to
-    /// [`EnforcedWaitsProblem::solve_with_fallback`] (bit-exact); general
-    /// DAGs find the exact deadline price of the scaled-period
-    /// water-filling relaxation with an order-respecting projection (see
-    /// module docs).
+    /// [`EnforcedWaitsProblem::solve`] (bit-exact); general DAGs find the
+    /// exact deadline price of the scaled-period water-filling
+    /// relaxation with an order-respecting projection (see module docs).
     pub fn solve(&self) -> Result<WaitSchedule, ScheduleError> {
-        self.solve_inner(None)
-    }
-
-    /// [`EnforcedDagProblem::solve`] seeded from a nearby solution's
-    /// periods: the hint only seeds the first deadline-price step, so the
-    /// schedule equals the cold one bit for bit.
-    pub fn solve_warm(&self, warm: &WarmStart) -> Result<WaitSchedule, ScheduleError> {
-        self.solve_inner(Some(warm))
-    }
-
-    fn solve_inner(&self, warm: Option<&WarmStart>) -> Result<WaitSchedule, ScheduleError> {
         if let Some(chain) = self.topology.as_chain() {
-            let problem = EnforcedWaitsProblem::new(&chain, self.params, self.b.clone());
-            return match warm {
-                None => problem.solve_with_fallback(),
-                Some(w) => problem.solve_with_fallback_warm(w),
-            };
+            return EnforcedWaitsProblem::new(&chain, self.params, self.b.clone()).solve();
         }
         check_topology_feasibility(self.topology, &self.params, &self.b)?;
-        let warm = warm.filter(|w| w.periods.len() == self.topology.len());
-        let (result, micros) = timed(|| self.solve_dag_waterfilling(warm));
+        let (result, micros) = timed(|| self.solve_dag_waterfilling());
         let (periods, mut telemetry) = result?;
         telemetry.wall_micros = micros;
         let t = self.topology.service_times();
@@ -187,7 +175,6 @@ impl<'a> EnforcedDagProblem<'a> {
             active_fraction,
             backlog_factors: self.b.clone(),
             latency_bound,
-            method: SolveMethod::WaterFilling,
             telemetry: Some(telemetry),
         })
     }
@@ -221,56 +208,33 @@ impl<'a> EnforcedDagProblem<'a> {
         cs
     }
 
-    /// Bandwidth of the KKT system in node-index order: every edge
-    /// constraint couples `x_src` and `x_dst`, so the profile width is
-    /// the largest index distance an edge spans. Returns `None` — dense
-    /// Newton steps — when the reordered profile is wide (an edge spans
-    /// more than a quarter of the nodes), where the banded factorization
-    /// stops paying for itself.
-    pub fn kkt_bandwidth(&self) -> Option<usize> {
-        let n = self.topology.len();
-        let mut bw = 1usize;
-        for e in self.topology.edges() {
-            bw = bw.max(e.src.abs_diff(e.dst));
-        }
-        // Below paper-adjacent sizes the dense path runs regardless (the
-        // solver's own size gate), so report any valid profile; at depth
-        // a band covering more than a quarter of the nodes is wide.
-        if (n < 16 && bw + 1 < n) || bw * 4 <= n {
-            Some(bw)
-        } else {
-            None
-        }
-    }
-
-    /// Solve with the general interior-point method over
+    /// The dense interior-point oracle over
     /// [`EnforcedDagProblem::constraint_set`]. Unlike
-    /// [`EnforcedDagProblem::solve`] (the projected water-filling
-    /// heuristic, exact on chains but conservative at fan-ins), this
-    /// optimizes the DAG program directly; Newton steps run banded when
-    /// [`EnforcedDagProblem::kkt_bandwidth`] reports a narrow profile.
-    /// Chains delegate to the chain interior point.
+    /// [`EnforcedDagProblem::solve`] (the projected water-filling, exact
+    /// on chains but conservative at fan-ins), this optimizes the DAG
+    /// program directly. Each Newton step factors a dense `N × N`
+    /// system, O(N³), so this is for tests, not design sweeps. Chains
+    /// delegate to [`EnforcedWaitsProblem::solve_interior_point`].
     pub fn solve_interior_point(&self) -> Result<WaitSchedule, ScheduleError> {
-        self.solve_interior_point_with(&SolverOptions::default())
-    }
-
-    /// [`EnforcedDagProblem::solve_interior_point`] with explicit solver
-    /// options (tests force the banded path at small n, or the dense
-    /// path at depth, via `banded_min_dim`).
-    pub fn solve_interior_point_with(
-        &self,
-        opts: &SolverOptions,
-    ) -> Result<WaitSchedule, ScheduleError> {
         if let Some(chain) = self.topology.as_chain() {
             let problem = EnforcedWaitsProblem::new(&chain, self.params, self.b.clone());
-            return problem.solve(SolveMethod::InteriorPoint);
+            return problem.solve_interior_point();
         }
         check_topology_feasibility(self.topology, &self.params, &self.b)?;
-        let (result, micros) = timed(|| self.solve_ip_inner(opts));
-        let (periods, mut telemetry) = result?;
-        telemetry.wall_micros = micros;
+        let g = self.topology.total_gains();
+        if let Some(i) = (0..self.topology.len()).find(|&i| g[i] <= 0.0 || !g[i].is_finite()) {
+            return Err(ScheduleError::Solver(format!(
+                "node {i} has non-positive mean inflow; the DAG program is degenerate"
+            )));
+        }
         let t = self.topology.service_times();
-        let mut periods = periods;
+        let (result, micros) = timed(|| {
+            let x0 = topology_minimal_periods(self.topology);
+            let v = self.topology.vector_width();
+            dense_interior_point(&t, &self.constraint_set(), &x0, &self.params, v)
+        });
+        let (mut periods, mut telemetry) = result?;
+        telemetry.wall_micros = micros;
         for (x, &ti) in periods.iter_mut().zip(&t) {
             if *x < ti {
                 *x = ti;
@@ -285,57 +249,8 @@ impl<'a> EnforcedDagProblem<'a> {
             active_fraction,
             backlog_factors: self.b.clone(),
             latency_bound,
-            method: SolveMethod::InteriorPoint,
             telemetry: Some(telemetry),
         })
-    }
-
-    fn solve_ip_inner(
-        &self,
-        opts: &SolverOptions,
-    ) -> Result<(Vec<f64>, SolveTelemetry), ScheduleError> {
-        let g = self.topology.total_gains();
-        if let Some(i) = (0..self.topology.len()).find(|&i| g[i] <= 0.0 || !g[i].is_finite()) {
-            return Err(ScheduleError::Solver(format!(
-                "node {i} has non-positive mean inflow; the DAG program is degenerate"
-            )));
-        }
-        let cs = self.constraint_set();
-        let x0 = topology_minimal_periods(self.topology);
-        let radius = (self.params.deadline
-            + self.topology.vector_width() as f64 * self.params.tau0)
-            .max(1.0)
-            * 4.0;
-        let (interior, phase1_newtons) = find_interior_point_detailed(&cs, &x0, radius, opts)
-            .map_err(|e| ScheduleError::Solver(format!("phase-1: {e}")))?;
-        let sol = minimize(&self.ip_objective(), &cs, &interior, opts)
-            .map_err(|e| ScheduleError::Solver(e.to_string()))?;
-        let mut telemetry = SolveTelemetry::new("interior-point");
-        telemetry.iterations = (phase1_newtons + sol.newton_iters) as u64;
-        telemetry.residual = sol.gap;
-        telemetry.barrier_mu = sol.barrier_ts.clone();
-        telemetry.residual_series = sol
-            .barrier_ts
-            .iter()
-            .map(|&t| cs.len().max(1) as f64 / t)
-            .collect();
-        telemetry.phase1_iterations = Some(phase1_newtons as u64);
-        telemetry.record_factorization(sol.banded_bandwidth);
-        telemetry.newton_solve_micros = sol.newton_solve_micros;
-        Ok((sol.x, telemetry))
-    }
-
-    fn ip_objective(&self) -> ActiveFractionObjective {
-        let n = self.topology.len();
-        ActiveFractionObjective {
-            t_over_n: self
-                .topology
-                .service_times()
-                .iter()
-                .map(|ti| ti / n as f64)
-                .collect(),
-            bandwidth: self.kkt_bandwidth(),
-        }
     }
 
     /// Exact deadline price over the projected water-filling relaxation.
@@ -345,10 +260,7 @@ impl<'a> EnforcedDagProblem<'a> {
     /// itself or an ancestor, or a bound, so within one tie pattern the
     /// budget is affine in `μ = λ^(-1/2)`, and the smallest fitting λ is
     /// found exactly as on chains.
-    fn solve_dag_waterfilling(
-        &self,
-        warm: Option<&WarmStart>,
-    ) -> Result<(Vec<f64>, SolveTelemetry), ScheduleError> {
+    fn solve_dag_waterfilling(&self) -> Result<(Vec<f64>, SolveTelemetry), ScheduleError> {
         let topo = self.topology;
         let n = topo.len();
         let t = topo.service_times();
@@ -377,7 +289,6 @@ impl<'a> EnforcedDagProblem<'a> {
         }
 
         let mut telemetry = SolveTelemetry::new("dag-water-filling");
-        telemetry.warm_start = warm.is_some();
 
         // z_i, and its slope in μ: the root of the node whose free value
         // it took, or 0 at a bound.
@@ -420,16 +331,7 @@ impl<'a> EnforcedDagProblem<'a> {
                 .sum()
         };
 
-        let mu0 = seed_mu(
-            deadline,
-            &a,
-            &c,
-            &g,
-            &floor,
-            cap,
-            warm.map(|w| &w.periods[..]),
-        );
-        let lambda = exact_price(deadline, mu0, |lambda| {
+        let lambda = exact_price(deadline, seed_mu(deadline, &a, &c), |lambda| {
             let (slope, offset) = project(lambda, &mut z);
             let used = usage(&z);
             telemetry.iterations += 1;
@@ -470,39 +372,21 @@ pub fn verify_kkt_dag(
 /// Raise backlog factors to observed ceilings and re-solve the waits on
 /// a DAG — the [`policy::escalate_schedule`] repair step generalized.
 /// Chains delegate to the chain policy (bit-exact); general DAGs re-run
-/// [`EnforcedDagProblem::solve_warm`] at the raised factors.
+/// [`EnforcedDagProblem::solve`] at the raised factors.
 ///
-/// # Panics
-/// Panics if the slice lengths disagree with the topology.
+/// Returns [`ScheduleError::InvalidParams`] if the slice lengths
+/// disagree with the topology.
 pub fn escalate_schedule_topology(
     topology: &Topology,
     params: RtParams,
-    current_periods: &[f64],
     design_b: &[f64],
     observed_vectors: &[f64],
 ) -> Result<WaitSchedule, ScheduleError> {
-    let n = topology.len();
-    assert_eq!(current_periods.len(), n, "period vector length mismatch");
-    assert_eq!(design_b.len(), n, "design factor length mismatch");
-    assert_eq!(observed_vectors.len(), n, "observed vector length mismatch");
     if let Some(chain) = topology.as_chain() {
-        return policy::escalate_schedule(
-            &chain,
-            params,
-            current_periods,
-            design_b,
-            observed_vectors,
-        );
+        return policy::escalate_schedule(&chain, params, design_b, observed_vectors);
     }
-    let b: Vec<f64> = design_b
-        .iter()
-        .zip(observed_vectors)
-        .map(|(&bi, &obs)| bi.max(obs.ceil()).max(1.0))
-        .collect();
-    let warm = WarmStart {
-        periods: current_periods.to_vec(),
-    };
-    EnforcedDagProblem::new(topology, params, b).solve_warm(&warm)
+    let b = policy::escalated_factors(topology.len(), design_b, observed_vectors)?;
+    EnforcedDagProblem::new(topology, params, b).solve()
 }
 
 #[cfg(test)]
@@ -551,7 +435,7 @@ mod tests {
         let params = RtParams::new(10.0, 1e5).unwrap();
         let b = vec![1.0, 3.0, 9.0, 6.0];
         let chain = EnforcedWaitsProblem::new(&p, params, b.clone())
-            .solve_with_fallback()
+            .solve()
             .unwrap();
         let dag = EnforcedDagProblem::new(&t, params, b).solve().unwrap();
         assert_eq!(dag.periods, chain.periods);
@@ -635,23 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_warm_solve_matches_cold() {
-        let t = diamond();
-        let params = RtParams::new(10.0, 2e4).unwrap();
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
-        let cold = EnforcedDagProblem::new(&t, params, b.clone())
-            .solve()
-            .unwrap();
-        let warm = EnforcedDagProblem::new(&t, params, b)
-            .solve_warm(&WarmStart {
-                periods: cold.periods.clone(),
-            })
-            .unwrap();
-        assert_eq!(warm.periods, cold.periods);
-        assert!(warm.telemetry.unwrap().warm_start);
-    }
-
-    #[test]
     fn dag_infeasible_deadline_reports_error() {
         let t = diamond();
         let params = RtParams::new(10.0, 100.0).unwrap();
@@ -670,14 +537,9 @@ mod tests {
         let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e5).unwrap();
         let design_b = vec![1.0, 3.0, 9.0, 6.0];
-        let base = EnforcedWaitsProblem::new(&p, params, design_b.clone())
-            .solve_with_fallback()
-            .unwrap();
         let observed = vec![1.0, 4.3, 2.0, 1.0];
-        let via_chain =
-            policy::escalate_schedule(&p, params, &base.periods, &design_b, &observed).unwrap();
-        let via_dag =
-            escalate_schedule_topology(&t, params, &base.periods, &design_b, &observed).unwrap();
+        let via_chain = policy::escalate_schedule(&p, params, &design_b, &observed).unwrap();
+        let via_dag = escalate_schedule_topology(&t, params, &design_b, &observed).unwrap();
         assert_eq!(via_dag.periods, via_chain.periods);
         assert_eq!(via_dag.backlog_factors, via_chain.backlog_factors);
     }
@@ -692,133 +554,10 @@ mod tests {
             .unwrap();
         let mut observed = vec![0.0; t.len()];
         observed[3] = design_b[3] + 2.4;
-        let escalated =
-            escalate_schedule_topology(&t, params, &base.periods, &design_b, &observed).unwrap();
+        let escalated = escalate_schedule_topology(&t, params, &design_b, &observed).unwrap();
         assert_eq!(escalated.backlog_factors[3], (design_b[3] + 2.4).ceil());
         assert!(escalated.latency_bound <= params.deadline + 1e-6);
         assert!(escalated.active_fraction >= base.active_fraction - 1e-9);
-    }
-
-    /// A chain of diamond blocks: every edge spans at most 2 node
-    /// indices, so the KKT profile is banded with bandwidth 2 at any
-    /// depth.
-    fn diamond_ladder(blocks: usize) -> Topology {
-        let mut b = TopologyBuilder::new(128);
-        let n = 3 * blocks + 1;
-        for i in 0..n {
-            b = b.node(format!("n{i}"), 100.0 + i as f64);
-        }
-        for d in 0..blocks {
-            let a = 3 * d;
-            b = b
-                .edge(a, a + 1, GainModel::Deterministic { k: 1 }, 0.5)
-                .edge(a, a + 2, GainModel::Deterministic { k: 1 }, 0.5)
-                .edge(a + 1, a + 3, GainModel::Deterministic { k: 1 }, 1.0)
-                .edge(a + 2, a + 3, GainModel::Deterministic { k: 1 }, 1.0);
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn diamond_ip_banded_matches_dense_and_both_certify() {
-        let t = diamond();
-        let params = RtParams::new(10.0, 2e4).unwrap();
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
-        let prob = EnforcedDagProblem::new(&t, params, b);
-        // n=5 is below the default gate: this runs dense.
-        let dense = prob.solve_interior_point().unwrap();
-        assert_eq!(
-            dense.telemetry.as_ref().unwrap().factorization.as_deref(),
-            Some("dense")
-        );
-        // Force the banded path (edges span ≤ 2 indices → bandwidth 2).
-        let opts = SolverOptions {
-            banded_min_dim: 0,
-            ..SolverOptions::default()
-        };
-        let banded = prob.solve_interior_point_with(&opts).unwrap();
-        let tel = banded.telemetry.as_ref().unwrap();
-        assert_eq!(tel.factorization.as_deref(), Some("banded"));
-        assert_eq!(tel.bandwidth, Some(2));
-        for (bp, dp) in banded.periods.iter().zip(&dense.periods) {
-            assert!(
-                (bp - dp).abs() / dp < 1e-5,
-                "banded {:?} vs dense {:?}",
-                banded.periods,
-                dense.periods
-            );
-        }
-        for s in [&dense, &banded] {
-            let report = verify_kkt_dag(&prob, &s.periods, 1e-5);
-            assert!(report.is_optimal(1e-3), "{report:?}");
-            assert!(prob.constraint_set().is_feasible(&s.periods, 1e-6 * 2e4));
-        }
-        // The projected water-filling heuristic is feasible but
-        // conservative; the direct optimum can only be at least as good.
-        let wf = prob.solve().unwrap();
-        assert!(banded.active_fraction <= wf.active_fraction + 1e-6);
-    }
-
-    #[test]
-    fn deep_diamond_ladder_engages_banded_by_default_and_certifies() {
-        let t = diamond_ladder(16); // 49 nodes
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
-        let xmin = topology_minimal_periods(&t);
-        let min_d: f64 = xmin.iter().zip(&b).map(|(&x, &bi)| bi * x).sum();
-        let params = RtParams::new(5.0, min_d * 1.5).unwrap();
-        let prob = EnforcedDagProblem::new(&t, params, b);
-        assert_eq!(prob.kkt_bandwidth(), Some(2));
-        let banded = prob.solve_interior_point().unwrap();
-        let tel = banded.telemetry.as_ref().unwrap();
-        assert_eq!(tel.factorization.as_deref(), Some("banded"));
-        assert_eq!(tel.bandwidth, Some(2));
-        // Dense reference at the same depth (gate pushed out of reach).
-        let opts = SolverOptions {
-            banded_min_dim: usize::MAX,
-            ..SolverOptions::default()
-        };
-        let dense = prob.solve_interior_point_with(&opts).unwrap();
-        assert_eq!(
-            dense.telemetry.as_ref().unwrap().factorization.as_deref(),
-            Some("dense")
-        );
-        for (bp, dp) in banded.periods.iter().zip(&dense.periods) {
-            assert!((bp - dp).abs() / dp < 1e-5, "banded diverged from dense");
-        }
-        for s in [&banded, &dense] {
-            let report = verify_kkt_dag(&prob, &s.periods, 1e-5);
-            assert!(report.is_optimal(1e-3), "{report:?}");
-        }
-    }
-
-    #[test]
-    fn wide_profile_dag_falls_back_to_dense() {
-        // A deep chain with one long skip edge: the profile spans almost
-        // the whole index range, so the banded path must decline even
-        // though n ≥ 32.
-        let n = 36;
-        let mut b = TopologyBuilder::new(128);
-        for i in 0..n {
-            b = b.node(format!("n{i}"), 100.0);
-        }
-        b = b.edge(0, 1, GainModel::Deterministic { k: 1 }, 0.9);
-        b = b.edge(0, n - 1, GainModel::Deterministic { k: 1 }, 0.1);
-        for i in 1..n - 1 {
-            b = b.edge(i, i + 1, GainModel::Deterministic { k: 1 }, 1.0);
-        }
-        let t = b.build().unwrap();
-        let bf = EnforcedDagProblem::optimistic_backlog(&t);
-        let xmin = topology_minimal_periods(&t);
-        let min_d: f64 = xmin.iter().zip(&bf).map(|(&x, &bi)| bi * x).sum();
-        let params = RtParams::new(5.0, min_d * 1.5).unwrap();
-        let prob = EnforcedDagProblem::new(&t, params, bf);
-        assert_eq!(prob.kkt_bandwidth(), None, "skip edge spans n-1 indices");
-        let s = prob.solve_interior_point().unwrap();
-        let tel = s.telemetry.as_ref().unwrap();
-        assert_eq!(tel.factorization.as_deref(), Some("dense"));
-        assert_eq!(tel.bandwidth, None);
-        let report = verify_kkt_dag(&prob, &s.periods, 1e-5);
-        assert!(report.is_optimal(1e-3), "{report:?}");
     }
 
     #[test]

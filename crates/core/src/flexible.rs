@@ -26,7 +26,7 @@
 //! `x_i ≥ N·c_i` binds, i.e. at tight deadlines with skewed service
 //! times (BLAST's alignment stage is 10× its seeding stage).
 
-use crate::enforced::{EnforcedWaitsProblem, SolveMethod};
+use crate::enforced::EnforcedWaitsProblem;
 use crate::feasibility::FeasibilityError;
 use crate::schedule::ScheduleError;
 use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
@@ -114,8 +114,7 @@ impl<'a> FlexibleSharesProblem<'a> {
             .build()
             .map_err(|e| ScheduleError::Solver(format!("relaxed pipeline: {e}")))?;
 
-        let sched = EnforcedWaitsProblem::new(&relaxed, self.params, self.b.clone())
-            .solve(SolveMethod::WaterFilling)?;
+        let sched = EnforcedWaitsProblem::new(&relaxed, self.params, self.b.clone()).solve()?;
 
         // Evaluate the *true* utilization at the optimized periods.
         let utilization: f64 = c.iter().zip(&sched.periods).map(|(&ci, &xi)| ci / xi).sum();
@@ -151,7 +150,7 @@ impl<'a> FlexibleSharesProblem<'a> {
     /// comparison.
     pub fn equal_share_baseline(&self) -> Result<f64, ScheduleError> {
         EnforcedWaitsProblem::new(self.pipeline, self.params, self.b.clone())
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .map(|s| s.active_fraction)
     }
 }

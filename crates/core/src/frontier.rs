@@ -100,7 +100,7 @@ pub fn frontier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enforced::{EnforcedWaitsProblem, SolveMethod};
+    use crate::enforced::EnforcedWaitsProblem;
     use crate::monolithic::MonolithicProblem;
     use dataflow_model::GainModel;
     use dataflow_model::PipelineSpecBuilder;
@@ -138,8 +138,7 @@ mod tests {
         let tau0 = 10.0;
         let d_min = enforced_min_deadline(&p, &PAPER_B, tau0).unwrap();
         let solve = |d: f64| {
-            EnforcedWaitsProblem::new(&p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec())
-                .solve(SolveMethod::WaterFilling)
+            EnforcedWaitsProblem::new(&p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec()).solve()
         };
         assert!(solve(d_min + 1.0).is_ok());
         assert!(solve(d_min - 1.0).is_err());

@@ -11,8 +11,8 @@
 //! * **primal feasibility** — the worst constraint violation.
 //!
 //! This is an *independent certificate*: it validates a solution no
-//! matter which solver produced it, which is how the interior-point and
-//! water-filling methods vouch for each other beyond merely agreeing.
+//! matter which solver produced it, which is how water-filling and the
+//! interior-point oracle vouch for each other beyond merely agreeing.
 
 use crate::enforced::EnforcedWaitsProblem;
 use serde::{Deserialize, Serialize};
@@ -105,9 +105,9 @@ pub fn kkt_report(cs: &ConstraintSet, grad: &[f64], periods: &[f64], active_tol:
     } else {
         // Deep problems: the dense normal equations are O(k²·n) to
         // assemble and O(k³) to factor, which would make certification
-        // the bottleneck the banded solver just removed. Exploit the
-        // same structure instead; fall back to dense when the active
-        // profile is genuinely wide.
+        // far costlier than the O(N) water-filling solve it checks.
+        // Exploit the chain's banded structure instead; fall back to
+        // dense when the active profile is genuinely wide.
         solve_multipliers_banded(&active, grad, ridge)
             .unwrap_or_else(|| solve_multipliers_dense(&active, grad, ridge))
     };
@@ -290,7 +290,6 @@ fn solve_multipliers_banded(active: &[&Constraint], grad: &[f64], ridge: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enforced::SolveMethod;
     use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
 
     fn blast() -> PipelineSpec {
@@ -316,12 +315,14 @@ mod tests {
         for (tau0, d) in [(5.0, 5e4), (10.0, 1e5), (50.0, 3.5e5)] {
             let params = RtParams::new(tau0, d).unwrap();
             let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
-            for method in [SolveMethod::InteriorPoint, SolveMethod::WaterFilling] {
-                let s = prob.solve(method).unwrap();
-                let report = verify_kkt(&prob, &s.periods, 1e-5);
+            for (method, s) in [
+                ("interior point", prob.solve_interior_point()),
+                ("water-filling", prob.solve()),
+            ] {
+                let report = verify_kkt(&prob, &s.unwrap().periods, 1e-5);
                 assert!(
                     report.is_optimal(1e-3),
-                    "{method:?} at tau0={tau0} D={d}: {report:?}"
+                    "{method} at tau0={tau0} D={d}: {report:?}"
                 );
             }
         }
@@ -347,7 +348,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 5e4).unwrap();
         let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
-        let s = prob.solve(SolveMethod::WaterFilling).unwrap();
+        let s = prob.solve().unwrap();
         let report = verify_kkt(&prob, &s.periods, 1e-5);
         assert!(
             report.active.iter().any(|l| l == "deadline"),
@@ -379,75 +380,14 @@ mod tests {
         // A nearly minimal deadline pins most periods to their lower
         // bounds, producing a large active set.
         let prob = EnforcedWaitsProblem::new(&p, RtParams::new(5.0, min_d * 1.02).unwrap(), b);
-        for method in [SolveMethod::InteriorPoint, SolveMethod::WaterFilling] {
-            let s = prob.solve(method).unwrap();
-            let report = verify_kkt(&prob, &s.periods, 1e-5);
-            assert!(
-                report.active.len() >= BANDED_ACTIVE_MIN,
-                "test should hit the banded path, active={}",
-                report.active.len()
-            );
-            assert!(report.is_optimal(1e-3), "{method:?}: {report:?}");
-        }
-    }
-
-    #[test]
-    fn random_deep_chains_banded_ip_matches_wf_and_both_certify() {
-        // Property test over random chains: the banded interior point
-        // agrees with exact water-filling, and the KKT certificate
-        // (itself routed through the banded multiplier solve) passes
-        // for both.
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for trial in 0..5 {
-            let n = 40 + (next() * 50.0) as usize;
-            let mut builder = PipelineSpecBuilder::new(128);
-            for i in 0..n {
-                builder = builder.stage(
-                    format!("n{i}"),
-                    50.0 + next() * 500.0,
-                    GainModel::Bernoulli {
-                        p: 0.4 + next() * 0.6,
-                    },
-                );
-            }
-            let p = builder.build().unwrap();
-            let b = EnforcedWaitsProblem::optimistic_backlog(&p);
-            let xmin = crate::feasibility::minimal_periods(&p);
-            let tau0 = 20.0 + next() * 50.0;
-            if xmin[0] > 128.0 * tau0 {
-                continue;
-            }
-            let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
-            let d = min_d * (1.3 + next() * 3.0);
-            let prob = EnforcedWaitsProblem::new(&p, RtParams::new(tau0, d).unwrap(), b);
-            let ip = prob.solve(SolveMethod::InteriorPoint).unwrap();
-            let wf = prob.solve(SolveMethod::WaterFilling).unwrap();
-            assert_eq!(
-                ip.telemetry.as_ref().unwrap().factorization.as_deref(),
-                Some("banded"),
-                "trial {trial}"
-            );
-            assert!(
-                (ip.active_fraction - wf.active_fraction).abs()
-                    < 1e-4 * wf.active_fraction.max(1e-6),
-                "trial {trial} (n={n}): IP {} vs WF {}",
-                ip.active_fraction,
-                wf.active_fraction
-            );
-            for (a, bper) in ip.periods.iter().zip(&wf.periods) {
-                assert!((a - bper).abs() / bper < 1e-3, "trial {trial} diverged");
-            }
-            for s in [&ip, &wf] {
-                let report = verify_kkt(&prob, &s.periods, 1e-5);
-                assert!(report.is_optimal(1e-3), "trial {trial}: {report:?}");
-            }
-        }
+        let s = prob.solve().unwrap();
+        let report = verify_kkt(&prob, &s.periods, 1e-5);
+        assert!(
+            report.active.len() >= BANDED_ACTIVE_MIN,
+            "test should hit the banded path, active={}",
+            report.active.len()
+        );
+        assert!(report.is_optimal(1e-3), "{report:?}");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * [`enforced`] — **enforced waits** (paper §4): each node `n_i` waits
 //!   a fixed `w_i` after every firing, so its firing period is
 //!   `x_i = t_i + w_i`. The optimal waits solve the convex program of the
-//!   paper's Figure 1. Two independent solution methods are implemented —
-//!   a log-barrier interior-point method and an exact water-filling
-//!   method (an exact deadline price over a pool-adjacent-violators
-//!   inner solve) — and a KKT verifier ([`kkt`]) certifies either.
+//!   paper's Figure 1 by exact water-filling (an exact deadline price
+//!   over a pool-adjacent-violators inner solve, with zero-gain stages
+//!   splitting the chain into segments). A dense interior point is kept
+//!   as the oracle the tests compare against, and a KKT verifier
+//!   ([`kkt`]) certifies both.
 //! * [`monolithic`] — **monolithic batching** (paper §5): accumulate
 //!   blocks of `M` inputs and run the whole pipeline per block. The
 //!   optimal `M` solves the one-dimensional integer program of the
@@ -49,7 +50,7 @@ pub use dag::{
     check_topology_feasibility, escalate_schedule_topology, topology_minimal_periods,
     verify_kkt_dag, EnforcedDagProblem,
 };
-pub use enforced::{EnforcedWaitsProblem, SolveMethod, WaitSchedule, WarmStart};
+pub use enforced::{EnforcedWaitsProblem, WaitSchedule};
 pub use feasibility::{check_enforced_feasibility, minimal_periods, FeasibilityError};
 pub use flexible::{FlexibleSchedule, FlexibleSharesProblem};
 pub use monolithic::{BlockTable, MonolithicDagProblem, MonolithicProblem, MonolithicSchedule};

@@ -6,11 +6,10 @@
 //! the design assumption (model drift, device preemption, bursts), the
 //! schedule's deadline bound `Σ b_i·x_i ≤ D` no longer covers reality.
 //! [`escalate_schedule`] is the runtime's repair step: raise the
-//! factors to the observed ceilings and re-solve the waits, seeding the
-//! solver from the current schedule via the [`WarmStart`] path so the
-//! repair is cheap enough to run online.
+//! factors to the observed ceilings and re-solve the waits. The exact
+//! water-filling solve takes microseconds, cheap enough to run online.
 
-use crate::enforced::{EnforcedWaitsProblem, WaitSchedule, WarmStart};
+use crate::enforced::{EnforcedWaitsProblem, WaitSchedule};
 use crate::schedule::ScheduleError;
 use dataflow_model::{PipelineSpec, RtParams};
 
@@ -19,37 +18,43 @@ use dataflow_model::{PipelineSpec, RtParams};
 /// `design_b` is the factor vector the current schedule was built for;
 /// `observed_vectors` is the per-node empirical backlog high-water mark
 /// in vectors. The new factors are `max(design_b_i, ⌈observed_i⌉)`.
-/// The solve is warm-started from `current_periods` (the schedule being
-/// repaired), falling back to the interior-point method if the
-/// water-filling solver declines the instance.
 ///
 /// Returns the re-solved schedule (its `backlog_factors` carry the
 /// escalated `b`), or the scheduling error if no feasible schedule
 /// exists at the raised factors — in which case the caller should keep
 /// its current schedule and degrade by other means (e.g. shedding).
-///
-/// # Panics
-/// Panics if the slice lengths disagree with the pipeline.
+/// Slices whose lengths disagree with the pipeline are
+/// [`ScheduleError::InvalidParams`].
 pub fn escalate_schedule(
     pipeline: &PipelineSpec,
     params: RtParams,
-    current_periods: &[f64],
     design_b: &[f64],
     observed_vectors: &[f64],
 ) -> Result<WaitSchedule, ScheduleError> {
-    let n = pipeline.len();
-    assert_eq!(current_periods.len(), n, "period vector length mismatch");
-    assert_eq!(design_b.len(), n, "design factor length mismatch");
-    assert_eq!(observed_vectors.len(), n, "observed vector length mismatch");
-    let b: Vec<f64> = design_b
+    let b = escalated_factors(pipeline.len(), design_b, observed_vectors)?;
+    EnforcedWaitsProblem::new(pipeline, params, b).solve()
+}
+
+/// The escalated factors `max(design_b_i, ⌈observed_i⌉, 1)` for `n`
+/// nodes, or [`ScheduleError::InvalidParams`] when a slice has the wrong
+/// length.
+pub(crate) fn escalated_factors(
+    n: usize,
+    design_b: &[f64],
+    observed_vectors: &[f64],
+) -> Result<Vec<f64>, ScheduleError> {
+    if design_b.len() != n || observed_vectors.len() != n {
+        return Err(ScheduleError::InvalidParams(format!(
+            "escalation needs {n} design and observed factors, got {} and {}",
+            design_b.len(),
+            observed_vectors.len()
+        )));
+    }
+    Ok(design_b
         .iter()
         .zip(observed_vectors)
         .map(|(&bi, &obs)| bi.max(obs.ceil()).max(1.0))
-        .collect();
-    let warm = WarmStart {
-        periods: current_periods.to_vec(),
-    };
-    EnforcedWaitsProblem::new(pipeline, params, b).solve_with_fallback_warm(&warm)
+        .collect())
 }
 
 /// True if any observed backlog exceeds its design factor by more than
@@ -64,7 +69,6 @@ pub fn needs_escalation(design_b: &[f64], observed_vectors: &[f64], headroom: f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enforced::SolveMethod;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
 
     fn blast() -> PipelineSpec {
@@ -97,18 +101,16 @@ mod tests {
         let params = RtParams::new(10.0, 1e5).unwrap();
         let design_b = vec![1.0, 3.0, 9.0, 6.0];
         let base = EnforcedWaitsProblem::new(&p, params, design_b.clone())
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         // Stage 1 observed at 4.3 vectors against a design of 3.
         let observed = vec![1.0, 4.3, 2.0, 1.0];
-        let escalated = escalate_schedule(&p, params, &base.periods, &design_b, &observed).unwrap();
+        let escalated = escalate_schedule(&p, params, &design_b, &observed).unwrap();
         assert_eq!(escalated.backlog_factors, vec![1.0, 5.0, 9.0, 6.0]);
         // More conservative factors can only push the schedule toward
         // shorter periods (more activity) to keep the deadline.
         assert!(escalated.active_fraction >= base.active_fraction - 1e-9);
         assert!(escalated.latency_bound <= params.deadline + 1e-6);
-        // Warm start was actually used.
-        assert!(escalated.telemetry.expect("telemetry").warm_start);
     }
 
     #[test]
@@ -116,17 +118,12 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
         let design_b = vec![1.0, 3.0, 9.0, 6.0];
-        let base = EnforcedWaitsProblem::new(&p, params, design_b.clone())
-            .solve(SolveMethod::WaterFilling)
-            .unwrap();
         let observed = vec![2.6, 3.0, 9.0, 7.9];
-        let warm = escalate_schedule(&p, params, &base.periods, &design_b, &observed).unwrap();
-        let cold = EnforcedWaitsProblem::new(&p, params, vec![3.0, 3.0, 9.0, 8.0])
-            .solve(SolveMethod::WaterFilling)
+        let escalated = escalate_schedule(&p, params, &design_b, &observed).unwrap();
+        let direct = EnforcedWaitsProblem::new(&p, params, vec![3.0, 3.0, 9.0, 8.0])
+            .solve()
             .unwrap();
-        for (w, c) in warm.periods.iter().zip(&cold.periods) {
-            assert!((w - c).abs() / c < 1e-6, "warm {w} vs cold {c}");
-        }
+        assert_eq!(escalated.periods, direct.periods);
     }
 
     #[test]
@@ -135,8 +132,26 @@ mod tests {
         // Deadline so tight that raised factors cannot fit.
         let params = RtParams::new(10.0, 8_000.0).unwrap();
         let design_b = vec![1.0, 1.0, 1.0, 1.0];
-        let periods = crate::feasibility::minimal_periods(&p);
         let observed = vec![40.0, 40.0, 40.0, 40.0];
-        assert!(escalate_schedule(&p, params, &periods, &design_b, &observed).is_err());
+        assert!(escalate_schedule(&p, params, &design_b, &observed).is_err());
+    }
+
+    #[test]
+    fn mismatched_lengths_are_invalid_params_not_a_panic() {
+        let p = blast();
+        let params = RtParams::new(10.0, 1e5).unwrap();
+        let short = [1.0, 3.0];
+        let full = [1.0, 3.0, 9.0, 6.0];
+        let topology = dataflow_model::Topology::chain(&p);
+        for result in [
+            escalate_schedule(&p, params, &short, &full),
+            escalate_schedule(&p, params, &full, &short),
+            crate::dag::escalate_schedule_topology(&topology, params, &full, &short),
+        ] {
+            assert!(
+                matches!(result, Err(ScheduleError::InvalidParams(_))),
+                "{result:?}"
+            );
+        }
     }
 }

@@ -11,36 +11,21 @@
 //! takes bracketed Newton steps on that affine piece until the piece
 //! holds its own root, then settles the last ulps of `λ` on the float
 //! grid. The answer depends only on the problem, never on the starting
-//! point, so warm and cold solves agree bit for bit.
+//! point.
+//!
+//! On a chain with zero-gain stages the budget sums over segments (see
+//! [`crate::enforced`]); a segment without a head cap contributes an
+//! infinite budget at `λ = 0`, so the zero price never fits there and
+//! the search goes straight to the Newton steps.
 
 /// Newton steps before the search falls back to the float-grid search
 /// alone; generic instances converge in two or three.
 const MAX_NEWTON_STEPS: usize = 64;
 
-/// The first `μ` to try for objective weights `a`, budget weights `c`,
-/// bounds `lo ≤ z ≤ cap` and totals `g` (`z_i = g_i·x_i`). Each period
-/// of a warm hint whose `ẑ` sits strictly inside its bounds estimates
-/// `μ` by stationarity, `ẑ_i = μ·√(a_i/c_i)`, and the seed is their
-/// mean. Without a hint, or with every hinted node at a bound, it is
-/// the `μ` at which unclamped, unpooled nodes would exhaust the deadline.
-pub(crate) fn seed_mu(
-    deadline: f64,
-    a: &[f64],
-    c: &[f64],
-    g: &[f64],
-    lo: &[f64],
-    cap: f64,
-    hint: Option<&[f64]>,
-) -> f64 {
-    let (sum, count) = (hint.unwrap_or_default().iter().enumerate())
-        .map(|(i, &x)| (i, g[i] * x))
-        .filter(|&(i, z)| z > lo[i] && z < cap)
-        .fold((0.0, 0.0), |(s, k), (i, z)| {
-            (s + z / (a[i] / c[i]).sqrt(), k + 1.0)
-        });
-    if count > 0.0 {
-        return sum / count;
-    }
+/// The first `μ` to try for objective weights `a` and budget weights
+/// `c`: the `μ` at which unclamped, unpooled nodes would exhaust the
+/// deadline.
+pub(crate) fn seed_mu(deadline: f64, a: &[f64], c: &[f64]) -> f64 {
     let slope: f64 = a.iter().zip(c).map(|(&ai, &ci)| (ai * ci).sqrt()).sum();
     deadline / slope
 }

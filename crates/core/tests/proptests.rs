@@ -6,15 +6,13 @@ use dataflow_model::{
     GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology, TopologyBuilder,
 };
 use proptest::prelude::*;
-use rtsdf_core::comparison::{
-    sweep, sweep_parallel, sweep_parallel_with, sweep_with, SweepConfig, SweepOptions,
-};
+use rtsdf_core::comparison::{sweep, sweep_parallel, SweepConfig};
 use rtsdf_core::feasibility::minimal_periods;
 use rtsdf_core::kkt::verify_kkt;
 use rtsdf_core::monolithic::BlockModel;
 use rtsdf_core::{
     topology_minimal_periods, verify_kkt_dag, BlockTable, EnforcedDagProblem, EnforcedWaitsProblem,
-    MonolithicProblem, MonolithicSchedule, ScheduleError, SolveMethod, WarmStart,
+    MonolithicProblem, MonolithicSchedule, ScheduleError,
 };
 
 /// Two-point empirical law with mean `gain`: stresses the Empirical code
@@ -27,15 +25,36 @@ fn two_point(gain: f64) -> GainModel {
     }
 }
 
-/// A random pipeline with strictly positive mean gains (so both Fig.-1
-/// solution methods apply).
+/// A random pipeline of 2–6 stages, or now and then 7–64. About one
+/// stage in five has mean gain 0 — `Deterministic { k: 0 }`,
+/// `Bernoulli { p: 0 }` or an all-zero `Empirical` law — which splits
+/// the Fig.-1 chain into independent water-filling segments; the others
+/// have two-point laws with means in 0.1..3.
 fn pipeline() -> impl Strategy<Value = PipelineSpec> {
-    prop::collection::vec((10.0..2000.0f64, 0.1..3.0f64), 2..=6).prop_map(|stages| {
-        let mut b = PipelineSpecBuilder::new(64);
-        for (i, (t, gain)) in stages.into_iter().enumerate() {
-            b = b.stage(format!("s{i}"), t, two_point(gain));
-        }
-        b.build().expect("valid")
+    prop_oneof![2..=6usize, 2..=6usize, 2..=6usize, 7..=64usize]
+        .prop_flat_map(|n| prop::collection::vec(stage(), n..=n))
+        .prop_map(|stages| {
+            let mut b = PipelineSpecBuilder::new(64);
+            for (i, (t, gain)) in stages.into_iter().enumerate() {
+                b = b.stage(format!("s{i}"), t, gain);
+            }
+            b.build().expect("valid")
+        })
+}
+
+/// One stage of [`pipeline`]: a service time and a gain law, zero-mean
+/// three times in sixteen.
+fn stage() -> impl Strategy<Value = (f64, GainModel)> {
+    (10.0..2000.0f64, 0.1..3.0f64, 0..16u32).prop_map(|(t, gain, law)| {
+        let gain = match law {
+            0 => GainModel::Deterministic { k: 0 },
+            1 => GainModel::Bernoulli { p: 0.0 },
+            2 => GainModel::Empirical {
+                pmf: vec![(0, 1.0)],
+            },
+            _ => two_point(gain),
+        };
+        (t, gain)
     })
 }
 
@@ -402,8 +421,8 @@ proptest! {
             return Ok(());
         };
         let prob = EnforcedWaitsProblem::new(&p, params, b);
-        let wf = prob.solve(SolveMethod::WaterFilling).expect("feasible by construction");
-        let ip = prob.solve(SolveMethod::InteriorPoint).expect("feasible by construction");
+        let wf = prob.solve().expect("feasible by construction");
+        let ip = prob.solve_interior_point().expect("feasible by construction");
         prop_assert!(
             (wf.active_fraction - ip.active_fraction).abs()
                 <= 1e-4 * wf.active_fraction.max(1e-9),
@@ -423,7 +442,7 @@ proptest! {
             return Ok(());
         };
         let prob = EnforcedWaitsProblem::new(&p, params, b);
-        let s = prob.solve(SolveMethod::WaterFilling).expect("feasible by construction");
+        let s = prob.solve().expect("feasible by construction");
         let cs = prob.constraint_set();
         prop_assert!(cs.is_feasible(&s.periods, 1e-6 * params.deadline.max(1.0)));
         prop_assert!(s.waits.iter().all(|&w| w >= 0.0));
@@ -444,10 +463,10 @@ proptest! {
             return Ok(());
         };
         let loose = EnforcedWaitsProblem::new(&p, params_loose, b.clone())
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let tight = EnforcedWaitsProblem::new(&p, params_tight, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         prop_assert!(loose.active_fraction <= tight.active_fraction + 1e-9);
     }
@@ -471,49 +490,6 @@ proptest! {
         }
         for i in 0..n {
             prop_assert!(x[i] >= xmin[i] - 1e-9, "constructed feasible x below x̂ at {i}");
-        }
-    }
-
-    #[test]
-    fn warm_started_solves_converge_to_cold_schedule(
-        p in pipeline(),
-        tau_scale in 1.05..20.0f64,
-        d_scale in 1.2..20.0f64,
-        hint_scale in 1.05..2.0f64,
-    ) {
-        // A warm start seeded from a *different* operating point's
-        // schedule must land on the same optimum as a cold solve, for
-        // both Fig.-1 methods; for water-filling, on the same bits.
-        let Some((params, b)) = feasible_point(&p, tau_scale, d_scale) else {
-            return Ok(());
-        };
-        let Some((hint_params, _)) = feasible_point(&p, tau_scale, d_scale * hint_scale) else {
-            return Ok(());
-        };
-        let hint_sched = EnforcedWaitsProblem::new(&p, hint_params, b.clone())
-            .solve(SolveMethod::WaterFilling)
-            .expect("feasible by construction");
-        let hint = WarmStart::from_schedule(&hint_sched);
-        for method in [SolveMethod::WaterFilling, SolveMethod::InteriorPoint] {
-            let prob = EnforcedWaitsProblem::new(&p, params, b.clone());
-            let cold = prob.solve(method).expect("feasible by construction");
-            let warm = prob.solve_warm(method, &hint).expect("warm solve succeeds");
-            if method == SolveMethod::WaterFilling {
-                prop_assert_eq!(&cold.periods, &warm.periods);
-            }
-            prop_assert!(
-                (cold.active_fraction - warm.active_fraction).abs()
-                    <= 1e-4 * cold.active_fraction.max(1e-9),
-                "{method:?}: cold {} vs warm {}",
-                cold.active_fraction,
-                warm.active_fraction
-            );
-            for (c, w) in cold.periods.iter().zip(&warm.periods) {
-                prop_assert!(
-                    (c - w).abs() <= 1e-3 * c.abs().max(1.0),
-                    "{method:?}: periods {c} vs {w}"
-                );
-            }
         }
     }
 
@@ -559,7 +535,7 @@ proptest! {
             return Ok(());
         };
         let prob = EnforcedWaitsProblem::new(&p, params, b.clone());
-        let s = prob.solve(SolveMethod::WaterFilling).expect("feasible by construction");
+        let s = prob.solve().expect("feasible by construction");
         let oracle: Vec<f64> = bisection_chain_periods(&p, params, &b)
             .iter()
             .zip(p.service_times())
@@ -687,8 +663,7 @@ proptest! {
     ) {
         // Random grid shapes include empty, 1×N, and N×1; random
         // operating points include infeasible cells. The work-stealing
-        // scheduler must reproduce the sequential sweep bit for bit,
-        // cold and warm alike.
+        // scheduler must reproduce the sequential sweep bit for bit.
         let config = SweepConfig {
             enforced_b: p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect(),
             monolithic_b: 1.0,
@@ -697,10 +672,5 @@ proptest! {
         let seq = sweep(&p, &tau0s, &deadlines, &config).expect("valid grid");
         let par = sweep_parallel(&p, &tau0s, &deadlines, &config).expect("valid grid");
         assert_sweeps_identical(&seq, &par)?;
-        let opts = SweepOptions::warm();
-        let warm_seq = sweep_with(&p, &tau0s, &deadlines, &config, &opts).expect("valid grid");
-        let warm_par =
-            sweep_parallel_with(&p, &tau0s, &deadlines, &config, &opts).expect("valid grid");
-        assert_sweeps_identical(&warm_seq, &warm_par)?;
     }
 }

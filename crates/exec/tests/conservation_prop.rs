@@ -9,7 +9,7 @@
 
 use dataflow_model::{ArrivalProcess, GainModel, Topology, TopologyBuilder};
 use proptest::prelude::*;
-use rtsdf_core::{SolveMethod, WaitSchedule};
+use rtsdf_core::WaitSchedule;
 use rtsdf_exec::{run_enforced, ExecConfig, ExecMetrics};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -80,7 +80,6 @@ fn schedule_for(topology: &Topology, stretch: &[f64], backlog: &[f64]) -> WaitSc
         waits,
         periods,
         backlog_factors: backlog.to_vec(),
-        method: SolveMethod::WaterFilling,
         telemetry: None,
     }
 }

@@ -10,7 +10,7 @@
 use dataflow_model::{ArrivalProcess, GainModel, PipelineSpecBuilder, RtParams, Topology};
 use des::obs::ObsConfig;
 use pipeline_sim::{simulate_enforced_topology_observed, simulate_monolithic_topology, SimConfig};
-use rtsdf_core::{AnySchedule, EnforcedWaitsProblem, MonolithicProblem, SolveMethod};
+use rtsdf_core::{AnySchedule, EnforcedWaitsProblem, MonolithicProblem};
 use rtsdf_exec::{run_enforced, run_monolithic, sim_vs_real, ExecConfig};
 
 /// A small two-gain chain with a generous operating point so the
@@ -59,7 +59,7 @@ fn enforced_chain_item_counts_match_simulator_exactly() {
     let (topology, params, b) = chain();
     let chain_spec = topology.as_chain().unwrap();
     let schedule = EnforcedWaitsProblem::new(&chain_spec, params, b)
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
 
     let seed = 11;
@@ -123,7 +123,7 @@ fn sim_vs_real_agreement_on_chain() {
     let (topology, params, b) = chain();
     let chain_spec = topology.as_chain().unwrap();
     let schedule = EnforcedWaitsProblem::new(&chain_spec, params, b)
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let config = exec_config(&params, 300, 7);
 

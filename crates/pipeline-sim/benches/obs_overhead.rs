@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
 use des::obs::ObsConfig;
 use pipeline_sim::{simulate_enforced, simulate_enforced_observed, SimConfig};
-use rtsdf_core::{EnforcedWaitsProblem, SolveMethod, WaitSchedule};
+use rtsdf_core::{EnforcedWaitsProblem, WaitSchedule};
 use std::hint::black_box;
 
 fn blast() -> PipelineSpec {
@@ -36,7 +36,7 @@ fn blast() -> PipelineSpec {
 fn schedule(pipeline: &PipelineSpec) -> WaitSchedule {
     let params = RtParams::new(20.0, 2e5).unwrap();
     EnforcedWaitsProblem::new(pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap()
 }
 

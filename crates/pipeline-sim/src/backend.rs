@@ -63,7 +63,7 @@ impl PipelineExecutor for DesBackend {
 mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
-    use rtsdf_core::{EnforcedWaitsProblem, SolveMethod};
+    use rtsdf_core::EnforcedWaitsProblem;
 
     #[test]
     fn des_backend_runs_via_trait_and_reports_outcome() {
@@ -75,7 +75,7 @@ mod tests {
         let topology = Topology::chain(&p);
         let params = RtParams::new(40.0, 5e4).unwrap();
         let schedule = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let backend = DesBackend {
             config: SimConfig::quick(40.0, 3, 200),

@@ -18,7 +18,7 @@
 use crate::config::SimConfig;
 use crate::runner::run_seeds_enforced;
 use dataflow_model::{PipelineSpec, RtParams};
-use rtsdf_core::{EnforcedWaitsProblem, SolveMethod, WarmStart};
+use rtsdf_core::EnforcedWaitsProblem;
 use serde::{Deserialize, Serialize};
 
 /// Calibration methodology parameters.
@@ -67,15 +67,9 @@ pub struct CalibrationRound {
     /// Componentwise max empirical backlog (vectors) over all points
     /// and seeds.
     pub observed_backlog: Vec<f64>,
-    /// Mean solver iterations per feasible grid point this round. After
-    /// the first round every solve is warm-started from the same grid
-    /// point's previous schedule, so this drops once calibration starts
-    /// iterating.
+    /// Mean solver iterations (deadline-price evaluations) per feasible
+    /// grid point this round.
     pub mean_solver_iterations: f64,
-    /// Mean of the per-point iterations-saved telemetry (previous
-    /// round's iterations minus this round's), `None` on the first
-    /// round where there is nothing to compare against.
-    pub mean_iterations_saved: Option<f64>,
 }
 
 /// Final calibration outcome.
@@ -102,10 +96,6 @@ pub fn calibrate_enforced(
     let n = pipeline.len();
     let mut b = EnforcedWaitsProblem::optimistic_backlog(pipeline);
     let mut rounds = Vec::new();
-    // Per-grid-point warm-start chain: each round seeds its solves from
-    // the same point's schedule in the previous round (factors change
-    // little between rounds, so the previous optimum is a good hint).
-    let mut prev: Vec<Option<(WarmStart, u64)>> = vec![None; config.grid.len()];
     // Set once an escalation clamps a factor to `b_cap`: one more
     // evaluation round runs at the capped factors, then the loop stops.
     let mut capped = false;
@@ -118,42 +108,16 @@ pub fn calibrate_enforced(
         let mut any_feasible = false;
         let mut iter_sum = 0u64;
         let mut iter_points = 0u64;
-        let mut saved_sum = 0i64;
-        let mut saved_points = 0u64;
 
-        for (gi, params) in config.grid.iter().enumerate() {
+        for params in &config.grid {
             let prob = EnforcedWaitsProblem::new(pipeline, *params, b.clone());
-            let solved = match prev[gi].as_ref() {
-                // A poor hint must not cost a grid point: retry cold on
-                // any warm failure (genuinely infeasible points fail
-                // both ways).
-                Some((hint, _)) => prob
-                    .solve_warm(SolveMethod::WaterFilling, hint)
-                    .or_else(|_| prob.solve(SolveMethod::WaterFilling)),
-                None => prob.solve(SolveMethod::WaterFilling),
+            let Ok(sched) = prob.solve() else {
+                continue; // infeasible at these factors: skip
             };
-            let mut sched = match solved {
-                Ok(s) => s,
-                Err(_) => {
-                    prev[gi] = None;
-                    continue; // infeasible at these factors: skip
-                }
-            };
-            if let Some(t) = sched.telemetry.as_mut() {
+            if let Some(t) = &sched.telemetry {
                 iter_sum += t.iterations;
                 iter_points += 1;
-                if let Some((_, prev_iters)) = prev[gi].as_ref() {
-                    let saved = *prev_iters as i64 - t.iterations as i64;
-                    t.iterations_saved = Some(saved);
-                    saved_sum += saved;
-                    saved_points += 1;
-                }
             }
-            prev[gi] = Some((
-                WarmStart::from_schedule(&sched),
-                sched.telemetry.as_ref().map_or(0, |t| t.iterations),
-            ));
-            let sched = sched;
             any_feasible = true;
             let cfg = SimConfig::quick(params.tau0, 0, config.stream_length);
             let report = run_seeds_enforced(
@@ -187,8 +151,6 @@ pub fn calibrate_enforced(
             } else {
                 0.0
             },
-            mean_iterations_saved: (saved_points > 0)
-                .then(|| saved_sum as f64 / saved_points as f64),
         });
 
         if worst_miss_free >= config.target_miss_free {
@@ -282,36 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_chaining_cuts_solver_effort_between_rounds() {
-        let p = blast();
-        // Tight deadlines miss at the optimistic factors, forcing at
-        // least one escalation round (so warm chaining kicks in).
-        let grid = vec![
-            RtParams::new(10.0, 4e4).unwrap(),
-            RtParams::new(30.0, 6e4).unwrap(),
-        ];
-        let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid));
-        assert!(
-            result.rounds.len() >= 2,
-            "expected an escalation: {:?}",
-            result.rounds
-        );
-        let first = &result.rounds[0];
-        assert!(first.mean_solver_iterations > 0.0);
-        assert!(first.mean_iterations_saved.is_none());
-        for later in &result.rounds[1..] {
-            assert!(
-                later.mean_solver_iterations < first.mean_solver_iterations,
-                "warm round {} vs cold round {}",
-                later.mean_solver_iterations,
-                first.mean_solver_iterations
-            );
-            let saved = later.mean_iterations_saved.expect("warm rounds record it");
-            assert!(saved > 0.0, "iterations saved {saved}");
-        }
-    }
-
-    #[test]
     fn calibrated_factors_hold_on_fresh_seeds() {
         let p = blast();
         let grid = vec![RtParams::new(10.0, 1e5).unwrap()];
@@ -319,7 +251,7 @@ mod tests {
         assert!(result.converged);
         // Validate on seeds the calibration never saw.
         let prob = EnforcedWaitsProblem::new(&p, grid[0], result.b.clone());
-        let sched = prob.solve(SolveMethod::WaterFilling).unwrap();
+        let sched = prob.solve().unwrap();
         let mut cfg = SimConfig::quick(10.0, 0, 3_000);
         cfg.seed = 10_000;
         let report = run_seeds_enforced(&p, &sched, 1e5, &cfg, 6);

@@ -151,8 +151,7 @@ pub fn simulate_enforced(
 ///   [`SimMetrics::items_shed`];
 /// * **escalation** — when the backlog high-water mark exceeds the
 ///   design factors, the waits are re-solved at the observed ceilings
-///   (warm-started from the running schedule) and the node periods are
-///   updated mid-run; [`SimMetrics::resolves`] counts the re-solves.
+///   and the node periods are updated mid-run; [`SimMetrics::resolves`] counts the re-solves.
 ///
 /// # Panics
 /// Panics if the schedule's length does not match the pipeline or the
@@ -443,8 +442,6 @@ struct StressState {
     /// Factors the *current* periods were solved for; raised by each
     /// escalation so the trigger re-arms at the new level.
     design_b: Vec<f64>,
-    /// Continuous periods of the current schedule (warm-start seed).
-    periods_f: Vec<f64>,
     items_shed: u64,
     resolves: u64,
     /// Set after an infeasible re-solve: keep the current schedule and
@@ -684,7 +681,6 @@ fn simulate_enforced_full(
             policy: policy.clone(),
             params: RtParams::new(config.arrivals.mean_interarrival(), deadline).ok(),
             design_b: schedule.backlog_factors.clone(),
-            periods_f: schedule.periods.clone(),
             items_shed: 0,
             resolves: 0,
             escalation_dead: false,
@@ -836,8 +832,7 @@ fn simulate_enforced_full(
                 //
                 // Escalation: when the backlog high-water mark exceeds
                 // the factors the running periods were solved for,
-                // re-solve the waits at the observed ceilings
-                // (warm-started from the current schedule) and adopt
+                // re-solve the waits at the observed ceilings and adopt
                 // the new periods.
                 if st.policy.escalate
                     && !st.escalation_dead
@@ -857,7 +852,6 @@ fn simulate_enforced_full(
                             match rtsdf_core::dag::escalate_schedule_topology(
                                 topology,
                                 params,
-                                &st.periods_f,
                                 &st.design_b,
                                 &observed,
                             ) {
@@ -869,7 +863,6 @@ fn simulate_enforced_full(
                                     {
                                         *p = (x.round() as u64).max(t);
                                     }
-                                    st.periods_f = new_sched.periods;
                                     st.design_b = new_sched.backlog_factors;
                                 }
                                 // No feasible schedule at the observed
@@ -1216,7 +1209,7 @@ mod tests {
     use super::*;
     use crate::reference::simulate_enforced_reference;
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
-    use rtsdf_core::{EnforcedWaitsProblem, SolveMethod};
+    use rtsdf_core::EnforcedWaitsProblem;
 
     fn blast() -> PipelineSpec {
         PipelineSpecBuilder::new(128)
@@ -1238,7 +1231,7 @@ mod tests {
     fn schedule(pipeline: &PipelineSpec, tau0: f64, d: f64) -> WaitSchedule {
         let params = RtParams::new(tau0, d).unwrap();
         EnforcedWaitsProblem::new(pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap()
     }
 
@@ -1313,7 +1306,7 @@ mod tests {
         // real backlog exceeds the design even without faults, which is
         // exactly the model-drift situation escalation exists for.
         let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0, 1.0, 1.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 1500);
         let perturb = Perturbation::standard(1.0).at_intensity(0.0);
@@ -1418,7 +1411,6 @@ mod tests {
             active_fraction: 1.0,
             backlog_factors: vec![1.0; 4],
             latency_bound: 0.0,
-            method: SolveMethod::WaterFilling,
             telemetry: None,
         };
         let cfg = SimConfig::quick(50.0, 3, 200);
@@ -1458,7 +1450,6 @@ mod tests {
             active_fraction: 0.5 * (10.0 / 40.0 + 20.0 / 40.0),
             backlog_factors: vec![1.0, 1.0],
             latency_bound: 80.0,
-            method: SolveMethod::WaterFilling,
             telemetry: None,
         };
         let cfg = SimConfig::quick(10.0, 1, 400);
@@ -1543,7 +1534,6 @@ mod tests {
             active_fraction: 1.0,
             backlog_factors: vec![1.0; 4],
             latency_bound: 0.0,
-            method: SolveMethod::WaterFilling,
             telemetry: None,
         };
         let cfg = SimConfig::quick(50.0, 3, 200);
@@ -1563,7 +1553,6 @@ mod tests {
             active_fraction: 0.01,
             backlog_factors: vec![1.0; 4],
             latency_bound: 0.0,
-            method: SolveMethod::WaterFilling,
             telemetry: None,
         };
         let mut cfg = SimConfig::quick(1.0, 3, 500);
@@ -1600,7 +1589,6 @@ mod tests {
             active_fraction: 1.0,
             backlog_factors: vec![1.0; 4],
             latency_bound: 0.0,
-            method: SolveMethod::WaterFilling,
             telemetry: None,
         };
         let with_waits = schedule(&p, 10.0, 2e5);

@@ -15,8 +15,7 @@
 //!   [`crate::metrics::SimMetrics::items_shed`], keeping the *admitted*
 //!   stream's miss rate low;
 //! * **online escalation** — when observed backlog exceeds the design
-//!   `b_i`, the waits are re-solved at the observed ceilings through
-//!   the solver's warm-start path
+//!   `b_i`, the waits are re-solved at the observed ceilings
 //!   ([`rtsdf_core::policy::escalate_schedule`]).
 
 use dataflow_model::Perturbation;

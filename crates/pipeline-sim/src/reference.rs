@@ -295,7 +295,6 @@ pub fn simulate_enforced_reference(
                                     match rtsdf_core::policy::escalate_schedule(
                                         pipeline,
                                         params,
-                                        &st.periods_f,
                                         &st.design_b,
                                         &observed,
                                     ) {

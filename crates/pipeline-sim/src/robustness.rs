@@ -263,7 +263,7 @@ pub fn robustness_report_topology_live(
 mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
-    use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem, SolveMethod};
+    use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 
     fn blast() -> PipelineSpec {
         PipelineSpecBuilder::new(128)
@@ -326,7 +326,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
         let enforced = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
             .solve()
@@ -352,7 +352,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
         let enforced = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
             .solve()

@@ -392,7 +392,7 @@ pub fn run_seeds_monolithic(
 mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
-    use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem, SolveMethod};
+    use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 
     fn blast() -> PipelineSpec {
         PipelineSpecBuilder::new(128)
@@ -416,7 +416,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 1_000);
         let a = run_seeds_enforced(&p, &sched, 1e5, &cfg, 6);
@@ -465,7 +465,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 100);
         let r = run_seeds_enforced(&p, &sched, 1e5, &cfg, 0);

@@ -130,7 +130,7 @@ pub fn render_ascii(timeline: &Timeline, width: usize) -> String {
 mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
-    use rtsdf_core::{EnforcedWaitsProblem, SolveMethod};
+    use rtsdf_core::EnforcedWaitsProblem;
 
     fn setup() -> (PipelineSpec, WaitSchedule) {
         let p = PipelineSpecBuilder::new(16)
@@ -140,7 +140,7 @@ mod tests {
             .unwrap();
         let params = RtParams::new(20.0, 5e4).unwrap();
         let s = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0])
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         (p, s)
     }

@@ -6,7 +6,7 @@ use crate::config::SimConfig;
 use crate::enforced::simulate_enforced;
 use crate::monolithic::simulate_monolithic;
 use dataflow_model::{PipelineSpec, RtParams};
-use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem, SolveMethod};
+use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 use serde::{Deserialize, Serialize};
 
 /// One operating point's prediction-vs-measurement comparison.
@@ -57,7 +57,7 @@ pub fn enforced_agreement(
     let mut cells = Vec::new();
     for params in points {
         let prob = EnforcedWaitsProblem::new(pipeline, *params, b.to_vec());
-        let Ok(sched) = prob.solve(SolveMethod::WaterFilling) else {
+        let Ok(sched) = prob.solve() else {
             continue;
         };
         let cfg = SimConfig::quick(params.tau0, seed, stream_length);

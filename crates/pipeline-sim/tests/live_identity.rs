@@ -9,7 +9,7 @@ use pipeline_sim::{
     simulate_enforced_perturbed, simulate_enforced_perturbed_live, simulate_monolithic,
     simulate_monolithic_live, MitigationPolicy, SimConfig, SimLiveMetrics, SimMetrics,
 };
-use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem, SolveMethod};
+use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 
 fn blast() -> PipelineSpec {
     PipelineSpecBuilder::new(128)
@@ -47,7 +47,7 @@ fn enforced_live_is_bit_identical_and_registry_matches_metrics() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let cfg = SimConfig::quick(10.0, 7, 3_000);
     let plain = simulate_enforced(&p, &sched, 1e5, &cfg);
@@ -83,7 +83,7 @@ fn enforced_stress_live_matches_shed_and_drop_counters() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let cfg = SimConfig::quick(10.0, 3, 3_000);
     let perturb = Perturbation::standard(1.5);
@@ -143,7 +143,7 @@ fn multi_seed_live_counts_runs_and_preserves_results() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let cfg = SimConfig::quick(10.0, 0, 800);
     let perturb = Perturbation::standard(0.5);
@@ -170,7 +170,7 @@ fn robustness_live_schedules_every_cell_and_matches_plain() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let enforced = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
         .solve()

@@ -13,7 +13,7 @@ use pipeline_sim::{
     simulate_monolithic_perturbed, simulate_monolithic_traced, MitigationPolicy, SimConfig,
 };
 use proptest::prelude::*;
-use rtsdf_core::{EnforcedWaitsProblem, MonolithicSchedule, SolveMethod};
+use rtsdf_core::{EnforcedWaitsProblem, MonolithicSchedule};
 
 /// Shared invariant for both simulators: every recorded visit's
 /// enforced-wait, queue-wait, and service components are non-negative,
@@ -126,7 +126,7 @@ proptest! {
         let d = min_d * 20.0;
         let params = RtParams::new(tau0, d).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .expect("constructed feasible");
         let cfg = SimConfig::quick(tau0, seed, 500);
         let m = simulate_enforced(&p, &sched, d, &cfg);
@@ -188,7 +188,7 @@ proptest! {
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
         let plain = simulate_enforced(&p, &sched, params.deadline, &cfg);
@@ -218,7 +218,7 @@ proptest! {
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
         let a = simulate_enforced(&p, &sched, params.deadline, &cfg);
@@ -243,7 +243,6 @@ proptest! {
             active_fraction: 1.0 / scale,
             backlog_factors: vec![1.0; p.len()],
             latency_bound: 0.0,
-            method: SolveMethod::WaterFilling,
             telemetry: None,
         };
         let cfg = SimConfig::quick(tau0, seed, 400);
@@ -268,7 +267,7 @@ proptest! {
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
         let plain = simulate_enforced(&p, &sched, params.deadline, &cfg);
@@ -331,7 +330,7 @@ proptest! {
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
         let zero = Perturbation::standard(1.0).at_intensity(0.0);
@@ -384,7 +383,7 @@ proptest! {
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 3.0).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
         let m = simulate_enforced_perturbed(
@@ -526,7 +525,7 @@ proptest! {
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 5.0).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = sim_config(tau0, seed, run);
 
@@ -631,7 +630,7 @@ proptest! {
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 5.0).unwrap();
         let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve(SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let cfg = sim_config(tau0, seed, run);
 

@@ -286,7 +286,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 3.0e4).unwrap();
         let sched = rtsdf_core::EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(rtsdf_core::SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let est = estimate_backlog_factors(&p, &sched.periods, 10.0, &EstimateConfig::default());
         assert_eq!(est.len(), 4);
@@ -334,7 +334,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 3e5).unwrap();
         let sched = rtsdf_core::EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve(rtsdf_core::SolveMethod::WaterFilling)
+            .solve()
             .unwrap();
         let est = estimate_backlog_factors(&p, &sched.periods, 10.0, &EstimateConfig::default());
         assert!(

@@ -30,7 +30,7 @@
 //!
 //! // Optimize both strategies.
 //! let enforced = EnforcedWaitsProblem::new(&pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
-//!     .solve(SolveMethod::WaterFilling)
+//!     .solve()
 //!     .unwrap();
 //! let monolithic = MonolithicProblem::new(&pipeline, params, 1.0, 1.0)
 //!     .solve()
@@ -76,8 +76,7 @@ pub mod prelude {
         SimMetrics,
     };
     pub use rtsdf_core::{
-        EnforcedWaitsProblem, MonolithicProblem, MonolithicSchedule, ScheduleError, SolveMethod,
-        WaitSchedule,
+        EnforcedWaitsProblem, MonolithicProblem, MonolithicSchedule, ScheduleError, WaitSchedule,
     };
 }
 

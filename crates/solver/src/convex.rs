@@ -7,11 +7,13 @@
 //! strict feasibility; the barrier weight `t` grows geometrically until
 //! the duality-gap bound `m/t` falls below tolerance.
 //!
-//! This is the textbook method (Boyd & Vandenberghe ch. 11) specialized
-//! to the small dense problems this workspace produces; it replaces the
-//! AMPL + BONMIN toolchain used in the paper.
+//! This is the textbook method (Boyd & Vandenberghe ch. 11) on dense
+//! Newton systems: every step assembles and factors an `n × n` Hessian,
+//! O(n³). The workspace designs its schedules with exact water-filling
+//! (`rtsdf-core`); this method is the independent oracle its tests
+//! compare against, so it stays small and general rather than fast.
 
-use crate::linalg::{axpy, dot, norm2, BandedMat, Mat};
+use crate::linalg::{axpy, dot, norm2, Mat};
 use crate::linear::ConstraintSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -31,26 +33,11 @@ pub trait ConvexProblem {
     /// Write the Hessian at `x` into `h` (shape `dim × dim`, pre-zeroed
     /// by the caller).
     fn hessian(&self, x: &[f64], h: &mut Mat);
-    /// Lower bandwidth of the objective Hessian, if the problem wants
-    /// the banded Newton path. Constraints whose support span fits this
-    /// band are assembled directly into a [`BandedMat`]; the few that
-    /// don't (e.g. a dense deadline row) are folded in by a low-rank
-    /// Sherman–Morrison–Woodbury correction, keeping each Newton step
-    /// O(n·bw²) instead of O(n³). Problems returning `Some` must also
-    /// implement [`ConvexProblem::hessian_banded`]. The default (`None`)
-    /// keeps the dense path.
-    fn bandwidth(&self) -> Option<usize> {
-        None
-    }
-    /// Write the Hessian at `x` into the pre-zeroed banded matrix `h`
-    /// (only required when [`ConvexProblem::bandwidth`] returns `Some`).
-    fn hessian_banded(&self, _x: &[f64], _h: &mut BandedMat) {
-        unreachable!("problems declaring bandwidth() must implement hessian_banded")
-    }
 }
 
-/// Tuning knobs for the interior-point method. The defaults solve every
-/// problem in this workspace to ~1e-9 gap in well under a millisecond.
+/// Tuning knobs for the interior-point method. The defaults solve a
+/// paper-scale problem (a handful of variables) to ~1e-9 gap in well
+/// under a millisecond.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolverOptions {
     /// Target duality-gap bound `m/t`.
@@ -67,26 +54,6 @@ pub struct SolverOptions {
     pub armijo: f64,
     /// Backtracking shrink factor.
     pub beta: f64,
-    /// Ceiling on the initial barrier weight chosen by
-    /// [`minimize_warm`]. The warm solve probes the Newton decrement of
-    /// the barrier objective at the warm point over a geometric ladder
-    /// of weights `t0·mu^k ≤ warm_t0` and starts at the largest weight
-    /// where the point is still nearly centered — a good hint skips the
-    /// loose early centering steps a cold start pays for, while a poor
-    /// hint degrades gracefully to the cold schedule.
-    pub warm_t0: f64,
-    /// Smallest problem dimension at which a declared
-    /// [`ConvexProblem::bandwidth`] switches Newton steps to the banded
-    /// factorization. Below this the dense path runs even for banded
-    /// problems: at paper scale (N=4) dense is already fast and keeping
-    /// it bit-identical to earlier releases protects the committed
-    /// baselines. Tests set `0` to force the banded path everywhere.
-    #[serde(default = "default_banded_min_dim")]
-    pub banded_min_dim: usize,
-}
-
-fn default_banded_min_dim() -> usize {
-    32
 }
 
 impl Default for SolverOptions {
@@ -99,8 +66,6 @@ impl Default for SolverOptions {
             max_outer_iters: 60,
             armijo: 0.01,
             beta: 0.5,
-            warm_t0: 1e4,
-            banded_min_dim: default_banded_min_dim(),
         }
     }
 }
@@ -121,24 +86,6 @@ pub struct Solution {
     /// Barrier weight `t` at the start of each centering step — the μ
     /// trajectory of the solve, for telemetry.
     pub barrier_ts: Vec<f64>,
-    /// Newton iterations used by each centering step (parallel to
-    /// `barrier_ts`).
-    pub barrier_newtons: Vec<usize>,
-    /// Wall-clock microseconds spent in each centering step (parallel to
-    /// `barrier_ts`), for span tracing.
-    pub barrier_wall_micros: Vec<f64>,
-    /// Bandwidth of the banded Newton factorization when that path ran,
-    /// `None` for dense. Skipped when absent so serialized solutions
-    /// from the dense path are byte-identical to earlier releases.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub banded_bandwidth: Option<usize>,
-    /// Wall-clock microseconds spent assembling, factoring, and solving
-    /// the Newton KKT systems when the banded path ran (`None` for
-    /// dense). Isolates the O(N·bw²) per-step kernel from the
-    /// line-search barrier evaluations, whose trial count is a property
-    /// of the instance rather than of the factorization.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub newton_solve_micros: Option<f64>,
 }
 
 /// Why a solve failed.
@@ -210,31 +157,14 @@ pub fn minimize(
     }
 
     let m = constraints.len().max(1) as f64;
-    let plan = NewtonPlan::choose(problem, constraints, opts);
-    let banded_bandwidth = plan.bandwidth();
     let mut x = x0.to_vec();
     let mut t = opts.t0;
     let mut total_newton = 0usize;
     let mut barrier_ts = Vec::new();
-    let mut barrier_newtons = Vec::new();
-    let mut barrier_wall_micros = Vec::new();
-    let mut kernel_micros = 0.0;
 
     for outer in 0..opts.max_outer_iters {
         barrier_ts.push(t);
-        let step_start = std::time::Instant::now();
-        let newtons = center(
-            problem,
-            constraints,
-            &mut x,
-            t,
-            opts,
-            &plan,
-            &mut kernel_micros,
-        )?;
-        barrier_wall_micros.push(step_start.elapsed().as_secs_f64() * 1e6);
-        barrier_newtons.push(newtons);
-        total_newton += newtons;
+        total_newton += center(problem, constraints, &mut x, t, opts)?;
         if m / t < opts.tolerance {
             return Ok(Solution {
                 value: problem.value(&x),
@@ -242,10 +172,6 @@ pub fn minimize(
                 newton_iters: total_newton,
                 outer_iters: outer + 1,
                 barrier_ts,
-                barrier_newtons,
-                barrier_wall_micros,
-                banded_bandwidth,
-                newton_solve_micros: banded_bandwidth.map(|_| kernel_micros),
                 x,
             });
         }
@@ -258,154 +184,13 @@ pub fn minimize(
         newton_iters: total_newton,
         outer_iters: opts.max_outer_iters,
         barrier_ts,
-        barrier_newtons,
-        barrier_wall_micros,
-        banded_bandwidth,
-        newton_solve_micros: banded_bandwidth.map(|_| kernel_micros),
         x,
     })
 }
 
-/// How the Newton systems of one solve are factored: chosen once per
-/// [`minimize`] call from the declared bandwidth and constraint shape.
-enum NewtonPlan {
-    Dense,
-    Banded(BandedPlan),
-}
-
-/// The banded strategy: constraints whose support span fits the band are
-/// assembled into the banded matrix `B`; the `wide` remainder (for the
-/// enforced-waits problem, exactly the dense deadline row) is folded in
-/// by the Sherman–Morrison–Woodbury identity
-/// `H⁻¹ = B⁻¹ − B⁻¹A (C⁻¹ + AᵀB⁻¹A)⁻¹ AᵀB⁻¹`
-/// with `A` the wide coefficient columns and `C = diag(1/s_j²)`, costing
-/// `|wide|+1` banded solves plus one tiny `|wide|×|wide|` dense solve
-/// per Newton step.
-struct BandedPlan {
-    bw: usize,
-    /// Support span `(lo, hi)` of each constraint, parallel to the set.
-    spans: Vec<(usize, usize)>,
-    /// Indices of constraints handled by the low-rank correction.
-    wide: Vec<usize>,
-    /// Every constraint's in-span coefficients, concatenated. The
-    /// constraint set stores each row as a full-length vector, so at
-    /// depth `N` the rows span O(N²) of scattered memory while holding
-    /// only O(N) nonzeros — the slack/gradient/line-search loops that
-    /// run every Newton iteration would eat a cache miss per
-    /// constraint. Packing the spans once per solve keeps those loops
-    /// streaming over one contiguous O(nnz) buffer.
-    packed: Vec<f64>,
-    /// Prefix offsets into `packed`, length `constraints + 1`.
-    offsets: Vec<usize>,
-    /// Right-hand sides, contiguous, parallel to the set.
-    rhs: Vec<f64>,
-}
-
-impl BandedPlan {
-    /// Packed in-span coefficients of constraint `ci`.
-    #[inline]
-    fn row(&self, ci: usize) -> &[f64] {
-        &self.packed[self.offsets[ci]..self.offsets[ci + 1]]
-    }
-
-    /// Slack `rhs − a·x` of constraint `ci` evaluated over its support
-    /// span only — equal to the full dot product (the skipped terms
-    /// are exact zeros), in O(span), read from the packed buffer.
-    #[inline]
-    fn slack(&self, ci: usize, x: &[f64]) -> f64 {
-        let (lo, hi) = self.spans[ci];
-        let mut acc = 0.0;
-        for (cj, xj) in self.row(ci).iter().zip(&x[lo..=hi]) {
-            acc += cj * xj;
-        }
-        self.rhs[ci] - acc
-    }
-}
-
-/// Support span of a coefficient vector: first and last nonzero index
-/// (`(0, 0)` for an all-zero row, which any span handles trivially).
-fn support_span(coeffs: &[f64]) -> (usize, usize) {
-    let lo = coeffs.iter().position(|&c| c != 0.0).unwrap_or(0);
-    let hi = coeffs.iter().rposition(|&c| c != 0.0).unwrap_or(0);
-    (lo, hi)
-}
-
-impl NewtonPlan {
-    fn choose(
-        problem: &dyn ConvexProblem,
-        constraints: &ConstraintSet,
-        opts: &SolverOptions,
-    ) -> NewtonPlan {
-        let n = problem.dim();
-        let bw = match problem.bandwidth() {
-            Some(bw) if n >= opts.banded_min_dim.max(2) && bw + 1 < n => bw,
-            _ => return NewtonPlan::Dense,
-        };
-        let spans: Vec<(usize, usize)> = constraints
-            .constraints()
-            .iter()
-            .map(|c| support_span(&c.coeffs))
-            .collect();
-        let mut wide = Vec::new();
-        for (ci, &(lo, hi)) in spans.iter().enumerate() {
-            if hi - lo > bw {
-                wide.push(ci);
-            }
-        }
-        // The SMW correction pays |wide| banded solves plus a dense
-        // |wide|² system per step; past a small rank it stops being a
-        // win over dense.
-        if wide.len() * 4 > n {
-            return NewtonPlan::Dense;
-        }
-        let cons = constraints.constraints();
-        let mut offsets = Vec::with_capacity(cons.len() + 1);
-        offsets.push(0);
-        let mut packed = Vec::new();
-        let mut rhs = Vec::with_capacity(cons.len());
-        for (c, &(lo, hi)) in cons.iter().zip(&spans) {
-            packed.extend_from_slice(&c.coeffs[lo..=hi]);
-            offsets.push(packed.len());
-            rhs.push(c.rhs);
-        }
-        NewtonPlan::Banded(BandedPlan {
-            bw,
-            spans,
-            wide,
-            packed,
-            offsets,
-            rhs,
-        })
-    }
-
-    fn bandwidth(&self) -> Option<usize> {
-        match self {
-            NewtonPlan::Dense => None,
-            NewtonPlan::Banded(p) => Some(p.bw),
-        }
-    }
-}
-
 /// One centering step: Newton on `t·f(x) − Σ log(slack_j)`.
-/// Returns the number of Newton iterations used. The banded path adds
-/// the wall time of its Newton-system solves to `kernel_micros`; the
-/// dense path leaves it untouched.
+/// Returns the number of Newton iterations used.
 fn center(
-    problem: &dyn ConvexProblem,
-    constraints: &ConstraintSet,
-    x: &mut [f64],
-    t: f64,
-    opts: &SolverOptions,
-    plan: &NewtonPlan,
-    kernel_micros: &mut f64,
-) -> Result<usize, SolveError> {
-    match plan {
-        NewtonPlan::Dense => center_dense(problem, constraints, x, t, opts),
-        NewtonPlan::Banded(p) => center_banded(problem, constraints, x, t, opts, p, kernel_micros),
-    }
-}
-
-fn center_dense(
     problem: &dyn ConvexProblem,
     constraints: &ConstraintSet,
     x: &mut [f64],
@@ -516,235 +301,6 @@ fn center_dense(
     Ok(opts.max_newton_iters)
 }
 
-/// Errors from one banded Newton system solve.
-enum BandedSolveError {
-    /// A slack went non-positive: centering lost strict feasibility of
-    /// the named constraint.
-    LostFeasibility(String),
-    /// Factorization failed even after ridge escalation.
-    NotPositiveDefinite,
-}
-
-/// Full-length vector with `pad` extra doubles of capacity. The hot
-/// banded-loop buffers are all exactly `n` doubles; at power-of-two
-/// dims (`n = 512` → 4 KiB) same-size allocations can land an exact
-/// multiple of 4 KiB apart, and the loop's same-index read/write pairs
-/// across buffers then stall on 4K aliasing (measured ~60% extra
-/// per-iteration wall at N = 512 vs the N = 480/544 trend line).
-/// Giving each buffer a distinct pad keeps their relative offsets off
-/// the page stride.
-fn padded_vec(n: usize, pad: usize) -> Vec<f64> {
-    let mut v = Vec::with_capacity(n + pad);
-    v.resize(n, 0.0);
-    v
-}
-
-/// Reusable buffers for the banded Newton loop, allocated once per
-/// centering so the per-iteration path performs no full-length
-/// allocations (the previous per-step `to_vec`/`clone` churn recycled
-/// same-size heap chunks at run-dependent offsets, making the N = 512
-/// cost swing run to run).
-struct BandedWorkspace {
-    /// Barrier gradient (written by every solve).
-    g: Vec<f64>,
-    /// Newton solution `H⁻¹ g` (written by every successful solve).
-    d: Vec<f64>,
-    /// Banded Hessian part B.
-    b: BandedMat,
-    /// Factorization scratch (B + ridge, decomposed in place).
-    scratch: BandedMat,
-    /// SMW solves `B⁻¹ a_j`, one buffer per wide row.
-    us: Vec<Vec<f64>>,
-    /// Slacks of the wide rows at the current iterate.
-    wide_slacks: Vec<f64>,
-}
-
-impl BandedWorkspace {
-    fn new(n: usize, p: &BandedPlan) -> Self {
-        BandedWorkspace {
-            g: padded_vec(n, 8),
-            d: padded_vec(n, 24),
-            b: BandedMat::zeros(n, p.bw),
-            scratch: BandedMat::zeros(n, p.bw),
-            us: (0..p.wide.len())
-                .map(|j| padded_vec(n, 40 + 16 * j))
-                .collect(),
-            wide_slacks: vec![0.0; p.wide.len()],
-        }
-    }
-}
-
-/// Solve one barrier Newton system `H d = g` via the banded plan,
-/// leaving the barrier gradient in `ws.g` and the solution in `ws.d`.
-/// `H = B + ACAᵀ` with `B` the banded part (objective Hessian + narrow
-/// constraints) and the wide constraints folded in by SMW.
-/// `ridge_attempts = 1` disables ridge escalation (the probing paths
-/// want a plain PD check).
-fn banded_newton_solve(
-    problem: &dyn ConvexProblem,
-    constraints: &ConstraintSet,
-    x: &[f64],
-    t: f64,
-    p: &BandedPlan,
-    ws: &mut BandedWorkspace,
-    ridge_attempts: usize,
-) -> Result<(), BandedSolveError> {
-    let cons = constraints.constraints();
-
-    // Barrier gradient and banded Hessian part B.
-    problem.gradient(x, &mut ws.g);
-    for gi in ws.g.iter_mut() {
-        *gi *= t;
-    }
-    ws.b.fill_zero();
-    problem.hessian_banded(x, &mut ws.b);
-    ws.b.scale(t);
-    for (ci, con) in cons.iter().enumerate() {
-        let (lo, hi) = p.spans[ci];
-        let s = p.slack(ci, x);
-        if s <= 0.0 || !s.is_finite() {
-            return Err(BandedSolveError::LostFeasibility(con.label.clone()));
-        }
-        let inv = 1.0 / s;
-        for (gj, cj) in ws.g[lo..=hi].iter_mut().zip(p.row(ci)) {
-            *gj += inv * cj;
-        }
-        if let Some(w) = p.wide.iter().position(|&wi| wi == ci) {
-            ws.wide_slacks[w] = s;
-        } else {
-            ws.b.rank1_update_packed(p.row(ci), inv * inv, lo);
-        }
-    }
-
-    // Factor B (+ ridge) and apply the SMW correction for wide rows.
-    let mut ridge = 0.0;
-    for _ in 0..ridge_attempts {
-        ws.scratch.copy_from(&ws.b);
-        if ridge > 0.0 {
-            ws.scratch.add_diagonal(ridge);
-        }
-        if ws.scratch.cholesky_in_place() {
-            ws.d.copy_from_slice(&ws.g);
-            ws.scratch.solve_into(&mut ws.d);
-            if p.wide.is_empty() {
-                return Ok(());
-            }
-            // u_j = B⁻¹ a_j for each wide row, then the capacitance
-            // system (C⁻¹ + AᵀB⁻¹A) y = Aᵀu0 with C⁻¹ = diag(s_j²).
-            let k = p.wide.len();
-            for (u, &ci) in ws.us.iter_mut().zip(&p.wide) {
-                u.copy_from_slice(&cons[ci].coeffs);
-                ws.scratch.solve_into(u);
-            }
-            let mut m = Mat::zeros(k, k);
-            let mut r = vec![0.0; k];
-            for (pi, &cp) in p.wide.iter().enumerate() {
-                let ap = &cons[cp].coeffs;
-                r[pi] = dot(ap, &ws.d);
-                for qi in 0..k {
-                    m[(pi, qi)] = dot(ap, &ws.us[qi]);
-                }
-                m[(pi, pi)] += ws.wide_slacks[pi] * ws.wide_slacks[pi];
-            }
-            if let Some(chol) = m.cholesky() {
-                let y = chol.solve(&r);
-                for (yi, u) in y.iter().zip(&ws.us) {
-                    axpy(-yi, u, &mut ws.d);
-                }
-                return Ok(());
-            }
-            // Capacitance system not PD (extreme ill-conditioning):
-            // escalate the ridge like a failed banded factor.
-        }
-        ridge = if ridge == 0.0 { 1e-12 } else { ridge * 100.0 };
-    }
-    Err(BandedSolveError::NotPositiveDefinite)
-}
-
-/// Banded centering: the same damped Newton loop as [`center_dense`]
-/// with every per-iteration cost kept O(n·bw² + m·span) — slacks,
-/// gradients, and line-search barrier evaluations all run over
-/// constraint support spans, and the factorization is banded + SMW.
-fn center_banded(
-    problem: &dyn ConvexProblem,
-    constraints: &ConstraintSet,
-    x: &mut [f64],
-    t: f64,
-    opts: &SolverOptions,
-    p: &BandedPlan,
-    kernel_micros: &mut f64,
-) -> Result<usize, SolveError> {
-    let n = problem.dim();
-    let mut ws = BandedWorkspace::new(n, p);
-    let mut trial = padded_vec(n, 56);
-
-    for iter in 0..opts.max_newton_iters {
-        let kernel_start = std::time::Instant::now();
-        let solved = banded_newton_solve(problem, constraints, x, t, p, &mut ws, 8);
-        *kernel_micros += kernel_start.elapsed().as_secs_f64() * 1e6;
-        match solved {
-            Ok(()) => {}
-            Err(BandedSolveError::LostFeasibility(label)) => {
-                return Err(SolveError::Numerical(format!(
-                    "lost strict feasibility of '{label}' during centering"
-                )))
-            }
-            Err(BandedSolveError::NotPositiveDefinite) => {
-                return Err(SolveError::Numerical(
-                    "Hessian not positive definite".into(),
-                ))
-            }
-        };
-        let (g, d) = (&ws.g, &mut ws.d);
-        for di in d.iter_mut() {
-            *di = -*di;
-        }
-        let d = &*d;
-
-        let lambda2 = -dot(g, d);
-        if !lambda2.is_finite() {
-            return Err(SolveError::Numerical("non-finite Newton decrement".into()));
-        }
-        if lambda2 / 2.0 <= 1e-12 {
-            return Ok(iter);
-        }
-
-        let phi = |xt: &[f64]| -> f64 {
-            let mut v = t * problem.value(xt);
-            for ci in 0..constraints.len() {
-                let s = p.slack(ci, xt);
-                if s <= 0.0 {
-                    return f64::INFINITY;
-                }
-                v -= s.ln();
-            }
-            v
-        };
-        let phi0 = phi(x);
-        let slope = dot(g, d); // negative
-        let mut step = 1.0;
-        let mut ok = false;
-        for _ in 0..100 {
-            trial.copy_from_slice(x);
-            axpy(step, d, &mut trial);
-            let v = phi(&trial);
-            if v.is_finite() && v <= phi0 + opts.armijo * step * slope {
-                ok = true;
-                break;
-            }
-            step *= opts.beta;
-        }
-        if !ok {
-            return Ok(iter);
-        }
-        x.copy_from_slice(&trial);
-        if norm2(d) * step < 1e-14 {
-            return Ok(iter + 1);
-        }
-    }
-    Ok(opts.max_newton_iters)
-}
-
 /// Phase-1: find a strictly feasible point for `constraints`, or certify
 /// that none exists (within `radius` of `x0`).
 ///
@@ -780,18 +336,7 @@ pub fn find_interior_point_detailed(
         return Ok((x0.to_vec(), 0));
     }
 
-    // Augmented problem over (x, s).
-    struct Phase1;
-    impl ConvexProblem for Phase1 {
-        fn dim(&self) -> usize {
-            unreachable!("dim provided via DimWrap")
-        }
-        fn value(&self, _x: &[f64]) -> f64 {
-            0.0
-        }
-        fn gradient(&self, _x: &[f64], _g: &mut [f64]) {}
-        fn hessian(&self, _x: &[f64], _h: &mut Mat) {}
-    }
+    // Augmented problem over (x, s): minimize s.
     struct LinearS {
         dim: usize,
     }
@@ -810,7 +355,6 @@ pub fn find_interior_point_detailed(
         }
         fn hessian(&self, _x: &[f64], _h: &mut Mat) {}
     }
-    let _ = Phase1; // silence dead-code on the illustrative struct
 
     let mut aug = ConstraintSet::new(n + 1);
     for c in constraints.constraints() {
@@ -843,132 +387,6 @@ pub fn find_interior_point_detailed(
             violation: s_opt.max(0.0),
         })
     }
-}
-
-/// A warm-started solve: the [`Solution`] plus an accounting of what the
-/// warm start bought.
-#[derive(Debug, Clone)]
-pub struct WarmSolution {
-    /// The converged solve.
-    pub solution: Solution,
-    /// True if the warm point was already strictly feasible and phase-1
-    /// was skipped entirely.
-    pub warm_feasible: bool,
-    /// Newton iterations spent restoring feasibility (0 when
-    /// `warm_feasible`).
-    pub phase1_newtons: usize,
-}
-
-/// Newton decrement squared `gᵀH⁻¹g` of the barrier objective
-/// `t·f(x) − Σ log(slack_j)` at `x`, or `None` when it cannot be
-/// evaluated there (a non-positive slack or a non-PD Hessian). Small
-/// values mean `x` is nearly centered for weight `t`, so a centering
-/// step starting there is cheap.
-fn barrier_decrement2(
-    problem: &dyn ConvexProblem,
-    constraints: &ConstraintSet,
-    x: &[f64],
-    t: f64,
-    opts: &SolverOptions,
-) -> Option<f64> {
-    let n = problem.dim();
-    if let NewtonPlan::Banded(p) = NewtonPlan::choose(problem, constraints, opts) {
-        let mut ws = BandedWorkspace::new(n, &p);
-        banded_newton_solve(problem, constraints, x, t, &p, &mut ws, 1).ok()?;
-        let l2 = dot(&ws.g, &ws.d);
-        return l2.is_finite().then_some(l2);
-    }
-    let mut g = vec![0.0; n];
-    problem.gradient(x, &mut g);
-    for gi in g.iter_mut() {
-        *gi *= t;
-    }
-    let mut h = Mat::zeros(n, n);
-    problem.hessian(x, &mut h);
-    for i in 0..n {
-        for j in 0..n {
-            h[(i, j)] *= t;
-        }
-    }
-    for c in constraints.constraints() {
-        let s = c.slack(x);
-        if s <= 0.0 || !s.is_finite() {
-            return None;
-        }
-        axpy(1.0 / s, &c.coeffs, &mut g);
-        h.rank1_update(&c.coeffs, 1.0 / (s * s));
-    }
-    let chol = h.cholesky()?;
-    let d = chol.solve(&g);
-    let l2 = dot(&g, &d);
-    l2.is_finite().then_some(l2)
-}
-
-/// Largest barrier weight in `{t0·mu^k : k ≥ 0, ≤ warm_t0}` at which
-/// `x` still looks nearly centered, judged by the Newton decrement.
-/// Probing costs one Hessian factorization per rung — negligible next
-/// to the centering iterations a wrong choice wastes.
-fn warm_barrier_weight(
-    problem: &dyn ConvexProblem,
-    constraints: &ConstraintSet,
-    x: &[f64],
-    opts: &SolverOptions,
-) -> f64 {
-    // λ²/2 bounds the barrier-objective excess over the centered point;
-    // centering from within this budget takes only a few damped steps.
-    const DECREMENT_BUDGET: f64 = 10.0;
-    let mut best = opts.t0;
-    let mut t = opts.t0 * opts.mu;
-    while t <= opts.warm_t0 {
-        match barrier_decrement2(problem, constraints, x, t, opts) {
-            Some(l2) if l2 / 2.0 <= DECREMENT_BUDGET => best = t,
-            _ => break,
-        }
-        t *= opts.mu;
-    }
-    best
-}
-
-/// Minimize `problem` over `constraints` seeded from `warm`, a point
-/// expected to be near the optimum (e.g. the solution of a neighboring
-/// problem instance).
-///
-/// If `warm` is strictly feasible the barrier starts at the largest
-/// weight (capped by [`SolverOptions::warm_t0`]) at which `warm` is
-/// still nearly centered, skipping the loose early centering steps a
-/// cold start pays for. Otherwise phase-1 restores feasibility starting
-/// from `warm` (still cheaper than a cold phase-1 when `warm` is close)
-/// and the restored point is probed the same way.
-pub fn minimize_warm(
-    problem: &dyn ConvexProblem,
-    constraints: &ConstraintSet,
-    warm: &[f64],
-    radius: f64,
-    opts: &SolverOptions,
-) -> Result<WarmSolution, SolveError> {
-    let warm_feasible = constraints
-        .constraints()
-        .iter()
-        .all(|c| c.slack(warm) > 1e-12);
-    if warm_feasible {
-        let mut boosted = opts.clone();
-        boosted.t0 = warm_barrier_weight(problem, constraints, warm, opts);
-        let solution = minimize(problem, constraints, warm, &boosted)?;
-        return Ok(WarmSolution {
-            solution,
-            warm_feasible: true,
-            phase1_newtons: 0,
-        });
-    }
-    let (x0, phase1_newtons) = find_interior_point_detailed(constraints, warm, radius, opts)?;
-    let mut boosted = opts.clone();
-    boosted.t0 = warm_barrier_weight(problem, constraints, &x0, opts);
-    let solution = minimize(problem, constraints, &x0, &boosted)?;
-    Ok(WarmSolution {
-        solution,
-        warm_feasible: false,
-        phase1_newtons,
-    })
 }
 
 #[cfg(test)]
@@ -1039,13 +457,8 @@ mod tests {
         assert!((sol.x[0] - 1.0).abs() < 1e-6, "{:?}", sol.x);
         assert!((sol.x[1] - 2.0).abs() < 1e-6, "{:?}", sol.x);
         assert!(sol.gap < 1e-8);
-        // Per-step telemetry is parallel to the μ trajectory and
-        // accounts for every Newton iteration.
+        // The μ trajectory has one weight per centering step.
         assert_eq!(sol.barrier_ts.len(), sol.outer_iters);
-        assert_eq!(sol.barrier_newtons.len(), sol.outer_iters);
-        assert_eq!(sol.barrier_wall_micros.len(), sol.outer_iters);
-        assert_eq!(sol.barrier_newtons.iter().sum::<usize>(), sol.newton_iters);
-        assert!(sol.barrier_wall_micros.iter().all(|&w| w >= 0.0));
     }
 
     #[test]
@@ -1162,62 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_near_optimum_uses_fewer_newton_iters() {
-        // Same problem as solution_respects_all_constraints; warm-start
-        // from a point close to the cold optimum and compare effort.
-        let p = Reciprocal {
-            t: vec![287.0, 955.0, 402.0, 2753.0],
-        };
-        let mut cs = ConstraintSet::new(4);
-        cs.push(vec![1.0, 3.0, 9.0, 6.0], 2e5, "deadline");
-        for (i, t) in [287.0, 955.0, 402.0, 2753.0].iter().enumerate() {
-            cs.push_lower_bound(i, *t, format!("x{i} >= t{i}"));
-        }
-        cs.push_upper_bound(0, 12_800.0, "rate");
-        let opts = SolverOptions::default();
-        let x0 = vec![300.0, 1000.0, 450.0, 2800.0];
-        let cold = minimize(&p, &cs, &x0, &opts).unwrap();
-
-        // Nudge the cold optimum toward the interior so it is strictly
-        // feasible, as a neighboring cell's schedule would be.
-        let warm_pt: Vec<f64> = cold.x.iter().map(|&xi| xi * 0.999).collect();
-        let warm = minimize_warm(&p, &cs, &warm_pt, 1e6, &opts).unwrap();
-        assert!(warm.warm_feasible);
-        assert_eq!(warm.phase1_newtons, 0);
-        assert!(
-            warm.solution.newton_iters < cold.newton_iters,
-            "warm {} vs cold {}",
-            warm.solution.newton_iters,
-            cold.newton_iters
-        );
-        for (w, c) in warm.solution.x.iter().zip(&cold.x) {
-            assert!(
-                (w - c).abs() / c < 1e-4,
-                "{:?} vs {:?}",
-                warm.solution.x,
-                cold.x
-            );
-        }
-    }
-
-    #[test]
-    fn warm_start_from_infeasible_point_restores_and_converges() {
-        let p = Quadratic { center: vec![5.0] };
-        let mut cs = ConstraintSet::new(1);
-        cs.push_upper_bound(0, 2.0, "cap");
-        cs.push_lower_bound(0, -10.0, "floor");
-        // Warm point sits outside the cap.
-        let warm = minimize_warm(&p, &cs, &[3.0], 100.0, &SolverOptions::default()).unwrap();
-        assert!(!warm.warm_feasible);
-        assert!(warm.phase1_newtons > 0);
-        assert!(
-            (warm.solution.x[0] - 2.0).abs() < 1e-5,
-            "{:?}",
-            warm.solution.x
-        );
-    }
-
-    #[test]
     fn detailed_phase1_fast_path_reports_zero_newtons() {
         let mut cs = ConstraintSet::new(1);
         cs.push_upper_bound(0, 10.0, "ub");
@@ -1225,154 +582,6 @@ mod tests {
             find_interior_point_detailed(&cs, &[3.0], 100.0, &SolverOptions::default()).unwrap();
         assert_eq!(x, vec![3.0]);
         assert_eq!(newtons, 0);
-    }
-
-    /// Reciprocal objective that also declares the banded Newton path
-    /// (its Hessian is diagonal, so any bandwidth ≥ 0 holds it).
-    struct BandedReciprocal {
-        t: Vec<f64>,
-    }
-    impl ConvexProblem for BandedReciprocal {
-        fn dim(&self) -> usize {
-            self.t.len()
-        }
-        fn value(&self, x: &[f64]) -> f64 {
-            x.iter().zip(&self.t).map(|(xi, ti)| ti / xi).sum()
-        }
-        fn gradient(&self, x: &[f64], g: &mut [f64]) {
-            for i in 0..x.len() {
-                g[i] = -self.t[i] / (x[i] * x[i]);
-            }
-        }
-        fn hessian(&self, x: &[f64], h: &mut Mat) {
-            for i in 0..x.len() {
-                h[(i, i)] = 2.0 * self.t[i] / (x[i] * x[i] * x[i]);
-            }
-        }
-        fn bandwidth(&self) -> Option<usize> {
-            Some(1)
-        }
-        fn hessian_banded(&self, x: &[f64], h: &mut BandedMat) {
-            for (i, xi) in x.iter().enumerate() {
-                *h.at_mut(i, i) = 2.0 * self.t[i] / (xi * xi * xi);
-            }
-        }
-    }
-
-    /// Adjacent-difference chain constraints plus bounds: every row is
-    /// narrow for bandwidth 1.
-    fn chain_constraints(n: usize) -> ConstraintSet {
-        let mut cs = ConstraintSet::new(n);
-        for i in 0..n - 1 {
-            let mut c = vec![0.0; n];
-            c[i + 1] = 1.0;
-            c[i] = -1.0;
-            cs.push(c, 2.0, format!("edge {i}"));
-        }
-        for i in 0..n {
-            cs.push_lower_bound(i, 0.5, format!("x{i} lb"));
-            cs.push_upper_bound(i, 10.0, format!("x{i} ub"));
-        }
-        cs
-    }
-
-    #[test]
-    fn banded_path_bitwise_matches_dense_when_all_rows_are_narrow() {
-        // With no wide rows the banded factorization performs exactly
-        // the dense arithmetic (skipped terms are exact zeros), so the
-        // whole Newton trajectory is bit-identical.
-        let n = 6;
-        let cs = chain_constraints(n);
-        let x0 = vec![1.0; n];
-        let opts = SolverOptions {
-            banded_min_dim: 0, // force banded below the default gate
-            ..SolverOptions::default()
-        };
-        let banded = minimize(&BandedReciprocal { t: vec![1.0; n] }, &cs, &x0, &opts).unwrap();
-        let dense = minimize(
-            &Reciprocal { t: vec![1.0; n] },
-            &cs,
-            &x0,
-            &SolverOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(banded.x, dense.x);
-        assert_eq!(banded.newton_iters, dense.newton_iters);
-        assert_eq!(banded.banded_bandwidth, Some(1));
-        assert_eq!(dense.banded_bandwidth, None);
-    }
-
-    #[test]
-    fn banded_path_with_wide_budget_row_matches_dense() {
-        // A dense budget row exercises the SMW low-rank correction; the
-        // trajectories differ in rounding but must agree to solver
-        // tolerance.
-        let n = 6;
-        let t: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let mut cs = ConstraintSet::new(n);
-        cs.push(vec![1.0; n], 40.0, "budget");
-        for i in 0..n {
-            cs.push_lower_bound(i, 0.1, format!("x{i} lb"));
-        }
-        let x0 = vec![1.0; n];
-        let opts = SolverOptions {
-            banded_min_dim: 0,
-            ..SolverOptions::default()
-        };
-        let banded = minimize(&BandedReciprocal { t: t.clone() }, &cs, &x0, &opts).unwrap();
-        let dense = minimize(&Reciprocal { t }, &cs, &x0, &SolverOptions::default()).unwrap();
-        assert_eq!(banded.banded_bandwidth, Some(1));
-        assert!(cs.is_feasible(&banded.x, 1e-9));
-        for (b, d) in banded.x.iter().zip(&dense.x) {
-            assert!((b - d).abs() / d < 1e-5, "{:?} vs {:?}", banded.x, dense.x);
-        }
-        // Warm restart through the banded decrement probe agrees too.
-        let warm_pt: Vec<f64> = banded.x.iter().map(|&x| x * 0.999).collect();
-        let warm = minimize_warm(
-            &BandedReciprocal {
-                t: (0..n).map(|i| 1.0 + i as f64).collect(),
-            },
-            &cs,
-            &warm_pt,
-            100.0,
-            &opts,
-        )
-        .unwrap();
-        assert!(warm.warm_feasible);
-        for (w, d) in warm.solution.x.iter().zip(&dense.x) {
-            assert!((w - d).abs() / d < 1e-4);
-        }
-    }
-
-    #[test]
-    fn banded_gate_keeps_dense_below_min_dim() {
-        // Default options: a banded-capable problem below the size gate
-        // still runs (and records) the dense path.
-        let n = 6;
-        let cs = chain_constraints(n);
-        let sol = minimize(
-            &BandedReciprocal { t: vec![1.0; n] },
-            &cs,
-            &vec![1.0; n],
-            &SolverOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sol.banded_bandwidth, None);
-    }
-
-    #[test]
-    fn banded_engages_at_scale_by_default() {
-        let n = 64;
-        let cs = chain_constraints(n);
-        let sol = minimize(
-            &BandedReciprocal { t: vec![1.0; n] },
-            &cs,
-            &vec![1.0; n],
-            &SolverOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sol.banded_bandwidth, Some(1));
-        assert!(cs.is_feasible(&sol.x, 1e-9));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! This crate supplies exactly the machinery those shapes need, built
 //! from scratch:
 //!
-//! * [`linalg`] — small dense matrices and a Cholesky solve.
+//! * [`linalg`] — small dense matrices, a Cholesky solve, and a banded
+//!   Cholesky for the KKT certificate's multiplier solve.
 //! * [`linear`] — linear inequality constraint sets `a·x ≤ b`.
 //! * [`convex`] — a log-barrier interior-point Newton method for smooth
 //!   convex objectives over linear constraints, with a phase-1 routine to
@@ -20,9 +21,9 @@
 //! * [`integer`] — exact integer minimization by exhaustive scan.
 //!
 //! Independent methods are cross-checked in this workspace's tests: the
-//! interior-point solution of Fig. 1 must agree with a specialized KKT
-//! water-filling solver, and the breakpoint search for Fig. 2 must agree
-//! with the exhaustive scan (both in `rtsdf-core`).
+//! exact water-filling solution of Fig. 1 must agree with this crate's
+//! dense interior point (the test oracle), and the breakpoint search for
+//! Fig. 2 must agree with the exhaustive scan (both in `rtsdf-core`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,5 @@ pub mod linalg;
 pub mod linear;
 pub mod scalar;
 
-pub use convex::{
-    minimize, minimize_warm, ConvexProblem, Solution, SolveError, SolverOptions, WarmSolution,
-};
+pub use convex::{minimize, ConvexProblem, Solution, SolveError, SolverOptions};
 pub use linear::{Constraint, ConstraintSet};

@@ -173,11 +173,10 @@ impl Mat {
 
 /// A symmetric positive-definite matrix stored by its lower band:
 /// entry `(i, j)` with `0 ≤ i − j ≤ bw` lives at
-/// `data[i·(bw+1) + (j − i + bw)]`. The enforced-waits Newton system
-/// couples only adjacent stages, so its Hessian (minus the dense
-/// deadline row, handled by a low-rank correction in the solver) fits a
-/// tiny band — banded Cholesky factors it in O(n·bw²) with no fill-in,
-/// versus O(n³) dense.
+/// `data[i·(bw+1) + (j − i + bw)]`. On deep chains the KKT certificate's
+/// multiplier normal equations couple only constraints whose supports
+/// overlap, so their gram matrix fits a tiny band — banded Cholesky
+/// factors it in O(n·bw²) with no fill-in, versus O(n³) dense.
 ///
 /// On an input that is exactly banded, [`BandedMat::cholesky_in_place`]
 /// and [`BandedMat::solve_into`] perform bit-for-bit the same arithmetic
@@ -203,16 +202,6 @@ impl BandedMat {
         }
     }
 
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Lower bandwidth.
-    pub fn bandwidth(&self) -> usize {
-        self.bw
-    }
-
     #[inline]
     fn idx(&self, i: usize, j: usize) -> usize {
         debug_assert!(j <= i && i - j <= self.bw, "({i},{j}) outside band");
@@ -232,81 +221,11 @@ impl BandedMat {
         &mut self.data[k]
     }
 
-    /// Zero every entry in place, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Overwrite `self` with `src` (same shape) without reallocating.
-    pub fn copy_from(&mut self, src: &BandedMat) {
-        assert_eq!((self.n, self.bw), (src.n, src.bw), "shape mismatch");
-        self.data.copy_from_slice(&src.data);
-    }
-
-    /// Multiply every stored entry by `scale`.
-    pub fn scale(&mut self, scale: f64) {
-        self.data.iter_mut().for_each(|v| *v *= scale);
-    }
-
     /// Add `value` to every diagonal entry (ridge regularization).
     pub fn add_diagonal(&mut self, value: f64) {
         for i in 0..self.n {
             *self.at_mut(i, i) += value;
         }
-    }
-
-    /// Rank-1 update `self += scale · u uᵀ` restricted to the support
-    /// span `[lo, hi]` of `u` (all nonzeros of `u` must lie inside it,
-    /// and `hi − lo ≤ bw` so the update fits the band). Performs the
-    /// same per-entry arithmetic as [`Mat::rank1_update`].
-    pub fn rank1_update_span(&mut self, u: &[f64], scale: f64, lo: usize, hi: usize) {
-        debug_assert!(hi < self.n && lo <= hi && hi - lo <= self.bw);
-        for i in lo..=hi {
-            if u[i] == 0.0 {
-                continue;
-            }
-            let su = scale * u[i];
-            for (j, &uj) in u.iter().enumerate().take(i + 1).skip(lo) {
-                *self.at_mut(i, j) += su * uj;
-            }
-        }
-    }
-
-    /// [`rank1_update_span`](Self::rank1_update_span) with the span
-    /// passed as a pre-extracted contiguous slice: `u_span` holds
-    /// `u[lo..=hi]` and all of `u`'s nonzeros. Identical per-entry
-    /// arithmetic in the same order; the contiguous layout is what the
-    /// hot barrier loop wants (one packed buffer instead of a strided
-    /// read from each constraint's full-length row).
-    pub fn rank1_update_packed(&mut self, u_span: &[f64], scale: f64, lo: usize) {
-        debug_assert!(!u_span.is_empty() && u_span.len() <= self.bw + 1);
-        debug_assert!(lo + u_span.len() <= self.n);
-        for (oi, &ui) in u_span.iter().enumerate() {
-            if ui == 0.0 {
-                continue;
-            }
-            let su = scale * ui;
-            let i = lo + oi;
-            for (oj, &uj) in u_span.iter().enumerate().take(oi + 1) {
-                *self.at_mut(i, lo + oj) += su * uj;
-            }
-        }
-    }
-
-    /// Symmetric matrix–vector product `self · x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "dimension mismatch");
-        let mut y = vec![0.0; self.n];
-        for i in 0..self.n {
-            for j in i.saturating_sub(self.bw)..=i {
-                let v = self.at(i, j);
-                y[i] += v * x[j];
-                if i != j {
-                    y[j] += v * x[i];
-                }
-            }
-        }
-        y
     }
 
     /// In-place banded Cholesky `A = L Lᵀ` in O(n·bw²). Returns `false`
@@ -356,13 +275,6 @@ impl BandedMat {
             }
             b[i] /= self.at(i, i);
         }
-    }
-
-    /// Convenience: solve `A x = b` on a factored matrix.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        self.solve_into(&mut x);
-        x
     }
 }
 
@@ -569,7 +481,8 @@ mod tests {
             let rhs: Vec<f64> = (0..n).map(|i| (i as f64) - 1.5).collect();
             let dense_x = dense.cholesky().unwrap().solve(&rhs);
             assert!(banded.cholesky_in_place());
-            let banded_x = banded.solve(&rhs);
+            let mut banded_x = rhs.clone();
+            banded.solve_into(&mut banded_x);
             // Not just close: the skipped dense terms are exact ±0.0
             // products, so the two factorizations are the same
             // arithmetic and the results are bit-identical.
@@ -579,12 +492,11 @@ mod tests {
 
     #[test]
     fn banded_solve_roundtrip() {
-        let (_, banded) = random_banded_spd(12, 2, 7);
+        let (dense, mut banded) = random_banded_spd(12, 2, 7);
         let x_true: Vec<f64> = (0..12).map(|i| 0.5 * i as f64 - 3.0).collect();
-        let rhs = banded.matvec(&x_true);
-        let mut f = banded.clone();
-        assert!(f.cholesky_in_place());
-        let x = f.solve(&rhs);
+        let mut x = dense.matvec(&x_true);
+        assert!(banded.cholesky_in_place());
+        banded.solve_into(&mut x);
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-9, "{x:?} vs {x_true:?}");
         }
@@ -598,33 +510,6 @@ mod tests {
         *b.at_mut(1, 1) = 1.0;
         *b.at_mut(2, 2) = 1.0;
         assert!(!b.cholesky_in_place());
-    }
-
-    #[test]
-    fn banded_rank1_and_diagonal_match_dense() {
-        let n = 8;
-        let bw = 2;
-        let mut dense = Mat::zeros(n, n);
-        let mut banded = BandedMat::zeros(n, bw);
-        let mut u = vec![0.0; n];
-        u[3] = 1.5;
-        u[4] = -0.5;
-        u[5] = 2.0;
-        dense.rank1_update(&u, 0.7);
-        banded.rank1_update_span(&u, 0.7, 3, 5);
-        dense.add_diagonal(4.0);
-        banded.add_diagonal(4.0);
-        for i in 0..n {
-            for j in i.saturating_sub(bw)..=i {
-                assert_eq!(dense[(i, j)], banded.at(i, j), "({i},{j})");
-            }
-        }
-        let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.3 + 1.0).collect();
-        let yd = dense.matvec(&x);
-        let yb = banded.matvec(&x);
-        for (a, b) in yd.iter().zip(&yb) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

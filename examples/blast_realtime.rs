@@ -90,7 +90,7 @@ fn main() {
         params,
         EnforcedWaitsProblem::optimistic_backlog(&measured_pipeline),
     )
-    .solve(SolveMethod::WaterFilling)
+    .solve()
     {
         let m = simulate_enforced(
             &measured_pipeline,

@@ -52,7 +52,7 @@ fn main() {
 
     // Schedule with the calibrated factors.
     let sched = EnforcedWaitsProblem::new(&pipeline, params, calib.b.clone())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .expect("feasible");
     println!();
     println!("enforced-waits schedule:");

@@ -36,7 +36,7 @@ fn main() {
     let params = RtParams::new(60.0, 8e4).unwrap();
     let b = EnforcedWaitsProblem::optimistic_backlog(&pipeline);
     let enforced = EnforcedWaitsProblem::new(&pipeline, params, b)
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .expect("feasible");
     println!();
     println!(

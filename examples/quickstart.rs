@@ -39,9 +39,7 @@ fn main() {
     // --- Strategy 1: enforced waits (the paper's contribution) -------
     let b = EnforcedWaitsProblem::optimistic_backlog(&pipeline);
     let problem = EnforcedWaitsProblem::new(&pipeline, params, b);
-    let enforced = problem
-        .solve(SolveMethod::WaterFilling)
-        .expect("feasible operating point");
+    let enforced = problem.solve().expect("feasible operating point");
     println!("enforced waits:");
     for (i, (w, x)) in enforced.waits.iter().zip(&enforced.periods).enumerate() {
         println!("  node {i}: wait {w:8.1} cycles  (fires every {x:8.1})");

@@ -16,7 +16,7 @@ fn schedule_and_simulate(
 ) -> (f64, f64, f64) {
     let params = RtParams::new(tau0, d).unwrap();
     let sched = EnforcedWaitsProblem::new(pipeline, params, b)
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap_or_else(|e| panic!("infeasible at tau0={tau0}, D={d}: {e}"));
     let m = simulate_enforced(pipeline, &sched, d, &SimConfig::quick(tau0, 5, items));
     (sched.active_fraction, m.active_fraction, m.miss_rate())
@@ -129,9 +129,7 @@ fn bursty_arrivals_stress_but_do_not_break_enforced_schedules() {
         .iter()
         .map(|g| (g.ceil() + 2.0).max(3.0))
         .collect();
-    let sched = EnforcedWaitsProblem::new(&p, params, b)
-        .solve(SolveMethod::WaterFilling)
-        .unwrap();
+    let sched = EnforcedWaitsProblem::new(&p, params, b).solve().unwrap();
     let mut cfg = SimConfig::quick(60.0, 11, 8_000);
     cfg.arrivals = ArrivalProcess::Bursty {
         tau_on: 20.0,

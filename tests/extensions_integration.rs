@@ -94,7 +94,6 @@ fn flexible_schedule_simulates_within_its_deadline() {
         active_fraction: sched.utilization,
         backlog_factors: PAPER_B.to_vec(),
         latency_bound: sched.latency_bound,
-        method: SolveMethod::WaterFilling,
         telemetry: None,
     };
     let report = run_seeds_enforced(
@@ -116,7 +115,7 @@ fn timeline_reflects_the_optimized_waits() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let tl = record_timeline(&p, &sched, 1e5, &SimConfig::quick(10.0, 1, 2_000), 30_000.0);
     for node in 0..p.len() {
@@ -136,7 +135,7 @@ fn vacation_discipline_is_a_pure_win_at_slow_rates() {
     let p = blast();
     let params = RtParams::new(80.0, 3e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let mut strict = SimConfig::quick(80.0, 2, 3_000);
     let mut vacation = strict.clone();

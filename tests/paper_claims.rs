@@ -16,7 +16,7 @@ const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 
 fn enforced_af(p: &PipelineSpec, tau0: f64, d: f64) -> Option<f64> {
     EnforcedWaitsProblem::new(p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .ok()
         .map(|s| s.active_fraction)
 }
@@ -143,7 +143,7 @@ fn claim_asymptotic_n_fold_advantage() {
     assert!((m / e - p.len() as f64).abs() < 1e-9);
     // The optimizer actually attains the enforced limit.
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     assert!((sched.active_fraction - e).abs() / e < 1e-6);
 }
@@ -159,8 +159,7 @@ fn claim_infeasible_below_min_deadline() {
     let p = blast();
     for tau0 in [1.0, 10.0, 100.0] {
         let params = RtParams::new(tau0, 1.5e4).unwrap();
-        let e = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-            .solve(SolveMethod::WaterFilling);
+        let e = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec()).solve();
         assert!(e.is_err(), "enforced feasible at D=1.5e4, tau0={tau0}?");
     }
 }

@@ -52,7 +52,7 @@ fn paper_backlog_factors_are_low_miss_across_seeds() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let report = run_seeds_enforced(
         &p,
@@ -82,10 +82,10 @@ fn optimistic_backlog_factors_miss_more_than_calibrated() {
     let params = RtParams::new(5.0, 4e4).unwrap();
     let optimistic = EnforcedWaitsProblem::optimistic_backlog(&p);
     let opt_sched = EnforcedWaitsProblem::new(&p, params, optimistic)
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let cal_sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let cfg = SimConfig::quick(5.0, 0, 8_000);
     let opt = run_seeds_enforced(&p, &opt_sched, params.deadline, &cfg, 10);
@@ -170,7 +170,7 @@ fn empty_firings_metric_ordering() {
     let p = blast();
     let params = RtParams::new(50.0, 2e5).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let m = simulate_enforced(
         &p,

@@ -20,8 +20,8 @@ fn both_solvers_agree_and_certify_across_the_grid() {
         for &d in &ds {
             let params = RtParams::new(tau0, d).unwrap();
             let prob = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec());
-            let wf = prob.solve(SolveMethod::WaterFilling);
-            let ip = prob.solve(SolveMethod::InteriorPoint);
+            let wf = prob.solve();
+            let ip = prob.solve_interior_point();
             match (wf, ip) {
                 (Ok(wf), Ok(ip)) => {
                     solved += 1;
@@ -52,10 +52,10 @@ fn enforced_waits_schedule_is_reproducible() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let s1 = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let s2 = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     assert_eq!(s1.periods, s2.periods);
     assert_eq!(s1.active_fraction, s2.active_fraction);
@@ -70,7 +70,7 @@ fn queueing_estimates_reasonable_versus_paper_calibration() {
     let p = blast();
     let params = RtParams::new(10.0, 3e4).unwrap();
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let est = estimate_backlog_factors(&p, &sched.periods, params.tau0, &EstimateConfig::default());
     for (i, e) in est.iter().enumerate() {
@@ -89,10 +89,10 @@ fn monolithic_and_enforced_feasibility_boundaries() {
     let below = RtParams::new(2.0, 1e9).unwrap();
     let above = RtParams::new(3.0, 1e9).unwrap();
     assert!(EnforcedWaitsProblem::new(&p, below, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .is_err());
     assert!(EnforcedWaitsProblem::new(&p, above, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .is_ok());
     // Monolithic stability limit: Σ G_i·t_i / v ≈ 7.9 cycles.
     let below = RtParams::new(7.0, 3.5e5).unwrap();
@@ -128,7 +128,7 @@ fn wait_schedules_serialize_roundtrip() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
     let s = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
-        .solve(SolveMethod::WaterFilling)
+        .solve()
         .unwrap();
     let json = serde_json::to_string(&s).unwrap();
     let back: WaitSchedule = serde_json::from_str(&json).unwrap();
