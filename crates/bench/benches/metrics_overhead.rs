@@ -3,14 +3,14 @@
 //!
 //! Two measurements of the same fixed-seed enforced-waits BLAST run:
 //!
-//! * **disabled** — `simulate_enforced`, the default entry point. The
+//! * **disabled** — `enforced::simulate` with `Hooks::default()`. The
 //!   live layer is compiled in but detached (`live = None`), so its
 //!   cost is one untaken branch per event. This is the configuration
 //!   every experiment runs in, and its `items_per_sec` is the gated
 //!   key: `bench_diff --throughput-threshold 0.01` against the
 //!   committed baseline enforces that attaching the telemetry layer to
 //!   the codebase cost the uninstrumented hot loop less than 1%.
-//! * **enabled** — `simulate_enforced_live` publishing counters, queue
+//! * **enabled** — the same call with `Hooks::live` publishing counters, queue
 //!   high-water marks, and throughput gauges into a real registry. Its
 //!   rate is informational (instrumentation is allowed to cost
 //!   something); the printed overhead fraction documents how much.
@@ -24,7 +24,7 @@
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
 use criterion::{black_box, Criterion};
 use rtsdf::prelude::*;
-use rtsdf::sim::{simulate_enforced_live, simulate_monolithic_live, SimLiveMetrics};
+use rtsdf::sim::SimLiveMetrics;
 use serde_json::json;
 
 fn mean_ns(results: &[criterion::BenchResult], id: &str) -> f64 {
@@ -55,6 +55,7 @@ fn main() {
         std::process::exit(2);
     });
     let pipeline = rtsdf::blast::paper_pipeline();
+    let topology = Topology::chain(&pipeline);
 
     // Same workload as sweep_hot_path's sim group, so the gated
     // disabled-path rate is comparable across the two manifests.
@@ -86,39 +87,26 @@ fn main() {
     // very unlikely to poison two windows several seconds apart, so
     // the min-of-mins stays on the quiet-machine value.
     let mut c = Criterion::default().with_filter(None);
-    {
-        let mut group = c.benchmark_group("enforced");
+    let enforced_run =
+        |hooks: Hooks<'_>| enforced::simulate(&topology, &enf_sched, 1e5, &enf_cfg, hooks);
+    let monolithic_run =
+        |hooks: Hooks<'_>| monolithic::simulate(&topology, &mono_sched, 1e5, &mono_cfg, hooks);
+    type Run<'r> = &'r dyn Fn(Hooks<'_>) -> Result<SimMetrics, SimError>;
+    let runs: [(&str, Run); 2] = [("enforced", &enforced_run), ("monolithic", &monolithic_run)];
+    for (strategy, run) in runs {
+        let mut group = c.benchmark_group(strategy);
         for pass in ["", "2"] {
             group.bench_function(format!("disabled{pass}"), |b| {
-                b.iter(|| black_box(simulate_enforced(&pipeline, &enf_sched, 1e5, &enf_cfg)))
+                b.iter(|| black_box(run(Hooks::default())))
             });
             group.bench_function(format!("enabled{pass}"), |b| {
                 b.iter(|| {
                     let h = live.handle(0);
-                    black_box(simulate_enforced_live(
-                        &pipeline, &enf_sched, 1e5, &enf_cfg, &h,
-                    ))
-                })
-            });
-        }
-        group.finish();
-    }
-    {
-        let mut group = c.benchmark_group("monolithic");
-        for pass in ["", "2"] {
-            group.bench_function(format!("disabled{pass}"), |b| {
-                b.iter(|| black_box(simulate_monolithic(&pipeline, &mono_sched, 1e5, &mono_cfg)))
-            });
-            group.bench_function(format!("enabled{pass}"), |b| {
-                b.iter(|| {
-                    let h = live.handle(0);
-                    black_box(simulate_monolithic_live(
-                        &pipeline,
-                        &mono_sched,
-                        1e5,
-                        &mono_cfg,
-                        &h,
-                    ))
+                    let hooks = Hooks {
+                        live: Some(&h),
+                        ..Hooks::default()
+                    };
+                    black_box(run(hooks))
                 })
             });
         }

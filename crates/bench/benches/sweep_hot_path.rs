@@ -1,17 +1,15 @@
 //! Criterion bench: the end-to-end sweep hot path.
 //!
-//! Measures the three layers the sweep acceleration touched, against
-//! their baselines, on one deliberately *imbalanced* grid:
+//! Measures the three layers the sweep acceleration touched:
 //!
-//! * **Scheduling** — segment-level work stealing (`sweep_parallel`) vs
-//!   the old static row-chunked scheduler (`sweep_parallel_chunked`).
-//!   The grid puts its cheap, infeasible rows (τ0 below the enforced
-//!   head-stability limit ≈ 2.83) first and its expensive feasible rows
-//!   last, so static chunking serializes the expensive tail behind one
-//!   thread — exactly the shape work stealing fixes. Separately, the
-//!   paper's 64×64 grid runs through the one-worker `sweep`, whose whole
-//!   rows are the row kernel's segments; its cell rate does not depend
-//!   on the core count, so `bench_diff` gates it.
+//! * **Scheduling** — segment-level work stealing (`sweep_parallel`) on
+//!   one deliberately *imbalanced* grid: its cheap, infeasible rows (τ0
+//!   below the enforced head-stability limit ≈ 2.83) come first and its
+//!   expensive feasible rows last, the shape a static row split would
+//!   serialize behind one thread. Separately, the paper's 64×64 grid
+//!   runs through the one-worker `sweep`, whose whole rows are the row
+//!   kernel's segments; its cell rate does not depend on the core count,
+//!   so `bench_diff` gates it.
 //! * **Solver** — one enforced water-filling `solve` and the monolithic
 //!   block-size search (`solve_fast`), each at its own bench point.
 //! * **Simulator** — the allocation-free enforced/monolithic hot loops,
@@ -29,7 +27,7 @@
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
 use criterion::{black_box, Criterion};
 use rtsdf::core::comparison::{
-    sweep, sweep_parallel, sweep_parallel_chunked, sweep_parallel_live, SweepConfig, SweepProgress,
+    sweep, sweep_parallel, sweep_parallel_live, SweepConfig, SweepProgress,
 };
 use rtsdf::core::worker_threads;
 use rtsdf::prelude::*;
@@ -107,11 +105,6 @@ fn main() {
 
     {
         let mut group = c.benchmark_group("sweep");
-        group.bench_function("chunked", |b| {
-            b.iter(|| {
-                black_box(sweep_parallel_chunked(&pipeline, &tau0s, &ds, &sweep_config).unwrap())
-            })
-        });
         group.bench_function("work_stealing", |b| {
             b.iter(|| black_box(sweep_parallel(&pipeline, &tau0s, &ds, &sweep_config).unwrap()))
         });
@@ -151,16 +144,25 @@ fn main() {
     let mono_cfg = SimConfig::quick(50.0, 7, sim_items);
     let long_items = 200_000usize;
     let long_cfg = SimConfig::quick(10.0, 7, long_items);
+    let topology = Topology::chain(&pipeline);
+    let enforced_run =
+        |cfg: &SimConfig| enforced::simulate(&topology, &cold_sched, 1e5, cfg, Hooks::default());
     {
         let mut group = c.benchmark_group("sim");
-        group.bench_function("enforced", |b| {
-            b.iter(|| black_box(simulate_enforced(&pipeline, &cold_sched, 1e5, &sim_cfg)))
-        });
+        group.bench_function("enforced", |b| b.iter(|| black_box(enforced_run(&sim_cfg))));
         group.bench_function("enforced_200k", |b| {
-            b.iter(|| black_box(simulate_enforced(&pipeline, &cold_sched, 1e5, &long_cfg)))
+            b.iter(|| black_box(enforced_run(&long_cfg)))
         });
         group.bench_function("monolithic", |b| {
-            b.iter(|| black_box(simulate_monolithic(&pipeline, &mono_sched, 1e5, &mono_cfg)))
+            b.iter(|| {
+                black_box(monolithic::simulate(
+                    &topology,
+                    &mono_sched,
+                    1e5,
+                    &mono_cfg,
+                    Hooks::default(),
+                ))
+            })
         });
         group.finish();
     }
@@ -200,18 +202,13 @@ fn main() {
         group.finish();
     }
 
-    // Production-scale work-stealing profile (ROADMAP item 3 leftover:
-    // stealing measured ~1x over chunked on small grids — answer the
-    // question at a 64×64 production grid). Single timed passes, not
-    // criterion groups: at 4096 cells one pass is already seconds, and
-    // the wall keys are informational. The work-stealing pass publishes
-    // into a live metrics registry so the row records actual steals and
-    // per-worker busy fractions.
+    // Production-scale work-stealing profile on a 64×64 imbalanced grid.
+    // One timed pass, not a criterion group: at 4096 cells one pass is
+    // already seconds, and the wall keys are informational. The pass
+    // publishes into a live metrics registry so the row records actual
+    // steals and per-worker busy fractions.
     let (prof_rows, prof_cols) = (64usize, 64usize);
     let (prof_tau0s, prof_ds) = imbalanced_grid(prof_rows, prof_cols);
-    let t0 = Instant::now();
-    let _ = sweep_parallel_chunked(&pipeline, &prof_tau0s, &prof_ds, &sweep_config).unwrap();
-    let prof_chunked = t0.elapsed();
     let progress = SweepProgress::new(worker_threads());
     let t0 = Instant::now();
     let _ = sweep_parallel_live(
@@ -235,7 +232,6 @@ fn main() {
 
     let results = c.take_results();
     let cells = (rows * cols) as f64;
-    let chunked = mean_ns(&results, "sweep/chunked");
     let ws = mean_ns(&results, "sweep/work_stealing");
     let paper = mean_ns(&results, "sweep/paper_64x64");
     let paper_cells = (paper_tau0s.len() * paper_ds.len()) as f64;
@@ -243,10 +239,8 @@ fn main() {
     let per_sec = |count: f64, ns: f64| count / (ns / 1e9);
     println!();
     println!(
-        "sweep {rows}x{cols}: work stealing {:.0} cells/s vs chunked {:.0} cells/s ({:.2}x)",
-        cells_per_sec(ws),
-        cells_per_sec(chunked),
-        chunked / ws
+        "sweep {rows}x{cols}: work stealing {:.0} cells/s",
+        cells_per_sec(ws)
     );
     println!(
         "sweep paper 64x64, one worker: {:.0} cells/s",
@@ -254,11 +248,9 @@ fn main() {
     );
     println!("solver: enforced {cold_iters} iters, monolithic {mono_iters} evals");
     println!(
-        "profile {prof_rows}x{prof_cols}: work stealing {:.2}s vs chunked {:.2}s ({:.2}x), \
+        "profile {prof_rows}x{prof_cols}: work stealing {:.2}s, \
          {prof_steals:.0} steals / {prof_claims:.0} cells, busy min {busy_min:.2} mean {busy_mean:.2}",
         prof_ws.as_secs_f64(),
-        prof_chunked.as_secs_f64(),
-        prof_chunked.as_secs_f64() / prof_ws.as_secs_f64(),
     );
 
     let Some(format) = metrics else { return };
@@ -275,13 +267,11 @@ fn main() {
                 "deadlines": ds,
                 "sweep": json!({
                     "cells": cells,
-                    "chunked": timing(chunked),
                     "work_stealing": timing(ws),
                     "paper_64x64": json!({
                         "wall_micros": paper / 1e3,
                         "cells_per_sec": paper_cells / (paper / 1e9),
                     }),
-                    "speedup_vs_chunked": chunked / ws,
                 }),
                 "solver": json!({
                     "cold": json!({
@@ -316,15 +306,10 @@ fn main() {
                 "work_steal_profile": json!({
                     "grid_rows": prof_rows,
                     "grid_cols": prof_cols,
-                    "chunked": json!({
-                        "wall_micros": prof_chunked.as_secs_f64() * 1e6,
-                        "cells_per_sec": (prof_rows * prof_cols) as f64 / prof_chunked.as_secs_f64(),
-                    }),
                     "work_stealing": json!({
                         "wall_micros": prof_ws.as_secs_f64() * 1e6,
                         "cells_per_sec": (prof_rows * prof_cols) as f64 / prof_ws.as_secs_f64(),
                     }),
-                    "speedup_vs_chunked": prof_chunked.as_secs_f64() / prof_ws.as_secs_f64(),
                     "steals": prof_steals,
                     "cells_claimed": prof_claims,
                     "busy_fraction_min": busy_min,

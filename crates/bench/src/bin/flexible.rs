@@ -69,13 +69,11 @@ fn main() {
         latency_bound: sched.latency_bound,
         telemetry: None,
     };
-    let report = run_seeds_enforced(
-        &realized,
-        &wait_schedule,
-        d,
-        &SimConfig::quick(tau0, 0, 10_000),
-        10,
-    );
+    let realized = Topology::chain(&realized);
+    let report = run_seeds(&SimConfig::quick(tau0, 0, 10_000), 10, None, |c, h| {
+        enforced::simulate(&realized, &wait_schedule, d, c, h)
+    })
+    .expect("the schedule fits the pipeline");
     println!(
         "simulated 10 seeds x 10k items: miss-free {:.0}%, worst miss rate {:.3}%",
         100.0 * report.miss_free_fraction(),

@@ -17,6 +17,7 @@ use rtsdf::sim::calibration::{calibrate_enforced, CalibrationConfig};
 
 fn main() {
     let p = rtsdf::blast::paper_pipeline();
+    let t = Topology::chain(&p);
     let b = vec![1.0, 3.0, 9.0, 6.0];
 
     println!("periodic vs Poisson arrivals under the paper-calibrated b = {b:?}");
@@ -34,7 +35,10 @@ fn main() {
         ] {
             let mut cfg = SimConfig::quick(tau0, 0, 10_000);
             cfg.arrivals = arrivals;
-            let report = run_seeds_enforced(&p, &sched, d, &cfg, 12);
+            let report = run_seeds(&cfg, 12, None, |c, h| {
+                enforced::simulate(&t, &sched, d, c, h)
+            })
+            .expect("the schedule fits the pipeline");
             stats.push((report.miss_free_fraction(), report.worst_miss_rate()));
         }
         rows.push(vec![
@@ -88,7 +92,10 @@ fn main() {
             };
             let mut cfg = SimConfig::quick(params.tau0, 0, 8_000);
             cfg.arrivals = ArrivalProcess::Poisson { tau0: params.tau0 };
-            let report = run_seeds_enforced(&p, &sched, params.deadline, &cfg, 12);
+            let report = run_seeds(&cfg, 12, None, |c, h| {
+                enforced::simulate(&t, &sched, params.deadline, c, h)
+            })
+            .expect("the schedule fits the pipeline");
             worst = worst.min(report.miss_free_fraction());
             for (o, &x) in observed.iter_mut().zip(&report.max_backlog_vectors()) {
                 *o = o.max(x);

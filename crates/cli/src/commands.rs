@@ -4,7 +4,9 @@
 use crate::args::{Command, Strategy, TraceFormat};
 use crate::live::{render_stress, render_sweep, LiveSession};
 use bench::{MetricsFormat, RunManifest};
-use obs_trace::{chrome_trace_string, render_blame, ForensicsConfig, SpanSink, TraceConfig};
+use obs_trace::{
+    analyze, chrome_trace_string, render_blame, ForensicsConfig, SpanSink, TraceConfig,
+};
 use rtsdf::core::comparison::{
     sweep_parallel_live, sweep_topology_parallel_live, SweepConfig, SweepProgress,
 };
@@ -15,10 +17,7 @@ use rtsdf::exec::{sim_vs_real, ExecConfig};
 use rtsdf::model::Topology;
 use rtsdf::prelude::*;
 use rtsdf::sim::calibration::{calibrate_enforced, CalibrationConfig};
-use rtsdf::sim::{
-    robustness_report_live, robustness_report_topology_live, run_seeds_enforced_topology,
-    SimLiveMetrics,
-};
+use rtsdf::sim::SimLiveMetrics;
 use std::fmt;
 use std::io::Write;
 
@@ -51,6 +50,12 @@ impl std::error::Error for CommandError {}
 impl From<std::io::Error> for CommandError {
     fn from(e: std::io::Error) -> Self {
         CommandError::Io(e)
+    }
+}
+
+impl From<SimError> for CommandError {
+    fn from(e: SimError) -> Self {
+        CommandError::Params(e.to_string())
     }
 }
 
@@ -252,24 +257,25 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 Dataflow::Chain(_) => ("simulate", "pipeline"),
                 Dataflow::Dag(_) => ("dag", "workload"),
             };
-            let (b, sched, report) = match &flow {
+            let (topology, b, sched) = match flow {
                 Dataflow::Chain(p) => {
-                    let b = backlog(p, b)?;
-                    let sched = EnforcedWaitsProblem::new(p, params, b.clone())
+                    let b = backlog(&p, b)?;
+                    let sched = EnforcedWaitsProblem::new(&p, params, b.clone())
                         .solve()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    let report = run_seeds_enforced(p, &sched, deadline, &cfg, seeds);
-                    (b, sched, report)
+                    (Topology::chain(&p), b, sched)
                 }
                 Dataflow::Dag(t) => {
-                    let b = topology_backlog(t, b)?;
-                    let sched = EnforcedDagProblem::new(t, params, b.clone())
+                    let b = topology_backlog(&t, b)?;
+                    let sched = EnforcedDagProblem::new(&t, params, b.clone())
                         .solve()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    let report = run_seeds_enforced_topology(t, &sched, deadline, &cfg, seeds);
-                    (b, sched, report)
+                    (t, b, sched)
                 }
             };
+            let report = run_seeds(&cfg, seeds, None, |c, h| {
+                enforced::simulate(&topology, &sched, deadline, c, h)
+            })?;
             if let Some(format) = metrics {
                 let path = match format {
                     MetricsFormat::Json => {
@@ -453,7 +459,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 .solve()
                 .map_err(|e| CommandError::Params(e.to_string()))?;
             let cfg = SimConfig::quick(tau0, 0, 2_000);
-            let tl = rtsdf::sim::timeline::record_timeline(&p, &sched, deadline, &cfg, window);
+            let tl = rtsdf::sim::timeline::record_timeline(&p, &sched, deadline, &cfg, window)?;
             writeln!(
                 out,
                 "firing timeline ('#' = busy, '.' = waiting; active fraction {:.3})",
@@ -485,19 +491,19 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 alpha,
                 ..ForensicsConfig::default()
             };
-            let (metrics, log) = match strategy {
+            let topology = Topology::chain(&p);
+            let mut sink = SpanSink::new(TraceConfig::default());
+            let hooks = Hooks {
+                spans: Some(&mut sink),
+                ..Hooks::default()
+            };
+            let (mut metrics, solver_log) = match strategy {
                 Strategy::Monolithic => {
                     let sched = MonolithicProblem::new(&p, params, 1.0, 1.0)
                         .solve_fast()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    simulate_monolithic_traced(
-                        &p,
-                        &sched,
-                        deadline,
-                        &cfg,
-                        TraceConfig::default(),
-                        &forensics,
-                    )
+                    let m = monolithic::simulate(&topology, &sched, deadline, &cfg, hooks)?;
+                    (m, None)
                 }
                 _ => {
                     let b = backlog(&p, b)?;
@@ -505,18 +511,17 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                     let sched = EnforcedWaitsProblem::new(&p, params, b)
                         .solve_traced(&mut solver_sink, 0)
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    let (m, mut log) = simulate_enforced_traced(
-                        &p,
-                        &sched,
-                        deadline,
-                        &cfg,
-                        TraceConfig::default(),
-                        &forensics,
-                    );
-                    log.merge(solver_sink.finish());
-                    (m, log)
+                    let m = enforced::simulate(&topology, &sched, deadline, &cfg, hooks)?;
+                    (m, Some(solver_sink.finish()))
                 }
             };
+            // Blame covers the simulated run; the solver's spans join the
+            // exported trace afterwards.
+            let mut log = sink.finish();
+            metrics.blame = Some(analyze(&log, deadline, &forensics));
+            if let Some(solver_log) = solver_log {
+                log.merge(solver_log);
+            }
             let payload = match format {
                 TraceFormat::Chrome => chrome_trace_string(&log),
                 TraceFormat::Json => {
@@ -563,67 +568,53 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
         } => {
             let (flow, source) = load_dataflow(&pipeline, &workload)?;
             let params = params(tau0, deadline)?;
-            let (experiment, source_key, stages) = match &flow {
-                Dataflow::Chain(p) => ("stress", "pipeline", p.len()),
-                Dataflow::Dag(t) => ("stress_dag", "workload", t.len()),
+            let (experiment, source_key) = match &flow {
+                Dataflow::Chain(_) => ("stress", "pipeline"),
+                Dataflow::Dag(_) => ("stress_dag", "workload"),
             };
-            let (b, enforced, mono) = match &flow {
+            let (topology, b, enforced, mono) = match flow {
                 Dataflow::Chain(p) => {
-                    let b = backlog(p, b)?;
-                    let enforced = EnforcedWaitsProblem::new(p, params, b.clone())
+                    let b = backlog(&p, b)?;
+                    let enforced = EnforcedWaitsProblem::new(&p, params, b.clone())
                         .solve()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    let mono = MonolithicProblem::new(p, params, 1.0, 1.0)
+                    let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
                         .solve_fast()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    (b, enforced, mono)
+                    (Topology::chain(&p), b, enforced, mono)
                 }
                 Dataflow::Dag(t) => {
-                    let b = topology_backlog(t, b)?;
-                    let enforced = EnforcedDagProblem::new(t, params, b.clone())
+                    let b = topology_backlog(&t, b)?;
+                    let enforced = EnforcedDagProblem::new(&t, params, b.clone())
                         .solve()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    let mono = MonolithicDagProblem::new(t, params, 1.0, 1.0)
+                    let mono = MonolithicDagProblem::new(&t, params, 1.0, 1.0)
                         .solve_fast()
                         .map_err(|e| CommandError::Params(e.to_string()))?;
-                    (b, enforced, mono)
+                    (t, b, enforced, mono)
                 }
             };
             let cfg = SimConfig::quick(tau0, 0, items);
             let live_metrics = live
                 .enabled()
-                .then(|| SimLiveMetrics::new(stages, worker_threads()));
+                .then(|| SimLiveMetrics::new(topology.len(), worker_threads()));
             let session = live_metrics
                 .as_ref()
                 .map(|m| LiveSession::start(&live, m.registry(), render_stress))
                 .transpose()
                 .map_err(CommandError::Params)?;
-            let report = match &flow {
-                Dataflow::Chain(p) => robustness_report_live(
-                    p,
-                    &enforced,
-                    &mono,
-                    deadline,
-                    &cfg,
-                    seeds,
-                    &Perturbation::standard(1.0),
-                    &intensities,
-                    target,
-                    live_metrics.as_ref(),
-                ),
-                Dataflow::Dag(t) => robustness_report_topology_live(
-                    t,
-                    &enforced,
-                    &mono,
-                    deadline,
-                    &cfg,
-                    seeds,
-                    &Perturbation::standard(1.0),
-                    &intensities,
-                    target,
-                    live_metrics.as_ref(),
-                ),
-            };
+            let report = robustness_report(
+                &topology,
+                &enforced,
+                &mono,
+                deadline,
+                &cfg,
+                seeds,
+                &Perturbation::standard(1.0),
+                &intensities,
+                target,
+                live_metrics.as_ref(),
+            )?;
             let snap = live_metrics.as_ref().map(|m| m.registry().snapshot());
             if let Some(s) = session {
                 s.finish();

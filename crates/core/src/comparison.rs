@@ -636,44 +636,6 @@ pub fn sweep_topology_parallel_live(
     })
 }
 
-/// The previous static scheduler: τ0 rows divided into contiguous
-/// chunks, one scoped thread per chunk, each row one segment of the row
-/// kernel. Kept as the comparison baseline for the `sweep_hot_path`
-/// bench — imbalanced grids serialize their expensive rows behind single
-/// threads here, which is exactly what [`sweep_parallel`]'s work
-/// stealing fixes.
-pub fn sweep_parallel_chunked(
-    pipeline: &PipelineSpec,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-) -> Result<SweepResult, ScheduleError> {
-    validate_grid(tau0s, deadlines)?;
-    let threads = worker_threads();
-    let table = grid_table(pipeline, tau0s, deadlines, config);
-    let kernel = Kernel {
-        model: Model::Chain(pipeline),
-        config,
-        table: &table,
-    };
-    let mut rows: Vec<Vec<CellResult>> = vec![Vec::new(); tau0s.len()];
-    std::thread::scope(|scope| {
-        let chunk = tau0s.len().div_ceil(threads).max(1);
-        for (tau0_chunk, row_chunk) in tau0s.chunks(chunk).zip(rows.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (&tau0, row) in tau0_chunk.iter().zip(row_chunk.iter_mut()) {
-                    kernel.row(tau0, deadlines, &mut |cell| row.push(cell));
-                }
-            });
-        }
-    });
-    Ok(SweepResult {
-        tau0s: tau0s.to_vec(),
-        deadlines: deadlines.to_vec(),
-        cells: rows.into_iter().flatten().collect(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,19 +825,6 @@ mod tests {
                 assert_eq!(a.enforced, b.enforced);
                 assert_eq!(a.monolithic, b.monolithic);
             }
-        }
-    }
-
-    #[test]
-    fn chunked_scheduler_matches_work_stealing() {
-        let p = blast();
-        let (tau0s, ds) = RtParams::paper_grid(4, 4);
-        let cfg = SweepConfig::paper_blast();
-        let ws = sweep_parallel(&p, &tau0s, &ds, &cfg).unwrap();
-        let chunked = sweep_parallel_chunked(&p, &tau0s, &ds, &cfg).unwrap();
-        for (a, b) in ws.cells.iter().zip(&chunked.cells) {
-            assert_eq!(a.enforced, b.enforced);
-            assert_eq!(a.monolithic, b.monolithic);
         }
     }
 

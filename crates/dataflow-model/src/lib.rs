@@ -27,7 +27,6 @@
 pub mod analysis;
 pub mod arrival;
 pub mod error;
-pub mod exec;
 pub mod gain;
 pub mod node;
 pub mod params;
@@ -37,7 +36,6 @@ pub mod topology;
 
 pub use arrival::ArrivalProcess;
 pub use error::ModelError;
-pub use exec::{ExecOutcome, IntoOutcome, PipelineExecutor};
 pub use gain::GainModel;
 pub use node::NodeSpec;
 pub use params::RtParams;

@@ -15,16 +15,12 @@
 //! Both must be zero for a healthy run, so their gate direction is
 //! "must not increase above the committed baseline of 0".
 
-use crate::executor::{ExecConfig, ExecError, ThreadedBackend};
+use crate::executor::{run_enforced, run_monolithic, ExecConfig, ExecError};
 use crate::report::ExecMetrics;
-use dataflow_model::exec::PipelineExecutor;
 use dataflow_model::Topology;
-use des::obs::ObsConfig;
+use des::obs::{ObsConfig, ObsSink};
 use pipeline_sim::config::FiringDiscipline;
-use pipeline_sim::{
-    simulate_enforced_topology, simulate_enforced_topology_observed, simulate_monolithic_topology,
-    simulate_monolithic_topology_observed, SimConfig, SimMetrics,
-};
+use pipeline_sim::{enforced, monolithic, Hooks, SimConfig, SimMetrics};
 use rtsdf_core::AnySchedule;
 use serde::{Deserialize, Serialize};
 
@@ -133,28 +129,13 @@ fn run_sim(
     schedule: &AnySchedule,
     config: &SimConfig,
     deadline: f64,
-) -> SimMetrics {
+    hooks: Hooks<'_>,
+) -> Result<SimMetrics, ExecError> {
     match schedule {
-        AnySchedule::Enforced(s) => simulate_enforced_topology(topology, s, deadline, config),
-        AnySchedule::Monolithic(s) => simulate_monolithic_topology(topology, s, deadline, config),
+        AnySchedule::Enforced(s) => enforced::simulate(topology, s, deadline, config, hooks),
+        AnySchedule::Monolithic(s) => monolithic::simulate(topology, s, deadline, config, hooks),
     }
-}
-
-fn run_sim_observed(
-    topology: &Topology,
-    schedule: &AnySchedule,
-    config: &SimConfig,
-    deadline: f64,
-) -> SimMetrics {
-    let obs = ObsConfig::default();
-    match schedule {
-        AnySchedule::Enforced(s) => {
-            simulate_enforced_topology_observed(topology, s, deadline, config, obs)
-        }
-        AnySchedule::Monolithic(s) => {
-            simulate_monolithic_topology_observed(topology, s, deadline, config, obs)
-        }
-    }
+    .map_err(|e| ExecError::Mismatch(e.to_string()))
 }
 
 /// Run `schedule` through both backends and quantify agreement.
@@ -175,10 +156,10 @@ pub fn sim_vs_real(
             "sim_vs_real needs at least one sim seed".into(),
         ));
     }
-    let backend = ThreadedBackend {
-        config: exec_config.clone(),
+    let exec = match schedule {
+        AnySchedule::Enforced(s) => run_enforced(topology, s, exec_config)?,
+        AnySchedule::Monolithic(s) => run_monolithic(topology, s, exec_config)?,
     };
-    let exec = backend.run(topology, schedule)?;
 
     // Simulator scalar quantities, averaged over seeds.
     let mut sim_active = 0.0;
@@ -190,7 +171,8 @@ pub fn sim_vs_real(
             schedule,
             &sim_config(exec_config, seed),
             exec_config.deadline,
-        );
+            Hooks::default(),
+        )?;
         sim_active += m.active_fraction;
         sim_miss += m.miss_rate();
         sim_completed += m.items_completed as f64 / m.items_arrived.max(1) as f64;
@@ -214,36 +196,39 @@ pub fn sim_vs_real(
 
     // Observed sim run at the executor's own seed: distributional
     // comparison of per-stage sojourn.
-    let observed = run_sim_observed(
+    let mut sink = ObsSink::new(topology.len(), ObsConfig::default());
+    run_sim(
         topology,
         schedule,
         &sim_config(exec_config, exec_config.seed),
         exec_config.deadline,
-    );
-    let sojourn = match &observed.obs {
-        Some(obs) => obs
-            .stages
-            .iter()
-            .zip(&exec.stages)
-            .enumerate()
-            .map(|(i, (sim_stage, real_stage))| {
-                let sim_p90 = sim_stage.sojourn.p90;
-                let real_p90 = real_stage.sojourn_cycles.p90;
-                StageSojournDistance {
-                    stage: topology.node(i).name.clone(),
-                    sim_p50: sim_stage.sojourn.p50,
-                    real_p50: real_stage.sojourn_cycles.p50,
-                    sim_p90,
-                    real_p90,
-                    p90_distance: match (sim_p90, real_p90) {
-                        (Some(s), Some(r)) => Some((r - s).abs() / s.max(1.0)),
-                        _ => None,
-                    },
-                }
-            })
-            .collect(),
-        None => Vec::new(),
-    };
+        Hooks {
+            obs: Some(&mut sink),
+            ..Hooks::default()
+        },
+    )?;
+    let sojourn = sink
+        .report()
+        .stages
+        .iter()
+        .zip(&exec.stages)
+        .enumerate()
+        .map(|(i, (sim_stage, real_stage))| {
+            let sim_p90 = sim_stage.sojourn.p90;
+            let real_p90 = real_stage.sojourn_cycles.p90;
+            StageSojournDistance {
+                stage: topology.node(i).name.clone(),
+                sim_p50: sim_stage.sojourn.p50,
+                real_p50: real_stage.sojourn_cycles.p50,
+                sim_p90,
+                real_p90,
+                p90_distance: match (sim_p90, real_p90) {
+                    (Some(s), Some(r)) => Some((r - s).abs() / s.max(1.0)),
+                    _ => None,
+                },
+            }
+        })
+        .collect();
 
     let conservation_violations = u64::from(!exec.conservation_holds());
     let agreement_failures = quantities.iter().filter(|q| !q.within).count() as u64;

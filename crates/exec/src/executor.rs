@@ -32,12 +32,11 @@
 use crate::channel::{bounded, Item, Receiver, Sender};
 use crate::report::{ExecMetrics, ExecStageReport};
 use crate::timer::{calibrate, TimerCalibration, Timers};
-use dataflow_model::exec::PipelineExecutor;
 use dataflow_model::{ArrivalProcess, GainModel, Topology};
 use des::obs::Dist;
 use des::rng::RngStream;
 use des::stats::OnlineStats;
-use rtsdf_core::{AnySchedule, MonolithicSchedule, WaitSchedule};
+use rtsdf_core::{MonolithicSchedule, WaitSchedule};
 use simd_device::{ActiveTimeLedger, OccupancyStats};
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -925,29 +924,5 @@ fn assemble_metrics(args: AssembleArgs<'_>) -> ExecMetrics {
         time_scale_ns_per_cycle: scale,
         pacer_max_late_ns,
         calibration,
-    }
-}
-
-/// The threaded backend as a [`PipelineExecutor`].
-#[derive(Debug, Clone)]
-pub struct ThreadedBackend {
-    /// Run configuration (stream, seed, deadline, time scale).
-    pub config: ExecConfig,
-}
-
-impl PipelineExecutor for ThreadedBackend {
-    type Schedule = AnySchedule;
-    type Report = ExecMetrics;
-    type Error = ExecError;
-
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn run(&self, topology: &Topology, schedule: &AnySchedule) -> Result<ExecMetrics, ExecError> {
-        match schedule {
-            AnySchedule::Enforced(s) => run_enforced(topology, s, &self.config),
-            AnySchedule::Monolithic(s) => run_monolithic(topology, s, &self.config),
-        }
     }
 }

@@ -38,6 +38,6 @@ pub mod report;
 pub mod timer;
 
 pub use comparison::{sim_vs_real, AgreementReport, QuantityAgreement};
-pub use executor::{run_enforced, run_monolithic, ExecConfig, ExecError, ThreadedBackend};
+pub use executor::{run_enforced, run_monolithic, ExecConfig, ExecError};
 pub use report::{ExecMetrics, ExecStageReport};
 pub use timer::{calibrate, TimerCalibration, Timers};

@@ -3,7 +3,6 @@
 //! quantity by quantity.
 
 use crate::timer::TimerCalibration;
-use dataflow_model::exec::{ExecOutcome, IntoOutcome};
 use des::obs::DistSummary;
 use des::stats::OnlineStats;
 use serde::{Deserialize, Serialize};
@@ -89,19 +88,5 @@ impl ExecMetrics {
     /// Item conservation: completed + dropped == arrived.
     pub fn conservation_holds(&self) -> bool {
         self.items_completed + self.items_dropped == self.items_arrived
-    }
-}
-
-impl IntoOutcome for ExecMetrics {
-    fn outcome(&self) -> ExecOutcome {
-        ExecOutcome {
-            items_arrived: self.items_arrived,
-            items_completed: self.items_completed,
-            items_dropped: self.items_dropped,
-            deadline_misses: self.deadline_misses,
-            active_fraction: self.active_fraction,
-            mean_latency: self.latency.mean(),
-            horizon_cycles: self.horizon_cycles,
-        }
     }
 }

@@ -8,8 +8,8 @@
 //! tight 10% gate runs in CI against release builds with longer runs.
 
 use dataflow_model::{ArrivalProcess, GainModel, PipelineSpecBuilder, RtParams, Topology};
-use des::obs::ObsConfig;
-use pipeline_sim::{simulate_enforced_topology_observed, simulate_monolithic_topology, SimConfig};
+use des::obs::{ObsConfig, ObsSink};
+use pipeline_sim::{enforced, monolithic, Hooks, SimConfig};
 use rtsdf_core::{AnySchedule, EnforcedWaitsProblem, MonolithicProblem};
 use rtsdf_exec::{run_enforced, run_monolithic, sim_vs_real, ExecConfig};
 
@@ -64,13 +64,18 @@ fn enforced_chain_item_counts_match_simulator_exactly() {
 
     let seed = 11;
     let stream = 300;
-    let sim = simulate_enforced_topology_observed(
+    let mut sink = ObsSink::new(topology.len(), ObsConfig::default());
+    let sim = enforced::simulate(
         &topology,
         &schedule,
         params.deadline,
         &sim_config(&params, stream, seed),
-        ObsConfig::default(),
-    );
+        Hooks {
+            obs: Some(&mut sink),
+            ..Hooks::default()
+        },
+    )
+    .unwrap();
     let exec = run_enforced(&topology, &schedule, &exec_config(&params, stream, seed)).unwrap();
 
     assert!(exec.conservation_holds(), "completed + dropped != arrived");
@@ -80,7 +85,7 @@ fn enforced_chain_item_counts_match_simulator_exactly() {
 
     // Same seed, same substreams, same FIFO consume order: per-stage
     // consumed counts are bit-identical, not merely close.
-    let sim_obs = sim.obs.as_ref().expect("observed run");
+    let sim_obs = sink.report();
     for (i, stage) in exec.stages.iter().enumerate() {
         assert_eq!(
             stage.items_consumed, sim_obs.stages[i].sojourn.count,
@@ -101,12 +106,14 @@ fn monolithic_chain_matches_simulator_counts() {
 
     let seed = 23;
     let stream = 240;
-    let sim = simulate_monolithic_topology(
+    let sim = monolithic::simulate(
         &topology,
         &schedule,
         params.deadline,
         &sim_config(&params, stream, seed),
-    );
+        Hooks::default(),
+    )
+    .unwrap();
     let exec = run_monolithic(&topology, &schedule, &exec_config(&params, stream, seed)).unwrap();
 
     assert!(exec.conservation_holds());

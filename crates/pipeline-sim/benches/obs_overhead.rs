@@ -2,7 +2,7 @@
 //!
 //! Three variants of the same run:
 //!
-//! - `obs_disabled` — the public [`simulate_enforced`] entry point,
+//! - `obs_disabled` — [`enforced::simulate`] with `Hooks::default()`,
 //!   which passes `None` for the sink. The per-event cost of
 //!   instrumentation is a branch on an `Option` that is never taken;
 //!   this must stay within noise (≤2%) of the seed simulator.
@@ -10,9 +10,9 @@
 //! - `obs_enabled_traced` — histograms plus a 256-event ring trace.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
-use des::obs::ObsConfig;
-use pipeline_sim::{simulate_enforced, simulate_enforced_observed, SimConfig};
+use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology};
+use des::obs::{ObsConfig, ObsSink};
+use pipeline_sim::{enforced, Hooks, SimConfig};
 use rtsdf_core::{EnforcedWaitsProblem, WaitSchedule};
 use std::hint::black_box;
 
@@ -42,33 +42,27 @@ fn schedule(pipeline: &PipelineSpec) -> WaitSchedule {
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let p = blast();
+    let t = Topology::chain(&p);
     let sched = schedule(&p);
     let cfg = SimConfig::quick(20.0, 7, 2_000);
+    let observed = |obs_config: ObsConfig| {
+        let mut sink = ObsSink::new(t.len(), obs_config);
+        let hooks = Hooks {
+            obs: Some(&mut sink),
+            ..Hooks::default()
+        };
+        let m = enforced::simulate(&t, &sched, 2e5, &cfg, hooks).unwrap();
+        (m, sink.report())
+    };
 
     c.bench_function("enforced_obs_disabled", |b| {
-        b.iter(|| black_box(simulate_enforced(&p, &sched, 2e5, &cfg)))
+        b.iter(|| black_box(enforced::simulate(&t, &sched, 2e5, &cfg, Hooks::default())))
     });
     c.bench_function("enforced_obs_enabled", |b| {
-        b.iter(|| {
-            black_box(simulate_enforced_observed(
-                &p,
-                &sched,
-                2e5,
-                &cfg,
-                ObsConfig::default(),
-            ))
-        })
+        b.iter(|| black_box(observed(ObsConfig::default())))
     });
     c.bench_function("enforced_obs_enabled_traced", |b| {
-        b.iter(|| {
-            black_box(simulate_enforced_observed(
-                &p,
-                &sched,
-                2e5,
-                &cfg,
-                ObsConfig::with_trace(256),
-            ))
-        })
+        b.iter(|| black_box(observed(ObsConfig::with_trace(256))))
     });
 }
 

@@ -16,8 +16,9 @@
 //! miss-free execution in ≥ 95% of random trials across the grid.
 
 use crate::config::SimConfig;
-use crate::runner::run_seeds_enforced;
-use dataflow_model::{PipelineSpec, RtParams};
+use crate::enforced;
+use crate::runner::run_seeds;
+use dataflow_model::{PipelineSpec, RtParams, Topology};
 use rtsdf_core::EnforcedWaitsProblem;
 use serde::{Deserialize, Serialize};
 
@@ -94,6 +95,7 @@ pub fn calibrate_enforced(
 ) -> CalibrationResult {
     assert!(!config.grid.is_empty(), "calibration grid is empty");
     let n = pipeline.len();
+    let topology = Topology::chain(pipeline);
     let mut b = EnforcedWaitsProblem::optimistic_backlog(pipeline);
     let mut rounds = Vec::new();
     // Set once an escalation clamps a factor to `b_cap`: one more
@@ -120,13 +122,10 @@ pub fn calibrate_enforced(
             }
             any_feasible = true;
             let cfg = SimConfig::quick(params.tau0, 0, config.stream_length);
-            let report = run_seeds_enforced(
-                pipeline,
-                &sched,
-                params.deadline,
-                &cfg,
-                config.seeds_per_point,
-            );
+            let report = run_seeds(&cfg, config.seeds_per_point, None, |c, h| {
+                enforced::simulate(&topology, &sched, params.deadline, c, h)
+            })
+            .expect("a schedule solved for the pipeline fits it");
             let mf = report.miss_free_fraction();
             if mf < worst_miss_free {
                 worst_miss_free = mf;
@@ -254,7 +253,11 @@ mod tests {
         let sched = prob.solve().unwrap();
         let mut cfg = SimConfig::quick(10.0, 0, 3_000);
         cfg.seed = 10_000;
-        let report = run_seeds_enforced(&p, &sched, 1e5, &cfg, 6);
+        let t = Topology::chain(&p);
+        let report = run_seeds(&cfg, 6, None, |c, h| {
+            enforced::simulate(&t, &sched, 1e5, c, h)
+        })
+        .unwrap();
         assert!(
             report.miss_free_fraction() >= 0.5,
             "fresh-seed miss-free fraction {}",

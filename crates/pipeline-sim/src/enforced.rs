@@ -19,15 +19,15 @@
 //! weight is below 1, and delivers one batch per edge at firing
 //! completion; fan-in nodes simply receive deliveries from several
 //! producers into the same queue. A linear chain is the one-out-edge
-//! special case, and the chain entry points below wrap their
-//! [`PipelineSpec`] in [`Topology::chain`] — edge `i`'s substream label
-//! equals the per-stage label the chain implementation used, so the
-//! chain path is bit-identical to the frozen scalar reference.
+//! special case: a chain caller passes [`Topology::chain`], whose edge
+//! `i` has the substream label the per-stage chain implementation used,
+//! so the chain path is bit-identical to the frozen scalar reference.
 //!
 //! # The streaming kernel
 //!
-//! One event loop serves every entry point; instrumentation layers are
-//! `Option`s. Three things keep its per-item cost and footprint low.
+//! One event loop serves the one entry point, [`simulate`]; the optional
+//! layers arrive in one [`Hooks`] bundle of `Option`s. Three things keep
+//! its per-item cost and footprint low.
 //!
 //! * **Bulk arrival drain.** Stream arrivals are a sorted lane, not
 //!   calendar events. At an instant with no calendar event, nothing but
@@ -64,19 +64,17 @@
 
 use crate::config::{FiringDiscipline, SimConfig};
 use crate::faults::{FaultState, MitigationPolicy, FAULT_ARRIVAL_STREAM};
+use crate::hooks::{Hooks, SimError};
 use crate::item::LineageWindow;
-use crate::live::SimLive;
 use crate::metrics::SimMetrics;
 use crate::soa::SoaQueue;
-use dataflow_model::{GainModel, Perturbation, PipelineSpec, RtParams, Topology};
+use dataflow_model::{GainModel, RtParams, Topology};
 use des::calendar::Calendar;
 use des::clock::SimTime;
-use des::obs::{ObsConfig, ObsSink};
+use des::obs::ObsSink;
 use des::rng::RngStream;
 use des::stats::OnlineStats;
-use obs_trace::{
-    analyze, ForensicsConfig, ItemFate, ItemVisit, SpanSink, TraceConfig, TraceLog, Track,
-};
+use obs_trace::{ItemFate, ItemVisit, SpanSink, Track};
 use rtsdf_core::WaitSchedule;
 use simd_device::{ActiveTimeLedger, OccupancyStats};
 use std::collections::VecDeque;
@@ -123,156 +121,8 @@ fn sort_batch_by_class(batch: &mut [Ev]) {
     }
 }
 
-/// Simulate one run of `schedule` on `pipeline` with deadline `deadline`.
-///
-/// # Panics
-/// Panics if the schedule's length does not match the pipeline.
-pub fn simulate_enforced(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-) -> SimMetrics {
-    simulate_enforced_with(pipeline, schedule, deadline, config, None)
-}
-
-/// [`simulate_enforced`] under fault injection with graceful
-/// degradation.
-///
-/// The perturbation's arrival faults (jitter, bursts), service faults
-/// (inflation, spikes, stalls), and gain drift are applied from
-/// dedicated RNG substreams, so a zero-intensity perturbation is
-/// bit-identical to [`simulate_enforced`] at the same seed. `policy`
-/// selects the mitigations:
-///
-/// * **load shedding** — an arrival observed during overload (some
-///   queue above its design backlog factor) whose predicted latency
-///   exceeds the deadline is rejected at admission and counted in
-///   [`SimMetrics::items_shed`];
-/// * **escalation** — when the backlog high-water mark exceeds the
-///   design factors, the waits are re-solved at the observed ceilings
-///   and the node periods are updated mid-run; [`SimMetrics::resolves`] counts the re-solves.
-///
-/// # Panics
-/// Panics if the schedule's length does not match the pipeline or the
-/// perturbation fails [`Perturbation::validate`].
-pub fn simulate_enforced_perturbed(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    perturb: &Perturbation,
-    policy: &MitigationPolicy,
-) -> SimMetrics {
-    simulate_enforced_topology_perturbed(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        perturb,
-        policy,
-    )
-}
-
-/// [`simulate_enforced`] publishing live progress into a metrics
-/// registry (see [`crate::live::SimLiveMetrics`]): items
-/// arrived/completed/dropped, per-stage queue-depth high-water marks,
-/// and wall-clock throughput.
-pub fn simulate_enforced_live(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    simulate_enforced_topology_live(&Topology::chain(pipeline), schedule, deadline, config, live)
-}
-
-/// [`simulate_enforced_perturbed`] publishing live progress (including
-/// shed counts) into a metrics registry.
-///
-/// # Panics
-/// Panics if the schedule's length does not match the pipeline or the
-/// perturbation fails [`Perturbation::validate`].
-pub fn simulate_enforced_perturbed_live(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    perturb: &Perturbation,
-    policy: &MitigationPolicy,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    simulate_enforced_topology_perturbed_live(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        perturb,
-        policy,
-        live,
-    )
-}
-
-/// [`simulate_enforced`] with the observability layer enabled: collects
-/// per-stage queue-depth / occupancy / sojourn distributions, event
-/// counters, and (if `obs_config.trace_capacity > 0`) a recent-event
-/// trace, returned in [`SimMetrics::obs`].
-pub fn simulate_enforced_observed(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs_config: ObsConfig,
-) -> SimMetrics {
-    simulate_enforced_topology_observed(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        obs_config,
-    )
-}
-
-/// [`simulate_enforced`] with causal span tracing enabled: collects
-/// per-firing spans, per-item stage visits (the exact enforced-wait /
-/// queue-wait / service sojourn decomposition), and per-input fates,
-/// then runs deadline-miss forensics over the finished trace. Returns
-/// the metrics (with [`SimMetrics::blame`] attached) and the raw
-/// [`TraceLog`] for export.
-pub fn simulate_enforced_traced(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    trace: TraceConfig,
-    forensics: &ForensicsConfig,
-) -> (SimMetrics, TraceLog) {
-    simulate_enforced_topology_traced(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        trace,
-        forensics,
-    )
-}
-
-/// Core simulator. `obs` is branch-on-`Option`: when `None`, every hook
-/// is a single untaken branch, so the uninstrumented path stays at the
-/// cost of the plain simulator.
-pub fn simulate_enforced_with(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs: Option<&mut ObsSink>,
-) -> SimMetrics {
-    simulate_enforced_topology_with(&Topology::chain(pipeline), schedule, deadline, config, obs)
-}
-
-/// Simulate one run of `schedule` on an arbitrary DAG `topology` with
-/// deadline `deadline`.
+/// Simulate one run of `schedule` on `topology` with deadline
+/// `deadline`, with the optional layers in `hooks`.
 ///
 /// Firings are routed along the topology's out-edges: each out-edge
 /// draws its own stochastic gain per consumed item (from a dedicated
@@ -280,156 +130,46 @@ pub fn simulate_enforced_with(
 /// delivers the surviving batch to its destination node at firing
 /// completion. Fan-in nodes merge deliveries from all producers into a
 /// single FIFO input queue. An item is complete when every output it
-/// spawned — across all edges — has been resolved.
+/// spawned — across all edges — has been resolved. On
+/// [`Topology::chain`] this is bit-identical to the frozen chain
+/// reference.
 ///
-/// For a chain topology this is bit-identical to [`simulate_enforced`]
-/// on the underlying [`PipelineSpec`].
+/// Under [`Hooks::faults`] the perturbation's faults land on the run and
+/// the policy selects the mitigations:
 ///
-/// # Panics
-/// Panics if the schedule's length does not match the topology.
-pub fn simulate_enforced_topology(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-) -> SimMetrics {
-    simulate_enforced_topology_with(topology, schedule, deadline, config, None)
-}
-
-/// [`simulate_enforced_topology`] with an optional observability sink
-/// (the topology-general core behind [`simulate_enforced_with`]).
-pub fn simulate_enforced_topology_with(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs: Option<&mut ObsSink>,
-) -> SimMetrics {
-    simulate_enforced_full(topology, schedule, deadline, config, obs, None, None, None)
-}
-
-/// [`simulate_enforced_topology`] under fault injection with graceful
-/// degradation (see [`simulate_enforced_perturbed`] for the mitigation
-/// semantics; escalation re-solves use the DAG solver, which delegates
-/// to the chain solver on chain topologies).
+/// * **load shedding** — an arrival observed during overload (some
+///   queue above its design backlog factor) whose predicted latency
+///   exceeds the deadline is rejected at admission and counted in
+///   [`SimMetrics::items_shed`];
+/// * **escalation** — when the backlog high-water mark exceeds the
+///   design factors, the waits are re-solved at the observed ceilings
+///   (the DAG solver, which delegates to the chain solver on chains)
+///   and the node periods are updated mid-run; [`SimMetrics::resolves`]
+///   counts the re-solves.
 ///
-/// # Panics
-/// Panics if the schedule's length does not match the topology or the
-/// perturbation fails [`Perturbation::validate`].
-pub fn simulate_enforced_topology_perturbed(
+/// # Errors
+/// [`SimError::ScheduleLength`] if the schedule's periods or backlog
+/// factors do not have one entry per node, [`SimError::ObsSinkLength`]
+/// if the obs sink is sized for another topology, and
+/// [`SimError::InvalidPerturbation`] if the perturbation fails
+/// [`Perturbation::validate`](dataflow_model::Perturbation::validate).
+pub fn simulate(
     topology: &Topology,
     schedule: &WaitSchedule,
     deadline: f64,
     config: &SimConfig,
-    perturb: &Perturbation,
-    policy: &MitigationPolicy,
-) -> SimMetrics {
-    perturb.validate().expect("invalid perturbation");
-    simulate_enforced_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        None,
-        Some((perturb, policy)),
-        None,
-    )
-}
-
-/// [`simulate_enforced_topology`] publishing live progress into a
-/// metrics registry.
-pub fn simulate_enforced_topology_live(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    simulate_enforced_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        None,
-        None,
-        Some(live),
-    )
-}
-
-/// [`simulate_enforced_topology_perturbed`] publishing live progress
-/// (including shed counts) into a metrics registry.
-///
-/// # Panics
-/// Panics if the schedule's length does not match the topology or the
-/// perturbation fails [`Perturbation::validate`].
-pub fn simulate_enforced_topology_perturbed_live(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    perturb: &Perturbation,
-    policy: &MitigationPolicy,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    perturb.validate().expect("invalid perturbation");
-    simulate_enforced_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        None,
-        Some((perturb, policy)),
-        Some(live),
-    )
-}
-
-/// [`simulate_enforced_topology`] with the observability layer enabled
-/// (per-node queue-depth / occupancy / sojourn distributions, returned
-/// in [`SimMetrics::obs`]).
-pub fn simulate_enforced_topology_observed(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs_config: ObsConfig,
-) -> SimMetrics {
-    let mut sink = ObsSink::new(topology.len(), obs_config);
-    let mut metrics =
-        simulate_enforced_topology_with(topology, schedule, deadline, config, Some(&mut sink));
-    metrics.obs = Some(sink.report());
-    metrics
-}
-
-/// [`simulate_enforced_topology`] with causal span tracing and
-/// deadline-miss forensics enabled (see [`simulate_enforced_traced`]).
-/// Spans and blame stay keyed by node: queues and service live at
-/// nodes, while the per-edge routing contribution is covered by the
-/// analysis layer's per-edge flow accounting.
-pub fn simulate_enforced_topology_traced(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    trace: TraceConfig,
-    forensics: &ForensicsConfig,
-) -> (SimMetrics, TraceLog) {
-    let mut sink = SpanSink::new(trace);
-    let mut metrics = simulate_enforced_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        Some(&mut sink),
-        None,
-        None,
-    );
-    let log = sink.finish();
-    metrics.blame = Some(analyze(&log, deadline, forensics));
-    (metrics, log)
+    hooks: Hooks<'_>,
+) -> Result<SimMetrics, SimError> {
+    let nodes = topology.len();
+    for got in [schedule.periods.len(), schedule.backlog_factors.len()] {
+        if got != nodes {
+            return Err(SimError::ScheduleLength { nodes, got });
+        }
+    }
+    hooks.check(nodes)?;
+    Ok(simulate_enforced_full(
+        topology, schedule, deadline, config, hooks,
+    ))
 }
 
 /// Mutable per-run state of the fault-injection / mitigation layer.
@@ -612,30 +352,24 @@ impl Tally {
     }
 }
 
-/// Full-generality core: aggregate observability (`obs`), causal span
-/// tracing (`spans`), fault injection (`stress`), and live metrics
-/// (`live`) are independent branch-on-`Option` layers; any `None` costs
-/// one untaken branch per hook.
-#[allow(clippy::too_many_arguments)]
+/// Full-generality core behind [`simulate`], which has checked its
+/// input: aggregate observability (`obs`), causal span tracing
+/// (`spans`), fault injection (`stress_spec`), and live metrics (`live`)
+/// are independent branch-on-`Option` layers; any `None` costs one
+/// untaken branch per hook.
 fn simulate_enforced_full(
     topology: &Topology,
     schedule: &WaitSchedule,
     deadline: f64,
     config: &SimConfig,
-    mut obs: Option<&mut ObsSink>,
-    mut spans: Option<&mut SpanSink>,
-    stress_spec: Option<(&Perturbation, &MitigationPolicy)>,
-    live: Option<&SimLive<'_>>,
+    Hooks {
+        mut obs,
+        mut spans,
+        live,
+        faults: stress_spec,
+    }: Hooks<'_>,
 ) -> SimMetrics {
     let n = topology.len();
-    if let Some(sink) = obs.as_deref_mut() {
-        assert_eq!(sink.num_stages(), n, "obs sink/topology length mismatch");
-    }
-    assert_eq!(
-        schedule.periods.len(),
-        n,
-        "schedule/topology length mismatch"
-    );
     let v = topology.vector_width();
     let service: Vec<u64> = topology
         .service_times()
@@ -1208,7 +942,9 @@ fn simulate_enforced_full(
 mod tests {
     use super::*;
     use crate::reference::simulate_enforced_reference;
-    use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
+    use dataflow_model::{GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams};
+    use des::obs::ObsConfig;
+    use obs_trace::{analyze, ForensicsConfig, TraceConfig, TraceLog};
     use rtsdf_core::EnforcedWaitsProblem;
 
     fn blast() -> PipelineSpec {
@@ -1226,6 +962,27 @@ mod tests {
             .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
             .build()
             .unwrap()
+    }
+
+    /// A chain run with no hooks.
+    fn run_chain(p: &PipelineSpec, sched: &WaitSchedule, d: f64, cfg: &SimConfig) -> SimMetrics {
+        simulate(&Topology::chain(p), sched, d, cfg, Hooks::default()).unwrap()
+    }
+
+    /// A chain run with span tracing, and its finished trace.
+    fn run_traced(
+        p: &PipelineSpec,
+        sched: &WaitSchedule,
+        d: f64,
+        cfg: &SimConfig,
+    ) -> (SimMetrics, TraceLog) {
+        let mut sink = SpanSink::new(TraceConfig::default());
+        let hooks = Hooks {
+            spans: Some(&mut sink),
+            ..Hooks::default()
+        };
+        let m = simulate(&Topology::chain(p), sched, d, cfg, hooks).unwrap();
+        (m, sink.finish())
     }
 
     fn schedule(pipeline: &PipelineSpec, tau0: f64, d: f64) -> WaitSchedule {
@@ -1316,7 +1073,22 @@ mod tests {
             escalate_headroom: 0.0,
             max_resolves: 8,
         };
-        let m = simulate_enforced_perturbed(&p, &sched, 1e5, &cfg, &perturb, &policy);
+        let t = Topology::chain(&p);
+        let escalated = |policy: &MitigationPolicy| {
+            let faults = Some((&perturb, policy));
+            simulate(
+                &t,
+                &sched,
+                1e5,
+                &cfg,
+                Hooks {
+                    faults,
+                    ..Hooks::default()
+                },
+            )
+            .unwrap()
+        };
+        let m = escalated(&policy);
         assert!(
             m.resolves >= 1,
             "undersized factors must trigger a re-solve"
@@ -1330,11 +1102,11 @@ mod tests {
             max_resolves: 1,
             ..policy.clone()
         };
-        let m1 = simulate_enforced_perturbed(&p, &sched, 1e5, &cfg, &perturb, &capped);
+        let m1 = escalated(&capped);
         assert_eq!(m1.resolves, 1);
 
         // Same seed, same escalation trajectory.
-        let m2 = simulate_enforced_perturbed(&p, &sched, 1e5, &cfg, &perturb, &policy);
+        let m2 = escalated(&policy);
         assert_eq!(m.resolves, m2.resolves);
         assert_eq!(m.deadline_misses, m2.deadline_misses);
     }
@@ -1344,14 +1116,19 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 20.0, 2e5);
         let cfg = SimConfig::quick(20.0, 1, 500);
-        let plain = simulate_enforced(&p, &sched, 2e5, &cfg);
-        let observed = simulate_enforced_observed(&p, &sched, 2e5, &cfg, ObsConfig::with_trace(32));
+        let plain = run_chain(&p, &sched, 2e5, &cfg);
+        let mut sink = ObsSink::new(p.len(), ObsConfig::with_trace(32));
+        let hooks = Hooks {
+            obs: Some(&mut sink),
+            ..Hooks::default()
+        };
+        let observed = simulate(&Topology::chain(&p), &sched, 2e5, &cfg, hooks).unwrap();
         // Instrumentation must not perturb the simulation.
         assert_eq!(plain.items_completed, observed.items_completed);
         assert_eq!(plain.deadline_misses, observed.deadline_misses);
         assert_eq!(plain.active_fraction, observed.active_fraction);
         assert!(plain.obs.is_none());
-        let report = observed.obs.expect("report attached");
+        let report = sink.report();
         assert_eq!(report.stages.len(), p.len());
         assert_eq!(report.counters.completions, observed.items_completed);
         assert_eq!(report.counters.drops, observed.items_dropped);
@@ -1371,15 +1148,8 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 20.0, 2e5);
         let cfg = SimConfig::quick(20.0, 1, 500);
-        let plain = simulate_enforced(&p, &sched, 2e5, &cfg);
-        let (traced, log) = simulate_enforced_traced(
-            &p,
-            &sched,
-            2e5,
-            &cfg,
-            TraceConfig::default(),
-            &ForensicsConfig::default(),
-        );
+        let plain = run_chain(&p, &sched, 2e5, &cfg);
+        let (traced, log) = run_traced(&p, &sched, 2e5, &cfg);
         // Tracing must not perturb the simulation.
         assert_eq!(plain.items_completed, traced.items_completed);
         assert_eq!(plain.deadline_misses, traced.deadline_misses);
@@ -1392,7 +1162,7 @@ mod tests {
         assert!(!log.spans.is_empty());
         assert_eq!(log.dropped_spans, 0);
         assert_eq!(log.dropped_visits, 0);
-        let blame = traced.blame.expect("blame attached");
+        let blame = analyze(&log, 2e5, &ForensicsConfig::default());
         assert_eq!(blame.completed_items, traced.items_completed);
         assert_eq!(blame.dropped_items, traced.items_dropped);
         assert_eq!(
@@ -1414,16 +1184,9 @@ mod tests {
             telemetry: None,
         };
         let cfg = SimConfig::quick(50.0, 3, 200);
-        let (m, _log) = simulate_enforced_traced(
-            &p,
-            &sched,
-            100.0,
-            &cfg,
-            TraceConfig::default(),
-            &ForensicsConfig::default(),
-        );
+        let (m, log) = run_traced(&p, &sched, 100.0, &cfg);
         assert_eq!(m.deadline_misses, m.items_arrived);
-        let blame = m.blame.expect("blame attached");
+        let blame = analyze(&log, 100.0, &ForensicsConfig::default());
         assert_eq!(blame.analyzed_items, m.items_completed);
         assert!(blame.total_overrun > 0.0);
         assert!(!blame.stages.is_empty());
@@ -1453,7 +1216,7 @@ mod tests {
             telemetry: None,
         };
         let cfg = SimConfig::quick(10.0, 1, 400);
-        let m = simulate_enforced(&p, &sched, 1e6, &cfg);
+        let m = run_chain(&p, &sched, 1e6, &cfg);
         assert_eq!(m.items_arrived, 400);
         assert_eq!(m.items_completed, 400);
         assert_eq!(m.deadline_misses, 0);
@@ -1472,7 +1235,7 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 10.0, 1e5);
         let cfg = SimConfig::quick(10.0, 42, 5_000);
-        let m = simulate_enforced(&p, &sched, 1e5, &cfg);
+        let m = run_chain(&p, &sched, 1e5, &cfg);
         assert!(!m.truncated);
         assert_eq!(m.items_completed, 5_000);
         let rel = (m.active_fraction - sched.active_fraction).abs() / sched.active_fraction;
@@ -1489,7 +1252,7 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 10.0, 1e5);
         let cfg = SimConfig::quick(10.0, 7, 10_000);
-        let m = simulate_enforced(&p, &sched, 1e5, &cfg);
+        let m = run_chain(&p, &sched, 1e5, &cfg);
         assert!(
             m.miss_rate() < 0.01,
             "miss rate {} with paper-calibrated b",
@@ -1502,8 +1265,8 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 10.0, 1e5);
         let cfg = SimConfig::quick(10.0, 123, 2_000);
-        let a = simulate_enforced(&p, &sched, 1e5, &cfg);
-        let b = simulate_enforced(&p, &sched, 1e5, &cfg);
+        let a = run_chain(&p, &sched, 1e5, &cfg);
+        let b = run_chain(&p, &sched, 1e5, &cfg);
         assert_eq!(a.deadline_misses, b.deadline_misses);
         assert_eq!(a.items_completed, b.items_completed);
         assert_eq!(a.active_fraction, b.active_fraction);
@@ -1514,8 +1277,8 @@ mod tests {
     fn different_seeds_differ_somewhere() {
         let p = blast();
         let sched = schedule(&p, 10.0, 1e5);
-        let a = simulate_enforced(&p, &sched, 1e5, &SimConfig::quick(10.0, 1, 2_000));
-        let b = simulate_enforced(&p, &sched, 1e5, &SimConfig::quick(10.0, 2, 2_000));
+        let a = run_chain(&p, &sched, 1e5, &SimConfig::quick(10.0, 1, 2_000));
+        let b = run_chain(&p, &sched, 1e5, &SimConfig::quick(10.0, 2, 2_000));
         // Stochastic gains: latency distributions should not be identical.
         assert!(
             (a.latency.mean() - b.latency.mean()).abs() > 1e-9
@@ -1538,7 +1301,7 @@ mod tests {
         };
         let cfg = SimConfig::quick(50.0, 3, 200);
         // Deadline below even one service time.
-        let m = simulate_enforced(&p, &sched, 100.0, &cfg);
+        let m = run_chain(&p, &sched, 100.0, &cfg);
         assert_eq!(m.deadline_misses, m.items_arrived);
     }
 
@@ -1557,7 +1320,7 @@ mod tests {
         };
         let mut cfg = SimConfig::quick(1.0, 3, 500);
         cfg.drain_factor = 2.0;
-        let m = simulate_enforced(&p, &sched, 1000.0, &cfg);
+        let m = run_chain(&p, &sched, 1000.0, &cfg);
         assert!(m.truncated);
         assert!(m.deadline_misses > 0);
         // Unresolved inputs are closed out of the lineage window exactly
@@ -1572,7 +1335,7 @@ mod tests {
         // the ring grows mid-run — and the run still matches the oracle.
         let cfg = SimConfig::quick(1.0, 3, 3_000);
         assert!(3_000 > LineageWindow::new(3_000).capacity());
-        let m = simulate_enforced(&p, &sched, 1e9, &cfg);
+        let m = run_chain(&p, &sched, 1e9, &cfg);
         assert!(!m.truncated);
         assert_eq!(m.items_completed, 3_000);
         let oracle = simulate_enforced_reference(&p, &sched, 1e9, &cfg, None, None);
@@ -1593,8 +1356,8 @@ mod tests {
         };
         let with_waits = schedule(&p, 10.0, 2e5);
         let cfg = SimConfig::quick(10.0, 9, 3_000);
-        let a = simulate_enforced(&p, &no_waits, 1e9, &cfg);
-        let b = simulate_enforced(&p, &with_waits, 1e9, &cfg);
+        let a = run_chain(&p, &no_waits, 1e9, &cfg);
+        let b = run_chain(&p, &with_waits, 1e9, &cfg);
         assert!(
             b.occupancy[0].mean_occupancy() > a.occupancy[0].mean_occupancy() * 2.0,
             "waits should raise head occupancy: {} vs {}",
@@ -1608,7 +1371,7 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 10.0, 1e5);
         let cfg = SimConfig::quick(10.0, 1, 0);
-        let m = simulate_enforced(&p, &sched, 1e5, &cfg);
+        let m = run_chain(&p, &sched, 1e5, &cfg);
         assert_eq!(m.items_arrived, 0);
         assert_eq!(m.items_completed, 0);
         assert_eq!(m.deadline_misses, 0);
@@ -1621,7 +1384,7 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 10.0, 1e5);
         let cfg = SimConfig::quick(10.0, 1, 1);
-        let m = simulate_enforced(&p, &sched, 1e5, &cfg);
+        let m = run_chain(&p, &sched, 1e5, &cfg);
         assert_eq!(m.items_arrived, 1);
         assert_eq!(m.items_completed, 1);
         assert_eq!(m.latency.count(), 1);
@@ -1636,8 +1399,8 @@ mod tests {
         let mut strict_cfg = SimConfig::quick(50.0, 4, 2_000);
         let mut vac_cfg = strict_cfg.clone();
         vac_cfg.discipline = FiringDiscipline::Vacation;
-        let strict = simulate_enforced(&p, &sched, 2e5, &strict_cfg);
-        let vac = simulate_enforced(&p, &sched, 2e5, &vac_cfg);
+        let strict = run_chain(&p, &sched, 2e5, &strict_cfg);
+        let vac = run_chain(&p, &sched, 2e5, &vac_cfg);
         // No empty firings at all under vacations.
         for o in &vac.occupancy {
             assert_eq!(o.empty_firings(), 0);
@@ -1675,8 +1438,8 @@ mod tests {
 
         strict_cfg.seed = 5;
         vac_cfg.seed = 5;
-        let strict2 = simulate_enforced(&p, &sched, 2e5, &strict_cfg);
-        let vac2 = simulate_enforced(&p, &sched, 2e5, &vac_cfg);
+        let strict2 = run_chain(&p, &sched, 2e5, &strict_cfg);
+        let vac2 = run_chain(&p, &sched, 2e5, &vac_cfg);
         assert_eq!(strict2.items_completed, vac2.items_completed);
     }
 
@@ -1685,7 +1448,7 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 10.0, 1e5);
         let cfg = SimConfig::quick(10.0, 5, 3_000);
-        let m = simulate_enforced(&p, &sched, 1e5, &cfg);
+        let m = run_chain(&p, &sched, 1e5, &cfg);
         assert_eq!(m.max_backlog_vectors.len(), 4);
         // The head queue must have held something.
         assert!(m.max_queue_depth[0] > 0);

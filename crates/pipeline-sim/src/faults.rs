@@ -1,10 +1,10 @@
 //! Fault application and graceful-degradation policies.
 //!
-//! [`FaultState`] realizes a [`Perturbation`]'s service-side effects
-//! (sustained inflation, tail spikes, transient preemption stalls) with
-//! dedicated RNG substreams, so the unperturbed arrival/gain draws are
-//! untouched and a zero-intensity perturbation is bit-identical to an
-//! unperturbed run.
+//! The crate-private `FaultState` realizes a [`Perturbation`]'s
+//! service-side effects (sustained inflation, tail spikes, transient
+//! preemption stalls) with dedicated RNG substreams, so the unperturbed
+//! arrival/gain draws are untouched and a zero-intensity perturbation is
+//! bit-identical to an unperturbed run.
 //!
 //! [`MitigationPolicy`] selects the runtime's graceful-degradation
 //! responses for the enforced-waits simulator:

@@ -11,12 +11,44 @@
 //! * per-node lane occupancy and queue high-water marks (the empirical
 //!   counterpart of the backlog factors `b_i`).
 //!
+//! Each strategy has one entry point over a [`dataflow_model::Topology`]
+//! (a chain is [`dataflow_model::Topology::chain`]), and every optional
+//! layer of a run — aggregate observability, causal span tracing, live
+//! metrics, fault injection — rides in one [`Hooks`] bundle. Bad input
+//! is a typed [`SimError`], not a panic:
+//!
+//! ```
+//! use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
+//! use des::obs::{ObsConfig, ObsSink};
+//! use pipeline_sim::{enforced, Hooks, SimConfig};
+//! use rtsdf_core::EnforcedWaitsProblem;
+//!
+//! let p = PipelineSpecBuilder::new(4)
+//!     .stage("a", 10.0, GainModel::Deterministic { k: 1 })
+//!     .stage("b", 20.0, GainModel::Deterministic { k: 1 })
+//!     .build()
+//!     .unwrap();
+//! let t = Topology::chain(&p);
+//! let params = RtParams::new(10.0, 1e4).unwrap();
+//! let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0]).solve().unwrap();
+//! let cfg = SimConfig::quick(10.0, 1, 500);
+//!
+//! let plain = enforced::simulate(&t, &sched, 1e4, &cfg, Hooks::default())?;
+//! let mut sink = ObsSink::new(t.len(), ObsConfig::default());
+//! let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
+//! let observed = enforced::simulate(&t, &sched, 1e4, &cfg, hooks)?;
+//! assert_eq!(plain.active_fraction, observed.active_fraction);
+//! assert_eq!(sink.report().counters.completions, observed.items_completed);
+//! # Ok::<(), pipeline_sim::SimError>(())
+//! ```
+//!
 //! Modules:
 //!
 //! * [`enforced`] — the enforced-waits runtime: every node fires
 //!   periodically with its optimized period `t_i + w_i`.
 //! * [`monolithic`] — the block-batching runtime: accumulate `M` items,
 //!   push the whole block through the pipeline at once.
+//! * [`hooks`] — the [`Hooks`] bundle and the entry points' [`SimError`].
 //! * [`runner`] — multi-seed experiment execution (parallel across
 //!   seeds), mirroring the paper's 100-runs-per-point methodology.
 //! * [`calibration`] — the §6.2 empirical search for backlog factors:
@@ -34,11 +66,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod calibration;
+mod compat;
 pub mod config;
 pub mod enforced;
 pub mod faults;
+pub mod hooks;
 mod item;
 pub mod live;
 pub mod metrics;
@@ -50,36 +83,19 @@ pub mod soa;
 pub mod timeline;
 pub mod validate;
 
-pub use backend::DesBackend;
 pub use config::SimConfig;
-pub use enforced::{
-    simulate_enforced, simulate_enforced_observed, simulate_enforced_perturbed,
-    simulate_enforced_topology, simulate_enforced_topology_observed,
-    simulate_enforced_topology_perturbed, simulate_enforced_topology_traced,
-    simulate_enforced_traced,
-};
-pub use enforced::{
-    simulate_enforced_live, simulate_enforced_perturbed_live, simulate_enforced_topology_live,
-    simulate_enforced_topology_perturbed_live,
-};
 pub use faults::MitigationPolicy;
+pub use hooks::{Hooks, SimError};
 pub use live::{SimLive, SimLiveMetrics};
 pub use metrics::SimMetrics;
-pub use monolithic::{
-    simulate_monolithic, simulate_monolithic_live, simulate_monolithic_observed,
-    simulate_monolithic_perturbed, simulate_monolithic_perturbed_live,
-    simulate_monolithic_topology, simulate_monolithic_topology_live,
-    simulate_monolithic_topology_observed, simulate_monolithic_topology_perturbed,
-    simulate_monolithic_topology_perturbed_live, simulate_monolithic_topology_traced,
-    simulate_monolithic_traced,
-};
-pub use robustness::{
-    robustness_report, robustness_report_live, robustness_report_topology_live, RobustnessPoint,
-    RobustnessReport, StressSummary,
-};
-pub use runner::{
-    run_seeds_enforced, run_seeds_enforced_perturbed, run_seeds_enforced_perturbed_live,
-    run_seeds_enforced_topology, run_seeds_enforced_topology_perturbed_live, run_seeds_monolithic,
-    run_seeds_monolithic_perturbed, run_seeds_monolithic_perturbed_live,
-    run_seeds_monolithic_topology, run_seeds_monolithic_topology_perturbed_live, MultiSeedReport,
+pub use robustness::{robustness_report, RobustnessPoint, RobustnessReport, StressSummary};
+pub use runner::{run_seeds, MultiSeedReport};
+
+// Kept only for the frozen `rtbench/` benchmark (see `compat`).
+#[doc(hidden)]
+pub use compat::{
+    robustness_report_topology_live, run_seeds_enforced, run_seeds_monolithic, simulate_enforced,
+    simulate_enforced_topology_perturbed, simulate_enforced_topology_perturbed_live,
+    simulate_monolithic, simulate_monolithic_topology_perturbed,
+    simulate_monolithic_topology_perturbed_live,
 };

@@ -3,8 +3,8 @@
 //!
 //! [`SimLiveMetrics`] owns the registry (one shard per worker thread);
 //! each simulated run gets a cheap per-thread [`SimLive`] handle via
-//! [`SimLiveMetrics::handle`]. The simulators accept the handle as
-//! `Option<&SimLive>` — the same branch-on-`Option` discipline as
+//! [`SimLiveMetrics::handle`]. The simulators accept the handle in
+//! [`crate::Hooks::live`] — the same branch-on-`Option` discipline as
 //! `ObsSink`, so a `None` costs one untaken branch per hook and the
 //! `metrics_overhead` bench gates that the disabled path stays within
 //! 1% of plain throughput.

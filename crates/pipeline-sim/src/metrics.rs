@@ -44,11 +44,13 @@ pub struct SimMetrics {
     /// True if the run hit its safety horizon before completing all
     /// inputs (a sign of an unstable or badly mis-calibrated schedule).
     pub truncated: bool,
-    /// Structured observability report (`None` unless the run was
-    /// started through an `*_observed` entry point).
+    /// Structured observability report. The simulators leave it `None`;
+    /// a caller that ran with [`crate::Hooks::obs`] may attach the
+    /// sink's report here to keep the two together.
     pub obs: Option<ObsReport>,
-    /// Deadline-miss forensics (`None` unless the run was started
-    /// through a `*_traced` entry point).
+    /// Deadline-miss forensics. The simulators leave it `None`; a caller
+    /// that ran with [`crate::Hooks::spans`] may attach
+    /// [`obs_trace::analyze`]'s report here (`rtsdf-cli trace` does).
     pub blame: Option<BlameReport>,
 }
 

@@ -11,309 +11,67 @@
 
 use crate::config::SimConfig;
 use crate::faults::{FaultState, FAULT_ARRIVAL_STREAM};
-use crate::live::SimLive;
+use crate::hooks::{Hooks, SimError};
 use crate::metrics::SimMetrics;
-use dataflow_model::{GainModel, Perturbation, PipelineSpec, Topology};
+use dataflow_model::{GainModel, Topology};
 use des::clock::SimTime;
-use des::obs::{ObsConfig, ObsSink};
 use des::rng::RngStream;
 use des::stats::OnlineStats;
-use obs_trace::{
-    analyze, ForensicsConfig, ItemFate, ItemVisit, SpanSink, TraceConfig, TraceLog, Track,
-};
+use obs_trace::{ItemFate, ItemVisit, Track};
 use rtsdf_core::MonolithicSchedule;
 use simd_device::OccupancyStats;
 
-/// Simulate one run of the monolithic `schedule` on `pipeline`.
-pub fn simulate_monolithic(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-) -> SimMetrics {
-    simulate_monolithic_with(pipeline, schedule, deadline, config, None)
-}
-
-/// [`simulate_monolithic`] under fault injection: arrival jitter and
-/// bursts, per-block service inflation / tail spikes / stalls, and
-/// gain drift, all from dedicated RNG substreams so a zero-intensity
-/// perturbation is bit-identical to the unperturbed run at the same
-/// seed.
-///
-/// The monolithic strategy has no admission or wait-re-solve hooks, so
-/// no mitigation policy applies — this is the unmanaged baseline the
-/// robustness report compares the enforced-waits mitigations against.
-///
-/// # Panics
-/// Panics if the perturbation fails [`Perturbation::validate`].
-pub fn simulate_monolithic_perturbed(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    perturb: &Perturbation,
-) -> SimMetrics {
-    simulate_monolithic_topology_perturbed(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        perturb,
-    )
-}
-
-/// [`simulate_monolithic`] publishing live progress into a metrics
-/// registry (see [`crate::live::SimLiveMetrics`]): items
-/// arrived/completed/dropped, the head-stage queue-depth high-water
-/// mark, and wall-clock throughput.
-pub fn simulate_monolithic_live(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    simulate_monolithic_topology_live(&Topology::chain(pipeline), schedule, deadline, config, live)
-}
-
-/// [`simulate_monolithic_perturbed`] publishing live progress into a
-/// metrics registry.
-///
-/// # Panics
-/// Panics if the perturbation fails [`Perturbation::validate`].
-pub fn simulate_monolithic_perturbed_live(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    perturb: &Perturbation,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    simulate_monolithic_topology_perturbed_live(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        perturb,
-        live,
-    )
-}
-
-/// [`simulate_monolithic`] with the observability layer enabled;
-/// summaries land in [`SimMetrics::obs`].
-pub fn simulate_monolithic_observed(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs_config: ObsConfig,
-) -> SimMetrics {
-    simulate_monolithic_topology_observed(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        obs_config,
-    )
-}
-
-/// [`simulate_monolithic`] with causal span tracing enabled: per-stage
-/// block spans, per-item visits (block-fill wait as enforced wait,
-/// pipeline-busy wait as queue wait, block execution as service), and
-/// per-input fates, plus deadline-miss forensics over the finished
-/// trace. Returns the metrics (with [`SimMetrics::blame`] attached)
-/// and the raw [`TraceLog`] for export.
-pub fn simulate_monolithic_traced(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    trace: TraceConfig,
-    forensics: &ForensicsConfig,
-) -> (SimMetrics, TraceLog) {
-    simulate_monolithic_topology_traced(
-        &Topology::chain(pipeline),
-        schedule,
-        deadline,
-        config,
-        trace,
-        forensics,
-    )
-}
-
-/// Core simulator; `obs` hooks are branch-on-`Option` (see the enforced
-/// simulator for the convention).
-pub fn simulate_monolithic_with(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs: Option<&mut ObsSink>,
-) -> SimMetrics {
-    simulate_monolithic_topology_with(&Topology::chain(pipeline), schedule, deadline, config, obs)
-}
-
-/// Simulate one run of the monolithic `schedule` on an arbitrary DAG
-/// `topology`.
+/// Simulate one run of the monolithic `schedule` on `topology`, with the
+/// optional layers in `hooks`.
 ///
 /// Within a block, nodes execute in topological order; each node's item
 /// count is the sum over its in-edges of the upstream counts after the
-/// edge's sampled gain and routing-weight thinning. For a chain
-/// topology this is bit-identical to [`simulate_monolithic`] on the
-/// underlying [`PipelineSpec`].
-pub fn simulate_monolithic_topology(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-) -> SimMetrics {
-    simulate_monolithic_topology_with(topology, schedule, deadline, config, None)
-}
-
-/// [`simulate_monolithic_topology`] with an optional observability sink
-/// (the topology-general core behind [`simulate_monolithic_with`]).
-pub fn simulate_monolithic_topology_with(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs: Option<&mut ObsSink>,
-) -> SimMetrics {
-    simulate_monolithic_full(topology, schedule, deadline, config, obs, None, None, None)
-}
-
-/// [`simulate_monolithic_topology`] under fault injection (see
-/// [`simulate_monolithic_perturbed`]).
+/// edge's sampled gain and routing-weight thinning. On
+/// [`Topology::chain`] this is bit-identical to the frozen chain
+/// reference.
 ///
-/// # Panics
-/// Panics if the perturbation fails [`Perturbation::validate`].
-pub fn simulate_monolithic_topology_perturbed(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    perturb: &Perturbation,
-) -> SimMetrics {
-    perturb.validate().expect("invalid perturbation");
-    simulate_monolithic_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        None,
-        Some(perturb),
-        None,
-    )
-}
-
-/// [`simulate_monolithic_topology`] publishing live progress into a
-/// metrics registry.
-pub fn simulate_monolithic_topology_live(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    simulate_monolithic_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        None,
-        None,
-        Some(live),
-    )
-}
-
-/// [`simulate_monolithic_topology_perturbed`] publishing live progress
-/// into a metrics registry.
+/// Under [`Hooks::faults`] the run takes arrival jitter and bursts,
+/// per-block service inflation, tail spikes and stalls, and gain drift.
+/// Only the perturbation is read: this strategy has no admission or
+/// wait re-solve hook, so no mitigation policy applies — it is the
+/// unmanaged baseline the robustness report compares the enforced-waits
+/// mitigations against.
 ///
-/// # Panics
-/// Panics if the perturbation fails [`Perturbation::validate`].
-pub fn simulate_monolithic_topology_perturbed_live(
+/// # Errors
+/// [`SimError::ObsSinkLength`] if the obs sink is sized for another
+/// topology, and [`SimError::InvalidPerturbation`] if the perturbation
+/// fails [`Perturbation::validate`](dataflow_model::Perturbation::validate).
+pub fn simulate(
     topology: &Topology,
     schedule: &MonolithicSchedule,
     deadline: f64,
     config: &SimConfig,
-    perturb: &Perturbation,
-    live: &SimLive<'_>,
-) -> SimMetrics {
-    perturb.validate().expect("invalid perturbation");
-    simulate_monolithic_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        None,
-        Some(perturb),
-        Some(live),
-    )
+    hooks: Hooks<'_>,
+) -> Result<SimMetrics, SimError> {
+    hooks.check(topology.len())?;
+    Ok(simulate_monolithic_full(
+        topology, schedule, deadline, config, hooks,
+    ))
 }
 
-/// [`simulate_monolithic_topology`] with the observability layer
-/// enabled; summaries land in [`SimMetrics::obs`].
-pub fn simulate_monolithic_topology_observed(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    obs_config: ObsConfig,
-) -> SimMetrics {
-    let mut sink = ObsSink::new(topology.len(), obs_config);
-    let mut metrics =
-        simulate_monolithic_topology_with(topology, schedule, deadline, config, Some(&mut sink));
-    metrics.obs = Some(sink.report());
-    metrics
-}
-
-/// [`simulate_monolithic_topology`] with causal span tracing and
-/// deadline-miss forensics enabled (see [`simulate_monolithic_traced`]).
-pub fn simulate_monolithic_topology_traced(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    trace: TraceConfig,
-    forensics: &ForensicsConfig,
-) -> (SimMetrics, TraceLog) {
-    let mut sink = SpanSink::new(trace);
-    let mut metrics = simulate_monolithic_full(
-        topology,
-        schedule,
-        deadline,
-        config,
-        None,
-        Some(&mut sink),
-        None,
-        None,
-    );
-    let log = sink.finish();
-    metrics.blame = Some(analyze(&log, deadline, forensics));
-    (metrics, log)
-}
-
-/// Full-generality core: aggregate observability (`obs`), causal span
-/// tracing (`spans`), fault injection (`stress_spec`), and live metrics
-/// (`live`) are independent branch-on-`Option` layers.
-#[allow(clippy::too_many_arguments)]
+/// Full-generality core behind [`simulate`], which has checked its
+/// input: aggregate observability (`obs`), causal span tracing
+/// (`spans`), fault injection (`stress_spec`), and live metrics (`live`)
+/// are independent branch-on-`Option` layers.
 fn simulate_monolithic_full(
     topology: &Topology,
     schedule: &MonolithicSchedule,
     deadline: f64,
     config: &SimConfig,
-    mut obs: Option<&mut ObsSink>,
-    mut spans: Option<&mut SpanSink>,
-    stress_spec: Option<&Perturbation>,
-    live: Option<&SimLive<'_>>,
+    Hooks {
+        mut obs,
+        mut spans,
+        live,
+        faults,
+    }: Hooks<'_>,
 ) -> SimMetrics {
+    let stress_spec = faults.map(|(perturb, _)| perturb);
     let n = topology.len();
-    if let Some(sink) = obs.as_deref_mut() {
-        assert_eq!(sink.num_stages(), n, "obs sink/topology length mismatch");
-    }
     let v = topology.vector_width();
     let m = schedule.block_size.max(1) as usize;
     let service: Vec<f64> = topology.service_times();
@@ -585,7 +343,9 @@ fn simulate_monolithic_full(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
+    use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
+    use des::obs::{ObsConfig, ObsSink};
+    use obs_trace::{analyze, ForensicsConfig, SpanSink, TraceConfig, TraceLog};
     use rtsdf_core::MonolithicProblem;
 
     fn blast() -> PipelineSpec {
@@ -605,6 +365,32 @@ mod tests {
             .unwrap()
     }
 
+    /// A chain run with no hooks.
+    fn run_chain(
+        p: &PipelineSpec,
+        sched: &MonolithicSchedule,
+        d: f64,
+        cfg: &SimConfig,
+    ) -> SimMetrics {
+        simulate(&Topology::chain(p), sched, d, cfg, Hooks::default()).unwrap()
+    }
+
+    /// A chain run with span tracing, and its finished trace.
+    fn run_traced(
+        p: &PipelineSpec,
+        sched: &MonolithicSchedule,
+        d: f64,
+        cfg: &SimConfig,
+    ) -> (SimMetrics, TraceLog) {
+        let mut sink = SpanSink::new(TraceConfig::default());
+        let hooks = Hooks {
+            spans: Some(&mut sink),
+            ..Hooks::default()
+        };
+        let m = simulate(&Topology::chain(p), sched, d, cfg, hooks).unwrap();
+        (m, sink.finish())
+    }
+
     fn schedule(p: &PipelineSpec, tau0: f64, d: f64) -> MonolithicSchedule {
         MonolithicProblem::new(p, RtParams::new(tau0, d).unwrap(), 1.0, 1.0)
             .solve()
@@ -616,12 +402,17 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 50.0, 1e5);
         let cfg = SimConfig::quick(50.0, 3, 2_000);
-        let plain = simulate_monolithic(&p, &sched, 1e5, &cfg);
-        let observed = simulate_monolithic_observed(&p, &sched, 1e5, &cfg, ObsConfig::default());
+        let plain = run_chain(&p, &sched, 1e5, &cfg);
+        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let hooks = Hooks {
+            obs: Some(&mut sink),
+            ..Hooks::default()
+        };
+        let observed = simulate(&Topology::chain(&p), &sched, 1e5, &cfg, hooks).unwrap();
         assert_eq!(plain.items_completed, observed.items_completed);
         assert_eq!(plain.deadline_misses, observed.deadline_misses);
         assert_eq!(plain.active_fraction, observed.active_fraction);
-        let report = observed.obs.expect("report attached");
+        let report = sink.report();
         assert_eq!(report.stages.len(), p.len());
         assert_eq!(report.counters.completions, observed.items_completed);
         assert_eq!(report.counters.items_enqueued, observed.items_arrived);
@@ -636,15 +427,8 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 50.0, 1e5);
         let cfg = SimConfig::quick(50.0, 3, 2_000);
-        let plain = simulate_monolithic(&p, &sched, 1e5, &cfg);
-        let (traced, log) = simulate_monolithic_traced(
-            &p,
-            &sched,
-            1e5,
-            &cfg,
-            TraceConfig::default(),
-            &ForensicsConfig::default(),
-        );
+        let plain = run_chain(&p, &sched, 1e5, &cfg);
+        let (traced, log) = run_traced(&p, &sched, 1e5, &cfg);
         assert_eq!(plain.items_completed, traced.items_completed);
         assert_eq!(plain.deadline_misses, traced.deadline_misses);
         assert_eq!(plain.active_fraction, traced.active_fraction);
@@ -658,7 +442,8 @@ mod tests {
             assert_eq!(v.enqueued, fate.arrival);
             assert_eq!(Some(v.done), fate.completion);
         }
-        assert!(traced.blame.is_some());
+        let blame = analyze(&log, 1e5, &ForensicsConfig::default());
+        assert_eq!(blame.completed_items, traced.items_completed);
     }
 
     #[test]
@@ -677,16 +462,9 @@ mod tests {
         };
         let mut cfg = SimConfig::quick(1.0, 1, 20_000);
         cfg.drain_factor = 3.0;
-        let (m, log) = simulate_monolithic_traced(
-            &p,
-            &sched,
-            1e4,
-            &cfg,
-            TraceConfig::default(),
-            &ForensicsConfig::default(),
-        );
+        let (m, log) = run_traced(&p, &sched, 1e4, &cfg);
         assert!(m.truncated);
-        let blame = m.blame.expect("blame attached");
+        let blame = analyze(&log, 1e4, &ForensicsConfig::default());
         assert_eq!(blame.dropped_items, m.items_dropped);
         assert!(blame.analyzed_items > 0);
         assert!((blame.accounted_fraction() - 1.0).abs() < 1e-9);
@@ -712,7 +490,7 @@ mod tests {
         for seed in 0..5 {
             let sched = schedule(&p, 50.0, 1e5);
             let cfg = SimConfig::quick(50.0, seed, 10_000);
-            let m = simulate_monolithic(&p, &sched, 1e5, &cfg);
+            let m = run_chain(&p, &sched, 1e5, &cfg);
             assert!(!m.truncated);
             assert_eq!(m.items_completed, 10_000);
             assert!(
@@ -729,7 +507,7 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 50.0, 1e5);
         let cfg = SimConfig::quick(50.0, 11, 20_000);
-        let m = simulate_monolithic(&p, &sched, 1e5, &cfg);
+        let m = run_chain(&p, &sched, 1e5, &cfg);
         let rel = (m.active_fraction - sched.active_fraction).abs() / sched.active_fraction;
         assert!(
             rel < 0.08,
@@ -745,8 +523,8 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 50.0, 1e5);
         let cfg = SimConfig::quick(50.0, 4, 5_000);
-        let a = simulate_monolithic(&p, &sched, 1e5, &cfg);
-        let b = simulate_monolithic(&p, &sched, 1e5, &cfg);
+        let a = run_chain(&p, &sched, 1e5, &cfg);
+        let b = run_chain(&p, &sched, 1e5, &cfg);
         assert_eq!(a.active_fraction, b.active_fraction);
         assert_eq!(a.deadline_misses, b.deadline_misses);
     }
@@ -764,7 +542,7 @@ mod tests {
             telemetry: None,
         };
         let cfg = SimConfig::quick(50.0, 1, 130); // 2 full blocks + 2 items
-        let m = simulate_monolithic(&p, &sched, 1e9, &cfg);
+        let m = run_chain(&p, &sched, 1e9, &cfg);
         assert_eq!(m.items_completed, 130);
     }
 
@@ -781,7 +559,7 @@ mod tests {
             telemetry: None,
         };
         let cfg = SimConfig::quick(50.0, 1, 100);
-        let m = simulate_monolithic(&p, &sched, 1e9, &cfg);
+        let m = run_chain(&p, &sched, 1e9, &cfg);
         assert_eq!(m.items_completed, 100);
         assert!(m.miss_free());
     }
@@ -802,7 +580,7 @@ mod tests {
         };
         let mut cfg = SimConfig::quick(1.0, 1, 20_000);
         cfg.drain_factor = 3.0;
-        let m = simulate_monolithic(&p, &sched, 1e4, &cfg);
+        let m = run_chain(&p, &sched, 1e4, &cfg);
         assert!(m.truncated);
         assert!(m.deadline_misses > 0);
     }
@@ -812,7 +590,7 @@ mod tests {
         let p = blast();
         let sched = schedule(&p, 50.0, 1e5);
         let cfg = SimConfig::quick(50.0, 1, 0);
-        let m = simulate_monolithic(&p, &sched, 1e5, &cfg);
+        let m = run_chain(&p, &sched, 1e5, &cfg);
         assert_eq!(m.items_arrived, 0);
         assert_eq!(m.items_completed, 0);
         assert!(m.miss_free());
@@ -834,7 +612,7 @@ mod tests {
             telemetry: None,
         };
         let cfg = SimConfig::quick(100.0, 1, 64);
-        let m = simulate_monolithic(&p, &sched, 1e9, &cfg);
+        let m = run_chain(&p, &sched, 1e9, &cfg);
         // 64 items in 2 blocks of 32 = 4 firings, all full.
         assert_eq!(m.occupancy[0].firings(), 4);
         assert_eq!(m.occupancy[0].full_fraction(), 1.0);

@@ -17,12 +17,11 @@
 
 use crate::config::SimConfig;
 use crate::faults::MitigationPolicy;
+use crate::hooks::{Hooks, SimError};
 use crate::live::SimLiveMetrics;
-use crate::runner::{
-    run_seeds_enforced_topology_perturbed_live, run_seeds_monolithic_topology_perturbed_live,
-    MultiSeedReport,
-};
-use dataflow_model::{Perturbation, PipelineSpec, Topology};
+use crate::runner::{run_seeds, MultiSeedReport};
+use crate::{enforced, monolithic};
+use dataflow_model::{Perturbation, Topology};
 use rtsdf_core::{MonolithicSchedule, WaitSchedule};
 use serde::{Deserialize, Serialize};
 
@@ -112,76 +111,25 @@ where
     margin
 }
 
-/// Sweep perturbation intensity over both strategies.
+/// Sweep perturbation intensity over both strategies on `topology`
+/// (chain callers pass [`Topology::chain`]).
 ///
 /// `perturb` supplies the component mix; each point re-scales it with
 /// [`Perturbation::at_intensity`]. Intensities are swept in ascending
-/// order regardless of input order (the margin is a prefix property).
-/// Every cell runs the same `num_seeds` seeds, so the three curves are
-/// paired sample-by-sample.
+/// order regardless of input order (the margin is a prefix property),
+/// and non-finite ones are dropped. Every cell runs the same `num_seeds`
+/// seeds, so the three curves are paired sample-by-sample.
+///
+/// With `live`, progress is published into a metrics registry:
+/// `rtsdf_sim_runs_total` is set to the whole sweep's run count
+/// (levels × 3 strategies × seeds) up front, every finished seed bumps
+/// `rtsdf_sim_runs_completed`, and the per-run item counters accumulate
+/// across all cells. Publishing does not change a simulated bit.
+///
+/// # Errors
+/// The first [`SimError`] of any cell (see the strategies' `simulate`).
 #[allow(clippy::too_many_arguments)] // one experiment = one call; a config struct would just rename the arguments
 pub fn robustness_report(
-    pipeline: &PipelineSpec,
-    enforced: &WaitSchedule,
-    monolithic: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-    intensities: &[f64],
-    target: f64,
-) -> RobustnessReport {
-    robustness_report_live(
-        pipeline,
-        enforced,
-        monolithic,
-        deadline,
-        config,
-        num_seeds,
-        perturb,
-        intensities,
-        target,
-        None,
-    )
-}
-
-/// [`robustness_report`] publishing live progress into a metrics
-/// registry: `rtsdf_sim_runs_total` is set to the whole sweep's run
-/// count (levels × 3 strategies × seeds) up front, every finished seed
-/// bumps `rtsdf_sim_runs_completed`, and the per-run item counters
-/// accumulate across all cells. `live: None` is exactly
-/// [`robustness_report`].
-#[allow(clippy::too_many_arguments)]
-pub fn robustness_report_live(
-    pipeline: &PipelineSpec,
-    enforced: &WaitSchedule,
-    monolithic: &MonolithicSchedule,
-    deadline: f64,
-    config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-    intensities: &[f64],
-    target: f64,
-    live: Option<&SimLiveMetrics>,
-) -> RobustnessReport {
-    robustness_report_topology_live(
-        &Topology::chain(pipeline),
-        enforced,
-        monolithic,
-        deadline,
-        config,
-        num_seeds,
-        perturb,
-        intensities,
-        target,
-        live,
-    )
-}
-
-/// [`robustness_report_live`] on an arbitrary DAG topology. For a chain
-/// topology this is bit-identical to the chain entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn robustness_report_topology_live(
     topology: &Topology,
     enforced: &WaitSchedule,
     monolithic: &MonolithicSchedule,
@@ -192,7 +140,7 @@ pub fn robustness_report_topology_live(
     intensities: &[f64],
     target: f64,
     live: Option<&SimLiveMetrics>,
-) -> RobustnessReport {
+) -> Result<RobustnessReport, SimError> {
     // Non-finite intensities cannot parameterize a perturbation; drop
     // them instead of panicking, and sort NaN-safely via `total_cmp`.
     let mut levels: Vec<f64> = intensities
@@ -207,38 +155,31 @@ pub fn robustness_report_topology_live(
     }
     let mitigated = MitigationPolicy::full();
     let unmitigated = MitigationPolicy::none();
-    let points: Vec<RobustnessPoint> = levels
+    let points = levels
         .iter()
         .map(|&intensity| {
             let p = perturb.at_intensity(intensity);
-            RobustnessPoint {
+            let summary = |report: MultiSeedReport| StressSummary::from_report(&report);
+            let enforced_cell = |policy: &MitigationPolicy| {
+                run_seeds(config, num_seeds, live, |c, h| {
+                    let faults = Some((&p, policy));
+                    enforced::simulate(topology, enforced, deadline, c, Hooks { faults, ..h })
+                })
+                .map(summary)
+            };
+            Ok(RobustnessPoint {
                 intensity,
-                enforced_mitigated: StressSummary::from_report(
-                    &run_seeds_enforced_topology_perturbed_live(
-                        topology, enforced, deadline, config, num_seeds, &p, &mitigated, live,
-                    ),
-                ),
-                enforced_unmitigated: StressSummary::from_report(
-                    &run_seeds_enforced_topology_perturbed_live(
-                        topology,
-                        enforced,
-                        deadline,
-                        config,
-                        num_seeds,
-                        &p,
-                        &unmitigated,
-                        live,
-                    ),
-                ),
-                monolithic: StressSummary::from_report(
-                    &run_seeds_monolithic_topology_perturbed_live(
-                        topology, monolithic, deadline, config, num_seeds, &p, live,
-                    ),
-                ),
-            }
+                enforced_mitigated: enforced_cell(&mitigated)?,
+                enforced_unmitigated: enforced_cell(&unmitigated)?,
+                monolithic: run_seeds(config, num_seeds, live, |c, h| {
+                    let faults = Some((&p, &unmitigated));
+                    monolithic::simulate(topology, monolithic, deadline, c, Hooks { faults, ..h })
+                })
+                .map(summary)?,
+            })
         })
-        .collect();
-    RobustnessReport {
+        .collect::<Result<Vec<_>, SimError>>()?;
+    Ok(RobustnessReport {
         target,
         num_seeds,
         enforced_margin: sustained_margin(
@@ -256,13 +197,13 @@ pub fn robustness_report_topology_live(
             target,
         ),
         points,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
+    use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
     use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 
     fn blast() -> PipelineSpec {
@@ -333,7 +274,7 @@ mod tests {
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 200);
         let report = robustness_report(
-            &p,
+            &Topology::chain(&p),
             &enforced,
             &mono,
             1e5,
@@ -342,7 +283,9 @@ mod tests {
             &Perturbation::standard(1.0),
             &[f64::NAN, 0.0, f64::INFINITY],
             0.95,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(report.points.len(), 1);
         assert_eq!(report.points[0].intensity, 0.0);
     }
@@ -359,7 +302,7 @@ mod tests {
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 800);
         let report = robustness_report(
-            &p,
+            &Topology::chain(&p),
             &enforced,
             &mono,
             1e5,
@@ -368,7 +311,9 @@ mod tests {
             &Perturbation::standard(1.0),
             &[1.5, 0.0, 1.5], // unsorted + duplicate on purpose
             0.95,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(report.points.len(), 2);
         assert_eq!(report.points[0].intensity, 0.0);
         assert_eq!(report.points[1].intensity, 1.5);

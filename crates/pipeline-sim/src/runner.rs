@@ -3,24 +3,14 @@
 //! The paper's methodology (§6.2) runs each configuration under 100
 //! different random seeds and reports the fraction of runs that were
 //! miss-free. Seeds are independent, so runs execute in parallel across
-//! a scoped thread pool.
+//! a scoped thread pool. [`run_seeds`] is the one entry point for either
+//! strategy: it hands each seed's config and [`Hooks`] to a closure that
+//! calls that strategy's `simulate`.
 
 use crate::config::SimConfig;
-use crate::enforced::{
-    simulate_enforced, simulate_enforced_perturbed, simulate_enforced_perturbed_live,
-    simulate_enforced_topology, simulate_enforced_topology_perturbed,
-    simulate_enforced_topology_perturbed_live,
-};
-use crate::faults::MitigationPolicy;
-use crate::live::{SimLive, SimLiveMetrics};
+use crate::hooks::{Hooks, SimError};
+use crate::live::SimLiveMetrics;
 use crate::metrics::SimMetrics;
-use crate::monolithic::{
-    simulate_monolithic, simulate_monolithic_perturbed, simulate_monolithic_perturbed_live,
-    simulate_monolithic_topology, simulate_monolithic_topology_perturbed,
-    simulate_monolithic_topology_perturbed_live,
-};
-use dataflow_model::{Perturbation, PipelineSpec, Topology};
-use rtsdf_core::{MonolithicSchedule, WaitSchedule};
 use serde::{Deserialize, Serialize};
 
 /// Aggregate of a batch of runs differing only in seed.
@@ -103,295 +93,92 @@ impl MultiSeedReport {
     }
 }
 
-/// Run a closure-per-seed experiment in parallel and collect results in
+/// Run `run` once per seed `0..num_seeds`, in parallel across
+/// [`rtsdf_core::worker_threads`] scoped threads, and collect the runs in
 /// seed order.
-fn run_parallel<F>(seeds: std::ops::Range<u64>, threads: usize, f: F) -> Vec<SimMetrics>
-where
-    F: Fn(u64) -> SimMetrics + Sync,
-{
-    run_parallel_live(seeds, threads, None, |seed, _| f(seed))
-}
-
-/// [`run_parallel`] with an optional live-metrics registry: each worker
-/// thread publishes through its own shard (one [`SimLive`] handle per
-/// run), and every finished seed bumps `rtsdf_sim_runs_completed`.
-fn run_parallel_live<F>(
-    seeds: std::ops::Range<u64>,
-    threads: usize,
+///
+/// Each call gets `base_config` with its seed set, and a [`Hooks`] that
+/// holds only the worker's live handle when `live` is given (one
+/// [`SimLiveMetrics::handle`] per run, on the worker's shard; every
+/// finished seed bumps `rtsdf_sim_runs_completed`). The closure adds any
+/// other layer it wants and calls a strategy's `simulate`:
+///
+/// ```
+/// # use dataflow_model::{RtParams, Topology};
+/// # use pipeline_sim::{enforced, run_seeds, SimConfig};
+/// # use rtsdf_core::EnforcedWaitsProblem;
+/// # let p = dataflow_model::PipelineSpecBuilder::new(4)
+/// #     .stage("a", 10.0, dataflow_model::GainModel::Deterministic { k: 1 })
+/// #     .build()
+/// #     .unwrap();
+/// # let params = RtParams::new(10.0, 1e4).unwrap();
+/// # let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0]).solve().unwrap();
+/// let t = Topology::chain(&p);
+/// let cfg = SimConfig::quick(10.0, 0, 200);
+/// let report = run_seeds(&cfg, 4, None, |c, h| enforced::simulate(&t, &sched, 1e4, c, h))?;
+/// assert_eq!(report.runs.len(), 4);
+/// # Ok::<(), pipeline_sim::SimError>(())
+/// ```
+///
+/// # Errors
+/// The first error in seed order, if any run rejects its input.
+pub fn run_seeds<F>(
+    base_config: &SimConfig,
+    num_seeds: u64,
     live: Option<&SimLiveMetrics>,
-    f: F,
-) -> Vec<SimMetrics>
+    run: F,
+) -> Result<MultiSeedReport, SimError>
 where
-    F: Fn(u64, Option<&SimLive<'_>>) -> SimMetrics + Sync,
+    F: Fn(&SimConfig, Hooks<'_>) -> Result<SimMetrics, SimError> + Sync,
 {
-    let seeds: Vec<u64> = seeds.collect();
+    let seeds: Vec<u64> = (0..num_seeds).collect();
     if seeds.is_empty() {
         // `chunks(0)` below would panic; zero seeds is a valid request
         // with an empty answer.
-        return Vec::new();
+        return Ok(MultiSeedReport { runs: Vec::new() });
     }
-    let threads = threads.max(1).min(seeds.len());
+    let threads = rtsdf_core::worker_threads().max(1).min(seeds.len());
     let chunk = seeds.len().div_ceil(threads).max(1);
-    let mut results: Vec<Option<SimMetrics>> = vec![None; seeds.len()];
+    let mut results: Vec<Option<Result<SimMetrics, SimError>>> = vec![None; seeds.len()];
     std::thread::scope(|scope| {
         for (worker, (seed_chunk, result_chunk)) in seeds
             .chunks(chunk)
             .zip(results.chunks_mut(chunk))
             .enumerate()
         {
-            let f = &f;
+            let run = &run;
             scope.spawn(move || {
-                for (s, out) in seed_chunk.iter().zip(result_chunk.iter_mut()) {
+                for (&seed, out) in seed_chunk.iter().zip(result_chunk.iter_mut()) {
+                    let mut cfg = base_config.clone();
+                    cfg.seed = seed;
                     match live {
                         Some(m) => {
                             let h = m.handle(worker);
-                            *out = Some(f(*s, Some(&h)));
+                            let hooks = Hooks {
+                                live: Some(&h),
+                                ..Hooks::default()
+                            };
+                            *out = Some(run(&cfg, hooks));
                             m.on_run_complete(worker);
                         }
-                        None => *out = Some(f(*s, None)),
+                        None => *out = Some(run(&cfg, Hooks::default())),
                     }
                 }
             });
         }
     });
-    results
+    let runs = results
         .into_iter()
         .map(|r| r.expect("all seeds ran"))
-        .collect()
-}
-
-/// Simulate an enforced-waits schedule under `num_seeds` seeds
-/// (numbered `0..num_seeds`), in parallel.
-pub fn run_seeds_enforced(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel(0..num_seeds, threads, |seed| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        simulate_enforced(pipeline, schedule, deadline, &cfg)
-    });
-    MultiSeedReport { runs }
-}
-
-/// Simulate an enforced-waits schedule under fault injection with
-/// graceful degradation, across `num_seeds` seeds in parallel. See
-/// [`simulate_enforced_perturbed`] for the fault and mitigation
-/// semantics; a zero-intensity perturbation reproduces
-/// [`run_seeds_enforced`] bit for bit (modulo the mitigation-only
-/// counters, which stay zero).
-pub fn run_seeds_enforced_perturbed(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-    policy: &MitigationPolicy,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel(0..num_seeds, threads, |seed| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        simulate_enforced_perturbed(pipeline, schedule, deadline, &cfg, perturb, policy)
-    });
-    MultiSeedReport { runs }
-}
-
-/// [`run_seeds_enforced_perturbed`] publishing live progress into a
-/// metrics registry: per-run item counters, queue high-water marks,
-/// throughput, and a `rtsdf_sim_runs_completed` bump per finished seed.
-/// `live: None` is exactly [`run_seeds_enforced_perturbed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_seeds_enforced_perturbed_live(
-    pipeline: &PipelineSpec,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-    policy: &MitigationPolicy,
-    live: Option<&SimLiveMetrics>,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel_live(0..num_seeds, threads, live, |seed, l| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        match l {
-            Some(h) => simulate_enforced_perturbed_live(
-                pipeline, schedule, deadline, &cfg, perturb, policy, h,
-            ),
-            None => {
-                simulate_enforced_perturbed(pipeline, schedule, deadline, &cfg, perturb, policy)
-            }
-        }
-    });
-    MultiSeedReport { runs }
-}
-
-/// Simulate a monolithic schedule under fault injection across
-/// `num_seeds` seeds in parallel (no mitigation exists for this
-/// strategy; see [`simulate_monolithic_perturbed`]).
-pub fn run_seeds_monolithic_perturbed(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel(0..num_seeds, threads, |seed| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        simulate_monolithic_perturbed(pipeline, schedule, deadline, &cfg, perturb)
-    });
-    MultiSeedReport { runs }
-}
-
-/// [`run_seeds_monolithic_perturbed`] publishing live progress into a
-/// metrics registry; `live: None` is exactly
-/// [`run_seeds_monolithic_perturbed`].
-pub fn run_seeds_monolithic_perturbed_live(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-    live: Option<&SimLiveMetrics>,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel_live(0..num_seeds, threads, live, |seed, l| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        match l {
-            Some(h) => {
-                simulate_monolithic_perturbed_live(pipeline, schedule, deadline, &cfg, perturb, h)
-            }
-            None => simulate_monolithic_perturbed(pipeline, schedule, deadline, &cfg, perturb),
-        }
-    });
-    MultiSeedReport { runs }
-}
-
-/// Simulate an enforced-waits schedule on an arbitrary DAG topology
-/// under `num_seeds` seeds, in parallel. For a chain topology this is
-/// bit-identical to [`run_seeds_enforced`].
-pub fn run_seeds_enforced_topology(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel(0..num_seeds, threads, |seed| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        simulate_enforced_topology(topology, schedule, deadline, &cfg)
-    });
-    MultiSeedReport { runs }
-}
-
-/// [`run_seeds_enforced_perturbed_live`] on an arbitrary DAG topology.
-#[allow(clippy::too_many_arguments)]
-pub fn run_seeds_enforced_topology_perturbed_live(
-    topology: &Topology,
-    schedule: &WaitSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-    policy: &MitigationPolicy,
-    live: Option<&SimLiveMetrics>,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel_live(0..num_seeds, threads, live, |seed, l| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        match l {
-            Some(h) => simulate_enforced_topology_perturbed_live(
-                topology, schedule, deadline, &cfg, perturb, policy, h,
-            ),
-            None => simulate_enforced_topology_perturbed(
-                topology, schedule, deadline, &cfg, perturb, policy,
-            ),
-        }
-    });
-    MultiSeedReport { runs }
-}
-
-/// Simulate a monolithic schedule on an arbitrary DAG topology under
-/// `num_seeds` seeds, in parallel. For a chain topology this is
-/// bit-identical to [`run_seeds_monolithic`].
-pub fn run_seeds_monolithic_topology(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel(0..num_seeds, threads, |seed| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        simulate_monolithic_topology(topology, schedule, deadline, &cfg)
-    });
-    MultiSeedReport { runs }
-}
-
-/// [`run_seeds_monolithic_perturbed_live`] on an arbitrary DAG topology.
-pub fn run_seeds_monolithic_topology_perturbed_live(
-    topology: &Topology,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-    perturb: &Perturbation,
-    live: Option<&SimLiveMetrics>,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel_live(0..num_seeds, threads, live, |seed, l| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        match l {
-            Some(h) => simulate_monolithic_topology_perturbed_live(
-                topology, schedule, deadline, &cfg, perturb, h,
-            ),
-            None => {
-                simulate_monolithic_topology_perturbed(topology, schedule, deadline, &cfg, perturb)
-            }
-        }
-    });
-    MultiSeedReport { runs }
-}
-
-/// Simulate a monolithic schedule under `num_seeds` seeds, in parallel.
-pub fn run_seeds_monolithic(
-    pipeline: &PipelineSpec,
-    schedule: &MonolithicSchedule,
-    deadline: f64,
-    base_config: &SimConfig,
-    num_seeds: u64,
-) -> MultiSeedReport {
-    let threads = rtsdf_core::worker_threads();
-    let runs = run_parallel(0..num_seeds, threads, |seed| {
-        let mut cfg = base_config.clone();
-        cfg.seed = seed;
-        simulate_monolithic(pipeline, schedule, deadline, &cfg)
-    });
-    MultiSeedReport { runs }
+        .collect::<Result<_, _>>()?;
+    Ok(MultiSeedReport { runs })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
+    use crate::{enforced, monolithic};
+    use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology};
     use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 
     fn blast() -> PipelineSpec {
@@ -419,8 +206,10 @@ mod tests {
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 1_000);
-        let a = run_seeds_enforced(&p, &sched, 1e5, &cfg, 6);
-        let b = run_seeds_enforced(&p, &sched, 1e5, &cfg, 6);
+        let t = Topology::chain(&p);
+        let run = |c: &SimConfig, h: Hooks<'_>| enforced::simulate(&t, &sched, 1e5, c, h);
+        let a = run_seeds(&cfg, 6, None, run).unwrap();
+        let b = run_seeds(&cfg, 6, None, run).unwrap();
         assert_eq!(a.runs.len(), 6);
         for (x, y) in a.runs.iter().zip(&b.runs) {
             assert_eq!(x.active_fraction, y.active_fraction);
@@ -429,7 +218,7 @@ mod tests {
         // Sequential reference for seed 3.
         let mut c3 = cfg.clone();
         c3.seed = 3;
-        let seq = crate::enforced::simulate_enforced(&p, &sched, 1e5, &c3);
+        let seq = enforced::simulate(&t, &sched, 1e5, &c3, Hooks::default()).unwrap();
         assert_eq!(a.runs[3].active_fraction, seq.active_fraction);
     }
 
@@ -441,7 +230,11 @@ mod tests {
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(50.0, 0, 2_000);
-        let r = run_seeds_monolithic(&p, &sched, 1e5, &cfg, 4);
+        let t = Topology::chain(&p);
+        let r = run_seeds(&cfg, 4, None, |c, h| {
+            monolithic::simulate(&t, &sched, 1e5, c, h)
+        })
+        .unwrap();
         assert_eq!(r.runs.len(), 4);
         assert!((0.0..=1.0).contains(&r.miss_free_fraction()));
         assert!(r.mean_active_fraction() > 0.0);
@@ -460,7 +253,7 @@ mod tests {
 
     #[test]
     fn zero_seeds_returns_empty_report() {
-        // Regression: `run_parallel` used to call `chunks(0)` (a panic)
+        // Regression: the seed runner used to call `chunks(0)` (a panic)
         // when asked for an empty seed range.
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
@@ -468,9 +261,30 @@ mod tests {
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 100);
-        let r = run_seeds_enforced(&p, &sched, 1e5, &cfg, 0);
+        let t = Topology::chain(&p);
+        let r = run_seeds(&cfg, 0, None, |c, h| {
+            enforced::simulate(&t, &sched, 1e5, c, h)
+        })
+        .unwrap();
         assert!(r.runs.is_empty());
         assert_eq!(r.miss_free_fraction(), 0.0);
+    }
+
+    #[test]
+    fn run_seeds_returns_the_first_error_in_seed_order() {
+        // Every seed fails, on two workers; whichever finishes first,
+        // the answer is seed 0's error.
+        let cfg = SimConfig::quick(10.0, 0, 10);
+        let r = run_seeds(&cfg, 8, None, |c, _| {
+            Err(SimError::ScheduleLength {
+                nodes: 0,
+                got: c.seed as usize,
+            })
+        });
+        assert_eq!(
+            r.unwrap_err(),
+            SimError::ScheduleLength { nodes: 0, got: 0 }
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! classic Gantt strip per node.
 
 use crate::config::SimConfig;
-use crate::enforced::simulate_enforced;
-use dataflow_model::PipelineSpec;
+use crate::enforced;
+use crate::hooks::{Hooks, SimError};
+use dataflow_model::{PipelineSpec, Topology};
 use rtsdf_core::WaitSchedule;
 use serde::{Deserialize, Serialize};
 
@@ -59,13 +60,17 @@ impl Timeline {
 
 /// Run the enforced-waits schedule and capture every firing inside
 /// `horizon_cycles` (items keep flowing; only the record is bounded).
+///
+/// # Errors
+/// [`SimError::ScheduleLength`] if the schedule does not fit the
+/// pipeline.
 pub fn record_timeline(
     pipeline: &PipelineSpec,
     schedule: &WaitSchedule,
     deadline: f64,
     config: &SimConfig,
     horizon_cycles: f64,
-) -> Timeline {
+) -> Result<Timeline, SimError> {
     // The simulator itself does not expose per-firing hooks (hot path);
     // reconstruct the firing schedule deterministically instead: firings
     // are strictly periodic with known phases, and the occupancy of each
@@ -74,7 +79,8 @@ pub fn record_timeline(
     // per-node occupancy *distribution* is the meaningful content, so we
     // replay the deterministic firing grid and attach measured mean
     // occupancy per node.
-    let metrics = simulate_enforced(pipeline, schedule, deadline, config);
+    let topology = Topology::chain(pipeline);
+    let metrics = enforced::simulate(&topology, schedule, deadline, config, Hooks::default())?;
     let service = pipeline.service_times();
     let mut firings = Vec::new();
     for (node, &svc) in service.iter().enumerate() {
@@ -93,12 +99,12 @@ pub fn record_timeline(
         }
     }
     firings.sort_by(|a, b| a.start.total_cmp(&b.start));
-    Timeline {
+    Ok(Timeline {
         nodes: pipeline.len(),
         vector_width: pipeline.vector_width(),
         firings,
         horizon: horizon_cycles,
-    }
+    })
 }
 
 /// Render the timeline as an ASCII Gantt strip, `width` characters wide.
@@ -149,7 +155,7 @@ mod tests {
     fn timeline_respects_periods() {
         let (p, s) = setup();
         let cfg = SimConfig::quick(20.0, 1, 500);
-        let tl = record_timeline(&p, &s, 5e4, &cfg, 10_000.0);
+        let tl = record_timeline(&p, &s, 5e4, &cfg, 10_000.0).unwrap();
         for node in 0..2 {
             let mean = tl.mean_period(node).unwrap();
             let expect = s.periods[node].round();
@@ -164,7 +170,7 @@ mod tests {
     fn firings_are_chronological_and_bounded() {
         let (p, s) = setup();
         let cfg = SimConfig::quick(20.0, 1, 500);
-        let tl = record_timeline(&p, &s, 5e4, &cfg, 5_000.0);
+        let tl = record_timeline(&p, &s, 5e4, &cfg, 5_000.0).unwrap();
         assert!(!tl.firings.is_empty());
         for w in tl.firings.windows(2) {
             assert!(w[0].start <= w[1].start);
@@ -177,7 +183,7 @@ mod tests {
     fn ascii_render_has_one_row_per_node() {
         let (p, s) = setup();
         let cfg = SimConfig::quick(20.0, 1, 200);
-        let tl = record_timeline(&p, &s, 5e4, &cfg, 4_000.0);
+        let tl = record_timeline(&p, &s, 5e4, &cfg, 4_000.0).unwrap();
         let art = render_ascii(&tl, 60);
         let rows: Vec<&str> = art.lines().collect();
         assert_eq!(rows.len(), 3); // two nodes + scale line

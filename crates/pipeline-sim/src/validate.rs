@@ -3,9 +3,9 @@
 //! optimizer for each approach and set of parameters tested").
 
 use crate::config::SimConfig;
-use crate::enforced::simulate_enforced;
-use crate::monolithic::simulate_monolithic;
-use dataflow_model::{PipelineSpec, RtParams};
+use crate::hooks::Hooks;
+use crate::{enforced, monolithic};
+use dataflow_model::{PipelineSpec, RtParams, Topology};
 use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 use serde::{Deserialize, Serialize};
 
@@ -54,6 +54,7 @@ pub fn enforced_agreement(
     stream_length: usize,
     seed: u64,
 ) -> AgreementReport {
+    let topology = Topology::chain(pipeline);
     let mut cells = Vec::new();
     for params in points {
         let prob = EnforcedWaitsProblem::new(pipeline, *params, b.to_vec());
@@ -61,7 +62,8 @@ pub fn enforced_agreement(
             continue;
         };
         let cfg = SimConfig::quick(params.tau0, seed, stream_length);
-        let m = simulate_enforced(pipeline, &sched, params.deadline, &cfg);
+        let m = enforced::simulate(&topology, &sched, params.deadline, &cfg, Hooks::default())
+            .expect("a schedule solved for the pipeline fits it");
         cells.push(AgreementCell {
             tau0: params.tau0,
             deadline: params.deadline,
@@ -85,13 +87,15 @@ pub fn monolithic_agreement(
     stream_length: usize,
     seed: u64,
 ) -> AgreementReport {
+    let topology = Topology::chain(pipeline);
     let mut cells = Vec::new();
     for params in points {
         let Ok(sched) = MonolithicProblem::new(pipeline, *params, b, s).solve_fast() else {
             continue;
         };
         let cfg = SimConfig::quick(params.tau0, seed, stream_length);
-        let m = simulate_monolithic(pipeline, &sched, params.deadline, &cfg);
+        let m = monolithic::simulate(&topology, &sched, params.deadline, &cfg, Hooks::default())
+            .expect("a schedule solved for the pipeline fits it");
         cells.push(AgreementCell {
             tau0: params.tau0,
             deadline: params.deadline,

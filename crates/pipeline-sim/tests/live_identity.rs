@@ -2,12 +2,12 @@
 //! change a single simulated bit, and the registry's totals must agree
 //! with the returned [`pipeline_sim::SimMetrics`].
 
-use dataflow_model::{GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams};
+use dataflow_model::{
+    GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams, Topology,
+};
 use pipeline_sim::{
-    robustness_report, robustness_report_live, run_seeds_enforced_perturbed,
-    run_seeds_enforced_perturbed_live, simulate_enforced, simulate_enforced_live,
-    simulate_enforced_perturbed, simulate_enforced_perturbed_live, simulate_monolithic,
-    simulate_monolithic_live, MitigationPolicy, SimConfig, SimLiveMetrics, SimMetrics,
+    enforced, monolithic, robustness_report, run_seeds, Hooks, MitigationPolicy, SimConfig,
+    SimLiveMetrics, SimMetrics,
 };
 use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
 
@@ -50,11 +50,16 @@ fn enforced_live_is_bit_identical_and_registry_matches_metrics() {
         .solve()
         .unwrap();
     let cfg = SimConfig::quick(10.0, 7, 3_000);
-    let plain = simulate_enforced(&p, &sched, 1e5, &cfg);
+    let t = Topology::chain(&p);
+    let plain = enforced::simulate(&t, &sched, 1e5, &cfg, Hooks::default()).unwrap();
 
     let live = SimLiveMetrics::new(p.len(), 1);
     let h = live.handle(0);
-    let traced = simulate_enforced_live(&p, &sched, 1e5, &cfg, &h);
+    let hooks = Hooks {
+        live: Some(&h),
+        ..Hooks::default()
+    };
+    let traced = enforced::simulate(&t, &sched, 1e5, &cfg, hooks).unwrap();
     assert_bit_identical(&plain, &traced);
 
     let snap = live.registry().snapshot();
@@ -88,11 +93,22 @@ fn enforced_stress_live_matches_shed_and_drop_counters() {
     let cfg = SimConfig::quick(10.0, 3, 3_000);
     let perturb = Perturbation::standard(1.5);
     let policy = MitigationPolicy::full();
-    let plain = simulate_enforced_perturbed(&p, &sched, 1e5, &cfg, &perturb, &policy);
+    let t = Topology::chain(&p);
+    let faults = Some((&perturb, &policy));
+    let hooks = Hooks {
+        faults,
+        ..Hooks::default()
+    };
+    let plain = enforced::simulate(&t, &sched, 1e5, &cfg, hooks).unwrap();
 
     let live = SimLiveMetrics::new(p.len(), 1);
     let h = live.handle(0);
-    let traced = simulate_enforced_perturbed_live(&p, &sched, 1e5, &cfg, &perturb, &policy, &h);
+    let hooks = Hooks {
+        faults,
+        live: Some(&h),
+        ..Hooks::default()
+    };
+    let traced = enforced::simulate(&t, &sched, 1e5, &cfg, hooks).unwrap();
     assert_bit_identical(&plain, &traced);
 
     let snap = live.registry().snapshot();
@@ -116,11 +132,16 @@ fn monolithic_live_is_bit_identical_and_registry_matches_metrics() {
         .solve()
         .unwrap();
     let cfg = SimConfig::quick(50.0, 5, 4_000);
-    let plain = simulate_monolithic(&p, &sched, 1e5, &cfg);
+    let t = Topology::chain(&p);
+    let plain = monolithic::simulate(&t, &sched, 1e5, &cfg, Hooks::default()).unwrap();
 
     let live = SimLiveMetrics::new(p.len(), 1);
     let h = live.handle(0);
-    let traced = simulate_monolithic_live(&p, &sched, 1e5, &cfg, &h);
+    let hooks = Hooks {
+        live: Some(&h),
+        ..Hooks::default()
+    };
+    let traced = monolithic::simulate(&t, &sched, 1e5, &cfg, hooks).unwrap();
     assert_bit_identical(&plain, &traced);
 
     let snap = live.registry().snapshot();
@@ -148,12 +169,16 @@ fn multi_seed_live_counts_runs_and_preserves_results() {
     let cfg = SimConfig::quick(10.0, 0, 800);
     let perturb = Perturbation::standard(0.5);
     let policy = MitigationPolicy::full();
-    let plain = run_seeds_enforced_perturbed(&p, &sched, 1e5, &cfg, 4, &perturb, &policy);
+    let t = Topology::chain(&p);
+    let run = |c: &SimConfig, h: Hooks<'_>| {
+        let faults = Some((&perturb, &policy));
+        enforced::simulate(&t, &sched, 1e5, c, Hooks { faults, ..h })
+    };
+    let plain = run_seeds(&cfg, 4, None, run).unwrap();
 
     let live = SimLiveMetrics::new(p.len(), rtsdf_core::worker_threads());
     live.set_runs_total(4);
-    let traced =
-        run_seeds_enforced_perturbed_live(&p, &sched, 1e5, &cfg, 4, &perturb, &policy, Some(&live));
+    let traced = run_seeds(&cfg, 4, Some(&live), run).unwrap();
     assert_eq!(plain.runs.len(), traced.runs.len());
     for (a, b) in plain.runs.iter().zip(&traced.runs) {
         assert_bit_identical(a, b);
@@ -177,8 +202,9 @@ fn robustness_live_schedules_every_cell_and_matches_plain() {
         .unwrap();
     let cfg = SimConfig::quick(10.0, 0, 500);
     let perturb = Perturbation::standard(1.0);
+    let t = Topology::chain(&p);
     let plain = robustness_report(
-        &p,
+        &t,
         &enforced,
         &mono,
         1e5,
@@ -187,11 +213,13 @@ fn robustness_live_schedules_every_cell_and_matches_plain() {
         &perturb,
         &[0.0, 1.0],
         0.95,
-    );
+        None,
+    )
+    .unwrap();
 
     let live = SimLiveMetrics::new(p.len(), rtsdf_core::worker_threads());
-    let traced = robustness_report_live(
-        &p,
+    let traced = robustness_report(
+        &t,
         &enforced,
         &mono,
         1e5,
@@ -201,7 +229,8 @@ fn robustness_live_schedules_every_cell_and_matches_plain() {
         &[0.0, 1.0],
         0.95,
         Some(&live),
-    );
+    )
+    .unwrap();
     // 2 levels × 3 strategies × 2 seeds.
     assert_eq!(live.runs_total(), 12);
     assert_eq!(live.runs_completed(), 12);

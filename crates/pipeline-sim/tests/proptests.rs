@@ -2,15 +2,13 @@
 //! and metric sanity on randomized pipelines and schedules.
 
 use dataflow_model::{
-    ArrivalProcess, GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams,
+    ArrivalProcess, GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams, Topology,
 };
-use des::obs::ObsConfig;
-use obs_trace::{ForensicsConfig, TraceConfig, TraceLog};
+use des::obs::{ObsConfig, ObsSink};
+use obs_trace::{SpanSink, TraceConfig, TraceLog};
 use pipeline_sim::config::FiringDiscipline;
 use pipeline_sim::{
-    simulate_enforced, simulate_enforced_observed, simulate_enforced_perturbed,
-    simulate_enforced_traced, simulate_monolithic, simulate_monolithic_observed,
-    simulate_monolithic_perturbed, simulate_monolithic_traced, MitigationPolicy, SimConfig,
+    enforced, monolithic, Hooks, MitigationPolicy, SimConfig, SimLiveMetrics, SimMetrics,
 };
 use proptest::prelude::*;
 use rtsdf_core::{EnforcedWaitsProblem, MonolithicSchedule};
@@ -129,7 +127,7 @@ proptest! {
             .solve()
             .expect("constructed feasible");
         let cfg = SimConfig::quick(tau0, seed, 500);
-        let m = simulate_enforced(&p, &sched, d, &cfg);
+        let m = enforced::simulate(&Topology::chain(&p), &sched, d, &cfg, Hooks::default()).unwrap();
         // Conservation: every arrived input resolves (the schedule is
         // stable and the deadline generous), and the arrived count is
         // always the sum of completions and drops.
@@ -156,17 +154,9 @@ proptest! {
         m_block in 8u64..200,
     ) {
         let tau0 = p.total_service_time(); // slow arrivals: always stable
-        let sched = MonolithicSchedule {
-            block_size: m_block,
-            block_time: 0.0,
-            active_fraction: 0.0,
-            latency_bound: 0.0,
-            b: 1.0,
-            s: 1.0,
-            telemetry: None,
-        };
+        let sched = blocks(m_block);
         let cfg = SimConfig::quick(tau0, seed, 700);
-        let m = simulate_monolithic(&p, &sched, 1e18, &cfg);
+        let m = monolithic::simulate(&Topology::chain(&p), &sched, 1e18, &cfg, Hooks::default()).unwrap();
         prop_assert!(!m.truncated);
         prop_assert_eq!(m.items_completed, 700);
         prop_assert_eq!(m.items_completed + m.items_dropped, m.items_arrived);
@@ -191,14 +181,16 @@ proptest! {
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
-        let plain = simulate_enforced(&p, &sched, params.deadline, &cfg);
-        let observed =
-            simulate_enforced_observed(&p, &sched, params.deadline, &cfg, ObsConfig::default());
+        let t = Topology::chain(&p);
+        let plain = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
+        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
+        let observed = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks).unwrap();
         prop_assert_eq!(plain.active_fraction, observed.active_fraction);
         prop_assert_eq!(plain.deadline_misses, observed.deadline_misses);
         prop_assert_eq!(plain.horizon, observed.horizon);
         prop_assert_eq!(&plain.max_queue_depth, &observed.max_queue_depth);
-        let report = observed.obs.expect("report attached");
+        let report = sink.report();
         prop_assert_eq!(report.counters.completions, observed.items_completed);
         prop_assert_eq!(report.counters.drops, observed.items_dropped);
         // Everything enqueued is either consumed or still in a queue at
@@ -221,8 +213,8 @@ proptest! {
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
-        let a = simulate_enforced(&p, &sched, params.deadline, &cfg);
-        let b2 = simulate_enforced(&p, &sched, params.deadline, &cfg);
+        let a = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, Hooks::default()).unwrap();
+        let b2 = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, Hooks::default()).unwrap();
         prop_assert_eq!(a.active_fraction, b2.active_fraction);
         prop_assert_eq!(a.deadline_misses, b2.deadline_misses);
         prop_assert_eq!(a.horizon, b2.horizon);
@@ -246,8 +238,8 @@ proptest! {
             telemetry: None,
         };
         let cfg = SimConfig::quick(tau0, seed, 400);
-        let fast = simulate_enforced(&p, &mk(1.0), 1e18, &cfg);
-        let slow = simulate_enforced(&p, &mk(2.0), 1e18, &cfg);
+        let fast = enforced::simulate(&Topology::chain(&p), &mk(1.0), 1e18, &cfg, Hooks::default()).unwrap();
+        let slow = enforced::simulate(&Topology::chain(&p), &mk(2.0), 1e18, &cfg, Hooks::default()).unwrap();
         prop_assert!(
             slow.active_fraction < fast.active_fraction + 1e-9,
             "doubling periods must not increase activity: {} vs {}",
@@ -270,15 +262,12 @@ proptest! {
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
-        let plain = simulate_enforced(&p, &sched, params.deadline, &cfg);
-        let (traced, log) = simulate_enforced_traced(
-            &p,
-            &sched,
-            params.deadline,
-            &cfg,
-            TraceConfig::default(),
-            &ForensicsConfig::default(),
-        );
+        let t = Topology::chain(&p);
+        let plain = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
+        let mut sink = SpanSink::new(TraceConfig::default());
+        let hooks = Hooks { spans: Some(&mut sink), ..Hooks::default() };
+        let traced = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks).unwrap();
+        let log = sink.finish();
         // Tracing is measurement only.
         prop_assert_eq!(plain.active_fraction, traced.active_fraction);
         prop_assert_eq!(plain.deadline_misses, traced.deadline_misses);
@@ -335,10 +324,13 @@ proptest! {
         let cfg = SimConfig::quick(tau0, seed, 300);
         let zero = Perturbation::standard(1.0).at_intensity(0.0);
 
-        let plain = simulate_enforced(&p, &sched, params.deadline, &cfg);
-        let perturbed = simulate_enforced_perturbed(
-            &p, &sched, params.deadline, &cfg, &zero, &MitigationPolicy::none(),
-        );
+        let t = Topology::chain(&p);
+        let none = MitigationPolicy::none();
+        let faults = Some((&zero, &none));
+        let plain = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
+        let perturbed = enforced::simulate(
+            &t, &sched, params.deadline, &cfg, Hooks { faults, ..Hooks::default() },
+        ).unwrap();
         prop_assert_eq!(plain.active_fraction, perturbed.active_fraction);
         prop_assert_eq!(plain.deadline_misses, perturbed.deadline_misses);
         prop_assert_eq!(plain.items_completed, perturbed.items_completed);
@@ -348,20 +340,13 @@ proptest! {
         prop_assert_eq!(perturbed.items_shed, 0);
         prop_assert_eq!(perturbed.resolves, 0);
 
-        let mono_sched = MonolithicSchedule {
-            block_size: 32,
-            block_time: 0.0,
-            active_fraction: 0.0,
-            latency_bound: 0.0,
-            b: 1.0,
-            s: 1.0,
-            telemetry: None,
-        };
+        let mono_sched = blocks(32);
         let mono_tau0 = p.total_service_time();
         let mono_cfg = SimConfig::quick(mono_tau0, seed, 300);
-        let mono_plain = simulate_monolithic(&p, &mono_sched, 1e18, &mono_cfg);
-        let mono_perturbed =
-            simulate_monolithic_perturbed(&p, &mono_sched, 1e18, &mono_cfg, &zero);
+        let mono_plain = monolithic::simulate(&t, &mono_sched, 1e18, &mono_cfg, Hooks::default()).unwrap();
+        let mono_perturbed = monolithic::simulate(
+            &t, &mono_sched, 1e18, &mono_cfg, Hooks { faults, ..Hooks::default() },
+        ).unwrap();
         prop_assert_eq!(mono_plain.active_fraction, mono_perturbed.active_fraction);
         prop_assert_eq!(mono_plain.deadline_misses, mono_perturbed.deadline_misses);
         prop_assert_eq!(mono_plain.items_completed, mono_perturbed.items_completed);
@@ -386,14 +371,12 @@ proptest! {
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
-        let m = simulate_enforced_perturbed(
-            &p,
-            &sched,
-            params.deadline,
-            &cfg,
-            &Perturbation::standard(intensity),
-            &MitigationPolicy::full(),
-        );
+        let hooks = Hooks {
+            faults: Some((&Perturbation::standard(intensity), &MitigationPolicy::full())),
+            ..Hooks::default()
+        };
+        let m = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, hooks)
+            .unwrap();
         prop_assert_eq!(
             m.items_shed + m.items_completed + m.items_dropped,
             m.items_arrived,
@@ -413,25 +396,14 @@ proptest! {
         m_block in 8u64..200,
     ) {
         let tau0 = p.total_service_time();
-        let sched = MonolithicSchedule {
-            block_size: m_block,
-            block_time: 0.0,
-            active_fraction: 0.0,
-            latency_bound: 0.0,
-            b: 1.0,
-            s: 1.0,
-            telemetry: None,
-        };
+        let sched = blocks(m_block);
         let cfg = SimConfig::quick(tau0, seed, 400);
-        let plain = simulate_monolithic(&p, &sched, 1e18, &cfg);
-        let (traced, log) = simulate_monolithic_traced(
-            &p,
-            &sched,
-            1e18,
-            &cfg,
-            TraceConfig::default(),
-            &ForensicsConfig::default(),
-        );
+        let t = Topology::chain(&p);
+        let plain = monolithic::simulate(&t, &sched, 1e18, &cfg, Hooks::default()).unwrap();
+        let mut sink = SpanSink::new(TraceConfig::default());
+        let hooks = Hooks { spans: Some(&mut sink), ..Hooks::default() };
+        let traced = monolithic::simulate(&t, &sched, 1e18, &cfg, hooks).unwrap();
+        let log = sink.finish();
         prop_assert_eq!(plain.active_fraction, traced.active_fraction);
         prop_assert_eq!(plain.deadline_misses, traced.deadline_misses);
         // Continuous clock: allow float accumulation noise.
@@ -450,15 +422,54 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identity of the vectorized (SoA) simulators against the frozen
-// scalar references in `pipeline_sim::reference`. Serializing the full
-// SimMetrics (latency moments, occupancy, queue depths, and — where
-// enabled — the complete ObsReport with its histograms and counters)
-// and comparing the JSON strings checks every reported value bit for
-// bit, not just a few headline numbers.
+// Bit-identity of the simulators against the frozen scalar references in
+// `pipeline_sim::reference`. Serializing the full SimMetrics (latency
+// moments, occupancy, queue depths, and — where enabled — the complete
+// ObsReport with its histograms and counters) and comparing the JSON
+// strings checks every reported value bit for bit, not just a few
+// headline numbers.
+
+/// A monolithic schedule of fixed `block_size`; the simulator reads no
+/// other field.
+fn blocks(block_size: u64) -> MonolithicSchedule {
+    MonolithicSchedule {
+        block_size,
+        block_time: 0.0,
+        active_fraction: 0.0,
+        latency_bound: 0.0,
+        b: 1.0,
+        s: 1.0,
+        telemetry: None,
+    }
+}
 
 fn metrics_json(m: &pipeline_sim::metrics::SimMetrics) -> String {
     serde_json::to_string(m).expect("metrics serialize")
+}
+
+/// A run's counters, queue high-water marks, horizon, active fractions
+/// and latency moments, as bits.
+fn run_bits(m: &SimMetrics) -> (Vec<u64>, [u64; 5], [Option<u64>; 2]) {
+    let mut counters = vec![
+        m.items_arrived,
+        m.items_completed,
+        m.items_dropped,
+        m.deadline_misses,
+        m.items_shed,
+        m.resolves,
+        m.latency.count(),
+    ];
+    counters.extend(&m.max_queue_depth);
+    let moments = [
+        m.horizon,
+        m.active_fraction,
+        m.active_fraction_nonempty,
+        m.latency.mean(),
+        m.latency.variance(),
+    ]
+    .map(f64::to_bits);
+    let range = [m.latency.min(), m.latency.max()].map(|x| x.map(f64::to_bits));
+    (counters, moments, range)
 }
 
 /// Perturbation intensity for the stress comparisons: `0.0` must be in
@@ -482,6 +493,25 @@ fn enforced_config() -> impl Strategy<Value = (u8, FiringDiscipline, usize)> {
             Just(FiringDiscipline::Vacation)
         ],
         prop_oneof![Just(400usize), Just(5_000)],
+    )
+}
+
+/// The operating point and wait schedule of the enforced oracle
+/// comparisons: arrivals at 2.5× the first stage's minimal vector
+/// interval, a deadline 5× the smallest feasible one.
+fn oracle_waits(p: &PipelineSpec) -> (RtParams, rtsdf_core::WaitSchedule) {
+    let xmin = rtsdf_core::minimal_periods(p);
+    let tau0 = xmin[0] / p.vector_width() as f64 * 2.5;
+    let b: Vec<f64> = p
+        .mean_gains()
+        .iter()
+        .map(|g| (g.ceil() + 1.0).max(2.0))
+        .collect();
+    let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
+    let params = RtParams::new(tau0, min_d * 5.0).unwrap();
+    (
+        params,
+        EnforcedWaitsProblem::new(p, params, b).solve().unwrap(),
     )
 }
 
@@ -509,6 +539,11 @@ fn sim_config(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The streaming enforced kernel with every hook attached at once —
+    /// obs, spans, live and a (possibly zero-intensity) perturbation
+    /// under the full mitigation policy — against the scalar reference
+    /// given the same obs sink and faults: SimMetrics and ObsReport
+    /// agree bit for bit.
     #[test]
     fn vectorized_enforced_matches_scalar_reference(
         p in pipeline(),
@@ -516,47 +551,36 @@ proptest! {
         intensity in intensity(),
         run in enforced_config(),
     ) {
-        use des::obs::ObsSink;
         use pipeline_sim::reference::simulate_enforced_reference;
 
-        let xmin = rtsdf_core::minimal_periods(&p);
-        let tau0 = xmin[0] / p.vector_width() as f64 * 2.5;
-        let b: Vec<f64> = p.mean_gains().iter().map(|g| (g.ceil() + 1.0).max(2.0)).collect();
-        let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
-        let params = RtParams::new(tau0, min_d * 5.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve()
+        let (params, sched) = oracle_waits(&p);
+        let cfg = sim_config(params.tau0, seed, run);
+        let perturb = Perturbation::standard(1.0).at_intensity(intensity);
+        let policy = MitigationPolicy::full();
+
+        let mut obs = ObsSink::new(p.len(), ObsConfig::default());
+        let mut spans = SpanSink::new(TraceConfig::default());
+        let live_metrics = SimLiveMetrics::new(p.len(), 1);
+        let handle = live_metrics.handle(0);
+        let hooks = Hooks {
+            obs: Some(&mut obs),
+            spans: Some(&mut spans),
+            live: Some(&handle),
+            faults: Some((&perturb, &policy)),
+        };
+        let mut live = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, hooks)
             .unwrap();
-        let cfg = sim_config(tau0, seed, run);
-
-        // Plain run, no hooks: the bulk arrival drain.
-        let live = simulate_enforced(&p, &sched, params.deadline, &cfg);
-        let oracle = simulate_enforced_reference(&p, &sched, params.deadline, &cfg, None, None);
-        prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
-
-        // Observed run: SimMetrics + full ObsReport must agree.
-        let live = simulate_enforced_observed(
-            &p, &sched, params.deadline, &cfg, ObsConfig::default(),
-        );
+        live.obs = Some(obs.report());
         let mut sink = ObsSink::new(p.len(), ObsConfig::default());
         let mut oracle = simulate_enforced_reference(
-            &p, &sched, params.deadline, &cfg, Some(&mut sink), None,
+            &p, &sched, params.deadline, &cfg, Some(&mut sink), Some((&perturb, &policy)),
         );
         oracle.obs = Some(sink.report());
         prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
-
-        // Stressed run (full mitigation policy: shedding + escalation).
-        let perturb = Perturbation::standard(1.0).at_intensity(intensity);
-        let policy = MitigationPolicy::full();
-        let live = simulate_enforced_perturbed(
-            &p, &sched, params.deadline, &cfg, &perturb, &policy,
-        );
-        let oracle = simulate_enforced_reference(
-            &p, &sched, params.deadline, &cfg, None, Some((&perturb, &policy)),
-        );
-        prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
     }
 
+    /// The monolithic kernel with every hook attached at once against
+    /// the scalar reference given the same obs sink and perturbation.
     #[test]
     fn vectorized_monolithic_matches_scalar_reference(
         p in pipeline(),
@@ -564,47 +588,44 @@ proptest! {
         m_block in 8u64..128,
         intensity in intensity(),
     ) {
-        use des::obs::ObsSink;
         use pipeline_sim::reference::simulate_monolithic_reference;
 
         let tau0 = p.total_service_time();
-        let sched = MonolithicSchedule {
-            block_size: m_block,
-            block_time: 0.0,
-            active_fraction: 0.0,
-            latency_bound: 0.0,
-            b: 1.0,
-            s: 1.0,
-            telemetry: None,
-        };
+        let sched = blocks(m_block);
         let cfg = SimConfig::quick(tau0, seed, 400);
         let deadline = 1e15;
+        let perturb = Perturbation::standard(1.0).at_intensity(intensity);
+        let none = MitigationPolicy::none();
 
-        let live = simulate_monolithic_observed(
-            &p, &sched, deadline, &cfg, ObsConfig::default(),
-        );
+        let mut obs = ObsSink::new(p.len(), ObsConfig::default());
+        let mut spans = SpanSink::new(TraceConfig::default());
+        let live_metrics = SimLiveMetrics::new(p.len(), 1);
+        let handle = live_metrics.handle(0);
+        let hooks = Hooks {
+            obs: Some(&mut obs),
+            spans: Some(&mut spans),
+            live: Some(&handle),
+            faults: Some((&perturb, &none)),
+        };
+        let mut live = monolithic::simulate(&Topology::chain(&p), &sched, deadline, &cfg, hooks)
+            .unwrap();
+        live.obs = Some(obs.report());
         let mut sink = ObsSink::new(p.len(), ObsConfig::default());
         let mut oracle = simulate_monolithic_reference(
-            &p, &sched, deadline, &cfg, Some(&mut sink), None,
+            &p, &sched, deadline, &cfg, Some(&mut sink), Some(&perturb),
         );
         oracle.obs = Some(sink.report());
-        prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
-
-        let perturb = Perturbation::standard(1.0).at_intensity(intensity);
-        let live = simulate_monolithic_perturbed(&p, &sched, deadline, &cfg, &perturb);
-        let oracle = simulate_monolithic_reference(
-            &p, &sched, deadline, &cfg, None, Some(&perturb),
-        );
         prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
     }
 }
 
 // ---------------------------------------------------------------------
-// The DAG generalization. Two laws: (1) any linear chain expressed as a
+// The DAG generalization. Three laws: (1) any linear chain expressed as a
 // `Topology` is *bit-identical* — serialized SimMetrics plus ObsReport —
 // to the frozen scalar references, so the topology routing layer adds
 // exactly nothing on chains; (2) on genuine fan-out/fan-in topologies
-// every arrived input has exactly one fate (completed, dropped, or shed).
+// every arrived input has exactly one fate (completed, dropped, or shed);
+// (3) on both, any subset of the hooks leaves the run's bits unchanged.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -616,33 +637,22 @@ proptest! {
         intensity in intensity(),
         run in enforced_config(),
     ) {
-        use des::obs::ObsSink;
         use pipeline_sim::reference::simulate_enforced_reference;
-        use pipeline_sim::{
-            simulate_enforced_topology, simulate_enforced_topology_observed,
-            simulate_enforced_topology_perturbed,
-        };
 
         let t = dataflow_model::Topology::chain(&p);
-        let xmin = rtsdf_core::minimal_periods(&p);
-        let tau0 = xmin[0] / p.vector_width() as f64 * 2.5;
-        let b: Vec<f64> = p.mean_gains().iter().map(|g| (g.ceil() + 1.0).max(2.0)).collect();
-        let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
-        let params = RtParams::new(tau0, min_d * 5.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
-            .solve()
-            .unwrap();
-        let cfg = sim_config(tau0, seed, run);
+        let (params, sched) = oracle_waits(&p);
+        let cfg = sim_config(params.tau0, seed, run);
 
         // Plain run, no hooks: the bulk arrival drain.
-        let live = simulate_enforced_topology(&t, &sched, params.deadline, &cfg);
+        let live = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
         let oracle = simulate_enforced_reference(&p, &sched, params.deadline, &cfg, None, None);
         prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
 
         // Observed run: SimMetrics + full ObsReport must agree.
-        let live = simulate_enforced_topology_observed(
-            &t, &sched, params.deadline, &cfg, ObsConfig::default(),
-        );
+        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
+        let mut live = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks).unwrap();
+        live.obs = Some(sink.report());
         let mut sink = ObsSink::new(p.len(), ObsConfig::default());
         let mut oracle = simulate_enforced_reference(
             &p, &sched, params.deadline, &cfg, Some(&mut sink), None,
@@ -653,9 +663,8 @@ proptest! {
         // Stressed run, including intensity 0.
         let perturb = Perturbation::standard(1.0).at_intensity(intensity);
         let policy = MitigationPolicy::full();
-        let live = simulate_enforced_topology_perturbed(
-            &t, &sched, params.deadline, &cfg, &perturb, &policy,
-        );
+        let hooks = Hooks { faults: Some((&perturb, &policy)), ..Hooks::default() };
+        let live = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks).unwrap();
         let oracle = simulate_enforced_reference(
             &p, &sched, params.deadline, &cfg, None, Some((&perturb, &policy)),
         );
@@ -669,29 +678,18 @@ proptest! {
         m_block in 8u64..128,
         intensity in intensity(),
     ) {
-        use des::obs::ObsSink;
         use pipeline_sim::reference::simulate_monolithic_reference;
-        use pipeline_sim::{
-            simulate_monolithic_topology_observed, simulate_monolithic_topology_perturbed,
-        };
 
         let t = dataflow_model::Topology::chain(&p);
         let tau0 = p.total_service_time();
-        let sched = MonolithicSchedule {
-            block_size: m_block,
-            block_time: 0.0,
-            active_fraction: 0.0,
-            latency_bound: 0.0,
-            b: 1.0,
-            s: 1.0,
-            telemetry: None,
-        };
+        let sched = blocks(m_block);
         let cfg = SimConfig::quick(tau0, seed, 400);
         let deadline = 1e15;
 
-        let live = simulate_monolithic_topology_observed(
-            &t, &sched, deadline, &cfg, ObsConfig::default(),
-        );
+        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
+        let mut live = monolithic::simulate(&t, &sched, deadline, &cfg, hooks).unwrap();
+        live.obs = Some(sink.report());
         let mut sink = ObsSink::new(p.len(), ObsConfig::default());
         let mut oracle = simulate_monolithic_reference(
             &p, &sched, deadline, &cfg, Some(&mut sink), None,
@@ -700,7 +698,9 @@ proptest! {
         prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
 
         let perturb = Perturbation::standard(1.0).at_intensity(intensity);
-        let live = simulate_monolithic_topology_perturbed(&t, &sched, deadline, &cfg, &perturb);
+        let none = MitigationPolicy::none();
+        let hooks = Hooks { faults: Some((&perturb, &none)), ..Hooks::default() };
+        let live = monolithic::simulate(&t, &sched, deadline, &cfg, hooks).unwrap();
         let oracle = simulate_monolithic_reference(
             &p, &sched, deadline, &cfg, None, Some(&perturb),
         );
@@ -713,8 +713,6 @@ proptest! {
         seed in 0u64..1000,
         slack in 2.0..6.0f64,
     ) {
-        use pipeline_sim::simulate_enforced_topology;
-
         let params = topology_operating_point(&t, slack);
         let b: Vec<f64> = rtsdf_core::EnforcedDagProblem::optimistic_backlog(&t)
             .iter()
@@ -724,7 +722,7 @@ proptest! {
             .solve()
             .expect("generous operating point is feasible");
         let cfg = SimConfig::quick(params.tau0, seed, 400);
-        let m = simulate_enforced_topology(&t, &sched, params.deadline, &cfg);
+        let m = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
         prop_assert!(!m.truncated);
         prop_assert_eq!(
             m.items_completed + m.items_dropped,
@@ -745,8 +743,6 @@ proptest! {
         seed in 0u64..500,
         intensity in 0.5..2.5f64,
     ) {
-        use pipeline_sim::simulate_enforced_topology_perturbed;
-
         let params = topology_operating_point(&t, 2.0);
         let b: Vec<f64> = rtsdf_core::EnforcedDagProblem::optimistic_backlog(&t)
             .iter()
@@ -756,14 +752,11 @@ proptest! {
             .solve()
             .expect("generous operating point is feasible");
         let cfg = SimConfig::quick(params.tau0, seed, 300);
-        let m = simulate_enforced_topology_perturbed(
-            &t,
-            &sched,
-            params.deadline,
-            &cfg,
-            &Perturbation::standard(intensity),
-            &MitigationPolicy::full(),
-        );
+        let hooks = Hooks {
+            faults: Some((&Perturbation::standard(intensity), &MitigationPolicy::full())),
+            ..Hooks::default()
+        };
+        let m = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks).unwrap();
         prop_assert_eq!(
             m.items_shed + m.items_completed + m.items_dropped,
             m.items_arrived,
@@ -780,23 +773,64 @@ proptest! {
         seed in 0u64..500,
         m_block in 8u64..128,
     ) {
-        use pipeline_sim::simulate_monolithic_topology;
-
         let tau0 = t.total_service_time();
-        let sched = MonolithicSchedule {
-            block_size: m_block,
-            block_time: 0.0,
-            active_fraction: 0.0,
-            latency_bound: 0.0,
-            b: 1.0,
-            s: 1.0,
-            telemetry: None,
-        };
+        let sched = blocks(m_block);
         let cfg = SimConfig::quick(tau0, seed, 400);
-        let m = simulate_monolithic_topology(&t, &sched, 1e18, &cfg);
+        let m = monolithic::simulate(&t, &sched, 1e18, &cfg, Hooks::default()).unwrap();
         prop_assert!(!m.truncated);
         prop_assert_eq!(m.items_completed + m.items_dropped, m.items_arrived);
         prop_assert_eq!(m.deadline_misses, 0);
         prop_assert!(m.active_fraction > 0.0 && m.active_fraction <= 1.0 + 1e-9);
+    }
+    #[test]
+    fn hooks_compose_without_changing_a_bit(
+        t in prop_oneof![pipeline().prop_map(|p| Topology::chain(&p)), topology()],
+        seed in 0u64..500,
+        m_block in 8u64..128,
+    ) {
+        let params = topology_operating_point(&t, 3.0);
+        let b: Vec<f64> = rtsdf_core::EnforcedDagProblem::optimistic_backlog(&t)
+            .iter()
+            .map(|x| x + 2.0)
+            .collect();
+        let waits = rtsdf_core::EnforcedDagProblem::new(&t, params, b)
+            .solve()
+            .expect("generous operating point is feasible");
+        let blocks = blocks(m_block);
+        let zero = Perturbation::standard(1.0).at_intensity(0.0);
+        let none = MitigationPolicy::none();
+        let live = SimLiveMetrics::new(t.len(), 1);
+        for on_enforced in [true, false] {
+            let run = |hooks: Hooks<'_>| {
+                if on_enforced {
+                    let cfg = SimConfig::quick(params.tau0, seed, 300);
+                    enforced::simulate(&t, &waits, params.deadline, &cfg, hooks)
+                } else {
+                    let cfg = SimConfig::quick(t.total_service_time(), seed, 300);
+                    monolithic::simulate(&t, &blocks, 1e18, &cfg, hooks)
+                }
+                .unwrap()
+            };
+            let plain = run(Hooks::default());
+            // Bit 0: obs, bit 1: spans, bit 2: live, bit 3: zero faults.
+            for subset in 1u8..16 {
+                let mut obs = ObsSink::new(t.len(), ObsConfig::default());
+                let mut spans = SpanSink::new(TraceConfig::default());
+                let handle = live.handle(0);
+                let m = run(Hooks {
+                    obs: (subset & 1 != 0).then_some(&mut obs),
+                    spans: (subset & 2 != 0).then_some(&mut spans),
+                    live: (subset & 4 != 0).then_some(&handle),
+                    faults: (subset & 8 != 0).then_some((&zero, &none)),
+                });
+                prop_assert_eq!(
+                    run_bits(&plain),
+                    run_bits(&m),
+                    "enforced {}, hook subset {:#06b}",
+                    on_enforced,
+                    subset
+                );
+            }
+        }
     }
 }

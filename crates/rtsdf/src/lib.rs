@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`model`] | `dataflow-model` | pipelines, gains, arrivals, active-fraction algebra |
 //! | [`core`] | `rtsdf-core` | enforced-waits & monolithic optimizers, KKT certification, Fig. 3/4 sweeps |
-//! | [`sim`] | `pipeline-sim` | discrete-event simulator, multi-seed runner, §6.2 calibration |
+//! | [`sim`] | `pipeline-sim` | discrete-event simulator (one entry point per strategy, one `Hooks` bundle), multi-seed runner, §6.2 calibration |
 //! | [`exec`] | `rtsdf-exec` | threaded execution backend, sim-vs-real cross-validation |
 //! | [`device`] | `simd-device` | SIMT machine, occupancy & share accounting |
 //! | [`queueing`] | `queueing` | bulk-service queues, a-priori backlog estimation |
@@ -29,22 +29,26 @@
 //! let params = RtParams::new(10.0, 1e5).unwrap();
 //!
 //! // Optimize both strategies.
-//! let enforced = EnforcedWaitsProblem::new(&pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
+//! let waits = EnforcedWaitsProblem::new(&pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
 //!     .solve()
 //!     .unwrap();
-//! let monolithic = MonolithicProblem::new(&pipeline, params, 1.0, 1.0)
+//! let blocks = MonolithicProblem::new(&pipeline, params, 1.0, 1.0)
 //!     .solve()
 //!     .unwrap();
 //!
 //! // Enforced waits should win at this fast arrival rate.
-//! assert!(enforced.active_fraction < monolithic.active_fraction);
+//! assert!(waits.active_fraction < blocks.active_fraction);
 //!
 //! // And the simulator should agree with the optimizer's prediction.
+//! // Each strategy has one simulator entry point over a `Topology`;
+//! // `Hooks` adds observability, tracing, live metrics or faults.
 //! let cfg = SimConfig::quick(10.0, 42, 2_000);
-//! let measured = simulate_enforced(&pipeline, &enforced, 1e5, &cfg);
-//! let rel = (measured.active_fraction - enforced.active_fraction).abs()
-//!     / enforced.active_fraction;
+//! let topology = Topology::chain(&pipeline);
+//! let measured = enforced::simulate(&topology, &waits, 1e5, &cfg, Hooks::default())?;
+//! let rel = (measured.active_fraction - waits.active_fraction).abs()
+//!     / waits.active_fraction;
 //! assert!(rel < 0.05);
+//! # Ok::<(), SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,14 +70,11 @@ pub use simd_device as device;
 pub mod prelude {
     pub use dataflow_model::{
         ArrivalProcess, GainModel, ModelError, NodeSpec, Perturbation, PipelineSpec,
-        PipelineSpecBuilder, RtParams,
+        PipelineSpecBuilder, RtParams, Topology,
     };
     pub use pipeline_sim::{
-        robustness_report, run_seeds_enforced, run_seeds_enforced_perturbed, run_seeds_monolithic,
-        run_seeds_monolithic_perturbed, simulate_enforced, simulate_enforced_perturbed,
-        simulate_enforced_traced, simulate_monolithic, simulate_monolithic_perturbed,
-        simulate_monolithic_traced, MitigationPolicy, MultiSeedReport, RobustnessReport, SimConfig,
-        SimMetrics,
+        enforced, monolithic, robustness_report, run_seeds, Hooks, MitigationPolicy,
+        MultiSeedReport, RobustnessReport, SimConfig, SimError, SimMetrics,
     };
     pub use rtsdf_core::{
         EnforcedWaitsProblem, MonolithicProblem, MonolithicSchedule, ScheduleError, WaitSchedule,

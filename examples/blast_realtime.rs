@@ -92,12 +92,14 @@ fn main() {
     )
     .solve()
     {
-        let m = simulate_enforced(
-            &measured_pipeline,
+        let m = enforced::simulate(
+            &Topology::chain(&measured_pipeline),
             &sched,
             params.deadline,
             &SimConfig::quick(params.tau0, 1, 10_000),
-        );
+            Hooks::default(),
+        )
+        .expect("the schedule fits the pipeline");
         println!(
             "measured-variant pipeline simulated at tau0=30, D=3e5: active {:.4} (predicted {:.4}), miss rate {:.4}",
             m.active_fraction, sched.active_fraction, m.miss_rate()

@@ -75,13 +75,11 @@ fn main() {
         latency_bound: sched.latency_bound,
         telemetry: None,
     };
-    let report = run_seeds_enforced(
-        &realized,
-        &wait_schedule,
-        d,
-        &SimConfig::quick(tau0, 0, 8_000),
-        8,
-    );
+    let realized = Topology::chain(&realized);
+    let report = run_seeds(&SimConfig::quick(tau0, 0, 8_000), 8, None, |c, h| {
+        enforced::simulate(&realized, &wait_schedule, d, c, h)
+    })
+    .expect("the schedule fits the pipeline");
     println!(
         "simulated 8 seeds x 8k items: miss-free {:.0}%, worst miss rate {:.3}%",
         100.0 * report.miss_free_fraction(),

@@ -77,13 +77,12 @@ fn main() {
     // Stress across seeds, the paper's schedulability statistic.
     println!();
     println!("stress test: 20 seeds x 10 000 photons...");
-    let report = run_seeds_enforced(
-        &pipeline,
-        &sched,
-        params.deadline,
-        &SimConfig::quick(params.tau0, 0, 10_000),
-        20,
-    );
+    let topology = Topology::chain(&pipeline);
+    let cfg = SimConfig::quick(params.tau0, 0, 10_000);
+    let report = run_seeds(&cfg, 20, None, |c, h| {
+        enforced::simulate(&topology, &sched, params.deadline, c, h)
+    })
+    .expect("the schedule fits the pipeline");
     println!(
         "  miss-free seeds: {:.0}%  worst per-seed miss rate: {:.4}%",
         100.0 * report.miss_free_fraction(),

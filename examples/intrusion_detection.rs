@@ -78,7 +78,15 @@ fn main() {
     let mut cfg = SimConfig::quick(params.tau0, 3, 20_000);
     cfg.arrivals = bursty;
 
-    let m_enf = simulate_enforced(&pipeline, &enforced, params.deadline, &cfg);
+    let topology = Topology::chain(&pipeline);
+    let m_enf = enforced::simulate(
+        &topology,
+        &enforced,
+        params.deadline,
+        &cfg,
+        Hooks::default(),
+    )
+    .expect("the schedule fits the pipeline");
     println!(
         "  enforced waits: active {:.4}, miss rate {:.3}%, max backlog (vectors) {:?}",
         m_enf.active_fraction,
@@ -91,7 +99,9 @@ fn main() {
     );
 
     if let Ok(mono) = MonolithicProblem::new(&pipeline, params, 1.0, 1.0).solve() {
-        let m_mono = simulate_monolithic(&pipeline, &mono, params.deadline, &cfg);
+        let m_mono =
+            monolithic::simulate(&topology, &mono, params.deadline, &cfg, Hooks::default())
+                .expect("the schedule fits the pipeline");
         println!(
             "  monolithic:     active {:.4}, miss rate {:.3}%",
             m_mono.active_fraction,

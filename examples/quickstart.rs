@@ -72,7 +72,15 @@ fn main() {
 
     // --- Validate in simulation --------------------------------------
     let config = SimConfig::quick(params.tau0, 7, 20_000);
-    let measured = simulate_enforced(&pipeline, &enforced, params.deadline, &config);
+    let topology = Topology::chain(&pipeline);
+    let measured = enforced::simulate(
+        &topology,
+        &enforced,
+        params.deadline,
+        &config,
+        Hooks::default(),
+    )
+    .expect("the schedule fits the pipeline");
     println!("simulation of the enforced-waits schedule (20 000 items):");
     println!(
         "  measured active fraction: {:.4} (predicted {:.4})",

@@ -18,7 +18,15 @@ fn schedule_and_simulate(
     let sched = EnforcedWaitsProblem::new(pipeline, params, b)
         .solve()
         .unwrap_or_else(|e| panic!("infeasible at tau0={tau0}, D={d}: {e}"));
-    let m = simulate_enforced(pipeline, &sched, d, &SimConfig::quick(tau0, 5, items));
+    let cfg = SimConfig::quick(tau0, 5, items);
+    let m = enforced::simulate(
+        &Topology::chain(pipeline),
+        &sched,
+        d,
+        &cfg,
+        Hooks::default(),
+    )
+    .unwrap();
     (sched.active_fraction, m.active_fraction, m.miss_rate())
 }
 
@@ -136,7 +144,8 @@ fn bursty_arrivals_stress_but_do_not_break_enforced_schedules() {
         on_mean: 1_500.0,
         off_mean: 3_000.0,
     };
-    let m = simulate_enforced(&p, &sched, params.deadline, &cfg);
+    let t = Topology::chain(&p);
+    let m = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
     assert!(
         !m.truncated,
         "bursty load must not destabilize the schedule"

@@ -96,13 +96,10 @@ fn flexible_schedule_simulates_within_its_deadline() {
         latency_bound: sched.latency_bound,
         telemetry: None,
     };
-    let report = run_seeds_enforced(
-        &realized,
-        &ws,
-        params.deadline,
-        &SimConfig::quick(10.0, 0, 5_000),
-        8,
-    );
+    let report = run_seeds(&SimConfig::quick(10.0, 0, 5_000), 8, None, |c, h| {
+        enforced::simulate(&Topology::chain(&realized), &ws, params.deadline, c, h)
+    })
+    .unwrap();
     assert!(
         report.miss_free_fraction() >= 0.75,
         "flexible schedule below the equal-share frontier should still be miss-free-ish: {}",
@@ -117,7 +114,7 @@ fn timeline_reflects_the_optimized_waits() {
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
         .solve()
         .unwrap();
-    let tl = record_timeline(&p, &sched, 1e5, &SimConfig::quick(10.0, 1, 2_000), 30_000.0);
+    let tl = record_timeline(&p, &sched, 1e5, &SimConfig::quick(10.0, 1, 2_000), 30_000.0).unwrap();
     for node in 0..p.len() {
         let mean = tl.mean_period(node).expect("several firings in the window");
         assert!(
@@ -140,8 +137,9 @@ fn vacation_discipline_is_a_pure_win_at_slow_rates() {
     let mut strict = SimConfig::quick(80.0, 2, 3_000);
     let mut vacation = strict.clone();
     vacation.discipline = FiringDiscipline::Vacation;
-    let sm = simulate_enforced(&p, &sched, params.deadline, &strict);
-    let vm = simulate_enforced(&p, &sched, params.deadline, &vacation);
+    let t = Topology::chain(&p);
+    let sm = enforced::simulate(&t, &sched, params.deadline, &strict, Hooks::default()).unwrap();
+    let vm = enforced::simulate(&t, &sched, params.deadline, &vacation, Hooks::default()).unwrap();
     assert!(
         vm.active_fraction < sm.active_fraction,
         "{} vs {}",
@@ -162,7 +160,7 @@ fn vacation_discipline_is_a_pure_win_at_slow_rates() {
     );
     strict.seed = 3;
     vacation.seed = 3;
-    let sm2 = simulate_enforced(&p, &sched, params.deadline, &strict);
-    let vm2 = simulate_enforced(&p, &sched, params.deadline, &vacation);
+    let sm2 = enforced::simulate(&t, &sched, params.deadline, &strict, Hooks::default()).unwrap();
+    let vm2 = enforced::simulate(&t, &sched, params.deadline, &vacation, Hooks::default()).unwrap();
     assert_eq!(sm2.items_completed, vm2.items_completed);
 }

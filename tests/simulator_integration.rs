@@ -54,13 +54,10 @@ fn paper_backlog_factors_are_low_miss_across_seeds() {
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
         .solve()
         .unwrap();
-    let report = run_seeds_enforced(
-        &p,
-        &sched,
-        params.deadline,
-        &SimConfig::quick(10.0, 0, 5_000),
-        12,
-    );
+    let report = run_seeds(&SimConfig::quick(10.0, 0, 5_000), 12, None, |c, h| {
+        enforced::simulate(&Topology::chain(&p), &sched, params.deadline, c, h)
+    })
+    .unwrap();
     assert!(
         report.miss_free_fraction() >= 0.75,
         "miss-free fraction {}",
@@ -88,8 +85,14 @@ fn optimistic_backlog_factors_miss_more_than_calibrated() {
         .solve()
         .unwrap();
     let cfg = SimConfig::quick(5.0, 0, 8_000);
-    let opt = run_seeds_enforced(&p, &opt_sched, params.deadline, &cfg, 10);
-    let cal = run_seeds_enforced(&p, &cal_sched, params.deadline, &cfg, 10);
+    let opt = run_seeds(&cfg, 10, None, |c, h| {
+        enforced::simulate(&Topology::chain(&p), &opt_sched, params.deadline, c, h)
+    })
+    .unwrap();
+    let cal = run_seeds(&cfg, 10, None, |c, h| {
+        enforced::simulate(&Topology::chain(&p), &cal_sched, params.deadline, c, h)
+    })
+    .unwrap();
     assert!(
         opt.miss_free_fraction() <= cal.miss_free_fraction(),
         "optimistic {} vs calibrated {}",
@@ -116,13 +119,10 @@ fn monolithic_nearly_miss_free_at_b1_s1() {
         let sched = MonolithicProblem::new(&p, params, 1.0, 1.0)
             .solve()
             .unwrap();
-        let report = run_seeds_monolithic(
-            &p,
-            &sched,
-            params.deadline,
-            &SimConfig::quick(tau0, 0, 5_000),
-            8,
-        );
+        let report = run_seeds(&SimConfig::quick(tau0, 0, 5_000), 8, None, |c, h| {
+            monolithic::simulate(&Topology::chain(&p), &sched, params.deadline, c, h)
+        })
+        .unwrap();
         assert!(
             report.worst_miss_rate() < 0.01,
             "tau0={tau0}, D={d}: worst rate {}",
@@ -132,13 +132,10 @@ fn monolithic_nearly_miss_free_at_b1_s1() {
         let safe = MonolithicProblem::new(&p, params, 1.0, 1.1)
             .solve()
             .unwrap();
-        let safe_report = run_seeds_monolithic(
-            &p,
-            &safe,
-            params.deadline,
-            &SimConfig::quick(tau0, 0, 5_000),
-            8,
-        );
+        let safe_report = run_seeds(&SimConfig::quick(tau0, 0, 5_000), 8, None, |c, h| {
+            monolithic::simulate(&Topology::chain(&p), &safe, params.deadline, c, h)
+        })
+        .unwrap();
         assert_eq!(
             safe_report.miss_free_fraction(),
             1.0,
@@ -172,12 +169,8 @@ fn empty_firings_metric_ordering() {
     let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
         .solve()
         .unwrap();
-    let m = simulate_enforced(
-        &p,
-        &sched,
-        params.deadline,
-        &SimConfig::quick(50.0, 2, 3_000),
-    );
+    let (t, cfg) = (Topology::chain(&p), SimConfig::quick(50.0, 2, 3_000));
+    let m = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
     assert!(m.active_fraction_nonempty <= m.active_fraction + 1e-12);
     // At τ0=50 the tail stages see little traffic: some firings must be
     // empty, so the two metrics genuinely differ.
