@@ -1,4 +1,4 @@
-//! Criterion bench: cost of the live-metrics layer on the simulator
+//! Bench: cost of the live-metrics layer on the simulator
 //! hot loop.
 //!
 //! Two measurements of the same fixed-seed enforced-waits BLAST run:
@@ -17,35 +17,68 @@
 //!
 //! The monolithic loop gets the same treatment at block granularity.
 //!
+//! The two variants are timed in one window, interleaved run by run
+//! (disabled, enabled, enabled, disabled, …), for
+//! `CRITERION_MEASURE_MS` (default 300) per simulator. A slow stretch of
+//! a shared host then hits both alike, so the overhead fraction — the
+//! fastest enabled run over the fastest disabled run — does not swing
+//! with window-to-window load the way two separate windows did.
+//!
 //! ```text
 //! cargo bench -p bench --bench metrics_overhead -- [--metrics json|csv]
 //! ```
 
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
-use criterion::{black_box, Criterion};
 use rtsdf::prelude::*;
 use rtsdf::sim::SimLiveMetrics;
 use serde_json::json;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-fn mean_ns(results: &[criterion::BenchResult], id: &str) -> f64 {
-    results
-        .iter()
-        .find(|r| r.id == id)
-        .map(|r| r.mean_ns)
-        .unwrap_or(f64::NAN)
+/// Timed runs per variant at least, whatever the window.
+const MIN_RUNS: usize = 20;
+
+/// Mean and fastest wall time (ns) of one variant.
+#[derive(Clone, Copy)]
+struct Timing {
+    mean_ns: f64,
+    min_ns: f64,
 }
 
-/// Best-case (minimum) iteration time. The gated throughput keys use
-/// this rather than the mean: a 1% regression gate needs a low-noise
-/// statistic, and the minimum over a measurement window is far more
-/// stable under scheduler jitter than the mean, while still moving
-/// whenever real work is added to the hot loop.
-fn min_ns(results: &[criterion::BenchResult], id: &str) -> f64 {
-    results
-        .iter()
-        .find(|r| r.id == id)
-        .map(|r| r.min_ns)
-        .unwrap_or(f64::NAN)
+/// Time `disabled` and `enabled` alternately until `window` has passed,
+/// swapping which goes first every round so neither always runs on the
+/// other's warm caches. Returns (disabled, enabled).
+fn interleaved(
+    window: Duration,
+    mut disabled: impl FnMut(),
+    mut enabled: impl FnMut(),
+) -> (Timing, Timing) {
+    // Warm-up: page in both paths before timing either.
+    disabled();
+    enabled();
+    let mut sums = [0.0f64; 2];
+    let mut mins = [f64::INFINITY; 2];
+    let mut runs = 0usize;
+    let started = Instant::now();
+    while runs < MIN_RUNS || started.elapsed() < window {
+        for k in [runs % 2, 1 - runs % 2] {
+            let t0 = Instant::now();
+            if k == 0 {
+                disabled();
+            } else {
+                enabled();
+            }
+            let ns = t0.elapsed().as_nanos() as f64;
+            sums[k] += ns;
+            mins[k] = mins[k].min(ns);
+        }
+        runs += 1;
+    }
+    let timing = |k: usize| Timing {
+        mean_ns: sums[k] / runs as f64,
+        min_ns: mins[k],
+    };
+    (timing(0), timing(1))
 }
 
 fn main() {
@@ -77,50 +110,45 @@ fn main() {
     // cost, not registry construction.
     let live = SimLiveMetrics::new(pipeline.len(), 1);
 
-    // This bench parses its own flags, so the shim's positional-filter
-    // sniffing must be disabled.
-    //
-    // Each variant is measured in TWO windows ("x" and "x2"),
-    // interleaved with the other variant, and the gated statistic is
-    // the min over both. A transient load burst (a parallel build, a
-    // scheduler hiccup) can poison one whole measurement window; it is
-    // very unlikely to poison two windows several seconds apart, so
-    // the min-of-mins stays on the quiet-machine value.
-    let mut c = Criterion::default().with_filter(None);
+    let window_ms = std::env::var("CRITERION_MEASURE_MS")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(300);
+    let window = Duration::from_millis(window_ms);
     let enforced_run =
         |hooks: Hooks<'_>| enforced::simulate(&topology, &enf_sched, 1e5, &enf_cfg, hooks);
     let monolithic_run =
         |hooks: Hooks<'_>| monolithic::simulate(&topology, &mono_sched, 1e5, &mono_cfg, hooks);
     type Run<'r> = &'r dyn Fn(Hooks<'_>) -> Result<SimMetrics, SimError>;
     let runs: [(&str, Run); 2] = [("enforced", &enforced_run), ("monolithic", &monolithic_run)];
-    for (strategy, run) in runs {
-        let mut group = c.benchmark_group(strategy);
-        for pass in ["", "2"] {
-            group.bench_function(format!("disabled{pass}"), |b| {
-                b.iter(|| black_box(run(Hooks::default())))
-            });
-            group.bench_function(format!("enabled{pass}"), |b| {
-                b.iter(|| {
-                    let h = live.handle(0);
-                    let hooks = Hooks {
-                        live: Some(&h),
-                        ..Hooks::default()
-                    };
-                    black_box(run(hooks))
-                })
-            });
+    let [(enf_off, enf_on), (mono_off, mono_on)] = runs.map(|(strategy, run)| {
+        let (off, on) = interleaved(
+            window,
+            || {
+                black_box(run(Hooks::default()).unwrap());
+            },
+            || {
+                let h = live.handle(0);
+                let hooks = Hooks {
+                    live: Some(&h),
+                    ..Hooks::default()
+                };
+                black_box(run(hooks).unwrap());
+            },
+        );
+        for (variant, t) in [("disabled", off), ("enabled", on)] {
+            println!(
+                "bench {:<40} mean {:>9.1} µs  min {:>9.1} µs",
+                format!("{strategy}/{variant}"),
+                t.mean_ns / 1e3,
+                t.min_ns / 1e3
+            );
         }
-        group.finish();
-    }
+        (off, on)
+    });
 
-    let results = c.take_results();
-    let rate = |ns: f64| items as f64 / (ns / 1e9);
-    let overhead = |disabled_ns: f64, enabled_ns: f64| enabled_ns / disabled_ns - 1.0;
-    let best = |id: &str| min_ns(&results, id).min(min_ns(&results, &format!("{id}2")));
-    let enf_off = best("enforced/disabled");
-    let enf_on = best("enforced/enabled");
-    let mono_off = best("monolithic/disabled");
-    let mono_on = best("monolithic/enabled");
+    let rate = |t: Timing| items as f64 / (t.min_ns / 1e9);
+    let overhead = |off: Timing, on: Timing| on.min_ns / off.min_ns - 1.0;
     println!();
     println!(
         "enforced:   disabled {:.2}M items/s, enabled {:.2}M items/s (publishing overhead {:+.2}%)",
@@ -146,18 +174,18 @@ fn main() {
                 "items": items,
                 "sim": json!({
                     "enforced": json!({
-                        "wall_micros": enf_off / 1e3,
-                        "mean_wall_micros": mean_ns(&results, "enforced/disabled") / 1e3,
+                        "wall_micros": enf_off.min_ns / 1e3,
+                        "mean_wall_micros": enf_off.mean_ns / 1e3,
                         "items_per_sec": rate(enf_off),
-                        "enabled_wall_micros": enf_on / 1e3,
+                        "enabled_wall_micros": enf_on.min_ns / 1e3,
                         "enabled_rate": rate(enf_on),
                         "publish_overhead_fraction": overhead(enf_off, enf_on),
                     }),
                     "monolithic": json!({
-                        "wall_micros": mono_off / 1e3,
-                        "mean_wall_micros": mean_ns(&results, "monolithic/disabled") / 1e3,
+                        "wall_micros": mono_off.min_ns / 1e3,
+                        "mean_wall_micros": mono_off.mean_ns / 1e3,
                         "items_per_sec": rate(mono_off),
-                        "enabled_wall_micros": mono_on / 1e3,
+                        "enabled_wall_micros": mono_on.min_ns / 1e3,
                         "enabled_rate": rate(mono_on),
                         "publish_overhead_fraction": overhead(mono_off, mono_on),
                     }),
@@ -180,11 +208,11 @@ fn main() {
             }
         }
         MetricsFormat::Csv => {
-            let row = |name: &str, off: f64, on: f64| {
+            let row = |name: &str, off: Timing, on: Timing| {
                 vec![
                     name.to_string(),
-                    format!("{:.1}", off / 1e3),
-                    format!("{:.1}", on / 1e3),
+                    format!("{:.1}", off.min_ns / 1e3),
+                    format!("{:.1}", on.min_ns / 1e3),
                     format!("{:.0}", rate(off)),
                     format!("{:.0}", rate(on)),
                     format!("{:.6}", overhead(off, on)),

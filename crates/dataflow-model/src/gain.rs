@@ -13,7 +13,6 @@
 
 use crate::error::ModelError;
 use rand::Rng;
-use rand_distr::{Distribution, Poisson};
 use serde::{Deserialize, Serialize};
 
 /// Distribution of the number of outputs a node emits per consumed input.
@@ -111,7 +110,7 @@ impl GainModel {
         match self {
             GainModel::Deterministic { k } => *k as f64,
             GainModel::Bernoulli { p } => *p,
-            GainModel::CensoredPoisson { mean, cap } => censored_poisson_mean(*mean, *cap),
+            GainModel::CensoredPoisson { mean, cap } => censored_poisson_moments(*mean, *cap).0,
             GainModel::Empirical { pmf } => pmf.iter().map(|(k, p)| *k as f64 * p).sum(),
         }
     }
@@ -121,10 +120,7 @@ impl GainModel {
         match self {
             GainModel::Deterministic { .. } => 0.0,
             GainModel::Bernoulli { p } => p * (1.0 - p),
-            GainModel::CensoredPoisson { mean, cap } => {
-                let (m1, m2) = censored_poisson_moments(*mean, *cap);
-                (m2 - m1 * m1).max(0.0)
-            }
+            GainModel::CensoredPoisson { mean, cap } => censored_poisson_moments(*mean, *cap).1,
             GainModel::Empirical { pmf } => {
                 let m1: f64 = pmf.iter().map(|(k, p)| *k as f64 * p).sum();
                 let m2: f64 = pmf.iter().map(|(k, p)| (*k as f64).powi(2) * p).sum();
@@ -143,128 +139,295 @@ impl GainModel {
         }
     }
 
+    /// Build the sampler that draws from this law. Call it once per
+    /// run (after any gain drift), not per firing: the censored-Poisson
+    /// table costs O(√mean) to build.
+    ///
+    /// Returns [`ModelError::InvalidGain`] (node `usize::MAX`) when the
+    /// parameters fail [`GainModel::validate`].
+    pub fn sampler(&self) -> Result<GainSampler, ModelError> {
+        self.validate(usize::MAX)?;
+        let law = match self {
+            GainModel::Deterministic { k } => Law::Deterministic(*k),
+            GainModel::Bernoulli { p } => Law::Bernoulli(unit_threshold(*p)),
+            GainModel::CensoredPoisson { mean, cap } => {
+                let (first, pmf) = censored_poisson_pmf(*mean, u64::from(*cap));
+                inverse_cdf_table(first as u32, &pmf)
+            }
+            GainModel::Empirical { pmf } => Law::Empirical(pmf.clone()),
+        };
+        Ok(GainSampler { law })
+    }
+}
+
+/// `2^53`, the number of values a 53-bit uniform draw takes.
+const DRAW_SPAN: f64 = (1u64 << 53) as f64;
+
+/// The 53-bit uniform of one raw draw: `r >> 11`, the integer behind
+/// `rng.gen::<f64>() == (r >> 11) · 2^-53`.
+#[inline(always)]
+pub fn draw53<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// `⌈p·2^53⌉`: a 53-bit draw `m` is below it exactly when the float
+/// draw `m·2^-53` is below `p`. Scaling by a power of two is exact for
+/// every `p ∈ [0, 1]`, subnormals included, so `draw53(rng) <
+/// unit_threshold(p)` and `rng.gen::<f64>() < p` agree on every draw.
+/// This is the Bernoulli law's test and the simulators' routing-weight
+/// thinning test.
+#[inline]
+pub fn unit_threshold(p: f64) -> u64 {
+    (p.clamp(0.0, 1.0) * DRAW_SPAN).ceil() as u64
+}
+
+/// Tables up to this length are counted branch-free; longer ones are
+/// binary-searched.
+const SHORT_TABLE: usize = 32;
+
+/// A [`GainModel`] ready to draw from, built by [`GainModel::sampler`].
+///
+/// Every law draws at most one 64-bit value per output count, so a
+/// batch of `n` draws consumes exactly `n` draws of the stream (none for
+/// the deterministic law), whichever of [`GainSampler::sample`],
+/// [`GainSampler::sample_batch`] or [`GainSampler::sample_sum`] makes it.
+///
+/// * Deterministic: no draw.
+/// * Bernoulli: one when `draw53 < ⌈p·2^53⌉` — the same outcome as
+///   `gen::<f64>() < p`.
+/// * Censored Poisson: inverse CDF. With `u = m·2^-53` the uniform of
+///   the 53-bit draw `m`, the count is the number of `k` with
+///   `P(X ≤ k) ≤ u`, i.e. with `⌈P(X ≤ k)·2^53⌉ ≤ m`. The table keeps
+///   only the `k` whose CDF lies strictly between 0 and 1 in `f64`
+///   (`O(√mean)` entries, never `O(cap)`) as those integers.
+/// * Empirical: one uniform, scanned down the PMF (`u -= p`).
+#[derive(Debug, Clone)]
+pub struct GainSampler {
+    law: Law,
+}
+
+#[derive(Debug, Clone)]
+enum Law {
+    Deterministic(u32),
+    /// `⌈p·2^53⌉`.
+    Bernoulli(u64),
+    /// `base` counts the `k` whose CDF is 0 in `f64`; `cdf` holds the
+    /// rest of the window, nondecreasing, as `⌈P(X ≤ k)·2^53⌉`.
+    Table {
+        base: u32,
+        cdf: Vec<u64>,
+    },
+    Empirical(Vec<(u32, f64)>),
+}
+
+impl GainSampler {
     /// Draw an output count for one input.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        match self {
-            GainModel::Deterministic { k } => *k,
-            GainModel::Bernoulli { p } => {
-                if rng.gen::<f64>() < *p {
-                    1
-                } else {
-                    0
-                }
-            }
-            GainModel::CensoredPoisson { mean, cap } => {
-                let pois = Poisson::new(*mean).expect("validated mean > 0");
-                let draw = pois.sample(rng);
-                // rand_distr returns f64; counts are exact small integers.
-                (draw as u32).min(*cap)
-            }
-            GainModel::Empirical { pmf } => {
-                let mut u = rng.gen::<f64>();
-                for (k, p) in pmf {
-                    if u < *p {
-                        return *k;
-                    }
-                    u -= p;
-                }
-                // Floating-point slop: return the last support point.
-                pmf.last().map(|(k, _)| *k).unwrap_or(0)
-            }
+        match &self.law {
+            Law::Deterministic(k) => *k,
+            Law::Bernoulli(threshold) => u32::from(draw53(rng) < *threshold),
+            Law::Table { base, cdf } => base + table_count(cdf, draw53(rng)),
+            Law::Empirical(pmf) => empirical(pmf, rng.gen::<f64>()),
         }
     }
 
-    /// Draw output counts for a whole firing at once, filling `out`.
-    ///
-    /// Draw-for-draw identical to calling [`GainModel::sample`] once per
-    /// element, but the enum dispatch (and, for the Poisson model, the
-    /// distribution construction) is hoisted out of the per-item loop —
-    /// this is the batch service path of the SoA simulators.
+    /// Draw output counts for a whole firing at once, filling `out`:
+    /// draw for draw [`GainSampler::sample`] once per element, with the
+    /// law dispatch hoisted out of the loop.
     pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u32]) {
-        match self {
-            GainModel::Deterministic { k } => out.fill(*k),
-            GainModel::Bernoulli { p } => {
-                let p = *p;
+        match &self.law {
+            Law::Deterministic(k) => out.fill(*k),
+            Law::Bernoulli(threshold) => {
                 for o in out.iter_mut() {
-                    *o = u32::from(rng.gen::<f64>() < p);
+                    *o = u32::from(draw53(rng) < *threshold);
                 }
             }
-            GainModel::CensoredPoisson { mean, cap } => {
-                let pois = Poisson::new(*mean).expect("validated mean > 0");
-                let cap = *cap;
+            Law::Table { base, cdf } => {
                 for o in out.iter_mut() {
-                    *o = (pois.sample(rng) as u32).min(cap);
+                    *o = base + table_count(cdf, draw53(rng));
                 }
             }
-            GainModel::Empirical { pmf } => {
-                let last = pmf.last().map(|(k, _)| *k).unwrap_or(0);
+            Law::Empirical(pmf) => {
                 for o in out.iter_mut() {
-                    let mut u = rng.gen::<f64>();
-                    let mut drawn = last;
-                    for (k, p) in pmf {
-                        if u < *p {
-                            drawn = *k;
-                            break;
-                        }
-                        u -= p;
-                    }
-                    *o = drawn;
+                    *o = empirical(pmf, rng.gen::<f64>());
                 }
             }
         }
     }
 
-    /// Total outputs of `count` consumed inputs, summed as drawn.
-    ///
-    /// Uses exactly the RNG draws of `count` calls to
-    /// [`GainModel::sample`] (none at all for the deterministic model),
-    /// so block simulations that only need the stage total stay
-    /// bit-compatible with per-item sampling.
+    /// Total outputs of `count` consumed inputs: the draws of `count`
+    /// calls to [`GainSampler::sample`], summed (none at all for the
+    /// deterministic law), so block simulations that only need the stage
+    /// total stay draw-compatible with per-item sampling.
     pub fn sample_sum<R: Rng + ?Sized>(&self, rng: &mut R, count: u64) -> u64 {
-        match self {
-            GainModel::Deterministic { k } => count * u64::from(*k),
-            GainModel::Bernoulli { p } => {
-                let p = *p;
-                let mut total = 0u64;
-                for _ in 0..count {
-                    total += u64::from(rng.gen::<f64>() < p);
-                }
-                total
-            }
-            GainModel::CensoredPoisson { mean, cap } => {
-                let pois = Poisson::new(*mean).expect("validated mean > 0");
-                let cap = *cap;
-                let mut total = 0u64;
-                for _ in 0..count {
-                    total += u64::from((pois.sample(rng) as u32).min(cap));
-                }
-                total
-            }
-            GainModel::Empirical { .. } => {
-                let mut total = 0u64;
-                for _ in 0..count {
-                    total += u64::from(self.sample(rng));
-                }
-                total
-            }
+        match &self.law {
+            Law::Deterministic(k) => count * u64::from(*k),
+            Law::Bernoulli(threshold) => (0..count)
+                .map(|_| u64::from(draw53(rng) < *threshold))
+                .sum(),
+            Law::Table { base, cdf } => (0..count)
+                .map(|_| u64::from(base + table_count(cdf, draw53(rng))))
+                .sum(),
+            Law::Empirical(pmf) => (0..count)
+                .map(|_| u64::from(empirical(pmf, rng.gen::<f64>())))
+                .sum(),
         }
     }
 }
 
-/// Mean of `min(Poisson(λ), cap)`.
-fn censored_poisson_mean(lambda: f64, cap: u32) -> f64 {
-    censored_poisson_moments(lambda, cap).0
+/// Number of table entries at or below the 53-bit draw `m`.
+#[inline(always)]
+fn table_count(cdf: &[u64], m: u64) -> u32 {
+    if cdf.len() <= SHORT_TABLE {
+        // `c ≤ m` exactly when `c − (m + 1)` borrows, and both lie below
+        // 2^54, so the borrow is the top bit: a subtract and a shift per
+        // entry, which SSE2 does two at a time.
+        let m1 = m + 1;
+        cdf.iter().map(|&c| c.wrapping_sub(m1) >> 63).sum::<u64>() as u32
+    } else {
+        cdf.partition_point(|&c| c <= m) as u32
+    }
 }
 
-/// First and second moments of `min(Poisson(λ), cap)`, computed by direct
-/// summation of the PMF (cap is small — 16 in the paper).
+/// The empirical law's scan: the first support point whose mass
+/// exceeds what is left of `u`.
+#[inline]
+fn empirical(pmf: &[(u32, f64)], mut u: f64) -> u32 {
+    for (k, p) in pmf {
+        if u < *p {
+            return *k;
+        }
+        u -= p;
+    }
+    // Floating-point slop: the last support point.
+    pmf.last().map_or(0, |(k, _)| *k)
+}
+
+/// The inverse-CDF table of a PMF window over `first..`: the CDF at
+/// each count, taken from the left while it is below one half and as
+/// one minus the right tail above (so both tails keep their relative
+/// precision), rounded onto the `2^-53` grid — up for `P(X ≤ k)`, which
+/// is `2^53 − ⌊tail·2^53⌋` on the right — and kept where it is strictly
+/// between 0 and 1.
+fn inverse_cdf_table(first: u32, pmf: &[f64]) -> Law {
+    let mut tails = vec![0.0; pmf.len()];
+    let mut tail = 0.0;
+    for (t, &p) in tails.iter_mut().zip(pmf).rev() {
+        *t = tail;
+        tail += p;
+    }
+    let mut base = first;
+    let mut cdf = Vec::new();
+    let mut below = 0.0;
+    let mut last = 0.0;
+    for (&p, &tail) in pmf.iter().zip(&tails) {
+        below += p;
+        let grid = if below < 0.5 {
+            (below * DRAW_SPAN).ceil()
+        } else {
+            DRAW_SPAN - (tail * DRAW_SPAN).floor()
+        };
+        // Rounding may leave a one-ulp dip where the two halves meet.
+        last = grid.max(last);
+        if last == 0.0 {
+            base += 1;
+        } else if last < DRAW_SPAN {
+            cdf.push(last as u64);
+        }
+    }
+    Law::Table { base, cdf }
+}
+
+/// PMF of `min(X, cap)` for `X ~ Poisson(λ)`, on the window of counts
+/// where it is nonzero in `f64`: returns the first count of the window
+/// and its probabilities, which sum to 1, with the mass at and above
+/// `cap` folded into the entry for `cap`.
+///
+/// Computed without `exp(−λ)` or `lgamma`: the ratio recurrence
+/// `p(k±1)/p(k)` runs outward from the mode (weight 1) until the terms
+/// underflow, and the window is normalized by its sum. So it stays
+/// accurate at means where `exp(−λ)` underflows (above ~745), and the window is
+/// `O(√λ)` long. When `cap` lies below the window — the Chernoff bound
+/// `P(X ≤ λ − t) ≤ exp(−t²/2λ)` puts everything below `λ − 40√λ` under
+/// `f64`'s smallest subnormal — the law is the constant `cap`.
+///
+/// `λ` must be finite and positive.
+pub fn censored_poisson_pmf(lambda: f64, cap: u64) -> (u64, Vec<f64>) {
+    debug_assert!(lambda.is_finite() && lambda > 0.0, "bad lambda {lambda}");
+    if (cap as f64) < lambda - 40.0 * lambda.sqrt() - 1.0 {
+        return (cap, vec![1.0]);
+    }
+    let mode = lambda.floor() as u64;
+    // Left of the mode, nearest first: p(k−1) = p(k)·k/λ.
+    let mut left = Vec::new();
+    let mut term = 1.0;
+    for k in (1..=mode).rev() {
+        term *= k as f64 / lambda;
+        if term == 0.0 {
+            break;
+        }
+        left.push(term);
+    }
+    let first = mode - left.len() as u64;
+    let mut window: Vec<f64> = left.into_iter().rev().collect();
+    window.push(1.0);
+    // Right of the mode: p(k+1) = p(k)·λ/(k+1).
+    term = 1.0;
+    let mut k = mode;
+    loop {
+        k += 1;
+        term *= lambda / k as f64;
+        if term == 0.0 {
+            break;
+        }
+        window.push(term);
+    }
+    let total: f64 = window.iter().sum();
+    if cap < first {
+        return (cap, vec![1.0]);
+    }
+    let keep = (cap - first) as usize;
+    if keep < window.len() {
+        let folded: f64 = window[keep..].iter().rev().sum();
+        window.truncate(keep + 1);
+        window[keep] = folded;
+    }
+    window.iter_mut().for_each(|p| *p /= total);
+    (first, window)
+}
+
+/// Mean and variance of `min(Poisson(λ), cap)`.
+///
+/// While `exp(−λ)` is a normal float this sums the PMF forward from
+/// `P(X = 0) = exp(−λ)` (the formula every committed model number was
+/// computed with, kept bit for bit); beyond that `exp(−λ)` loses its
+/// precision and then underflows, so the moments come from
+/// [`censored_poisson_pmf`].
 fn censored_poisson_moments(lambda: f64, cap: u32) -> (f64, f64) {
+    let p0 = (-lambda).exp();
+    if p0 < f64::MIN_POSITIVE {
+        let (first, pmf) = censored_poisson_pmf(lambda, u64::from(cap));
+        let count = |i: usize| (first + i as u64) as f64;
+        let mean: f64 = pmf.iter().enumerate().map(|(i, p)| count(i) * p).sum();
+        let var = pmf
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (count(i) - mean).powi(2) * p)
+            .sum();
+        return (mean, var);
+    }
     // P(X = k) for k < cap, and P(X >= cap) lumped at cap.
-    let mut pk = (-lambda).exp(); // P(X=0)
+    let mut pk = p0;
     let mut below_mass = 0.0;
     let mut m1 = 0.0;
     let mut m2 = 0.0;
     for k in 0..cap {
+        if pk == 0.0 && f64::from(k) > lambda {
+            // The terms underflowed past the mode: every later one adds
+            // +0 and leaves the sums bit-unchanged.
+            break;
+        }
         m1 += k as f64 * pk;
         m2 += (k as f64).powi(2) * pk;
         below_mass += pk;
@@ -273,7 +436,7 @@ fn censored_poisson_moments(lambda: f64, cap: u32) -> (f64, f64) {
     let tail = (1.0 - below_mass).max(0.0);
     m1 += cap as f64 * tail;
     m2 += (cap as f64).powi(2) * tail;
-    (m1, m2)
+    (m1, (m2 - m1 * m1).max(0.0))
 }
 
 #[cfg(test)]
@@ -292,7 +455,7 @@ mod tests {
         assert_eq!(g.mean(), 3.0);
         assert_eq!(g.variance(), 0.0);
         assert_eq!(g.max_outputs(), Some(3));
-        assert_eq!(g.sample(&mut rng()), 3);
+        assert_eq!(g.sampler().unwrap().sample(&mut rng()), 3);
         assert!(g.validate(0).is_ok());
     }
 
@@ -306,7 +469,7 @@ mod tests {
 
     #[test]
     fn bernoulli_sampling_frequency() {
-        let g = GainModel::Bernoulli { p: 0.379 };
+        let g = GainModel::Bernoulli { p: 0.379 }.sampler().unwrap();
         let mut r = rng();
         let n = 200_000;
         let ones = (0..n).filter(|_| g.sample(&mut r) == 1).count();
@@ -351,7 +514,9 @@ mod tests {
         let g = GainModel::CensoredPoisson {
             mean: 1.920,
             cap: 16,
-        };
+        }
+        .sampler()
+        .unwrap();
         let mut r = rng();
         let n = 200_000;
         let mut sum = 0u64;
@@ -387,9 +552,10 @@ mod tests {
         assert_eq!(g.max_outputs(), Some(4));
         // variance = E[X²] − mean² = (0 + 1 + 4) − 2.25 = 2.75
         assert!((g.variance() - 2.75).abs() < 1e-12);
+        let s = g.sampler().unwrap();
         let mut r = rng();
         for _ in 0..1000 {
-            let k = g.sample(&mut r);
+            let k = s.sample(&mut r);
             assert!(k == 0 || k == 2 || k == 4);
         }
     }
@@ -418,7 +584,9 @@ mod tests {
     fn empirical_sampling_frequencies() {
         let g = GainModel::Empirical {
             pmf: vec![(0, 0.2), (1, 0.3), (5, 0.5)],
-        };
+        }
+        .sampler()
+        .unwrap();
         let mut r = rng();
         let n = 100_000;
         let mut c0 = 0;
@@ -468,6 +636,10 @@ mod tests {
                 cap: 16,
             },
             GainModel::CensoredPoisson { mean: 2.0, cap: 1 },
+            GainModel::CensoredPoisson {
+                mean: 1e3,
+                cap: 2000,
+            },
             GainModel::Empirical {
                 pmf: vec![(0, 0.5), (2, 0.25), (4, 0.25)],
             },
@@ -477,6 +649,7 @@ mod tests {
     #[test]
     fn sample_batch_is_draw_identical_to_scalar() {
         for g in all_models() {
+            let g = g.sampler().unwrap();
             let mut scalar_rng = rng();
             let mut batch_rng = rng();
             let scalar: Vec<u32> = (0..500).map(|_| g.sample(&mut scalar_rng)).collect();
@@ -495,6 +668,7 @@ mod tests {
     #[test]
     fn sample_sum_is_draw_identical_to_scalar() {
         for g in all_models() {
+            let g = g.sampler().unwrap();
             let mut scalar_rng = rng();
             let mut sum_rng = rng();
             let scalar: u64 = (0..500).map(|_| u64::from(g.sample(&mut scalar_rng))).sum();
@@ -504,6 +678,174 @@ mod tests {
                 scalar_rng.gen::<u64>(),
                 sum_rng.gen::<u64>(),
                 "{g:?} consumed a different number of draws"
+            );
+        }
+    }
+
+    /// The forward-from-`exp(−λ)` moments, as they were before the
+    /// underflow fix: the oracle for the normal-float regime.
+    fn forward_moments(lambda: f64, cap: u32) -> (f64, f64) {
+        let mut pk = (-lambda).exp();
+        let mut below_mass = 0.0;
+        let mut m1 = 0.0;
+        let mut m2 = 0.0;
+        for k in 0..cap {
+            m1 += k as f64 * pk;
+            m2 += (k as f64).powi(2) * pk;
+            below_mass += pk;
+            pk *= lambda / (k + 1) as f64;
+        }
+        let tail = (1.0 - below_mass).max(0.0);
+        m1 += cap as f64 * tail;
+        m2 += (cap as f64).powi(2) * tail;
+        (m1, (m2 - m1 * m1).max(0.0))
+    }
+
+    #[test]
+    fn censored_poisson_moments_are_bit_identical_while_exp_is_normal() {
+        for mean in [1e-3, 0.5, 1.92, 2.0, 10.0, 100.0, 500.0, 700.0, 708.0] {
+            for cap in [1, 2, 16, 64, 2000] {
+                let g = GainModel::CensoredPoisson { mean, cap };
+                let (m, v) = forward_moments(mean, cap);
+                assert_eq!(g.mean().to_bits(), m.to_bits(), "mean {mean} cap {cap}");
+                assert_eq!(g.variance().to_bits(), v.to_bits(), "mean {mean} cap {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn censored_poisson_moments_survive_exp_underflow() {
+        // exp(−800) underflows: the forward sum put all the mass at the
+        // cap (mean 2000, variance 0).
+        for (mean, cap) in [(800.0, 2000), (1e3, 2000), (1e5, 200_000)] {
+            let g = GainModel::CensoredPoisson { mean, cap };
+            assert!((g.mean() / mean - 1.0).abs() < 1e-9, "{mean}: {}", g.mean());
+            assert!(
+                (g.variance() / mean - 1.0).abs() < 1e-9,
+                "{mean}: {}",
+                g.variance()
+            );
+        }
+        // A cap far below the mean censors every draw.
+        let g = GainModel::CensoredPoisson { mean: 1e3, cap: 16 };
+        assert_eq!((g.mean(), g.variance()), (16.0, 0.0));
+    }
+
+    #[test]
+    fn censored_poisson_pmf_matches_the_forward_recurrence() {
+        for mean in [0.1, 1.92, 30.0, 300.0] {
+            let (first, pmf) = censored_poisson_pmf(mean, 2000);
+            assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-13);
+            let mut p = (-mean).exp();
+            for k in 0..first + pmf.len() as u64 {
+                if k >= first {
+                    let got = pmf[(k - first) as usize];
+                    assert!((got - p).abs() <= 1e-12 * p + 1e-300, "{mean} k={k}");
+                }
+                p *= mean / (k + 1) as f64;
+            }
+        }
+        // Folded at the cap: P(min(X, 1) = 1) = 1 − e^{−2}.
+        let (first, pmf) = censored_poisson_pmf(2.0, 1);
+        assert_eq!((first, pmf.len()), (0, 2));
+        assert!((pmf[1] - (1.0 - (-2.0f64).exp())).abs() < 1e-15);
+    }
+
+    fn table(g: &GainSampler) -> (u32, &[u64]) {
+        match &g.law {
+            Law::Table { base, cdf } => (*base, cdf),
+            other => panic!("not a table: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn poisson_table_spans_the_cdf_window_not_the_cap() {
+        let blast = GainModel::CensoredPoisson {
+            mean: 1.92,
+            cap: 16,
+        };
+        let blast = blast.sampler().unwrap();
+        // Every k below the cap has a CDF strictly inside (0, 1).
+        assert_eq!(table(&blast).0, 0);
+        assert_eq!(table(&blast).1.len(), 16);
+        let wide = GainModel::CensoredPoisson {
+            mean: 1e5,
+            cap: u32::MAX,
+        };
+        let wide = wide.sampler().unwrap();
+        let (base, cdf) = table(&wide);
+        assert!(cdf.len() < 100 * 317, "{} entries", cdf.len());
+        assert!(base > 80_000 && base < 100_000);
+        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
+        assert!(cdf.iter().all(|&c| c > 0 && c < 1 << 53));
+        // Far above the cap: the constant cap, no draws wasted on a table.
+        let censored = GainModel::CensoredPoisson { mean: 1e15, cap: 7 };
+        assert_eq!(table(&censored.sampler().unwrap()), (7, &[][..]));
+    }
+
+    #[test]
+    fn long_tables_search_like_short_tables_count() {
+        let g = GainModel::CensoredPoisson {
+            mean: 1e3,
+            cap: 2000,
+        };
+        let g = g.sampler().unwrap();
+        let (_, cdf) = table(&g);
+        assert!(cdf.len() > SHORT_TABLE);
+        let linear = |m: u64| cdf.iter().filter(|&&c| c <= m).count() as u32;
+        let mut r = rng();
+        for _ in 0..10_000 {
+            let m = draw53(&mut r);
+            assert_eq!(table_count(cdf, m), linear(m));
+        }
+        // At and one below every threshold, through both counts.
+        for &c in cdf {
+            for m in [c, c - 1] {
+                assert_eq!(table_count(cdf, m), linear(m));
+                let short = &cdf[..SHORT_TABLE];
+                assert_eq!(table_count(short, m), linear(m).min(SHORT_TABLE as u32));
+            }
+        }
+    }
+
+    #[test]
+    fn bernoulli_threshold_is_the_float_compare() {
+        let grid = 1.0 / DRAW_SPAN;
+        let subnormal = f64::from_bits(3);
+        let mut ps = vec![0.0, 1.0, 0.5, grid, subnormal, 0.379];
+        for k in [1.0, 2.0, 3.0, 1e6, DRAW_SPAN / 3.0, DRAW_SPAN - 1.0] {
+            let p = k.floor() * grid;
+            ps.extend([p, p.next_up(), p.next_down()]);
+        }
+        for p in ps {
+            let t = unit_threshold(p);
+            let probe = [0, 1, 2, t.saturating_sub(1), t, t + 1, (1u64 << 53) - 1];
+            for m in probe.into_iter().filter(|&m| m < 1 << 53) {
+                assert_eq!(m < t, (m as f64) * grid < p, "p {p:e} m {m}");
+            }
+            // Same draws, same outcomes as the float compare.
+            let g = GainModel::Bernoulli { p }.sampler().unwrap();
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..1000 {
+                assert_eq!(g.sample(&mut a), u32::from(b.gen::<f64>() < p));
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_rejects_invalid_laws() {
+        for g in [
+            GainModel::Bernoulli { p: 1.5 },
+            GainModel::CensoredPoisson {
+                mean: f64::NAN,
+                cap: 4,
+            },
+            GainModel::CensoredPoisson { mean: 2.0, cap: 0 },
+            GainModel::Empirical { pmf: vec![] },
+        ] {
+            assert!(
+                matches!(g.sampler(), Err(ModelError::InvalidGain { .. })),
+                "{g:?}"
             );
         }
     }

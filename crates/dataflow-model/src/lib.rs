@@ -36,7 +36,7 @@ pub mod topology;
 
 pub use arrival::ArrivalProcess;
 pub use error::ModelError;
-pub use gain::GainModel;
+pub use gain::{GainModel, GainSampler};
 pub use node::NodeSpec;
 pub use params::RtParams;
 pub use perturb::Perturbation;

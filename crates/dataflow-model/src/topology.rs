@@ -15,8 +15,9 @@
 //! source node (in-degree 0) that external arrivals feed.
 
 use crate::error::ModelError;
-use crate::gain::GainModel;
+use crate::gain::{GainModel, GainSampler};
 use crate::node::NodeSpec;
+use crate::perturb::Perturbation;
 use crate::pipeline::PipelineSpec;
 
 /// One directed edge of a [`Topology`].
@@ -73,6 +74,15 @@ pub struct Topology {
     out_edges: Vec<Vec<usize>>,
 }
 
+/// A standalone gain law's error, attributed to edge `edge`.
+fn edge_gain_error(edge: usize, err: ModelError) -> ModelError {
+    let reason = match err {
+        ModelError::InvalidGain { reason, .. } => reason,
+        other => other.to_string(),
+    };
+    ModelError::InvalidEdgeGain { edge, reason }
+}
+
 impl Topology {
     /// Build and validate a topology.
     pub fn new(
@@ -115,11 +125,7 @@ impl Topology {
                 });
             }
             if let Err(err) = edge.gain.validate(usize::MAX) {
-                let reason = match err {
-                    ModelError::InvalidGain { reason, .. } => reason,
-                    other => other.to_string(),
-                };
-                return Err(ModelError::InvalidEdgeGain { edge: e, reason });
+                return Err(edge_gain_error(e, err));
             }
             if edges[..e]
                 .iter()
@@ -252,6 +258,24 @@ impl Topology {
     /// Edge `e`'s spec.
     pub fn edge(&self, e: usize) -> &EdgeSpec {
         &self.edges[e]
+    }
+
+    /// One gain sampler per edge, in edge order: what a run builds once
+    /// at its start. Under `drift` each edge draws from its drifted law
+    /// ([`Perturbation::drift_gain`], the edge's own law at intensity 0).
+    /// A law with no sampler is [`ModelError::InvalidEdgeGain`].
+    pub fn samplers(&self, drift: Option<&Perturbation>) -> Result<Vec<GainSampler>, ModelError> {
+        self.edges
+            .iter()
+            .enumerate()
+            .map(|(edge, spec)| {
+                let law = match drift {
+                    Some(perturb) => perturb.drift_gain(&spec.gain),
+                    None => spec.gain.clone(),
+                };
+                law.sampler().map_err(|err| edge_gain_error(edge, err))
+            })
+            .collect()
     }
 
     /// A topological order of the node indices (deterministic:

@@ -15,6 +15,36 @@ fn gain_model() -> impl Strategy<Value = GainModel> {
     ]
 }
 
+/// Strategy: a finite or non-finite `f64`, from the edges the model must
+/// reject or survive.
+fn any_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::MIN_POSITIVE),
+        Just(f64::MAX),
+        -1e6..1e6f64,
+        -2.0..2.0f64,
+    ]
+}
+
+/// Strategy: any gain model, valid or not.
+fn any_gain_model() -> impl Strategy<Value = GainModel> {
+    prop_oneof![
+        any_float().prop_map(|p| GainModel::Bernoulli { p }),
+        (
+            any_float(),
+            prop_oneof![Just(0u32), Just(1), 0u32..64, Just(u32::MAX)]
+        )
+            .prop_map(|(mean, cap)| GainModel::CensoredPoisson { mean, cap }),
+        prop::collection::vec((0u32..8, any_float()), 0..5)
+            .prop_map(|pmf| GainModel::Empirical { pmf }),
+    ]
+}
+
 /// Strategy: a valid pipeline of 1..=6 stages.
 fn pipeline() -> impl Strategy<Value = PipelineSpec> {
     (
@@ -97,8 +127,9 @@ proptest! {
     fn gain_sampling_respects_max_outputs(g in gain_model(), seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let max = g.max_outputs().unwrap();
+        let sampler = g.sampler().unwrap();
         for _ in 0..200 {
-            prop_assert!(g.sample(&mut rng) <= max);
+            prop_assert!(sampler.sample(&mut rng) <= max);
         }
     }
 
@@ -106,7 +137,7 @@ proptest! {
     fn gain_sample_mean_tracks_model_mean(g in gain_model(), seed in 0u64..50) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 30_000;
-        let sum: u64 = (0..n).map(|_| g.sample(&mut rng) as u64).sum();
+        let sum = g.sampler().unwrap().sample_sum(&mut rng, n);
         let sample_mean = sum as f64 / n as f64;
         let model_mean = g.mean();
         // 6-sigma-ish tolerance using the model's own variance.
@@ -115,6 +146,53 @@ proptest! {
             (sample_mean - model_mean).abs() <= tol,
             "sample {sample_mean} vs model {model_mean} (tol {tol})"
         );
+    }
+
+    /// With the cap 50 standard deviations above the mean, the censored
+    /// moments are the Poisson law's own, on both sides of the mean
+    /// where `exp(−λ)` underflows.
+    #[test]
+    fn uncensored_poisson_moments_equal_the_mean(log_mean in -3.0..5.5f64) {
+        let mean = 10f64.powf(log_mean);
+        let cap = (mean + 50.0 * mean.sqrt() + 50.0) as u32;
+        let g = GainModel::CensoredPoisson { mean, cap };
+        prop_assert!((g.mean() / mean - 1.0).abs() < 1e-9, "{mean}: mean {}", g.mean());
+        prop_assert!(
+            (g.variance() / mean - 1.0).abs() < 1e-9,
+            "{mean}: variance {}",
+            g.variance()
+        );
+    }
+
+    /// `sampler()` is the typed gate: a law `validate` rejects is an
+    /// `Err`, never a panic, and one it accepts builds and draws within
+    /// its support.
+    #[test]
+    fn sampler_is_err_exactly_for_invalid_laws(g in any_gain_model(), seed in 0u64..1000) {
+        match g.sampler() {
+            Err(_) => prop_assert!(g.validate(usize::MAX).is_err()),
+            Ok(s) => {
+                prop_assert!(g.validate(usize::MAX).is_ok());
+                let max = g.max_outputs().unwrap();
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..20 {
+                    prop_assert!(s.sample(&mut rng) <= max);
+                }
+            }
+        }
+        let invalid = match &g {
+            GainModel::Bernoulli { p } => !(0.0..=1.0).contains(p),
+            GainModel::CensoredPoisson { mean, cap } => {
+                !mean.is_finite() || *mean <= 0.0 || *cap == 0
+            }
+            GainModel::Empirical { pmf } => {
+                pmf.is_empty()
+                    || pmf.iter().any(|(_, p)| !p.is_finite() || *p < 0.0)
+                    || (pmf.iter().map(|(_, p)| p).sum::<f64>() - 1.0).abs() > 1e-9
+            }
+            GainModel::Deterministic { .. } => false,
+        };
+        prop_assert_eq!(g.sampler().is_err(), invalid);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`rng::RngStream`] — splittable deterministic random-number streams.
 //!   Each simulation entity derives its own stream from a master seed, so
 //!   adding a new entity never perturbs the random draws of existing ones.
-//! * [`stats`] — online statistics (mean/variance via Welford, min/max,
+//! * [`stats`] — online statistics (mean/variance via Welford, or folded
+//!   per 256-sample chunk by [`stats::MomentAccumulator`]; min/max,
 //!   fixed-bin histograms, time-weighted averages) used to accumulate
 //!   measurements without storing full traces.
 //! * [`trace`] — an optional bounded ring-buffer trace for debugging.
@@ -57,6 +58,6 @@ pub mod prelude {
     pub use crate::clock::SimTime;
     pub use crate::obs::{ObsConfig, ObsReport, ObsSink};
     pub use crate::rng::RngStream;
-    pub use crate::stats::{Histogram, OnlineStats, TimeWeighted};
+    pub use crate::stats::{Histogram, MomentAccumulator, OnlineStats, TimeWeighted};
     pub use crate::trace::{TraceBuffer, TraceRecord};
 }

@@ -122,6 +122,7 @@ impl RngCore for RngStream {
     fn next_u32(&mut self) -> u32 {
         (self.next_u64_raw() >> 32) as u32
     }
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.next_u64_raw()
     }

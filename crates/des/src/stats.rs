@@ -58,8 +58,10 @@ impl OnlineStats {
     ///
     /// Exactly equivalent to calling [`OnlineStats::push`] once per
     /// element (the Welford recurrence is inherently sequential, so the
-    /// result is bit-identical); batching just amortizes call overhead
-    /// on the simulators' accounting paths.
+    /// result is bit-identical); the observability layer's sojourn
+    /// path relies on that. Long streams whose moments need only agree
+    /// with Welford's to rounding fold faster through a
+    /// [`MomentAccumulator`].
     pub fn push_slice(&mut self, xs: &[f64]) {
         for &x in xs {
             self.push(x);
@@ -123,6 +125,137 @@ impl OnlineStats {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
+}
+
+/// Samples per chunk of a [`MomentAccumulator`].
+pub const MOMENT_CHUNK: usize = 256;
+
+/// Lanes of the chunk passes: independent partial sums the compiler can
+/// keep in vector registers.
+const LANES: usize = 8;
+
+/// Moments of a long sample stream, folded per fixed-size chunk.
+///
+/// Samples are buffered and folded every [`MOMENT_CHUNK`] samples, by
+/// sample index, into an [`OnlineStats`]: one pass for the chunk's sum,
+/// min and max, a second for its squared deviations about the chunk
+/// mean, then one Chan merge. Welford's per-sample update divides once
+/// per sample in a serial chain; this divides once per chunk, and both
+/// passes run in eight independent lanes.
+///
+/// The contract: the same sample sequence gives the same bits, however
+/// the caller slices it — one [`push`](Self::push) at a time, or
+/// [`extend_from_slice`](Self::extend_from_slice) in blocks of any size
+/// — because chunk boundaries depend only on the sample index. The
+/// result agrees with Welford's to rounding (about `1e-15` relative),
+/// not bit for bit.
+#[derive(Debug, Clone)]
+pub struct MomentAccumulator {
+    stats: OnlineStats,
+    buf: Vec<f64>,
+}
+
+impl Default for MomentAccumulator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl MomentAccumulator {
+    /// New empty accumulator.
+    pub fn new() -> Self {
+        MomentAccumulator {
+            stats: OnlineStats::new(),
+            buf: Vec::with_capacity(MOMENT_CHUNK),
+        }
+    }
+
+    /// Add a sample.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.buf.push(x);
+        if self.buf.len() == MOMENT_CHUNK {
+            fold_chunk(&mut self.stats, &self.buf);
+            self.buf.clear();
+        }
+    }
+
+    /// Add a slice of samples, in order. Whole chunks are folded
+    /// straight from `xs`; only the ends are buffered.
+    pub fn extend_from_slice(&mut self, mut xs: &[f64]) {
+        if !self.buf.is_empty() {
+            let take = (MOMENT_CHUNK - self.buf.len()).min(xs.len());
+            self.buf.extend_from_slice(&xs[..take]);
+            xs = &xs[take..];
+            if self.buf.len() < MOMENT_CHUNK {
+                return;
+            }
+            fold_chunk(&mut self.stats, &self.buf);
+            self.buf.clear();
+        }
+        let chunks = xs.chunks_exact(MOMENT_CHUNK);
+        let rest = chunks.remainder();
+        for chunk in chunks {
+            fold_chunk(&mut self.stats, chunk);
+        }
+        self.buf.extend_from_slice(rest);
+    }
+
+    /// Fold the partial last chunk and return the moments.
+    pub fn finish(mut self) -> OnlineStats {
+        if !self.buf.is_empty() {
+            fold_chunk(&mut self.stats, &self.buf);
+        }
+        self.stats
+    }
+}
+
+/// Merge the moments of one nonempty chunk into `stats`.
+fn fold_chunk(stats: &mut OnlineStats, xs: &[f64]) {
+    let mut sum = [0.0; LANES];
+    let mut min = [f64::INFINITY; LANES];
+    let mut max = [f64::NEG_INFINITY; LANES];
+    let lanes = xs.chunks_exact(LANES);
+    let rest = lanes.remainder();
+    for lane in lanes {
+        for j in 0..LANES {
+            sum[j] += lane[j];
+            min[j] = min[j].min(lane[j]);
+            max[j] = max[j].max(lane[j]);
+        }
+    }
+    for (j, &x) in rest.iter().enumerate() {
+        sum[j] += x;
+        min[j] = min[j].min(x);
+        max[j] = max[j].max(x);
+    }
+    let mean = pairwise(sum) / xs.len() as f64;
+    let mut m2 = [0.0; LANES];
+    let lanes = xs.chunks_exact(LANES);
+    for lane in lanes {
+        for j in 0..LANES {
+            let d = lane[j] - mean;
+            m2[j] += d * d;
+        }
+    }
+    for (j, &x) in rest.iter().enumerate() {
+        let d = x - mean;
+        m2[j] += d * d;
+    }
+    stats.merge(&OnlineStats {
+        n: xs.len() as u64,
+        mean,
+        m2: pairwise(m2),
+        min: min.iter().fold(f64::INFINITY, |a, &b| a.min(b)),
+        max: max.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
+    });
+}
+
+/// Sum of the lanes as a balanced tree.
+#[inline]
+fn pairwise(lanes: [f64; LANES]) -> f64 {
+    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
 }
 
 /// Fixed-width-bin histogram over `[lo, hi)` with overflow/underflow bins.
@@ -401,6 +534,93 @@ mod tests {
         assert!((a.variance() - all.variance()).abs() < 1e-10);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
+    }
+
+    /// A deterministic, badly conditioned stream: a large offset plus
+    /// structured noise.
+    fn stream(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| 5.0e4 + 1.0e3 * (i as f64 * 0.37).sin() + (i % 7) as f64)
+            .collect()
+    }
+
+    fn welford(xs: &[f64]) -> OnlineStats {
+        let mut s = OnlineStats::new();
+        s.push_slice(xs);
+        s
+    }
+
+    fn chunked(xs: &[f64]) -> OnlineStats {
+        let mut acc = MomentAccumulator::new();
+        for &x in xs {
+            acc.push(x);
+        }
+        acc.finish()
+    }
+
+    fn assert_close(a: &OnlineStats, b: &OnlineStats, rel: f64) {
+        assert_eq!(a.count(), b.count());
+        assert_eq!(a.min(), b.min());
+        assert_eq!(a.max(), b.max());
+        let close = |x: f64, y: f64| (x - y).abs() <= rel * y.abs().max(f64::MIN_POSITIVE);
+        assert!(
+            close(a.mean(), b.mean()),
+            "mean {} vs {}",
+            a.mean(),
+            b.mean()
+        );
+        assert!(
+            close(a.variance(), b.variance()) || a.count() < 2,
+            "variance {} vs {}",
+            a.variance(),
+            b.variance()
+        );
+    }
+
+    #[test]
+    fn chunked_moments_match_welford() {
+        for n in [1, 255, 256, 257, 100_000] {
+            let xs = stream(n);
+            assert_close(&chunked(&xs), &welford(&xs), 1e-12);
+        }
+        assert_eq!(MomentAccumulator::new().finish().count(), 0);
+    }
+
+    #[test]
+    fn chunked_moments_do_not_depend_on_slicing() {
+        let xs = stream(10_000);
+        let bits = |s: &OnlineStats| serde_json::to_string(s).unwrap();
+        let want = bits(&chunked(&xs));
+        for sizes in [
+            &[1usize][..],
+            &[255],
+            &[256],
+            &[257],
+            &[3, 700, 1, 256, 4096],
+        ] {
+            let mut acc = MomentAccumulator::new();
+            let mut rest = &xs[..];
+            for &size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(size.min(rest.len()));
+                acc.extend_from_slice(head);
+                rest = tail;
+            }
+            assert_eq!(bits(&acc.finish()), want, "slices {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn merged_accumulators_match_one_pass() {
+        let xs = stream(20_000);
+        let whole = welford(&xs);
+        for split in [1, 256, 777, 19_999] {
+            let mut a = chunked(&xs[..split]);
+            a.merge(&chunked(&xs[split..]));
+            assert_close(&a, &whole, 1e-12);
+        }
     }
 
     #[test]

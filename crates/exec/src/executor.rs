@@ -32,7 +32,8 @@
 use crate::channel::{bounded, Item, Receiver, Sender};
 use crate::report::{ExecMetrics, ExecStageReport};
 use crate::timer::{calibrate, TimerCalibration, Timers};
-use dataflow_model::{ArrivalProcess, GainModel, Topology};
+use dataflow_model::gain::{draw53, unit_threshold};
+use dataflow_model::{ArrivalProcess, GainSampler, ModelError, Topology};
 use des::obs::Dist;
 use des::rng::RngStream;
 use des::stats::OnlineStats;
@@ -111,6 +112,9 @@ pub enum ExecError {
     Mismatch(String),
     /// The configuration is unusable (empty stream, bad deadline, …).
     Config(String),
+    /// An edge's gain law has no sampler
+    /// ([`ModelError::InvalidEdgeGain`], see [`Topology::samplers`]).
+    InvalidGain(ModelError),
 }
 
 impl fmt::Display for ExecError {
@@ -118,6 +122,7 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::Mismatch(m) => write!(f, "schedule/topology mismatch: {m}"),
             ExecError::Config(m) => write!(f, "invalid exec config: {m}"),
+            ExecError::InvalidGain(e) => write!(f, "invalid gain law: {e}"),
         }
     }
 }
@@ -192,7 +197,7 @@ fn dur_ns(ns: f64) -> Duration {
 /// substream).
 #[allow(clippy::too_many_arguments)]
 fn route_edge(
-    gain: &GainModel,
+    sampler: &GainSampler,
     weight: f64,
     rng: &mut RngStream,
     consumed: &[Item],
@@ -203,15 +208,13 @@ fn route_edge(
     let take = consumed.len();
     gains_buf.clear();
     gains_buf.resize(take, 0);
-    gain.sample_batch(rng, gains_buf);
+    sampler.sample_batch(rng, gains_buf);
     if weight < 1.0 {
+        let threshold = unit_threshold(weight);
         for (i, item) in consumed.iter().enumerate() {
-            let mut kept = 0u32;
-            for _ in 0..gains_buf[i] {
-                if rng.next_f64() < weight {
-                    kept += 1;
-                }
-            }
+            let kept: u32 = (0..gains_buf[i])
+                .map(|_| u32::from(draw53(rng) < threshold))
+                .sum();
             ktot[i] += kept;
             for _ in 0..kept {
                 outs.push(item.origin);
@@ -243,6 +246,9 @@ pub fn run_enforced(
         )));
     }
     validate_config(config)?;
+    // The simulators' samplers, so the emulated service draws what
+    // they do.
+    let samplers = topology.samplers(None).map_err(ExecError::InvalidGain)?;
     let v = topology.vector_width();
 
     // Integer cycle quantities, exactly as the simulator rounds them.
@@ -329,6 +335,7 @@ pub fn run_enforced(
             let senders = std::mem::take(&mut stage_senders[i]);
             let rngs = std::mem::take(&mut stage_rngs[i]);
             let lineage = &lineage;
+            let samplers = &samplers;
             let period_ns = periods[i] as f64 * scale;
             let service_ns = service[i] as f64 * scale;
             handles.push(scope.spawn(move || {
@@ -337,6 +344,7 @@ pub fn run_enforced(
                     v,
                     rx,
                     senders,
+                    samplers,
                     rngs,
                     lineage,
                     timers,
@@ -377,6 +385,7 @@ struct StageCtx<'a> {
     v: u32,
     rx: Receiver,
     senders: Vec<(usize, Sender)>,
+    samplers: &'a [GainSampler],
     rngs: Vec<RngStream>,
     lineage: &'a Lineage,
     timers: Timers,
@@ -392,6 +401,7 @@ fn stage_thread(ctx: StageCtx<'_>) -> StageRun {
         v,
         rx,
         senders,
+        samplers,
         mut rngs,
         lineage,
         timers,
@@ -455,7 +465,7 @@ fn stage_thread(ctx: StageCtx<'_>) -> StageRun {
                 let edge = topology.edge(e);
                 outs[slot].clear();
                 route_edge(
-                    &edge.gain,
+                    &samplers[e],
                     edge.weight,
                     &mut rngs[slot],
                     &consumed,
@@ -531,6 +541,7 @@ pub fn run_monolithic(
     config: &ExecConfig,
 ) -> Result<ExecMetrics, ExecError> {
     validate_config(config)?;
+    let samplers = topology.samplers(None).map_err(ExecError::InvalidGain)?;
     let n = topology.len();
     let v = topology.vector_width();
     let m = schedule.block_size.max(1) as usize;
@@ -625,15 +636,12 @@ pub fn run_monolithic(
                     }
                     for &e in topology.out_edges(i) {
                         let edge = topology.edge(e);
-                        let out = edge.gain.sample_sum(&mut gain_rngs[e], count);
+                        let out = samplers[e].sample_sum(&mut gain_rngs[e], count);
                         let kept = if edge.weight < 1.0 {
-                            let mut kept = 0u64;
-                            for _ in 0..out {
-                                if gain_rngs[e].next_f64() < edge.weight {
-                                    kept += 1;
-                                }
-                            }
-                            kept
+                            let threshold = unit_threshold(edge.weight);
+                            (0..out)
+                                .map(|_| u64::from(draw53(&mut gain_rngs[e]) < threshold))
+                                .sum()
                         } else {
                             out
                         };

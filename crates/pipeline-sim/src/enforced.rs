@@ -58,9 +58,10 @@
 //!   latency moments, the miss count and (when tracing) the item fates;
 //!   at run end the rest is folded with unresolved inputs counted as
 //!   dropped. Every input is folded exactly once and in origin order, so
-//!   the Welford pushes are the sequence of one pass over the whole
-//!   stream — the moments are bit-identical to the reference, which
-//!   keeps per-input lanes for the whole stream.
+//!   the latency samples are the sequence of one pass over the whole
+//!   stream; the chunked moments (`des::stats::MomentAccumulator`)
+//!   depend on that sequence alone, so they are bit-identical to the
+//!   reference, which keeps per-input lanes for the whole stream.
 
 use crate::config::{FiringDiscipline, SimConfig};
 use crate::faults::{FaultState, MitigationPolicy, FAULT_ARRIVAL_STREAM};
@@ -68,12 +69,13 @@ use crate::hooks::{Hooks, SimError};
 use crate::item::LineageWindow;
 use crate::metrics::SimMetrics;
 use crate::soa::SoaQueue;
-use dataflow_model::{GainModel, RtParams, Topology};
+use dataflow_model::gain::{draw53, unit_threshold};
+use dataflow_model::{GainSampler, RtParams, Topology};
 use des::calendar::Calendar;
 use des::clock::SimTime;
 use des::obs::ObsSink;
 use des::rng::RngStream;
-use des::stats::OnlineStats;
+use des::stats::MomentAccumulator;
 use obs_trace::{ItemFate, ItemVisit, SpanSink, Track};
 use rtsdf_core::WaitSchedule;
 use simd_device::{ActiveTimeLedger, OccupancyStats};
@@ -167,8 +169,9 @@ pub fn simulate(
         }
     }
     hooks.check(nodes)?;
+    let samplers = hooks.samplers(topology)?;
     Ok(simulate_enforced_full(
-        topology, schedule, deadline, config, hooks,
+        topology, schedule, deadline, config, &samplers, hooks,
     ))
 }
 
@@ -234,10 +237,11 @@ fn arrivals_before(arrivals: &[SimTime], from: usize, limit: SimTime) -> usize {
 }
 
 /// One out-edge of a firing, in a single pass over the consumed slice:
-/// draw the batch's gains from the edge's substream, thin them by the
-/// routing weight when it is below 1 (one draw per drawn output, item
-/// by item — the order of the scalar reference), append each item's
-/// kept outputs to `outs`, and hand `each(i, origin, kept)` the count.
+/// draw the batch's gains from the edge's substream, thin them when the
+/// routing weight is below 1 (`thin` is its [`unit_threshold`]; one
+/// draw per drawn output, item by item — the order of the scalar
+/// reference), append each item's kept outputs to `outs`, and hand
+/// `each(i, origin, kept)` the count.
 ///
 /// `outs` is pre-sized so that an item with at most one output is a
 /// store plus a conditional bump of the write cursor — no branch, no
@@ -246,8 +250,8 @@ fn arrivals_before(arrivals: &[SimTime], from: usize, limit: SimTime) -> usize {
 /// output may grow the buffer.
 #[inline(always)]
 fn route_edge(
-    gain: &GainModel,
-    weight: f64,
+    sampler: &GainSampler,
+    thin: Option<u64>,
     rng: &mut RngStream,
     consumed: &[u64],
     gains: &mut Vec<u32>,
@@ -257,22 +261,16 @@ fn route_edge(
     let take = consumed.len();
     gains.clear();
     gains.resize(take, 0);
-    gain.sample_batch(rng, gains);
-    let thin = weight < 1.0;
+    sampler.sample_batch(rng, gains);
     outs.clear();
     outs.resize(take, 0);
     let mut pos = 0usize;
     for (i, (&origin, &k)) in consumed.iter().zip(gains.iter()).enumerate() {
-        let kept = if thin {
+        let kept = match thin {
             // Never taken on chain topologies (weight == 1), so the
             // chain draw sequence is unchanged.
-            let mut kept = 0u32;
-            for _ in 0..k {
-                kept += u32::from(rng.next_f64() < weight);
-            }
-            kept
-        } else {
-            k
+            Some(threshold) => (0..k).map(|_| u32::from(draw53(rng) < threshold)).sum(),
+            None => k,
         };
         if kept <= 1 {
             outs[pos] = origin;
@@ -292,11 +290,11 @@ fn route_edge(
 
 /// Deadline accounting of resolved inputs, fed in origin order as the
 /// lineage window slides. Folding in origin order is the push sequence
-/// of one pass over the whole stream, so the Welford moments are
-/// bit-identical to it.
+/// of one pass over the whole stream, and the chunked moments depend on
+/// that sequence alone, so they are bit-identical to it.
 struct Tally {
     deadline: f64,
-    latency: OnlineStats,
+    latency: MomentAccumulator,
     misses: u64,
     dropped: u64,
 }
@@ -362,6 +360,7 @@ fn simulate_enforced_full(
     schedule: &WaitSchedule,
     deadline: f64,
     config: &SimConfig,
+    samplers: &[GainSampler],
     Hooks {
         mut obs,
         mut spans,
@@ -436,21 +435,13 @@ fn simulate_enforced_full(
         cal.schedule(SimTime::ZERO, Ev::Fire { node });
     }
 
-    // Gain models hoisted out of the firing loop: one bounds-checked
-    // edge lookup up front instead of one per consumed item. Under
-    // fault injection the models are replaced by their drifted
-    // counterparts (identical parameters — and draws — at intensity 0).
-    let drifted_gains: Option<Vec<GainModel>> = stress_spec.map(|(perturb, _)| {
-        topology
-            .edges()
-            .iter()
-            .map(|e| perturb.drift_gain(&e.gain))
-            .collect()
-    });
-    let gain_of: Vec<&GainModel> = match &drifted_gains {
-        Some(gains) => gains.iter().collect(),
-        None => topology.edges().iter().map(|e| &e.gain).collect(),
-    };
+    // Routing-weight thinning thresholds, one per edge (`None` at
+    // weight 1, which every chain edge has).
+    let thin: Vec<Option<u64>> = topology
+        .edges()
+        .iter()
+        .map(|e| (e.weight < 1.0).then(|| unit_threshold(e.weight)))
+        .collect();
 
     // Per-stage input queues in structure-of-arrays form: one flat
     // origin lane per stage (deadlines attach to the ancestral stream
@@ -505,7 +496,7 @@ fn simulate_enforced_full(
     let mut lineage = LineageWindow::new(config.stream_length);
     let mut tally = Tally {
         deadline,
-        latency: OnlineStats::new(),
+        latency: MomentAccumulator::new(),
         misses: 0,
         dropped: 0,
     };
@@ -796,11 +787,11 @@ fn simulate_enforced_full(
                         for (j, &e) in edges.iter().enumerate() {
                             let edge = topology.edge(e);
                             let mut outs = vec_pool.pop().unwrap_or_default();
-                            let (gain, rng) = (gain_of[e], &mut gain_rngs[e]);
+                            let (sampler, rng) = (&samplers[e], &mut gain_rngs[e]);
                             if j + 1 == edges.len() {
                                 route_edge(
-                                    gain,
-                                    edge.weight,
+                                    sampler,
+                                    thin[e],
                                     rng,
                                     consumed,
                                     &mut gains_buf,
@@ -812,8 +803,8 @@ fn simulate_enforced_full(
                                 );
                             } else {
                                 route_edge(
-                                    gain,
-                                    edge.weight,
+                                    sampler,
+                                    thin[e],
                                     rng,
                                     consumed,
                                     &mut gains_buf,
@@ -927,7 +918,7 @@ fn simulate_enforced_full(
             active_fraction_nonempty
         },
         active_fraction_nonempty,
-        latency,
+        latency: latency.finish(),
         max_backlog_vectors: max_depth.iter().map(|&d| d as f64 / v as f64).collect(),
         max_queue_depth: max_depth,
         occupancy,

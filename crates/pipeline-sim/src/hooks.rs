@@ -10,7 +10,7 @@
 
 use crate::faults::MitigationPolicy;
 use crate::live::SimLive;
-use dataflow_model::{ModelError, Perturbation};
+use dataflow_model::{GainSampler, ModelError, Perturbation, Topology};
 use des::obs::ObsSink;
 use obs_trace::SpanSink;
 use std::fmt;
@@ -63,6 +63,14 @@ impl Hooks<'_> {
         }
         Ok(())
     }
+
+    /// The run's gain samplers: one per edge of `topology`, after the
+    /// fault layer's gain drift.
+    pub(crate) fn samplers(&self, topology: &Topology) -> Result<Vec<GainSampler>, SimError> {
+        topology
+            .samplers(self.faults.map(|(perturb, _)| perturb))
+            .map_err(SimError::InvalidGain)
+    }
 }
 
 /// Why a simulator rejected its input before running.
@@ -85,6 +93,9 @@ pub enum SimError {
     },
     /// The perturbation failed [`Perturbation::validate`].
     InvalidPerturbation(ModelError),
+    /// An edge's gain law, after any drift, has no sampler
+    /// ([`ModelError::InvalidEdgeGain`], see [`Topology::samplers`]).
+    InvalidGain(ModelError),
 }
 
 impl fmt::Display for SimError {
@@ -103,6 +114,7 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::InvalidPerturbation(e) => write!(f, "invalid perturbation: {e}"),
+            SimError::InvalidGain(e) => write!(f, "invalid gain law: {e}"),
         }
     }
 }
@@ -186,6 +198,56 @@ mod tests {
                 };
                 assert_eq!(got.unwrap_err(), want);
             }
+        }
+    }
+
+    /// A valid perturbation whose gain drift overflows a Poisson mean to
+    /// infinity leaves that edge without a sampler: a typed error from
+    /// both strategies, not a panic mid-run.
+    #[test]
+    fn drift_past_any_sampler_is_an_error() {
+        let p = PipelineSpecBuilder::new(4)
+            .stage(
+                "a",
+                10.0,
+                GainModel::CensoredPoisson {
+                    mean: 1.92,
+                    cap: 16,
+                },
+            )
+            .stage("b", 20.0, GainModel::Deterministic { k: 1 })
+            .build()
+            .unwrap();
+        let t = Topology::chain(&p);
+        let params = RtParams::new(100.0, 1e6).unwrap();
+        let waits = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0])
+            .solve()
+            .unwrap();
+        let blocks = MonolithicProblem::new(&p, params, 1.0, 1.0)
+            .solve()
+            .unwrap();
+        let cfg = SimConfig::quick(100.0, 0, 100);
+        let drift = Perturbation {
+            gain_drift: f64::MAX,
+            ..Perturbation::standard(1.0)
+        };
+        assert!(drift.validate().is_ok());
+        let policy = MitigationPolicy::full();
+        let hooks = || Hooks {
+            faults: Some((&drift, &policy)),
+            ..Hooks::default()
+        };
+        for got in [
+            enforced::simulate(&t, &waits, 1e6, &cfg, hooks()),
+            monolithic::simulate(&t, &blocks, 1e6, &cfg, hooks()),
+        ] {
+            assert!(matches!(
+                got,
+                Err(SimError::InvalidGain(ModelError::InvalidEdgeGain {
+                    edge: 0,
+                    ..
+                }))
+            ));
         }
     }
 }

@@ -13,10 +13,11 @@ use crate::config::SimConfig;
 use crate::faults::{FaultState, FAULT_ARRIVAL_STREAM};
 use crate::hooks::{Hooks, SimError};
 use crate::metrics::SimMetrics;
-use dataflow_model::{GainModel, Topology};
+use dataflow_model::gain::{draw53, unit_threshold};
+use dataflow_model::{GainSampler, Topology};
 use des::clock::SimTime;
 use des::rng::RngStream;
-use des::stats::OnlineStats;
+use des::stats::MomentAccumulator;
 use obs_trace::{ItemFate, ItemVisit, Track};
 use rtsdf_core::MonolithicSchedule;
 use simd_device::OccupancyStats;
@@ -49,8 +50,9 @@ pub fn simulate(
     hooks: Hooks<'_>,
 ) -> Result<SimMetrics, SimError> {
     hooks.check(topology.len())?;
+    let samplers = hooks.samplers(topology)?;
     Ok(simulate_monolithic_full(
-        topology, schedule, deadline, config, hooks,
+        topology, schedule, deadline, config, &samplers, hooks,
     ))
 }
 
@@ -63,6 +65,7 @@ fn simulate_monolithic_full(
     schedule: &MonolithicSchedule,
     deadline: f64,
     config: &SimConfig,
+    samplers: &[GainSampler],
     Hooks {
         mut obs,
         mut spans,
@@ -101,18 +104,11 @@ fn simulate_monolithic_full(
         );
         FaultState::new(perturb, &master, n)
     });
-    let drifted_gains: Option<Vec<GainModel>> = stress_spec.map(|perturb| {
-        topology
-            .edges()
-            .iter()
-            .map(|e| perturb.drift_gain(&e.gain))
-            .collect()
-    });
     let last_arrival = arrivals.last().copied().unwrap_or(0.0);
     let safety_horizon = last_arrival + config.drain_factor * deadline;
 
     let mut occupancy: Vec<OccupancyStats> = (0..n).map(|_| OccupancyStats::new()).collect();
-    let mut latency = OnlineStats::new();
+    let mut latency = MomentAccumulator::new();
     let mut misses = 0u64;
     let mut completed = 0u64;
     let mut busy_total = 0.0;
@@ -207,27 +203,18 @@ fn simulate_monolithic_full(
                 }
             }
             for &e in topology.out_edges(i) {
-                // One edge lookup per stage, not one per item.
-                let gain = match &drifted_gains {
-                    Some(gains) => &gains[e],
-                    None => &topology.edge(e).gain,
-                };
                 // Draw-identical to the per-item loop (see
-                // `GainModel::sample_sum`), but deterministic models pay
-                // zero RNG draws and the distribution parameters are
-                // hoisted out of the loop.
-                let out = gain.sample_sum(&mut gain_rngs[e], count);
+                // `GainSampler::sample_sum`), but deterministic models
+                // pay zero RNG draws.
+                let out = samplers[e].sample_sum(&mut gain_rngs[e], count);
                 let edge = topology.edge(e);
                 // Routing weight below 1: Bernoulli-thin each output
                 // from the same edge substream (never taken on chains).
                 let kept = if edge.weight < 1.0 {
-                    let mut kept = 0u64;
-                    for _ in 0..out {
-                        if gain_rngs[e].next_f64() < edge.weight {
-                            kept += 1;
-                        }
-                    }
-                    kept
+                    let threshold = unit_threshold(edge.weight);
+                    (0..out)
+                        .map(|_| u64::from(draw53(&mut gain_rngs[e]) < threshold))
+                        .sum()
                 } else {
                     out
                 };
@@ -263,11 +250,11 @@ fn simulate_monolithic_full(
         processed_before += block.len();
 
         // Latency accounting for the whole block in one pass; the
-        // Welford fold visits samples in the same order as the per-item
-        // loop, so moments stay bit-identical.
+        // chunked moments depend only on the sample sequence, which is
+        // the per-item loop's, so they stay bit-identical to it.
         lat_buf.clear();
         lat_buf.extend(block.iter().map(|&arr| finish - arr));
-        latency.push_slice(&lat_buf);
+        latency.extend_from_slice(&lat_buf);
         completed += block.len() as u64;
         misses += lat_buf
             .iter()
@@ -321,7 +308,7 @@ fn simulate_monolithic_full(
         // No empty firings exist in this strategy: a stage with zero
         // items simply does not fire.
         active_fraction_nonempty: active_fraction,
-        latency,
+        latency: latency.finish(),
         max_queue_depth: {
             let mut d = vec![0u64; n];
             d[src] = max_waiting;

@@ -11,18 +11,31 @@
 //! the slow, obviously-correct scalar semantics: events popped one at a
 //! time from a fully scheduled calendar, per-item `VecDeque` queues,
 //! one gain draw per consumed item, one sojourn sample per hook call.
+//! The two pieces it shares with the kernels are the run-start
+//! [`GainSampler`]s and the chunked latency moments
+//! ([`MomentAccumulator`]): both are defined by the draw and sample
+//! sequences alone, which the per-item loops here produce in order.
 
 use crate::config::{FiringDiscipline, SimConfig};
 use crate::faults::{FaultState, MitigationPolicy, FAULT_ARRIVAL_STREAM};
 use crate::metrics::SimMetrics;
-use dataflow_model::{GainModel, Perturbation, PipelineSpec, RtParams};
+use dataflow_model::{GainSampler, Perturbation, PipelineSpec, RtParams, Topology};
 use des::calendar::Calendar;
 use des::clock::SimTime;
 use des::obs::ObsSink;
 use des::rng::RngStream;
-use des::stats::OnlineStats;
+use des::stats::MomentAccumulator;
 use simd_device::{ActiveTimeLedger, OccupancyStats};
 use std::collections::VecDeque;
+
+/// One gain sampler per stage, built once at run start after gain drift:
+/// stage `i`'s law is edge `i`'s in the chain topology (the last stage
+/// draws nothing).
+fn stage_samplers(pipeline: &PipelineSpec, drift: Option<&Perturbation>) -> Vec<GainSampler> {
+    Topology::chain(pipeline)
+        .samplers(drift)
+        .expect("a built pipeline's gain laws are valid")
+}
 
 /// Event classes, in intra-timestamp processing order.
 #[derive(Debug, Clone)]
@@ -229,15 +242,7 @@ pub fn simulate_enforced_reference(
         cal.schedule(SimTime::ZERO, Ev::Fire { node });
     }
 
-    let drifted_gains: Option<Vec<GainModel>> = stress_spec.map(|(perturb, _)| {
-        (0..n)
-            .map(|i| perturb.drift_gain(&pipeline.node(i).gain))
-            .collect()
-    });
-    let gain_of: Vec<&GainModel> = match &drifted_gains {
-        Some(gains) => gains.iter().collect(),
-        None => (0..n).map(|i| &pipeline.node(i).gain).collect(),
-    };
+    let samplers = stage_samplers(pipeline, stress_spec.map(|(perturb, _)| perturb));
 
     let mut queues: Vec<VecDeque<Item>> = (0..n)
         .map(|_| VecDeque::with_capacity(v as usize * 2))
@@ -397,7 +402,7 @@ pub fn simulate_enforced_reference(
                             let k = if is_last {
                                 0
                             } else {
-                                gain_of[node].sample(&mut gain_rngs[node])
+                                samplers[node].sample(&mut gain_rngs[node])
                             };
                             if lineage.consume(item.origin, k, completion) {
                                 last_completion = last_completion.max(completion);
@@ -438,7 +443,7 @@ pub fn simulate_enforced_reference(
 
     let mut misses = 0u64;
     let mut dropped = 0u64;
-    let mut latency = OnlineStats::new();
+    let mut latency = MomentAccumulator::new();
     for (origin, completion) in lineage.completions() {
         if let Some(st) = stress.as_ref() {
             if st.shed[origin as usize] {
@@ -487,7 +492,7 @@ pub fn simulate_enforced_reference(
             active_fraction_nonempty
         },
         active_fraction_nonempty,
-        latency,
+        latency: latency.finish(),
         max_backlog_vectors: max_depth.iter().map(|&d| d as f64 / v as f64).collect(),
         max_queue_depth: max_depth,
         occupancy,
@@ -532,16 +537,12 @@ pub fn simulate_monolithic_reference(
         );
         FaultState::new(perturb, &master, n)
     });
-    let drifted_gains: Option<Vec<GainModel>> = stress_spec.map(|perturb| {
-        (0..n)
-            .map(|i| perturb.drift_gain(&pipeline.node(i).gain))
-            .collect()
-    });
+    let samplers = stage_samplers(pipeline, stress_spec);
     let last_arrival = arrivals.last().copied().unwrap_or(0.0);
     let safety_horizon = last_arrival + config.drain_factor * deadline;
 
     let mut occupancy: Vec<OccupancyStats> = (0..n).map(|_| OccupancyStats::new()).collect();
-    let mut latency = OnlineStats::new();
+    let mut latency = MomentAccumulator::new();
     let mut misses = 0u64;
     let mut completed = 0u64;
     let mut busy_total = 0.0;
@@ -604,14 +605,10 @@ pub fn simulate_monolithic_reference(
                 }
             }
             if i + 1 < n {
-                let gain = match &drifted_gains {
-                    Some(gains) => &gains[i],
-                    None => &pipeline.node(i).gain,
-                };
                 let rng = &mut gain_rngs[i];
                 let mut next = 0u64;
                 for _ in 0..count {
-                    next += gain.sample(rng) as u64;
+                    next += samplers[i].sample(rng) as u64;
                 }
                 count = next;
             }
@@ -657,7 +654,7 @@ pub fn simulate_monolithic_reference(
         resolves: 0,
         active_fraction,
         active_fraction_nonempty: active_fraction,
-        latency,
+        latency: latency.finish(),
         max_queue_depth: {
             let mut d = vec![0u64; n];
             d[0] = max_waiting;

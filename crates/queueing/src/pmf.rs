@@ -3,8 +3,15 @@
 //! All PMFs are dense `Vec<f64>` over counts `0..len`, truncated with
 //! their tail mass folded into the last bin so totals stay exactly 1.
 
+use dataflow_model::gain::censored_poisson_pmf;
+
 /// Poisson PMF over `0..=max_k`, with the tail mass beyond `max_k`
 /// folded into the last bin.
+///
+/// While `exp(−λ)` is a normal float the PMF is summed forward from it;
+/// above that (λ beyond ~708) it comes from
+/// [`censored_poisson_pmf`], which needs no `exp(−λ)` — the forward sum
+/// would put all the mass in the last bin.
 ///
 /// # Panics
 /// Panics if `lambda` is negative or non-finite.
@@ -16,6 +23,11 @@ pub fn poisson(lambda: f64, max_k: usize) -> Vec<f64> {
         return pmf;
     }
     let mut p = (-lambda).exp();
+    if p < f64::MIN_POSITIVE {
+        let (first, window) = censored_poisson_pmf(lambda, max_k as u64);
+        pmf[first as usize..first as usize + window.len()].copy_from_slice(&window);
+        return pmf;
+    }
     let mut cum = 0.0;
     for (k, slot) in pmf.iter_mut().enumerate().take(max_k) {
         *slot = p;
@@ -108,6 +120,24 @@ mod tests {
 
     fn total(pmf: &[f64]) -> f64 {
         pmf.iter().sum()
+    }
+
+    #[test]
+    fn poisson_survives_exp_underflow() {
+        // exp(−1000) is 0: the forward sum put all the mass at max_k.
+        for (lambda, max_k) in [(800.0, 2000), (1e3, 2000), (1e5, 200_000)] {
+            let p = poisson(lambda, max_k);
+            assert!((total(&p) - 1.0).abs() < 1e-12);
+            assert!(
+                (mean(&p) / lambda - 1.0).abs() < 1e-9,
+                "{lambda}: {}",
+                mean(&p)
+            );
+            assert!(p[max_k] < 1e-100);
+        }
+        // Folded into a last bin below the mode.
+        let p = poisson(1e3, 16);
+        assert_eq!(p[16], 1.0);
     }
 
     #[test]
