@@ -256,6 +256,21 @@ impl GainSampler {
         }
     }
 
+    /// The largest count any draw of this sampler can return. A kernel
+    /// reads it once per run to size its output writes: laws with at
+    /// most one output per input need no multi-slot spread.
+    pub fn max_count(&self) -> u32 {
+        match &self.law {
+            Law::Deterministic(k) => *k,
+            Law::Bernoulli(threshold) => u32::from(*threshold > 0),
+            // `table_count` counts at most every entry.
+            Law::Table { base, cdf } => base + cdf.len() as u32,
+            // The scan's floating-point fallback is the last point, so
+            // every support point counts, massless ones included.
+            Law::Empirical(pmf) => pmf.iter().map(|(k, _)| *k).max().unwrap_or(0),
+        }
+    }
+
     /// Total outputs of `count` consumed inputs: the draws of `count`
     /// calls to [`GainSampler::sample`], summed (none at all for the
     /// deterministic law), so block simulations that only need the stage
@@ -829,6 +844,56 @@ mod tests {
             for _ in 0..1000 {
                 assert_eq!(g.sample(&mut a), u32::from(b.gen::<f64>() < p));
             }
+        }
+    }
+
+    #[test]
+    fn max_count_bounds_every_draw_of_every_law() {
+        let drifted = crate::Perturbation::standard(1.0).drift_gain(&GainModel::CensoredPoisson {
+            mean: 1.92,
+            cap: 16,
+        });
+        let laws = [
+            (GainModel::Deterministic { k: 0 }, 0),
+            (GainModel::Deterministic { k: 3 }, 3),
+            (GainModel::Bernoulli { p: 0.0 }, 0),
+            (GainModel::Bernoulli { p: 0.379 }, 1),
+            (GainModel::Bernoulli { p: 1.0 }, 1),
+            // The BLAST expansion: every count up to the cap is drawn.
+            (
+                GainModel::CensoredPoisson {
+                    mean: 1.92,
+                    cap: 16,
+                },
+                16,
+            ),
+            (GainModel::CensoredPoisson { mean: 2.0, cap: 1 }, 1),
+            // Gain drift raises the mean; the cap still bounds the table.
+            (drifted, 16),
+            // The table stops where the CDF reaches 1 on the 2^-53 grid
+            // (P(X > 25) < 2^-53 at mean 3), far below a loose cap.
+            (
+                GainModel::CensoredPoisson {
+                    mean: 3.0,
+                    cap: 1000,
+                },
+                26,
+            ),
+            (GainModel::CensoredPoisson { mean: 1e15, cap: 7 }, 7),
+            (
+                GainModel::Empirical {
+                    pmf: vec![(0, 0.5), (2, 0.5), (9, 0.0)],
+                },
+                9,
+            ),
+        ];
+        for (model, bound) in laws {
+            let g = model.sampler().unwrap();
+            assert_eq!(g.max_count(), bound, "{model:?}");
+            let mut out = vec![0u32; 1_000_000];
+            g.sample_batch(&mut rng(), &mut out);
+            let top = out.iter().copied().max().unwrap();
+            assert!(top <= bound, "{model:?} drew {top} > {bound}");
         }
     }
 

@@ -210,6 +210,30 @@ impl MomentAccumulator {
     }
 }
 
+/// `x` if it is below `m`, else `m`: `m.min(x)` for every `x` but a
+/// zero of the other sign than a zero `m` (where `min` may return
+/// either). A NaN `x` compares false and is skipped, as `min` skips it,
+/// and `m` never becomes NaN. Unlike `min`, it is one vector compare and
+/// select per lane pair, with no NaN fix-up.
+#[inline(always)]
+fn below(m: f64, x: f64) -> f64 {
+    if x < m {
+        x
+    } else {
+        m
+    }
+}
+
+/// [`below`] for the maximum.
+#[inline(always)]
+fn above(m: f64, x: f64) -> f64 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
 /// Merge the moments of one nonempty chunk into `stats`.
 fn fold_chunk(stats: &mut OnlineStats, xs: &[f64]) {
     let mut sum = [0.0; LANES];
@@ -220,14 +244,14 @@ fn fold_chunk(stats: &mut OnlineStats, xs: &[f64]) {
     for lane in lanes {
         for j in 0..LANES {
             sum[j] += lane[j];
-            min[j] = min[j].min(lane[j]);
-            max[j] = max[j].max(lane[j]);
+            min[j] = below(min[j], lane[j]);
+            max[j] = above(max[j], lane[j]);
         }
     }
     for (j, &x) in rest.iter().enumerate() {
         sum[j] += x;
-        min[j] = min[j].min(x);
-        max[j] = max[j].max(x);
+        min[j] = below(min[j], x);
+        max[j] = above(max[j], x);
     }
     let mean = pairwise(sum) / xs.len() as f64;
     let mut m2 = [0.0; LANES];
@@ -609,6 +633,24 @@ mod tests {
                 rest = tail;
             }
             assert_eq!(bits(&acc.finish()), want, "slices {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn chunk_extremes_match_min_and_max() {
+        // NaN samples are skipped as `f64::min`/`max` skip them; every
+        // other sample, infinities included, counts.
+        let mut xs = stream(1_000);
+        xs[3] = f64::NAN;
+        xs[300] = f64::INFINITY;
+        xs[301] = -7.5;
+        xs[700] = f64::NAN;
+        for n in [1, 9, 256, 257, 1_000] {
+            let s = chunked(&xs[..n]);
+            let min = xs[..n].iter().fold(f64::INFINITY, |a, &b| a.min(b));
+            let max = xs[..n].iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+            assert_eq!(s.min().map(f64::to_bits), Some(min.to_bits()), "n {n}");
+            assert_eq!(s.max().map(f64::to_bits), Some(max.to_bits()), "n {n}");
         }
     }
 

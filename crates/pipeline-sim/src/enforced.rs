@@ -26,19 +26,21 @@
 //! # The streaming kernel
 //!
 //! One event loop serves the one entry point, [`simulate`]; the optional
-//! layers arrive in one [`Hooks`] bundle of `Option`s. Three things keep
-//! its per-item cost and footprint low.
+//! layers arrive in one [`Hooks`] bundle of `Option`s. Per firing, the
+//! kernel works in batch passes over flat lanes, not per-item calls, and
+//! four things keep its per-item cost and footprint low.
 //!
 //! * **Bulk arrival drain.** Stream arrivals are a sorted lane, not
-//!   calendar events. At an instant with no calendar event, nothing but
-//!   arrivals can happen before the next calendar event, so every
-//!   arrival up to it is taken in one step: one origin range into the
-//!   lineage window, one `extend` of queue 0, one high-water update.
-//!   This keeps the order within an instant (arrivals, then deliveries,
-//!   then fires) because no delivery or fire is passed over; at an
-//!   instant that has calendar events, only that instant's arrivals are
-//!   drained, before its events run. The one event an arrival can
-//!   create is the wake of a dormant head under
+//!   calendar events, and they feed the topology's source. At an instant
+//!   with no calendar event, nothing but arrivals can happen before the
+//!   next calendar event, so every arrival up to it is taken in one step:
+//!   one chunked count to find its end, one origin range into the source
+//!   queue, one high-water update — and nothing per origin in the lineage
+//!   window (see below). This keeps the order within an instant
+//!   (arrivals, then deliveries, then fires) because no delivery or fire
+//!   is passed over; at an instant that has calendar events, only that
+//!   instant's arrivals are drained, before its events run. The one event
+//!   an arrival can create is the wake of a dormant source under
 //!   [`FiringDiscipline::Vacation`]: the wake fire is due at the
 //!   arrival's own instant, so the drain stops after that instant's
 //!   arrivals and the fire runs next. Per-arrival hooks still see each
@@ -47,19 +49,32 @@
 //!   as its per-item calls would, ticking where they would. Under fault
 //!   injection, admission control reads that state per arrival, so
 //!   stressed arrivals are admitted one at a time.
-//! * **Fused firing pass.** Per out-edge, one pass over the consumed
-//!   slice appends the outputs and — on the last edge — settles each
-//!   item's lineage with a branch-free live-count/completion/count step
-//!   (see `LineageWindow::consume`).
+//! * **Width-aware routing.** Per out-edge, one pass over the consumed
+//!   slice draws the gains into a count lane and appends the outputs.
+//!   The writes follow the edge's largest count, read once per run from
+//!   [`GainSampler::max_count`]: a law with at most one output per item
+//!   stores the origin and bumps the cursor by the count; a wider law
+//!   stores a fixed 8-slot run of the origin and bumps by the count, so
+//!   no item branches on its own draw (only a count above 8 takes a slow
+//!   path).
+//! * **Lane-wise settling.** One more pass settles the consumed items'
+//!   lineage from the count lane. The source is every input's first
+//!   consume, so it *stores* the live count; a source firing that took a
+//!   run of consecutive origins — every one, unless admission shed some —
+//!   is two ring-slice copies and a fill (see `LineageWindow::enter_all`).
+//!   Later stages update the live count item by item.
 //! * **In-flight lineage window.** `LineageWindow` holds only the
 //!   origins from the lowest unresolved one to the last arrived, in a
 //!   ring that doubles when full. After each firing that resolved an
-//!   input, the resolved prefix is folded, in origin order, into the
-//!   latency moments, the miss count and (when tracing) the item fates;
-//!   at run end the rest is folded with unresolved inputs counted as
-//!   dropped. Every input is folded exactly once and in origin order, so
-//!   the latency samples are the sequence of one pass over the whole
-//!   stream; the chunked moments (`des::stats::MomentAccumulator`)
+//!   input, the resolved prefix below the oldest input still waiting at
+//!   the source is handed out as at most two ring slices of completion
+//!   cycles; each becomes a latency lane (shed inputs dropped) that feeds
+//!   the moments in one `extend_from_slice` and the miss count in one
+//!   pass. Span tracing needs each input's fate, so a traced run goes
+//!   input by input. At run end the rest is folded with unresolved inputs
+//!   counted as dropped. Every input is folded exactly once and in origin
+//!   order, so the latency samples are the sequence of one pass over the
+//!   whole stream; the chunked moments (`des::stats::MomentAccumulator`)
 //!   depend on that sequence alone, so they are bit-identical to the
 //!   reference, which keeps per-input lanes for the whole stream.
 
@@ -224,66 +239,88 @@ fn round_to_cycles(t: f64) -> u64 {
 }
 
 /// First index at or after `from` whose arrival is not before `limit`
-/// (`arrivals` is sorted). Gallops from `from`, so a drain of `k`
-/// arrivals costs O(log k) probes near the cursor instead of a binary
-/// search over the whole stream.
+/// (`arrivals` is sorted). Steps from `from` a chunk at a time — a
+/// chunk whose last arrival is before `limit` lies wholly before it —
+/// and counts the last chunk branch-free, so a drain of `k` arrivals
+/// costs `k / ARRIVAL_CHUNK` predictable steps and one count instead of
+/// a search's mispredicted probes. (The drain itself is `O(k)`.)
 fn arrivals_before(arrivals: &[SimTime], from: usize, limit: SimTime) -> usize {
-    let mut step = 1;
-    while from + step < arrivals.len() && arrivals[from + step] < limit {
-        step *= 2;
+    let mut at = from;
+    while let Some(chunk) = arrivals.get(at..at + ARRIVAL_CHUNK) {
+        if chunk[ARRIVAL_CHUNK - 1] >= limit {
+            break;
+        }
+        at += ARRIVAL_CHUNK;
     }
-    let hi = (from + step).min(arrivals.len());
-    from + arrivals[from..hi].partition_point(|&a| a < limit)
+    let end = (at + ARRIVAL_CHUNK).min(arrivals.len());
+    at + arrivals[at..end].iter().filter(|&&a| a < limit).count()
 }
 
-/// One out-edge of a firing, in a single pass over the consumed slice:
-/// draw the batch's gains from the edge's substream, thin them when the
-/// routing weight is below 1 (`thin` is its [`unit_threshold`]; one
-/// draw per drawn output, item by item — the order of the scalar
-/// reference), append each item's kept outputs to `outs`, and hand
-/// `each(i, origin, kept)` the count.
+/// Arrivals [`arrivals_before`] steps over at a time.
+const ARRIVAL_CHUNK: usize = 16;
+
+/// Output slots an item of a wide law writes unconditionally.
+const SPREAD: usize = 8;
+
+/// One out-edge of a firing, in one pass over the consumed slice: draw
+/// the batch's gains from the edge's substream into `counts`, thin them
+/// in place when the routing weight is below 1 (`thin` is its
+/// [`unit_threshold`]; one draw per drawn output, item by item, after
+/// the gain draws), and append each item's kept outputs to `outs`.
 ///
-/// `outs` is pre-sized so that an item with at most one output is a
-/// store plus a conditional bump of the write cursor — no branch, no
-/// capacity check. The invariant `outs.len() >= pos + (remaining
-/// items)` keeps that store in bounds; only an item with more than one
-/// output may grow the buffer.
+/// The writes depend on `width`, the sampler's
+/// [`max_count`](GainSampler::max_count), so that no item branches on
+/// its own count:
+///
+/// * `width <= 1`: a store plus a conditional bump of the write cursor;
+///   `outs` holds one slot per item.
+/// * wider: a fixed [`SPREAD`]-slot run of the origin, then a bump by
+///   the count; only a count above `SPREAD` takes a slow path. The
+///   invariant `outs.len() >= pos + SPREAD + (remaining items) · w`,
+///   with `w = min(width, SPREAD)`, keeps the run in bounds.
 #[inline(always)]
 fn route_edge(
     sampler: &GainSampler,
+    width: u32,
     thin: Option<u64>,
     rng: &mut RngStream,
     consumed: &[u64],
-    gains: &mut Vec<u32>,
+    counts: &mut Vec<u32>,
     outs: &mut Vec<u64>,
-    mut each: impl FnMut(usize, u64, u32),
 ) {
     let take = consumed.len();
-    gains.clear();
-    gains.resize(take, 0);
-    sampler.sample_batch(rng, gains);
-    outs.clear();
-    outs.resize(take, 0);
-    let mut pos = 0usize;
-    for (i, (&origin, &k)) in consumed.iter().zip(gains.iter()).enumerate() {
-        let kept = match thin {
-            // Never taken on chain topologies (weight == 1), so the
-            // chain draw sequence is unchanged.
-            Some(threshold) => (0..k).map(|_| u32::from(draw53(rng) < threshold)).sum(),
-            None => k,
-        };
-        if kept <= 1 {
-            outs[pos] = origin;
-            pos += kept as usize;
-        } else {
-            let need = pos + kept as usize + (take - i - 1);
-            if outs.len() < need {
-                outs.resize(need, 0);
-            }
-            outs[pos..pos + kept as usize].fill(origin);
-            pos += kept as usize;
+    counts.clear();
+    counts.resize(take, 0);
+    sampler.sample_batch(rng, counts);
+    if let Some(threshold) = thin {
+        // Never taken on chain topologies (weight == 1), so the chain
+        // draw sequence is unchanged.
+        for k in counts.iter_mut() {
+            *k = (0..*k).map(|_| u32::from(draw53(rng) < threshold)).sum();
         }
-        each(i, origin, kept);
+    }
+    let mut pos = 0usize;
+    outs.clear();
+    if width <= 1 {
+        outs.resize(take, 0);
+        for (&origin, &k) in consumed.iter().zip(counts.iter()) {
+            outs[pos] = origin;
+            pos += k as usize;
+        }
+    } else {
+        let w = (width as usize).min(SPREAD);
+        outs.resize(SPREAD + take * w, 0);
+        for (i, (&origin, &k)) in consumed.iter().zip(counts.iter()).enumerate() {
+            outs[pos..pos + SPREAD].copy_from_slice(&[origin; SPREAD]);
+            if k as usize > SPREAD {
+                let need = pos + k as usize + SPREAD + (take - i - 1) * w;
+                if outs.len() < need {
+                    outs.resize(need, 0);
+                }
+                outs[pos + SPREAD..pos + k as usize].fill(origin);
+            }
+            pos += k as usize;
+        }
     }
     outs.truncate(pos);
 }
@@ -297,9 +334,61 @@ struct Tally {
     latency: MomentAccumulator,
     misses: u64,
     dropped: u64,
+    /// Whether admission control may shed inputs, whose slots resolve
+    /// but are no latency samples.
+    may_shed: bool,
+    /// Reusable latency lane of one resolved run.
+    lane: Vec<f64>,
 }
 
 impl Tally {
+    /// The resolved prefix the lineage window handed out: inputs
+    /// `first..` in origin order, with their completion stamps in at
+    /// most two ring slices. Without span tracing, each slice becomes
+    /// one latency lane — shed slots, if any may occur, dropped
+    /// branch-free — that feeds the moments in one `extend_from_slice`
+    /// (the same samples in the same order as one push each) and the
+    /// miss count in one pass. Span tracing needs each input's fate, so
+    /// it goes input by input.
+    fn resolved_run(
+        &mut self,
+        first: u64,
+        completions: [&[u64]; 2],
+        arrivals: &[SimTime],
+        mut spans: Option<&mut SpanSink>,
+    ) {
+        let mut origin = first as usize;
+        for part in completions {
+            let arrived = &arrivals[origin..origin + part.len()];
+            if spans.is_some() {
+                for (j, (&at, &c)) in arrived.iter().zip(part).enumerate() {
+                    self.resolved((origin + j) as u64, at, c, spans.as_deref_mut());
+                }
+            } else {
+                self.lane.clear();
+                if self.may_shed {
+                    self.lane.resize(part.len(), 0.0);
+                    let mut n = 0;
+                    for (&at, &c) in arrived.iter().zip(part) {
+                        self.lane[n] = c.wrapping_sub(at.cycles()) as f64;
+                        n += usize::from(c != LineageWindow::SHED);
+                    }
+                    self.lane.truncate(n);
+                } else {
+                    let lats = arrived
+                        .iter()
+                        .zip(part)
+                        .map(|(&at, &c)| (c - at.cycles()) as f64);
+                    self.lane.extend(lats);
+                }
+                let deadline = self.deadline;
+                self.misses += self.lane.iter().filter(|&&l| l > deadline).count() as u64;
+                self.latency.extend_from_slice(&self.lane);
+            }
+            origin += part.len();
+        }
+    }
+
     /// Input `origin`, arrived at `arrival`, resolved at cycle
     /// `completion` (or was shed: then it is neither a completion, a
     /// miss, nor a latency sample).
@@ -370,6 +459,8 @@ fn simulate_enforced_full(
 ) -> SimMetrics {
     let n = topology.len();
     let v = topology.vector_width();
+    // Stream arrivals feed the source, which no edge reaches.
+    let src = topology.source();
     let service: Vec<u64> = topology
         .service_times()
         .iter()
@@ -442,6 +533,8 @@ fn simulate_enforced_full(
         .iter()
         .map(|e| (e.weight < 1.0).then(|| unit_threshold(e.weight)))
         .collect();
+    // Largest output count per edge, which picks its routing writes.
+    let widths: Vec<u32> = samplers.iter().map(GainSampler::max_count).collect();
 
     // Per-stage input queues in structure-of-arrays form: one flat
     // origin lane per stage (deadlines attach to the ancestral stream
@@ -456,11 +549,12 @@ fn simulate_enforced_full(
     // pops one instead of allocating. After warm-up the steady-state hot
     // loop allocates nothing per item.
     let mut vec_pool: Vec<Vec<u64>> = Vec::new();
-    // Reusable per-firing gain-draw lane (one entry per consumed item).
+    // Reusable per-firing output-count lane of one edge (one entry per
+    // consumed item).
     let mut gains_buf: Vec<u32> = Vec::with_capacity(v as usize);
-    // Per-item output total over a fan-out node's earlier out-edges
-    // (an input resolves only when *all* its outputs on every edge
-    // are resolved); the last edge's pass adds its own count.
+    // Per-item output total over all of a fan-out node's out-edges (an
+    // input resolves only when *all* its outputs on every edge are
+    // resolved).
     let mut ktot_buf: Vec<u32> = Vec::with_capacity(v as usize);
     // Parallel per-stage enqueue-timestamp lanes for sojourn
     // measurement, plus a reusable batch buffer for the samples;
@@ -499,6 +593,8 @@ fn simulate_enforced_full(
         latency: MomentAccumulator::new(),
         misses: 0,
         dropped: 0,
+        may_shed: stress.as_ref().is_some_and(|st| st.policy.shed),
+        lane: Vec::new(),
     };
     let mut ledger = ActiveTimeLedger::new(n);
     let mut occupancy: Vec<OccupancyStats> = (0..n).map(|_| OccupancyStats::new()).collect();
@@ -546,7 +642,7 @@ fn simulate_enforced_full(
         };
 
         // Class 0: stream arrivals, in origin (FIFO) order, entering
-        // the lineage window and queue 0 as origin ranges.
+        // the lineage window and the source queue as origin ranges.
         while next_arrival < end {
             let start = next_arrival;
             let at = arrivals[start];
@@ -609,7 +705,7 @@ fn simulate_enforced_full(
                     let mut overload = false;
                     let mut predicted = 0.0;
                     for i in 0..n {
-                        let q = queues[i].len() as u64 + u64::from(i == 0);
+                        let q = queues[i].len() as u64 + u64::from(i == src);
                         let obs = (q as f64 / v as f64).ceil();
                         if obs > st.design_b[i] {
                             overload = true;
@@ -633,20 +729,20 @@ fn simulate_enforced_full(
                     }
                 }
                 start + 1
-            } else if dormant[0] {
-                // The arrival wakes the head, whose fire is due at this
+            } else if dormant[src] {
+                // The arrival wakes the source, whose fire is due at this
                 // instant: only the instant's arrivals come first.
                 arrivals_before(&arrivals, start, at + SimTime::from_cycles(1))
             } else {
                 end
             };
-            let base = queues[0].len();
+            let base = queues[src].len();
             lineage.arrive_until(stop as u64);
-            queues[0].extend(start as u64..stop as u64);
+            queues[src].extend(start as u64..stop as u64);
             if let Some(l) = live {
                 l.on_arrival_run((stop - start) as u64, |i| {
                     // The marks as arrival `i` found them.
-                    max_depth[0] = max_depth[0].max(base as u64 + i);
+                    max_depth[src] = max_depth[src].max(base as u64 + i);
                     l.tick(&max_depth);
                 });
             }
@@ -655,24 +751,24 @@ fn simulate_enforced_full(
                     let t = arrivals[origin];
                     if let Some(sink) = obs.as_deref_mut() {
                         sink.on_event();
-                        sink.on_enqueue(0, 1, base + i + 1);
-                        enq_times[0].push_back(t);
+                        sink.on_enqueue(src, 1, base + i + 1);
+                        enq_times[src].push_back(t);
                     }
                     if spans.is_some() {
-                        span_queue[0].push_back((origin as u64, t, t.max(next_fire[0])));
+                        span_queue[src].push_back((origin as u64, t, t.max(next_fire[src])));
                     }
                 }
             }
             // No queue shrinks during a drain: the range's high-water
             // mark is the queue's length after it.
-            max_depth[0] = max_depth[0].max(queues[0].len() as u64);
+            max_depth[src] = max_depth[src].max(queues[src].len() as u64);
             next_arrival = stop;
-            if dormant[0] {
+            if dormant[src] {
                 // Wake: the mandatory period already elapsed when the
                 // node went dormant, so firing now is legal. The drain
                 // ends with this instant's arrivals.
-                dormant[0] = false;
-                cal.schedule(at, Ev::Fire { node: 0 });
+                dormant[src] = false;
+                cal.schedule(at, Ev::Fire { node: src });
                 end = end.min(arrivals_before(
                     &arrivals,
                     next_arrival,
@@ -763,16 +859,15 @@ fn simulate_enforced_full(
                     if take > 0 {
                         let consumed = queues[node].take_front(take);
                         let at = completion.cycles();
-                        let mut done = 0u64;
-                        // Route along out-edges, one fused pass per edge
-                        // (gain draws in the order of one `sample` per
-                        // item — the scalar reference pins this), each
-                        // staging one delivery batch. The last edge's
-                        // pass also settles each consumed item's
-                        // lineage; a fan-out node first sums the earlier
-                        // edges' outputs per item. A sink node has no
-                        // out-edges, so its outputs exit immediately
-                        // (no draw, k = 0).
+                        // Route along out-edges, one pass per edge (gain
+                        // draws in the order of one `sample` per item —
+                        // the scalar reference pins this), each staging
+                        // one delivery batch and leaving the items'
+                        // output counts in a lane; a fan-out node sums
+                        // the edges' lanes. A sink node has no out-edges,
+                        // so its outputs exit immediately (no draw,
+                        // k = 0). Then one pass settles the consumed
+                        // items' lineage from the counts.
                         let edges = topology.out_edges(node);
                         let fan_out = edges.len() > 1;
                         if fan_out {
@@ -780,37 +875,25 @@ fn simulate_enforced_full(
                             ktot_buf.resize(take, 0);
                         }
                         if edges.is_empty() {
-                            for &origin in consumed {
-                                done += lineage.consume(origin, 0, at);
-                            }
+                            gains_buf.clear();
+                            gains_buf.resize(take, 0);
                         }
-                        for (j, &e) in edges.iter().enumerate() {
+                        for &e in edges {
                             let edge = topology.edge(e);
                             let mut outs = vec_pool.pop().unwrap_or_default();
-                            let (sampler, rng) = (&samplers[e], &mut gain_rngs[e]);
-                            if j + 1 == edges.len() {
-                                route_edge(
-                                    sampler,
-                                    thin[e],
-                                    rng,
-                                    consumed,
-                                    &mut gains_buf,
-                                    &mut outs,
-                                    |i, origin, k| {
-                                        let k = if fan_out { k + ktot_buf[i] } else { k };
-                                        done += lineage.consume(origin, k, at);
-                                    },
-                                );
-                            } else {
-                                route_edge(
-                                    sampler,
-                                    thin[e],
-                                    rng,
-                                    consumed,
-                                    &mut gains_buf,
-                                    &mut outs,
-                                    |i, _, k| ktot_buf[i] += k,
-                                );
+                            route_edge(
+                                &samplers[e],
+                                widths[e],
+                                thin[e],
+                                &mut gain_rngs[e],
+                                consumed,
+                                &mut gains_buf,
+                                &mut outs,
+                            );
+                            if fan_out {
+                                for (t, &k) in ktot_buf.iter_mut().zip(&gains_buf) {
+                                    *t += k;
+                                }
                             }
                             if outs.is_empty() {
                                 vec_pool.push(outs);
@@ -824,6 +907,14 @@ fn simulate_enforced_full(
                                 );
                             }
                         }
+                        let counts = if fan_out { &ktot_buf } else { &gains_buf };
+                        let done: u64 = if node == src {
+                            lineage.enter_all(consumed, counts, at)
+                        } else {
+                            let settle =
+                                |(&origin, &k): (&u64, &u32)| lineage.consume(origin, k, at);
+                            consumed.iter().zip(counts).map(settle).sum()
+                        };
                         if done > 0 {
                             last_completion = last_completion.max(completion);
                             if let Some(sink) = obs.as_deref_mut() {
@@ -832,14 +923,12 @@ fn simulate_enforced_full(
                             if let Some(l) = live {
                                 l.on_completions(done);
                             }
-                            lineage.fold(|origin, c| {
-                                tally.resolved(
-                                    origin,
-                                    arrivals[origin as usize],
-                                    c,
-                                    spans.as_deref_mut(),
-                                )
-                            });
+                            // Inputs still waiting at the source have
+                            // not written their lineage slots yet.
+                            let frontier = queues[src].as_slice().first().copied();
+                            let (first, resolved) =
+                                lineage.take_resolved(frontier.unwrap_or(u64::MAX));
+                            tally.resolved_run(first, resolved, &arrivals, spans.as_deref_mut());
                         }
                     }
                     // Periodic refire, but only while there is still work
@@ -870,7 +959,7 @@ fn simulate_enforced_full(
     // still unresolved at the safety horizon counted as dropped.
     let all_resolved = lineage.all_resolved();
     let resolved = lineage.resolved();
-    lineage.finish(|origin, c| {
+    lineage.finish(queues[src].as_slice(), |origin, c| {
         let arrival = arrivals[origin as usize];
         match c {
             Some(c) => tally.resolved(origin, arrival, c, spans.as_deref_mut()),
@@ -1026,22 +1115,27 @@ mod tests {
 
     #[test]
     fn arrivals_before_finds_the_first_arrival_at_or_after_a_limit() {
-        let lane: Vec<SimTime> = [0u64, 0, 3, 3, 3, 7, 9, 9, 20]
-            .into_iter()
-            .map(SimTime::from_cycles)
+        let short = vec![0u64, 0, 3, 3, 3, 7, 9, 9, 20];
+        // Several chunks long, with runs of one instant across chunk ends.
+        let long: Vec<u64> = (0..70u64)
+            .map(|i| i / 3 * 2 + u64::from(i > 40) * 9)
             .collect();
-        for from in 0..=lane.len() {
-            for limit in 0..=21 {
-                let want = from
-                    + lane[from..]
-                        .iter()
-                        .take_while(|t| t.cycles() < limit)
-                        .count();
-                assert_eq!(
-                    arrivals_before(&lane, from, SimTime::from_cycles(limit)),
-                    want,
-                    "from {from}, limit {limit}"
-                );
+        for lane in [short, long] {
+            let top = lane.last().copied().unwrap_or(0) + 1;
+            let lane: Vec<SimTime> = lane.into_iter().map(SimTime::from_cycles).collect();
+            for from in 0..=lane.len() {
+                for limit in 0..=top {
+                    let want = from
+                        + lane[from..]
+                            .iter()
+                            .take_while(|t| t.cycles() < limit)
+                            .count();
+                    assert_eq!(
+                        arrivals_before(&lane, from, SimTime::from_cycles(limit)),
+                        want,
+                        "from {from}, limit {limit}"
+                    );
+                }
             }
         }
     }
@@ -1219,6 +1313,59 @@ mod tests {
             m.active_fraction,
             sched.active_fraction
         );
+    }
+
+    #[test]
+    fn arrivals_feed_the_source_whatever_its_index() {
+        use dataflow_model::TopologyBuilder;
+        // The chain a → b, declared once in order and once with the
+        // sink first: the stream must enter at a either way.
+        let k1 = || GainModel::Deterministic { k: 1 };
+        let ab = TopologyBuilder::new(4)
+            .node("a", 10.0)
+            .node("b", 20.0)
+            .edge(0, 1, k1(), 1.0)
+            .build()
+            .unwrap();
+        let ba = TopologyBuilder::new(4)
+            .node("b", 20.0)
+            .node("a", 10.0)
+            .edge(1, 0, k1(), 1.0)
+            .build()
+            .unwrap();
+        assert_eq!(ba.source(), 1);
+        let sched = |periods: Vec<f64>| WaitSchedule {
+            waits: vec![0.0; 2],
+            periods,
+            active_fraction: 0.0,
+            backlog_factors: vec![1.0, 1.0],
+            latency_bound: 0.0,
+            telemetry: None,
+        };
+        let cfg = SimConfig::quick(10.0, 1, 400);
+        let run =
+            |t: &Topology, s: &WaitSchedule| simulate(t, s, 1e6, &cfg, Hooks::default()).unwrap();
+        let want = run(&ab, &sched(vec![40.0, 50.0]));
+        let got = run(&ba, &sched(vec![50.0, 40.0]));
+        assert_eq!(got.items_completed, 400);
+        // Every item visits both nodes: a then b.
+        assert!(got.latency.min().unwrap() >= 30.0);
+        assert!(got.occupancy.iter().all(|o| o.firings() > 0));
+        let reversed = |v: &[u64]| v.iter().rev().copied().collect::<Vec<_>>();
+        assert_eq!(got.max_queue_depth, reversed(&want.max_queue_depth));
+        let bits = |m: &SimMetrics| {
+            let l = &m.latency;
+            [
+                l.mean(),
+                l.variance(),
+                l.min().unwrap(),
+                l.max().unwrap(),
+                m.horizon,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got.deadline_misses, want.deadline_misses);
     }
 
     #[test]

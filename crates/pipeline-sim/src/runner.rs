@@ -93,7 +93,8 @@ impl MultiSeedReport {
     }
 }
 
-/// Run `run` once per seed `0..num_seeds`, in parallel across
+/// Run `run` once per seed `base_config.seed..base_config.seed +
+/// num_seeds` (wrapping past `u64::MAX`), in parallel across
 /// [`rtsdf_core::worker_threads`] scoped threads, and collect the runs in
 /// seed order.
 ///
@@ -131,7 +132,9 @@ pub fn run_seeds<F>(
 where
     F: Fn(&SimConfig, Hooks<'_>) -> Result<SimMetrics, SimError> + Sync,
 {
-    let seeds: Vec<u64> = (0..num_seeds).collect();
+    let seeds: Vec<u64> = (0..num_seeds)
+        .map(|i| base_config.seed.wrapping_add(i))
+        .collect();
     if seeds.is_empty() {
         // `chunks(0)` below would panic; zero seeds is a valid request
         // with an empty answer.
@@ -220,6 +223,29 @@ mod tests {
         c3.seed = 3;
         let seq = enforced::simulate(&t, &sched, 1e5, &c3, Hooks::default()).unwrap();
         assert_eq!(a.runs[3].active_fraction, seq.active_fraction);
+    }
+
+    #[test]
+    fn run_seeds_numbers_seeds_from_the_base_seed() {
+        let p = blast();
+        let params = RtParams::new(10.0, 1e5).unwrap();
+        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+            .solve()
+            .unwrap();
+        let cfg = SimConfig::quick(10.0, 5, 1_000);
+        let t = Topology::chain(&p);
+        let run = |c: &SimConfig, h: Hooks<'_>| enforced::simulate(&t, &sched, 1e5, c, h);
+        let report = run_seeds(&cfg, 2, None, run).unwrap();
+        let json = |m: &SimMetrics| serde_json::to_string(m).expect("metrics serialize");
+        for (run, seed) in report.runs.iter().zip([5, 6]) {
+            let mut c = cfg.clone();
+            c.seed = seed;
+            let single = enforced::simulate(&t, &sched, 1e5, &c, Hooks::default()).unwrap();
+            assert_eq!(json(run), json(&single), "seed {seed}");
+        }
+        // Seeds 0 and 1 draw other streams.
+        let from_zero = run_seeds(&SimConfig::quick(10.0, 0, 1_000), 2, None, run).unwrap();
+        assert_ne!(json(&from_zero.runs[0]), json(&report.runs[0]));
     }
 
     #[test]

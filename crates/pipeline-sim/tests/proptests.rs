@@ -834,3 +834,102 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Every gain family against the scalar reference. The pipelines above
+// draw only two-point laws with at most two outputs; the enforced
+// kernel's routing writes depend on the law's largest count (one
+// conditional store for at most one output, an 8-slot spread above,
+// a slow path past 8), so these chains draw from all four families.
+
+/// A gain law from any of the four families: deterministic (0–2
+/// outputs), Bernoulli, censored Poisson (mean up to 12, cap at least
+/// 20, so counts past the 8-slot spread occur) and an empirical PMF
+/// with support up to 20.
+fn any_gain() -> impl Strategy<Value = GainModel> {
+    prop_oneof![
+        (0u32..=2).prop_map(|k| GainModel::Deterministic { k }),
+        (0.05..1.0f64).prop_map(|p| GainModel::Bernoulli { p }),
+        (0.3..12.0f64, 20u32..=40).prop_map(|(mean, cap)| GainModel::CensoredPoisson { mean, cap }),
+        prop::collection::vec((0u32..=20, 0.05..1.0f64), 1..=4).prop_map(|points| {
+            let total: f64 = points.iter().map(|(_, w)| w).sum();
+            let pmf = points.into_iter().map(|(k, w)| (k, w / total)).collect();
+            GainModel::Empirical { pmf }
+        }),
+    ]
+}
+
+/// A two- or three-stage chain of [`any_gain`] laws whose expected
+/// expansion stays at most 24 items per input, so a case stays small.
+fn any_family_pipeline() -> impl Strategy<Value = PipelineSpec> {
+    prop::collection::vec((20.0..500.0f64, any_gain()), 2..=3)
+        .prop_map(|stages| {
+            let mut b = PipelineSpecBuilder::new(32);
+            for (i, (t, gain)) in stages.into_iter().enumerate() {
+                b = b.stage(format!("s{i}"), t, gain);
+            }
+            b.build().expect("valid")
+        })
+        .prop_filter("bounded expansion", |p| {
+            p.total_gains().iter().all(|&g| g <= 24.0) && p.end_to_end_gain() <= 24.0
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Chains of every gain family, over streams longer than the
+    /// lineage ring's first 1,024 slots — and, with the periods
+    /// stretched past stability, with so many inputs in flight that the
+    /// ring grows mid-run — against the scalar reference, bit for bit:
+    /// plain, and with every hook attached.
+    #[test]
+    fn every_gain_family_matches_scalar_reference(
+        p in any_family_pipeline(),
+        seed in 0u64..1000,
+        items in 1_100usize..3_000,
+        stretch in prop_oneof![Just(1.0), 1.5..3.0f64],
+        intensity in intensity(),
+    ) {
+        use pipeline_sim::reference::simulate_enforced_reference;
+
+        let (params, mut sched) = oracle_waits(&p);
+        for x in &mut sched.periods {
+            *x *= stretch;
+        }
+        let cfg = SimConfig::quick(params.tau0, seed, items);
+        let d = params.deadline;
+        let t = Topology::chain(&p);
+
+        let plain = enforced::simulate(&t, &sched, d, &cfg, Hooks::default()).unwrap();
+        let oracle = simulate_enforced_reference(&p, &sched, d, &cfg, None, None);
+        prop_assert_eq!(metrics_json(&plain), metrics_json(&oracle));
+
+        // Faults alone: shed inputs resolve in the latency lanes, which
+        // span tracing would bypass.
+        let perturb = Perturbation::standard(1.0).at_intensity(intensity);
+        let policy = MitigationPolicy::full();
+        let faults = Some((&perturb, &policy));
+        let stressed = enforced::simulate(&t, &sched, d, &cfg, Hooks { faults, ..Hooks::default() })
+            .unwrap();
+        let oracle = simulate_enforced_reference(&p, &sched, d, &cfg, None, faults);
+        prop_assert_eq!(metrics_json(&stressed), metrics_json(&oracle));
+
+        let mut obs = ObsSink::new(p.len(), ObsConfig::default());
+        let mut spans = SpanSink::new(TraceConfig::default());
+        let live_metrics = SimLiveMetrics::new(p.len(), 1);
+        let handle = live_metrics.handle(0);
+        let hooks = Hooks {
+            obs: Some(&mut obs),
+            spans: Some(&mut spans),
+            live: Some(&handle),
+            faults,
+        };
+        let mut hooked = enforced::simulate(&t, &sched, d, &cfg, hooks).unwrap();
+        hooked.obs = Some(obs.report());
+        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut oracle = simulate_enforced_reference(&p, &sched, d, &cfg, Some(&mut sink), faults);
+        oracle.obs = Some(sink.report());
+        prop_assert_eq!(metrics_json(&hooked), metrics_json(&oracle));
+    }
+}
