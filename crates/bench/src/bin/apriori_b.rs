@@ -66,7 +66,11 @@ fn main() {
             stream_length: 6_000,
             ..CalibrationConfig::quick(points)
         },
-    );
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("calibration failed: {e}");
+        std::process::exit(1);
+    });
     println!(
         "  b (empirical) = {:?} in {} rounds (converged: {})",
         result.b,

@@ -70,7 +70,10 @@ fn main() {
     );
     println!();
 
-    let result = calibrate_enforced(&pipeline, &config);
+    let result = calibrate_enforced(&pipeline, &config).unwrap_or_else(|e| {
+        eprintln!("calibration failed: {e}");
+        std::process::exit(1);
+    });
 
     if let Some(format) = metrics {
         let path = match format {

@@ -74,7 +74,10 @@ fn main() {
     // The quick config simulates with periodic arrivals by default; the
     // calibration loop itself is arrival-agnostic, so we emulate the
     // Poisson study by bumping the targets through direct simulation:
-    let result = calibrate_enforced(&p, &config);
+    let result = calibrate_enforced(&p, &config).unwrap_or_else(|e| {
+        eprintln!("calibration failed: {e}");
+        std::process::exit(1);
+    });
     println!("  periodic-arrivals calibration: b = {:?}", result.b);
 
     // Poisson check at the periodic-calibrated factors, then escalate by

@@ -16,7 +16,7 @@ use rtsdf::core::{
 use rtsdf::exec::{sim_vs_real, ExecConfig};
 use rtsdf::model::Topology;
 use rtsdf::prelude::*;
-use rtsdf::sim::calibration::{calibrate_enforced, CalibrationConfig};
+use rtsdf::sim::calibration::{calibrate_enforced, CalibrationConfig, CalibrationError};
 use rtsdf::sim::SimLiveMetrics;
 use std::fmt;
 use std::io::Write;
@@ -55,6 +55,12 @@ impl From<std::io::Error> for CommandError {
 
 impl From<SimError> for CommandError {
     fn from(e: SimError) -> Self {
+        CommandError::Params(e.to_string())
+    }
+}
+
+impl From<CalibrationError> for CommandError {
+    fn from(e: CalibrationError) -> Self {
         CommandError::Params(e.to_string())
     }
 }
@@ -914,7 +920,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 stream_length: items,
                 ..CalibrationConfig::quick(grid?)
             };
-            let result = calibrate_enforced(&p, &config);
+            let result = calibrate_enforced(&p, &config)?;
             for (i, round) in result.rounds.iter().enumerate() {
                 writeln!(
                     out,

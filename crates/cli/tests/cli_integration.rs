@@ -126,6 +126,17 @@ fn sweep_csv_has_expected_columns() {
 }
 
 #[test]
+fn calibrate_on_an_infeasible_grid_is_a_clean_error() {
+    let path = pipeline_file();
+    let err = run_to_string(&format!(
+        "calibrate --pipeline {} --points 1:100 --seeds 2 --items 500",
+        path.display()
+    ))
+    .unwrap_err();
+    assert!(err.contains("no feasible grid point"), "{err}");
+}
+
+#[test]
 fn calibrate_reports_rounds() {
     let path = pipeline_file();
     let out = run_to_string(&format!(

@@ -154,7 +154,10 @@ impl GainModel {
                 let (first, pmf) = censored_poisson_pmf(*mean, u64::from(*cap));
                 inverse_cdf_table(first as u32, &pmf)
             }
-            GainModel::Empirical { pmf } => Law::Empirical(pmf.clone()),
+            GainModel::Empirical { pmf } => Law::Empirical {
+                ks: pmf.iter().map(|&(k, _)| k).collect(),
+                cuts: scan_cuts(pmf),
+            },
         };
         Ok(GainSampler { law })
     }
@@ -200,7 +203,15 @@ const SHORT_TABLE: usize = 32;
 ///   `P(X ≤ k) ≤ u`, i.e. with `⌈P(X ≤ k)·2^53⌉ ≤ m`. The table keeps
 ///   only the `k` whose CDF lies strictly between 0 and 1 in `f64`
 ///   (`O(√mean)` entries, never `O(cap)`) as those integers.
-/// * Empirical: one uniform, scanned down the PMF (`u -= p`).
+/// * Empirical: the support point the scan down the PMF would stop at
+///   (`u -= p` from `u = m·2^-53`, the first point whose mass exceeds
+///   what is left of `u`), read from a cut table instead of scanned.
+///   Float subtraction and comparison are monotone, so the point the
+///   scan stops at never moves back as `m` grows: it is the number of
+///   cuts at or below `m`, where cut `j` is the least `m` whose scan
+///   passes point `j`. The cuts are found once per sampler by bisection
+///   over `[0, 2^53)`, with the scan as the predicate; sampling is one
+///   branch-free count and an index, equal to the scan on every draw.
 #[derive(Debug, Clone)]
 pub struct GainSampler {
     law: Law,
@@ -217,7 +228,12 @@ enum Law {
         base: u32,
         cdf: Vec<u64>,
     },
-    Empirical(Vec<(u32, f64)>),
+    /// The PMF's counts in declaration order, and the `len − 1` cuts of
+    /// [`scan_cuts`]: the scan stops at `ks[table_count(cuts, m)]`.
+    Empirical {
+        ks: Vec<u32>,
+        cuts: Vec<u64>,
+    },
 }
 
 impl GainSampler {
@@ -228,7 +244,7 @@ impl GainSampler {
             Law::Deterministic(k) => *k,
             Law::Bernoulli(threshold) => u32::from(draw53(rng) < *threshold),
             Law::Table { base, cdf } => base + table_count(cdf, draw53(rng)),
-            Law::Empirical(pmf) => empirical(pmf, rng.gen::<f64>()),
+            Law::Empirical { ks, cuts } => ks[table_count(cuts, draw53(rng)) as usize],
         }
     }
 
@@ -248,9 +264,9 @@ impl GainSampler {
                     *o = base + table_count(cdf, draw53(rng));
                 }
             }
-            Law::Empirical(pmf) => {
+            Law::Empirical { ks, cuts } => {
                 for o in out.iter_mut() {
-                    *o = empirical(pmf, rng.gen::<f64>());
+                    *o = ks[table_count(cuts, draw53(rng)) as usize];
                 }
             }
         }
@@ -267,7 +283,7 @@ impl GainSampler {
             Law::Table { base, cdf } => base + cdf.len() as u32,
             // The scan's floating-point fallback is the last point, so
             // every support point counts, massless ones included.
-            Law::Empirical(pmf) => pmf.iter().map(|(k, _)| *k).max().unwrap_or(0),
+            Law::Empirical { ks, .. } => ks.iter().copied().max().unwrap_or(0),
         }
     }
 
@@ -284,8 +300,8 @@ impl GainSampler {
             Law::Table { base, cdf } => (0..count)
                 .map(|_| u64::from(base + table_count(cdf, draw53(rng))))
                 .sum(),
-            Law::Empirical(pmf) => (0..count)
-                .map(|_| u64::from(empirical(pmf, rng.gen::<f64>())))
+            Law::Empirical { ks, cuts } => (0..count)
+                .map(|_| u64::from(ks[table_count(cuts, draw53(rng)) as usize]))
                 .sum(),
         }
     }
@@ -305,18 +321,74 @@ fn table_count(cdf: &[u64], m: u64) -> u32 {
     }
 }
 
-/// The empirical law's scan: the first support point whose mass
-/// exceeds what is left of `u`.
-#[inline]
-fn empirical(pmf: &[(u32, f64)], mut u: f64) -> u32 {
-    for (k, p) in pmf {
+/// The empirical law's scan from the float draw `m·2^-53`: the index of
+/// the first support point whose mass exceeds what is left of `u`, or
+/// the last point when rounding leaves `u` past them all. The cut
+/// builder's predicate and the test oracle; sampling reads the cuts.
+fn scan_index(pmf: &[(u32, f64)], m: u64) -> usize {
+    let mut u = m as f64 / DRAW_SPAN;
+    for (i, (_, p)) in pmf.iter().enumerate() {
         if u < *p {
-            return *k;
+            return i;
         }
         u -= p;
     }
-    // Floating-point slop: the last support point.
-    pmf.last().map_or(0, |(k, _)| *k)
+    pmf.len() - 1
+}
+
+/// The cut table of an empirical PMF: for each point `j ≥ 1`, the least
+/// 53-bit draw whose [`scan_index`] is at least `j` (`2^53`, which no
+/// draw reaches, when there is none). The scan index is nondecreasing
+/// in the draw — each `u -= p` and `u < p` is monotone in `u` — so each
+/// cut is found by bisection, starting from the cut before it.
+fn scan_cuts(pmf: &[(u32, f64)]) -> Vec<u64> {
+    let mut cuts = Vec::with_capacity(pmf.len().saturating_sub(1));
+    let mut lo = 0u64;
+    for j in 1..pmf.len() {
+        let mut hi = 1u64 << 53;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if scan_index(pmf, mid) >= j {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        cuts.push(lo);
+    }
+    cuts
+}
+
+/// Thin a batch of output counts by a routing weight, as one keep draw
+/// per output would: item by item, each of an item's `counts[i]`
+/// outputs survives when its 53-bit draw is below `threshold` (the
+/// weight's [`unit_threshold`]), and `counts[i]` becomes the survivors.
+///
+/// The batch's `Σk` keep bits are drawn in that order into one flat
+/// lane as a running count (`lane[j]` is the survivors among the first
+/// `j` draws); an item's survivors are then the difference of the lane
+/// at its segment's two ends. So no loop's length depends on a draw,
+/// and the stream advances by exactly `Σk` draws.
+pub fn thin_counts<R: Rng + ?Sized>(
+    rng: &mut R,
+    threshold: u64,
+    counts: &mut [u32],
+    lane: &mut Vec<u32>,
+) {
+    let total: usize = counts.iter().map(|&k| k as usize).sum();
+    lane.clear();
+    lane.resize(total + 1, 0);
+    let mut kept = 0u32;
+    for slot in &mut lane[1..] {
+        kept += u32::from(draw53(rng) < threshold);
+        *slot = kept;
+    }
+    let mut at = 0usize;
+    for k in counts.iter_mut() {
+        let end = at + *k as usize;
+        *k = lane[end] - lane[at];
+        at = end;
+    }
 }
 
 /// The inverse-CDF table of a PMF window over `first..`: the CDF at
@@ -894,6 +966,119 @@ mod tests {
             g.sample_batch(&mut rng(), &mut out);
             let top = out.iter().copied().max().unwrap();
             assert!(top <= bound, "{model:?} drew {top} > {bound}");
+        }
+    }
+
+    /// The empirical law as it was sampled before the cut table: one
+    /// float uniform scanned down the PMF.
+    fn float_scan(pmf: &[(u32, f64)], mut u: f64) -> u32 {
+        for (k, p) in pmf {
+            if u < *p {
+                return *k;
+            }
+            u -= p;
+        }
+        pmf.last().map_or(0, |(k, _)| *k)
+    }
+
+    /// Random PMFs, normalized, with zero-mass points and duplicate,
+    /// unsorted counts; some are longer than the branch-free table.
+    fn random_pmfs() -> Vec<Vec<(u32, f64)>> {
+        let mut r = StdRng::seed_from_u64(17);
+        let mut pmfs = vec![
+            vec![(0, 0.5), (2, 0.25), (4, 0.25)],
+            vec![(0, 0.5), (2, 0.5), (9, 0.0)],
+            vec![(3, 0.0), (1, 1.0)],
+            vec![(7, 1.0)],
+            vec![(2, 0.1), (2, 0.2), (0, 0.0), (5, 0.3), (1, 0.4), (0, 0.0)],
+        ];
+        for _ in 0..300 {
+            let len = if r.gen::<f64>() < 0.1 {
+                r.gen_range(33..=48)
+            } else {
+                r.gen_range(1..=12)
+            };
+            let mut w: Vec<f64> = (0..len)
+                .map(|_| {
+                    if r.gen::<f64>() < 0.25 {
+                        0.0
+                    } else {
+                        r.gen::<f64>()
+                    }
+                })
+                .collect();
+            if w.iter().all(|&x| x == 0.0) {
+                w[0] = 1.0;
+            }
+            let total: f64 = w.iter().sum();
+            pmfs.push(
+                w.iter()
+                    .map(|x| (r.gen_range(0..6u32), x / total))
+                    .collect(),
+            );
+        }
+        pmfs
+    }
+
+    #[test]
+    fn empirical_cut_table_is_the_scan_on_every_draw_tried() {
+        for pmf in random_pmfs() {
+            let g = GainModel::Empirical { pmf: pmf.clone() }.sampler().unwrap();
+            let Law::Empirical { ks, cuts } = &g.law else {
+                panic!("not an empirical law: {g:?}");
+            };
+            assert_eq!(cuts.len(), pmf.len() - 1);
+            assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{cuts:?}");
+            // At and around every cut, at both ends of the draw range,
+            // and on random draws.
+            let mut probes = vec![0, (1 << 53) - 1];
+            for &c in cuts {
+                probes.extend((c.saturating_sub(2)..=c + 2).filter(|&m| m < 1 << 53));
+            }
+            let mut r = rng();
+            probes.extend((0..2_000).map(|_| draw53(&mut r)));
+            for m in probes {
+                let i = table_count(cuts, m) as usize;
+                assert_eq!(i, scan_index(&pmf, m), "{pmf:?} at m = {m}");
+                let u = m as f64 * (1.0 / DRAW_SPAN);
+                assert_eq!(ks[i], float_scan(&pmf, u), "{pmf:?} at m = {m}");
+            }
+            // A cut is the first draw past its point: one below it, the
+            // scan stops earlier.
+            for (j, &c) in cuts.iter().enumerate() {
+                if c > 0 && c < 1 << 53 {
+                    assert!(scan_index(&pmf, c) > j && scan_index(&pmf, c - 1) <= j);
+                }
+            }
+            // Same draws, same counts as the float scan of `gen::<f64>()`.
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..200 {
+                assert_eq!(g.sample(&mut a), float_scan(&pmf, b.gen::<f64>()));
+            }
+        }
+    }
+
+    #[test]
+    fn flat_lane_thinning_is_the_per_item_loop() {
+        let mut r = StdRng::seed_from_u64(5);
+        let mut lane = Vec::new();
+        for threshold in [0, 1, unit_threshold(0.75), 1 << 53] {
+            for _ in 0..100 {
+                let counts: Vec<u32> = (0..r.gen_range(0..40usize))
+                    .map(|_| r.gen_range(0..=20u32))
+                    .collect();
+                let seed = r.gen::<u64>();
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let want: Vec<u32> = counts
+                    .iter()
+                    .map(|&k| (0..k).map(|_| u32::from(draw53(&mut a) < threshold)).sum())
+                    .collect();
+                let mut got = counts.clone();
+                thin_counts(&mut b, threshold, &mut got, &mut lane);
+                assert_eq!(got, want, "threshold {threshold}, counts {counts:?}");
+                // Both streams sit at the same position afterwards.
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "threshold {threshold}");
+            }
         }
     }
 

@@ -32,7 +32,7 @@
 use crate::channel::{bounded, Item, Receiver, Sender};
 use crate::report::{ExecMetrics, ExecStageReport};
 use crate::timer::{calibrate, TimerCalibration, Timers};
-use dataflow_model::gain::{draw53, unit_threshold};
+use dataflow_model::gain::{draw53, thin_counts, unit_threshold};
 use dataflow_model::{ArrivalProcess, GainSampler, ModelError, Topology};
 use des::obs::Dist;
 use des::rng::RngStream;
@@ -193,8 +193,8 @@ fn dur_ns(ns: f64) -> Duration {
 /// Sample per-edge gains for `take` consumed items, apply routing-
 /// weight thinning, accumulate per-item output totals, and append the
 /// surviving origins to `outs`. Draw-for-draw the simulator's firing
-/// loop (`sample_batch`, then Bernoulli thinning from the same edge
-/// substream).
+/// loop (`sample_batch`, then [`thin_counts`] from the same edge
+/// substream, with `thin_buf` as its lane).
 #[allow(clippy::too_many_arguments)]
 fn route_edge(
     sampler: &GainSampler,
@@ -202,6 +202,7 @@ fn route_edge(
     rng: &mut RngStream,
     consumed: &[Item],
     gains_buf: &mut Vec<u32>,
+    thin_buf: &mut Vec<u32>,
     ktot: &mut [u32],
     outs: &mut Vec<u64>,
 ) {
@@ -210,23 +211,13 @@ fn route_edge(
     gains_buf.resize(take, 0);
     sampler.sample_batch(rng, gains_buf);
     if weight < 1.0 {
-        let threshold = unit_threshold(weight);
-        for (i, item) in consumed.iter().enumerate() {
-            let kept: u32 = (0..gains_buf[i])
-                .map(|_| u32::from(draw53(rng) < threshold))
-                .sum();
-            ktot[i] += kept;
-            for _ in 0..kept {
-                outs.push(item.origin);
-            }
-        }
-    } else {
-        for (i, item) in consumed.iter().enumerate() {
-            let k = gains_buf[i];
-            ktot[i] += k;
-            for _ in 0..k {
-                outs.push(item.origin);
-            }
+        thin_counts(rng, unit_threshold(weight), gains_buf, thin_buf);
+    }
+    for (i, item) in consumed.iter().enumerate() {
+        let k = gains_buf[i];
+        ktot[i] += k;
+        for _ in 0..k {
+            outs.push(item.origin);
         }
     }
 }
@@ -423,6 +414,7 @@ fn stage_thread(ctx: StageCtx<'_>) -> StageRun {
     };
     let mut consumed: Vec<Item> = Vec::with_capacity(v as usize);
     let mut gains_buf: Vec<u32> = Vec::with_capacity(v as usize);
+    let mut thin_buf: Vec<u32> = Vec::new();
     let mut ktot: Vec<u32> = Vec::with_capacity(v as usize);
     // Per-out-edge output origin batches, reused across firings.
     let mut outs: Vec<Vec<u64>> = senders.iter().map(|_| Vec::new()).collect();
@@ -470,6 +462,7 @@ fn stage_thread(ctx: StageCtx<'_>) -> StageRun {
                     &mut rngs[slot],
                     &consumed,
                     &mut gains_buf,
+                    &mut thin_buf,
                     &mut ktot,
                     &mut outs[slot],
                 );

@@ -17,10 +17,12 @@
 
 use crate::config::SimConfig;
 use crate::enforced;
+use crate::hooks::SimError;
 use crate::runner::run_seeds;
 use dataflow_model::{PipelineSpec, RtParams, Topology};
 use rtsdf_core::EnforcedWaitsProblem;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Calibration methodology parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,16 +86,49 @@ pub struct CalibrationResult {
     pub converged: bool,
 }
 
+/// Why [`calibrate_enforced`] could not calibrate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CalibrationError {
+    /// The operating grid has no point.
+    EmptyGrid,
+    /// No grid point has a feasible schedule at the factors `b` (the
+    /// optimistic start, or an escalated vector).
+    NoFeasiblePoint {
+        /// The backlog factors every grid point was infeasible at.
+        b: Vec<f64>,
+    },
+    /// A seeded run rejected its input.
+    Sim(SimError),
+}
+
+impl fmt::Display for CalibrationError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CalibrationError::EmptyGrid => write!(f, "calibration grid is empty"),
+            CalibrationError::NoFeasiblePoint { b } => {
+                write!(f, "no feasible grid point at backlog factors {b:?}")
+            }
+            CalibrationError::Sim(e) => write!(f, "calibration run failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CalibrationError {}
+
 /// Run the §6.2 calibration loop for the enforced-waits strategy.
 ///
-/// # Panics
-/// Panics if the grid is empty or no grid point is feasible at the
-/// optimistic starting factors.
+/// # Errors
+/// [`CalibrationError::EmptyGrid`] for an empty grid,
+/// [`CalibrationError::NoFeasiblePoint`] when a round finds no grid
+/// point feasible at its factors, and [`CalibrationError::Sim`] if a
+/// seeded run rejects its input.
 pub fn calibrate_enforced(
     pipeline: &PipelineSpec,
     config: &CalibrationConfig,
-) -> CalibrationResult {
-    assert!(!config.grid.is_empty(), "calibration grid is empty");
+) -> Result<CalibrationResult, CalibrationError> {
+    if config.grid.is_empty() {
+        return Err(CalibrationError::EmptyGrid);
+    }
     let n = pipeline.len();
     let topology = Topology::chain(pipeline);
     let mut b = EnforcedWaitsProblem::optimistic_backlog(pipeline);
@@ -125,7 +160,7 @@ pub fn calibrate_enforced(
             let report = run_seeds(&cfg, config.seeds_per_point, None, |c, h| {
                 enforced::simulate(&topology, &sched, params.deadline, c, h)
             })
-            .expect("a schedule solved for the pipeline fits it");
+            .map_err(CalibrationError::Sim)?;
             let mf = report.miss_free_fraction();
             if mf < worst_miss_free {
                 worst_miss_free = mf;
@@ -135,10 +170,9 @@ pub fn calibrate_enforced(
                 *o = o.max(x);
             }
         }
-        assert!(
-            any_feasible,
-            "no feasible grid point at backlog factors {b:?}"
-        );
+        if !any_feasible {
+            return Err(CalibrationError::NoFeasiblePoint { b });
+        }
 
         rounds.push(CalibrationRound {
             b: b.clone(),
@@ -153,11 +187,11 @@ pub fn calibrate_enforced(
         });
 
         if worst_miss_free >= config.target_miss_free {
-            return CalibrationResult {
+            return Ok(CalibrationResult {
                 b,
                 rounds,
                 converged: true,
-            };
+            });
         }
 
         // Stop only *after* evaluating the current factors, so the
@@ -194,11 +228,11 @@ pub fn calibrate_enforced(
         capped = b.iter().any(|&bi| bi >= config.b_cap);
     }
 
-    CalibrationResult {
+    Ok(CalibrationResult {
         converged: false,
         b,
         rounds,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -230,7 +264,7 @@ mod tests {
             RtParams::new(10.0, 1e5).unwrap(),
             RtParams::new(30.0, 1.5e5).unwrap(),
         ];
-        let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid));
+        let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid)).unwrap();
         assert!(result.converged, "history: {:?}", result.rounds);
         assert_eq!(result.b.len(), 4);
         // Factors should start optimistic and only grow.
@@ -246,7 +280,7 @@ mod tests {
     fn calibrated_factors_hold_on_fresh_seeds() {
         let p = blast();
         let grid = vec![RtParams::new(10.0, 1e5).unwrap()];
-        let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid.clone()));
+        let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid.clone())).unwrap();
         assert!(result.converged);
         // Validate on seeds the calibration never saw.
         let prob = EnforcedWaitsProblem::new(&p, grid[0], result.b.clone());
@@ -266,10 +300,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "grid is empty")]
-    fn empty_grid_panics() {
+    fn empty_grid_is_an_error() {
         let p = blast();
-        calibrate_enforced(&p, &CalibrationConfig::quick(vec![]));
+        let err = calibrate_enforced(&p, &CalibrationConfig::quick(vec![])).unwrap_err();
+        assert_eq!(err, CalibrationError::EmptyGrid);
+        assert!(err.to_string().contains("grid is empty"), "{err}");
+    }
+
+    #[test]
+    fn an_infeasible_grid_is_an_error() {
+        // Arrivals every cycle with a 100-cycle deadline: no schedule
+        // exists at the optimistic factors.
+        let p = blast();
+        let grid = vec![RtParams::new(1.0, 100.0).unwrap()];
+        let err = calibrate_enforced(&p, &CalibrationConfig::quick(grid)).unwrap_err();
+        assert_eq!(
+            err,
+            CalibrationError::NoFeasiblePoint {
+                b: EnforcedWaitsProblem::optimistic_backlog(&p)
+            }
+        );
     }
 
     #[test]
@@ -287,7 +337,7 @@ mod tests {
         config.b_cap = 3.0;
         config.seeds_per_point = 2;
         config.stream_length = 500;
-        let result = calibrate_enforced(&p, &config);
+        let result = calibrate_enforced(&p, &config).unwrap();
         assert!(!result.converged);
         assert!(
             result.b.iter().any(|&bi| bi >= config.b_cap),
@@ -314,7 +364,7 @@ mod tests {
         config.max_rounds = 1;
         config.seeds_per_point = 2;
         config.stream_length = 500;
-        let result = calibrate_enforced(&p, &config);
+        let result = calibrate_enforced(&p, &config).unwrap();
         assert_eq!(result.rounds.len(), 1);
         assert_eq!(result.b, result.rounds[0].b);
         if !result.converged {

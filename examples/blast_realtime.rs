@@ -50,7 +50,8 @@ fn main() {
         RtParams::new(5.0, 1e5).unwrap(),
         RtParams::new(20.0, 2e5).unwrap(),
     ];
-    let result = calibrate_enforced(&pipeline, &CalibrationConfig::quick(grid));
+    let result = calibrate_enforced(&pipeline, &CalibrationConfig::quick(grid))
+        .expect("the grid has feasible points");
     println!(
         "  calibrated b = {:?} in {} round(s), converged = {}",
         result.b,

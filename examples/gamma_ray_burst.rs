@@ -44,7 +44,8 @@ fn main() {
     // Calibrate backlog factors empirically (§6.2 methodology).
     println!();
     println!("calibrating backlog factors empirically...");
-    let calib = calibrate_enforced(&pipeline, &CalibrationConfig::quick(vec![params]));
+    let calib = calibrate_enforced(&pipeline, &CalibrationConfig::quick(vec![params]))
+        .expect("the operating point is feasible");
     println!(
         "  empirical b = {:?} (converged: {})",
         calib.b, calib.converged

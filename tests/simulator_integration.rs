@@ -149,7 +149,7 @@ fn monolithic_nearly_miss_free_at_b1_s1() {
 fn calibration_loop_reaches_target_and_beats_start() {
     let p = blast();
     let grid = vec![RtParams::new(8.0, 8e4).unwrap()];
-    let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid));
+    let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid)).unwrap();
     assert!(result.converged, "{:?}", result.rounds);
     let last = result.rounds.last().unwrap();
     assert!(last.worst_miss_free >= 0.95);
