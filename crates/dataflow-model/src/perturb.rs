@@ -206,37 +206,86 @@ impl Perturbation {
     /// Perturb precomputed arrival times in place: uniform jitter of up
     /// to `±jitter_fraction() · tau0` per arrival plus burst clumping,
     /// preserving the arrival count, nonnegativity, and nondecreasing
-    /// order. Exactly one jitter draw and one burst draw are consumed
-    /// per arrival regardless of intensity, so the draw sequence is
-    /// stable as intensity varies.
+    /// order.
+    ///
+    /// When the jitter amplitude and the burst probability are both
+    /// exactly 0 the outcome is fixed: no draw is made, and only the
+    /// order-preserving clamp runs. Otherwise exactly one jitter draw
+    /// and one burst draw are consumed per arrival, interleaved (`u₀,
+    /// b₀, u₁, b₁, …`), so the draw sequence is the same at every
+    /// positive intensity.
+    ///
+    /// The work goes a block of arrivals at a time: one branch-free pass
+    /// draws, jitters and records each arrival's burst test, a serial
+    /// pass clumps bursts, and the clamp — a running maximum, which is
+    /// one serial chain of float compares — runs only on a block whose
+    /// times are not already in order at or above the previous time.
     pub fn perturb_arrivals<R: Rng + ?Sized>(&self, times: &mut [f64], tau0: f64, rng: &mut R) {
+        const BLOCK: usize = 256;
         let amp = self.jitter_fraction() * tau0;
         let burst_p = self.burst_p();
+        let mut prev = 0.0_f64;
+        if amp == 0.0 && burst_p == 0.0 {
+            for block in times.chunks_mut(BLOCK) {
+                clamp_block(block, &mut prev);
+            }
+            return;
+        }
         let mut clump_remaining = 0u32;
         let mut clump_at = 0.0_f64;
-        let mut prev = 0.0_f64;
-        for t in times.iter_mut() {
-            let u: f64 = rng.gen();
-            let jitter = (2.0 * u - 1.0) * amp;
-            let b: f64 = rng.gen();
-            let mut shifted = *t + jitter;
-            if clump_remaining > 0 {
-                clump_remaining -= 1;
-                shifted = clump_at;
-            } else if b < burst_p {
-                clump_remaining = self.burst_len;
-                clump_at = shifted;
+        let mut bursts = [false; BLOCK];
+        for block in times.chunks_mut(BLOCK) {
+            // Nothing in this loop feeds the next draw, so the jitter
+            // and the burst test overlap the generator's serial chain.
+            for (t, burst) in block.iter_mut().zip(&mut bursts) {
+                let u: f64 = rng.gen();
+                let b: f64 = rng.gen();
+                *t += (2.0 * u - 1.0) * amp;
+                *burst = b < burst_p;
             }
-            let fixed = shifted.max(prev).max(0.0);
-            *t = fixed;
-            prev = fixed;
+            for (t, &burst) in block.iter_mut().zip(&bursts) {
+                if clump_remaining > 0 {
+                    clump_remaining -= 1;
+                    *t = clump_at;
+                } else if burst {
+                    clump_remaining = self.burst_len;
+                    clump_at = *t;
+                }
+            }
+            clamp_block(block, &mut prev);
         }
+    }
+}
+
+/// Clamp a block of times onto the running maximum that starts at
+/// `*prev` (and at 0), and leave `*prev` at the block's last time.
+///
+/// A block already nondecreasing from `*prev` on is its own running
+/// maximum; checking that is a compare per neighbour pair with no
+/// chain between pairs, so only an out-of-order block pays the serial
+/// pass. A NaN time fails the check, and the serial pass replaces it by
+/// the running maximum.
+fn clamp_block(block: &mut [f64], prev: &mut f64) {
+    let Some(&first) = block.first() else {
+        return;
+    };
+    let ordered = block
+        .windows(2)
+        .fold(first >= *prev, |ok, w| ok & (w[1] >= w[0]));
+    if ordered {
+        *prev = block[block.len() - 1];
+        return;
+    }
+    for t in block.iter_mut() {
+        *t = t.max(*prev).max(0.0);
+        *prev = *t;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use des::rng::RngStream;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -312,6 +361,89 @@ mod tests {
         assert!(times.windows(2).all(|w| w[1] >= w[0]));
         // Something actually moved.
         assert!(times.iter().zip(0..).any(|(&t, k)| t != k as f64 * 10.0));
+    }
+
+    /// The per-arrival loop `perturb_arrivals` batches, kept as its
+    /// oracle: two draws per arrival at every intensity.
+    fn perturb_arrivals_per_arrival<R: Rng + ?Sized>(
+        p: &Perturbation,
+        times: &mut [f64],
+        tau0: f64,
+        rng: &mut R,
+    ) {
+        let amp = p.jitter_fraction() * tau0;
+        let burst_p = p.burst_p();
+        let mut clump_remaining = 0u32;
+        let mut clump_at = 0.0_f64;
+        let mut prev = 0.0_f64;
+        for t in times.iter_mut() {
+            let u: f64 = rng.gen();
+            let jitter = (2.0 * u - 1.0) * amp;
+            let b: f64 = rng.gen();
+            let mut shifted = *t + jitter;
+            if clump_remaining > 0 {
+                clump_remaining -= 1;
+                shifted = clump_at;
+            } else if b < burst_p {
+                clump_remaining = p.burst_len;
+                clump_at = shifted;
+            }
+            let fixed = shifted.max(prev).max(0.0);
+            *t = fixed;
+            prev = fixed;
+        }
+    }
+
+    #[test]
+    fn batched_arrival_faults_are_the_per_arrival_loop() {
+        let mut r = StdRng::seed_from_u64(29);
+        for case in 0..600 {
+            let n = r.gen_range(0..1_300usize);
+            let tau0 = r.gen_range(0.5..200.0);
+            let mut p = Perturbation::standard(match case % 4 {
+                0 => 0.0,
+                _ => r.gen_range(0.0..2.5),
+            });
+            p.arrival_jitter = match case % 5 {
+                0 => 0.0,
+                _ => r.gen_range(0.0..1.5),
+            };
+            p.burst_len = r.gen_range(0..9u32);
+            // Effective burst probability 0, 1 (clamped) or in between.
+            p.burst_prob = match case % 3 {
+                0 => 0.0,
+                1 => 1e9,
+                _ => r.gen_range(0.0..0.5),
+            };
+            // Sorted arrivals with some equal neighbours; every seventh
+            // case is out of order and may be negative, and every
+            // eleventh holds a NaN, so the clamp's serial pass runs too.
+            let mut at = 0.0;
+            let mut times: Vec<f64> = (0..n)
+                .map(|_| {
+                    if case % 7 == 0 {
+                        return r.gen_range(-50.0..50.0) * tau0;
+                    }
+                    if r.gen_range(0..4u32) > 0 {
+                        at += r.gen_range(0.0..2.0) * tau0;
+                    }
+                    at
+                })
+                .collect();
+            if case % 11 == 0 && n > 0 {
+                times[r.gen_range(0..n)] = f64::NAN;
+            }
+            let seed = r.gen();
+            let (mut batched, mut oracle) = (times.clone(), times);
+            let (mut rb, mut ro) = (RngStream::new(seed), RngStream::new(seed));
+            p.perturb_arrivals(&mut batched, tau0, &mut rb);
+            perturb_arrivals_per_arrival(&p, &mut oracle, tau0, &mut ro);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&batched), bits(&oracle), "case {case}");
+            let fixed = p.jitter_fraction() * tau0 == 0.0 && p.burst_p() == 0.0;
+            let want = if fixed { 0 } else { ro.draws() };
+            assert_eq!(rb.draws(), want, "case {case}");
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 use crate::config::SimConfig;
 use crate::enforced;
 use crate::hooks::SimError;
-use crate::runner::run_seeds;
+use crate::runner::{run_jobs, seed_configs, split_reports};
 use dataflow_model::{PipelineSpec, RtParams, Topology};
-use rtsdf_core::EnforcedWaitsProblem;
+use rtsdf_core::{EnforcedWaitsProblem, WaitSchedule};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -117,6 +117,10 @@ impl std::error::Error for CalibrationError {}
 
 /// Run the §6.2 calibration loop for the enforced-waits strategy.
 ///
+/// Each round solves every grid point at the round's factors, then
+/// simulates all (feasible point, seed) runs on one job queue across
+/// [`rtsdf_core::worker_threads`] threads.
+///
 /// # Errors
 /// [`CalibrationError::EmptyGrid`] for an empty grid,
 /// [`CalibrationError::NoFeasiblePoint`] when a round finds no grid
@@ -129,6 +133,7 @@ pub fn calibrate_enforced(
     if config.grid.is_empty() {
         return Err(CalibrationError::EmptyGrid);
     }
+    let workers = rtsdf_core::worker_threads();
     let n = pipeline.len();
     let topology = Topology::chain(pipeline);
     let mut b = EnforcedWaitsProblem::optimistic_backlog(pipeline);
@@ -139,13 +144,11 @@ pub fn calibrate_enforced(
     let mut round = 0;
 
     loop {
-        let mut worst_miss_free = 1.0_f64;
-        let mut worst_point = None;
-        let mut observed = vec![0.0_f64; n];
-        let mut any_feasible = false;
+        // Solve every grid point first, then run all (feasible point,
+        // seed) jobs as one list; results fold in grid order.
         let mut iter_sum = 0u64;
         let mut iter_points = 0u64;
-
+        let mut points: Vec<(RtParams, WaitSchedule)> = Vec::new();
         for params in &config.grid {
             let prob = EnforcedWaitsProblem::new(pipeline, *params, b.clone());
             let Ok(sched) = prob.solve() else {
@@ -155,12 +158,29 @@ pub fn calibrate_enforced(
                 iter_sum += t.iterations;
                 iter_points += 1;
             }
-            any_feasible = true;
+            points.push((*params, sched));
+        }
+        if points.is_empty() {
+            return Err(CalibrationError::NoFeasiblePoint { b });
+        }
+        let mut jobs = Vec::new();
+        for (k, (params, _)) in points.iter().enumerate() {
             let cfg = SimConfig::quick(params.tau0, 0, config.stream_length);
-            let report = run_seeds(&cfg, config.seeds_per_point, None, |c, h| {
-                enforced::simulate(&topology, &sched, params.deadline, c, h)
-            })
-            .map_err(CalibrationError::Sim)?;
+            jobs.extend(seed_configs(&cfg, config.seeds_per_point).map(|c| (k, c)));
+        }
+        let runs = run_jobs(&jobs, workers, None, |(k, c), h| {
+            let (params, sched) = &points[*k];
+            enforced::simulate(&topology, sched, params.deadline, c, h)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(CalibrationError::Sim)?;
+
+        let mut worst_miss_free = 1.0_f64;
+        let mut worst_point = None;
+        let mut observed = vec![0.0_f64; n];
+        let reports = split_reports(runs, config.seeds_per_point, points.len());
+        for ((params, _), report) in points.iter().zip(&reports) {
             let mf = report.miss_free_fraction();
             if mf < worst_miss_free {
                 worst_miss_free = mf;
@@ -169,9 +189,6 @@ pub fn calibrate_enforced(
             for (o, &x) in observed.iter_mut().zip(&report.max_backlog_vectors()) {
                 *o = o.max(x);
             }
-        }
-        if !any_feasible {
-            return Err(CalibrationError::NoFeasiblePoint { b });
         }
 
         rounds.push(CalibrationRound {
@@ -238,6 +255,7 @@ pub fn calibrate_enforced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_seeds;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
 
     fn blast() -> PipelineSpec {

@@ -84,6 +84,9 @@ pub(crate) struct FaultState {
     spike_factor: f64,
     stall_p: f64,
     stall_cycles: f64,
+    /// False when spikes and stalls both have probability exactly 0:
+    /// their outcome is fixed, so no draw is made.
+    draws: bool,
     rngs: Vec<RngStream>,
 }
 
@@ -97,20 +100,34 @@ impl FaultState {
             spike_factor: perturb.spike_factor,
             stall_p: perturb.stall_p(),
             stall_cycles: perturb.stall_cycles,
+            draws: perturb.spike_p() != 0.0 || perturb.stall_p() != 0.0,
             rngs: (0..stages)
                 .map(|i| master.substream(FAULT_STAGE_STREAM_BASE + i as u64))
                 .collect(),
         }
     }
 
-    /// Effective service time of one firing of `node` whose nominal
-    /// service is `base` cycles, on the integer clock. Exactly two
-    /// draws are consumed per call (spike, stall) at every intensity,
-    /// and at intensity 0 the result is exactly `base`.
-    pub(crate) fn service_cycles(&mut self, node: usize, base: u64) -> u64 {
+    /// The spike and stall outcomes of one firing of `node`: two draws
+    /// from its substream (spike, then stall), or none when both
+    /// probabilities are exactly 0. Nothing else reads the fault
+    /// substreams, so skipping the draws changes no other draw.
+    fn spike_stall(&mut self, node: usize) -> (bool, bool) {
+        if !self.draws {
+            return (false, false);
+        }
         let rng = &mut self.rngs[node];
         let spike = rng.next_f64() < self.spike_p;
         let stall = rng.next_f64() < self.stall_p;
+        (spike, stall)
+    }
+
+    /// Effective service time of one firing of `node` whose nominal
+    /// service is `base` cycles, on the integer clock. Two draws are
+    /// consumed per call (spike, stall) at every positive spike or stall
+    /// probability, none when both are 0; at intensity 0 the result is
+    /// exactly `base`.
+    pub(crate) fn service_cycles(&mut self, node: usize, base: u64) -> u64 {
+        let (spike, stall) = self.spike_stall(node);
         let mut s = base as f64 * self.multiplier;
         if spike {
             s *= self.spike_factor;
@@ -123,12 +140,10 @@ impl FaultState {
 
     /// Effective busy time of one stage of a monolithic block
     /// (`firings` firings of nominal service `service`), on the
-    /// continuous clock. Two draws per call; exactly
-    /// `firings · service` at intensity 0.
+    /// continuous clock. Draws as [`FaultState::service_cycles`];
+    /// exactly `firings · service` at intensity 0.
     pub(crate) fn block_busy(&mut self, node: usize, firings: u64, service: f64) -> f64 {
-        let rng = &mut self.rngs[node];
-        let spike = rng.next_f64() < self.spike_p;
-        let stall = rng.next_f64() < self.stall_p;
+        let (spike, stall) = self.spike_stall(node);
         let mut s = firings as f64 * service * self.multiplier;
         if spike {
             s *= self.spike_factor;
@@ -155,6 +170,25 @@ mod tests {
             }
             assert_eq!(f.block_busy(node, 5, 287.0), 5.0 * 287.0);
         }
+    }
+
+    #[test]
+    fn fixed_spike_and_stall_outcomes_draw_nothing() {
+        // Zero spike and stall probabilities fix both outcomes, so no
+        // draw is made; inflation alone still applies.
+        let mut p = Perturbation::standard(1.0);
+        p.spike_prob = 0.0;
+        p.stall_prob = 0.0;
+        let mut f = FaultState::new(&p, &RngStream::new(7), 2);
+        f.service_cycles(0, 287);
+        f.block_busy(1, 3, 287.0);
+        assert!(f.rngs.iter().all(|r| r.draws() == 0));
+        // Either one positive: two draws per call, as before.
+        p.stall_prob = 0.1;
+        let mut f = FaultState::new(&p, &RngStream::new(7), 2);
+        f.service_cycles(0, 287);
+        f.block_busy(1, 3, 287.0);
+        assert!(f.rngs.iter().all(|r| r.draws() == 2));
     }
 
     #[test]

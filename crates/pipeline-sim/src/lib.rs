@@ -49,8 +49,9 @@
 //! * [`monolithic`] — the block-batching runtime: accumulate `M` items,
 //!   push the whole block through the pipeline at once.
 //! * [`hooks`] — the [`Hooks`] bundle and the entry points' [`SimError`].
-//! * [`runner`] — multi-seed experiment execution (parallel across
-//!   seeds), mirroring the paper's 100-runs-per-point methodology.
+//! * [`runner`] — multi-run experiment execution on one job queue
+//!   (parallel across runs), mirroring the paper's 100-runs-per-point
+//!   methodology.
 //! * [`calibration`] — the §6.2 empirical search for backlog factors:
 //!   start from the optimistic `b_i = ⌈g_i⌉`, simulate, escalate the
 //!   factors of nodes whose queues overflow the design assumption, and

@@ -1,17 +1,26 @@
-//! Multi-seed experiment execution.
+//! Multi-run experiment execution.
 //!
 //! The paper's methodology (§6.2) runs each configuration under 100
 //! different random seeds and reports the fraction of runs that were
-//! miss-free. Seeds are independent, so runs execute in parallel across
-//! a scoped thread pool. [`run_seeds`] is the one entry point for either
-//! strategy: it hands each seed's config and [`Hooks`] to a closure that
-//! calls that strategy's `simulate`.
+//! miss-free. Runs are independent, so they execute in parallel on one
+//! job queue: [`run_seeds`], the robustness report
+//! ([`crate::robustness_report`]) and the calibration loop
+//! ([`crate::calibration::calibrate_enforced`]) each build one list of
+//! runs and hand it to the crate-private `run_jobs`, whose workers
+//! claim runs from a shared cursor and whose results come back in list
+//! order. A run's output does not depend on which worker ran it, so the
+//! worker count changes no simulated bit.
+//!
+//! [`run_seeds`] is the one multi-seed entry point for either strategy:
+//! it hands each seed's config and [`Hooks`] to a closure that calls
+//! that strategy's `simulate`.
 
 use crate::config::SimConfig;
 use crate::hooks::{Hooks, SimError};
 use crate::live::SimLiveMetrics;
 use crate::metrics::SimMetrics;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Aggregate of a batch of runs differing only in seed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -95,8 +104,8 @@ impl MultiSeedReport {
 
 /// Run `run` once per seed `base_config.seed..base_config.seed +
 /// num_seeds` (wrapping past `u64::MAX`), in parallel across
-/// [`rtsdf_core::worker_threads`] scoped threads, and collect the runs in
-/// seed order.
+/// [`rtsdf_core::worker_threads`] threads, and collect the runs in seed
+/// order.
 ///
 /// Each call gets `base_config` with its seed set, and a [`Hooks`] that
 /// holds only the worker's live handle when `live` is given (one
@@ -132,49 +141,121 @@ pub fn run_seeds<F>(
 where
     F: Fn(&SimConfig, Hooks<'_>) -> Result<SimMetrics, SimError> + Sync,
 {
-    let seeds: Vec<u64> = (0..num_seeds)
-        .map(|i| base_config.seed.wrapping_add(i))
-        .collect();
-    if seeds.is_empty() {
-        // `chunks(0)` below would panic; zero seeds is a valid request
-        // with an empty answer.
-        return Ok(MultiSeedReport { runs: Vec::new() });
-    }
-    let threads = rtsdf_core::worker_threads().max(1).min(seeds.len());
-    let chunk = seeds.len().div_ceil(threads).max(1);
-    let mut results: Vec<Option<Result<SimMetrics, SimError>>> = vec![None; seeds.len()];
-    std::thread::scope(|scope| {
-        for (worker, (seed_chunk, result_chunk)) in seeds
-            .chunks(chunk)
-            .zip(results.chunks_mut(chunk))
-            .enumerate()
-        {
-            let run = &run;
-            scope.spawn(move || {
-                for (&seed, out) in seed_chunk.iter().zip(result_chunk.iter_mut()) {
-                    let mut cfg = base_config.clone();
-                    cfg.seed = seed;
-                    match live {
-                        Some(m) => {
-                            let h = m.handle(worker);
-                            let hooks = Hooks {
-                                live: Some(&h),
-                                ..Hooks::default()
-                            };
-                            *out = Some(run(&cfg, hooks));
-                            m.on_run_complete(worker);
-                        }
-                        None => *out = Some(run(&cfg, Hooks::default())),
-                    }
-                }
-            });
-        }
-    });
-    let runs = results
+    run_seeds_on(
+        rtsdf_core::worker_threads(),
+        base_config,
+        num_seeds,
+        live,
+        run,
+    )
+}
+
+/// [`run_seeds`] on `workers` threads.
+pub(crate) fn run_seeds_on<F>(
+    workers: usize,
+    base_config: &SimConfig,
+    num_seeds: u64,
+    live: Option<&SimLiveMetrics>,
+    run: F,
+) -> Result<MultiSeedReport, SimError>
+where
+    F: Fn(&SimConfig, Hooks<'_>) -> Result<SimMetrics, SimError> + Sync,
+{
+    let configs: Vec<SimConfig> = seed_configs(base_config, num_seeds).collect();
+    let runs = run_jobs(&configs, workers, live, run)
         .into_iter()
-        .map(|r| r.expect("all seeds ran"))
         .collect::<Result<_, _>>()?;
     Ok(MultiSeedReport { runs })
+}
+
+/// `base` with seeds `base.seed + i` for `i` in `0..num_seeds`,
+/// wrapping past `u64::MAX`.
+pub(crate) fn seed_configs(
+    base: &SimConfig,
+    num_seeds: u64,
+) -> impl Iterator<Item = SimConfig> + '_ {
+    (0..num_seeds).map(move |i| SimConfig {
+        seed: base.seed.wrapping_add(i),
+        ..base.clone()
+    })
+}
+
+/// Cut job-ordered runs into `count` consecutive reports of `per` runs
+/// each (the jobs of one cell are contiguous and in seed order).
+pub(crate) fn split_reports(runs: Vec<SimMetrics>, per: u64, count: usize) -> Vec<MultiSeedReport> {
+    let per = usize::try_from(per).expect("a run per seed fits in memory");
+    let mut runs = runs.into_iter();
+    (0..count)
+        .map(|_| MultiSeedReport {
+            runs: runs.by_ref().take(per).collect(),
+        })
+        .collect()
+}
+
+/// Run `run` once per job on `workers` threads (at most one per job;
+/// the calling thread is worker 0) and return the results in job order.
+///
+/// Workers claim jobs one at a time from a shared cursor, in slice
+/// order, so no worker idles while a job is unclaimed and one slow run
+/// holds up only its own worker. With `live`, each run gets a fresh
+/// [`SimLiveMetrics::handle`] on its worker's shard, and
+/// [`SimLiveMetrics::on_run_complete`] follows every run.
+pub(crate) fn run_jobs<J, T, F>(
+    jobs: &[J],
+    workers: usize,
+    live: Option<&SimLiveMetrics>,
+    run: F,
+) -> Vec<T>
+where
+    J: Sync,
+    T: Send,
+    F: Fn(&J, Hooks<'_>) -> T + Sync,
+{
+    let workers = workers.clamp(1, jobs.len().max(1));
+    let cursor = AtomicUsize::new(0);
+    let work = |worker: usize| {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            let out = match live {
+                Some(m) => {
+                    let h = m.handle(worker);
+                    let hooks = Hooks {
+                        live: Some(&h),
+                        ..Hooks::default()
+                    };
+                    let out = run(job, hooks);
+                    m.on_run_complete(worker);
+                    out
+                }
+                None => run(job, Hooks::default()),
+            };
+            done.push((i, out));
+        }
+    };
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs.len()).collect();
+    std::thread::scope(|scope| {
+        let work = &work;
+        let helpers: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        let mut place = |done: Vec<(usize, T)>| {
+            for (i, out) in done {
+                slots[i] = Some(out);
+            }
+        };
+        place(work(0));
+        for h in helpers {
+            place(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every job was claimed"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -298,19 +379,64 @@ mod tests {
 
     #[test]
     fn run_seeds_returns_the_first_error_in_seed_order() {
-        // Every seed fails, on two workers; whichever finishes first,
-        // the answer is seed 0's error.
+        // Every seed fails, and seed 0 fails last on the clock; at any
+        // worker count the answer is seed 0's error.
         let cfg = SimConfig::quick(10.0, 0, 10);
-        let r = run_seeds(&cfg, 8, None, |c, _| {
-            Err(SimError::ScheduleLength {
-                nodes: 0,
-                got: c.seed as usize,
-            })
-        });
-        assert_eq!(
-            r.unwrap_err(),
-            SimError::ScheduleLength { nodes: 0, got: 0 }
-        );
+        for workers in [1, 2, 3, 7] {
+            let r = run_seeds_on(workers, &cfg, 8, None, |c, _| {
+                if c.seed == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                Err(SimError::ScheduleLength {
+                    nodes: 0,
+                    got: c.seed as usize,
+                })
+            });
+            assert_eq!(
+                r.unwrap_err(),
+                SimError::ScheduleLength { nodes: 0, got: 0 },
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn run_seeds_is_byte_identical_at_every_worker_count() {
+        let p = blast();
+        let params = RtParams::new(10.0, 1e5).unwrap();
+        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+            .solve()
+            .unwrap();
+        let cfg = SimConfig::quick(10.0, 2, 800);
+        let t = Topology::chain(&p);
+        let run = |c: &SimConfig, h: Hooks<'_>| enforced::simulate(&t, &sched, 1e5, c, h);
+        let json = |workers, live: Option<&SimLiveMetrics>| {
+            let r = run_seeds_on(workers, &cfg, 7, live, run).unwrap();
+            serde_json::to_string(&r).expect("reports serialize")
+        };
+        let want = json(1, None);
+        for workers in [1, 2, 3, 7] {
+            assert_eq!(json(workers, None), want, "{workers} workers");
+            let live = SimLiveMetrics::new(t.len(), 2);
+            assert_eq!(json(workers, Some(&live)), want, "{workers} workers, live");
+            assert_eq!(live.runs_completed(), 7);
+        }
+    }
+
+    #[test]
+    fn jobs_come_back_in_job_order_from_every_worker() {
+        // Later jobs finish first on the clock; the output is still in
+        // job order, and every job ran exactly once.
+        let jobs: Vec<u64> = (0..23).collect();
+        for workers in [0, 1, 2, 3, 7, 40] {
+            let out = run_jobs(&jobs, workers, None, |&j, _| {
+                std::thread::sleep(std::time::Duration::from_micros(200 * (23 - j)));
+                j * j
+            });
+            let want: Vec<u64> = jobs.iter().map(|j| j * j).collect();
+            assert_eq!(out, want, "{workers} workers");
+        }
+        assert!(run_jobs(&[] as &[u64], 3, None, |&j, _| j).is_empty());
     }
 
     #[test]
