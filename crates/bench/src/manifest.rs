@@ -10,7 +10,7 @@
 //! `BENCH_<name>.csv` instead, with one row per cell.
 
 use rtsdf::core::comparison::{SweepConfig, SweepResult};
-use rtsdf::core::SolveTelemetry;
+use rtsdf::core::CellTelemetry;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::path::PathBuf;
@@ -99,8 +99,9 @@ pub fn write_metrics_csv(
 }
 
 /// Emit metrics for a sweep-shaped experiment (fig3/fig4): a full run
-/// manifest with per-cell solver telemetry for [`MetricsFormat::Json`],
-/// or flat per-cell rows for [`MetricsFormat::Csv`]. Returns the path
+/// manifest with per-cell solve counts and the sweep's layer totals
+/// (`results.layers`) for [`MetricsFormat::Json`], or flat per-cell
+/// rows for [`MetricsFormat::Csv`]. Returns the path
 /// written.
 pub fn emit_sweep_metrics(
     name: &str,
@@ -141,8 +142,8 @@ pub fn emit_sweep_metrics_live(
             .write()
         }
         MetricsFormat::Csv => {
-            let t = |t: &Option<SolveTelemetry>, f: &dyn Fn(&SolveTelemetry) -> String| {
-                t.as_ref().map_or_else(|| "-".into(), f)
+            let iters = |t: Option<CellTelemetry>| {
+                t.map_or_else(|| "-".into(), |t| t.iterations.to_string())
             };
             let rows: Vec<Vec<String>> = result
                 .cells
@@ -153,13 +154,8 @@ pub fn emit_sweep_metrics_live(
                         format!("{:.0}", c.deadline),
                         crate::opt_fmt(c.enforced, 6),
                         crate::opt_fmt(c.monolithic, 6),
-                        t(&c.enforced_telemetry, &|s| s.method.clone()),
-                        t(&c.enforced_telemetry, &|s| s.iterations.to_string()),
-                        t(&c.enforced_telemetry, &|s| format!("{:.1}", s.wall_micros)),
-                        t(&c.monolithic_telemetry, &|s| s.iterations.to_string()),
-                        t(&c.monolithic_telemetry, &|s| {
-                            format!("{:.1}", s.wall_micros)
-                        }),
+                        iters(c.enforced_telemetry),
+                        iters(c.monolithic_telemetry),
                     ]
                 })
                 .collect();
@@ -170,11 +166,8 @@ pub fn emit_sweep_metrics_live(
                     "deadline",
                     "enforced_af",
                     "monolithic_af",
-                    "enf_method",
                     "enf_iters",
-                    "enf_wall_us",
                     "mono_iters",
-                    "mono_wall_us",
                 ],
                 &rows,
             )

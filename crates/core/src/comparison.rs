@@ -16,24 +16,28 @@
 //! searches share the sweep's one [`BlockTable`], one running minimum
 //! over it per segment, and the run that held the previous cell's `M_D`
 //! (see [`crate::monolithic`]). The kernel keeps only each cell's active
-//! fractions and telemetry, and it times both solves with three clock
-//! reads. [`compare_at`] is a one-cell segment on an empty table.
+//! fractions and solve counts ([`CellTelemetry`]), so a cell allocates
+//! nothing and reads no clock. It solves a segment's enforced half, then
+//! its monolithic half, and times the two halves with three clock reads
+//! per segment; the sweep sums them into [`SweepLayers`].
+//! [`compare_at`] is a one-cell segment on an empty table.
 //!
-//! The work-stealing scheduler claims whole segments. They are whole
-//! rows when that still leaves about eight claims per worker, and
-//! shorter runs otherwise, so a 1×N grid spreads over every worker too.
-//! Live progress still counts cells.
+//! The work-stealing scheduler is [`crate::threads::run_jobs`]: its
+//! workers claim whole segments. They are whole rows when that still
+//! leaves about eight claims per worker, and shorter runs otherwise, so
+//! a 1×N grid spreads over every worker too. Live progress still counts
+//! cells, with clock reads of its own only when it is attached.
 
 use crate::dag::EnforcedDagProblem;
 use crate::enforced::{CellScratch, EnforcedWaitsProblem};
 use crate::monolithic::{BlockModel, BlockTable, MonolithicDagProblem, MonolithicProblem, RowWalk};
 use crate::schedule::ScheduleError;
-use crate::telemetry::SolveTelemetry;
-use crate::threads::worker_threads;
+use crate::telemetry::CellTelemetry;
+use crate::threads::{run_jobs, worker_threads};
 use dataflow_model::{PipelineSpec, RtParams, Topology};
 use metrics::{CounterHandle, GaugeHandle, Registry};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,10 +52,10 @@ pub struct CellResult {
     pub enforced: Option<f64>,
     /// Monolithic optimized active fraction (`None` if infeasible).
     pub monolithic: Option<f64>,
-    /// Telemetry of the enforced-waits solve (when it succeeded).
-    pub enforced_telemetry: Option<SolveTelemetry>,
-    /// Telemetry of the monolithic solve (when it succeeded).
-    pub monolithic_telemetry: Option<SolveTelemetry>,
+    /// Counts of the enforced-waits solve (when it succeeded).
+    pub enforced_telemetry: Option<CellTelemetry>,
+    /// Counts of the monolithic solve (when it succeeded).
+    pub monolithic_telemetry: Option<CellTelemetry>,
 }
 
 impl CellResult {
@@ -74,6 +78,27 @@ pub struct SweepResult {
     pub deadlines: Vec<f64>,
     /// Row-major cells (`tau0` major, `deadline` minor).
     pub cells: Vec<CellResult>,
+    /// Where the sweep's time went.
+    pub layers: SweepLayers,
+}
+
+/// Where a sweep's time went: its solves' totals, from three clock
+/// reads per row segment, against the worker time it had. Workers spent
+/// `workers·wall_micros − enforced_micros − monolithic_micros` (≥ 0)
+/// outside the solves: building the block table, claiming segments,
+/// starting and joining threads, and gathering cells. The totals are
+/// timings, so unlike the cells they differ from run to run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct SweepLayers {
+    /// Wall time of the enforced-waits solves, summed over workers, µs.
+    pub enforced_micros: f64,
+    /// Wall time of the monolithic block-size searches, summed over
+    /// workers, µs.
+    pub monolithic_micros: f64,
+    /// The sweep's own wall time, block table included, µs.
+    pub wall_micros: f64,
+    /// Worker threads the sweep ran on (0 for an empty grid).
+    pub workers: usize,
 }
 
 impl SweepResult {
@@ -191,102 +216,87 @@ fn segment_len(cells: usize, cols: usize, threads: usize) -> usize {
 
 /// What every cell of one sweep shares: the model, the configuration
 /// and the block table.
-#[derive(Clone, Copy)]
 struct Kernel<'a> {
     model: Model<'a>,
     config: &'a SweepConfig,
     table: &'a BlockTable,
 }
 
-/// A row's enforced half: the chain problem that moves along the row,
-/// with its reusable buffers, or a DAG solved cell by cell. One lives on
-/// the stack per row segment, so the variants' sizes do not matter.
-#[allow(clippy::large_enum_variant)]
-enum EnforcedRow<'a> {
-    Chain(EnforcedWaitsProblem<'a>, CellScratch),
-    Topology(&'a Topology),
-}
-
 impl Kernel<'_> {
     /// The row kernel every sweep cell goes through: `tau0` at each of
-    /// `deadlines`, in order, each cell handed to `emit`. One enforced
-    /// and one monolithic problem move along the row; the block-size
-    /// searches share the table and one running minimum over it.
-    fn row(&self, tau0: f64, deadlines: &[f64], emit: &mut dyn FnMut(CellResult)) {
+    /// `deadlines`, in order, appended to `cells`. The enforced half
+    /// solves every deadline first, on one chain problem that moves
+    /// along the row (a DAG's is built per cell); the monolithic half
+    /// then fills each cell in, its block-size searches sharing the
+    /// table and one running minimum over it, and calls `on_cell` after
+    /// each. Returns the two halves' wall times.
+    fn row(
+        &self,
+        tau0: f64,
+        deadlines: &[f64],
+        cells: &mut Vec<CellResult>,
+        mut on_cell: impl FnMut(),
+    ) -> (Duration, Duration) {
         let Some(&first) = deadlines.first() else {
-            return;
+            return (Duration::ZERO, Duration::ZERO);
         };
         let config = self.config;
-        let params = RtParams::new(tau0, first).expect("grid validated above");
-        let (b, s) = (config.monolithic_b, config.monolithic_s);
-        let (mut enforced_row, mut mono) = match self.model {
+        let params = |d| RtParams::new(tau0, d).expect("grid validated above");
+        let from = cells.len();
+        let started = Instant::now();
+        let mut push = |deadline, enforced, enforced_telemetry| {
+            cells.push(CellResult {
+                tau0,
+                deadline,
+                enforced,
+                monolithic: None,
+                enforced_telemetry,
+                monolithic_telemetry: None,
+            })
+        };
+        match self.model {
             Model::Chain(p) => {
-                let prob = EnforcedWaitsProblem::new(p, params, config.enforced_b.clone());
-                (
-                    EnforcedRow::Chain(prob, CellScratch::default()),
-                    MonolithicProblem::new(p, params, b, s),
-                )
+                let b = config.enforced_b.clone();
+                let mut prob = EnforcedWaitsProblem::new(p, params(first), b);
+                let mut scratch = CellScratch::default();
+                for &d in deadlines {
+                    prob.set_params(params(d));
+                    match prob.solve_cell(&mut scratch) {
+                        Ok((af, telemetry)) => push(d, Some(af), Some(telemetry)),
+                        Err(_) => push(d, None, None),
+                    }
+                }
             }
-            Model::Topology(t) => (
-                EnforcedRow::Topology(t),
-                MonolithicDagProblem::new(t, params, b, s),
-            ),
+            Model::Topology(t) => {
+                for &d in deadlines {
+                    let b = config.enforced_b.clone();
+                    match EnforcedDagProblem::new(t, params(d), b).solve() {
+                        Ok(s) => {
+                            let telemetry = s.telemetry.as_ref().map(CellTelemetry::from);
+                            push(d, Some(s.active_fraction), telemetry);
+                        }
+                        Err(_) => push(d, None, None),
+                    }
+                }
+            }
+        }
+        let enforced_done = Instant::now();
+        let (b, s) = (config.monolithic_b, config.monolithic_s);
+        let mut mono = match self.model {
+            Model::Chain(p) => MonolithicProblem::new(p, params(first), b, s),
+            Model::Topology(t) => MonolithicDagProblem::new(t, params(first), b, s),
         };
         let mut walk = RowWalk::default();
-        let micros = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e6;
-        for &d in deadlines {
-            let params = RtParams::new(tau0, d).expect("grid validated above");
-            let started = Instant::now();
-            let (enforced, mut enforced_telemetry) = match &mut enforced_row {
-                EnforcedRow::Chain(prob, scratch) => {
-                    prob.set_params(params);
-                    match prob.solve_cell(scratch) {
-                        Ok((af, telemetry)) => (Some(af), Some(telemetry)),
-                        Err(_) => (None, None),
-                    }
-                }
-                EnforcedRow::Topology(t) => {
-                    match EnforcedDagProblem::new(t, params, config.enforced_b.clone()).solve() {
-                        Ok(s) => (Some(s.active_fraction), s.telemetry),
-                        Err(_) => (None, None),
-                    }
-                }
-            };
-            let solved = Instant::now();
-            mono.set_params(params);
-            let (monolithic, mut monolithic_telemetry) =
-                match mono.solve_in_row(self.table, &mut walk) {
-                    Ok((af, telemetry)) => (Some(af), Some(telemetry)),
-                    Err(_) => (None, None),
-                };
-            let done = Instant::now();
-            // Both solves' wall times, from three clock reads.
-            if let Some(t) = &mut enforced_telemetry {
-                t.wall_micros = micros(started, solved);
+        for cell in &mut cells[from..] {
+            mono.set_params(params(cell.deadline));
+            if let Ok((af, telemetry)) = mono.solve_in_row(self.table, &mut walk) {
+                cell.monolithic = Some(af);
+                cell.monolithic_telemetry = Some(telemetry);
             }
-            if let Some(t) = &mut monolithic_telemetry {
-                t.wall_micros = micros(solved, done);
-            }
-            emit(CellResult {
-                tau0,
-                deadline: d,
-                enforced,
-                monolithic,
-                enforced_telemetry,
-                monolithic_telemetry,
-            });
+            on_cell();
         }
-    }
-
-    /// [`Self::row`] on segment `seg` of the grid `tau0s × deadlines`.
-    fn segment(
-        &self,
-        seg: Segment,
-        tau0s: &[f64],
-        deadlines: &[f64],
-        emit: &mut dyn FnMut(CellResult),
-    ) {
-        self.row(tau0s[seg.row], &deadlines[seg.start..seg.end], emit);
+        let done = Instant::now();
+        (enforced_done - started, done - enforced_done)
     }
 }
 
@@ -299,11 +309,9 @@ fn one_cell(model: Model, params: RtParams, config: &SweepConfig) -> CellResult 
         config,
         table: &table,
     };
-    let mut out = None;
-    kernel.row(params.tau0, &[params.deadline], &mut |cell| {
-        out = Some(cell)
-    });
-    out.expect("one deadline, one cell")
+    let mut cells = Vec::with_capacity(1);
+    kernel.row(params.tau0, &[params.deadline], &mut cells, || {});
+    cells.pop().expect("one deadline, one cell")
 }
 
 /// One [`BlockTable`] for every cell of `tau0s × deadlines`: each row's
@@ -333,7 +341,8 @@ fn validate_grid(tau0s: &[f64], deadlines: &[f64]) -> Result<(), ScheduleError> 
     Ok(())
 }
 
-/// Sweep both strategies over the cartesian grid `tau0s × deadlines`.
+/// Sweep both strategies over the cartesian grid `tau0s × deadlines`,
+/// on the calling thread.
 ///
 /// Returns [`ScheduleError::InvalidParams`] if any grid value is
 /// non-positive or non-finite; infeasible cells are *not* errors (they
@@ -345,21 +354,8 @@ pub fn sweep(
     config: &SweepConfig,
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
-    let table = grid_table(pipeline, tau0s, deadlines, config);
-    let kernel = Kernel {
-        model: Model::Chain(pipeline),
-        config,
-        table: &table,
-    };
-    let mut cells = Vec::with_capacity(tau0s.len() * deadlines.len());
-    for &tau0 in tau0s {
-        kernel.row(tau0, deadlines, &mut |cell| cells.push(cell));
-    }
-    Ok(SweepResult {
-        tau0s: tau0s.to_vec(),
-        deadlines: deadlines.to_vec(),
-        cells,
-    })
+    let model = Model::Chain(pipeline);
+    Ok(sweep_on(model, tau0s, deadlines, config, 1, None))
 }
 
 /// Live telemetry for the work-stealing sweep scheduler: a sharded
@@ -449,78 +445,90 @@ impl SweepProgress {
     }
 }
 
-/// Run `solve` over `segments` with `threads` workers claiming whole
-/// segments from a shared atomic cursor (segment-level work stealing).
-/// `solve(segment, emit)` hands the segment's cells to `emit` in order;
-/// they come back in segment order. A worker that drains its cheap
-/// segments immediately steals from the expensive tail, so imbalanced
-/// grids do not serialize behind one thread.
+/// Every cell of `model` over the (validated) grid `tau0s × deadlines`,
+/// on `threads` workers that claim row segments from
+/// [`run_jobs`]'s shared cursor, with the sweep's [`SweepLayers`]. A
+/// worker that drains its cheap segments steals from the expensive
+/// tail, so imbalanced grids do not serialize behind one thread. No
+/// cell depends on how the grid is cut or scheduled.
 ///
-/// With `live` attached, each claim and cell completion is published
-/// into the progress registry; the uninstrumented path stays
-/// timing-free — each hook is one untaken branch on the `Option`.
-fn work_steal_live<T: Send>(
-    segments: &[Segment],
+/// With `progress` attached, each claim and cell completion is
+/// published into its registry; without it, the sweep reads the clock
+/// only at its ends and at each segment's three phase boundaries.
+fn sweep_on(
+    model: Model,
+    tau0s: &[f64],
+    deadlines: &[f64],
+    config: &SweepConfig,
     threads: usize,
-    solve: impl Fn(Segment, &mut dyn FnMut(T)) + Sync,
-    live: Option<&SweepProgress>,
-) -> Vec<T> {
-    let threads = threads.min(segments.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Vec<T>> = Vec::with_capacity(segments.len());
-    slots.resize_with(segments.len(), Vec::new);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let cursor = &cursor;
-            let solve = &solve;
-            handles.push(scope.spawn(move || {
-                // Workers buffer each segment's cells locally; the crate
-                // forbids unsafe code, so disjoint slot writes are merged
-                // single-threaded after the join instead.
-                let mut local = Vec::new();
-                let started = Instant::now();
-                let mut busy = Duration::ZERO;
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seg) = segments.get(k) else {
-                        break;
-                    };
-                    let mut cells = Vec::with_capacity(seg.len());
-                    if let Some(p) = live {
-                        p.on_claim(worker, seg.len() as u64);
-                        let mut last = Instant::now();
-                        solve(seg, &mut |cell| {
-                            cells.push(cell);
-                            let now = Instant::now();
-                            busy += now - last;
-                            last = now;
-                            p.on_cell_done(worker, busy, started.elapsed());
-                        });
-                    } else {
-                        solve(seg, &mut |cell| cells.push(cell));
-                    }
-                    local.push((k, cells));
-                }
-                local
-            }));
-        }
-        for handle in handles {
-            for (k, cells) in handle.join().expect("sweep worker panicked") {
-                slots[k] = cells;
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(slots.iter().map(Vec::len).sum());
-    for cells in slots {
-        out.extend(cells);
+    progress: Option<&SweepProgress>,
+) -> SweepResult {
+    let started = Instant::now();
+    let (rows, cols) = (tau0s.len(), deadlines.len());
+    let total = rows * cols;
+    if let Some(p) = progress {
+        p.set_total(total);
     }
-    out
+    let table = match model {
+        Model::Chain(p) => grid_table(p, tau0s, deadlines, config),
+        Model::Topology(t) => grid_table(t, tau0s, deadlines, config),
+    };
+    let kernel = Kernel {
+        model,
+        config,
+        table: &table,
+    };
+    let segments = segments(0..rows, 0..cols, segment_len(total, cols, threads));
+    let workers = threads.min(segments.len());
+    // Each worker's busy time, in nanoseconds, for the live busy
+    // fraction.
+    let busy: Vec<AtomicU64> = match progress {
+        Some(_) => (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        None => Vec::new(),
+    };
+    let solved = run_jobs(&segments, workers, |worker, seg| {
+        let (tau0, ds) = (tau0s[seg.row], &deadlines[seg.start..seg.end]);
+        let mut cells = Vec::with_capacity(seg.len());
+        let times = match progress {
+            None => kernel.row(tau0, ds, &mut cells, || {}),
+            Some(p) => {
+                p.on_claim(worker, seg.len() as u64);
+                let mut last = Instant::now();
+                kernel.row(tau0, ds, &mut cells, || {
+                    let now = Instant::now();
+                    let ns = u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
+                    let so_far = busy[worker].fetch_add(ns, Ordering::Relaxed) + ns;
+                    last = now;
+                    p.on_cell_done(worker, Duration::from_nanos(so_far), started.elapsed());
+                })
+            }
+        };
+        (cells, times)
+    });
+    let mut cells = Vec::with_capacity(total);
+    let (mut enforced, mut monolithic) = (Duration::ZERO, Duration::ZERO);
+    for (segment_cells, (e, m)) in solved {
+        cells.extend(segment_cells);
+        enforced += e;
+        monolithic += m;
+    }
+    let micros = |d: Duration| d.as_secs_f64() * 1e6;
+    SweepResult {
+        tau0s: tau0s.to_vec(),
+        deadlines: deadlines.to_vec(),
+        cells,
+        layers: SweepLayers {
+            enforced_micros: micros(enforced),
+            monolithic_micros: micros(monolithic),
+            wall_micros: micros(started.elapsed()),
+            workers,
+        },
+    }
 }
 
 /// [`sweep`], parallelized with a segment-level work-stealing scheduler
 /// (shared atomic cursor over row segments, scoped threads). Produces
-/// bit-identical results to [`sweep`] — each cell's solve does not
+/// bit-identical cells to [`sweep`] — each cell's solve does not
 /// depend on how the grid is cut or scheduled. The worker count honors
 /// `RTSDF_THREADS` (see [`crate::threads`]).
 pub fn sweep_parallel(
@@ -535,7 +543,7 @@ pub fn sweep_parallel(
 /// [`sweep_parallel`] plus optional live telemetry: when `progress` is
 /// attached, workers publish per-segment claim and steal and per-cell
 /// completion and busy-fraction metrics into its registry as the sweep
-/// runs. Results remain bit-identical to the uninstrumented sweep —
+/// runs. Cells remain bit-identical to the uninstrumented sweep —
 /// publishing happens outside each cell's solve.
 pub fn sweep_parallel_live(
     pipeline: &PipelineSpec,
@@ -545,45 +553,9 @@ pub fn sweep_parallel_live(
     progress: Option<&SweepProgress>,
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
+    let model = Model::Chain(pipeline);
     let threads = worker_threads();
-    let cells = sweep_cells(pipeline, tau0s, deadlines, config, threads, progress);
-    Ok(SweepResult {
-        tau0s: tau0s.to_vec(),
-        deadlines: deadlines.to_vec(),
-        cells,
-    })
-}
-
-/// The cells of [`sweep_parallel_live`] on `threads` workers.
-fn sweep_cells(
-    pipeline: &PipelineSpec,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-    threads: usize,
-    progress: Option<&SweepProgress>,
-) -> Vec<CellResult> {
-    let rows = tau0s.len();
-    let cols = deadlines.len();
-    let total = rows * cols;
-    if total == 0 {
-        return Vec::new();
-    }
-    if let Some(p) = progress {
-        p.set_total(total);
-    }
-    let table = grid_table(pipeline, tau0s, deadlines, config);
-    let kernel = Kernel {
-        model: Model::Chain(pipeline),
-        config,
-        table: &table,
-    };
-    work_steal_live(
-        &segments(0..rows, 0..cols, segment_len(total, cols, threads)),
-        threads,
-        |seg, emit| kernel.segment(seg, tau0s, deadlines, emit),
-        progress,
-    )
+    Ok(sweep_on(model, tau0s, deadlines, config, threads, progress))
 }
 
 /// Optimize both strategies at one operating point on a DAG topology.
@@ -611,29 +583,9 @@ pub fn sweep_topology_parallel_live(
     progress: Option<&SweepProgress>,
 ) -> Result<SweepResult, ScheduleError> {
     validate_grid(tau0s, deadlines)?;
-    let cols = deadlines.len();
-    let total = tau0s.len() * cols;
-    if let Some(p) = progress {
-        p.set_total(total);
-    }
-    let table = grid_table(topology, tau0s, deadlines, config);
-    let kernel = Kernel {
-        model: Model::Topology(topology),
-        config,
-        table: &table,
-    };
+    let model = Model::Topology(topology);
     let threads = worker_threads();
-    let cells = work_steal_live(
-        &segments(0..tau0s.len(), 0..cols, segment_len(total, cols, threads)),
-        threads,
-        |seg, emit| kernel.segment(seg, tau0s, deadlines, emit),
-        progress,
-    );
-    Ok(SweepResult {
-        tau0s: tau0s.to_vec(),
-        deadlines: deadlines.to_vec(),
-        cells,
-    })
+    Ok(sweep_on(model, tau0s, deadlines, config, threads, progress))
 }
 
 #[cfg(test)]
@@ -758,21 +710,13 @@ mod tests {
         // The τ0 = 8 probes sit just above the stability floor, where
         // the feasible block sizes are scattered runs far below M_D.
         let probes = [2.63e5, 3.07e5, 3.28e5];
-        // Everything but the timings, floats printed to round-trip.
-        let untimed = |mut cell: CellResult| {
-            let telemetry = [&mut cell.enforced_telemetry, &mut cell.monolithic_telemetry];
-            for t in telemetry.into_iter().flatten() {
-                t.wall_micros = 0.0;
-            }
-            format!("{cell:?}")
-        };
         for (tau0s, ds) in [(&tau0s[..], &ds[..]), (&[8.0][..], &probes[..])] {
             let swept = sweep_parallel(&p, tau0s, ds, &cfg).unwrap();
             assert_eq!(swept.cells.len(), tau0s.len() * ds.len());
             for cell in swept.cells {
                 let params = RtParams::new(cell.tau0, cell.deadline).unwrap();
                 let own = compare_at(&p, params, &cfg);
-                assert_eq!(untimed(cell), untimed(own));
+                assert_eq!(printed(cell), printed(own));
             }
         }
     }
@@ -864,10 +808,8 @@ mod tests {
         let cell = compare_at(&p, params, &SweepConfig::paper_blast());
         let et = cell.enforced_telemetry.expect("enforced telemetry");
         assert!(et.iterations > 0, "{et:?}");
-        assert!(et.wall_micros >= 0.0);
         let mt = cell.monolithic_telemetry.expect("monolithic telemetry");
         assert!(mt.iterations > 0, "{mt:?}");
-        assert_eq!(mt.method, "breakpoint");
     }
 
     #[test]
@@ -880,12 +822,8 @@ mod tests {
         assert!(cell.monolithic.is_none());
     }
 
-    /// A cell without its timings, floats printed to round-trip.
-    fn untimed(mut cell: CellResult) -> String {
-        let telemetry = [&mut cell.enforced_telemetry, &mut cell.monolithic_telemetry];
-        for t in telemetry.into_iter().flatten() {
-            t.wall_micros = 0.0;
-        }
+    /// A cell, floats printed to round-trip.
+    fn printed(cell: CellResult) -> String {
         format!("{cell:?}")
     }
 
@@ -949,20 +887,20 @@ mod tests {
             let per_cell: Vec<String> = tau0s
                 .iter()
                 .flat_map(|&tau0| ds.iter().map(move |&d| RtParams::new(tau0, d).unwrap()))
-                .map(|params| untimed(compare_at(&p, params, &config)))
+                .map(|params| printed(compare_at(&p, params, &config)))
                 .collect();
-            let untimed_all = |cells: Vec<CellResult>| cells.into_iter().map(untimed).collect::<Vec<_>>();
+            let printed_all = |cells: Vec<CellResult>| cells.into_iter().map(printed).collect::<Vec<_>>();
             let swept = sweep(&p, &tau0s, &ds, &config).unwrap().cells;
-            prop_assert_eq!(&untimed_all(swept), &per_cell);
+            prop_assert_eq!(&printed_all(swept), &per_cell);
             let swept = sweep_parallel(&p, &tau0s, &ds, &config).unwrap().cells;
-            prop_assert_eq!(&untimed_all(swept), &per_cell);
+            prop_assert_eq!(&printed_all(swept), &per_cell);
             for threads in [1, 3] {
-                let swept = sweep_cells(&p, &tau0s, &ds, &config, threads, None);
-                prop_assert_eq!(&untimed_all(swept), &per_cell);
+                let swept = sweep_on(Model::Chain(&p), &tau0s, &ds, &config, threads, None);
+                prop_assert_eq!(&printed_all(swept.cells), &per_cell);
             }
             let chain = Topology::chain(&p);
             let swept = sweep_topology_parallel_live(&chain, &tau0s, &ds, &config, None).unwrap();
-            prop_assert_eq!(&untimed_all(swept.cells), &per_cell);
+            prop_assert_eq!(&printed_all(swept.cells), &per_cell);
             // A table sized at the first deadline only: cells whose M_D
             // lies beyond it walk tables of their own.
             let short = grid_table(&p, &tau0s, &ds[..ds.len().min(1)], &config);
@@ -973,9 +911,9 @@ mod tests {
             };
             let mut swept = Vec::new();
             for &tau0 in &tau0s {
-                kernel.row(tau0, &ds, &mut |cell| swept.push(cell));
+                kernel.row(tau0, &ds, &mut swept, || {});
             }
-            prop_assert_eq!(&untimed_all(swept), &per_cell);
+            prop_assert_eq!(&printed_all(swept), &per_cell);
         }
     }
 
@@ -1004,7 +942,7 @@ mod tests {
             .unwrap()
             .cells
             .into_iter()
-            .map(untimed)
+            .map(printed)
             .collect();
         let per_worker = |snap: &metrics::MetricsSnapshot, name: &str| {
             let mut values = [0.0; 2];
@@ -1017,8 +955,8 @@ mod tests {
         };
         let spread = (0..5).any(|_| {
             let progress = SweepProgress::new(2);
-            let cells = sweep_cells(&p, &tau0s, &ds, &cfg, 2, Some(&progress));
-            let cells: Vec<String> = cells.into_iter().map(untimed).collect();
+            let swept = sweep_on(Model::Chain(&p), &tau0s, &ds, &cfg, 2, Some(&progress));
+            let cells: Vec<String> = swept.cells.into_iter().map(printed).collect();
             assert_eq!(cells, plain);
             assert_eq!(progress.completed(), 512);
             let snap = progress.registry().snapshot();
@@ -1029,6 +967,45 @@ mod tests {
             claims.iter().all(|&c| c > 1.0) && busy.iter().all(|&b| b > 0.0)
         });
         assert!(spread, "one worker did all the work in every run");
+    }
+
+    #[test]
+    fn sweep_layers_account_for_the_workers_time() {
+        // Both solves run in every segment of a feasible grid, and they
+        // fit in the worker time the sweep had.
+        let p = blast();
+        let cfg = SweepConfig::paper_blast();
+        let tau0s: Vec<f64> = (0..16).map(|i| 10.0 + 5.0 * i as f64).collect();
+        let ds: Vec<f64> = (0..16).map(|j| 1e5 + 2e4 * j as f64).collect();
+        for threads in [1, 2, 3] {
+            let r = sweep_on(Model::Chain(&p), &tau0s, &ds, &cfg, threads, None);
+            assert!(r.cells.iter().all(|c| c.difference().is_some()));
+            let l = r.layers;
+            assert_eq!(l.workers, threads);
+            assert!(
+                l.enforced_micros > 0.0 && l.monolithic_micros > 0.0,
+                "{l:?}"
+            );
+            let pool = l.workers as f64 * l.wall_micros;
+            assert!(l.enforced_micros + l.monolithic_micros <= pool, "{l:?}");
+        }
+        let empty = sweep(&p, &[], &ds, &cfg).unwrap().layers;
+        assert_eq!((empty.workers, empty.enforced_micros), (0, 0.0));
+    }
+
+    #[test]
+    fn sweep_is_byte_identical_at_every_worker_count() {
+        let p = blast();
+        let cfg = SweepConfig::paper_blast();
+        let (tau0s, ds) = RtParams::paper_grid(9, 11);
+        let json = |threads| {
+            let r = sweep_on(Model::Chain(&p), &tau0s, &ds, &cfg, threads, None);
+            serde_json::to_string(&(r.tau0s, r.deadlines, r.cells)).expect("cells serialize")
+        };
+        let want = json(1);
+        for threads in [1, 2, 3, 7] {
+            assert_eq!(json(threads), want, "{threads} workers");
+        }
     }
 
     #[test]

@@ -356,14 +356,17 @@ impl<'a> EnforcedDagProblem<'a> {
 /// [`crate::kkt::verify_kkt`] generalized to
 /// [`EnforcedDagProblem::constraint_set`]. Large active sets route
 /// through the same banded-bordered multiplier solve as the chain
-/// certificate.
+/// certificate. A period vector of the wrong length gets the same
+/// non-optimal report as in [`crate::kkt::verify_kkt`].
 pub fn verify_kkt_dag(
     problem: &EnforcedDagProblem<'_>,
     periods: &[f64],
     active_tol: f64,
 ) -> KktReport {
     let n = problem.topology().len();
-    assert_eq!(periods.len(), n, "period vector length mismatch");
+    if periods.len() != n {
+        return KktReport::length_mismatch(n, periods.len());
+    }
     let cs = problem.constraint_set();
     let grad = active_fraction_gradient(&problem.topology().service_times(), periods);
     kkt_report(&cs, &grad, periods, active_tol)
@@ -616,5 +619,19 @@ mod tests {
         assert!(MonolithicDagProblem::new(&t, params, 1.0, 1.0)
             .solve()
             .is_err());
+    }
+
+    #[test]
+    fn wrong_length_periods_are_a_failed_report_not_a_panic() {
+        let t = diamond();
+        let params = RtParams::new(10.0, 2e4).unwrap();
+        let prob = EnforcedDagProblem::new(&t, params, vec![1.0; t.len()]);
+        for periods in [vec![], vec![100.0; t.len() + 2]] {
+            let report = verify_kkt_dag(&prob, &periods, 1e-6);
+            assert!(!report.is_optimal(1e3), "{report:?}");
+            assert_eq!(report.max_violation, f64::INFINITY);
+            let want = format!("{} entries for {} nodes", periods.len(), t.len());
+            assert!(report.active[0].contains(&want), "{report:?}");
+        }
     }
 }

@@ -49,7 +49,7 @@
 use crate::feasibility::{check_backlog_factors, check_minimal_periods, minimal_periods_of};
 use crate::price::{exact_price, seed_mu};
 use crate::schedule::ScheduleError;
-use crate::telemetry::{timed, SolveTelemetry};
+use crate::telemetry::{timed, CellTelemetry, SolveTelemetry};
 use dataflow_model::analysis::enforced_active_fraction;
 use dataflow_model::{PipelineSpec, RtParams};
 use obs_trace::{SpanSink, Track};
@@ -247,11 +247,18 @@ impl<'a> EnforcedWaitsProblem<'a> {
             sink.enter(Track::solver(attempt), "solve water-filling", "solver", 0.0);
         }
         let mut pav = Pav::default();
-        let (result, micros) = timed(|| self.waterfill(spans.as_deref_mut(), attempt, &mut pav));
+        // Generic instances take a handful of price steps.
+        let mut series = Vec::with_capacity(8);
+        let (result, micros) =
+            timed(|| self.waterfill(spans.as_deref_mut(), attempt, &mut pav, Some(&mut series)));
         if let Some(sink) = spans {
             sink.exit(micros);
         }
-        let mut telemetry = result?;
+        let counts = result?;
+        let mut telemetry = SolveTelemetry::new("water-filling");
+        telemetry.iterations = counts.iterations;
+        telemetry.residual = counts.residual;
+        telemetry.residual_series = series;
         telemetry.wall_micros = micros;
         let mut schedule = self.schedule_from_periods(self.periods_of(&pav.z).collect());
         schedule.telemetry = Some(telemetry);
@@ -259,15 +266,15 @@ impl<'a> EnforcedWaitsProblem<'a> {
     }
 
     /// [`Self::solve`] for one cell of a sweep row: the active fraction
-    /// and the telemetry (the caller stamps the wall time). The
-    /// water-filling buffers in `scratch` carry over from cell to cell;
-    /// the answer is the public solve's bit for bit.
+    /// and the solve's counts. The water-filling buffers in `scratch`
+    /// carry over from cell to cell, so a cell allocates nothing once
+    /// they have grown; the answer is the public solve's bit for bit.
     pub(crate) fn solve_cell(
         &self,
         scratch: &mut CellScratch,
-    ) -> Result<(f64, SolveTelemetry), ScheduleError> {
+    ) -> Result<(f64, CellTelemetry), ScheduleError> {
         self.check_feasibility()?;
-        let telemetry = self.waterfill(None, 0, &mut scratch.pav)?;
+        let telemetry = self.waterfill(None, 0, &mut scratch.pav, None)?;
         let periods = &mut scratch.periods;
         periods.clear();
         periods.extend(self.periods_of(&scratch.pav.z));
@@ -332,14 +339,15 @@ impl<'a> EnforcedWaitsProblem<'a> {
     /// Exact water-filling: the smallest deadline price λ whose
     /// pool-adjacent-violators schedule `z(λ)` fits the deadline, from
     /// [`exact_price`]. Leaves the scaled periods `z_i = G_i·x_i` of the
-    /// schedule in `pav.z` and returns the telemetry (without wall
-    /// time). The clock is read only for spans.
+    /// schedule in `pav.z`, pushes the residual series onto `series` when
+    /// given, and returns the counts. The clock is read only for spans.
     fn waterfill(
         &self,
         mut spans: Option<&mut SpanSink>,
         attempt: u64,
         pav: &mut Pav,
-    ) -> Result<SolveTelemetry, ScheduleError> {
+        mut series: Option<&mut Vec<f64>>,
+    ) -> Result<CellTelemetry, ScheduleError> {
         let (t, g_total) = (&self.t, &self.g_total);
         let (a, c, lo) = (&self.a, &self.c, &self.lo);
         if g_total.iter().any(|&g| !(g > 0.0 && g.is_finite())) {
@@ -366,9 +374,10 @@ impl<'a> EnforcedWaitsProblem<'a> {
                 .sum()
         };
 
-        let mut telemetry = SolveTelemetry::new("water-filling");
-        // Generic instances take a handful of price steps.
-        telemetry.residual_series.reserve(8);
+        let mut telemetry = CellTelemetry {
+            iterations: 0,
+            residual: 0.0,
+        };
         let clock = spans.is_some().then(std::time::Instant::now);
         let elapsed_us = || clock.map_or(0.0, |t0| t0.elapsed().as_secs_f64() * 1e6);
         let track = Track::solver(attempt);
@@ -382,8 +391,8 @@ impl<'a> EnforcedWaitsProblem<'a> {
             // round differently; both must meet the deadline.
             let fits = used <= deadline && latency_of(&pav.z) <= deadline;
             telemetry.iterations += 1;
-            if lambda > 0.0 {
-                telemetry.residual_series.push((deadline - used).abs());
+            if let Some(series) = series.as_deref_mut().filter(|_| lambda > 0.0) {
+                series.push((deadline - used).abs());
             }
             if let Some(sink) = spans.as_deref_mut() {
                 let now = elapsed_us();

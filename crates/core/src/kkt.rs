@@ -33,6 +33,19 @@ pub struct KktReport {
 }
 
 impl KktReport {
+    /// The report on a period vector of `got` entries for a program of
+    /// `expected` nodes: not optimal at any tolerance.
+    pub(crate) fn length_mismatch(expected: usize, got: usize) -> Self {
+        KktReport {
+            stationarity_residual: f64::INFINITY,
+            min_multiplier: 0.0,
+            max_violation: f64::INFINITY,
+            active: vec![format!(
+                "period vector has {got} entries for {expected} nodes"
+            )],
+        }
+    }
+
     /// True if the report certifies (approximate) optimality at the
     /// given tolerance.
     pub fn is_optimal(&self, tol: f64) -> bool {
@@ -45,14 +58,18 @@ impl KktReport {
 /// Check the KKT conditions for `periods` on `problem`.
 ///
 /// `active_tol` decides which constraints count as active, *relative* to
-/// each constraint's scale (measured as `|rhs| + ‖a‖·‖x‖`).
+/// each constraint's scale (measured as `|rhs| + ‖a‖·‖x‖`). A period
+/// vector of the wrong length certifies nothing: the report has an
+/// infinite violation and names both lengths.
 pub fn verify_kkt(
     problem: &EnforcedWaitsProblem<'_>,
     periods: &[f64],
     active_tol: f64,
 ) -> KktReport {
     let n = problem.pipeline().len();
-    assert_eq!(periods.len(), n, "period vector length mismatch");
+    if periods.len() != n {
+        return KktReport::length_mismatch(n, periods.len());
+    }
     let cs = problem.constraint_set();
     let grad = active_fraction_gradient(&problem.pipeline().service_times(), periods);
     kkt_report(&cs, &grad, periods, active_tol)
@@ -307,6 +324,20 @@ mod tests {
             .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn wrong_length_periods_are_a_failed_report_not_a_panic() {
+        let p = blast();
+        let params = RtParams::new(10.0, 1e5).unwrap();
+        let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
+        for periods in [vec![], vec![500.0; 3], vec![500.0; 5]] {
+            let report = verify_kkt(&prob, &periods, 1e-6);
+            assert!(!report.is_optimal(1e3), "{report:?}");
+            assert_eq!(report.max_violation, f64::INFINITY);
+            let want = format!("{} entries for 4 nodes", periods.len());
+            assert!(report.active[0].contains(&want), "{report:?}");
+        }
     }
 
     #[test]

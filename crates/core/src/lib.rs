@@ -56,5 +56,5 @@ pub use flexible::{FlexibleSchedule, FlexibleSharesProblem};
 pub use monolithic::{BlockTable, MonolithicDagProblem, MonolithicProblem, MonolithicSchedule};
 pub use policy::{escalate_schedule, needs_escalation};
 pub use schedule::{AnySchedule, ScheduleError};
-pub use telemetry::SolveTelemetry;
-pub use threads::worker_threads;
+pub use telemetry::{CellTelemetry, SolveTelemetry};
+pub use threads::{run_jobs, worker_threads};

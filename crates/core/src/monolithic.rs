@@ -95,7 +95,7 @@
 
 use crate::feasibility::FeasibilityError;
 use crate::schedule::ScheduleError;
-use crate::telemetry::{timed, SolveTelemetry};
+use crate::telemetry::{timed, CellTelemetry, SolveTelemetry};
 use dataflow_model::analysis::{block_time, vectors};
 use dataflow_model::{PipelineSpec, RtParams, Topology};
 use serde::{Deserialize, Serialize};
@@ -388,16 +388,15 @@ impl MonolithicProblem {
     }
 
     /// [`Self::solve_on`] for one cell of a sweep row that keeps `row`
-    /// across its cells: the active fraction and the telemetry (the
-    /// caller stamps the wall time), without the schedule.
+    /// across its cells: the active fraction and the search's counts,
+    /// without the schedule.
     pub(crate) fn solve_in_row(
         &self,
         table: &BlockTable,
         row: &mut RowWalk,
-    ) -> Result<(f64, SolveTelemetry), ScheduleError> {
-        let (best, telemetry) = self.search("breakpoint", |evaluations| {
-            self.walk(table, Some(row), evaluations)
-        })?;
+    ) -> Result<(f64, CellTelemetry), ScheduleError> {
+        let (best, telemetry) =
+            self.search(|evaluations| self.walk(table, Some(row), evaluations))?;
         Ok((best.value, telemetry))
     }
 
@@ -603,8 +602,10 @@ impl MonolithicProblem {
         method: &str,
         search: impl FnOnce(&mut u64) -> Option<IntOpt>,
     ) -> Result<MonolithicSchedule, ScheduleError> {
-        let (result, wall_micros) = timed(|| self.search(method, search));
-        let (best, mut telemetry) = result?;
+        let (result, wall_micros) = timed(|| self.search(search));
+        let (best, counts) = result?;
+        let mut telemetry = SolveTelemetry::new(method);
+        telemetry.iterations = counts.iterations;
         telemetry.wall_micros = wall_micros;
         let block_time = self.block_time(best.arg);
         Ok(MonolithicSchedule {
@@ -618,13 +619,13 @@ impl MonolithicProblem {
         })
     }
 
-    /// Run `search` and return its answer with the telemetry:
-    /// `iterations` counts the candidates the answer minimizes over.
+    /// Run `search` and return its answer with its counts: `iterations`
+    /// counts the candidates the answer minimizes over, and the residual
+    /// of an exact search is 0.
     fn search(
         &self,
-        method: &str,
         search: impl FnOnce(&mut u64) -> Option<IntOpt>,
-    ) -> Result<(IntOpt, SolveTelemetry), ScheduleError> {
+    ) -> Result<(IntOpt, CellTelemetry), ScheduleError> {
         let mut evaluations = 0u64;
         let best = search(&mut evaluations).ok_or(ScheduleError::Infeasible(
             FeasibilityError::NoFeasibleBlockSize {
@@ -633,8 +634,10 @@ impl MonolithicProblem {
                 tau0: self.params.tau0,
             },
         ))?;
-        let mut telemetry = SolveTelemetry::new(method);
-        telemetry.iterations = evaluations;
+        let telemetry = CellTelemetry {
+            iterations: evaluations,
+            residual: 0.0,
+        };
         Ok((best, telemetry))
     }
 }

@@ -9,6 +9,12 @@
 //! [`crate::WaitSchedule`] / [`crate::MonolithicSchedule`] so callers
 //! (the bench harness, the CLI) can aggregate it into run manifests
 //! without re-instrumenting each solver.
+//!
+//! A sweep cell keeps only the counts, as a [`CellTelemetry`]: a grid
+//! holds thousands of cells, and the method name, residual series and
+//! wall time would cost each of them heap allocations and clock reads.
+//! The sweep times its solves per row segment instead
+//! ([`crate::comparison::SweepLayers`]).
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -56,6 +62,26 @@ impl SolveTelemetry {
             residual_series: Vec::new(),
             wall_micros: 0.0,
             phase1_iterations: None,
+        }
+    }
+}
+
+/// What a sweep cell keeps of one solve: the counts of a
+/// [`SolveTelemetry`], without its method name, series or wall time.
+/// It holds no heap data, so a cell costs only its solves.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CellTelemetry {
+    /// Iteration count, as [`SolveTelemetry::iterations`].
+    pub iterations: u64,
+    /// Final residual, as [`SolveTelemetry::residual`].
+    pub residual: f64,
+}
+
+impl From<&SolveTelemetry> for CellTelemetry {
+    fn from(t: &SolveTelemetry) -> Self {
+        CellTelemetry {
+            iterations: t.iterations,
+            residual: t.residual,
         }
     }
 }

@@ -6,10 +6,11 @@
 //! job queue: [`run_seeds`], the robustness report
 //! ([`crate::robustness_report`]) and the calibration loop
 //! ([`crate::calibration::calibrate_enforced`]) each build one list of
-//! runs and hand it to the crate-private `run_jobs`, whose workers
-//! claim runs from a shared cursor and whose results come back in list
-//! order. A run's output does not depend on which worker ran it, so the
-//! worker count changes no simulated bit.
+//! runs and hand it to [`rtsdf_core::run_jobs`] (through a
+//! crate-private wrapper that attaches each worker's live shard), whose
+//! workers claim runs from a shared cursor and whose results come back
+//! in list order. A run's output does not depend on which worker ran
+//! it, so the worker count changes no simulated bit.
 //!
 //! [`run_seeds`] is the one multi-seed entry point for either strategy:
 //! it hands each seed's config and [`Hooks`] to a closure that calls
@@ -20,7 +21,6 @@ use crate::hooks::{Hooks, SimError};
 use crate::live::SimLiveMetrics;
 use crate::metrics::SimMetrics;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Aggregate of a batch of runs differing only in seed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -192,13 +192,9 @@ pub(crate) fn split_reports(runs: Vec<SimMetrics>, per: u64, count: usize) -> Ve
         .collect()
 }
 
-/// Run `run` once per job on `workers` threads (at most one per job;
-/// the calling thread is worker 0) and return the results in job order.
-///
-/// Workers claim jobs one at a time from a shared cursor, in slice
-/// order, so no worker idles while a job is unclaimed and one slow run
-/// holds up only its own worker. With `live`, each run gets a fresh
-/// [`SimLiveMetrics::handle`] on its worker's shard, and
+/// Run `run` once per job on [`rtsdf_core::run_jobs`]'s `workers`
+/// threads and return the results in job order. With `live`, each run
+/// gets a fresh [`SimLiveMetrics::handle`] on its worker's shard, and
 /// [`SimLiveMetrics::on_run_complete`] follows every run.
 pub(crate) fn run_jobs<J, T, F>(
     jobs: &[J],
@@ -211,51 +207,19 @@ where
     T: Send,
     F: Fn(&J, Hooks<'_>) -> T + Sync,
 {
-    let workers = workers.clamp(1, jobs.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let work = |worker: usize| {
-        let mut done = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = jobs.get(i) else {
-                return done;
+    rtsdf_core::run_jobs(jobs, workers, |worker, job| match live {
+        Some(m) => {
+            let h = m.handle(worker);
+            let hooks = Hooks {
+                live: Some(&h),
+                ..Hooks::default()
             };
-            let out = match live {
-                Some(m) => {
-                    let h = m.handle(worker);
-                    let hooks = Hooks {
-                        live: Some(&h),
-                        ..Hooks::default()
-                    };
-                    let out = run(job, hooks);
-                    m.on_run_complete(worker);
-                    out
-                }
-                None => run(job, Hooks::default()),
-            };
-            done.push((i, out));
+            let out = run(job, hooks);
+            m.on_run_complete(worker);
+            out
         }
-    };
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs.len()).collect();
-    std::thread::scope(|scope| {
-        let work = &work;
-        let helpers: Vec<_> = (1..workers)
-            .map(|worker| scope.spawn(move || work(worker)))
-            .collect();
-        let mut place = |done: Vec<(usize, T)>| {
-            for (i, out) in done {
-                slots[i] = Some(out);
-            }
-        };
-        place(work(0));
-        for h in helpers {
-            place(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job was claimed"))
-        .collect()
+        None => run(job, Hooks::default()),
+    })
 }
 
 #[cfg(test)]
@@ -425,16 +389,18 @@ mod tests {
 
     #[test]
     fn jobs_come_back_in_job_order_from_every_worker() {
-        // Later jobs finish first on the clock; the output is still in
-        // job order, and every job ran exactly once.
+        // The live wrapper keeps the core runner's job order, hands every
+        // run a live handle, and counts each run once.
         let jobs: Vec<u64> = (0..23).collect();
-        for workers in [0, 1, 2, 3, 7, 40] {
-            let out = run_jobs(&jobs, workers, None, |&j, _| {
-                std::thread::sleep(std::time::Duration::from_micros(200 * (23 - j)));
+        for workers in [1, 2, 3, 7] {
+            let live = SimLiveMetrics::new(1, 2);
+            let out = run_jobs(&jobs, workers, Some(&live), |&j, h| {
+                assert!(h.live.is_some());
                 j * j
             });
             let want: Vec<u64> = jobs.iter().map(|j| j * j).collect();
             assert_eq!(out, want, "{workers} workers");
+            assert_eq!(live.runs_completed(), 23);
         }
         assert!(run_jobs(&[] as &[u64], 3, None, |&j, _| j).is_empty());
     }
