@@ -96,22 +96,21 @@ mod tests {
 
     #[test]
     fn deep_chain_is_schedulable_and_certified() {
-        use dataflow_model::RtParams;
-        use rtsdf_core::kkt::verify_kkt;
-        use rtsdf_core::{minimal_periods, EnforcedWaitsProblem};
+        use dataflow_model::{RtParams, Topology};
+        use rtsdf_core::{minimal_periods, EnforcedProblem};
 
-        let p = deep_chain(128).unwrap();
-        let b = EnforcedWaitsProblem::optimistic_backlog(&p);
+        let p = Topology::chain(&deep_chain(128).unwrap());
+        let b = EnforcedProblem::optimistic_backlog(&p);
         let min_d: f64 = minimal_periods(&p)
             .iter()
             .zip(&b)
             .map(|(x, bi)| x * bi)
             .sum();
         let params = RtParams::new(5.0, min_d * 2.0).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, b);
+        let prob = EnforcedProblem::new(&p, params, b);
         let s = prob.solve().unwrap();
         assert!(s.active_fraction > 0.0 && s.active_fraction <= 1.0);
-        let kkt = verify_kkt(&prob, &s.periods, 1e-5);
+        let kkt = prob.verify_kkt(&s.periods, 1e-5);
         assert!(kkt.is_optimal(1e-3), "{kkt:?}");
     }
 }

@@ -325,26 +325,28 @@ mod tests {
         // the fixed-cost filter stage.
         assert!(t[1] > t[0], "{t:?}");
         // And the whole thing must be schedulable.
-        use dataflow_model::RtParams;
+        use dataflow_model::{RtParams, Topology};
         let b: Vec<f64> = p
             .mean_gains()
             .iter()
             .map(|g| (g.ceil() + 1.0).max(2.0))
             .collect();
         let params = RtParams::new(60.0, 1e5).unwrap();
-        assert!(rtsdf_core::EnforcedWaitsProblem::new(&p, params, b)
-            .solve()
-            .is_ok());
+        assert!(
+            rtsdf_core::EnforcedProblem::new(&Topology::chain(&p), params, b)
+                .solve()
+                .is_ok()
+        );
     }
 
     #[test]
     fn schedulable_with_enforced_waits() {
         // The synthesized pipeline must be usable by the core machinery.
-        use dataflow_model::RtParams;
+        use dataflow_model::{RtParams, Topology};
         let p = synthesize(&GammaConfig::default(), 11).unwrap();
         let b: Vec<f64> = p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect();
         let params = RtParams::new(20.0, 1e5).unwrap();
-        let sched = rtsdf_core::EnforcedWaitsProblem::new(&p, params, b).solve();
+        let sched = rtsdf_core::EnforcedProblem::new(&Topology::chain(&p), params, b).solve();
         assert!(sched.is_ok(), "{sched:?}");
     }
 }

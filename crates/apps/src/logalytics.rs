@@ -226,27 +226,11 @@ pub fn synthesize(config: &LogalyticsConfig, seed: u64) -> Result<Topology, Mode
         .build()
 }
 
-/// Backlog-factor starting point for the DAG solver: the optimistic
-/// per-node factor `max(1, ⌈Σ out-edge mean flow⌉)` the paper's chain
-/// calibration also starts from.
-pub fn optimistic_backlog(topology: &Topology) -> Vec<f64> {
-    (0..topology.len())
-        .map(|i| {
-            let out: f64 = topology
-                .out_edges(i)
-                .iter()
-                .map(|&e| topology.edge(e).mean_flow())
-                .sum();
-            out.ceil().max(1.0)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dataflow_model::RtParams;
-    use rtsdf_core::EnforcedDagProblem;
+    use rtsdf_core::EnforcedProblem;
 
     #[test]
     fn synthesized_topology_shape() {
@@ -320,9 +304,9 @@ mod tests {
     #[test]
     fn schedulable_with_dag_solver() {
         let t = synthesize(&LogalyticsConfig::default(), 11).unwrap();
-        let b = optimistic_backlog(&t);
+        let b = EnforcedProblem::optimistic_backlog(&t);
         let params = RtParams::new(30.0, 2e5).unwrap();
-        let sched = EnforcedDagProblem::new(&t, params, b).solve();
+        let sched = EnforcedProblem::new(&t, params, b).solve();
         assert!(sched.is_ok(), "{sched:?}");
         let sched = sched.unwrap();
         assert_eq!(sched.periods.len(), 5);

@@ -95,8 +95,8 @@ fn main() {
     let items = 2_000usize;
     let enf_cfg = SimConfig::quick(10.0, 7, items);
     let mono_cfg = SimConfig::quick(50.0, 7, items);
-    let enf_sched = EnforcedWaitsProblem::new(
-        &pipeline,
+    let enf_sched = EnforcedProblem::new(
+        &Topology::chain(&pipeline),
         RtParams::new(10.0, 1e5).unwrap(),
         vec![1.0, 3.0, 9.0, 6.0],
     )

@@ -22,7 +22,7 @@ fn bench_stationary_solve(c: &mut Criterion) {
 fn bench_backlog_estimation(c: &mut Criterion) {
     let p = rtsdf::blast::paper_pipeline();
     let params = RtParams::new(10.0, 3e4).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+    let sched = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 3.0, 9.0, 6.0])
         .solve()
         .unwrap();
     c.bench_function("estimate_backlog_factors_blast", |b| {

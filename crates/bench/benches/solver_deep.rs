@@ -22,7 +22,6 @@
 //! ```
 
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
-use rtsdf::core::kkt::verify_kkt;
 use rtsdf::core::minimal_periods;
 use rtsdf::prelude::*;
 use serde_json::json;
@@ -61,14 +60,14 @@ struct DepthRow {
 /// the host hits every depth alike; rounds repeat until `window` has
 /// passed. The fastest batch mean is the stable measure of what the
 /// work itself costs.
-fn time_solves(probs: &[EnforcedWaitsProblem<'_>], window: Duration) -> Vec<(f64, f64)> {
+fn time_solves(probs: &[EnforcedProblem<'_>], window: Duration) -> Vec<(f64, f64)> {
     let mut sums = vec![(0.0, 0usize); probs.len()];
     let mut mins = vec![f64::INFINITY; probs.len()];
     let started = Instant::now();
     let mut rounds = 0;
     while rounds < MIN_ROUNDS || started.elapsed() < window {
         for (k, prob) in probs.iter().enumerate() {
-            let solves = (BATCH_STAGES / prob.pipeline().len()).max(1);
+            let solves = (BATCH_STAGES / prob.topology().len()).max(1);
             let t0 = Instant::now();
             for _ in 0..solves {
                 black_box(prob.solve().unwrap());
@@ -96,21 +95,23 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(300);
 
-    let pipelines: Vec<PipelineSpec> = DEPTHS
+    let chains: Vec<Topology> = DEPTHS
         .iter()
-        .map(|&n| rtsdf::apps::deepchain::deep_chain(n).expect("deep chain builds"))
+        .map(|&n| {
+            Topology::chain(&rtsdf::apps::deepchain::deep_chain(n).expect("deep chain builds"))
+        })
         .collect();
-    let probs: Vec<EnforcedWaitsProblem<'_>> = pipelines
+    let probs: Vec<EnforcedProblem<'_>> = chains
         .iter()
-        .map(|p| {
-            let b = EnforcedWaitsProblem::optimistic_backlog(p);
-            let min_d: f64 = minimal_periods(p)
+        .map(|t| {
+            let b = EnforcedProblem::optimistic_backlog(t);
+            let min_d: f64 = minimal_periods(t)
                 .iter()
                 .zip(&b)
                 .map(|(x, bi)| x * bi)
                 .sum();
             let params = RtParams::new(5.0, min_d * 2.0).expect("valid operating point");
-            EnforcedWaitsProblem::new(p, params, b)
+            EnforcedProblem::new(t, params, b)
         })
         .collect();
 
@@ -119,7 +120,7 @@ fn main() {
     let mut uncertified = Vec::new();
     for (&n, prob) in DEPTHS.iter().zip(&probs) {
         let sched = prob.solve().expect("deep chain is schedulable");
-        let kkt = verify_kkt(prob, &sched.periods, KKT_ACTIVE_TOL);
+        let kkt = prob.verify_kkt(&sched.periods, KKT_ACTIVE_TOL);
         if !kkt.is_optimal(KKT_TOL) {
             uncertified.push(n);
         }

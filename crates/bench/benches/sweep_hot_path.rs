@@ -2,14 +2,14 @@
 //!
 //! Measures the three layers the sweep acceleration touched:
 //!
-//! * **Scheduling** — segment-level work stealing (`sweep_parallel`) on
-//!   one deliberately *imbalanced* grid: its cheap, infeasible rows (τ0
+//! * **Scheduling** — segment-level work stealing (`sweep`) on one
+//!   deliberately *imbalanced* grid: its cheap, infeasible rows (τ0
 //!   below the enforced head-stability limit ≈ 2.83) come first and its
 //!   expensive feasible rows last, the shape a static row split would
 //!   serialize behind one thread. Separately, the paper's 64×64 grid
-//!   runs through the one-worker `sweep`, whose whole rows are the row
-//!   kernel's segments; its cell rate does not depend on the core count,
-//!   so `bench_diff` gates it.
+//!   runs through `sweep` on one worker (`RTSDF_THREADS=1`), whose whole
+//!   rows are the row kernel's segments; its cell rate does not depend
+//!   on the core count, so `bench_diff` gates it.
 //! * **Solver** — one enforced water-filling `solve` and the monolithic
 //!   block-size search (`solve_fast`), each at its own bench point.
 //! * **Simulator** — the allocation-free enforced/monolithic hot loops,
@@ -26,9 +26,8 @@
 
 use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
 use criterion::{black_box, Criterion};
-use rtsdf::core::comparison::{
-    sweep, sweep_parallel, sweep_parallel_live, SweepConfig, SweepProgress,
-};
+use rtsdf::core::comparison::{sweep, SweepConfig, SweepProgress};
+use rtsdf::core::threads::THREADS_ENV;
 use rtsdf::core::worker_threads;
 use rtsdf::prelude::*;
 use serde_json::json;
@@ -95,6 +94,7 @@ fn main() {
     });
     let (rows, cols) = parse_grid(&args);
     let pipeline = rtsdf::blast::paper_pipeline();
+    let topology = Topology::chain(&pipeline);
     let (tau0s, ds) = imbalanced_grid(rows, cols);
     let sweep_config = SweepConfig::paper_blast();
     let (paper_tau0s, paper_ds) = RtParams::paper_grid(64, 64);
@@ -105,18 +105,25 @@ fn main() {
 
     {
         let mut group = c.benchmark_group("sweep");
+        let run = |tau0s: &[f64], ds: &[f64]| sweep(&topology, tau0s, ds, &sweep_config, None);
         group.bench_function("work_stealing", |b| {
-            b.iter(|| black_box(sweep_parallel(&pipeline, &tau0s, &ds, &sweep_config).unwrap()))
+            b.iter(|| black_box(run(&tau0s, &ds).unwrap()))
         });
+        let threads = std::env::var(THREADS_ENV).ok();
+        std::env::set_var(THREADS_ENV, "1");
         group.bench_function("paper_64x64", |b| {
-            b.iter(|| black_box(sweep(&pipeline, &paper_tau0s, &paper_ds, &sweep_config).unwrap()))
+            b.iter(|| black_box(run(&paper_tau0s, &paper_ds).unwrap()))
         });
+        match threads {
+            Some(v) => std::env::set_var(THREADS_ENV, v),
+            None => std::env::remove_var(THREADS_ENV),
+        }
         group.finish();
     }
 
     // Solver: one feasible BLAST operating point.
     let point = RtParams::new(10.0, 1e5).unwrap();
-    let prob = EnforcedWaitsProblem::new(&pipeline, point, sweep_config.enforced_b.clone());
+    let prob = EnforcedProblem::new(&topology, point, sweep_config.enforced_b.clone());
     // The monolithic block-size search, at the monolithic simulator's
     // operating point.
     let mono_prob = MonolithicProblem::new(&pipeline, RtParams::new(50.0, 1e5).unwrap(), 1.0, 1.0);
@@ -144,7 +151,6 @@ fn main() {
     let mono_cfg = SimConfig::quick(50.0, 7, sim_items);
     let long_items = 200_000usize;
     let long_cfg = SimConfig::quick(10.0, 7, long_items);
-    let topology = Topology::chain(&pipeline);
     let enforced_run =
         |cfg: &SimConfig| enforced::simulate(&topology, &cold_sched, 1e5, cfg, Hooks::default());
     {
@@ -211,8 +217,8 @@ fn main() {
     let (prof_tau0s, prof_ds) = imbalanced_grid(prof_rows, prof_cols);
     let progress = SweepProgress::new(worker_threads());
     let t0 = Instant::now();
-    let _ = sweep_parallel_live(
-        &pipeline,
+    let _ = sweep(
+        &topology,
         &prof_tau0s,
         &prof_ds,
         &sweep_config,

@@ -36,7 +36,7 @@ fn main() {
         ("uniform 8", vec![8.0, 8.0, 8.0, 8.0]),
     ] {
         let p = blast();
-        let af = EnforcedWaitsProblem::new(&p, params, b.clone())
+        let af = EnforcedProblem::new(&Topology::chain(&p), params, b.clone())
             .solve()
             .map(|s| s.active_fraction);
         rows.push(vec![
@@ -57,7 +57,7 @@ fn main() {
     let mut rows = Vec::new();
     for (b, s) in [(1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (2.0, 1.0), (3.0, 1.0)] {
         let p = blast();
-        let r = MonolithicProblem::new(&p, params_m, b, s).solve();
+        let r = MonolithicProblem::new(&p, params_m, b, s).solve_fast();
         rows.push(vec![
             format!("b={b}, S={s}"),
             r.as_ref().map_or("-".into(), |m| m.block_size.to_string()),
@@ -75,7 +75,7 @@ fn main() {
     let mut rows = Vec::new();
     for v in [32, 64, 128, 256, 512] {
         let p = blast_with_width(v);
-        let e = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+        let e = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .ok()
             .map(|s| s.active_fraction);

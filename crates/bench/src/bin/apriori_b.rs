@@ -27,9 +27,13 @@ fn main() {
         // A schedule must exist before its queues can be analyzed; use
         // the paper's factors for the design, then estimate what the
         // theory would have prescribed.
-        let sched = EnforcedWaitsProblem::new(&pipeline, *params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve()
-            .expect("feasible");
+        let sched = EnforcedProblem::new(
+            &Topology::chain(&pipeline),
+            *params,
+            vec![1.0, 3.0, 9.0, 6.0],
+        )
+        .solve()
+        .expect("feasible");
         let est = estimate_backlog_factors(
             &pipeline,
             &sched.periods,

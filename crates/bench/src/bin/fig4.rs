@@ -8,7 +8,7 @@
 //! ```
 
 use bench::manifest::emit_sweep_metrics;
-use rtsdf::core::comparison::{sweep_parallel, SweepConfig};
+use rtsdf::core::comparison::{sweep, SweepConfig};
 use rtsdf::prelude::*;
 
 fn main() {
@@ -18,11 +18,10 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    let pipeline = rtsdf::blast::paper_pipeline();
+    let topology = Topology::chain(&rtsdf::blast::paper_pipeline());
     let (tau0s, ds) = RtParams::paper_grid(16, 16);
     let sweep_config = SweepConfig::paper_blast();
-    let result =
-        sweep_parallel(&pipeline, &tau0s, &ds, &sweep_config).expect("paper grid is valid");
+    let result = sweep(&topology, &tau0s, &ds, &sweep_config, None).expect("paper grid is valid");
 
     if let Some(format) = metrics {
         let path =

@@ -25,7 +25,7 @@ fn main() {
     let mut rows = Vec::new();
     for (tau0, d) in [(5.0, 2.6e4), (10.0, 3e4), (10.0, 1e5)] {
         let params = RtParams::new(tau0, d).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b.clone())
+        let sched = EnforcedProblem::new(&t, params, b.clone())
             .solve()
             .expect("feasible");
         let mut stats = Vec::new();
@@ -90,7 +90,7 @@ fn main() {
             RtParams::new(5.0, 2.6e4).unwrap(),
             RtParams::new(10.0, 3e4).unwrap(),
         ] {
-            let Ok(sched) = EnforcedWaitsProblem::new(&p, params, b_poisson.clone()).solve() else {
+            let Ok(sched) = EnforcedProblem::new(&t, params, b_poisson.clone()).solve() else {
                 continue;
             };
             let mut cfg = SimConfig::quick(params.tau0, 0, 8_000);

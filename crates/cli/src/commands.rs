@@ -7,11 +7,9 @@ use bench::{MetricsFormat, RunManifest};
 use obs_trace::{
     analyze, chrome_trace_string, render_blame, ForensicsConfig, SpanSink, TraceConfig,
 };
-use rtsdf::core::comparison::{
-    sweep_parallel_live, sweep_topology_parallel_live, SweepConfig, SweepProgress,
-};
+use rtsdf::core::comparison::{sweep, SweepConfig, SweepProgress};
 use rtsdf::core::{
-    worker_threads, AnySchedule, EnforcedDagProblem, FlexibleSharesProblem, MonolithicDagProblem,
+    worker_threads, AnySchedule, EnforcedProblem, FlexibleSharesProblem, MonolithicProblem,
 };
 use rtsdf::exec::{sim_vs_real, ExecConfig};
 use rtsdf::model::Topology;
@@ -72,14 +70,23 @@ fn load_pipeline(path: &str) -> Result<PipelineSpec, CommandError> {
         .map_err(|e| CommandError::Pipeline(format!("cannot parse '{path}': {e}")))
 }
 
-/// The dataflow a command operates on: a chain [`PipelineSpec`] loaded
-/// from `--pipeline`, or a DAG [`Topology`] synthesized by a built-in
-/// `--workload`.
-enum Dataflow {
-    /// Linear chain from a pipeline JSON file.
-    Chain(PipelineSpec),
-    /// DAG from a built-in workload.
-    Dag(Topology),
+/// The dataflow a command operates on, as a [`Topology`]: a chain
+/// [`PipelineSpec`] loaded from `--pipeline`, or one synthesized by a
+/// built-in `--workload`.
+struct Dataflow {
+    topology: Topology,
+    /// Whether it is a chain (`--pipeline` or `deepchain:N`); chain and
+    /// DAG runs write manifests under different names.
+    chain: bool,
+}
+
+impl Dataflow {
+    fn chain(pipeline: &PipelineSpec) -> Self {
+        Dataflow {
+            topology: Topology::chain(pipeline),
+            chain: true,
+        }
+    }
 }
 
 /// Seed for built-in workload synthesis. Fixed so `--workload` runs are
@@ -94,13 +101,17 @@ fn load_dataflow(
     workload: &Option<String>,
 ) -> Result<(Dataflow, String), CommandError> {
     match (pipeline, workload) {
-        (Some(path), None) => Ok((Dataflow::Chain(load_pipeline(path)?), path.clone())),
+        (Some(path), None) => Ok((Dataflow::chain(&load_pipeline(path)?), path.clone())),
         (None, Some(name)) => match name.as_str() {
             "logalytics" => {
                 let config = rtsdf::apps::logalytics::LogalyticsConfig::default();
                 let topology = rtsdf::apps::logalytics::synthesize(&config, WORKLOAD_SEED)
                     .map_err(|e| CommandError::Pipeline(format!("workload '{name}': {e}")))?;
-                Ok((Dataflow::Dag(topology), name.clone()))
+                let flow = Dataflow {
+                    topology,
+                    chain: false,
+                };
+                Ok((flow, name.clone()))
             }
             // Strict digits-only suffix parsing shared with the arg
             // scanner, so `deepchain:+8` / `deepchain: 8` cannot sneak
@@ -109,7 +120,7 @@ fn load_dataflow(
                 Some(stages) => {
                     let spec = rtsdf::apps::deepchain::deep_chain(stages)
                         .map_err(|e| CommandError::Pipeline(format!("workload '{name}': {e}")))?;
-                    Ok((Dataflow::Chain(spec), name.clone()))
+                    Ok((Dataflow::chain(&spec), name.clone()))
                 }
                 None => Err(CommandError::Pipeline(format!(
                     "unknown workload '{other}'"
@@ -126,24 +137,12 @@ fn params(tau0: f64, deadline: f64) -> Result<RtParams, CommandError> {
     RtParams::new(tau0, deadline).map_err(|e| CommandError::Params(e.to_string()))
 }
 
-fn backlog(pipeline: &PipelineSpec, b: Option<Vec<f64>>) -> Result<Vec<f64>, CommandError> {
+fn backlog(topology: &Topology, b: Option<Vec<f64>>) -> Result<Vec<f64>, CommandError> {
     match b {
-        None => Ok(EnforcedWaitsProblem::optimistic_backlog(pipeline)),
-        Some(b) if b.len() == pipeline.len() => Ok(b),
-        Some(b) => Err(CommandError::Params(format!(
-            "--b has {} entries but the pipeline has {} stages",
-            b.len(),
-            pipeline.len()
-        ))),
-    }
-}
-
-fn topology_backlog(topology: &Topology, b: Option<Vec<f64>>) -> Result<Vec<f64>, CommandError> {
-    match b {
-        None => Ok(EnforcedDagProblem::optimistic_backlog(topology)),
+        None => Ok(EnforcedProblem::optimistic_backlog(topology)),
         Some(b) if b.len() == topology.len() => Ok(b),
         Some(b) => Err(CommandError::Params(format!(
-            "--b has {} entries but the workload has {} nodes",
+            "--b has {} entries but the dataflow has {} stages",
             b.len(),
             topology.len()
         ))),
@@ -171,12 +170,13 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             json,
         } => {
             let p = load_pipeline(&pipeline)?;
+            let t = Topology::chain(&p);
             let params = params(tau0, deadline)?;
-            let b = backlog(&p, b)?;
+            let b = backlog(&t, b)?;
             let mut report = serde_json::Map::new();
 
             if matches!(strategy, Strategy::Enforced | Strategy::All) {
-                match EnforcedWaitsProblem::new(&p, params, b.clone()).solve() {
+                match EnforcedProblem::new(&t, params, b.clone()).solve() {
                     Ok(s) => {
                         if !json {
                             writeln!(
@@ -259,26 +259,15 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             // The manifest name keys the CI baseline: chain runs gate
             // against BENCH_simulate.json, workload (DAG) runs against
             // BENCH_dag.json.
-            let (experiment, source_key) = match flow {
-                Dataflow::Chain(_) => ("simulate", "pipeline"),
-                Dataflow::Dag(_) => ("dag", "workload"),
+            let (experiment, source_key) = match flow.chain {
+                true => ("simulate", "pipeline"),
+                false => ("dag", "workload"),
             };
-            let (topology, b, sched) = match flow {
-                Dataflow::Chain(p) => {
-                    let b = backlog(&p, b)?;
-                    let sched = EnforcedWaitsProblem::new(&p, params, b.clone())
-                        .solve()
-                        .map_err(|e| CommandError::Params(e.to_string()))?;
-                    (Topology::chain(&p), b, sched)
-                }
-                Dataflow::Dag(t) => {
-                    let b = topology_backlog(&t, b)?;
-                    let sched = EnforcedDagProblem::new(&t, params, b.clone())
-                        .solve()
-                        .map_err(|e| CommandError::Params(e.to_string()))?;
-                    (t, b, sched)
-                }
-            };
+            let topology = flow.topology;
+            let b = backlog(&topology, b)?;
+            let sched = EnforcedProblem::new(&topology, params, b.clone())
+                .solve()
+                .map_err(|e| CommandError::Params(e.to_string()))?;
             let report = run_seeds(&cfg, seeds, None, |c, h| {
                 enforced::simulate(&topology, &sched, deadline, c, h)
             })?;
@@ -384,12 +373,9 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
         } => {
             let (flow, _source) = load_dataflow(&pipeline, &workload)?;
             let (tau0s, ds) = RtParams::paper_grid(grid.0, grid.1);
-            let (experiment, enforced_b) = match &flow {
-                Dataflow::Chain(p) => ("sweep", EnforcedWaitsProblem::optimistic_backlog(p)),
-                Dataflow::Dag(t) => ("sweep_dag", EnforcedDagProblem::optimistic_backlog(t)),
-            };
+            let experiment = if flow.chain { "sweep" } else { "sweep_dag" };
             let config = SweepConfig {
-                enforced_b,
+                enforced_b: EnforcedProblem::optimistic_backlog(&flow.topology),
                 monolithic_b: 1.0,
                 monolithic_s: 1.0,
             };
@@ -402,15 +388,8 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             // Bit-identical to the sequential sweep (property-tested), so
             // the CSV/manifest output is unchanged — just faster. Live
             // telemetry publishes on the side of each cell's solve.
-            let r = match &flow {
-                Dataflow::Chain(p) => {
-                    sweep_parallel_live(p, &tau0s, &ds, &config, progress.as_ref())
-                }
-                Dataflow::Dag(t) => {
-                    sweep_topology_parallel_live(t, &tau0s, &ds, &config, progress.as_ref())
-                }
-            }
-            .map_err(|e| CommandError::Params(e.to_string()))?;
+            let r = sweep(&flow.topology, &tau0s, &ds, &config, progress.as_ref())
+                .map_err(|e| CommandError::Params(e.to_string()))?;
             let snap = progress.as_ref().map(|pr| pr.registry().snapshot());
             if let Some(s) = session {
                 s.finish();
@@ -459,9 +438,10 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             width,
         } => {
             let p = load_pipeline(&pipeline)?;
+            let t = Topology::chain(&p);
             let params = params(tau0, deadline)?;
-            let b = backlog(&p, b)?;
-            let sched = EnforcedWaitsProblem::new(&p, params, b)
+            let b = backlog(&t, b)?;
+            let sched = EnforcedProblem::new(&t, params, b)
                 .solve()
                 .map_err(|e| CommandError::Params(e.to_string()))?;
             let cfg = SimConfig::quick(tau0, 0, 2_000);
@@ -512,9 +492,9 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                     (m, None)
                 }
                 _ => {
-                    let b = backlog(&p, b)?;
+                    let b = backlog(&topology, b)?;
                     let mut solver_sink = SpanSink::with_defaults();
-                    let sched = EnforcedWaitsProblem::new(&p, params, b)
+                    let sched = EnforcedProblem::new(&topology, params, b)
                         .solve_traced(&mut solver_sink, 0)
                         .map_err(|e| CommandError::Params(e.to_string()))?;
                     let m = enforced::simulate(&topology, &sched, deadline, &cfg, hooks)?;
@@ -574,32 +554,18 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
         } => {
             let (flow, source) = load_dataflow(&pipeline, &workload)?;
             let params = params(tau0, deadline)?;
-            let (experiment, source_key) = match &flow {
-                Dataflow::Chain(_) => ("stress", "pipeline"),
-                Dataflow::Dag(_) => ("stress_dag", "workload"),
+            let (experiment, source_key) = match flow.chain {
+                true => ("stress", "pipeline"),
+                false => ("stress_dag", "workload"),
             };
-            let (topology, b, enforced, mono) = match flow {
-                Dataflow::Chain(p) => {
-                    let b = backlog(&p, b)?;
-                    let enforced = EnforcedWaitsProblem::new(&p, params, b.clone())
-                        .solve()
-                        .map_err(|e| CommandError::Params(e.to_string()))?;
-                    let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
-                        .solve_fast()
-                        .map_err(|e| CommandError::Params(e.to_string()))?;
-                    (Topology::chain(&p), b, enforced, mono)
-                }
-                Dataflow::Dag(t) => {
-                    let b = topology_backlog(&t, b)?;
-                    let enforced = EnforcedDagProblem::new(&t, params, b.clone())
-                        .solve()
-                        .map_err(|e| CommandError::Params(e.to_string()))?;
-                    let mono = MonolithicDagProblem::new(&t, params, 1.0, 1.0)
-                        .solve_fast()
-                        .map_err(|e| CommandError::Params(e.to_string()))?;
-                    (t, b, enforced, mono)
-                }
-            };
+            let topology = flow.topology;
+            let b = backlog(&topology, b)?;
+            let enforced = EnforcedProblem::new(&topology, params, b.clone())
+                .solve()
+                .map_err(|e| CommandError::Params(e.to_string()))?;
+            let mono = MonolithicProblem::new(&topology, params, 1.0, 1.0)
+                .solve_fast()
+                .map_err(|e| CommandError::Params(e.to_string()))?;
             let cfg = SimConfig::quick(tau0, 0, items);
             let live_metrics = live
                 .enabled()
@@ -757,24 +723,14 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
         } => {
             let (flow, source) = load_dataflow(&pipeline, &workload)?;
             let params = params(tau0, deadline)?;
-            let (topology, b) = match flow {
-                Dataflow::Chain(p) => {
-                    let b = backlog(&p, b)?;
-                    (Topology::chain(&p), b)
-                }
-                Dataflow::Dag(t) => {
-                    let b = topology_backlog(&t, b)?;
-                    (t, b)
-                }
-            };
-            // DAG problems delegate to the chain solvers on linear
-            // topologies, so one code path covers both sources.
+            let topology = flow.topology;
+            let b = backlog(&topology, b)?;
             let schedule: AnySchedule = match strategy {
-                Strategy::Monolithic => MonolithicDagProblem::new(&topology, params, 1.0, 1.0)
+                Strategy::Monolithic => MonolithicProblem::new(&topology, params, 1.0, 1.0)
                     .solve_fast()
                     .map_err(|e| CommandError::Params(e.to_string()))?
                     .into(),
-                _ => EnforcedDagProblem::new(&topology, params, b.clone())
+                _ => EnforcedProblem::new(&topology, params, b.clone())
                     .solve()
                     .map_err(|e| CommandError::Params(e.to_string()))?
                     .into(),

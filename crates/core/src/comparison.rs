@@ -7,15 +7,21 @@
 //!
 //! # The row kernel
 //!
+//! [`sweep`] and [`compare_at`] take a [`Topology`]. A chain topology
+//! is recognized once per call ([`Topology::as_chain`]), and its
+//! enforced half then runs on the chain kernel; any other DAG solves an
+//! [`EnforcedProblem`] per cell.
+//!
 //! Every cell of every sweep goes through one kernel, which solves a
-//! *segment*: one τ0 and a contiguous run of deadlines. A segment builds
-//! one [`EnforcedWaitsProblem`] and one [`MonolithicProblem`] and moves
-//! them along its deadlines. So the per-pipeline data (service times,
-//! totals, minimal periods, water-filling weights) is built once per
-//! segment, and the water-filling buffers are reused. The block-size
-//! searches share the sweep's one [`BlockTable`], one running minimum
-//! over it per segment, and the run that held the previous cell's `M_D`
-//! (see [`crate::monolithic`]). The kernel keeps only each cell's active
+//! *segment*: one τ0 and a contiguous run of deadlines. On a chain, a
+//! segment builds one enforced chain problem and one
+//! [`MonolithicProblem`] and moves them along its deadlines. So the
+//! per-pipeline data (service times, totals, minimal periods,
+//! water-filling weights) is built once per segment, and the
+//! water-filling buffers are reused. The block-size searches share the
+//! sweep's one [`BlockTable`], one running minimum over it per segment,
+//! and the run that held the previous cell's `M_D` (see
+//! [`crate::monolithic`]). The kernel keeps only each cell's active
 //! fractions and solve counts ([`CellTelemetry`]), so a cell allocates
 //! nothing and reads no clock. It solves a segment's enforced half, then
 //! its monolithic half, and times the two halves with three clock reads
@@ -28,9 +34,9 @@
 //! a 1×N grid spreads over every worker too. Live progress still counts
 //! cells, with clock reads of its own only when it is attached.
 
-use crate::dag::EnforcedDagProblem;
-use crate::enforced::{CellScratch, EnforcedWaitsProblem};
-use crate::monolithic::{BlockModel, BlockTable, MonolithicDagProblem, MonolithicProblem, RowWalk};
+use crate::enforced::{CellScratch, ChainProblem, EnforcedProblem};
+use crate::feasibility::check_backlog_factors;
+use crate::monolithic::{BlockModel, BlockTable, MonolithicProblem, RowWalk};
 use crate::schedule::ScheduleError;
 use crate::telemetry::CellTelemetry;
 use crate::threads::{run_jobs, worker_threads};
@@ -40,6 +46,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[doc(hidden)]
+pub use crate::compat::sweep_parallel;
 
 /// One grid cell's results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -138,7 +147,7 @@ impl SweepResult {
 /// for monolithic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepConfig {
-    /// Enforced-waits backlog factors (length = pipeline stages).
+    /// Enforced-waits backlog factors, one per node.
     pub enforced_b: Vec<f64>,
     /// Monolithic queue multiplier.
     pub monolithic_b: f64,
@@ -160,16 +169,24 @@ impl SweepConfig {
 
 /// Optimize both strategies at one operating point: a one-cell row of
 /// the sweep kernel.
-pub fn compare_at(pipeline: &PipelineSpec, params: RtParams, config: &SweepConfig) -> CellResult {
-    one_cell(Model::Chain(pipeline), params, config)
+pub fn compare_at(topology: &Topology, params: RtParams, config: &SweepConfig) -> CellResult {
+    let chain = topology.as_chain();
+    one_cell(Model::of(topology, chain.as_ref()), params, config)
 }
 
 /// The model a sweep solves: a chain, whose enforced half takes the
 /// row kernel's reusable solve, or a DAG topology.
 #[derive(Clone, Copy)]
-enum Model<'a> {
+pub(crate) enum Model<'a> {
     Chain(&'a PipelineSpec),
     Topology(&'a Topology),
+}
+
+impl<'a> Model<'a> {
+    /// `topology`, as its chain `chain` when it has one.
+    fn of(topology: &'a Topology, chain: Option<&'a PipelineSpec>) -> Self {
+        chain.map_or(Model::Topology(topology), Model::Chain)
+    }
 }
 
 /// One row segment of a sweep: grid row `row` (one τ0) and the
@@ -257,7 +274,7 @@ impl Kernel<'_> {
         match self.model {
             Model::Chain(p) => {
                 let b = config.enforced_b.clone();
-                let mut prob = EnforcedWaitsProblem::new(p, params(first), b);
+                let mut prob = ChainProblem::new(p, params(first), b);
                 let mut scratch = CellScratch::default();
                 for &d in deadlines {
                     prob.set_params(params(d));
@@ -270,7 +287,7 @@ impl Kernel<'_> {
             Model::Topology(t) => {
                 for &d in deadlines {
                     let b = config.enforced_b.clone();
-                    match EnforcedDagProblem::new(t, params(d), b).solve() {
+                    match EnforcedProblem::new(t, params(d), b).solve() {
                         Ok(s) => {
                             let telemetry = s.telemetry.as_ref().map(CellTelemetry::from);
                             push(d, Some(s.active_fraction), telemetry);
@@ -284,7 +301,7 @@ impl Kernel<'_> {
         let (b, s) = (config.monolithic_b, config.monolithic_s);
         let mut mono = match self.model {
             Model::Chain(p) => MonolithicProblem::new(p, params(first), b, s),
-            Model::Topology(t) => MonolithicDagProblem::new(t, params(first), b, s),
+            Model::Topology(t) => MonolithicProblem::new(t, params(first), b, s),
         };
         let mut walk = RowWalk::default();
         for cell in &mut cells[from..] {
@@ -300,8 +317,8 @@ impl Kernel<'_> {
     }
 }
 
-/// [`compare_at`] and [`compare_at_topology`]: a one-cell row on an
-/// empty table, so the block-size search builds its own.
+/// [`compare_at`]: a one-cell row on an empty table, so the block-size
+/// search builds its own.
 fn one_cell(model: Model, params: RtParams, config: &SweepConfig) -> CellResult {
     let table = BlockTable::default();
     let kernel = Kernel {
@@ -329,9 +346,27 @@ fn grid_table(
     BlockTable::covering(model, rows, config.monolithic_b, config.monolithic_s)
 }
 
-/// Validate every `(τ0, D)` grid point up front so a malformed grid is
-/// reported as an error instead of crashing mid-sweep.
-fn validate_grid(tau0s: &[f64], deadlines: &[f64]) -> Result<(), ScheduleError> {
+/// Validate the configuration for a model of `nodes` nodes and every
+/// `(τ0, D)` grid point up front, so a malformed sweep is reported as an
+/// error instead of panicking or answering `None` mid-sweep.
+pub(crate) fn validate(
+    nodes: usize,
+    tau0s: &[f64],
+    deadlines: &[f64],
+    config: &SweepConfig,
+) -> Result<(), ScheduleError> {
+    for (name, value) in [
+        ("monolithic_b", config.monolithic_b),
+        ("monolithic_s", config.monolithic_s),
+    ] {
+        if !(value.is_finite() && value >= 1.0) {
+            return Err(ScheduleError::InvalidParams(format!(
+                "{name} = {value} must be finite and >= 1"
+            )));
+        }
+    }
+    check_backlog_factors(nodes, &config.enforced_b)
+        .map_err(|e| ScheduleError::InvalidParams(format!("enforced_b: {e}")))?;
     for &tau0 in tau0s {
         for &d in deadlines {
             RtParams::new(tau0, d)
@@ -341,26 +376,38 @@ fn validate_grid(tau0s: &[f64], deadlines: &[f64]) -> Result<(), ScheduleError> 
     Ok(())
 }
 
-/// Sweep both strategies over the cartesian grid `tau0s × deadlines`,
-/// on the calling thread.
+/// Sweep both strategies over the cartesian grid `tau0s × deadlines`
+/// of `topology`, on [`worker_threads`] workers that steal row segments
+/// from one shared cursor. The cells are byte-identical at every worker
+/// count: no cell's solve depends on how the grid is cut or scheduled.
+///
+/// With `progress` attached, workers publish per-segment claim and steal
+/// and per-cell completion and busy-fraction metrics into its registry
+/// as the sweep runs; publishing happens outside each cell's solve, so
+/// the cells stay the same.
 ///
 /// Returns [`ScheduleError::InvalidParams`] if any grid value is
-/// non-positive or non-finite; infeasible cells are *not* errors (they
+/// non-positive or non-finite, if `monolithic_b` or `monolithic_s` is
+/// not a finite value ≥ 1, or if `enforced_b` does not hold one finite
+/// positive factor per node. Infeasible cells are *not* errors (they
 /// come back as `None` entries).
 pub fn sweep(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     tau0s: &[f64],
     deadlines: &[f64],
     config: &SweepConfig,
+    progress: Option<&SweepProgress>,
 ) -> Result<SweepResult, ScheduleError> {
-    validate_grid(tau0s, deadlines)?;
-    let model = Model::Chain(pipeline);
-    Ok(sweep_on(model, tau0s, deadlines, config, 1, None))
+    validate(topology.len(), tau0s, deadlines, config)?;
+    let chain = topology.as_chain();
+    let model = Model::of(topology, chain.as_ref());
+    let threads = worker_threads();
+    Ok(sweep_on(model, tau0s, deadlines, config, threads, progress))
 }
 
 /// Live telemetry for the work-stealing sweep scheduler: a sharded
 /// [`Registry`] that workers update as they claim and finish cells.
-/// Attach one via [`sweep_parallel_live`]; scrape it with
+/// Attach one to [`sweep`]; scrape it with
 /// `metrics::MetricsServer` or poll [`SweepProgress::completed`] for a
 /// progress line. Publishing is pure counting on the side of each
 /// cell's solve, so instrumented sweeps stay bit-identical to plain
@@ -455,7 +502,7 @@ impl SweepProgress {
 /// With `progress` attached, each claim and cell completion is
 /// published into its registry; without it, the sweep reads the clock
 /// only at its ends and at each segment's three phase boundaries.
-fn sweep_on(
+pub(crate) fn sweep_on(
     model: Model,
     tau0s: &[f64],
     deadlines: &[f64],
@@ -526,97 +573,24 @@ fn sweep_on(
     }
 }
 
-/// [`sweep`], parallelized with a segment-level work-stealing scheduler
-/// (shared atomic cursor over row segments, scoped threads). Produces
-/// bit-identical cells to [`sweep`] — each cell's solve does not
-/// depend on how the grid is cut or scheduled. The worker count honors
-/// `RTSDF_THREADS` (see [`crate::threads`]).
-pub fn sweep_parallel(
-    pipeline: &PipelineSpec,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-) -> Result<SweepResult, ScheduleError> {
-    sweep_parallel_live(pipeline, tau0s, deadlines, config, None)
-}
-
-/// [`sweep_parallel`] plus optional live telemetry: when `progress` is
-/// attached, workers publish per-segment claim and steal and per-cell
-/// completion and busy-fraction metrics into its registry as the sweep
-/// runs. Cells remain bit-identical to the uninstrumented sweep —
-/// publishing happens outside each cell's solve.
-pub fn sweep_parallel_live(
-    pipeline: &PipelineSpec,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-    progress: Option<&SweepProgress>,
-) -> Result<SweepResult, ScheduleError> {
-    validate_grid(tau0s, deadlines)?;
-    let model = Model::Chain(pipeline);
-    let threads = worker_threads();
-    Ok(sweep_on(model, tau0s, deadlines, config, threads, progress))
-}
-
-/// Optimize both strategies at one operating point on a DAG topology.
-/// [`EnforcedDagProblem`] delegates chain topologies to the chain
-/// solver and [`MonolithicDagProblem`] reads only the per-node totals,
-/// so sweeping a [`Topology::chain`] is bit-identical to [`compare_at`]
-/// under cold solves.
-pub fn compare_at_topology(
-    topology: &Topology,
-    params: RtParams,
-    config: &SweepConfig,
-) -> CellResult {
-    one_cell(Model::Topology(topology), params, config)
-}
-
-/// [`sweep_parallel_live`] generalized to DAG topologies: both
-/// strategies' DAG design problems solved cold at every grid cell, with
-/// the same row kernel, work-stealing scheduler and optional live
-/// telemetry.
-pub fn sweep_topology_parallel_live(
-    topology: &Topology,
-    tau0s: &[f64],
-    deadlines: &[f64],
-    config: &SweepConfig,
-    progress: Option<&SweepProgress>,
-) -> Result<SweepResult, ScheduleError> {
-    validate_grid(tau0s, deadlines)?;
-    let model = Model::Topology(topology);
-    let threads = worker_threads();
-    Ok(sweep_on(model, tau0s, deadlines, config, threads, progress))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::blast;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
     use proptest::prelude::*;
 
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
+    /// One worker's sweep of the chain `p`.
+    fn sweep_seq(p: &PipelineSpec, tau0s: &[f64], ds: &[f64], cfg: &SweepConfig) -> SweepResult {
+        sweep_on(Model::Chain(p), tau0s, ds, cfg, 1, None)
     }
 
     #[test]
     fn sweep_covers_grid() {
-        let p = blast();
+        let t = Topology::chain(&blast());
         let tau0s = [5.0, 20.0, 80.0];
         let ds = [5e4, 1.5e5, 3e5];
-        let r = sweep(&p, &tau0s, &ds, &SweepConfig::paper_blast()).unwrap();
+        let r = sweep(&t, &tau0s, &ds, &SweepConfig::paper_blast(), None).unwrap();
         assert_eq!(r.cells.len(), 9);
         assert_eq!(r.cell(1, 2).tau0, 20.0);
         assert_eq!(r.cell(1, 2).deadline, 3e5);
@@ -628,9 +602,9 @@ mod tests {
         // sustain, plus lots of deadline slack, is enforced-waits
         // territory by a wide margin. (The monolithic stability limit
         // for this pipeline is τ0 ≈ Σ G_i·t_i / v ≈ 7.9 cycles.)
-        let p = blast();
+        let t = Topology::chain(&blast());
         let params = RtParams::new(10.0, 3.5e5).unwrap();
-        let cell = compare_at(&p, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
         let diff = cell.difference().expect("both feasible");
         assert!(
             diff > 0.4,
@@ -643,9 +617,9 @@ mod tests {
         // For τ0 below ~7.9 the monolithic strategy cannot keep up at
         // any block size, while enforced waits still schedules down to
         // τ0 ≈ 2.83 (the head-stability limit x̂_0/v).
-        let p = blast();
+        let t = Topology::chain(&blast());
         let params = RtParams::new(4.0, 3.5e5).unwrap();
-        let cell = compare_at(&p, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
         assert!(
             cell.enforced.is_some() && cell.monolithic.is_none(),
             "{cell:?}"
@@ -658,9 +632,9 @@ mod tests {
         // territory (here by more than 0.4 in absolute active fraction:
         // enforced is squeezed against its minimal periods while the
         // monolithic block still amortizes ~180 items per block).
-        let p = blast();
+        let t = Topology::chain(&blast());
         let params = RtParams::new(100.0, 2.4e4).unwrap();
-        let cell = compare_at(&p, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
         let diff = cell.difference().expect("both feasible");
         assert!(
             diff < -0.4,
@@ -670,9 +644,9 @@ mod tests {
 
     #[test]
     fn win_region_statistics() {
-        let p = blast();
+        let t = Topology::chain(&blast());
         let (tau0s, ds) = RtParams::paper_grid(10, 10);
-        let r = sweep(&p, &tau0s, &ds, &SweepConfig::paper_blast()).unwrap();
+        let r = sweep(&t, &tau0s, &ds, &SweepConfig::paper_blast(), None).unwrap();
         // Enforced waits should win over a large portion of the grid
         // (paper §6.3; measured ≈ 0.84 on this grid).
         let win = r.enforced_win_fraction();
@@ -691,8 +665,8 @@ mod tests {
         let p = blast();
         let (tau0s, ds) = RtParams::paper_grid(5, 5);
         let cfg = SweepConfig::paper_blast();
-        let seq = sweep(&p, &tau0s, &ds, &cfg).unwrap();
-        let par = sweep_parallel(&p, &tau0s, &ds, &cfg).unwrap();
+        let seq = sweep_seq(&p, &tau0s, &ds, &cfg);
+        let par = sweep(&Topology::chain(&p), &tau0s, &ds, &cfg, None).unwrap();
         assert_eq!(seq.cells.len(), par.cells.len());
         for (a, b) in seq.cells.iter().zip(&par.cells) {
             assert_eq!(a.tau0, b.tau0);
@@ -704,14 +678,14 @@ mod tests {
 
     #[test]
     fn sweep_on_one_table_equals_per_cell_compare_at() {
-        let p = blast();
+        let p = Topology::chain(&blast());
         let cfg = SweepConfig::paper_blast();
         let (tau0s, ds) = RtParams::paper_grid(16, 16);
         // The τ0 = 8 probes sit just above the stability floor, where
         // the feasible block sizes are scattered runs far below M_D.
         let probes = [2.63e5, 3.07e5, 3.28e5];
         for (tau0s, ds) in [(&tau0s[..], &ds[..]), (&[8.0][..], &probes[..])] {
-            let swept = sweep_parallel(&p, tau0s, ds, &cfg).unwrap();
+            let swept = sweep(&p, tau0s, ds, &cfg, None).unwrap();
             assert_eq!(swept.cells.len(), tau0s.len() * ds.len());
             for cell in swept.cells {
                 let params = RtParams::new(cell.tau0, cell.deadline).unwrap();
@@ -723,12 +697,12 @@ mod tests {
 
     #[test]
     fn live_sweep_is_bit_identical_and_counts_every_cell() {
-        let p = blast();
+        let p = Topology::chain(&blast());
         let (tau0s, ds) = RtParams::paper_grid(4, 4);
         let cfg = SweepConfig::paper_blast();
-        let plain = sweep_parallel(&p, &tau0s, &ds, &cfg).unwrap();
+        let plain = sweep(&p, &tau0s, &ds, &cfg, None).unwrap();
         let progress = SweepProgress::new(worker_threads());
-        let live = sweep_parallel_live(&p, &tau0s, &ds, &cfg, Some(&progress)).unwrap();
+        let live = sweep(&p, &tau0s, &ds, &cfg, Some(&progress)).unwrap();
         for (a, b) in plain.cells.iter().zip(&live.cells) {
             assert_eq!((a.tau0, a.deadline), (b.tau0, b.deadline));
             assert_eq!(a.enforced, b.enforced);
@@ -761,8 +735,8 @@ mod tests {
             (&[5.0, 10.0, 40.0, 100.0], &[1e5]), // N×1
         ];
         for (tau0s, ds) in shapes {
-            let seq = sweep(&p, tau0s, ds, &cfg).unwrap();
-            let par = sweep_parallel(&p, tau0s, ds, &cfg).unwrap();
+            let seq = sweep_seq(&p, tau0s, ds, &cfg);
+            let par = sweep(&Topology::chain(&p), tau0s, ds, &cfg, None).unwrap();
             assert_eq!(seq.cells.len(), par.cells.len());
             for (a, b) in seq.cells.iter().zip(&par.cells) {
                 assert_eq!((a.tau0, a.deadline), (b.tau0, b.deadline));
@@ -788,10 +762,11 @@ mod tests {
     #[test]
     fn malformed_grid_is_an_error_not_a_panic() {
         let p = blast();
+        let t = Topology::chain(&p);
         let cfg = SweepConfig::paper_blast();
         for bad in [
-            sweep(&p, &[10.0, 0.0], &[1e5], &cfg),
-            sweep(&p, &[10.0], &[-3.0], &cfg),
+            sweep(&t, &[10.0, 0.0], &[1e5], &cfg, None),
+            sweep(&t, &[10.0], &[-3.0], &cfg, None),
             sweep_parallel(&p, &[f64::NAN], &[1e5], &cfg),
         ] {
             match bad {
@@ -802,10 +777,57 @@ mod tests {
     }
 
     #[test]
-    fn feasible_cells_carry_solver_telemetry() {
+    fn malformed_config_is_an_error_not_a_panic() {
+        // A sub-unit monolithic multiplier used to panic in the block
+        // table; a short enforced_b used to answer an all-None column.
         let p = blast();
+        let t = Topology::chain(&p);
+        let (tau0s, ds) = RtParams::paper_grid(3, 3);
+        let paper = SweepConfig::paper_blast();
+        let configs = [
+            SweepConfig {
+                monolithic_b: 0.5,
+                ..paper.clone()
+            },
+            SweepConfig {
+                monolithic_s: f64::NAN,
+                ..paper.clone()
+            },
+            SweepConfig {
+                monolithic_b: f64::INFINITY,
+                ..paper.clone()
+            },
+            SweepConfig {
+                enforced_b: vec![1.0, 3.0],
+                ..paper.clone()
+            },
+            SweepConfig {
+                enforced_b: vec![1.0, 3.0, 0.0, 6.0],
+                ..paper.clone()
+            },
+            SweepConfig {
+                enforced_b: vec![1.0, f64::NAN, 9.0, 6.0],
+                ..paper
+            },
+        ];
+        for cfg in &configs {
+            for bad in [
+                sweep(&t, &tau0s, &ds, cfg, None),
+                sweep_parallel(&p, &tau0s, &ds, cfg),
+            ] {
+                match bad {
+                    Err(ScheduleError::InvalidParams(_)) => {}
+                    other => panic!("expected InvalidParams for {cfg:?}, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn feasible_cells_carry_solver_telemetry() {
+        let t = Topology::chain(&blast());
         let params = RtParams::new(10.0, 3.5e5).unwrap();
-        let cell = compare_at(&p, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
         let et = cell.enforced_telemetry.expect("enforced telemetry");
         assert!(et.iterations > 0, "{et:?}");
         let mt = cell.monolithic_telemetry.expect("monolithic telemetry");
@@ -814,11 +836,11 @@ mod tests {
 
     #[test]
     fn infeasible_cells_recorded_as_none() {
-        let p = blast();
+        let t = Topology::chain(&blast());
         // τ0 = 1 is infeasible for monolithic (stability) — the paper's
         // fastest arrival rate is near the feasibility edge.
         let params = RtParams::new(1.0, 3.5e5).unwrap();
-        let cell = compare_at(&p, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
         assert!(cell.monolithic.is_none());
     }
 
@@ -850,9 +872,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Every way a grid reaches the row kernel returns, cell for cell,
-        /// what `compare_at` returns on its own: sequential and parallel
-        /// sweeps, any worker count (so any segment length), a chain
-        /// topology, and a table that stops short of most cells' `M_D`.
+        /// what `compare_at` returns on its own: the sweep and its chain
+        /// forward, any worker count (so any segment length), the DAG
+        /// row path on a chain, and a table that stops short of most
+        /// cells' `M_D`.
         #[test]
         fn row_kernel_equals_per_cell_compare_at(
             p in extreme_chain(),
@@ -884,13 +907,14 @@ mod tests {
                 monolithic_b: b,
                 monolithic_s: s,
             };
+            let chain = Topology::chain(&p);
             let per_cell: Vec<String> = tau0s
                 .iter()
                 .flat_map(|&tau0| ds.iter().map(move |&d| RtParams::new(tau0, d).unwrap()))
-                .map(|params| printed(compare_at(&p, params, &config)))
+                .map(|params| printed(compare_at(&chain, params, &config)))
                 .collect();
             let printed_all = |cells: Vec<CellResult>| cells.into_iter().map(printed).collect::<Vec<_>>();
-            let swept = sweep(&p, &tau0s, &ds, &config).unwrap().cells;
+            let swept = sweep(&chain, &tau0s, &ds, &config, None).unwrap().cells;
             prop_assert_eq!(&printed_all(swept), &per_cell);
             let swept = sweep_parallel(&p, &tau0s, &ds, &config).unwrap().cells;
             prop_assert_eq!(&printed_all(swept), &per_cell);
@@ -898,8 +922,7 @@ mod tests {
                 let swept = sweep_on(Model::Chain(&p), &tau0s, &ds, &config, threads, None);
                 prop_assert_eq!(&printed_all(swept.cells), &per_cell);
             }
-            let chain = Topology::chain(&p);
-            let swept = sweep_topology_parallel_live(&chain, &tau0s, &ds, &config, None).unwrap();
+            let swept = sweep_on(Model::Topology(&chain), &tau0s, &ds, &config, 3, None);
             prop_assert_eq!(&printed_all(swept.cells), &per_cell);
             // A table sized at the first deadline only: cells whose M_D
             // lies beyond it walk tables of their own.
@@ -938,8 +961,7 @@ mod tests {
         };
         let tau0s = [20.0];
         let ds: Vec<f64> = (0..512).map(|j| 1e4 + 1e3 * j as f64).collect();
-        let plain: Vec<String> = sweep(&p, &tau0s, &ds, &cfg)
-            .unwrap()
+        let plain: Vec<String> = sweep_seq(&p, &tau0s, &ds, &cfg)
             .cells
             .into_iter()
             .map(printed)
@@ -989,7 +1011,7 @@ mod tests {
             let pool = l.workers as f64 * l.wall_micros;
             assert!(l.enforced_micros + l.monolithic_micros <= pool, "{l:?}");
         }
-        let empty = sweep(&p, &[], &ds, &cfg).unwrap().layers;
+        let empty = sweep_seq(&p, &[], &ds, &cfg).layers;
         assert_eq!((empty.workers, empty.enforced_micros), (0, 0.0));
     }
 
@@ -1014,8 +1036,8 @@ mod tests {
         let t = Topology::chain(&p);
         let cfg = SweepConfig::paper_blast();
         let (tau0s, ds) = RtParams::paper_grid(3, 3);
-        let chain = sweep(&p, &tau0s, &ds, &cfg).unwrap();
-        let dag = sweep_topology_parallel_live(&t, &tau0s, &ds, &cfg, None).unwrap();
+        let chain = sweep_parallel(&p, &tau0s, &ds, &cfg).unwrap();
+        let dag = sweep(&t, &tau0s, &ds, &cfg, None).unwrap();
         assert_eq!(chain.cells.len(), dag.cells.len());
         for (c, d) in chain.cells.iter().zip(&dag.cells) {
             assert_eq!(c.enforced, d.enforced, "tau0={} D={}", c.tau0, c.deadline);

@@ -133,24 +133,7 @@ pub fn max_replicas(workload: &Workload<'_>) -> Result<usize, AdmissionError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow_model::{GainModel, PipelineSpecBuilder};
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
+    use crate::fixtures::blast;
 
     fn workload(p: &PipelineSpec, tau0: f64, d: f64) -> Workload<'_> {
         Workload {

@@ -1,127 +1,83 @@
-//! Enforced-waits design on DAG topologies.
+//! Enforced-waits design on DAG topologies: [`EnforcedProblem`].
 //!
-//! Generalizes [`crate::feasibility`] and [`crate::enforced`] from the
-//! paper's linear chain to a [`Topology`]. The working coordinates are
-//! the scaled periods `z_i = G_i·x_i`, where `G_i` is node `i`'s mean
-//! inflow per stream input ([`Topology::total_gains`]): per-edge
-//! stability becomes the order constraint `z_dst ≤ z_src` along every
-//! edge, the head bound becomes `z_source ≤ v·τ0`, and the objective
-//! stays separable, `(1/N) Σ a_i/z_i` with `a_i = t_i·G_i`.
+//! Generalizes the paper's Fig.-1 program from a linear chain to a
+//! [`Topology`]. The working coordinates are the scaled periods
+//! `z_i = G_i·x_i`, where `G_i` is node `i`'s mean inflow per stream
+//! input ([`Topology::total_gains`]): per-edge stability becomes the
+//! order constraint `z_dst ≤ z_src` along every edge, the head bound
+//! becomes `z_source ≤ v·τ0`, and the objective stays separable,
+//! `(1/N) Σ a_i/z_i` with `a_i = t_i·G_i`.
 //!
-//! On a chain the edge order constraints reduce exactly to the paper's
-//! `g_{i-1}·x_i ≤ x_{i-1}`, and every entry point below detects chains
-//! ([`Topology::as_chain`]) and delegates to the chain implementations,
-//! so chain topologies reproduce [`EnforcedWaitsProblem`] bit-for-bit —
-//! the KKT coupling structure stays sparse either way (couplings follow
-//! edges, not positions). At a fan-in the per-edge form is *sufficient*
-//! but conservative: it requires the consumer to keep up with each
-//! producer's scaled rate individually, which implies (and slightly
-//! over-provisions) the aggregate-rate requirement `x_i ≤ v·τ0/G_i`.
+//! A chain is the special case. [`EnforcedProblem::new`] detects one
+//! ([`Topology::as_chain`]) and builds the chain kernel of
+//! [`crate::enforced`] for it once, and every method then hands the
+//! chain to that kernel: a chain topology gets the paper's program and
+//! its exact water-filling bit for bit, zero-gain segments included.
 //!
-//! [`EnforcedDagProblem::solve`] is water-filling: exact on chains
-//! (including their zero-gain segments), and on general DAGs the exact
-//! deadline price of an order-respecting projection, which needs every
-//! node's mean inflow `G_i` to be positive.
-//! [`EnforcedDagProblem::solve_interior_point`] optimizes the DAG
+//! At a fan-in the per-edge form is *sufficient* but conservative: it
+//! requires the consumer to keep up with each producer's scaled rate
+//! individually, which implies (and slightly over-provisions) the
+//! aggregate-rate requirement `x_i ≤ v·τ0/G_i`.
+//!
+//! [`EnforcedProblem::solve`] is water-filling: exact on chains, and on
+//! general DAGs the exact deadline price of an order-respecting
+//! projection, which needs every node's mean inflow `G_i` to be
+//! positive. [`EnforcedProblem::solve_interior_point`] optimizes the DAG
 //! program directly with the dense interior-point oracle, O(N³) per
 //! Newton step; only tests call it.
 
-use crate::enforced::{dense_interior_point, EnforcedWaitsProblem, WaitSchedule};
-use crate::feasibility::{check_enforced_feasibility, minimal_periods, FeasibilityError};
-use crate::kkt::{active_fraction_gradient, kkt_report, KktReport};
-use crate::policy;
+use crate::enforced::{dense_interior_point, ChainProblem, WaitSchedule};
+use crate::feasibility::{check_feasibility, minimal_periods};
+use crate::kkt::{certify, KktReport};
 use crate::price::{exact_price, seed_mu};
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
 use dataflow_model::analysis::topology_enforced_active_fraction;
 use dataflow_model::{RtParams, Topology};
+use obs_trace::{SpanSink, Track};
 use solver::linear::ConstraintSet;
 
-/// The componentwise-minimal feasible firing periods on a DAG: a
-/// reverse-topological sweep raising each producer's period floor so
-/// every out-edge order constraint `G_dst·x_dst ≤ G_src·x_src` holds at
-/// the floor. Every feasible period vector dominates this one. Chains
-/// delegate to [`minimal_periods`].
-pub fn topology_minimal_periods(topology: &Topology) -> Vec<f64> {
-    if let Some(chain) = topology.as_chain() {
-        return minimal_periods(&chain);
-    }
-    let g = topology.total_gains();
-    let mut x = topology.service_times();
-    for &i in topology.topo_order().iter().rev() {
-        for &e in topology.out_edges(i) {
-            let dst = topology.edge(e).dst;
-            if g[i] > 0.0 && g[dst] > 0.0 {
-                x[i] = x[i].max(g[dst] / g[i] * x[dst]);
-            }
-        }
-    }
-    x
-}
-
-/// Check whether the enforced-waits problem on a DAG has any feasible
-/// point for this operating point and node-indexed backlog factors `b`.
-/// Chains delegate to [`check_enforced_feasibility`].
-pub fn check_topology_feasibility(
-    topology: &Topology,
-    params: &RtParams,
-    b: &[f64],
-) -> Result<(), FeasibilityError> {
-    if let Some(chain) = topology.as_chain() {
-        return check_enforced_feasibility(&chain, params, b);
-    }
-    if b.len() != topology.len() {
-        return Err(FeasibilityError::BadBacklogFactors {
-            reason: format!("expected {} factors, got {}", topology.len(), b.len()),
-        });
-    }
-    if let Some(bad) = b.iter().find(|&&bi| bi <= 0.0 || !bi.is_finite()) {
-        return Err(FeasibilityError::BadBacklogFactors {
-            reason: format!("factor {bad} is not strictly positive and finite"),
-        });
-    }
-    let xmin = topology_minimal_periods(topology);
-    let source = topology.source();
-    let max_head = topology.vector_width() as f64 * params.tau0;
-    if xmin[source] > max_head {
-        return Err(FeasibilityError::ArrivalRateTooHigh {
-            min_head_period: xmin[source],
-            max_head_period: max_head,
-        });
-    }
-    let min_deadline: f64 = xmin.iter().zip(b).map(|(&x, &bi)| bi * x).sum();
-    if min_deadline > params.deadline {
-        return Err(FeasibilityError::DeadlineTooTight {
-            min_deadline,
-            deadline: params.deadline,
-        });
-    }
-    Ok(())
-}
-
-/// The Fig.-1 design problem on a DAG topology.
+/// The Fig.-1 design problem: a topology, an operating point, and
+/// backlog factors capturing worst-case queue growth.
 #[derive(Debug, Clone)]
-pub struct EnforcedDagProblem<'a> {
+pub struct EnforcedProblem<'a> {
     topology: &'a Topology,
     params: RtParams,
     b: Vec<f64>,
+    /// The chain kernel, built once, when the topology is a chain.
+    chain: Option<ChainProblem>,
 }
 
-impl<'a> EnforcedDagProblem<'a> {
+impl<'a> EnforcedProblem<'a> {
     /// Construct the problem. `b` must hold one strictly positive
-    /// backlog factor per node.
+    /// backlog factor per node (the paper's `b_i`; see
+    /// [`Self::optimistic_backlog`] for a starting choice, calibrated
+    /// upward empirically in §6.2).
     pub fn new(topology: &'a Topology, params: RtParams, b: Vec<f64>) -> Self {
-        EnforcedDagProblem {
+        let chain = topology
+            .as_chain()
+            .map(|p| ChainProblem::new(&p, params, b.clone()));
+        EnforcedProblem {
             topology,
             params,
             b,
+            chain,
         }
     }
 
-    /// Optimistic starting backlog factors: `b_i = max(1, ⌈Σ_e g_e·w_e⌉)`
-    /// over node `i`'s out-edges. On a chain this is exactly the paper's
-    /// `⌈g_i⌉` clamped to 1 ([`EnforcedWaitsProblem::optimistic_backlog`]).
+    /// Optimistic starting backlog factors, each clamped up to 1 so
+    /// factors stay positive for filter stages. On a chain they are the
+    /// paper's `⌈g_i⌉`, the sink's own gain included. On any other DAG
+    /// they are `⌈Σ_e g_e·w_e⌉` over node `i`'s out-edges, so a sink
+    /// gets 1: the two rules differ on a chain whose sink gain exceeds 1.
     pub fn optimistic_backlog(topology: &Topology) -> Vec<f64> {
+        if let Some(chain) = topology.as_chain() {
+            return chain
+                .mean_gains()
+                .iter()
+                .map(|g| g.ceil().max(1.0))
+                .collect();
+        }
         (0..topology.len())
             .map(|i| {
                 let out: f64 = topology
@@ -149,18 +105,23 @@ impl<'a> EnforcedDagProblem<'a> {
         &self.b
     }
 
-    /// Solve for the optimal waits. Chains delegate to
-    /// [`EnforcedWaitsProblem::solve`] (bit-exact); general DAGs find the
-    /// exact deadline price of the scaled-period water-filling
-    /// relaxation with an order-respecting projection (see module docs).
+    /// Solve for the optimal waits. Chains go to the chain kernel's
+    /// exact water-filling; general DAGs find the exact deadline price
+    /// of the scaled-period water-filling relaxation with an
+    /// order-respecting projection (see module docs).
     pub fn solve(&self) -> Result<WaitSchedule, ScheduleError> {
-        if let Some(chain) = self.topology.as_chain() {
-            return EnforcedWaitsProblem::new(&chain, self.params, self.b.clone()).solve();
+        if let Some(chain) = &self.chain {
+            return chain.solve();
         }
-        check_topology_feasibility(self.topology, &self.params, &self.b)?;
+        check_feasibility(self.topology, &self.params, &self.b)?;
         let (result, micros) = timed(|| self.solve_dag_waterfilling());
         let (periods, mut telemetry) = result?;
         telemetry.wall_micros = micros;
+        Ok(self.schedule(periods, telemetry))
+    }
+
+    /// The schedule at `periods`, with waits `max(x_i − t_i, 0)`.
+    fn schedule(&self, periods: Vec<f64>, telemetry: SolveTelemetry) -> WaitSchedule {
         let t = self.topology.service_times();
         let waits: Vec<f64> = periods
             .iter()
@@ -169,22 +130,50 @@ impl<'a> EnforcedDagProblem<'a> {
             .collect();
         let active_fraction = topology_enforced_active_fraction(self.topology, &periods);
         let latency_bound = periods.iter().zip(&self.b).map(|(&x, &bi)| bi * x).sum();
-        Ok(WaitSchedule {
+        WaitSchedule {
             waits,
             periods,
             active_fraction,
             backlog_factors: self.b.clone(),
             latency_bound,
             telemetry: Some(telemetry),
-        })
+        }
+    }
+
+    /// [`Self::solve`] with solver span tracing: an enclosing solve span
+    /// on [`Track::solver`]`(attempt)` (wall microseconds as the time
+    /// axis). On a chain it is `solve water-filling`, with one child
+    /// `price` span per budget evaluation.
+    pub fn solve_traced(
+        &self,
+        sink: &mut SpanSink,
+        attempt: u64,
+    ) -> Result<WaitSchedule, ScheduleError> {
+        if let Some(chain) = &self.chain {
+            return chain.solve_traced(sink, attempt);
+        }
+        let schedule = self.solve()?;
+        let micros = schedule.telemetry.as_ref().map_or(0.0, |t| t.wall_micros);
+        sink.enter(
+            Track::solver(attempt),
+            "solve dag-water-filling",
+            "solver",
+            0.0,
+        );
+        sink.exit(micros);
+        Ok(schedule)
     }
 
     /// Build the design program's linear inequality constraints over the
-    /// period variables `x` (node-index order): the head bound
-    /// `G_src·x_src ≤ v·τ0`, one order constraint
-    /// `G_dst·x_dst − G_src·x_src ≤ 0` per edge, the deadline budget
-    /// `Σ b_i·x_i ≤ D`, and the service-time lower bounds.
+    /// period variables `x` (node-index order). On a chain these are the
+    /// paper's rows, the slack edge row after a zero-gain stage left
+    /// out. Otherwise: the head bound `G_src·x_src ≤ v·τ0`, one order
+    /// constraint `G_dst·x_dst − G_src·x_src ≤ 0` per edge, the deadline
+    /// budget `Σ b_i·x_i ≤ D`, and the service-time lower bounds.
     pub fn constraint_set(&self) -> ConstraintSet {
+        if let Some(chain) = &self.chain {
+            return chain.constraint_set();
+        }
         let topo = self.topology;
         let n = topo.len();
         let g = topo.total_gains();
@@ -208,19 +197,18 @@ impl<'a> EnforcedDagProblem<'a> {
         cs
     }
 
-    /// The dense interior-point oracle over
-    /// [`EnforcedDagProblem::constraint_set`]. Unlike
-    /// [`EnforcedDagProblem::solve`] (the projected water-filling, exact
-    /// on chains but conservative at fan-ins), this optimizes the DAG
-    /// program directly. Each Newton step factors a dense `N × N`
-    /// system, O(N³), so this is for tests, not design sweeps. Chains
-    /// delegate to [`EnforcedWaitsProblem::solve_interior_point`].
+    /// The dense interior-point oracle over [`Self::constraint_set`],
+    /// from a phase-1 point near the minimal periods. Unlike
+    /// [`Self::solve`] (the projected water-filling, exact on chains but
+    /// conservative at fan-ins), this optimizes the DAG program
+    /// directly. Each Newton step factors a dense `N × N` system, O(N³),
+    /// so this is for tests that cross-check [`Self::solve`], not for
+    /// design sweeps.
     pub fn solve_interior_point(&self) -> Result<WaitSchedule, ScheduleError> {
-        if let Some(chain) = self.topology.as_chain() {
-            let problem = EnforcedWaitsProblem::new(&chain, self.params, self.b.clone());
-            return problem.solve_interior_point();
+        if let Some(chain) = &self.chain {
+            return chain.solve_interior_point();
         }
-        check_topology_feasibility(self.topology, &self.params, &self.b)?;
+        check_feasibility(self.topology, &self.params, &self.b)?;
         let g = self.topology.total_gains();
         if let Some(i) = (0..self.topology.len()).find(|&i| g[i] <= 0.0 || !g[i].is_finite()) {
             return Err(ScheduleError::Solver(format!(
@@ -229,7 +217,7 @@ impl<'a> EnforcedDagProblem<'a> {
         }
         let t = self.topology.service_times();
         let (result, micros) = timed(|| {
-            let x0 = topology_minimal_periods(self.topology);
+            let x0 = minimal_periods(self.topology);
             let v = self.topology.vector_width();
             dense_interior_point(&t, &self.constraint_set(), &x0, &self.params, v)
         });
@@ -240,17 +228,7 @@ impl<'a> EnforcedDagProblem<'a> {
                 *x = ti;
             }
         }
-        let waits: Vec<f64> = periods.iter().zip(&t).map(|(&x, &ti)| x - ti).collect();
-        let active_fraction = topology_enforced_active_fraction(self.topology, &periods);
-        let latency_bound = periods.iter().zip(&self.b).map(|(&x, &bi)| bi * x).sum();
-        Ok(WaitSchedule {
-            waits,
-            periods,
-            active_fraction,
-            backlog_factors: self.b.clone(),
-            latency_bound,
-            telemetry: Some(telemetry),
-        })
+        Ok(self.schedule(periods, telemetry))
     }
 
     /// Exact deadline price over the projected water-filling relaxation.
@@ -350,70 +328,29 @@ impl<'a> EnforcedDagProblem<'a> {
         let periods: Vec<f64> = (0..n).map(|i| z[i] / g[i]).collect();
         Ok((periods, telemetry))
     }
-}
 
-/// Check the KKT conditions for `periods` on the DAG design program —
-/// [`crate::kkt::verify_kkt`] generalized to
-/// [`EnforcedDagProblem::constraint_set`]. Large active sets route
-/// through the same banded-bordered multiplier solve as the chain
-/// certificate. A period vector of the wrong length gets the same
-/// non-optimal report as in [`crate::kkt::verify_kkt`].
-pub fn verify_kkt_dag(
-    problem: &EnforcedDagProblem<'_>,
-    periods: &[f64],
-    active_tol: f64,
-) -> KktReport {
-    let n = problem.topology().len();
-    if periods.len() != n {
-        return KktReport::length_mismatch(n, periods.len());
+    /// Check the KKT conditions for `periods` on this program
+    /// ([`Self::constraint_set`]): the design's certificate of
+    /// optimality, whichever solver produced `periods`.
+    ///
+    /// `active_tol` decides which constraints count as active, *relative*
+    /// to each constraint's scale (measured as `|rhs| + ‖a‖·‖x‖`). A
+    /// period vector of the wrong length certifies nothing: the report
+    /// has an infinite violation and names both lengths.
+    pub fn verify_kkt(&self, periods: &[f64], active_tol: f64) -> KktReport {
+        let t = self.topology.service_times();
+        certify(&self.constraint_set(), &t, periods, active_tol)
     }
-    let cs = problem.constraint_set();
-    let grad = active_fraction_gradient(&problem.topology().service_times(), periods);
-    kkt_report(&cs, &grad, periods, active_tol)
-}
-
-/// Raise backlog factors to observed ceilings and re-solve the waits on
-/// a DAG — the [`policy::escalate_schedule`] repair step generalized.
-/// Chains delegate to the chain policy (bit-exact); general DAGs re-run
-/// [`EnforcedDagProblem::solve`] at the raised factors.
-///
-/// Returns [`ScheduleError::InvalidParams`] if the slice lengths
-/// disagree with the topology.
-pub fn escalate_schedule_topology(
-    topology: &Topology,
-    params: RtParams,
-    design_b: &[f64],
-    observed_vectors: &[f64],
-) -> Result<WaitSchedule, ScheduleError> {
-    if let Some(chain) = topology.as_chain() {
-        return policy::escalate_schedule(&chain, params, design_b, observed_vectors);
-    }
-    let b = policy::escalated_factors(topology.len(), design_b, observed_vectors)?;
-    EnforcedDagProblem::new(topology, params, b).solve()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monolithic::{MonolithicDagProblem, MonolithicProblem};
-    use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, TopologyBuilder};
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
+    use crate::feasibility::{minimal_periods_of, FeasibilityError};
+    use crate::fixtures::blast;
+    use crate::monolithic::MonolithicProblem;
+    use crate::policy::escalate_schedule;
+    use dataflow_model::{GainModel, PipelineSpecBuilder, TopologyBuilder};
 
     fn diamond() -> Topology {
         TopologyBuilder::new(128)
@@ -433,14 +370,16 @@ mod tests {
 
     #[test]
     fn chain_solve_is_bit_identical_to_enforced_waits_problem() {
+        // The one problem on a chain topology, and the chain forward kept
+        // for the benchmark harness, solve on the same kernel.
         let p = blast();
         let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e5).unwrap();
         let b = vec![1.0, 3.0, 9.0, 6.0];
-        let chain = EnforcedWaitsProblem::new(&p, params, b.clone())
-            .solve()
+        let chain = crate::compat::EnforcedWaitsProblem::new(&p, params, b.clone())
+            .solve_with_fallback()
             .unwrap();
-        let dag = EnforcedDagProblem::new(&t, params, b).solve().unwrap();
+        let dag = EnforcedProblem::new(&t, params, b).solve().unwrap();
         assert_eq!(dag.periods, chain.periods);
         assert_eq!(dag.waits, chain.waits);
         assert_eq!(dag.active_fraction, chain.active_fraction);
@@ -452,33 +391,58 @@ mod tests {
         let p = blast();
         let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 2e5).unwrap();
-        assert_eq!(topology_minimal_periods(&t), minimal_periods(&p));
-        assert!(check_topology_feasibility(&t, &params, &[1.0, 3.0, 9.0, 6.0]).is_ok());
+        let chain_periods = minimal_periods_of(&p.service_times(), &p.mean_gains());
+        assert_eq!(minimal_periods(&t), chain_periods);
+        assert!(check_feasibility(&t, &params, &[1.0, 3.0, 9.0, 6.0]).is_ok());
         let tight = RtParams::new(2.0, 1e9).unwrap();
         assert!(matches!(
-            check_topology_feasibility(&t, &tight, &[1.0; 4]),
+            check_feasibility(&t, &tight, &[1.0; 4]),
             Err(FeasibilityError::ArrivalRateTooHigh { .. })
         ));
     }
 
     #[test]
     fn optimistic_backlog_matches_chain_rule() {
+        // A sink gain above 1 counts on a chain, as the paper's ⌈g_i⌉
+        // does; the out-edge rule would give the sink 1.
+        let p = PipelineSpecBuilder::new(128)
+            .stage("s0", 100.0, GainModel::Bernoulli { p: 0.5 })
+            .stage("s1", 100.0, GainModel::Deterministic { k: 3 })
+            .build()
+            .unwrap();
+        let t = Topology::chain(&p);
+        assert_eq!(EnforcedProblem::optimistic_backlog(&t), vec![1.0, 3.0]);
+        // On a DAG each node takes its out-edges' flow; the sink takes 1.
+        assert_eq!(
+            EnforcedProblem::optimistic_backlog(&diamond()),
+            vec![1.0, 1.0, 2.0, 1.0, 1.0]
+        );
+    }
+
+    #[test]
+    fn escalation_on_chain_delegates_to_policy() {
+        // On a chain, escalation is a cold chain-kernel solve at the
+        // raised factors, bit for bit.
         let p = blast();
         let t = Topology::chain(&p);
-        assert_eq!(
-            EnforcedDagProblem::optimistic_backlog(&t),
-            EnforcedWaitsProblem::optimistic_backlog(&p)
-        );
+        let params = RtParams::new(10.0, 1e5).unwrap();
+        let design_b = vec![1.0, 3.0, 9.0, 6.0];
+        let observed = vec![1.0, 4.3, 2.0, 1.0];
+        let via_policy = escalate_schedule(&t, params, &design_b, &observed).unwrap();
+        let raised = vec![1.0, 5.0, 9.0, 6.0];
+        let direct = ChainProblem::new(&p, params, raised.clone())
+            .solve()
+            .unwrap();
+        assert_eq!(via_policy.periods, direct.periods);
+        assert_eq!(via_policy.backlog_factors, raised);
     }
 
     #[test]
     fn dag_solve_satisfies_all_constraints() {
         let t = diamond();
         let params = RtParams::new(10.0, 2e4).unwrap();
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
-        let s = EnforcedDagProblem::new(&t, params, b.clone())
-            .solve()
-            .unwrap();
+        let b = EnforcedProblem::optimistic_backlog(&t);
+        let s = EnforcedProblem::new(&t, params, b.clone()).solve().unwrap();
         let g = t.total_gains();
         let cap = 128.0 * 10.0;
         // Periods at least the service times; source within the head bound.
@@ -501,6 +465,15 @@ mod tests {
         // Deadline bound respected.
         assert!(s.latency_bound <= params.deadline + 1e-6);
         assert!(s.active_fraction > 0.0 && s.active_fraction <= 1.0 + 1e-9);
+        // A traced solve returns the same schedule inside one solve span.
+        let mut sink = SpanSink::with_defaults();
+        let traced = EnforcedProblem::new(&t, params, b)
+            .solve_traced(&mut sink, 0)
+            .unwrap();
+        assert_eq!(traced.periods, s.periods);
+        let log = sink.finish();
+        let names: Vec<&str> = log.spans.iter().map(|sp| sp.name.as_str()).collect();
+        assert_eq!(names, ["solve dag-water-filling"]);
     }
 
     #[test]
@@ -508,15 +481,15 @@ mod tests {
         let t = diamond();
         // Huge deadline: λ = 0 path, every node at its z-cap (or floor).
         let params = RtParams::new(10.0, 1e9).unwrap();
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
-        let s = EnforcedDagProblem::new(&t, params, b).solve().unwrap();
+        let b = EnforcedProblem::optimistic_backlog(&t);
+        let s = EnforcedProblem::new(&t, params, b).solve().unwrap();
         let g = t.total_gains();
         let cap = 128.0 * 10.0;
         assert!((g[t.source()] * s.periods[t.source()] - cap).abs() < 1e-6);
         // Tighter deadline costs activity.
         let tight = RtParams::new(10.0, 1.5e4).unwrap();
-        let b2 = EnforcedDagProblem::optimistic_backlog(&t);
-        let s2 = EnforcedDagProblem::new(&t, tight, b2).solve().unwrap();
+        let b2 = EnforcedProblem::optimistic_backlog(&t);
+        let s2 = EnforcedProblem::new(&t, tight, b2).solve().unwrap();
         assert!(s2.active_fraction >= s.active_fraction - 1e-12);
         assert!(s2.latency_bound <= tight.deadline + 1e-6);
     }
@@ -525,9 +498,9 @@ mod tests {
     fn dag_infeasible_deadline_reports_error() {
         let t = diamond();
         let params = RtParams::new(10.0, 100.0).unwrap();
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
+        let b = EnforcedProblem::optimistic_backlog(&t);
         assert!(matches!(
-            EnforcedDagProblem::new(&t, params, b).solve(),
+            EnforcedProblem::new(&t, params, b).solve(),
             Err(ScheduleError::Infeasible(
                 FeasibilityError::DeadlineTooTight { .. }
             ))
@@ -535,29 +508,16 @@ mod tests {
     }
 
     #[test]
-    fn escalation_on_chain_delegates_to_policy() {
-        let p = blast();
-        let t = Topology::chain(&p);
-        let params = RtParams::new(10.0, 1e5).unwrap();
-        let design_b = vec![1.0, 3.0, 9.0, 6.0];
-        let observed = vec![1.0, 4.3, 2.0, 1.0];
-        let via_chain = policy::escalate_schedule(&p, params, &design_b, &observed).unwrap();
-        let via_dag = escalate_schedule_topology(&t, params, &design_b, &observed).unwrap();
-        assert_eq!(via_dag.periods, via_chain.periods);
-        assert_eq!(via_dag.backlog_factors, via_chain.backlog_factors);
-    }
-
-    #[test]
     fn escalation_on_dag_raises_factors() {
         let t = diamond();
         let params = RtParams::new(10.0, 2e4).unwrap();
-        let design_b = EnforcedDagProblem::optimistic_backlog(&t);
-        let base = EnforcedDagProblem::new(&t, params, design_b.clone())
+        let design_b = EnforcedProblem::optimistic_backlog(&t);
+        let base = EnforcedProblem::new(&t, params, design_b.clone())
             .solve()
             .unwrap();
         let mut observed = vec![0.0; t.len()];
         observed[3] = design_b[3] + 2.4;
-        let escalated = escalate_schedule_topology(&t, params, &design_b, &observed).unwrap();
+        let escalated = escalate_schedule(&t, params, &design_b, &observed).unwrap();
         assert_eq!(escalated.backlog_factors[3], (design_b[3] + 2.4).ceil());
         assert!(escalated.latency_bound <= params.deadline + 1e-6);
         assert!(escalated.active_fraction >= base.active_fraction - 1e-9);
@@ -569,7 +529,7 @@ mod tests {
         let t = Topology::chain(&p);
         let params = RtParams::new(50.0, 2e5).unwrap();
         let chain = MonolithicProblem::new(&p, params, 1.0, 1.0);
-        let dag = MonolithicDagProblem::new(&t, params, 1.0, 1.0);
+        let dag = MonolithicProblem::new(&t, params, 1.0, 1.0);
         for (chain, dag) in [
             (chain.solve().unwrap(), dag.solve().unwrap()),
             (chain.solve_fast().unwrap(), dag.solve_fast().unwrap()),
@@ -586,7 +546,7 @@ mod tests {
         let t = diamond();
         for (tau0, d) in [(10.0, 2e4), (30.0, 1e5), (50.0, 3.5e5)] {
             let params = RtParams::new(tau0, d).unwrap();
-            let prob = MonolithicDagProblem::new(&t, params, 1.0, 1.0);
+            let prob = MonolithicProblem::new(&t, params, 1.0, 1.0);
             match (prob.solve(), prob.solve_fast()) {
                 (Ok(exact), Ok(fast)) => assert_eq!(
                     (exact.block_size, exact.active_fraction),
@@ -603,7 +563,7 @@ mod tests {
     fn monolithic_dag_respects_constraints() {
         let t = diamond();
         let params = RtParams::new(10.0, 2e4).unwrap();
-        let s = MonolithicDagProblem::new(&t, params, 1.0, 1.0)
+        let s = MonolithicProblem::new(&t, params, 1.0, 1.0)
             .solve_fast()
             .unwrap();
         assert!(s.block_size >= 1);
@@ -616,7 +576,7 @@ mod tests {
     fn monolithic_dag_infeasible_when_deadline_tiny() {
         let t = diamond();
         let params = RtParams::new(10.0, 200.0).unwrap();
-        assert!(MonolithicDagProblem::new(&t, params, 1.0, 1.0)
+        assert!(MonolithicProblem::new(&t, params, 1.0, 1.0)
             .solve()
             .is_err());
     }
@@ -625,9 +585,9 @@ mod tests {
     fn wrong_length_periods_are_a_failed_report_not_a_panic() {
         let t = diamond();
         let params = RtParams::new(10.0, 2e4).unwrap();
-        let prob = EnforcedDagProblem::new(&t, params, vec![1.0; t.len()]);
+        let prob = EnforcedProblem::new(&t, params, vec![1.0; t.len()]);
         for periods in [vec![], vec![100.0; t.len() + 2]] {
-            let report = verify_kkt_dag(&prob, &periods, 1e-6);
+            let report = prob.verify_kkt(&periods, 1e-6);
             assert!(!report.is_optimal(1e3), "{report:?}");
             assert_eq!(report.max_violation, f64::INFINITY);
             let want = format!("{} entries for {} nodes", periods.len(), t.len());

@@ -13,8 +13,11 @@
 //!      x_i ≥ t_i                      (waits are nonnegative)
 //! ```
 //!
-//! [`EnforcedWaitsProblem::solve`] solves it exactly by water-filling.
-//! The substitution `z_i = G_i·x_i` turns the edge constraints into a
+//! [`EnforcedProblem`] poses it on any [`dataflow_model::Topology`]
+//! (see the crate's `dag` module for the DAG form) and is the one public
+//! design problem. A chain topology goes to the chain kernel in this
+//! module, which solves the program exactly by water-filling. The
+//! substitution `z_i = G_i·x_i` turns the edge constraints into a
 //! monotonicity requirement (`z` nonincreasing) and the head bound into
 //! `z_0 ≤ v·τ0`, leaving a separable convex objective. For a fixed
 //! deadline price λ the inner problem is solved exactly by
@@ -22,13 +25,14 @@
 //! affine in `μ = λ^(-1/2)`, so a few bracketed Newton steps find the
 //! exact λ that exhausts (or slackens) the deadline budget
 //! (the crate's `price` module), and the schedule is the closed form at
-//! that λ.
+//! that λ. A sweep row moves one kernel along its deadlines and reuses
+//! its buffers, so a cell allocates nothing.
 //!
 //! # Zero-gain segments
 //!
 //! A stage whose mean gain is 0 never feeds its successor, so the edge
 //! row after it is slack and drops out of the program (see
-//! [`EnforcedWaitsProblem::constraint_set`]). The chain then splits into
+//! [`EnforcedProblem::constraint_set`]). The chain then splits into
 //! *segments*: each runs from the start of the chain, or from the stage
 //! after a zero-gain stage, to the next zero-gain stage. A segment's
 //! totals `G_i` are taken from the segment's first stage, PAV pools only
@@ -40,17 +44,17 @@
 //!
 //! # The oracle
 //!
-//! [`EnforcedWaitsProblem::solve_interior_point`] solves the same
-//! program with the `solver` crate's dense log-barrier interior point,
-//! O(N³) per Newton step. Nothing in production calls it: it is the
-//! independent method the tests hold water-filling to, next to the
-//! [`crate::kkt::verify_kkt`] certificate.
+//! [`EnforcedProblem::solve_interior_point`] solves the same program
+//! with the `solver` crate's dense log-barrier interior point, O(N³) per
+//! Newton step. Nothing in production calls it: it is the independent
+//! method the tests hold water-filling to, next to the
+//! [`EnforcedProblem::verify_kkt`] certificate.
 
+pub use crate::dag::EnforcedProblem;
 use crate::feasibility::{check_backlog_factors, check_minimal_periods, minimal_periods_of};
 use crate::price::{exact_price, seed_mu};
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, CellTelemetry, SolveTelemetry};
-use dataflow_model::analysis::enforced_active_fraction;
 use dataflow_model::{PipelineSpec, RtParams};
 use obs_trace::{SpanSink, Track};
 use serde::{Deserialize, Serialize};
@@ -75,15 +79,18 @@ pub struct WaitSchedule {
     pub telemetry: Option<SolveTelemetry>,
 }
 
-/// The Fig.-1 design problem: a pipeline, an operating point, and
-/// backlog factors capturing worst-case queue growth.
+/// The Fig.-1 design problem on a chain: the kernel behind
+/// [`EnforcedProblem`] on chain topologies and behind the sweep's rows.
 #[derive(Debug, Clone)]
-pub struct EnforcedWaitsProblem<'a> {
-    pipeline: &'a PipelineSpec,
+pub(crate) struct ChainProblem {
+    /// The vector width `v`.
+    v: u32,
     params: RtParams,
     b: Vec<f64>,
     /// Service times `t_i`.
     t: Vec<f64>,
+    /// Mean gains `g_i`.
+    g: Vec<f64>,
     /// Total gains `G_i`, taken from the start of each zero-gain segment
     /// (see module docs).
     g_total: Vec<f64>,
@@ -101,18 +108,17 @@ pub struct EnforcedWaitsProblem<'a> {
 }
 
 /// Reusable buffers for the cells of a sweep row
-/// ([`EnforcedWaitsProblem::solve_cell`]).
+/// ([`ChainProblem::solve_cell`]).
 #[derive(Default)]
 pub(crate) struct CellScratch {
     pav: Pav,
     periods: Vec<f64>,
 }
 
-impl<'a> EnforcedWaitsProblem<'a> {
+impl ChainProblem {
     /// Construct the problem. `b` must have one strictly positive factor
-    /// per pipeline stage (the paper's `b_i`; `⌈g_i⌉` is the optimistic
-    /// starting choice, calibrated upward empirically in §6.2).
-    pub fn new(pipeline: &'a PipelineSpec, params: RtParams, b: Vec<f64>) -> Self {
+    /// per pipeline stage (the paper's `b_i`).
+    pub(crate) fn new(pipeline: &PipelineSpec, params: RtParams, b: Vec<f64>) -> Self {
         let t = pipeline.service_times();
         // One pass over the gain laws (a censored Poisson mean is an
         // `exp` and a PMF sum) serves the minimal periods and the totals
@@ -132,12 +138,13 @@ impl<'a> EnforcedWaitsProblem<'a> {
         // A short `b` is reported by the feasibility check, not here.
         let c = (b.iter().zip(&g_total)).map(|(bi, gi)| bi / gi).collect();
         let lo = (0..n).map(|i| t[i] * g_total[i]).collect();
-        EnforcedWaitsProblem {
-            pipeline,
+        ChainProblem {
+            v: pipeline.vector_width(),
             params,
             b,
             xmin: minimal_periods_of(&t, &g),
             t,
+            g,
             g_total,
             starts,
             a,
@@ -146,29 +153,9 @@ impl<'a> EnforcedWaitsProblem<'a> {
         }
     }
 
-    /// The paper's optimistic starting backlog factors `b_i = ⌈g_i⌉`
-    /// (clamped up to 1 so factors stay positive for filter stages).
-    pub fn optimistic_backlog(pipeline: &PipelineSpec) -> Vec<f64> {
-        pipeline
-            .mean_gains()
-            .iter()
-            .map(|g| g.ceil().max(1.0))
-            .collect()
-    }
-
-    /// The pipeline being scheduled.
-    pub fn pipeline(&self) -> &PipelineSpec {
-        self.pipeline
-    }
-
-    /// The operating point.
-    pub fn params(&self) -> &RtParams {
-        &self.params
-    }
-
-    /// The backlog factors.
-    pub fn backlog_factors(&self) -> &[f64] {
-        &self.b
+    /// The service times `t_i`.
+    pub(crate) fn service_times(&self) -> &[f64] {
+        &self.t
     }
 
     /// Move the problem to another operating point of the same pipeline
@@ -177,25 +164,19 @@ impl<'a> EnforcedWaitsProblem<'a> {
         self.params = params;
     }
 
-    /// [`crate::check_enforced_feasibility`] on the stored minimal periods.
+    /// [`crate::check_feasibility`] on the stored minimal periods.
     fn check_feasibility(&self) -> Result<(), ScheduleError> {
-        check_backlog_factors(self.pipeline.len(), &self.b)?;
-        check_minimal_periods(
-            &self.xmin,
-            self.pipeline.vector_width(),
-            &self.params,
-            &self.b,
-        )?;
+        check_backlog_factors(self.t.len(), &self.b)?;
+        check_minimal_periods(&self.xmin, 0, self.v, &self.params, &self.b)?;
         Ok(())
     }
 
     /// Build the Fig.-1 constraint set over the period variables `x`.
     /// The edge row after a zero-gain stage is slack and left out.
-    pub fn constraint_set(&self) -> ConstraintSet {
-        let n = self.pipeline.len();
-        let t = self.pipeline.service_times();
-        let g = self.pipeline.mean_gains();
-        let v_tau0 = self.pipeline.vector_width() as f64 * self.params.tau0;
+    pub(crate) fn constraint_set(&self) -> ConstraintSet {
+        let (t, g) = (&self.t, &self.g);
+        let n = t.len();
+        let v_tau0 = self.v as f64 * self.params.tau0;
         let mut cs = ConstraintSet::new(n);
         cs.push_upper_bound(0, v_tau0, "head rate: x0 <= v*tau0");
         for i in 1..n {
@@ -214,27 +195,20 @@ impl<'a> EnforcedWaitsProblem<'a> {
     }
 
     /// Solve for the optimal waits by exact water-filling.
-    pub fn solve(&self) -> Result<WaitSchedule, ScheduleError> {
+    pub(crate) fn solve(&self) -> Result<WaitSchedule, ScheduleError> {
         self.solve_inner(None, 0)
     }
 
-    /// [`EnforcedWaitsProblem::solve`] with solver span tracing: emits
-    /// an enclosing `solve water-filling` span on
-    /// [`Track::solver`]`(attempt)` (wall microseconds as the time axis),
-    /// with one child `price` span per budget evaluation.
-    pub fn solve_traced(
+    /// [`Self::solve`] with solver span tracing: emits an enclosing
+    /// `solve water-filling` span on [`Track::solver`]`(attempt)` (wall
+    /// microseconds as the time axis), with one child `price` span per
+    /// budget evaluation.
+    pub(crate) fn solve_traced(
         &self,
         sink: &mut SpanSink,
         attempt: u64,
     ) -> Result<WaitSchedule, ScheduleError> {
         self.solve_inner(Some(sink), attempt)
-    }
-
-    /// [`EnforcedWaitsProblem::solve`] under its former name. The
-    /// benchmark harness in `rtbench/` is frozen and still calls it.
-    #[doc(hidden)]
-    pub fn solve_with_fallback(&self) -> Result<WaitSchedule, ScheduleError> {
-        self.solve()
     }
 
     fn solve_inner(
@@ -279,21 +253,18 @@ impl<'a> EnforcedWaitsProblem<'a> {
         periods.clear();
         periods.extend(self.periods_of(&scratch.pav.z));
         self.clamp_to_service_times(periods);
-        Ok((enforced_active_fraction(self.pipeline, periods), telemetry))
+        Ok((self.active_fraction(periods), telemetry))
     }
 
     /// The dense interior-point oracle: the same program solved by the
     /// `solver` crate's log-barrier method over
-    /// [`EnforcedWaitsProblem::constraint_set`], from a phase-1 point
-    /// near the minimal periods. Each Newton step factors a dense
-    /// `N × N` system, O(N³), so this is for tests that cross-check
-    /// [`EnforcedWaitsProblem::solve`], not for design sweeps.
-    pub fn solve_interior_point(&self) -> Result<WaitSchedule, ScheduleError> {
+    /// [`Self::constraint_set`], from a phase-1 point near the minimal
+    /// periods (see [`EnforcedProblem::solve_interior_point`]).
+    pub(crate) fn solve_interior_point(&self) -> Result<WaitSchedule, ScheduleError> {
         self.check_feasibility()?;
         let (result, micros) = timed(|| {
             let cs = self.constraint_set();
-            let v = self.pipeline.vector_width();
-            dense_interior_point(&self.t, &cs, &self.xmin, &self.params, v)
+            dense_interior_point(&self.t, &cs, &self.xmin, &self.params, self.v)
         });
         let (periods, mut telemetry) = result?;
         telemetry.wall_micros = micros;
@@ -317,6 +288,17 @@ impl<'a> EnforcedWaitsProblem<'a> {
         }
     }
 
+    /// The active fraction `(1/N) Σ t_i/x_i` at `periods`.
+    fn active_fraction(&self, periods: &[f64]) -> f64 {
+        let n = self.t.len() as f64;
+        self.t
+            .iter()
+            .zip(periods)
+            .map(|(&t, &x)| t / x)
+            .sum::<f64>()
+            / n
+    }
+
     fn schedule_from_periods(&self, mut periods: Vec<f64>) -> WaitSchedule {
         self.clamp_to_service_times(&mut periods);
         let waits: Vec<f64> = periods
@@ -324,7 +306,7 @@ impl<'a> EnforcedWaitsProblem<'a> {
             .zip(&self.t)
             .map(|(&x, &ti)| x - ti)
             .collect();
-        let active_fraction = enforced_active_fraction(self.pipeline, &periods);
+        let active_fraction = self.active_fraction(&periods);
         let latency_bound = periods.iter().zip(&self.b).map(|(&x, &bi)| bi * x).sum();
         WaitSchedule {
             waits,
@@ -355,7 +337,7 @@ impl<'a> EnforcedWaitsProblem<'a> {
                 "a total gain under- or overflows the float range".into(),
             ));
         }
-        let cap = self.pipeline.vector_width() as f64 * self.params.tau0;
+        let cap = self.v as f64 * self.params.tau0;
         let deadline = self.params.deadline;
         let capped = self.starts.first().copied().unwrap_or(lo.len());
         debug_assert!(
@@ -418,8 +400,7 @@ impl<'a> EnforcedWaitsProblem<'a> {
 }
 
 /// The interior-point oracle behind
-/// [`EnforcedWaitsProblem::solve_interior_point`] and
-/// [`crate::dag::EnforcedDagProblem::solve_interior_point`]: phase-1
+/// [`EnforcedProblem::solve_interior_point`] on chains and DAGs: phase-1
 /// from `x0`, then the dense barrier method on the active-fraction
 /// objective with service times `t`. Returns the periods and the
 /// telemetry (without wall time).
@@ -578,25 +559,9 @@ impl Pav {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feasibility::minimal_periods;
-    use dataflow_model::{GainModel, PipelineSpecBuilder};
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
+    use crate::feasibility::minimal_periods_of;
+    use crate::fixtures::blast;
+    use dataflow_model::{GainModel, PipelineSpecBuilder, Topology};
 
     const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 
@@ -607,7 +572,7 @@ mod tests {
         b: &[f64],
     ) -> (WaitSchedule, WaitSchedule) {
         let params = RtParams::new(tau0, d).unwrap();
-        let prob = EnforcedWaitsProblem::new(pipeline, params, b.to_vec());
+        let prob = ChainProblem::new(pipeline, params, b.to_vec());
         let ip = prob.solve_interior_point().unwrap();
         let wf = prob.solve().unwrap();
         (ip, wf)
@@ -650,7 +615,7 @@ mod tests {
         let p = blast();
         for (tau0, d) in [(1.0, 2e4), (3.0, 5e4), (10.0, 1e5), (100.0, 3.5e5)] {
             let params = RtParams::new(tau0, d).unwrap();
-            let prob = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec());
+            let prob = ChainProblem::new(&p, params, PAPER_B.to_vec());
             if let Ok(s) = prob.solve() {
                 let cs = prob.constraint_set();
                 assert!(
@@ -678,7 +643,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for d in [2.5e4, 5e4, 1e5, 2e5, 3.5e5] {
             let params = RtParams::new(5.0, d).unwrap();
-            let prob = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec());
+            let prob = ChainProblem::new(&p, params, PAPER_B.to_vec());
             let s = prob.solve().unwrap();
             assert!(
                 s.active_fraction <= prev + 1e-12,
@@ -696,7 +661,7 @@ mod tests {
         let d = 1e5;
         let af = |tau0: f64| {
             let params = RtParams::new(tau0, d).unwrap();
-            EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+            ChainProblem::new(&p, params, PAPER_B.to_vec())
                 .solve()
                 .unwrap()
                 .active_fraction
@@ -714,7 +679,7 @@ mod tests {
         let p = blast();
         let tau0 = 10.0;
         let params = RtParams::new(tau0, 1e12).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec());
+        let prob = ChainProblem::new(&p, params, PAPER_B.to_vec());
         let s = prob.solve().unwrap();
         // All periods at stability bounds: x_i = v·τ0/G_i.
         let g = p.total_gains();
@@ -727,7 +692,7 @@ mod tests {
             );
         }
         // And the active fraction equals the analytic limit.
-        let limit = dataflow_model::analysis::enforced_limit_active_fraction(&p, prob.params());
+        let limit = dataflow_model::analysis::enforced_limit_active_fraction(&p, &params);
         assert!((s.active_fraction - limit).abs() < 1e-9);
     }
 
@@ -735,7 +700,7 @@ mod tests {
     fn infeasible_deadline_reported() {
         let p = blast();
         let params = RtParams::new(10.0, 1000.0).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec());
+        let prob = ChainProblem::new(&p, params, PAPER_B.to_vec());
         assert!(matches!(prob.solve(), Err(ScheduleError::Infeasible(_))));
         assert!(matches!(
             prob.solve_interior_point(),
@@ -746,18 +711,18 @@ mod tests {
     #[test]
     fn stored_pipeline_data_matches_the_pipeline() {
         let p = blast();
-        let prob =
-            EnforcedWaitsProblem::new(&p, RtParams::new(10.0, 1e5).unwrap(), PAPER_B.to_vec());
+        let prob = ChainProblem::new(&p, RtParams::new(10.0, 1e5).unwrap(), PAPER_B.to_vec());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let xmin = crate::minimal_periods(&Topology::chain(&p));
         assert_eq!(bits(&prob.g_total), bits(&p.total_gains()));
-        assert_eq!(bits(&prob.xmin), bits(&minimal_periods(&p)));
+        assert_eq!(bits(&prob.xmin), bits(&xmin));
         assert_eq!(bits(&prob.t), bits(&p.service_times()));
     }
 
     #[test]
     fn optimistic_backlog_factors() {
-        let p = blast();
-        let b = EnforcedWaitsProblem::optimistic_backlog(&p);
+        let t = Topology::chain(&blast());
+        let b = EnforcedProblem::optimistic_backlog(&t);
         assert_eq!(b, vec![1.0, 2.0, 1.0, 1.0]);
     }
 
@@ -793,14 +758,14 @@ mod tests {
             let p = builder.build().unwrap();
             let b: Vec<f64> = p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect();
             let tau0 = 5.0 + next() * 50.0;
-            let xmin = minimal_periods(&p);
+            let xmin = minimal_periods_of(&p.service_times(), &p.mean_gains());
             if xmin[0] > 64.0 * tau0 {
                 continue; // unstable operating point; skip
             }
             let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
             let d = min_d * (1.2 + next() * 4.0);
             let params = RtParams::new(tau0, d).unwrap();
-            let prob = EnforcedWaitsProblem::new(&p, params, b);
+            let prob = ChainProblem::new(&p, params, b);
             let ip = prob.solve_interior_point();
             let wf = prob.solve();
             match (ip, wf) {
@@ -822,7 +787,7 @@ mod tests {
     fn traced_solves_emit_solver_spans() {
         let p = blast();
         let params = RtParams::new(10.0, 5e4).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec());
+        let prob = ChainProblem::new(&p, params, PAPER_B.to_vec());
         let mut sink = SpanSink::with_defaults();
         let wf = prob.solve_traced(&mut sink, 0).unwrap();
         // Traced solves produce the same schedules as plain ones.
@@ -862,7 +827,7 @@ mod tests {
             .build()
             .unwrap();
         let (tau0, d) = (10.0, 1e6);
-        let prob = EnforcedWaitsProblem::new(&p, RtParams::new(tau0, d).unwrap(), vec![1.0, 1.0]);
+        let prob = ChainProblem::new(&p, RtParams::new(tau0, d).unwrap(), vec![1.0, 1.0]);
         let mut sink = SpanSink::with_defaults();
         let s = prob
             .solve_traced(&mut sink, 0)

@@ -5,22 +5,26 @@
 //! **minimal period vector**: the componentwise-smallest firing periods
 //! compatible with the per-edge stability constraints and `x_i ≥ t_i`.
 //!
-//! The edge constraint `x_i · g_{i-1} ≤ x_{i-1}` reads "upstream must
-//! fire at least `g_{i-1}` times as often as downstream"; it *raises*
-//! the floor of upstream periods when a downstream stage is slow. The
-//! minimal periods therefore come from a backward recursion
+//! On a chain, the edge constraint `x_i · g_{i-1} ≤ x_{i-1}` reads
+//! "upstream must fire at least `g_{i-1}` times as often as
+//! downstream"; it *raises* the floor of upstream periods when a
+//! downstream stage is slow. The minimal periods therefore come from a
+//! backward recursion
 //!
 //! ```text
 //! x̂_{N-1} = t_{N-1},     x̂_i = max(t_i, g_i · x̂_{i+1})
 //! ```
 //!
-//! Feasibility then requires (a) `x̂_0 ≤ v·τ0` (the head can keep up with
-//! arrivals even at its minimal period) and (b) `Σ b_i·x̂_i ≤ D` (the
-//! deadline is loose enough at the all-minimal point, which minimizes
-//! the weighted period sum because every other feasible point dominates
-//! it componentwise).
+//! On a DAG the same sweep runs in reverse topological order over every
+//! out-edge, on the order constraints `G_dst·x_dst ≤ G_src·x_src`.
+//!
+//! Feasibility then requires (a) `x̂_src ≤ v·τ0` (the head can keep up
+//! with arrivals even at its minimal period) and (b) `Σ b_i·x̂_i ≤ D`
+//! (the deadline is loose enough at the all-minimal point, which
+//! minimizes the weighted period sum because every other feasible point
+//! dominates it componentwise).
 
-use dataflow_model::{PipelineSpec, RtParams};
+use dataflow_model::{RtParams, Topology};
 use std::fmt;
 
 /// Why no enforced-waits schedule exists for an operating point.
@@ -96,11 +100,25 @@ impl std::error::Error for FeasibilityError {}
 
 /// The componentwise-minimal feasible firing periods `x̂` (see module
 /// docs). Every feasible period vector dominates this one.
-pub fn minimal_periods(pipeline: &PipelineSpec) -> Vec<f64> {
-    minimal_periods_of(&pipeline.service_times(), &pipeline.mean_gains())
+pub fn minimal_periods(topology: &Topology) -> Vec<f64> {
+    if let Some(chain) = topology.as_chain() {
+        return minimal_periods_of(&chain.service_times(), &chain.mean_gains());
+    }
+    let g = topology.total_gains();
+    let mut x = topology.service_times();
+    for &i in topology.topo_order().iter().rev() {
+        for &e in topology.out_edges(i) {
+            let dst = topology.edge(e).dst;
+            if g[i] > 0.0 && g[dst] > 0.0 {
+                x[i] = x[i].max(g[dst] / g[i] * x[dst]);
+            }
+        }
+    }
+    x
 }
 
-/// [`minimal_periods`] from the service times `t` and mean gains `g`.
+/// [`minimal_periods`] of a chain from its service times `t` and mean
+/// gains `g`.
 pub(crate) fn minimal_periods_of(t: &[f64], g: &[f64]) -> Vec<f64> {
     let n = t.len();
     let mut x = t.to_vec();
@@ -112,24 +130,25 @@ pub(crate) fn minimal_periods_of(t: &[f64], g: &[f64]) -> Vec<f64> {
 }
 
 /// Check whether the enforced-waits problem (paper Fig. 1) has any
-/// feasible point for this pipeline, operating point, and backlog
-/// factors `b`.
-pub fn check_enforced_feasibility(
-    pipeline: &PipelineSpec,
+/// feasible point for this topology, operating point, and node-indexed
+/// backlog factors `b`.
+pub fn check_feasibility(
+    topology: &Topology,
     params: &RtParams,
     b: &[f64],
 ) -> Result<(), FeasibilityError> {
-    check_backlog_factors(pipeline.len(), b)?;
+    check_backlog_factors(topology.len(), b)?;
     check_minimal_periods(
-        &minimal_periods(pipeline),
-        pipeline.vector_width(),
+        &minimal_periods(topology),
+        topology.source(),
+        topology.vector_width(),
         params,
         b,
     )
 }
 
-/// The backlog-factor half of [`check_enforced_feasibility`]: one
-/// strictly positive, finite factor per node.
+/// The backlog-factor half of [`check_feasibility`]: one strictly
+/// positive, finite factor per node.
 pub(crate) fn check_backlog_factors(nodes: usize, b: &[f64]) -> Result<(), FeasibilityError> {
     if b.len() != nodes {
         return Err(FeasibilityError::BadBacklogFactors {
@@ -144,18 +163,20 @@ pub(crate) fn check_backlog_factors(nodes: usize, b: &[f64]) -> Result<(), Feasi
     Ok(())
 }
 
-/// The operating-point half of [`check_enforced_feasibility`], on the
-/// minimal periods `xmin` of a pipeline of vector width `v`.
+/// The operating-point half of [`check_feasibility`], on the minimal
+/// periods `xmin` of a dataflow with head node `source` and vector
+/// width `v`.
 pub(crate) fn check_minimal_periods(
     xmin: &[f64],
+    source: usize,
     v: u32,
     params: &RtParams,
     b: &[f64],
 ) -> Result<(), FeasibilityError> {
     let max_head = v as f64 * params.tau0;
-    if xmin[0] > max_head {
+    if xmin[source] > max_head {
         return Err(FeasibilityError::ArrivalRateTooHigh {
-            min_head_period: xmin[0],
+            min_head_period: xmin[source],
             max_head_period: max_head,
         });
     }
@@ -172,24 +193,8 @@ pub(crate) fn check_minimal_periods(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::blast_chain as blast;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
 
     #[test]
     fn minimal_periods_backward_recursion() {
@@ -217,7 +222,7 @@ mod tests {
             .stage("b", 50.0, GainModel::Deterministic { k: 1 })
             .build()
             .unwrap();
-        let x = minimal_periods(&p);
+        let x = minimal_periods(&Topology::chain(&p));
         assert_eq!(x[1], 50.0);
         assert_eq!(x[0], 400.0); // 8 × 50 > 10
     }
@@ -226,7 +231,7 @@ mod tests {
     fn feasible_blast_point_passes() {
         let p = blast();
         let params = RtParams::new(10.0, 2e5).unwrap();
-        assert!(check_enforced_feasibility(&p, &params, &[1.0, 3.0, 9.0, 6.0]).is_ok());
+        assert!(check_feasibility(&p, &params, &[1.0, 3.0, 9.0, 6.0]).is_ok());
     }
 
     #[test]
@@ -236,7 +241,7 @@ mod tests {
         let xmin = minimal_periods(&p);
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(10.0, min_d - 1.0).unwrap();
-        match check_enforced_feasibility(&p, &params, &b) {
+        match check_feasibility(&p, &params, &b) {
             Err(FeasibilityError::DeadlineTooTight { min_deadline, .. }) => {
                 assert!((min_deadline - min_d).abs() < 1e-9);
             }
@@ -244,7 +249,7 @@ mod tests {
         }
         // Just above the bound: feasible.
         let params = RtParams::new(10.0, min_d + 1.0).unwrap();
-        assert!(check_enforced_feasibility(&p, &params, &b).is_ok());
+        assert!(check_feasibility(&p, &params, &b).is_ok());
     }
 
     #[test]
@@ -253,11 +258,11 @@ mod tests {
         // x̂_0 ≈ 362; need v·τ0 ≥ 362 → τ0 ≥ 2.83. τ0 = 2 should fail.
         let params = RtParams::new(2.0, 1e9).unwrap();
         assert!(matches!(
-            check_enforced_feasibility(&p, &params, &[1.0; 4]),
+            check_feasibility(&p, &params, &[1.0; 4]),
             Err(FeasibilityError::ArrivalRateTooHigh { .. })
         ));
         let params = RtParams::new(3.0, 1e9).unwrap();
-        assert!(check_enforced_feasibility(&p, &params, &[1.0; 4]).is_ok());
+        assert!(check_feasibility(&p, &params, &[1.0; 4]).is_ok());
     }
 
     #[test]
@@ -265,15 +270,15 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 1e6).unwrap();
         assert!(matches!(
-            check_enforced_feasibility(&p, &params, &[1.0, 1.0]),
+            check_feasibility(&p, &params, &[1.0, 1.0]),
             Err(FeasibilityError::BadBacklogFactors { .. })
         ));
         assert!(matches!(
-            check_enforced_feasibility(&p, &params, &[1.0, 0.0, 1.0, 1.0]),
+            check_feasibility(&p, &params, &[1.0, 0.0, 1.0, 1.0]),
             Err(FeasibilityError::BadBacklogFactors { .. })
         ));
         assert!(matches!(
-            check_enforced_feasibility(&p, &params, &[1.0, f64::NAN, 1.0, 1.0]),
+            check_feasibility(&p, &params, &[1.0, f64::NAN, 1.0, 1.0]),
             Err(FeasibilityError::BadBacklogFactors { .. })
         ));
     }

@@ -26,7 +26,7 @@
 //! `x_i ≥ N·c_i` binds, i.e. at tight deadlines with skewed service
 //! times (BLAST's alignment stage is 10× its seeding stage).
 
-use crate::enforced::EnforcedWaitsProblem;
+use crate::enforced::ChainProblem;
 use crate::feasibility::FeasibilityError;
 use crate::schedule::ScheduleError;
 use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
@@ -114,7 +114,7 @@ impl<'a> FlexibleSharesProblem<'a> {
             .build()
             .map_err(|e| ScheduleError::Solver(format!("relaxed pipeline: {e}")))?;
 
-        let sched = EnforcedWaitsProblem::new(&relaxed, self.params, self.b.clone()).solve()?;
+        let sched = ChainProblem::new(&relaxed, self.params, self.b.clone()).solve()?;
 
         // Evaluate the *true* utilization at the optimized periods.
         let utilization: f64 = c.iter().zip(&sched.periods).map(|(&ci, &xi)| ci / xi).sum();
@@ -149,7 +149,7 @@ impl<'a> FlexibleSharesProblem<'a> {
     /// The equal-share (paper) baseline at the same operating point, for
     /// comparison.
     pub fn equal_share_baseline(&self) -> Result<f64, ScheduleError> {
-        EnforcedWaitsProblem::new(self.pipeline, self.params, self.b.clone())
+        ChainProblem::new(self.pipeline, self.params, self.b.clone())
             .solve()
             .map(|s| s.active_fraction)
     }
@@ -179,23 +179,7 @@ pub fn uniform_pipeline(times: &[f64], v: u32) -> PipelineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
+    use crate::fixtures::blast;
 
     const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 

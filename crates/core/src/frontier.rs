@@ -13,7 +13,7 @@
 //!   is `min_M { b·M·τ0 + S·T̄(M) : T̄(M) ≤ M·τ0 }`. The bound increases
 //!   with `M`, so the minimum is at the smallest stable `M`.
 
-use crate::feasibility::minimal_periods;
+use crate::feasibility::minimal_periods_of;
 use dataflow_model::analysis::{monolithic_block_time, monolithic_latency_bound};
 use dataflow_model::{PipelineSpec, RtParams};
 use serde::{Deserialize, Serialize};
@@ -21,7 +21,8 @@ use serde::{Deserialize, Serialize};
 /// Smallest inter-arrival time the enforced-waits strategy can sustain
 /// (any deadline): `x̂_0 / v`.
 pub fn enforced_min_tau0(pipeline: &PipelineSpec) -> f64 {
-    minimal_periods(pipeline)[0] / pipeline.vector_width() as f64
+    minimal_periods_of(&pipeline.service_times(), &pipeline.mean_gains())[0]
+        / pipeline.vector_width() as f64
 }
 
 /// Smallest deadline the enforced-waits strategy can meet at `tau0`
@@ -32,7 +33,7 @@ pub fn enforced_min_deadline(pipeline: &PipelineSpec, b: &[f64], tau0: f64) -> O
     if tau0 < enforced_min_tau0(pipeline) {
         return None;
     }
-    let xmin = minimal_periods(pipeline);
+    let xmin = minimal_periods_of(&pipeline.service_times(), &pipeline.mean_gains());
     Some(xmin.iter().zip(b).map(|(&x, &bi)| bi * x).sum())
 }
 
@@ -100,27 +101,9 @@ pub fn frontier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enforced::EnforcedWaitsProblem;
+    use crate::enforced::ChainProblem;
+    use crate::fixtures::blast;
     use crate::monolithic::MonolithicProblem;
-    use dataflow_model::GainModel;
-    use dataflow_model::PipelineSpecBuilder;
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
 
     const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 
@@ -138,7 +121,7 @@ mod tests {
         let tau0 = 10.0;
         let d_min = enforced_min_deadline(&p, &PAPER_B, tau0).unwrap();
         let solve = |d: f64| {
-            EnforcedWaitsProblem::new(&p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec()).solve()
+            ChainProblem::new(&p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec()).solve()
         };
         assert!(solve(d_min + 1.0).is_ok());
         assert!(solve(d_min - 1.0).is_err());

@@ -13,8 +13,10 @@
 //! This is an *independent certificate*: it validates a solution no
 //! matter which solver produced it, which is how water-filling and the
 //! interior-point oracle vouch for each other beyond merely agreeing.
+//! The certificate of a design is [`crate::EnforcedProblem::verify_kkt`].
 
-use crate::enforced::EnforcedWaitsProblem;
+#[doc(hidden)]
+pub use crate::compat::verify_kkt;
 use serde::{Deserialize, Serialize};
 use solver::linalg::{dot, norm2, BandedMat, Mat};
 use solver::linear::{Constraint, ConstraintSet};
@@ -35,7 +37,7 @@ pub struct KktReport {
 impl KktReport {
     /// The report on a period vector of `got` entries for a program of
     /// `expected` nodes: not optimal at any tolerance.
-    pub(crate) fn length_mismatch(expected: usize, got: usize) -> Self {
+    fn length_mismatch(expected: usize, got: usize) -> Self {
         KktReport {
             stationarity_residual: f64::INFINITY,
             min_multiplier: 0.0,
@@ -55,39 +57,31 @@ impl KktReport {
     }
 }
 
-/// Check the KKT conditions for `periods` on `problem`.
-///
-/// `active_tol` decides which constraints count as active, *relative* to
-/// each constraint's scale (measured as `|rhs| + ‖a‖·‖x‖`). A period
-/// vector of the wrong length certifies nothing: the report has an
-/// infinite violation and names both lengths.
-pub fn verify_kkt(
-    problem: &EnforcedWaitsProblem<'_>,
+/// Check the KKT conditions for `periods` on the active-fraction
+/// objective `(1/N) Σ t_i/x_i` with service times `t` over `cs`. A
+/// period vector of the wrong length gets a report that certifies
+/// nothing.
+pub(crate) fn certify(
+    cs: &ConstraintSet,
+    t: &[f64],
     periods: &[f64],
     active_tol: f64,
 ) -> KktReport {
-    let n = problem.pipeline().len();
-    if periods.len() != n {
-        return KktReport::length_mismatch(n, periods.len());
+    if periods.len() != t.len() {
+        return KktReport::length_mismatch(t.len(), periods.len());
     }
-    let cs = problem.constraint_set();
-    let grad = active_fraction_gradient(&problem.pipeline().service_times(), periods);
-    kkt_report(&cs, &grad, periods, active_tol)
-}
-
-/// Gradient of the shared objective `(1/N) Σ t_i/x_i`.
-pub(crate) fn active_fraction_gradient(t: &[f64], periods: &[f64]) -> Vec<f64> {
     let n = t.len();
-    (0..n)
+    let grad: Vec<f64> = (0..n)
         .map(|i| -t[i] / (n as f64 * periods[i] * periods[i]))
-        .collect()
+        .collect();
+    kkt_report(cs, &grad, periods, active_tol)
 }
 
 /// Check the KKT conditions for any convex program of the shape this
 /// crate produces: a smooth objective gradient over a linear inequality
-/// [`ConstraintSet`]. This is the solver-independent core behind
-/// [`verify_kkt`] (chains) and [`crate::dag::verify_kkt_dag`] (DAGs).
-pub fn kkt_report(cs: &ConstraintSet, grad: &[f64], periods: &[f64], active_tol: f64) -> KktReport {
+/// [`ConstraintSet`]. This is the solver-independent core of
+/// [`certify`].
+fn kkt_report(cs: &ConstraintSet, grad: &[f64], periods: &[f64], active_tol: f64) -> KktReport {
     let grad_norm = norm2(grad).max(1e-30);
 
     let x_norm = norm2(periods).max(1.0);
@@ -307,32 +301,17 @@ fn solve_multipliers_banded(active: &[&Constraint], grad: &[f64], ridge: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
+    use crate::fixtures::blast_chain as blast;
+    use crate::EnforcedProblem;
+    use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
 
     #[test]
     fn wrong_length_periods_are_a_failed_report_not_a_panic() {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
+        let prob = EnforcedProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
         for periods in [vec![], vec![500.0; 3], vec![500.0; 5]] {
-            let report = verify_kkt(&prob, &periods, 1e-6);
+            let report = prob.verify_kkt(&periods, 1e-6);
             assert!(!report.is_optimal(1e3), "{report:?}");
             assert_eq!(report.max_violation, f64::INFINITY);
             let want = format!("{} entries for 4 nodes", periods.len());
@@ -345,12 +324,12 @@ mod tests {
         let p = blast();
         for (tau0, d) in [(5.0, 5e4), (10.0, 1e5), (50.0, 3.5e5)] {
             let params = RtParams::new(tau0, d).unwrap();
-            let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
+            let prob = EnforcedProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
             for (method, s) in [
                 ("interior point", prob.solve_interior_point()),
                 ("water-filling", prob.solve()),
             ] {
-                let report = verify_kkt(&prob, &s.unwrap().periods, 1e-5);
+                let report = prob.verify_kkt(&s.unwrap().periods, 1e-5);
                 assert!(
                     report.is_optimal(1e-3),
                     "{method} at tau0={tau0} D={d}: {report:?}"
@@ -363,14 +342,14 @@ mod tests {
     fn suboptimal_point_fails_kkt() {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
+        let prob = EnforcedProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
         // A strictly interior, clearly non-optimal point: minimal periods
         // scaled up slightly (deadline far from tight).
         let x: Vec<f64> = crate::feasibility::minimal_periods(&p)
             .iter()
             .map(|v| v * 1.5)
             .collect();
-        let report = verify_kkt(&prob, &x, 1e-6);
+        let report = prob.verify_kkt(&x, 1e-6);
         assert!(!report.is_optimal(1e-3), "{report:?}");
     }
 
@@ -378,9 +357,9 @@ mod tests {
     fn deadline_constraint_is_active_when_binding() {
         let p = blast();
         let params = RtParams::new(10.0, 5e4).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
+        let prob = EnforcedProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
         let s = prob.solve().unwrap();
-        let report = verify_kkt(&prob, &s.periods, 1e-5);
+        let report = prob.verify_kkt(&s.periods, 1e-5);
         assert!(
             report.active.iter().any(|l| l == "deadline"),
             "deadline should bind at D=5e4: {:?}",
@@ -401,8 +380,8 @@ mod tests {
                 GainModel::Bernoulli { p: 0.9 },
             );
         }
-        let p = builder.build().unwrap();
-        let b = EnforcedWaitsProblem::optimistic_backlog(&p);
+        let p = Topology::chain(&builder.build().unwrap());
+        let b = EnforcedProblem::optimistic_backlog(&p);
         let min_d: f64 = crate::feasibility::minimal_periods(&p)
             .iter()
             .zip(&b)
@@ -410,9 +389,9 @@ mod tests {
             .sum();
         // A nearly minimal deadline pins most periods to their lower
         // bounds, producing a large active set.
-        let prob = EnforcedWaitsProblem::new(&p, RtParams::new(5.0, min_d * 1.02).unwrap(), b);
+        let prob = EnforcedProblem::new(&p, RtParams::new(5.0, min_d * 1.02).unwrap(), b);
         let s = prob.solve().unwrap();
-        let report = verify_kkt(&prob, &s.periods, 1e-5);
+        let report = prob.verify_kkt(&s.periods, 1e-5);
         assert!(
             report.active.len() >= BANDED_ACTIVE_MIN,
             "test should hit the banded path, active={}",
@@ -425,10 +404,10 @@ mod tests {
     fn infeasible_point_reports_violation() {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let prob = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
+        let prob = EnforcedProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0]);
         // Way past the deadline.
         let x = vec![1e5, 1e5, 1e5, 1e5];
-        let report = verify_kkt(&prob, &x, 1e-6);
+        let report = prob.verify_kkt(&x, 1e-6);
         assert!(report.max_violation > 0.0);
         assert!(!report.is_optimal(1e-3));
     }

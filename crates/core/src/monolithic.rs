@@ -21,7 +21,7 @@
 //!
 //! The program reads only `v`, the service times `t_i` and the per-node
 //! totals `G_i`, so chains and DAGs pose the same problem
-//! ([`BlockModel`]); [`MonolithicDagProblem`] is the same type.
+//! ([`BlockModel`]).
 //!
 //! # Why a few candidates solve it exactly
 //!
@@ -161,10 +161,6 @@ pub struct MonolithicProblem {
     b: f64,
     s: f64,
 }
-
-/// The Fig.-2 program on a DAG [`Topology`]: the same type as
-/// [`MonolithicProblem`], because `T̄(M)` only needs the totals `G_i`.
-pub type MonolithicDagProblem = MonolithicProblem;
 
 /// The per-pipeline half of [`MonolithicProblem::solve_fast`]: the
 /// ascending ceiling run ends up to a bound, each with its `T̄(M)` (see
@@ -697,24 +693,8 @@ fn last_true(n: usize, from: usize, mut pred: impl FnMut(usize) -> bool) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::blast;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
 
     #[test]
     fn solves_blast_at_moderate_point() {

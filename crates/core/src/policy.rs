@@ -9,9 +9,9 @@
 //! factors to the observed ceilings and re-solve the waits. The exact
 //! water-filling solve takes microseconds, cheap enough to run online.
 
-use crate::enforced::{EnforcedWaitsProblem, WaitSchedule};
+use crate::enforced::{EnforcedProblem, WaitSchedule};
 use crate::schedule::ScheduleError;
-use dataflow_model::{PipelineSpec, RtParams};
+use dataflow_model::{RtParams, Topology};
 
 /// Raise backlog factors to observed ceilings and re-solve the waits.
 ///
@@ -23,22 +23,22 @@ use dataflow_model::{PipelineSpec, RtParams};
 /// escalated `b`), or the scheduling error if no feasible schedule
 /// exists at the raised factors — in which case the caller should keep
 /// its current schedule and degrade by other means (e.g. shedding).
-/// Slices whose lengths disagree with the pipeline are
+/// Slices whose lengths disagree with the topology are
 /// [`ScheduleError::InvalidParams`].
 pub fn escalate_schedule(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     params: RtParams,
     design_b: &[f64],
     observed_vectors: &[f64],
 ) -> Result<WaitSchedule, ScheduleError> {
-    let b = escalated_factors(pipeline.len(), design_b, observed_vectors)?;
-    EnforcedWaitsProblem::new(pipeline, params, b).solve()
+    let b = escalated_factors(topology.len(), design_b, observed_vectors)?;
+    EnforcedProblem::new(topology, params, b).solve()
 }
 
 /// The escalated factors `max(design_b_i, ⌈observed_i⌉, 1)` for `n`
 /// nodes, or [`ScheduleError::InvalidParams`] when a slice has the wrong
 /// length.
-pub(crate) fn escalated_factors(
+fn escalated_factors(
     n: usize,
     design_b: &[f64],
     observed_vectors: &[f64],
@@ -69,24 +69,7 @@ pub fn needs_escalation(design_b: &[f64], observed_vectors: &[f64], headroom: f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow_model::{GainModel, PipelineSpecBuilder};
-
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
-    }
+    use crate::fixtures::blast_chain as blast;
 
     #[test]
     fn trigger_condition() {
@@ -100,7 +83,7 @@ mod tests {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
         let design_b = vec![1.0, 3.0, 9.0, 6.0];
-        let base = EnforcedWaitsProblem::new(&p, params, design_b.clone())
+        let base = EnforcedProblem::new(&p, params, design_b.clone())
             .solve()
             .unwrap();
         // Stage 1 observed at 4.3 vectors against a design of 3.
@@ -120,7 +103,7 @@ mod tests {
         let design_b = vec![1.0, 3.0, 9.0, 6.0];
         let observed = vec![2.6, 3.0, 9.0, 7.9];
         let escalated = escalate_schedule(&p, params, &design_b, &observed).unwrap();
-        let direct = EnforcedWaitsProblem::new(&p, params, vec![3.0, 3.0, 9.0, 8.0])
+        let direct = EnforcedProblem::new(&p, params, vec![3.0, 3.0, 9.0, 8.0])
             .solve()
             .unwrap();
         assert_eq!(escalated.periods, direct.periods);
@@ -142,11 +125,9 @@ mod tests {
         let params = RtParams::new(10.0, 1e5).unwrap();
         let short = [1.0, 3.0];
         let full = [1.0, 3.0, 9.0, 6.0];
-        let topology = dataflow_model::Topology::chain(&p);
         for result in [
             escalate_schedule(&p, params, &short, &full),
             escalate_schedule(&p, params, &full, &short),
-            crate::dag::escalate_schedule_topology(&topology, params, &full, &short),
         ] {
             assert!(
                 matches!(result, Err(ScheduleError::InvalidParams(_))),

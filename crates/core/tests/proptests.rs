@@ -6,13 +6,11 @@ use dataflow_model::{
     GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology, TopologyBuilder,
 };
 use proptest::prelude::*;
-use rtsdf_core::comparison::{sweep, sweep_parallel, SweepConfig};
-use rtsdf_core::feasibility::minimal_periods;
-use rtsdf_core::kkt::verify_kkt;
+use rtsdf_core::comparison::{compare_at, sweep, CellResult, SweepConfig};
 use rtsdf_core::monolithic::BlockModel;
 use rtsdf_core::{
-    topology_minimal_periods, verify_kkt_dag, BlockTable, EnforcedDagProblem, EnforcedWaitsProblem,
-    MonolithicProblem, MonolithicSchedule, ScheduleError,
+    minimal_periods, BlockTable, EnforcedProblem, MonolithicProblem, MonolithicSchedule,
+    ScheduleError,
 };
 
 /// Two-point empirical law with mean `gain`: stresses the Empirical code
@@ -397,7 +395,7 @@ fn periods_agree(got: &[f64], oracle: &[f64]) -> Result<(), TestCaseError> {
 /// from its minimal periods.
 fn feasible_point(p: &PipelineSpec, tau_scale: f64, d_scale: f64) -> Option<(RtParams, Vec<f64>)> {
     let b: Vec<f64> = p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect();
-    let xmin = minimal_periods(p);
+    let xmin = minimal_periods(&Topology::chain(p));
     let tau0 = xmin[0] / p.vector_width() as f64 * tau_scale;
     // NaN or nonpositive tau0 means the scale degenerated the point.
     if tau0.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
@@ -420,7 +418,8 @@ proptest! {
         let Some((params, b)) = feasible_point(&p, tau_scale, d_scale) else {
             return Ok(());
         };
-        let prob = EnforcedWaitsProblem::new(&p, params, b);
+        let t = Topology::chain(&p);
+        let prob = EnforcedProblem::new(&t, params, b);
         let wf = prob.solve().expect("feasible by construction");
         let ip = prob.solve_interior_point().expect("feasible by construction");
         prop_assert!(
@@ -441,12 +440,13 @@ proptest! {
         let Some((params, b)) = feasible_point(&p, tau_scale, d_scale) else {
             return Ok(());
         };
-        let prob = EnforcedWaitsProblem::new(&p, params, b);
+        let t = Topology::chain(&p);
+        let prob = EnforcedProblem::new(&t, params, b);
         let s = prob.solve().expect("feasible by construction");
         let cs = prob.constraint_set();
         prop_assert!(cs.is_feasible(&s.periods, 1e-6 * params.deadline.max(1.0)));
         prop_assert!(s.waits.iter().all(|&w| w >= 0.0));
-        let kkt = verify_kkt(&prob, &s.periods, 1e-5);
+        let kkt = prob.verify_kkt(&s.periods, 1e-5);
         prop_assert!(kkt.is_optimal(5e-3), "{kkt:?}");
     }
 
@@ -462,12 +462,11 @@ proptest! {
         let Some((params_tight, _)) = feasible_point(&p, tau_scale, d_scale) else {
             return Ok(());
         };
-        let loose = EnforcedWaitsProblem::new(&p, params_loose, b.clone())
+        let t = Topology::chain(&p);
+        let loose = EnforcedProblem::new(&t, params_loose, b.clone())
             .solve()
             .unwrap();
-        let tight = EnforcedWaitsProblem::new(&p, params_tight, b)
-            .solve()
-            .unwrap();
+        let tight = EnforcedProblem::new(&t, params_tight, b).solve().unwrap();
         prop_assert!(loose.active_fraction <= tight.active_fraction + 1e-9);
     }
 
@@ -478,7 +477,7 @@ proptest! {
     ) {
         // Any feasible period vector (built by inflating x̂ upstream-first
         // so the chain constraints stay satisfied) dominates x̂.
-        let xmin = minimal_periods(&p);
+        let xmin = minimal_periods(&Topology::chain(&p));
         let g = p.mean_gains();
         // Inflate from the tail: x_i' = max(t_i, g_i·x_{i+1}') · inflate_i.
         let t = p.service_times();
@@ -534,7 +533,8 @@ proptest! {
         let Some((params, b)) = feasible_point(&p, tau_scale, d_scale) else {
             return Ok(());
         };
-        let prob = EnforcedWaitsProblem::new(&p, params, b.clone());
+        let chain = Topology::chain(&p);
+        let prob = EnforcedProblem::new(&chain, params, b.clone());
         let s = prob.solve().expect("feasible by construction");
         let oracle: Vec<f64> = bisection_chain_periods(&p, params, &b)
             .iter()
@@ -543,7 +543,7 @@ proptest! {
             .collect();
         periods_agree(&s.periods, &oracle)?;
         prop_assert!(s.latency_bound <= params.deadline, "{} > {}", s.latency_bound, params.deadline);
-        let kkt = verify_kkt(&prob, &s.periods, active_tol(d_scale));
+        let kkt = prob.verify_kkt(&s.periods, active_tol(d_scale));
         prop_assert!(kkt.is_optimal(5e-3), "{kkt:?}");
     }
 
@@ -553,12 +553,12 @@ proptest! {
         tau_scale in 1.0..20.0f64,
         d_scale in d_just_above(),
     ) {
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
-        let xmin = topology_minimal_periods(&t);
+        let b = EnforcedProblem::optimistic_backlog(&t);
+        let xmin = minimal_periods(&t);
         let tau0 = xmin[t.source()] * t.total_gains()[t.source()] / t.vector_width() as f64 * tau_scale;
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * d_scale).unwrap();
-        let prob = EnforcedDagProblem::new(&t, params, b.clone());
+        let prob = EnforcedProblem::new(&t, params, b.clone());
         let s = prob.solve().expect("feasible by construction");
         periods_agree(&s.periods, &bisection_dag_periods(&t, params, &b))?;
         prop_assert!(s.latency_bound <= params.deadline, "{} > {}", s.latency_bound, params.deadline);
@@ -569,7 +569,7 @@ proptest! {
         // deadline, and water-filling may not beat it.
         if d_scale >= 1.01 {
             let ip = prob.solve_interior_point().expect("feasible by construction");
-            let kkt = verify_kkt_dag(&prob, &ip.periods, 1e-5);
+            let kkt = prob.verify_kkt(&ip.periods, 1e-5);
             prop_assert!(kkt.is_optimal(5e-3), "{kkt:?}");
             prop_assert!(s.active_fraction >= ip.active_fraction * (1.0 - 1e-6));
         }
@@ -630,14 +630,11 @@ proptest! {
     }
 }
 
-/// Compare two sweep results cell by cell, requiring bit-identical
+/// Compare two sweeps' cells one by one, requiring bit-identical
 /// feasibility and active fractions.
-fn assert_sweeps_identical(
-    a: &rtsdf_core::comparison::SweepResult,
-    b: &rtsdf_core::comparison::SweepResult,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.cells.len(), b.cells.len());
-    for (x, y) in a.cells.iter().zip(&b.cells) {
+fn assert_sweeps_identical(a: &[CellResult], b: &[CellResult]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
         prop_assert_eq!((x.tau0, x.deadline), (y.tau0, y.deadline));
         prop_assert_eq!(x.enforced, y.enforced, "tau0={} D={}", x.tau0, x.deadline);
         prop_assert_eq!(
@@ -663,14 +660,20 @@ proptest! {
     ) {
         // Random grid shapes include empty, 1×N, and N×1; random
         // operating points include infeasible cells. The work-stealing
-        // scheduler must reproduce the sequential sweep bit for bit.
+        // scheduler must reproduce the cells solved one at a time, in
+        // order, bit for bit.
         let config = SweepConfig {
             enforced_b: p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect(),
             monolithic_b: 1.0,
             monolithic_s: 1.0,
         };
-        let seq = sweep(&p, &tau0s, &deadlines, &config).expect("valid grid");
-        let par = sweep_parallel(&p, &tau0s, &deadlines, &config).expect("valid grid");
-        assert_sweeps_identical(&seq, &par)?;
+        let t = Topology::chain(&p);
+        let seq: Vec<CellResult> = tau0s
+            .iter()
+            .flat_map(|&tau0| deadlines.iter().map(move |&d| RtParams::new(tau0, d).unwrap()))
+            .map(|params| compare_at(&t, params, &config))
+            .collect();
+        let par = sweep(&t, &tau0s, &deadlines, &config, None).expect("valid grid");
+        assert_sweeps_identical(&seq, &par.cells)?;
     }
 }

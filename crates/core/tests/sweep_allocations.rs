@@ -1,8 +1,8 @@
 //! A sweep allocates per row, not per cell.
 //!
 //! A counting global allocator tallies the heap allocations the calling
-//! thread makes. `sweep` runs on the calling thread, so the tally of one
-//! sweep is exactly its own. Two grids with the same rows and the same
+//! thread makes. On one worker (`RTSDF_THREADS=1`) `sweep` runs on the
+//! calling thread, so the tally of one sweep is exactly its own. Two grids with the same rows and the same
 //! largest deadline share their block table and their row segments
 //! (`paper_grid(16, n)` cuts into 16 whole-row segments for any `n ≥ 2`
 //! on one worker); one has 56 more cells per row. If cells allocated,
@@ -11,8 +11,9 @@
 //! This test is the only one in its binary, so no other test's
 //! allocations interleave with it.
 
-use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
+use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
 use rtsdf_core::comparison::{sweep, SweepConfig};
+use rtsdf_core::threads::THREADS_ENV;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -57,8 +58,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-fn blast() -> PipelineSpec {
-    PipelineSpecBuilder::new(128)
+fn blast() -> Topology {
+    let p = PipelineSpecBuilder::new(128)
         .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
         .stage(
             "s1",
@@ -71,16 +72,17 @@ fn blast() -> PipelineSpec {
         .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
         .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
         .build()
-        .unwrap()
+        .unwrap();
+    Topology::chain(&p)
 }
 
 /// Allocations the calling thread makes in one `sweep` of
 /// `paper_grid(16, cols)`.
-fn sweep_allocations(p: &PipelineSpec, cols: usize) -> u64 {
+fn sweep_allocations(p: &Topology, cols: usize) -> u64 {
     let (tau0s, ds) = RtParams::paper_grid(16, cols);
     let cfg = SweepConfig::paper_blast();
     let before = ALLOCATIONS.with(Cell::get);
-    let r = sweep(p, &tau0s, &ds, &cfg).unwrap();
+    let r = sweep(p, &tau0s, &ds, &cfg, None).unwrap();
     let after = ALLOCATIONS.with(Cell::get);
     assert_eq!(r.cells.len(), 16 * cols);
     assert!(r.cells.iter().any(|c| c.difference().is_some()));
@@ -95,6 +97,9 @@ const SLACK: u64 = 4;
 
 #[test]
 fn sweep_allocates_per_row_not_per_cell() {
+    // The only test in this binary, so no other thread reads the
+    // environment while it is set.
+    std::env::set_var(THREADS_ENV, "1");
     let p = blast();
     // A first sweep takes any one-time allocations (lazy statics).
     sweep_allocations(&p, 8);

@@ -10,7 +10,7 @@
 use dataflow_model::{ArrivalProcess, GainModel, PipelineSpecBuilder, RtParams, Topology};
 use des::obs::{ObsConfig, ObsSink};
 use pipeline_sim::{enforced, monolithic, Hooks, SimConfig};
-use rtsdf_core::{AnySchedule, EnforcedWaitsProblem, MonolithicProblem};
+use rtsdf_core::{AnySchedule, EnforcedProblem, MonolithicProblem};
 use rtsdf_exec::{run_enforced, run_monolithic, sim_vs_real, ExecConfig};
 
 /// A small two-gain chain with a generous operating point so the
@@ -23,7 +23,7 @@ fn chain() -> (Topology, RtParams, Vec<f64>) {
         .build()
         .unwrap();
     let topology = Topology::chain(&p);
-    let xmin = rtsdf_core::topology_minimal_periods(&topology);
+    let xmin = rtsdf_core::minimal_periods(&topology);
     let v = topology.vector_width() as f64;
     // Arrival interval 3x the binding stage's per-item demand.
     let tau0 = xmin
@@ -57,10 +57,7 @@ fn sim_config(params: &RtParams, stream: usize, seed: u64) -> SimConfig {
 #[test]
 fn enforced_chain_item_counts_match_simulator_exactly() {
     let (topology, params, b) = chain();
-    let chain_spec = topology.as_chain().unwrap();
-    let schedule = EnforcedWaitsProblem::new(&chain_spec, params, b)
-        .solve()
-        .unwrap();
+    let schedule = EnforcedProblem::new(&topology, params, b).solve().unwrap();
 
     let seed = 11;
     let stream = 300;
@@ -128,10 +125,7 @@ fn monolithic_chain_matches_simulator_counts() {
 #[test]
 fn sim_vs_real_agreement_on_chain() {
     let (topology, params, b) = chain();
-    let chain_spec = topology.as_chain().unwrap();
-    let schedule = EnforcedWaitsProblem::new(&chain_spec, params, b)
-        .solve()
-        .unwrap();
+    let schedule = EnforcedProblem::new(&topology, params, b).solve().unwrap();
     let config = exec_config(&params, 300, 7);
 
     // Debug build on a possibly-loaded machine: a loose tolerance

@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology};
 use des::obs::{ObsConfig, ObsSink};
 use pipeline_sim::{enforced, Hooks, SimConfig};
-use rtsdf_core::{EnforcedWaitsProblem, WaitSchedule};
+use rtsdf_core::{EnforcedProblem, WaitSchedule};
 use std::hint::black_box;
 
 fn blast() -> PipelineSpec {
@@ -35,7 +35,7 @@ fn blast() -> PipelineSpec {
 
 fn schedule(pipeline: &PipelineSpec) -> WaitSchedule {
     let params = RtParams::new(20.0, 2e5).unwrap();
-    EnforcedWaitsProblem::new(pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
+    EnforcedProblem::new(&Topology::chain(pipeline), params, vec![1.0, 3.0, 9.0, 6.0])
         .solve()
         .unwrap()
 }

@@ -20,7 +20,7 @@ use crate::enforced;
 use crate::hooks::SimError;
 use crate::runner::{run_jobs, seed_configs, split_reports};
 use dataflow_model::{PipelineSpec, RtParams, Topology};
-use rtsdf_core::{EnforcedWaitsProblem, WaitSchedule};
+use rtsdf_core::{EnforcedProblem, WaitSchedule};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -136,7 +136,7 @@ pub fn calibrate_enforced(
     let workers = rtsdf_core::worker_threads();
     let n = pipeline.len();
     let topology = Topology::chain(pipeline);
-    let mut b = EnforcedWaitsProblem::optimistic_backlog(pipeline);
+    let mut b = EnforcedProblem::optimistic_backlog(&topology);
     let mut rounds = Vec::new();
     // Set once an escalation clamps a factor to `b_cap`: one more
     // evaluation round runs at the capped factors, then the loop stops.
@@ -150,7 +150,7 @@ pub fn calibrate_enforced(
         let mut iter_points = 0u64;
         let mut points: Vec<(RtParams, WaitSchedule)> = Vec::new();
         for params in &config.grid {
-            let prob = EnforcedWaitsProblem::new(pipeline, *params, b.clone());
+            let prob = EnforcedProblem::new(&topology, *params, b.clone());
             let Ok(sched) = prob.solve() else {
                 continue; // infeasible at these factors: skip
             };
@@ -286,7 +286,7 @@ mod tests {
         assert!(result.converged, "history: {:?}", result.rounds);
         assert_eq!(result.b.len(), 4);
         // Factors should start optimistic and only grow.
-        let optimistic = EnforcedWaitsProblem::optimistic_backlog(&p);
+        let optimistic = EnforcedProblem::optimistic_backlog(&Topology::chain(&p));
         for (bi, oi) in result.b.iter().zip(&optimistic) {
             assert!(bi >= oi);
         }
@@ -301,11 +301,12 @@ mod tests {
         let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid.clone())).unwrap();
         assert!(result.converged);
         // Validate on seeds the calibration never saw.
-        let prob = EnforcedWaitsProblem::new(&p, grid[0], result.b.clone());
-        let sched = prob.solve().unwrap();
+        let t = Topology::chain(&p);
+        let sched = EnforcedProblem::new(&t, grid[0], result.b.clone())
+            .solve()
+            .unwrap();
         let mut cfg = SimConfig::quick(10.0, 0, 3_000);
         cfg.seed = 10_000;
-        let t = Topology::chain(&p);
         let report = run_seeds(&cfg, 6, None, |c, h| {
             enforced::simulate(&t, &sched, 1e5, c, h)
         })
@@ -335,7 +336,7 @@ mod tests {
         assert_eq!(
             err,
             CalibrationError::NoFeasiblePoint {
-                b: EnforcedWaitsProblem::optimistic_backlog(&p)
+                b: EnforcedProblem::optimistic_backlog(&Topology::chain(&p))
             }
         );
     }
@@ -386,7 +387,10 @@ mod tests {
         assert_eq!(result.rounds.len(), 1);
         assert_eq!(result.b, result.rounds[0].b);
         if !result.converged {
-            assert_eq!(result.b, EnforcedWaitsProblem::optimistic_backlog(&p));
+            assert_eq!(
+                result.b,
+                EnforcedProblem::optimistic_backlog(&Topology::chain(&p))
+            );
         }
     }
 }

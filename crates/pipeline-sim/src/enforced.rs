@@ -261,12 +261,7 @@ impl StressState {
             .iter()
             .map(|&d| (d as f64 / v as f64).ceil())
             .collect();
-        match rtsdf_core::dag::escalate_schedule_topology(
-            topology,
-            params,
-            &self.design_b,
-            &observed,
-        ) {
+        match rtsdf_core::escalate_schedule(topology, params, &self.design_b, &observed) {
             Ok(new_sched) => {
                 self.resolves += 1;
                 for (p, (&x, &t)) in periods
@@ -1126,7 +1121,7 @@ mod tests {
     use dataflow_model::{GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams};
     use des::obs::ObsConfig;
     use obs_trace::{analyze, ForensicsConfig, TraceConfig, TraceLog};
-    use rtsdf_core::EnforcedWaitsProblem;
+    use rtsdf_core::EnforcedProblem;
 
     fn blast() -> PipelineSpec {
         PipelineSpecBuilder::new(128)
@@ -1168,7 +1163,7 @@ mod tests {
 
     fn schedule(pipeline: &PipelineSpec, tau0: f64, d: f64) -> WaitSchedule {
         let params = RtParams::new(tau0, d).unwrap();
-        EnforcedWaitsProblem::new(pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
+        EnforcedProblem::new(&Topology::chain(pipeline), params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .unwrap()
     }
@@ -1244,11 +1239,12 @@ mod tests {
     #[test]
     fn escalation_fires_on_undersized_design_factors() {
         let p = blast();
+        let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e5).unwrap();
         // Deliberately undersized factors (calibrated is [1,3,9,6]):
         // real backlog exceeds the design even without faults, which is
         // exactly the model-drift situation escalation exists for.
-        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0, 1.0, 1.0])
+        let sched = EnforcedProblem::new(&t, params, vec![1.0, 1.0, 1.0, 1.0])
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 1500);
@@ -1259,7 +1255,6 @@ mod tests {
             escalate_headroom: 0.0,
             max_resolves: 8,
         };
-        let t = Topology::chain(&p);
         let escalated = |policy: &MitigationPolicy| {
             let faults = Some((&perturb, policy));
             simulate(
@@ -1305,7 +1300,7 @@ mod tests {
         // admission (the reference) counts one re-solve per arrival.
         let p = blast();
         let params = RtParams::new(10.0, 6e4).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0, 1.0, 1.0])
+        let sched = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 1.0, 1.0, 1.0])
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 3, 600);

@@ -128,7 +128,7 @@ mod tests {
     use crate::{enforced, monolithic};
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
     use des::obs::ObsConfig;
-    use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
+    use rtsdf_core::{EnforcedProblem, MonolithicProblem};
 
     /// Each bad input, fed to both strategies, is an `Err` naming it,
     /// not a panic. A monolithic schedule has no per-node entries, so
@@ -142,7 +142,7 @@ mod tests {
             .unwrap();
         let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e4).unwrap();
-        let waits = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0])
+        let waits = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 1.0])
             .solve()
             .unwrap();
         let blocks = MonolithicProblem::new(&p, params, 1.0, 1.0)
@@ -220,7 +220,7 @@ mod tests {
             .unwrap();
         let t = Topology::chain(&p);
         let params = RtParams::new(100.0, 1e6).unwrap();
-        let waits = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0])
+        let waits = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 1.0])
             .solve()
             .unwrap();
         let blocks = MonolithicProblem::new(&p, params, 1.0, 1.0)

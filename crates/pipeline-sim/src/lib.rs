@@ -21,7 +21,7 @@
 //! use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
 //! use des::obs::{ObsConfig, ObsSink};
 //! use pipeline_sim::{enforced, Hooks, SimConfig};
-//! use rtsdf_core::EnforcedWaitsProblem;
+//! use rtsdf_core::EnforcedProblem;
 //!
 //! let p = PipelineSpecBuilder::new(4)
 //!     .stage("a", 10.0, GainModel::Deterministic { k: 1 })
@@ -30,7 +30,7 @@
 //!     .unwrap();
 //! let t = Topology::chain(&p);
 //! let params = RtParams::new(10.0, 1e4).unwrap();
-//! let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0]).solve().unwrap();
+//! let sched = EnforcedProblem::new(&t, params, vec![1.0, 1.0]).solve().unwrap();
 //! let cfg = SimConfig::quick(10.0, 1, 500);
 //!
 //! let plain = enforced::simulate(&t, &sched, 1e4, &cfg, Hooks::default())?;

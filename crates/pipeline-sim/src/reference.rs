@@ -298,7 +298,7 @@ pub fn simulate_enforced_reference(
                                         .map(|&d| (d as f64 / v as f64).ceil())
                                         .collect();
                                     match rtsdf_core::policy::escalate_schedule(
-                                        pipeline,
+                                        &Topology::chain(pipeline),
                                         params,
                                         &st.design_b,
                                         &observed,

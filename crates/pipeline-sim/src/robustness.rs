@@ -289,9 +289,7 @@ mod tests {
     use crate::runner::run_seeds;
     use apps::logalytics::{synthesize, LogalyticsConfig};
     use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
-    use rtsdf_core::{
-        EnforcedDagProblem, EnforcedWaitsProblem, MonolithicDagProblem, MonolithicProblem,
-    };
+    use rtsdf_core::{EnforcedProblem, MonolithicProblem};
 
     fn blast() -> PipelineSpec {
         PipelineSpecBuilder::new(128)
@@ -353,7 +351,7 @@ mod tests {
     fn non_finite_intensities_are_dropped_not_fatal() {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let enforced = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+        let enforced = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .unwrap();
         let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
@@ -381,7 +379,7 @@ mod tests {
     fn sweep_on_blast_degrades_gracefully() {
         let p = blast();
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let enforced = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+        let enforced = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .unwrap();
         let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
@@ -464,7 +462,7 @@ mod tests {
         let params = RtParams::new(10.0, 1e5).unwrap();
         Case {
             topology: Topology::chain(&p),
-            enforced: EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+            enforced: EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 3.0, 9.0, 6.0])
                 .solve()
                 .unwrap(),
             monolithic: MonolithicProblem::new(&p, params, 1.0, 1.0)
@@ -481,10 +479,10 @@ mod tests {
     fn logalytics_case() -> Case {
         let t = synthesize(&LogalyticsConfig::default(), 7).unwrap();
         let params = RtParams::new(40.0, 4e5).unwrap();
-        let b = EnforcedDagProblem::optimistic_backlog(&t);
+        let b = EnforcedProblem::optimistic_backlog(&t);
         Case {
-            enforced: EnforcedDagProblem::new(&t, params, b).solve().unwrap(),
-            monolithic: MonolithicDagProblem::new(&t, params, 1.0, 1.0)
+            enforced: EnforcedProblem::new(&t, params, b).solve().unwrap(),
+            monolithic: MonolithicProblem::new(&t, params, 1.0, 1.0)
                 .solve_fast()
                 .unwrap(),
             topology: t,

@@ -116,14 +116,14 @@ impl MultiSeedReport {
 /// ```
 /// # use dataflow_model::{RtParams, Topology};
 /// # use pipeline_sim::{enforced, run_seeds, SimConfig};
-/// # use rtsdf_core::EnforcedWaitsProblem;
+/// # use rtsdf_core::EnforcedProblem;
 /// # let p = dataflow_model::PipelineSpecBuilder::new(4)
 /// #     .stage("a", 10.0, dataflow_model::GainModel::Deterministic { k: 1 })
 /// #     .build()
 /// #     .unwrap();
-/// # let params = RtParams::new(10.0, 1e4).unwrap();
-/// # let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0]).solve().unwrap();
 /// let t = Topology::chain(&p);
+/// # let params = RtParams::new(10.0, 1e4).unwrap();
+/// # let sched = EnforcedProblem::new(&t, params, vec![1.0]).solve().unwrap();
 /// let cfg = SimConfig::quick(10.0, 0, 200);
 /// let report = run_seeds(&cfg, 4, None, |c, h| enforced::simulate(&t, &sched, 1e4, c, h))?;
 /// assert_eq!(report.runs.len(), 4);
@@ -227,7 +227,7 @@ mod tests {
     use super::*;
     use crate::{enforced, monolithic};
     use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology};
-    use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
+    use rtsdf_core::{EnforcedProblem, MonolithicProblem};
 
     fn blast() -> PipelineSpec {
         PipelineSpecBuilder::new(128)
@@ -249,12 +249,12 @@ mod tests {
     #[test]
     fn parallel_results_are_in_seed_order_and_deterministic() {
         let p = blast();
+        let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+        let sched = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 1_000);
-        let t = Topology::chain(&p);
         let run = |c: &SimConfig, h: Hooks<'_>| enforced::simulate(&t, &sched, 1e5, c, h);
         let a = run_seeds(&cfg, 6, None, run).unwrap();
         let b = run_seeds(&cfg, 6, None, run).unwrap();
@@ -273,12 +273,12 @@ mod tests {
     #[test]
     fn run_seeds_numbers_seeds_from_the_base_seed() {
         let p = blast();
+        let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+        let sched = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 5, 1_000);
-        let t = Topology::chain(&p);
         let run = |c: &SimConfig, h: Hooks<'_>| enforced::simulate(&t, &sched, 1e5, c, h);
         let report = run_seeds(&cfg, 2, None, run).unwrap();
         let json = |m: &SimMetrics| serde_json::to_string(m).expect("metrics serialize");
@@ -327,12 +327,12 @@ mod tests {
         // Regression: the seed runner used to call `chunks(0)` (a panic)
         // when asked for an empty seed range.
         let p = blast();
+        let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+        let sched = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 0, 100);
-        let t = Topology::chain(&p);
         let r = run_seeds(&cfg, 0, None, |c, h| {
             enforced::simulate(&t, &sched, 1e5, c, h)
         })
@@ -367,12 +367,12 @@ mod tests {
     #[test]
     fn run_seeds_is_byte_identical_at_every_worker_count() {
         let p = blast();
+        let t = Topology::chain(&p);
         let params = RtParams::new(10.0, 1e5).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+        let sched = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(10.0, 2, 800);
-        let t = Topology::chain(&p);
         let run = |c: &SimConfig, h: Hooks<'_>| enforced::simulate(&t, &sched, 1e5, c, h);
         let json = |workers, live: Option<&SimLiveMetrics>| {
             let r = run_seeds_on(workers, &cfg, 7, live, run).unwrap();

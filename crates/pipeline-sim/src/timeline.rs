@@ -136,7 +136,7 @@ pub fn render_ascii(timeline: &Timeline, width: usize) -> String {
 mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
-    use rtsdf_core::EnforcedWaitsProblem;
+    use rtsdf_core::EnforcedProblem;
 
     fn setup() -> (PipelineSpec, WaitSchedule) {
         let p = PipelineSpecBuilder::new(16)
@@ -145,7 +145,7 @@ mod tests {
             .build()
             .unwrap();
         let params = RtParams::new(20.0, 5e4).unwrap();
-        let s = EnforcedWaitsProblem::new(&p, params, vec![1.0, 1.0])
+        let s = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 1.0])
             .solve()
             .unwrap();
         (p, s)

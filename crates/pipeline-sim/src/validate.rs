@@ -6,7 +6,7 @@ use crate::config::SimConfig;
 use crate::hooks::Hooks;
 use crate::{enforced, monolithic};
 use dataflow_model::{PipelineSpec, RtParams, Topology};
-use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
+use rtsdf_core::{EnforcedProblem, MonolithicProblem};
 use serde::{Deserialize, Serialize};
 
 /// One operating point's prediction-vs-measurement comparison.
@@ -57,7 +57,7 @@ pub fn enforced_agreement(
     let topology = Topology::chain(pipeline);
     let mut cells = Vec::new();
     for params in points {
-        let prob = EnforcedWaitsProblem::new(pipeline, *params, b.to_vec());
+        let prob = EnforcedProblem::new(&topology, *params, b.to_vec());
         let Ok(sched) = prob.solve() else {
             continue;
         };

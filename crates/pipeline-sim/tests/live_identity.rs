@@ -9,7 +9,7 @@ use pipeline_sim::{
     enforced, monolithic, robustness_report, run_seeds, Hooks, MitigationPolicy, SimConfig,
     SimLiveMetrics, SimMetrics,
 };
-use rtsdf_core::{EnforcedWaitsProblem, MonolithicProblem};
+use rtsdf_core::{EnforcedProblem, MonolithicProblem};
 
 fn blast() -> PipelineSpec {
     PipelineSpecBuilder::new(128)
@@ -45,12 +45,12 @@ fn assert_bit_identical(a: &SimMetrics, b: &SimMetrics) {
 #[test]
 fn enforced_live_is_bit_identical_and_registry_matches_metrics() {
     let p = blast();
+    let t = Topology::chain(&p);
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+    let sched = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
         .solve()
         .unwrap();
     let cfg = SimConfig::quick(10.0, 7, 3_000);
-    let t = Topology::chain(&p);
     let plain = enforced::simulate(&t, &sched, 1e5, &cfg, Hooks::default()).unwrap();
 
     let live = SimLiveMetrics::new(p.len(), 1);
@@ -86,14 +86,14 @@ fn enforced_live_is_bit_identical_and_registry_matches_metrics() {
 #[test]
 fn enforced_stress_live_matches_shed_and_drop_counters() {
     let p = blast();
+    let t = Topology::chain(&p);
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+    let sched = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
         .solve()
         .unwrap();
     let cfg = SimConfig::quick(10.0, 3, 3_000);
     let perturb = Perturbation::standard(1.5);
     let policy = MitigationPolicy::full();
-    let t = Topology::chain(&p);
     let faults = Some((&perturb, &policy));
     let hooks = Hooks {
         faults,
@@ -162,14 +162,14 @@ fn monolithic_live_is_bit_identical_and_registry_matches_metrics() {
 #[test]
 fn multi_seed_live_counts_runs_and_preserves_results() {
     let p = blast();
+    let t = Topology::chain(&p);
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+    let sched = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
         .solve()
         .unwrap();
     let cfg = SimConfig::quick(10.0, 0, 800);
     let perturb = Perturbation::standard(0.5);
     let policy = MitigationPolicy::full();
-    let t = Topology::chain(&p);
     let run = |c: &SimConfig, h: Hooks<'_>| {
         let faults = Some((&perturb, &policy));
         enforced::simulate(&t, &sched, 1e5, c, Hooks { faults, ..h })
@@ -193,8 +193,9 @@ fn multi_seed_live_counts_runs_and_preserves_results() {
 #[test]
 fn robustness_live_schedules_every_cell_and_matches_plain() {
     let p = blast();
+    let t = Topology::chain(&p);
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let enforced = EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
+    let enforced = EnforcedProblem::new(&t, params, vec![1.0, 3.0, 9.0, 6.0])
         .solve()
         .unwrap();
     let mono = MonolithicProblem::new(&p, params, 1.0, 1.0)
@@ -202,7 +203,6 @@ fn robustness_live_schedules_every_cell_and_matches_plain() {
         .unwrap();
     let cfg = SimConfig::quick(10.0, 0, 500);
     let perturb = Perturbation::standard(1.0);
-    let t = Topology::chain(&p);
     let plain = robustness_report(
         &t,
         &enforced,

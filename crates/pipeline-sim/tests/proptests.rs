@@ -11,7 +11,7 @@ use pipeline_sim::{
     enforced, monolithic, Hooks, MitigationPolicy, SimConfig, SimLiveMetrics, SimMetrics,
 };
 use proptest::prelude::*;
-use rtsdf_core::{EnforcedWaitsProblem, MonolithicSchedule};
+use rtsdf_core::{EnforcedProblem, MonolithicSchedule};
 
 /// Shared invariant for both simulators: every recorded visit's
 /// enforced-wait, queue-wait, and service components are non-negative,
@@ -94,7 +94,7 @@ fn topology() -> impl Strategy<Value = dataflow_model::Topology> {
 /// topology, mirroring the chain recipe: the arrival interval dominates
 /// every node's minimal period weighted by its total gain.
 fn topology_operating_point(t: &dataflow_model::Topology, slack: f64) -> RtParams {
-    let xmin = rtsdf_core::topology_minimal_periods(t);
+    let xmin = rtsdf_core::minimal_periods(t);
     let gains = t.total_gains();
     let v = t.vector_width() as f64;
     let tau0 = xmin
@@ -116,18 +116,19 @@ proptest! {
         seed in 0u64..1000,
         tau_scale in 1.5..10.0f64,
     ) {
+        let t = Topology::chain(&p);
         // A stable, generously-deadlined operating point.
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let xmin = rtsdf_core::minimal_periods(&t);
         let tau0 = xmin[0] / p.vector_width() as f64 * tau_scale;
         let b: Vec<f64> = p.mean_gains().iter().map(|g| (g.ceil() + 2.0).max(3.0)).collect();
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let d = min_d * 20.0;
         let params = RtParams::new(tau0, d).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
+        let sched = EnforcedProblem::new(&t, params, b)
             .solve()
             .expect("constructed feasible");
         let cfg = SimConfig::quick(tau0, seed, 500);
-        let m = enforced::simulate(&Topology::chain(&p), &sched, d, &cfg, Hooks::default()).unwrap();
+        let m = enforced::simulate(&t, &sched, d, &cfg, Hooks::default()).unwrap();
         // Conservation: every arrived input resolves (the schedule is
         // stable and the deadline generous), and the arrived count is
         // always the sum of completions and drops.
@@ -169,19 +170,19 @@ proptest! {
         p in pipeline(),
         seed in 0u64..200,
     ) {
+        let t = Topology::chain(&p);
         // The obs layer is measurement only: an observed run must report
         // bit-identical metrics to a plain run, and its counters must
         // obey the same conservation law as the metrics.
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let xmin = rtsdf_core::minimal_periods(&t);
         let tau0 = xmin[0] / p.vector_width() as f64 * 3.0;
         let b: Vec<f64> = p.mean_gains().iter().map(|g| (g.ceil() + 2.0).max(3.0)).collect();
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
+        let sched = EnforcedProblem::new(&t, params, b)
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
-        let t = Topology::chain(&p);
         let plain = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
         let mut sink = ObsSink::new(p.len(), ObsConfig::default());
         let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
@@ -204,17 +205,18 @@ proptest! {
         p in pipeline(),
         seed in 0u64..100,
     ) {
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let t = Topology::chain(&p);
+        let xmin = rtsdf_core::minimal_periods(&t);
         let tau0 = xmin[0] / p.vector_width() as f64 * 3.0;
         let b: Vec<f64> = p.mean_gains().iter().map(|g| (g.ceil() + 2.0).max(3.0)).collect();
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
+        let sched = EnforcedProblem::new(&t, params, b)
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
-        let a = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, Hooks::default()).unwrap();
-        let b2 = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, Hooks::default()).unwrap();
+        let a = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
+        let b2 = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
         prop_assert_eq!(a.active_fraction, b2.active_fraction);
         prop_assert_eq!(a.deadline_misses, b2.deadline_misses);
         prop_assert_eq!(a.horizon, b2.horizon);
@@ -226,8 +228,9 @@ proptest! {
         p in pipeline(),
         seed in 0u64..100,
     ) {
+        let t = Topology::chain(&p);
         // Compare zero waits against doubled periods at the same load.
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let xmin = rtsdf_core::minimal_periods(&t);
         let tau0 = xmin[0] / p.vector_width() as f64 * 4.0;
         let mk = |scale: f64| rtsdf_core::WaitSchedule {
             waits: p.service_times().iter().map(|t| t * (scale - 1.0)).collect(),
@@ -238,8 +241,8 @@ proptest! {
             telemetry: None,
         };
         let cfg = SimConfig::quick(tau0, seed, 400);
-        let fast = enforced::simulate(&Topology::chain(&p), &mk(1.0), 1e18, &cfg, Hooks::default()).unwrap();
-        let slow = enforced::simulate(&Topology::chain(&p), &mk(2.0), 1e18, &cfg, Hooks::default()).unwrap();
+        let fast = enforced::simulate(&t, &mk(1.0), 1e18, &cfg, Hooks::default()).unwrap();
+        let slow = enforced::simulate(&t, &mk(2.0), 1e18, &cfg, Hooks::default()).unwrap();
         prop_assert!(
             slow.active_fraction < fast.active_fraction + 1e-9,
             "doubling periods must not increase activity: {} vs {}",
@@ -253,16 +256,16 @@ proptest! {
         p in pipeline(),
         seed in 0u64..500,
     ) {
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let t = Topology::chain(&p);
+        let xmin = rtsdf_core::minimal_periods(&t);
         let tau0 = xmin[0] / p.vector_width() as f64 * 3.0;
         let b: Vec<f64> = p.mean_gains().iter().map(|g| (g.ceil() + 2.0).max(3.0)).collect();
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
+        let sched = EnforcedProblem::new(&t, params, b)
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
-        let t = Topology::chain(&p);
         let plain = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
         let mut sink = SpanSink::new(TraceConfig::default());
         let hooks = Hooks { spans: Some(&mut sink), ..Hooks::default() };
@@ -309,22 +312,22 @@ proptest! {
         p in pipeline(),
         seed in 0u64..200,
     ) {
+        let t = Topology::chain(&p);
         // Fault injection at intensity 0 must be *bit-identical* to the
         // unperturbed simulators: every multiplier is exactly 1, every
         // fault probability exactly 0, and fault RNG draws come from
         // substreams disjoint from the model's.
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let xmin = rtsdf_core::minimal_periods(&t);
         let tau0 = xmin[0] / p.vector_width() as f64 * 3.0;
         let b: Vec<f64> = p.mean_gains().iter().map(|g| (g.ceil() + 2.0).max(3.0)).collect();
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 10.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
+        let sched = EnforcedProblem::new(&t, params, b)
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
         let zero = Perturbation::standard(1.0).at_intensity(0.0);
 
-        let t = Topology::chain(&p);
         let none = MitigationPolicy::none();
         let faults = Some((&zero, &none));
         let plain = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
@@ -360,14 +363,15 @@ proptest! {
         seed in 0u64..200,
         intensity in 0.5..3.0f64,
     ) {
+        let t = Topology::chain(&p);
         // Under load shedding every arrived input has exactly one fate:
         // shed at admission, completed, or dropped at the horizon.
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let xmin = rtsdf_core::minimal_periods(&t);
         let tau0 = xmin[0] / p.vector_width() as f64 * 2.0;
         let b: Vec<f64> = p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect();
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 3.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b)
+        let sched = EnforcedProblem::new(&t, params, b)
             .solve()
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
@@ -375,7 +379,7 @@ proptest! {
             faults: Some((&Perturbation::standard(intensity), &MitigationPolicy::full())),
             ..Hooks::default()
         };
-        let m = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, hooks)
+        let m = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks)
             .unwrap();
         prop_assert_eq!(
             m.items_shed + m.items_completed + m.items_dropped,
@@ -500,7 +504,7 @@ fn enforced_config() -> impl Strategy<Value = (u8, FiringDiscipline, usize)> {
 /// comparisons: arrivals at 2.5× the first stage's minimal vector
 /// interval, a deadline 5× the smallest feasible one.
 fn oracle_waits(p: &PipelineSpec) -> (RtParams, rtsdf_core::WaitSchedule) {
-    let xmin = rtsdf_core::minimal_periods(p);
+    let xmin = rtsdf_core::minimal_periods(&Topology::chain(p));
     let tau0 = xmin[0] / p.vector_width() as f64 * 2.5;
     let b: Vec<f64> = p
         .mean_gains()
@@ -511,7 +515,9 @@ fn oracle_waits(p: &PipelineSpec) -> (RtParams, rtsdf_core::WaitSchedule) {
     let params = RtParams::new(tau0, min_d * 5.0).unwrap();
     (
         params,
-        EnforcedWaitsProblem::new(p, params, b).solve().unwrap(),
+        EnforcedProblem::new(&Topology::chain(p), params, b)
+            .solve()
+            .unwrap(),
     )
 }
 
@@ -714,11 +720,11 @@ proptest! {
         slack in 2.0..6.0f64,
     ) {
         let params = topology_operating_point(&t, slack);
-        let b: Vec<f64> = rtsdf_core::EnforcedDagProblem::optimistic_backlog(&t)
+        let b: Vec<f64> = rtsdf_core::EnforcedProblem::optimistic_backlog(&t)
             .iter()
             .map(|x| x + 2.0)
             .collect();
-        let sched = rtsdf_core::EnforcedDagProblem::new(&t, params, b)
+        let sched = rtsdf_core::EnforcedProblem::new(&t, params, b)
             .solve()
             .expect("generous operating point is feasible");
         let cfg = SimConfig::quick(params.tau0, seed, 400);
@@ -744,11 +750,11 @@ proptest! {
         intensity in 0.5..2.5f64,
     ) {
         let params = topology_operating_point(&t, 2.0);
-        let b: Vec<f64> = rtsdf_core::EnforcedDagProblem::optimistic_backlog(&t)
+        let b: Vec<f64> = rtsdf_core::EnforcedProblem::optimistic_backlog(&t)
             .iter()
             .map(|x| x + 1.0)
             .collect();
-        let sched = rtsdf_core::EnforcedDagProblem::new(&t, params, b)
+        let sched = rtsdf_core::EnforcedProblem::new(&t, params, b)
             .solve()
             .expect("generous operating point is feasible");
         let cfg = SimConfig::quick(params.tau0, seed, 300);
@@ -789,11 +795,11 @@ proptest! {
         m_block in 8u64..128,
     ) {
         let params = topology_operating_point(&t, 3.0);
-        let b: Vec<f64> = rtsdf_core::EnforcedDagProblem::optimistic_backlog(&t)
+        let b: Vec<f64> = rtsdf_core::EnforcedProblem::optimistic_backlog(&t)
             .iter()
             .map(|x| x + 2.0)
             .collect();
-        let waits = rtsdf_core::EnforcedDagProblem::new(&t, params, b)
+        let waits = rtsdf_core::EnforcedProblem::new(&t, params, b)
             .solve()
             .expect("generous operating point is feasible");
         let blocks = blocks(m_block);
@@ -961,12 +967,12 @@ proptest! {
     ) {
         use pipeline_sim::reference::simulate_enforced_reference;
 
-        let xmin = rtsdf_core::minimal_periods(&p);
+        let xmin = rtsdf_core::minimal_periods(&Topology::chain(&p));
         let tau0 = xmin[0] / p.vector_width() as f64 * 2.0;
         let b: Vec<f64> = p.mean_gains().iter().map(|g| g.ceil().max(1.0)).collect();
         let min_d: f64 = xmin.iter().zip(&b).map(|(x, bi)| x * bi).sum();
         let params = RtParams::new(tau0, min_d * 3.0).unwrap();
-        let sched = EnforcedWaitsProblem::new(&p, params, b).solve().unwrap();
+        let sched = EnforcedProblem::new(&Topology::chain(&p), params, b).solve().unwrap();
         let cfg = sim_config(tau0, seed, run);
         let d = params.deadline;
         let t = Topology::chain(&p);

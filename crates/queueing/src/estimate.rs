@@ -285,9 +285,13 @@ mod tests {
         // deadline tight enough that the deadline constraint binds.)
         let p = blast();
         let params = RtParams::new(10.0, 3.0e4).unwrap();
-        let sched = rtsdf_core::EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve()
-            .unwrap();
+        let sched = rtsdf_core::EnforcedProblem::new(
+            &dataflow_model::Topology::chain(&p),
+            params,
+            vec![1.0, 3.0, 9.0, 6.0],
+        )
+        .solve()
+        .unwrap();
         let est = estimate_backlog_factors(&p, &sched.periods, 10.0, &EstimateConfig::default());
         assert_eq!(est.len(), 4);
         for e in &est {
@@ -333,9 +337,13 @@ mod tests {
         // least).
         let p = blast();
         let params = RtParams::new(10.0, 3e5).unwrap();
-        let sched = rtsdf_core::EnforcedWaitsProblem::new(&p, params, vec![1.0, 3.0, 9.0, 6.0])
-            .solve()
-            .unwrap();
+        let sched = rtsdf_core::EnforcedProblem::new(
+            &dataflow_model::Topology::chain(&p),
+            params,
+            vec![1.0, 3.0, 9.0, 6.0],
+        )
+        .solve()
+        .unwrap();
         let est = estimate_backlog_factors(&p, &sched.periods, 10.0, &EstimateConfig::default());
         assert!(
             est[0].b <= est[2].b,

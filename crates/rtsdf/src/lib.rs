@@ -24,26 +24,26 @@
 //! use rtsdf::prelude::*;
 //!
 //! // The paper's BLAST pipeline (Table 1) at τ0 = 10 cycles/item,
-//! // deadline 10^5 cycles.
-//! let pipeline = rtsdf::blast::paper_pipeline();
+//! // deadline 10^5 cycles. The optimizers and the simulators take a
+//! // `Topology`; the paper's chain is its special case.
+//! let topology = Topology::chain(&rtsdf::blast::paper_pipeline());
 //! let params = RtParams::new(10.0, 1e5).unwrap();
 //!
 //! // Optimize both strategies.
-//! let waits = EnforcedWaitsProblem::new(&pipeline, params, vec![1.0, 3.0, 9.0, 6.0])
+//! let waits = EnforcedProblem::new(&topology, params, vec![1.0, 3.0, 9.0, 6.0])
 //!     .solve()
 //!     .unwrap();
-//! let blocks = MonolithicProblem::new(&pipeline, params, 1.0, 1.0)
-//!     .solve()
+//! let blocks = MonolithicProblem::new(&topology, params, 1.0, 1.0)
+//!     .solve_fast()
 //!     .unwrap();
 //!
 //! // Enforced waits should win at this fast arrival rate.
 //! assert!(waits.active_fraction < blocks.active_fraction);
 //!
 //! // And the simulator should agree with the optimizer's prediction.
-//! // Each strategy has one simulator entry point over a `Topology`;
-//! // `Hooks` adds observability, tracing, live metrics or faults.
+//! // Each strategy has one simulator entry point; `Hooks` adds
+//! // observability, tracing, live metrics or faults.
 //! let cfg = SimConfig::quick(10.0, 42, 2_000);
-//! let topology = Topology::chain(&pipeline);
 //! let measured = enforced::simulate(&topology, &waits, 1e5, &cfg, Hooks::default())?;
 //! let rel = (measured.active_fraction - waits.active_fraction).abs()
 //!     / waits.active_fraction;
@@ -77,7 +77,7 @@ pub mod prelude {
         MultiSeedReport, RobustnessReport, SimConfig, SimError, SimMetrics,
     };
     pub use rtsdf_core::{
-        EnforcedWaitsProblem, MonolithicProblem, MonolithicSchedule, ScheduleError, WaitSchedule,
+        EnforcedProblem, MonolithicProblem, MonolithicSchedule, ScheduleError, WaitSchedule,
     };
 }
 

@@ -68,9 +68,10 @@ fn main() {
         "tau0", "D", "enforced", "monolith", "difference"
     );
     let cfg = SweepConfig::paper_blast();
+    let chain = Topology::chain(&pipeline);
     for &tau0 in &[4.0, 10.0, 25.0, 60.0, 100.0] {
         for &d in &[3e4, 1e5, 3.5e5] {
-            let cell = compare_at(&pipeline, RtParams::new(tau0, d).unwrap(), &cfg);
+            let cell = compare_at(&chain, RtParams::new(tau0, d).unwrap(), &cfg);
             let fmt = |x: Option<f64>| x.map_or("infeas".into(), |v| format!("{v:10.4}"));
             println!(
                 "  {tau0:>6} {d:>9.0} | {} {} {}",
@@ -86,15 +87,11 @@ fn main() {
 
     // ---- Sanity: simulate the measured pipeline too --------------------
     let params = RtParams::new(30.0, 3e5).unwrap();
-    if let Ok(sched) = EnforcedWaitsProblem::new(
-        &measured_pipeline,
-        params,
-        EnforcedWaitsProblem::optimistic_backlog(&measured_pipeline),
-    )
-    .solve()
-    {
+    let measured = Topology::chain(&measured_pipeline);
+    let b = EnforcedProblem::optimistic_backlog(&measured);
+    if let Ok(sched) = EnforcedProblem::new(&measured, params, b).solve() {
         let m = enforced::simulate(
-            &Topology::chain(&measured_pipeline),
+            &measured,
             &sched,
             params.deadline,
             &SimConfig::quick(params.tau0, 1, 10_000),

@@ -52,7 +52,8 @@ fn main() {
     );
 
     // Schedule with the calibrated factors.
-    let sched = EnforcedWaitsProblem::new(&pipeline, params, calib.b.clone())
+    let topology = Topology::chain(&pipeline);
+    let sched = EnforcedProblem::new(&topology, params, calib.b.clone())
         .solve()
         .expect("feasible");
     println!();
@@ -78,7 +79,6 @@ fn main() {
     // Stress across seeds, the paper's schedulability statistic.
     println!();
     println!("stress test: 20 seeds x 10 000 photons...");
-    let topology = Topology::chain(&pipeline);
     let cfg = SimConfig::quick(params.tau0, 0, 10_000);
     let report = run_seeds(&cfg, 20, None, |c, h| {
         enforced::simulate(&topology, &sched, params.deadline, c, h)
@@ -96,7 +96,7 @@ fn main() {
 
     // How much processor time did enforced waiting return to the
     // system relative to the monolithic baseline?
-    match MonolithicProblem::new(&pipeline, params, 1.0, 1.0).solve() {
+    match MonolithicProblem::new(&pipeline, params, 1.0, 1.0).solve_fast() {
         Ok(mono) => println!(
             "  monolithic baseline would occupy {:.4} — enforced waits frees {:+.1}% of the processor",
             mono.active_fraction,

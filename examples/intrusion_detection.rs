@@ -34,8 +34,9 @@ fn main() {
 
     // Packets at one per 60 cycles on average, 80k-cycle verdict budget.
     let params = RtParams::new(60.0, 8e4).unwrap();
-    let b = EnforcedWaitsProblem::optimistic_backlog(&pipeline);
-    let enforced = EnforcedWaitsProblem::new(&pipeline, params, b)
+    let topology = Topology::chain(&pipeline);
+    let b = EnforcedProblem::optimistic_backlog(&topology);
+    let enforced = EnforcedProblem::new(&topology, params, b)
         .solve()
         .expect("feasible");
     println!();
@@ -50,7 +51,7 @@ fn main() {
     println!();
     println!("monolithic baseline vs. worst-case scale S:");
     for s in [1.0, 1.5, 2.0, 3.0] {
-        match MonolithicProblem::new(&pipeline, params, 1.0, s).solve() {
+        match MonolithicProblem::new(&pipeline, params, 1.0, s).solve_fast() {
             Ok(m) => println!(
                 "  S = {s:3.1}: M = {:>5}, active fraction {:.4}",
                 m.block_size, m.active_fraction
@@ -78,7 +79,6 @@ fn main() {
     let mut cfg = SimConfig::quick(params.tau0, 3, 20_000);
     cfg.arrivals = bursty;
 
-    let topology = Topology::chain(&pipeline);
     let m_enf = enforced::simulate(
         &topology,
         &enforced,
@@ -98,7 +98,7 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    if let Ok(mono) = MonolithicProblem::new(&pipeline, params, 1.0, 1.0).solve() {
+    if let Ok(mono) = MonolithicProblem::new(&pipeline, params, 1.0, 1.0).solve_fast() {
         let m_mono =
             monolithic::simulate(&topology, &mono, params.deadline, &cfg, Hooks::default())
                 .expect("the schedule fits the pipeline");

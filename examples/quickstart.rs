@@ -36,9 +36,13 @@ fn main() {
     );
     println!();
 
+    // The design problems, like the simulator, take the pipeline as a
+    // topology: the paper's chain is its special case.
+    let topology = Topology::chain(&pipeline);
+
     // --- Strategy 1: enforced waits (the paper's contribution) -------
-    let b = EnforcedWaitsProblem::optimistic_backlog(&pipeline);
-    let problem = EnforcedWaitsProblem::new(&pipeline, params, b);
+    let b = EnforcedProblem::optimistic_backlog(&topology);
+    let problem = EnforcedProblem::new(&topology, params, b);
     let enforced = problem.solve().expect("feasible operating point");
     println!("enforced waits:");
     for (i, (w, x)) in enforced.waits.iter().zip(&enforced.periods).enumerate() {
@@ -51,7 +55,7 @@ fn main() {
 
     // Certify optimality via the KKT conditions — an independent check
     // on whichever solver produced the schedule.
-    let report = rtsdf::core::kkt::verify_kkt(&problem, &enforced.periods, 1e-5);
+    let report = problem.verify_kkt(&enforced.periods, 1e-5);
     println!(
         "  KKT certificate: stationarity {:.2e}, active constraints: {:?}",
         report.stationarity_residual, report.active
@@ -59,8 +63,8 @@ fn main() {
     println!();
 
     // --- Strategy 2: monolithic batching (the baseline) --------------
-    let monolithic = MonolithicProblem::new(&pipeline, params, 1.0, 1.0)
-        .solve()
+    let monolithic = MonolithicProblem::new(&topology, params, 1.0, 1.0)
+        .solve_fast()
         .expect("feasible operating point");
     println!("monolithic baseline:");
     println!("  block size M = {}", monolithic.block_size);
@@ -72,7 +76,6 @@ fn main() {
 
     // --- Validate in simulation --------------------------------------
     let config = SimConfig::quick(params.tau0, 7, 20_000);
-    let topology = Topology::chain(&pipeline);
     let measured = enforced::simulate(
         &topology,
         &enforced,

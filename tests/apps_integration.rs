@@ -15,7 +15,7 @@ fn schedule_and_simulate(
     items: usize,
 ) -> (f64, f64, f64) {
     let params = RtParams::new(tau0, d).unwrap();
-    let sched = EnforcedWaitsProblem::new(pipeline, params, b)
+    let sched = EnforcedProblem::new(&Topology::chain(pipeline), params, b)
         .solve()
         .unwrap_or_else(|e| panic!("infeasible at tau0={tau0}, D={d}: {e}"));
     let cfg = SimConfig::quick(tau0, 5, items);
@@ -131,20 +131,20 @@ fn all_apps_have_the_irregular_shape() {
 #[test]
 fn bursty_arrivals_stress_but_do_not_break_enforced_schedules() {
     let p = ids::synthesize(&ids::IdsConfig::default(), 4).unwrap();
+    let t = Topology::chain(&p);
     let params = RtParams::new(60.0, 1.2e5).unwrap();
     let b: Vec<f64> = p
         .mean_gains()
         .iter()
         .map(|g| (g.ceil() + 2.0).max(3.0))
         .collect();
-    let sched = EnforcedWaitsProblem::new(&p, params, b).solve().unwrap();
+    let sched = EnforcedProblem::new(&t, params, b).solve().unwrap();
     let mut cfg = SimConfig::quick(60.0, 11, 8_000);
     cfg.arrivals = ArrivalProcess::Bursty {
         tau_on: 20.0,
         on_mean: 1_500.0,
         off_mean: 3_000.0,
     };
-    let t = Topology::chain(&p);
     let m = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
     assert!(
         !m.truncated,

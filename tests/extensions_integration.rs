@@ -111,7 +111,7 @@ fn flexible_schedule_simulates_within_its_deadline() {
 fn timeline_reflects_the_optimized_waits() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let tl = record_timeline(&p, &sched, 1e5, &SimConfig::quick(10.0, 1, 2_000), 30_000.0).unwrap();
@@ -130,14 +130,14 @@ fn timeline_reflects_the_optimized_waits() {
 #[test]
 fn vacation_discipline_is_a_pure_win_at_slow_rates() {
     let p = blast();
+    let t = Topology::chain(&p);
     let params = RtParams::new(80.0, 3e5).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&t, params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let mut strict = SimConfig::quick(80.0, 2, 3_000);
     let mut vacation = strict.clone();
     vacation.discipline = FiringDiscipline::Vacation;
-    let t = Topology::chain(&p);
     let sm = enforced::simulate(&t, &sched, params.deadline, &strict, Hooks::default()).unwrap();
     let vm = enforced::simulate(&t, &sched, params.deadline, &vacation, Hooks::default()).unwrap();
     assert!(

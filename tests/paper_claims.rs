@@ -15,10 +15,14 @@ fn blast() -> PipelineSpec {
 const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 
 fn enforced_af(p: &PipelineSpec, tau0: f64, d: f64) -> Option<f64> {
-    EnforcedWaitsProblem::new(p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec())
-        .solve()
-        .ok()
-        .map(|s| s.active_fraction)
+    EnforcedProblem::new(
+        &Topology::chain(p),
+        RtParams::new(tau0, d).unwrap(),
+        PAPER_B.to_vec(),
+    )
+    .solve()
+    .ok()
+    .map(|s| s.active_fraction)
 }
 
 fn monolithic_af(p: &PipelineSpec, tau0: f64, d: f64) -> Option<f64> {
@@ -93,9 +97,9 @@ fn claim_fig4_win_regions() {
     // portion of the arrival rate/deadline parameter space", with the
     // advantage "at least 0.4 in absolute terms" for fast arrivals with
     // slack; monolithic dominates for slow arrivals and little slack.
-    let p = blast();
+    let p = Topology::chain(&blast());
     let (tau0s, ds) = RtParams::paper_grid(10, 10);
-    let r = sweep(&p, &tau0s, &ds, &SweepConfig::paper_blast()).unwrap();
+    let r = sweep(&p, &tau0s, &ds, &SweepConfig::paper_blast(), None).unwrap();
     assert!(
         r.enforced_win_fraction() > 0.6,
         "{}",
@@ -142,7 +146,7 @@ fn claim_asymptotic_n_fold_advantage() {
     let m = analysis::monolithic_limit_active_fraction(&p, &params);
     assert!((m / e - p.len() as f64).abs() < 1e-9);
     // The optimizer actually attains the enforced limit.
-    let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     assert!((sched.active_fraction - e).abs() / e < 1e-6);
@@ -159,7 +163,7 @@ fn claim_infeasible_below_min_deadline() {
     let p = blast();
     for tau0 in [1.0, 10.0, 100.0] {
         let params = RtParams::new(tau0, 1.5e4).unwrap();
-        let e = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec()).solve();
+        let e = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec()).solve();
         assert!(e.is_err(), "enforced feasible at D=1.5e4, tau0={tau0}?");
     }
 }

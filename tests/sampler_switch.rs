@@ -50,8 +50,8 @@ fn blast_latency_and_activity_keep_their_distribution() {
     let p = rtsdf::blast::paper_pipeline();
     let t = Topology::chain(&p);
     let cfg = SweepConfig::paper_blast();
-    let enforced_sched = EnforcedWaitsProblem::new(
-        &p,
+    let enforced_sched = EnforcedProblem::new(
+        &Topology::chain(&p),
         RtParams::new(10.0, DEADLINE).unwrap(),
         cfg.enforced_b.clone(),
     )

@@ -51,7 +51,7 @@ fn paper_backlog_factors_are_low_miss_across_seeds() {
     // slightly weaker version of the same property.
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let report = run_seeds(&SimConfig::quick(10.0, 0, 5_000), 12, None, |c, h| {
@@ -77,11 +77,11 @@ fn optimistic_backlog_factors_miss_more_than_calibrated() {
     // direction of that effect.
     let p = blast();
     let params = RtParams::new(5.0, 4e4).unwrap();
-    let optimistic = EnforcedWaitsProblem::optimistic_backlog(&p);
-    let opt_sched = EnforcedWaitsProblem::new(&p, params, optimistic)
+    let optimistic = EnforcedProblem::optimistic_backlog(&Topology::chain(&p));
+    let opt_sched = EnforcedProblem::new(&Topology::chain(&p), params, optimistic)
         .solve()
         .unwrap();
-    let cal_sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let cal_sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let cfg = SimConfig::quick(5.0, 0, 8_000);
@@ -166,7 +166,7 @@ fn empty_firings_metric_ordering() {
     // The "vacation" accounting never exceeds the charged accounting.
     let p = blast();
     let params = RtParams::new(50.0, 2e5).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let (t, cfg) = (Topology::chain(&p), SimConfig::quick(50.0, 2, 3_000));

@@ -1,7 +1,6 @@
 //! Cross-crate integration: the optimizers, the KKT verifier, and the
 //! queueing-theory estimator working together on the BLAST pipeline.
 
-use rtsdf::core::kkt::verify_kkt;
 use rtsdf::prelude::*;
 use rtsdf::queueing::estimate::{estimate_backlog_factors, EstimateConfig};
 
@@ -13,13 +12,13 @@ fn blast() -> PipelineSpec {
 
 #[test]
 fn both_solvers_agree_and_certify_across_the_grid() {
-    let p = blast();
+    let t = Topology::chain(&blast());
     let (tau0s, ds) = RtParams::paper_grid(5, 4);
     let mut solved = 0;
     for &tau0 in &tau0s {
         for &d in &ds {
             let params = RtParams::new(tau0, d).unwrap();
-            let prob = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec());
+            let prob = EnforcedProblem::new(&t, params, PAPER_B.to_vec());
             let wf = prob.solve();
             let ip = prob.solve_interior_point();
             match (wf, ip) {
@@ -31,7 +30,7 @@ fn both_solvers_agree_and_certify_across_the_grid() {
                         wf.active_fraction,
                         ip.active_fraction
                     );
-                    let kkt = verify_kkt(&prob, &wf.periods, 1e-5);
+                    let kkt = prob.verify_kkt(&wf.periods, 1e-5);
                     assert!(
                         kkt.is_optimal(1e-3),
                         "KKT failure at tau0={tau0} D={d}: {kkt:?}"
@@ -51,10 +50,10 @@ fn both_solvers_agree_and_certify_across_the_grid() {
 fn enforced_waits_schedule_is_reproducible() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let s1 = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let s1 = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
-    let s2 = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let s2 = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     assert_eq!(s1.periods, s2.periods);
@@ -69,7 +68,7 @@ fn queueing_estimates_reasonable_versus_paper_calibration() {
     // that is deadline-bound.
     let p = blast();
     let params = RtParams::new(10.0, 3e4).unwrap();
-    let sched = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let est = estimate_backlog_factors(&p, &sched.periods, params.tau0, &EstimateConfig::default());
@@ -88,12 +87,16 @@ fn monolithic_and_enforced_feasibility_boundaries() {
     // Enforced head-stability limit: x̂_0/v ≈ 2.83 cycles.
     let below = RtParams::new(2.0, 1e9).unwrap();
     let above = RtParams::new(3.0, 1e9).unwrap();
-    assert!(EnforcedWaitsProblem::new(&p, below, PAPER_B.to_vec())
-        .solve()
-        .is_err());
-    assert!(EnforcedWaitsProblem::new(&p, above, PAPER_B.to_vec())
-        .solve()
-        .is_ok());
+    assert!(
+        EnforcedProblem::new(&Topology::chain(&p), below, PAPER_B.to_vec())
+            .solve()
+            .is_err()
+    );
+    assert!(
+        EnforcedProblem::new(&Topology::chain(&p), above, PAPER_B.to_vec())
+            .solve()
+            .is_ok()
+    );
     // Monolithic stability limit: Σ G_i·t_i / v ≈ 7.9 cycles.
     let below = RtParams::new(7.0, 3.5e5).unwrap();
     let above = RtParams::new(9.0, 3.5e5).unwrap();
@@ -127,7 +130,7 @@ fn monolithic_fast_and_exact_agree_across_grid() {
 fn wait_schedules_serialize_roundtrip() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let s = EnforcedWaitsProblem::new(&p, params, PAPER_B.to_vec())
+    let s = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let json = serde_json::to_string(&s).unwrap();

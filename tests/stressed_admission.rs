@@ -21,7 +21,7 @@
 //! `cargo test -p rtsdf --test stressed_admission -- --ignored`.
 
 use rtsdf::apps::logalytics::{synthesize, LogalyticsConfig};
-use rtsdf::core::EnforcedDagProblem;
+use rtsdf::core::EnforcedProblem;
 use rtsdf::engine::obs::{ObsConfig, ObsSink};
 use rtsdf::model::TopologyBuilder;
 use rtsdf::prelude::*;
@@ -104,9 +104,9 @@ fn solve(case: &Case) -> WaitSchedule {
     let b: Vec<f64> = if case.name == "blast" {
         vec![1.0, 3.0, 9.0, 6.0]
     } else {
-        EnforcedDagProblem::optimistic_backlog(&case.topology)
+        EnforcedProblem::optimistic_backlog(&case.topology)
     };
-    EnforcedDagProblem::new(&case.topology, params, b)
+    EnforcedProblem::new(&case.topology, params, b)
         .solve()
         .expect("the recorded operating point is feasible")
 }
