@@ -108,10 +108,10 @@ fn main() {
                 GainModel::Bernoulli { p: 0.8 },
             );
         }
-        let p = b.build().unwrap();
+        let t = Topology::chain(&b.build().unwrap());
         let pr = RtParams::new(10.0, 1e9).unwrap();
-        let ratio = analysis::monolithic_limit_active_fraction(&p, &pr)
-            / analysis::enforced_limit_active_fraction(&p, &pr);
+        let ratio = analysis::monolithic_limit_active_fraction(&t, &pr)
+            / analysis::enforced_limit_active_fraction(&t, &pr);
         rows.push(vec![n.to_string(), format!("{ratio:.2}")]);
     }
     print!(

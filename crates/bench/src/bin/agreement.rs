@@ -9,7 +9,7 @@ use rtsdf::prelude::*;
 use rtsdf::sim::validate::{enforced_agreement, monolithic_agreement};
 
 fn main() {
-    let pipeline = rtsdf::blast::paper_pipeline();
+    let blast = Topology::chain(&rtsdf::blast::paper_pipeline());
     let enforced_points: Vec<RtParams> = [(5.0, 5e4), (10.0, 1e5), (30.0, 2e5), (80.0, 3e5)]
         .iter()
         .map(|&(t, d)| RtParams::new(t, d).unwrap())
@@ -24,14 +24,8 @@ fn main() {
     println!("optimizer-predicted vs simulator-measured active fraction");
     println!();
     for report in [
-        enforced_agreement(
-            &pipeline,
-            &enforced_points,
-            &[1.0, 3.0, 9.0, 6.0],
-            20_000,
-            7,
-        ),
-        monolithic_agreement(&pipeline, &mono_points, 1.0, 1.0, 30_000, 7),
+        enforced_agreement(&blast, &enforced_points, &[1.0, 3.0, 9.0, 6.0], 20_000, 7),
+        monolithic_agreement(&blast, &mono_points, 1.0, 1.0, 30_000, 7),
     ] {
         println!("{}:", report.strategy);
         let rows: Vec<Vec<String>> = report

@@ -15,6 +15,7 @@ use rtsdf::sim::calibration::{calibrate_enforced, CalibrationConfig};
 
 fn main() {
     let pipeline = rtsdf::blast::paper_pipeline();
+    let blast = Topology::chain(&pipeline);
     let points: Vec<RtParams> = [(10.0, 3e4), (10.0, 6e4), (20.0, 1e5)]
         .iter()
         .map(|&(t, d)| RtParams::new(t, d).unwrap())
@@ -27,13 +28,9 @@ fn main() {
         // A schedule must exist before its queues can be analyzed; use
         // the paper's factors for the design, then estimate what the
         // theory would have prescribed.
-        let sched = EnforcedProblem::new(
-            &Topology::chain(&pipeline),
-            *params,
-            vec![1.0, 3.0, 9.0, 6.0],
-        )
-        .solve()
-        .expect("feasible");
+        let sched = EnforcedProblem::new(&blast, *params, vec![1.0, 3.0, 9.0, 6.0])
+            .solve()
+            .expect("feasible");
         let est = estimate_backlog_factors(
             &pipeline,
             &sched.periods,
@@ -64,7 +61,7 @@ fn main() {
     println!();
     println!("empirical calibration on the same points (scaled-down §6.2):");
     let result = calibrate_enforced(
-        &pipeline,
+        &blast,
         &CalibrationConfig {
             seeds_per_point: 12,
             stream_length: 6_000,

@@ -25,7 +25,7 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    let pipeline = rtsdf::blast::paper_pipeline();
+    let blast = Topology::chain(&rtsdf::blast::paper_pipeline());
     // The grid mixes tight deadlines (where optimistic factors fail and
     // escalation has to work) with relaxed ones (where any factors
     // pass) — the paper's calibration likewise had to survive its whole
@@ -70,7 +70,7 @@ fn main() {
     );
     println!();
 
-    let result = calibrate_enforced(&pipeline, &config).unwrap_or_else(|e| {
+    let result = calibrate_enforced(&blast, &config).unwrap_or_else(|e| {
         eprintln!("calibration failed: {e}");
         std::process::exit(1);
     });

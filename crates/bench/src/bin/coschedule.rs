@@ -15,14 +15,14 @@ use rtsdf::core::coschedule::{admit, max_replicas, Workload};
 use rtsdf::prelude::*;
 
 fn main() {
-    let blast = rtsdf::blast::paper_pipeline();
+    let blast = Topology::chain(&rtsdf::blast::paper_pipeline());
     let b = vec![1.0, 3.0, 9.0, 6.0];
 
     println!("replicas of the BLAST pipeline admissible on one device (tau0 = 30):");
     let mut rows = Vec::new();
     for d in [3e4, 5e4, 1e5, 2e5, 3.5e5] {
         let w = Workload {
-            pipeline: &blast,
+            topology: &blast,
             params: RtParams::new(30.0, d).unwrap(),
             b: b.clone(),
         };
@@ -49,17 +49,17 @@ fn main() {
     };
     let workloads = [
         Workload {
-            pipeline: &blast,
+            topology: &blast,
             params: RtParams::new(30.0, 2e5).unwrap(),
             b: b.clone(),
         },
         Workload {
-            pipeline: &gamma_p,
+            topology: &Topology::chain(&gamma_p),
             params: RtParams::new(40.0, 8e4).unwrap(),
             b: mk_b(&gamma_p),
         },
         Workload {
-            pipeline: &ids_p,
+            topology: &Topology::chain(&ids_p),
             params: RtParams::new(60.0, 1e5).unwrap(),
             b: mk_b(&ids_p),
         },

@@ -14,7 +14,7 @@ use rtsdf::core::flexible::{with_service_times, FlexibleSharesProblem};
 use rtsdf::prelude::*;
 
 fn main() {
-    let p = rtsdf::blast::paper_pipeline();
+    let p = Topology::chain(&rtsdf::blast::paper_pipeline());
     let b = vec![1.0, 3.0, 9.0, 6.0];
     let tau0 = 10.0;
 
@@ -69,7 +69,6 @@ fn main() {
         latency_bound: sched.latency_bound,
         telemetry: None,
     };
-    let realized = Topology::chain(&realized);
     let report = run_seeds(&SimConfig::quick(tau0, 0, 10_000), 10, None, |c, h| {
         enforced::simulate(&realized, &wait_schedule, d, c, h)
     })

@@ -7,9 +7,10 @@
 //! ```
 
 use rtsdf::core::frontier::{enforced_min_tau0, frontier, monolithic_min_tau0_asymptote};
+use rtsdf::model::Topology;
 
 fn main() {
-    let p = rtsdf::blast::paper_pipeline();
+    let p = Topology::chain(&rtsdf::blast::paper_pipeline());
     let b = [1.0, 3.0, 9.0, 6.0];
 
     println!("arrival-rate limits (smallest sustainable tau0):");

@@ -74,7 +74,7 @@ fn main() {
     // The quick config simulates with periodic arrivals by default; the
     // calibration loop itself is arrival-agnostic, so we emulate the
     // Poisson study by bumping the targets through direct simulation:
-    let result = calibrate_enforced(&p, &config).unwrap_or_else(|e| {
+    let result = calibrate_enforced(&t, &config).unwrap_or_else(|e| {
         eprintln!("calibration failed: {e}");
         std::process::exit(1);
     });

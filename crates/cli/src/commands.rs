@@ -169,8 +169,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             strategy,
             json,
         } => {
-            let p = load_pipeline(&pipeline)?;
-            let t = Topology::chain(&p);
+            let t = Topology::chain(&load_pipeline(&pipeline)?);
             let params = params(tau0, deadline)?;
             let b = backlog(&t, b)?;
             let mut report = serde_json::Map::new();
@@ -197,7 +196,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 }
             }
             if matches!(strategy, Strategy::Monolithic | Strategy::All) {
-                match MonolithicProblem::new(&p, params, 1.0, 1.0).solve_fast() {
+                match MonolithicProblem::new(&t, params, 1.0, 1.0).solve_fast() {
                     Ok(s) => {
                         if !json {
                             writeln!(
@@ -217,7 +216,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 }
             }
             if matches!(strategy, Strategy::Flexible | Strategy::All) {
-                match FlexibleSharesProblem::new(&p, params, b).solve() {
+                match FlexibleSharesProblem::new(&t, params, b).solve() {
                     Ok(s) => {
                         if !json {
                             writeln!(
@@ -437,15 +436,14 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             window,
             width,
         } => {
-            let p = load_pipeline(&pipeline)?;
-            let t = Topology::chain(&p);
+            let t = Topology::chain(&load_pipeline(&pipeline)?);
             let params = params(tau0, deadline)?;
             let b = backlog(&t, b)?;
             let sched = EnforcedProblem::new(&t, params, b)
                 .solve()
                 .map_err(|e| CommandError::Params(e.to_string()))?;
             let cfg = SimConfig::quick(tau0, 0, 2_000);
-            let tl = rtsdf::sim::timeline::record_timeline(&p, &sched, deadline, &cfg, window)?;
+            let tl = rtsdf::sim::timeline::record_timeline(&t, &sched, deadline, &cfg, window)?;
             writeln!(
                 out,
                 "firing timeline ('#' = busy, '.' = waiting; active fraction {:.3})",
@@ -866,7 +864,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             seeds,
             items,
         } => {
-            let p = load_pipeline(&pipeline)?;
+            let t = Topology::chain(&load_pipeline(&pipeline)?);
             let grid: Result<Vec<RtParams>, _> = points
                 .iter()
                 .map(|&(t, d)| RtParams::new(t, d).map_err(|e| CommandError::Params(e.to_string())))
@@ -876,7 +874,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
                 stream_length: items,
                 ..CalibrationConfig::quick(grid?)
             };
-            let result = calibrate_enforced(&p, &config)?;
+            let result = calibrate_enforced(&t, &config)?;
             for (i, round) in result.rounds.iter().enumerate() {
                 writeln!(
                     out,

@@ -169,9 +169,28 @@ impl SweepConfig {
 
 /// Optimize both strategies at one operating point: a one-cell row of
 /// the sweep kernel.
-pub fn compare_at(topology: &Topology, params: RtParams, config: &SweepConfig) -> CellResult {
+///
+/// # Errors
+/// [`ScheduleError::InvalidParams`] for a configuration [`sweep`] would
+/// reject: `monolithic_b` or `monolithic_s` not finite and `≥ 1`, or
+/// `enforced_b` without one positive, finite factor per node.
+pub fn compare_at(
+    topology: &Topology,
+    params: RtParams,
+    config: &SweepConfig,
+) -> Result<CellResult, ScheduleError> {
+    validate(topology.len(), &[params.tau0], &[params.deadline], config)?;
     let chain = topology.as_chain();
-    one_cell(Model::of(topology, chain.as_ref()), params, config)
+    // A one-cell row on an empty table: the block-size search builds its
+    // own.
+    let kernel = Kernel {
+        model: Model::of(topology, chain.as_ref()),
+        config,
+        table: &BlockTable::default(),
+    };
+    let mut cells = Vec::with_capacity(1);
+    kernel.row(params.tau0, &[params.deadline], &mut cells, || {});
+    Ok(cells.pop().expect("one deadline, one cell"))
 }
 
 /// The model a sweep solves: a chain, whose enforced half takes the
@@ -315,20 +334,6 @@ impl Kernel<'_> {
         let done = Instant::now();
         (enforced_done - started, done - enforced_done)
     }
-}
-
-/// [`compare_at`]: a one-cell row on an empty table, so the block-size
-/// search builds its own.
-fn one_cell(model: Model, params: RtParams, config: &SweepConfig) -> CellResult {
-    let table = BlockTable::default();
-    let kernel = Kernel {
-        model,
-        config,
-        table: &table,
-    };
-    let mut cells = Vec::with_capacity(1);
-    kernel.row(params.tau0, &[params.deadline], &mut cells, || {});
-    cells.pop().expect("one deadline, one cell")
 }
 
 /// One [`BlockTable`] for every cell of `tau0s × deadlines`: each row's
@@ -604,7 +609,7 @@ mod tests {
         // for this pipeline is τ0 ≈ Σ G_i·t_i / v ≈ 7.9 cycles.)
         let t = Topology::chain(&blast());
         let params = RtParams::new(10.0, 3.5e5).unwrap();
-        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast()).unwrap();
         let diff = cell.difference().expect("both feasible");
         assert!(
             diff > 0.4,
@@ -619,7 +624,7 @@ mod tests {
         // τ0 ≈ 2.83 (the head-stability limit x̂_0/v).
         let t = Topology::chain(&blast());
         let params = RtParams::new(4.0, 3.5e5).unwrap();
-        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast()).unwrap();
         assert!(
             cell.enforced.is_some() && cell.monolithic.is_none(),
             "{cell:?}"
@@ -634,7 +639,7 @@ mod tests {
         // monolithic block still amortizes ~180 items per block).
         let t = Topology::chain(&blast());
         let params = RtParams::new(100.0, 2.4e4).unwrap();
-        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast()).unwrap();
         let diff = cell.difference().expect("both feasible");
         assert!(
             diff < -0.4,
@@ -689,7 +694,7 @@ mod tests {
             assert_eq!(swept.cells.len(), tau0s.len() * ds.len());
             for cell in swept.cells {
                 let params = RtParams::new(cell.tau0, cell.deadline).unwrap();
-                let own = compare_at(&p, params, &cfg);
+                let own = compare_at(&p, params, &cfg).unwrap();
                 assert_eq!(printed(cell), printed(own));
             }
         }
@@ -824,10 +829,40 @@ mod tests {
     }
 
     #[test]
+    fn compare_at_rejects_sub_unit_monolithic_b() {
+        // Used to panic in `MonolithicProblem::new`.
+        let cfg = SweepConfig {
+            monolithic_b: 0.5,
+            ..SweepConfig::paper_blast()
+        };
+        let params = RtParams::new(10.0, 3.5e5).unwrap();
+        let bad = compare_at(&Topology::chain(&blast()), params, &cfg);
+        assert!(
+            matches!(bad, Err(ScheduleError::InvalidParams(_))),
+            "{bad:?}"
+        );
+    }
+
+    #[test]
+    fn compare_at_rejects_short_enforced_b() {
+        // Used to answer `enforced: None`, as if the cell were infeasible.
+        let cfg = SweepConfig {
+            enforced_b: vec![1.0, 3.0],
+            ..SweepConfig::paper_blast()
+        };
+        let params = RtParams::new(10.0, 3.5e5).unwrap();
+        let bad = compare_at(&Topology::chain(&blast()), params, &cfg);
+        assert!(
+            matches!(bad, Err(ScheduleError::InvalidParams(_))),
+            "{bad:?}"
+        );
+    }
+
+    #[test]
     fn feasible_cells_carry_solver_telemetry() {
         let t = Topology::chain(&blast());
         let params = RtParams::new(10.0, 3.5e5).unwrap();
-        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast()).unwrap();
         let et = cell.enforced_telemetry.expect("enforced telemetry");
         assert!(et.iterations > 0, "{et:?}");
         let mt = cell.monolithic_telemetry.expect("monolithic telemetry");
@@ -840,7 +875,7 @@ mod tests {
         // τ0 = 1 is infeasible for monolithic (stability) — the paper's
         // fastest arrival rate is near the feasibility edge.
         let params = RtParams::new(1.0, 3.5e5).unwrap();
-        let cell = compare_at(&t, params, &SweepConfig::paper_blast());
+        let cell = compare_at(&t, params, &SweepConfig::paper_blast()).unwrap();
         assert!(cell.monolithic.is_none());
     }
 
@@ -911,7 +946,7 @@ mod tests {
             let per_cell: Vec<String> = tau0s
                 .iter()
                 .flat_map(|&tau0| ds.iter().map(move |&d| RtParams::new(tau0, d).unwrap()))
-                .map(|params| printed(compare_at(&chain, params, &config)))
+                .map(|params| printed(compare_at(&chain, params, &config).unwrap()))
                 .collect();
             let printed_all = |cells: Vec<CellResult>| cells.into_iter().map(printed).collect::<Vec<_>>();
             let swept = sweep(&chain, &tau0s, &ds, &config, None).unwrap().cells;

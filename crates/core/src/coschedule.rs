@@ -21,14 +21,14 @@
 
 use crate::flexible::{FlexibleSchedule, FlexibleSharesProblem};
 use crate::schedule::ScheduleError;
-use dataflow_model::{PipelineSpec, RtParams};
+use dataflow_model::{RtParams, Topology};
 use serde::{Deserialize, Serialize};
 
-/// One pipeline's co-scheduling request.
+/// One dataflow's co-scheduling request.
 #[derive(Debug, Clone)]
 pub struct Workload<'a> {
-    /// The pipeline.
-    pub pipeline: &'a PipelineSpec,
+    /// The dataflow (a chain is [`Topology::chain`]).
+    pub topology: &'a Topology,
     /// Its operating point.
     pub params: RtParams,
     /// Its backlog factors.
@@ -96,7 +96,7 @@ pub fn admit(workloads: &[Workload<'_>]) -> Result<CoSchedule, AdmissionError> {
     let mut admitted = Vec::with_capacity(workloads.len());
     let mut total = 0.0;
     for (index, w) in workloads.iter().enumerate() {
-        let schedule = FlexibleSharesProblem::new(w.pipeline, w.params, w.b.clone())
+        let schedule = FlexibleSharesProblem::new(w.topology, w.params, w.b.clone())
             .solve()
             .map_err(|e: ScheduleError| AdmissionError::WorkloadInfeasible {
                 index,
@@ -118,7 +118,7 @@ pub fn admit(workloads: &[Workload<'_>]) -> Result<CoSchedule, AdmissionError> {
 /// Admission control: the largest number of identical replicas of
 /// `workload` that fit on one device.
 pub fn max_replicas(workload: &Workload<'_>) -> Result<usize, AdmissionError> {
-    let single = FlexibleSharesProblem::new(workload.pipeline, workload.params, workload.b.clone())
+    let single = FlexibleSharesProblem::new(workload.topology, workload.params, workload.b.clone())
         .solve()
         .map_err(|e| AdmissionError::WorkloadInfeasible {
             index: 0,
@@ -133,11 +133,11 @@ pub fn max_replicas(workload: &Workload<'_>) -> Result<usize, AdmissionError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::blast;
+    use crate::fixtures::blast_chain as blast;
 
-    fn workload(p: &PipelineSpec, tau0: f64, d: f64) -> Workload<'_> {
+    fn workload(p: &Topology, tau0: f64, d: f64) -> Workload<'_> {
         Workload {
-            pipeline: p,
+            topology: p,
             params: RtParams::new(tau0, d).unwrap(),
             b: vec![1.0, 3.0, 9.0, 6.0],
         }

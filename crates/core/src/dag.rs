@@ -32,7 +32,7 @@ use crate::kkt::{certify, KktReport};
 use crate::price::{exact_price, seed_mu};
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, SolveTelemetry};
-use dataflow_model::analysis::topology_enforced_active_fraction;
+use dataflow_model::analysis::enforced_active_fraction;
 use dataflow_model::{RtParams, Topology};
 use obs_trace::{SpanSink, Track};
 use solver::linear::ConstraintSet;
@@ -128,7 +128,7 @@ impl<'a> EnforcedProblem<'a> {
             .zip(&t)
             .map(|(&x, &ti)| (x - ti).max(0.0))
             .collect();
-        let active_fraction = topology_enforced_active_fraction(self.topology, &periods);
+        let active_fraction = enforced_active_fraction(self.topology, &periods);
         let latency_bound = periods.iter().zip(&self.b).map(|(&x, &bi)| bi * x).sum();
         WaitSchedule {
             waits,

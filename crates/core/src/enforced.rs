@@ -692,7 +692,8 @@ mod tests {
             );
         }
         // And the active fraction equals the analytic limit.
-        let limit = dataflow_model::analysis::enforced_limit_active_fraction(&p, &params);
+        let limit =
+            dataflow_model::analysis::enforced_limit_active_fraction(&Topology::chain(&p), &params);
         assert!((s.active_fraction - limit).abs() < 1e-9);
     }
 

@@ -26,10 +26,10 @@
 //! `x_i ≥ N·c_i` binds, i.e. at tight deadlines with skewed service
 //! times (BLAST's alignment stage is 10× its seeding stage).
 
-use crate::enforced::ChainProblem;
+use crate::enforced::EnforcedProblem;
 use crate::feasibility::FeasibilityError;
 use crate::schedule::ScheduleError;
-use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
+use dataflow_model::{NodeSpec, RtParams, Topology};
 use serde::{Deserialize, Serialize};
 
 /// A flexible-share schedule: periods, the shares realizing them, and
@@ -54,17 +54,17 @@ pub struct FlexibleSchedule {
 /// The flexible-shares design problem.
 #[derive(Debug, Clone)]
 pub struct FlexibleSharesProblem<'a> {
-    pipeline: &'a PipelineSpec,
+    topology: &'a Topology,
     params: RtParams,
     b: Vec<f64>,
 }
 
 impl<'a> FlexibleSharesProblem<'a> {
-    /// Construct from a pipeline whose service times are the paper's
+    /// Construct from a topology whose service times are the paper's
     /// equal-share `t_i` (so raw device cycles are `c_i = t_i / N`).
-    pub fn new(pipeline: &'a PipelineSpec, params: RtParams, b: Vec<f64>) -> Self {
+    pub fn new(topology: &'a Topology, params: RtParams, b: Vec<f64>) -> Self {
         FlexibleSharesProblem {
-            pipeline,
+            topology,
             params,
             b,
         }
@@ -72,8 +72,8 @@ impl<'a> FlexibleSharesProblem<'a> {
 
     /// Raw per-firing device cycles `c_i = t_i / N`.
     pub fn raw_cycles(&self) -> Vec<f64> {
-        let n = self.pipeline.len() as f64;
-        self.pipeline
+        let n = self.topology.len() as f64;
+        self.topology
             .service_times()
             .iter()
             .map(|t| t / n)
@@ -82,13 +82,13 @@ impl<'a> FlexibleSharesProblem<'a> {
 
     /// Solve the flexible-share program.
     ///
-    /// Internally this builds a *relaxed pipeline* whose service times
+    /// Internally this builds a *relaxed topology* whose service times
     /// are a tiny ε (removing the per-node floors) and reuses the
-    /// Fig.-1 water-filling solver; the resulting minimal utilization
-    /// decides feasibility.
+    /// Fig.-1 solver ([`EnforcedProblem`]); the resulting minimal
+    /// utilization decides feasibility.
     pub fn solve(&self) -> Result<FlexibleSchedule, ScheduleError> {
         let c = self.raw_cycles();
-        let n = self.pipeline.len();
+        let n = self.topology.len();
         if self.b.len() != n || self.b.iter().any(|&bi| bi <= 0.0 || bi.is_nan()) {
             return Err(ScheduleError::Infeasible(
                 FeasibilityError::BadBacklogFactors {
@@ -97,24 +97,18 @@ impl<'a> FlexibleSharesProblem<'a> {
             ));
         }
 
-        // Relaxed pipeline: floors shrunk to ε of the raw cost, gains
-        // unchanged. The Fig.-1 solver then optimizes the same objective
-        // shape (Σ (t_i/N)/x_i with t_i = N·ε·c_i ∝ c_i) over the same
-        // chain/head/deadline constraints.
+        // Relaxed topology: floors shrunk to ε of the raw cost, gains
+        // and edges unchanged. The Fig.-1 solver then optimizes the same
+        // objective shape (Σ (t_i/N)/x_i with t_i = N·ε·c_i ∝ c_i) over
+        // the same edge/head/deadline constraints.
         let eps = 1e-6;
-        let mut builder = PipelineSpecBuilder::new(self.pipeline.vector_width());
-        for (node, &ci) in self.pipeline.nodes().iter().zip(&c) {
-            builder = builder.stage(
-                node.name.clone(),
-                (ci * eps).max(f64::MIN_POSITIVE),
-                node.gain.clone(),
-            );
-        }
-        let relaxed = builder
-            .build()
-            .map_err(|e| ScheduleError::Solver(format!("relaxed pipeline: {e}")))?;
+        let relaxed: Vec<f64> = c
+            .iter()
+            .map(|&ci| (ci * eps).max(f64::MIN_POSITIVE))
+            .collect();
+        let relaxed = with_service_times(self.topology, &relaxed);
 
-        let sched = ChainProblem::new(&relaxed, self.params, self.b.clone()).solve()?;
+        let sched = EnforcedProblem::new(&relaxed, self.params, self.b.clone()).solve()?;
 
         // Evaluate the *true* utilization at the optimized periods.
         let utilization: f64 = c.iter().zip(&sched.periods).map(|(&ci, &xi)| ci / xi).sum();
@@ -149,37 +143,32 @@ impl<'a> FlexibleSharesProblem<'a> {
     /// The equal-share (paper) baseline at the same operating point, for
     /// comparison.
     pub fn equal_share_baseline(&self) -> Result<f64, ScheduleError> {
-        ChainProblem::new(self.pipeline, self.params, self.b.clone())
+        EnforcedProblem::new(self.topology, self.params, self.b.clone())
             .solve()
             .map(|s| s.active_fraction)
     }
 }
 
-/// Convenience: the pipeline with gains preserved but service times
-/// replaced, used by tests and experiments.
-pub fn with_service_times(p: &PipelineSpec, times: &[f64]) -> PipelineSpec {
-    assert_eq!(times.len(), p.len());
-    let mut b = PipelineSpecBuilder::new(p.vector_width());
-    for (node, &t) in p.nodes().iter().zip(times) {
-        b = b.stage(node.name.clone(), t, node.gain.clone());
-    }
-    b.build().expect("times validated by caller")
-}
-
-/// A convenience constructor used in docs/tests: a pipeline with the
-/// given service times and all-deterministic unit gains.
-pub fn uniform_pipeline(times: &[f64], v: u32) -> PipelineSpec {
-    let mut b = PipelineSpecBuilder::new(v);
-    for (i, &t) in times.iter().enumerate() {
-        b = b.stage(format!("s{i}"), t, GainModel::Deterministic { k: 1 });
-    }
-    b.build().expect("valid")
+/// The topology with nodes, gains and edges preserved but service
+/// times replaced, e.g. by a flexible schedule's realized
+/// [`FlexibleSchedule::service_times`].
+///
+/// # Panics
+/// Panics unless `times` holds one positive, finite service time per
+/// node.
+pub fn with_service_times(topology: &Topology, times: &[f64]) -> Topology {
+    assert_eq!(times.len(), topology.len());
+    let nodes = (topology.nodes().iter().zip(times))
+        .map(|(node, &t)| NodeSpec::new(node.name.clone(), t, node.gain.clone()))
+        .collect();
+    Topology::new(nodes, topology.edges().to_vec(), topology.vector_width())
+        .expect("times validated by caller")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::blast;
+    use crate::fixtures::blast_chain as blast;
 
     const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 
@@ -275,10 +264,11 @@ mod tests {
 
     #[test]
     fn helpers_build_pipelines() {
-        let p = uniform_pipeline(&[10.0, 20.0], 8);
-        assert_eq!(p.len(), 2);
-        let q = with_service_times(&p, &[5.0, 7.0]);
-        assert_eq!(q.service_times(), vec![5.0, 7.0]);
-        assert_eq!(q.vector_width(), 8);
+        let p = blast();
+        let q = with_service_times(&p, &[5.0, 7.0, 9.0, 11.0]);
+        assert_eq!(q.service_times(), vec![5.0, 7.0, 9.0, 11.0]);
+        assert_eq!(q.vector_width(), 128);
+        assert_eq!(q.edges(), p.edges());
+        assert_eq!(q.total_gains(), p.total_gains());
     }
 }

@@ -13,42 +13,38 @@
 //!   is `min_M { b·M·τ0 + S·T̄(M) : T̄(M) ≤ M·τ0 }`. The bound increases
 //!   with `M`, so the minimum is at the smallest stable `M`.
 
-use crate::feasibility::minimal_periods_of;
-use dataflow_model::analysis::{monolithic_block_time, monolithic_latency_bound};
-use dataflow_model::{PipelineSpec, RtParams};
+use crate::feasibility::minimal_periods;
+use dataflow_model::analysis::{block_time, stability_floor};
+use dataflow_model::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Smallest inter-arrival time the enforced-waits strategy can sustain
-/// (any deadline): `x̂_0 / v`.
-pub fn enforced_min_tau0(pipeline: &PipelineSpec) -> f64 {
-    minimal_periods_of(&pipeline.service_times(), &pipeline.mean_gains())[0]
-        / pipeline.vector_width() as f64
+/// (any deadline): `x̂_source / v`.
+pub fn enforced_min_tau0(topology: &Topology) -> f64 {
+    minimal_periods(topology)[topology.source()] / topology.vector_width() as f64
 }
 
 /// Smallest deadline the enforced-waits strategy can meet at `tau0`
-/// with factors `b`, or `None` if the arrival rate itself is
-/// unsustainable.
-pub fn enforced_min_deadline(pipeline: &PipelineSpec, b: &[f64], tau0: f64) -> Option<f64> {
-    assert_eq!(b.len(), pipeline.len());
-    if tau0 < enforced_min_tau0(pipeline) {
+/// with node-indexed factors `b`, or `None` if the arrival rate itself
+/// is unsustainable.
+pub fn enforced_min_deadline(topology: &Topology, b: &[f64], tau0: f64) -> Option<f64> {
+    assert_eq!(b.len(), topology.len());
+    if tau0 < enforced_min_tau0(topology) {
         return None;
     }
-    let xmin = minimal_periods_of(&pipeline.service_times(), &pipeline.mean_gains());
+    let xmin = minimal_periods(topology);
     Some(xmin.iter().zip(b).map(|(&x, &bi)| bi * x).sum())
 }
 
-/// Asymptotic monolithic arrival-rate limit: `Σ G_i·t_i / v` (the
-/// per-item processing cost at perfect vector packing). Finite block
-/// sizes are slightly worse due to ceilings.
-pub fn monolithic_min_tau0_asymptote(pipeline: &PipelineSpec) -> f64 {
-    let v = pipeline.vector_width() as f64;
-    pipeline
-        .nodes()
-        .iter()
-        .zip(pipeline.total_gains())
-        .map(|(n, g)| n.service_time * g)
-        .sum::<f64>()
-        / v
+/// Asymptotic monolithic arrival-rate limit: the stability floor
+/// `Σ G_i·t_i / v` (the per-item processing cost at perfect vector
+/// packing). Finite block sizes are slightly worse due to ceilings.
+pub fn monolithic_min_tau0_asymptote(topology: &Topology) -> f64 {
+    stability_floor(
+        topology.vector_width(),
+        &topology.service_times(),
+        &topology.total_gains(),
+    )
 }
 
 /// Smallest deadline the monolithic strategy can meet at `tau0` with
@@ -56,16 +52,18 @@ pub fn monolithic_min_tau0_asymptote(pipeline: &PipelineSpec) -> f64 {
 /// The latency bound is increasing in `M`, so this is the bound at the
 /// first stable `M`.
 pub fn monolithic_min_deadline(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     b: f64,
     s: f64,
     tau0: f64,
     m_cap: u64,
 ) -> Option<f64> {
-    let params = RtParams::new(tau0, f64::MAX / 4.0).expect("placeholder deadline");
-    (1..=m_cap)
-        .find(|&m| monolithic_block_time(pipeline, m) <= m as f64 * tau0)
-        .map(|m| monolithic_latency_bound(pipeline, &params, m, b, s))
+    let v = topology.vector_width();
+    let (t, totals) = (topology.service_times(), topology.total_gains());
+    (1..=m_cap).find_map(|m| {
+        let block = block_time(v, &t, &totals, m);
+        (block <= m as f64 * tau0).then_some(b * m as f64 * tau0 + s * block)
+    })
 }
 
 /// A frontier sample: at inter-arrival `tau0`, the minimum feasible
@@ -82,7 +80,7 @@ pub struct FrontierPoint {
 
 /// Sample both frontiers over the given τ0 values.
 pub fn frontier(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     enforced_b: &[f64],
     mono_b: f64,
     mono_s: f64,
@@ -92,8 +90,8 @@ pub fn frontier(
         .iter()
         .map(|&tau0| FrontierPoint {
             tau0,
-            enforced: enforced_min_deadline(pipeline, enforced_b, tau0),
-            monolithic: monolithic_min_deadline(pipeline, mono_b, mono_s, tau0, 100_000),
+            enforced: enforced_min_deadline(topology, enforced_b, tau0),
+            monolithic: monolithic_min_deadline(topology, mono_b, mono_s, tau0, 100_000),
         })
         .collect()
 }
@@ -101,9 +99,10 @@ pub fn frontier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enforced::ChainProblem;
-    use crate::fixtures::blast;
+    use crate::fixtures::blast_chain as blast;
     use crate::monolithic::MonolithicProblem;
+    use crate::EnforcedProblem;
+    use dataflow_model::RtParams;
 
     const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 
@@ -121,7 +120,7 @@ mod tests {
         let tau0 = 10.0;
         let d_min = enforced_min_deadline(&p, &PAPER_B, tau0).unwrap();
         let solve = |d: f64| {
-            ChainProblem::new(&p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec()).solve()
+            EnforcedProblem::new(&p, RtParams::new(tau0, d).unwrap(), PAPER_B.to_vec()).solve()
         };
         assert!(solve(d_min + 1.0).is_ok());
         assert!(solve(d_min - 1.0).is_err());

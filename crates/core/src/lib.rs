@@ -32,7 +32,14 @@
 //! [`comparison::compare_at`]), [`feasibility`] provides the shared
 //! schedulability analysis (which operating points admit any schedule
 //! at all), and [`policy`] re-solves a schedule online when observed
-//! backlogs outgrow its design ([`escalate_schedule`]).
+//! backlogs outgrow its design ([`escalate_schedule`]). The extensions
+//! take the same `Topology`: [`frontier`] (the feasible region's
+//! boundary), [`flexible`] (per-node processor shares) and
+//! [`coschedule`] (admitting several dataflows onto one device). The
+//! only public entry points that still take a `PipelineSpec` are
+//! [`MonolithicProblem::new`] and [`BlockTable::covering`], through
+//! `impl BlockModel for PipelineSpec`, and the hidden forwards kept for
+//! the `rtbench/` harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

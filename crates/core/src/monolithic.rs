@@ -33,7 +33,8 @@
 //!   terms are, in floating point too), so the deadline-feasible block
 //!   sizes are a prefix `[1, M_D]`; a binary search finds `M_D`, inside
 //!   the bracket that `M·F ≤ T̄(M) ≤ M·F + Σ t_i` gives for the stability
-//!   floor `F = Σ t_i·G_i/v` (both ends checked exactly).
+//!   floor `F = Σ t_i·G_i/v` ([`stability_floor`]; both ends checked
+//!   exactly).
 //! * `T̄(M)` only changes where some `⌈M·G_i/v⌉` steps up, after the
 //!   breakpoints `M = ⌊k·v/G_i⌋`. Between two breakpoints `T̄` is
 //!   constant, so the objective `ρ0·T̄/M` strictly falls and stability
@@ -96,7 +97,7 @@
 use crate::feasibility::FeasibilityError;
 use crate::schedule::ScheduleError;
 use crate::telemetry::{timed, CellTelemetry, SolveTelemetry};
-use dataflow_model::analysis::{block_time, vectors};
+use dataflow_model::analysis::{block_time, stability_floor, vectors};
 use dataflow_model::{PipelineSpec, RtParams, Topology};
 use serde::{Deserialize, Serialize};
 use solver::integer::{minimize_scan, IntOpt};
@@ -276,12 +277,7 @@ impl MonolithicProblem {
         assert!(b.is_finite() && b >= 1.0, "queue multiplier b must be >= 1");
         assert!(s.is_finite() && s >= 1.0, "worst-case scale S must be >= 1");
         let (vector_width, service_times, totals) = model.block_model();
-        let floor = service_times
-            .iter()
-            .zip(&totals)
-            .map(|(t, g)| t * g)
-            .sum::<f64>()
-            / vector_width as f64;
+        let floor = stability_floor(vector_width, &service_times, &totals);
         MonolithicProblem {
             vector_width,
             service_times,

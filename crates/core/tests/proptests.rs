@@ -671,7 +671,7 @@ proptest! {
         let seq: Vec<CellResult> = tau0s
             .iter()
             .flat_map(|&tau0| deadlines.iter().map(move |&d| RtParams::new(tau0, d).unwrap()))
-            .map(|params| compare_at(&t, params, &config))
+            .map(|params| compare_at(&t, params, &config).expect("valid config"))
             .collect();
         let par = sweep(&t, &tau0s, &deadlines, &config, None).expect("valid grid");
         assert_sweeps_identical(&seq, &par.cells)?;

@@ -1,8 +1,13 @@
 //! Closed-form performance algebra for both scheduling strategies.
 //!
 //! These are the formulas of §4 (enforced waits) and §5 (monolithic
-//! batching) of the paper. The optimizers in `rtsdf-core` build on them,
-//! and the simulator's measurements are validated against them.
+//! batching) of the paper, stated on a [`Topology`]; a chain is
+//! [`Topology::chain`]. Arrival rates propagate per edge: fan-out splits
+//! a node's output flow across its out-edges, fan-in sums the flows of a
+//! node's in-edges ([`Topology::total_gains`]), and on a chain `G_i` is
+//! the paper's prefix product `Π_{j<i} g_j`, bit for bit. The optimizers
+//! in `rtsdf-core` build on these formulas, and the simulator's
+//! measurements are validated against them.
 //!
 //! A relationship worth noting (and tested below): in the limit of
 //! unlimited deadline slack, the enforced-waits active fraction tends to
@@ -12,27 +17,26 @@
 //! paper's Figure 4 for the N = 4 BLAST pipeline.
 
 use crate::params::RtParams;
-use crate::pipeline::PipelineSpec;
 use crate::topology::Topology;
 
 /// Active fraction of the enforced-waits schedule with firing periods
-/// `x_i = t_i + w_i` (paper §4.1):
+/// `x_i = t_i + w_i` (paper §4.1), node-indexed:
 ///
 /// ```text
 /// T(w) = (1/N) Σ t_i / x_i
 /// ```
 ///
 /// # Panics
-/// Panics if `periods.len()` differs from the pipeline length or any
-/// period is not positive.
-pub fn enforced_active_fraction(pipeline: &PipelineSpec, periods: &[f64]) -> f64 {
+/// Panics if `periods.len()` differs from the node count or any period
+/// is not positive.
+pub fn enforced_active_fraction(topology: &Topology, periods: &[f64]) -> f64 {
     assert_eq!(
         periods.len(),
-        pipeline.len(),
+        topology.len(),
         "period vector length mismatch"
     );
-    let n = pipeline.len() as f64;
-    pipeline
+    let n = topology.len() as f64;
+    topology
         .nodes()
         .iter()
         .zip(periods)
@@ -45,17 +49,16 @@ pub fn enforced_active_fraction(pipeline: &PipelineSpec, periods: &[f64]) -> f64
 }
 
 /// Upper bounds `U_i` on each firing period implied by the stability
-/// constraints alone (paper §4.2):
-///
-/// * `x_0 ≤ v·τ0` — the head must keep up with arrivals;
-/// * `x_i ≤ x_{i-1} / g_{i-1}` — each node must keep up with its
-///   predecessor, which chains to `x_i ≤ v·τ0 / G_i`.
+/// constraints alone (paper §4.2): node `i` sees `G_i` items per stream
+/// input, so `x_i ≤ v·τ0 / G_i`. On a chain this is the head bound
+/// `x_0 ≤ v·τ0` and the per-edge bound `x_i ≤ x_{i-1} / g_{i-1}`
+/// chained; at a DAG fan-in `G_i` sums the branch flows.
 ///
 /// Nodes whose total input gain `G_i` is zero (some upstream gain is
 /// exactly 0, so they see no traffic in the mean) get `f64::INFINITY`.
-pub fn period_upper_bounds(pipeline: &PipelineSpec, params: &RtParams) -> Vec<f64> {
-    let v = pipeline.vector_width() as f64;
-    pipeline
+pub fn period_upper_bounds(topology: &Topology, params: &RtParams) -> Vec<f64> {
+    let v = topology.vector_width() as f64;
+    topology
         .total_gains()
         .iter()
         .map(|&g_total| {
@@ -69,13 +72,15 @@ pub fn period_upper_bounds(pipeline: &PipelineSpec, params: &RtParams) -> Vec<f6
 }
 
 /// The smallest deadline any enforced-waits schedule can satisfy given
-/// backlog factors `b`: `Σ b_i · t_i` (attained by `w_i = 0`).
+/// node-indexed backlog factors `b`: `Σ b_i · t_i` (attained by
+/// `w_i = 0`). Conservative on a DAG: it charges every node once, so it
+/// bounds the longest path by the sum over all nodes.
 ///
 /// # Panics
 /// Panics on a length mismatch.
-pub fn min_feasible_deadline(pipeline: &PipelineSpec, b: &[f64]) -> f64 {
-    assert_eq!(b.len(), pipeline.len(), "backlog factor length mismatch");
-    pipeline
+pub fn min_feasible_deadline(topology: &Topology, b: &[f64]) -> f64 {
+    assert_eq!(b.len(), topology.len(), "backlog factor length mismatch");
+    topology
         .nodes()
         .iter()
         .zip(b)
@@ -84,10 +89,12 @@ pub fn min_feasible_deadline(pipeline: &PipelineSpec, b: &[f64]) -> f64 {
 }
 
 /// Worst-case queueing latency bound for an enforced-waits schedule
-/// (left side of the paper's deadline constraint): `Σ b_i·(t_i+w_i)`.
-pub fn enforced_latency_bound(pipeline: &PipelineSpec, periods: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(periods.len(), pipeline.len());
-    assert_eq!(b.len(), pipeline.len());
+/// (left side of the paper's deadline constraint): `Σ b_i·x_i` over all
+/// nodes (every root-to-sink path of a DAG is a subset of the node set,
+/// so the sum bounds the longest path).
+pub fn enforced_latency_bound(topology: &Topology, periods: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(periods.len(), topology.len());
+    assert_eq!(b.len(), topology.len());
     periods.iter().zip(b).map(|(&x, &bi)| bi * x).sum()
 }
 
@@ -98,8 +105,7 @@ pub fn enforced_latency_bound(pipeline: &PipelineSpec, periods: &[f64], b: &[f64
 /// T̄(M) = Σ_i ⌈M·G_i / v⌉ · t_i
 /// ```
 ///
-/// behind [`monolithic_block_time`] and
-/// [`topology_monolithic_block_time`]. Solvers that evaluate many `M`
+/// behind [`monolithic_block_time`]. Solvers that evaluate many `M`
 /// hoist the two slices and call this directly.
 pub fn block_time(vector_width: u32, service_times: &[f64], totals: &[f64], m: u64) -> f64 {
     let v = vector_width as f64;
@@ -108,6 +114,18 @@ pub fn block_time(vector_width: u32, service_times: &[f64], totals: &[f64], m: u
         .zip(totals)
         .map(|(&t, &g_total)| vectors(m, g_total, v) * t)
         .sum()
+}
+
+/// The monolithic stability floor `Σ t_i·G_i / v`, on the same slices
+/// as [`block_time`]: the per-input cost at perfect vector packing.
+/// `T̄(M) ≥ M·F` for every `M`, so no block size is stable at `τ0 < F`.
+pub fn stability_floor(vector_width: u32, service_times: &[f64], totals: &[f64]) -> f64 {
+    service_times
+        .iter()
+        .zip(totals)
+        .map(|(t, g)| t * g)
+        .sum::<f64>()
+        / vector_width as f64
 }
 
 /// Node `i`'s vector count in a block of `m` inputs, `⌈m·G_i/v⌉`, by the
@@ -134,52 +152,54 @@ pub fn ceil(x: f64) -> f64 {
     }
 }
 
-/// Average time for the monolithic pipeline to consume a block of `M`
-/// inputs (paper §5.1): `T̄(M) = Σ_i ⌈M·G_i / v⌉ · t_i`.
-pub fn monolithic_block_time(pipeline: &PipelineSpec, m: u64) -> f64 {
+/// Average time for the monolithic runtime to consume a block of `M`
+/// inputs (paper §5.1): `T̄(M) = Σ_i ⌈M·G_i / v⌉ · t_i`. The block
+/// visits nodes in topological order on the single shared device, so a
+/// DAG takes the chain's per-node vector-count formula.
+pub fn monolithic_block_time(topology: &Topology, m: u64) -> f64 {
     block_time(
-        pipeline.vector_width(),
-        &pipeline.service_times(),
-        &pipeline.total_gains(),
+        topology.vector_width(),
+        &topology.service_times(),
+        &topology.total_gains(),
         m,
     )
 }
 
 /// Average-case active fraction of the monolithic strategy at block size
 /// `M`: `ρ0·T̄(M)/M`.
-pub fn monolithic_active_fraction(pipeline: &PipelineSpec, params: &RtParams, m: u64) -> f64 {
+pub fn monolithic_active_fraction(topology: &Topology, params: &RtParams, m: u64) -> f64 {
     assert!(m > 0, "block size must be positive");
-    params.rho0() * monolithic_block_time(pipeline, m) / m as f64
+    params.rho0() * monolithic_block_time(topology, m) / m as f64
 }
 
-/// Stability check for the monolithic strategy: the pipeline must finish
+/// Stability check for the monolithic strategy: the dataflow must finish
 /// a block before the next one finishes accumulating, `T̄(M) ≤ M·τ0`.
-pub fn monolithic_stable(pipeline: &PipelineSpec, params: &RtParams, m: u64) -> bool {
-    monolithic_block_time(pipeline, m) <= m as f64 * params.tau0
+pub fn monolithic_stable(topology: &Topology, params: &RtParams, m: u64) -> bool {
+    monolithic_block_time(topology, m) <= m as f64 * params.tau0
 }
 
 /// Worst-case response bound for the monolithic strategy with queue
 /// multiplier `b` and worst-case scale `S` (paper Fig. 2 constraint):
 /// `b·M·τ0 + S·T̄(M)`.
 pub fn monolithic_latency_bound(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     params: &RtParams,
     m: u64,
     b: f64,
     s: f64,
 ) -> f64 {
-    b * m as f64 * params.tau0 + s * monolithic_block_time(pipeline, m)
+    b * m as f64 * params.tau0 + s * monolithic_block_time(topology, m)
 }
 
 /// Limit of the monolithic active fraction as `M → ∞`:
 /// `(ρ0/v)·Σ t_i·G_i`. The monolithic strategy cannot do better than
 /// this no matter how much deadline slack is available — the
 /// "diminishing returns" behaviour visible in the paper's Figure 3.
-pub fn monolithic_limit_active_fraction(pipeline: &PipelineSpec, params: &RtParams) -> f64 {
-    let v = pipeline.vector_width() as f64;
-    let totals = pipeline.total_gains();
+pub fn monolithic_limit_active_fraction(topology: &Topology, params: &RtParams) -> f64 {
+    let v = topology.vector_width() as f64;
+    let totals = topology.total_gains();
     params.rho0() / v
-        * pipeline
+        * topology
             .nodes()
             .iter()
             .zip(&totals)
@@ -190,125 +210,8 @@ pub fn monolithic_limit_active_fraction(pipeline: &PipelineSpec, params: &RtPara
 /// Limit of the enforced-waits active fraction as `D → ∞` (all periods
 /// at their stability bounds `U_i`): `(ρ0/v)·Σ t_i·G_i / N` — a factor
 /// `N` below the monolithic limit.
-pub fn enforced_limit_active_fraction(pipeline: &PipelineSpec, params: &RtParams) -> f64 {
-    monolithic_limit_active_fraction(pipeline, params) / pipeline.len() as f64
-}
-
-// ---------------------------------------------------------------------------
-// DAG generalizations. Arrival rates propagate per edge: fan-out splits
-// a node's output flow across its out-edges, fan-in sums the flows of a
-// node's in-edges ([`Topology::total_gains`]). On a chain topology each
-// function below reproduces its `PipelineSpec` counterpart bit-for-bit.
-// ---------------------------------------------------------------------------
-
-/// Active fraction of an enforced-waits schedule on a DAG with firing
-/// periods `x_i`: `(1/N) Σ t_i / x_i`, node-indexed.
-///
-/// # Panics
-/// Panics if `periods.len()` differs from the node count or any period
-/// is not positive.
-pub fn topology_enforced_active_fraction(topology: &Topology, periods: &[f64]) -> f64 {
-    assert_eq!(
-        periods.len(),
-        topology.len(),
-        "period vector length mismatch"
-    );
-    let n = topology.len() as f64;
-    topology
-        .nodes()
-        .iter()
-        .zip(periods)
-        .map(|(node, &x)| {
-            assert!(x > 0.0, "firing period must be positive, got {x}");
-            node.service_time / x
-        })
-        .sum::<f64>()
-        / n
-}
-
-/// Upper bounds `U_i` on each firing period implied by per-edge
-/// stability alone: node `i` sees `G_i` items per stream input (fan-in
-/// summed, fan-out split), so `x_i ≤ v·τ0 / G_i`. Nodes with zero mean
-/// traffic get `f64::INFINITY`.
-pub fn topology_period_upper_bounds(topology: &Topology, params: &RtParams) -> Vec<f64> {
-    let v = topology.vector_width() as f64;
-    topology
-        .total_gains()
-        .iter()
-        .map(|&g_total| {
-            if g_total <= 0.0 {
-                f64::INFINITY
-            } else {
-                v * params.tau0 / g_total
-            }
-        })
-        .collect()
-}
-
-/// The smallest deadline any enforced-waits schedule on the DAG can
-/// satisfy given node-indexed backlog factors `b`: `Σ b_i · t_i`.
-/// Conservative for DAGs: it charges every node once, i.e. the longest
-/// path through the DAG is bounded by the sum over all nodes.
-///
-/// # Panics
-/// Panics on a length mismatch.
-pub fn topology_min_feasible_deadline(topology: &Topology, b: &[f64]) -> f64 {
-    assert_eq!(b.len(), topology.len(), "backlog factor length mismatch");
-    topology
-        .nodes()
-        .iter()
-        .zip(b)
-        .map(|(node, &bi)| bi * node.service_time)
-        .sum()
-}
-
-/// Worst-case queueing latency bound for an enforced-waits schedule on
-/// the DAG: `Σ b_i·x_i` over all nodes (every root-to-sink path is a
-/// subset of the node set, so the sum bounds the longest path).
-pub fn topology_enforced_latency_bound(topology: &Topology, periods: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(periods.len(), topology.len());
-    assert_eq!(b.len(), topology.len());
-    periods.iter().zip(b).map(|(&x, &bi)| bi * x).sum()
-}
-
-/// Average time for the monolithic runtime to push a block of `M`
-/// inputs through the DAG: `T̄(M) = Σ_i ⌈M·G_i / v⌉ · t_i`, where `G_i`
-/// is node `i`'s mean items per stream input (fan-in summed, fan-out
-/// split by routing weight). The block visits nodes in topological
-/// order on the single shared device, so the same per-node vector-count
-/// formula as the chain applies.
-pub fn topology_monolithic_block_time(topology: &Topology, m: u64) -> f64 {
-    block_time(
-        topology.vector_width(),
-        &topology.service_times(),
-        &topology.total_gains(),
-        m,
-    )
-}
-
-/// Average-case active fraction of the monolithic strategy on the DAG at
-/// block size `M`: `ρ0·T̄(M)/M`.
-pub fn topology_monolithic_active_fraction(topology: &Topology, params: &RtParams, m: u64) -> f64 {
-    assert!(m > 0, "block size must be positive");
-    params.rho0() * topology_monolithic_block_time(topology, m) / m as f64
-}
-
-/// Stability check for the monolithic strategy on the DAG:
-/// `T̄(M) ≤ M·τ0`.
-pub fn topology_monolithic_stable(topology: &Topology, params: &RtParams, m: u64) -> bool {
-    topology_monolithic_block_time(topology, m) <= m as f64 * params.tau0
-}
-
-/// Worst-case response bound for the monolithic strategy on the DAG:
-/// `b·M·τ0 + S·T̄(M)`.
-pub fn topology_monolithic_latency_bound(
-    topology: &Topology,
-    params: &RtParams,
-    m: u64,
-    b: f64,
-    s: f64,
-) -> f64 {
-    b * m as f64 * params.tau0 + s * topology_monolithic_block_time(topology, m)
+pub fn enforced_limit_active_fraction(topology: &Topology, params: &RtParams) -> f64 {
+    monolithic_limit_active_fraction(topology, params) / topology.len() as f64
 }
 
 #[cfg(test)]
@@ -316,22 +219,25 @@ mod tests {
     use super::*;
     use crate::gain::GainModel;
     use crate::pipeline::PipelineSpecBuilder;
+    use crate::topology::TopologyBuilder;
 
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
-            .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
-            .stage(
-                "s1",
-                955.0,
-                GainModel::CensoredPoisson {
-                    mean: 1.920,
-                    cap: 16,
-                },
-            )
-            .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
-            .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap()
+    fn blast() -> Topology {
+        Topology::chain(
+            &PipelineSpecBuilder::new(128)
+                .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
+                .stage(
+                    "s1",
+                    955.0,
+                    GainModel::CensoredPoisson {
+                        mean: 1.920,
+                        cap: 16,
+                    },
+                )
+                .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
+                .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
+                .build()
+                .unwrap(),
+        )
     }
 
     fn rt(tau0: f64, d: f64) -> RtParams {
@@ -384,7 +290,7 @@ mod tests {
             .stage("b", 1.0, GainModel::Deterministic { k: 1 })
             .build()
             .unwrap();
-        let u = period_upper_bounds(&p, &rt(1.0, 100.0));
+        let u = period_upper_bounds(&Topology::chain(&p), &rt(1.0, 100.0));
         assert!(u[0].is_finite());
         assert!(u[1].is_infinite());
     }
@@ -538,51 +444,26 @@ mod tests {
     }
 
     #[test]
-    fn topology_chain_analysis_bit_matches_pipeline_analysis() {
+    fn stability_floor_is_the_per_input_block_cost_limit() {
         let p = blast();
-        let t = Topology::chain(&p);
-        let params = rt(10.0, 1e5);
-        let x = [300.0, 1000.0, 450.0, 2800.0];
-        let b = [1.0, 3.0, 9.0, 6.0];
-        assert_eq!(
-            topology_enforced_active_fraction(&t, &x),
-            enforced_active_fraction(&p, &x)
-        );
-        assert_eq!(
-            topology_period_upper_bounds(&t, &params),
-            period_upper_bounds(&p, &params)
-        );
-        assert_eq!(
-            topology_min_feasible_deadline(&t, &b),
-            min_feasible_deadline(&p, &b)
-        );
-        assert_eq!(
-            topology_enforced_latency_bound(&t, &x, &b),
-            enforced_latency_bound(&p, &x, &b)
-        );
-        for m in [1, 64, 128, 256, 4096] {
-            assert_eq!(
-                topology_monolithic_block_time(&t, m),
-                monolithic_block_time(&p, m)
-            );
-            assert_eq!(
-                topology_monolithic_active_fraction(&t, &params, m),
-                monolithic_active_fraction(&p, &params, m)
-            );
-            assert_eq!(
-                topology_monolithic_stable(&t, &params, m),
-                monolithic_stable(&p, &params, m)
-            );
-            assert_eq!(
-                topology_monolithic_latency_bound(&t, &params, m, 1.0, 1.5),
-                monolithic_latency_bound(&p, &params, m, 1.0, 1.5)
-            );
+        let (t, g) = (p.service_times(), p.total_gains());
+        let floor = stability_floor(p.vector_width(), &t, &g);
+        // ≈ 7.9 cycles per input for BLAST; T̄(M) ≥ M·F at every M, and
+        // T̄(M)/M tends to F.
+        assert!((floor - 7.9).abs() < 0.1, "{floor}");
+        for m in [1, 64, 128, 4096, 1 << 20] {
+            assert!(block_time(p.vector_width(), &t, &g, m) >= m as f64 * floor);
         }
+        let per_input = block_time(p.vector_width(), &t, &g, 1 << 20) / (1 << 20) as f64;
+        assert!((per_input - floor) / floor < 1e-3);
+        // The monolithic limit is ρ0 times the floor.
+        let params = rt(10.0, 1e5);
+        let limit = monolithic_limit_active_fraction(&p, &params);
+        assert!((limit - params.rho0() * floor).abs() < 1e-12);
     }
 
     #[test]
     fn topology_period_bounds_account_for_fan_in_sums() {
-        use crate::topology::TopologyBuilder;
         // parse → {filter, enrich} → join: join's traffic is the SUM of
         // both branch flows, so its period bound is tighter than either
         // branch alone would imply.
@@ -598,7 +479,7 @@ mod tests {
             .build()
             .unwrap();
         let params = rt(10.0, 1e5);
-        let u = topology_period_upper_bounds(&t, &params);
+        let u = period_upper_bounds(&t, &params);
         let g = t.total_gains();
         // join sees 0.5·1 + 0.5·2 = 1.5 items per input.
         assert!((g[3] - 1.5).abs() < 1e-15);
@@ -609,7 +490,6 @@ mod tests {
 
     #[test]
     fn per_edge_flow_balance_holds() {
-        use crate::topology::TopologyBuilder;
         let t = TopologyBuilder::new(64)
             .node("a", 10.0)
             .node("b", 10.0)

@@ -4,7 +4,10 @@
 //! *Enabling Real-Time Irregular Data-Flow Pipelines on SIMD Devices*
 //! (Plano & Buhler, SRMPDS '21):
 //!
-//! * a pipeline of `N` nodes connected by queues ([`pipeline::PipelineSpec`]);
+//! * a pipeline of `N` nodes connected by queues ([`pipeline::PipelineSpec`]),
+//!   generalized to a DAG of nodes with per-edge gains and routing weights
+//!   ([`topology::Topology`], with [`topology::Topology::chain`] for a
+//!   pipeline);
 //! * each node consumes up to a SIMD vector of `v` items per firing, at a
 //!   fixed service time `t_i` regardless of how full the vector is
 //!   ([`node::NodeSpec`]);
@@ -15,7 +18,8 @@
 //!   pipeline within a deadline `D` ([`params::RtParams`]);
 //! * the performance objective is the **active fraction** — the share of
 //!   its allocated processor time the application spends firing nodes
-//!   ([`analysis`]).
+//!   ([`analysis`], whose closed forms take a `Topology`; a pipeline is
+//!   its chain).
 //!
 //! The crate is purely a *model*: closed-form algebra and distributions.
 //! The optimizers live in `rtsdf-core`, and the discrete-event execution

@@ -1,7 +1,7 @@
 //! Property-based tests for the application model.
 
 use dataflow_model::analysis::*;
-use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
+use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,6 +60,12 @@ fn pipeline() -> impl Strategy<Value = PipelineSpec> {
         })
 }
 
+/// Strategy: [`pipeline`] as a chain topology, the model the analysis
+/// formulas take.
+fn chain() -> impl Strategy<Value = Topology> {
+    pipeline().prop_map(|p| Topology::chain(&p))
+}
+
 proptest! {
     #[test]
     fn total_gains_are_prefix_products(p in pipeline()) {
@@ -74,7 +80,7 @@ proptest! {
     }
 
     #[test]
-    fn active_fraction_bounds_and_monotonicity(p in pipeline(), scale in 1.0..50.0f64) {
+    fn active_fraction_bounds_and_monotonicity(p in chain(), scale in 1.0..50.0f64) {
         let t = p.service_times();
         // x = t → fraction exactly 1; scaling periods up reduces it.
         prop_assert!((enforced_active_fraction(&p, &t) - 1.0).abs() < 1e-12);
@@ -85,7 +91,7 @@ proptest! {
     }
 
     #[test]
-    fn block_time_bounds(p in pipeline(), m in 1u64..10_000) {
+    fn block_time_bounds(p in chain(), m in 1u64..10_000) {
         // Lower bound: no ceilings; upper bound: each ceiling adds < 1.
         let v = p.vector_width() as f64;
         let totals = p.total_gains();
@@ -98,12 +104,12 @@ proptest! {
     }
 
     #[test]
-    fn block_time_is_nondecreasing_in_m(p in pipeline(), m in 1u64..5_000) {
+    fn block_time_is_nondecreasing_in_m(p in chain(), m in 1u64..5_000) {
         prop_assert!(monolithic_block_time(&p, m + 1) >= monolithic_block_time(&p, m) - 1e-9);
     }
 
     #[test]
-    fn period_bounds_scale_linearly_with_tau0(p in pipeline(), tau0 in 1.0..100.0f64) {
+    fn period_bounds_scale_linearly_with_tau0(p in chain(), tau0 in 1.0..100.0f64) {
         let a = period_upper_bounds(&p, &RtParams::new(tau0, 1e5).unwrap());
         let b = period_upper_bounds(&p, &RtParams::new(2.0 * tau0, 1e5).unwrap());
         for (x, y) in a.iter().zip(&b) {
@@ -116,7 +122,7 @@ proptest! {
     }
 
     #[test]
-    fn limits_relationship_holds_generally(p in pipeline(), tau0 in 1.0..100.0f64) {
+    fn limits_relationship_holds_generally(p in chain(), tau0 in 1.0..100.0f64) {
         let params = RtParams::new(tau0, 1e6).unwrap();
         let e = enforced_limit_active_fraction(&p, &params);
         let m = monolithic_limit_active_fraction(&p, &params);
@@ -196,7 +202,7 @@ proptest! {
     }
 
     #[test]
-    fn min_feasible_deadline_is_a_true_lower_bound(p in pipeline(), b_raw in prop::collection::vec(1.0..8.0f64, 6)) {
+    fn min_feasible_deadline_is_a_true_lower_bound(p in chain(), b_raw in prop::collection::vec(1.0..8.0f64, 6)) {
         let b = &b_raw[..p.len()];
         let min_d = min_feasible_deadline(&p, b);
         // Any period vector with x >= t has at least this latency bound.

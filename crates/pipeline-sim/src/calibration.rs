@@ -19,7 +19,7 @@ use crate::config::SimConfig;
 use crate::enforced;
 use crate::hooks::SimError;
 use crate::runner::{run_jobs, seed_configs, split_reports};
-use dataflow_model::{PipelineSpec, RtParams, Topology};
+use dataflow_model::{RtParams, Topology};
 use rtsdf_core::{EnforcedProblem, WaitSchedule};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -127,16 +127,15 @@ impl std::error::Error for CalibrationError {}
 /// point feasible at its factors, and [`CalibrationError::Sim`] if a
 /// seeded run rejects its input.
 pub fn calibrate_enforced(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     config: &CalibrationConfig,
 ) -> Result<CalibrationResult, CalibrationError> {
     if config.grid.is_empty() {
         return Err(CalibrationError::EmptyGrid);
     }
     let workers = rtsdf_core::worker_threads();
-    let n = pipeline.len();
-    let topology = Topology::chain(pipeline);
-    let mut b = EnforcedProblem::optimistic_backlog(&topology);
+    let n = topology.len();
+    let mut b = EnforcedProblem::optimistic_backlog(topology);
     let mut rounds = Vec::new();
     // Set once an escalation clamps a factor to `b_cap`: one more
     // evaluation round runs at the capped factors, then the loop stops.
@@ -150,7 +149,7 @@ pub fn calibrate_enforced(
         let mut iter_points = 0u64;
         let mut points: Vec<(RtParams, WaitSchedule)> = Vec::new();
         for params in &config.grid {
-            let prob = EnforcedProblem::new(&topology, *params, b.clone());
+            let prob = EnforcedProblem::new(topology, *params, b.clone());
             let Ok(sched) = prob.solve() else {
                 continue; // infeasible at these factors: skip
             };
@@ -170,7 +169,7 @@ pub fn calibrate_enforced(
         }
         let runs = run_jobs(&jobs, workers, None, |(k, c), h| {
             let (params, sched) = &points[*k];
-            enforced::simulate(&topology, sched, params.deadline, c, h)
+            enforced::simulate(topology, sched, params.deadline, c, h)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
@@ -258,8 +257,8 @@ mod tests {
     use crate::runner::run_seeds;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
 
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
+    fn blast() -> Topology {
+        let p = PipelineSpecBuilder::new(128)
             .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
             .stage(
                 "s1",
@@ -272,7 +271,8 @@ mod tests {
             .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
             .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
             .build()
-            .unwrap()
+            .unwrap();
+        Topology::chain(&p)
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
         assert!(result.converged, "history: {:?}", result.rounds);
         assert_eq!(result.b.len(), 4);
         // Factors should start optimistic and only grow.
-        let optimistic = EnforcedProblem::optimistic_backlog(&Topology::chain(&p));
+        let optimistic = EnforcedProblem::optimistic_backlog(&p);
         for (bi, oi) in result.b.iter().zip(&optimistic) {
             assert!(bi >= oi);
         }
@@ -301,14 +301,13 @@ mod tests {
         let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid.clone())).unwrap();
         assert!(result.converged);
         // Validate on seeds the calibration never saw.
-        let t = Topology::chain(&p);
-        let sched = EnforcedProblem::new(&t, grid[0], result.b.clone())
+        let sched = EnforcedProblem::new(&p, grid[0], result.b.clone())
             .solve()
             .unwrap();
         let mut cfg = SimConfig::quick(10.0, 0, 3_000);
         cfg.seed = 10_000;
         let report = run_seeds(&cfg, 6, None, |c, h| {
-            enforced::simulate(&t, &sched, 1e5, c, h)
+            enforced::simulate(&p, &sched, 1e5, c, h)
         })
         .unwrap();
         assert!(
@@ -336,7 +335,7 @@ mod tests {
         assert_eq!(
             err,
             CalibrationError::NoFeasiblePoint {
-                b: EnforcedProblem::optimistic_backlog(&Topology::chain(&p))
+                b: EnforcedProblem::optimistic_backlog(&p)
             }
         );
     }
@@ -387,10 +386,7 @@ mod tests {
         assert_eq!(result.rounds.len(), 1);
         assert_eq!(result.b, result.rounds[0].b);
         if !result.converged {
-            assert_eq!(
-                result.b,
-                EnforcedProblem::optimistic_backlog(&Topology::chain(&p))
-            );
+            assert_eq!(result.b, EnforcedProblem::optimistic_backlog(&p));
         }
     }
 }

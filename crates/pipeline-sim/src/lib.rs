@@ -12,10 +12,11 @@
 //!   counterpart of the backlog factors `b_i`).
 //!
 //! Each strategy has one entry point over a [`dataflow_model::Topology`]
-//! (a chain is [`dataflow_model::Topology::chain`]), and every optional
-//! layer of a run — aggregate observability, causal span tracing, live
-//! metrics, fault injection — rides in one [`Hooks`] bundle. Bad input
-//! is a typed [`SimError`], not a panic:
+//! (a chain is [`dataflow_model::Topology::chain`]); the tools built on
+//! them ([`calibration`], [`validate`], [`timeline`]) take the same
+//! `Topology`. Every optional layer of a run — aggregate observability,
+//! causal span tracing, live metrics, fault injection — rides in one
+//! [`Hooks`] bundle. Bad input is a typed [`SimError`], not a panic:
 //!
 //! ```
 //! use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
@@ -63,6 +64,11 @@
 //! * [`robustness`] — perturbation-intensity sweeps: degradation curves
 //!   and the robustness margin of each strategy.
 //! * [`validate`] — optimizer-vs-simulator agreement checks.
+//! * [`timeline`] — per-firing Gantt timelines of an enforced schedule.
+//!
+//! Outside the frozen [`reference`](mod@reference) oracles and the
+//! hidden forwards kept for the `rtbench/` harness, no public item takes
+//! a `PipelineSpec`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

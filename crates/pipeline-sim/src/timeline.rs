@@ -11,7 +11,7 @@
 use crate::config::SimConfig;
 use crate::enforced;
 use crate::hooks::{Hooks, SimError};
-use dataflow_model::{PipelineSpec, Topology};
+use dataflow_model::Topology;
 use rtsdf_core::WaitSchedule;
 use serde::{Deserialize, Serialize};
 
@@ -65,7 +65,7 @@ impl Timeline {
 /// [`SimError::ScheduleLength`] if the schedule does not fit the
 /// pipeline.
 pub fn record_timeline(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     schedule: &WaitSchedule,
     deadline: f64,
     config: &SimConfig,
@@ -79,14 +79,13 @@ pub fn record_timeline(
     // per-node occupancy *distribution* is the meaningful content, so we
     // replay the deterministic firing grid and attach measured mean
     // occupancy per node.
-    let topology = Topology::chain(pipeline);
-    let metrics = enforced::simulate(&topology, schedule, deadline, config, Hooks::default())?;
-    let service = pipeline.service_times();
+    let metrics = enforced::simulate(topology, schedule, deadline, config, Hooks::default())?;
+    let service = topology.service_times();
     let mut firings = Vec::new();
     for (node, &svc) in service.iter().enumerate() {
         let period = schedule.periods[node].round().max(svc.round());
         let mean_items =
-            (metrics.occupancy[node].mean_occupancy() * pipeline.vector_width() as f64).round();
+            (metrics.occupancy[node].mean_occupancy() * topology.vector_width() as f64).round();
         let mut t = 0.0;
         while t < horizon_cycles {
             firings.push(Firing {
@@ -100,8 +99,8 @@ pub fn record_timeline(
     }
     firings.sort_by(|a, b| a.start.total_cmp(&b.start));
     Ok(Timeline {
-        nodes: pipeline.len(),
-        vector_width: pipeline.vector_width(),
+        nodes: topology.len(),
+        vector_width: topology.vector_width(),
         firings,
         horizon: horizon_cycles,
     })
@@ -138,14 +137,16 @@ mod tests {
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams};
     use rtsdf_core::EnforcedProblem;
 
-    fn setup() -> (PipelineSpec, WaitSchedule) {
-        let p = PipelineSpecBuilder::new(16)
-            .stage("a", 100.0, GainModel::Deterministic { k: 1 })
-            .stage("b", 200.0, GainModel::Deterministic { k: 1 })
-            .build()
-            .unwrap();
+    fn setup() -> (Topology, WaitSchedule) {
+        let p = Topology::chain(
+            &PipelineSpecBuilder::new(16)
+                .stage("a", 100.0, GainModel::Deterministic { k: 1 })
+                .stage("b", 200.0, GainModel::Deterministic { k: 1 })
+                .build()
+                .unwrap(),
+        );
         let params = RtParams::new(20.0, 5e4).unwrap();
-        let s = EnforcedProblem::new(&Topology::chain(&p), params, vec![1.0, 1.0])
+        let s = EnforcedProblem::new(&p, params, vec![1.0, 1.0])
             .solve()
             .unwrap();
         (p, s)

@@ -5,7 +5,7 @@
 use crate::config::SimConfig;
 use crate::hooks::Hooks;
 use crate::{enforced, monolithic};
-use dataflow_model::{PipelineSpec, RtParams, Topology};
+use dataflow_model::{RtParams, Topology};
 use rtsdf_core::{EnforcedProblem, MonolithicProblem};
 use serde::{Deserialize, Serialize};
 
@@ -48,22 +48,21 @@ impl AgreementReport {
 /// Compare predicted and measured active fractions for the
 /// enforced-waits strategy over `points`.
 pub fn enforced_agreement(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     points: &[RtParams],
     b: &[f64],
     stream_length: usize,
     seed: u64,
 ) -> AgreementReport {
-    let topology = Topology::chain(pipeline);
     let mut cells = Vec::new();
     for params in points {
-        let prob = EnforcedProblem::new(&topology, *params, b.to_vec());
+        let prob = EnforcedProblem::new(topology, *params, b.to_vec());
         let Ok(sched) = prob.solve() else {
             continue;
         };
         let cfg = SimConfig::quick(params.tau0, seed, stream_length);
-        let m = enforced::simulate(&topology, &sched, params.deadline, &cfg, Hooks::default())
-            .expect("a schedule solved for the pipeline fits it");
+        let m = enforced::simulate(topology, &sched, params.deadline, &cfg, Hooks::default())
+            .expect("a schedule solved for the topology fits it");
         cells.push(AgreementCell {
             tau0: params.tau0,
             deadline: params.deadline,
@@ -80,22 +79,21 @@ pub fn enforced_agreement(
 /// Compare predicted and measured active fractions for the monolithic
 /// strategy over `points`.
 pub fn monolithic_agreement(
-    pipeline: &PipelineSpec,
+    topology: &Topology,
     points: &[RtParams],
     b: f64,
     s: f64,
     stream_length: usize,
     seed: u64,
 ) -> AgreementReport {
-    let topology = Topology::chain(pipeline);
     let mut cells = Vec::new();
     for params in points {
-        let Ok(sched) = MonolithicProblem::new(pipeline, *params, b, s).solve_fast() else {
+        let Ok(sched) = MonolithicProblem::new(topology, *params, b, s).solve_fast() else {
             continue;
         };
         let cfg = SimConfig::quick(params.tau0, seed, stream_length);
-        let m = monolithic::simulate(&topology, &sched, params.deadline, &cfg, Hooks::default())
-            .expect("a schedule solved for the pipeline fits it");
+        let m = monolithic::simulate(topology, &sched, params.deadline, &cfg, Hooks::default())
+            .expect("a schedule solved for the topology fits it");
         cells.push(AgreementCell {
             tau0: params.tau0,
             deadline: params.deadline,
@@ -114,8 +112,8 @@ mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpecBuilder};
 
-    fn blast() -> PipelineSpec {
-        PipelineSpecBuilder::new(128)
+    fn blast() -> Topology {
+        let p = PipelineSpecBuilder::new(128)
             .stage("s0", 287.0, GainModel::Bernoulli { p: 0.379 })
             .stage(
                 "s1",
@@ -128,7 +126,8 @@ mod tests {
             .stage("s2", 402.0, GainModel::Bernoulli { p: 0.0332 })
             .stage("s3", 2753.0, GainModel::Deterministic { k: 1 })
             .build()
-            .unwrap()
+            .unwrap();
+        Topology::chain(&p)
     }
 
     #[test]

@@ -43,14 +43,14 @@ fn main() {
     }
 
     // ---- §6.2 calibration of the backlog factors ----------------------
-    let pipeline = blast::paper_pipeline();
+    let chain = Topology::chain(&blast::paper_pipeline());
     println!();
     println!("calibrating backlog factors (scaled-down §6.2 methodology)...");
     let grid = vec![
         RtParams::new(5.0, 1e5).unwrap(),
         RtParams::new(20.0, 2e5).unwrap(),
     ];
-    let result = calibrate_enforced(&pipeline, &CalibrationConfig::quick(grid))
+    let result = calibrate_enforced(&chain, &CalibrationConfig::quick(grid))
         .expect("the grid has feasible points");
     println!(
         "  calibrated b = {:?} in {} round(s), converged = {}",
@@ -68,10 +68,10 @@ fn main() {
         "tau0", "D", "enforced", "monolith", "difference"
     );
     let cfg = SweepConfig::paper_blast();
-    let chain = Topology::chain(&pipeline);
     for &tau0 in &[4.0, 10.0, 25.0, 60.0, 100.0] {
         for &d in &[3e4, 1e5, 3.5e5] {
-            let cell = compare_at(&chain, RtParams::new(tau0, d).unwrap(), &cfg);
+            let cell = compare_at(&chain, RtParams::new(tau0, d).unwrap(), &cfg)
+                .expect("the paper's configuration is valid");
             let fmt = |x: Option<f64>| x.map_or("infeas".into(), |v| format!("{v:10.4}"));
             println!(
                 "  {tau0:>6} {d:>9.0} | {} {} {}",

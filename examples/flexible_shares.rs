@@ -16,7 +16,7 @@ use rtsdf::core::frontier::enforced_min_deadline;
 use rtsdf::prelude::*;
 
 fn main() {
-    let pipeline = rtsdf::blast::paper_pipeline();
+    let pipeline = Topology::chain(&rtsdf::blast::paper_pipeline());
     let b = vec![1.0, 3.0, 9.0, 6.0];
     let tau0 = 10.0;
 
@@ -75,7 +75,6 @@ fn main() {
         latency_bound: sched.latency_bound,
         telemetry: None,
     };
-    let realized = Topology::chain(&realized);
     let report = run_seeds(&SimConfig::quick(tau0, 0, 8_000), 8, None, |c, h| {
         enforced::simulate(&realized, &wait_schedule, d, c, h)
     })

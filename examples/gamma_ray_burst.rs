@@ -44,7 +44,8 @@ fn main() {
     // Calibrate backlog factors empirically (§6.2 methodology).
     println!();
     println!("calibrating backlog factors empirically...");
-    let calib = calibrate_enforced(&pipeline, &CalibrationConfig::quick(vec![params]))
+    let topology = Topology::chain(&pipeline);
+    let calib = calibrate_enforced(&topology, &CalibrationConfig::quick(vec![params]))
         .expect("the operating point is feasible");
     println!(
         "  empirical b = {:?} (converged: {})",
@@ -52,7 +53,6 @@ fn main() {
     );
 
     // Schedule with the calibrated factors.
-    let topology = Topology::chain(&pipeline);
     let sched = EnforcedProblem::new(&topology, params, calib.b.clone())
         .solve()
         .expect("feasible");
@@ -96,7 +96,7 @@ fn main() {
 
     // How much processor time did enforced waiting return to the
     // system relative to the monolithic baseline?
-    match MonolithicProblem::new(&pipeline, params, 1.0, 1.0).solve_fast() {
+    match MonolithicProblem::new(&topology, params, 1.0, 1.0).solve_fast() {
         Ok(mono) => println!(
             "  monolithic baseline would occupy {:.4} — enforced waits frees {:+.1}% of the processor",
             mono.active_fraction,

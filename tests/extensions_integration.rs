@@ -5,14 +5,15 @@
 use rtsdf::core::coschedule::{admit, max_replicas, Workload};
 use rtsdf::core::flexible::{with_service_times, FlexibleSharesProblem};
 use rtsdf::core::frontier::{enforced_min_deadline, enforced_min_tau0, monolithic_min_deadline};
+use rtsdf::core::{check_feasibility, FeasibilityError};
 use rtsdf::prelude::*;
 use rtsdf::sim::config::FiringDiscipline;
 use rtsdf::sim::timeline::{record_timeline, render_ascii};
 
 const PAPER_B: [f64; 4] = [1.0, 3.0, 9.0, 6.0];
 
-fn blast() -> PipelineSpec {
-    rtsdf::blast::paper_pipeline()
+fn blast() -> Topology {
+    Topology::chain(&rtsdf::blast::paper_pipeline())
 }
 
 #[test]
@@ -61,7 +62,7 @@ fn coscheduling_composes_with_the_frontier() {
     let tau0 = 10.0;
     let d_min = enforced_min_deadline(&p, &PAPER_B, tau0).unwrap();
     let w = Workload {
-        pipeline: &p,
+        topology: &p,
         params: RtParams::new(tau0, d_min * 1.05).unwrap(),
         b: PAPER_B.to_vec(),
     };
@@ -72,7 +73,7 @@ fn coscheduling_composes_with_the_frontier() {
     );
     // A relaxed workload co-schedules with it if capacity remains.
     let relaxed = Workload {
-        pipeline: &p,
+        topology: &p,
         params: RtParams::new(50.0, 3e5).unwrap(),
         b: PAPER_B.to_vec(),
     };
@@ -97,7 +98,7 @@ fn flexible_schedule_simulates_within_its_deadline() {
         telemetry: None,
     };
     let report = run_seeds(&SimConfig::quick(10.0, 0, 5_000), 8, None, |c, h| {
-        enforced::simulate(&Topology::chain(&realized), &ws, params.deadline, c, h)
+        enforced::simulate(&realized, &ws, params.deadline, c, h)
     })
     .unwrap();
     assert!(
@@ -111,7 +112,7 @@ fn flexible_schedule_simulates_within_its_deadline() {
 fn timeline_reflects_the_optimized_waits() {
     let p = blast();
     let params = RtParams::new(10.0, 1e5).unwrap();
-    let sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&p, params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     let tl = record_timeline(&p, &sched, 1e5, &SimConfig::quick(10.0, 1, 2_000), 30_000.0).unwrap();
@@ -129,8 +130,7 @@ fn timeline_reflects_the_optimized_waits() {
 
 #[test]
 fn vacation_discipline_is_a_pure_win_at_slow_rates() {
-    let p = blast();
-    let t = Topology::chain(&p);
+    let t = blast();
     let params = RtParams::new(80.0, 3e5).unwrap();
     let sched = EnforcedProblem::new(&t, params, PAPER_B.to_vec())
         .solve()
@@ -163,4 +163,61 @@ fn vacation_discipline_is_a_pure_win_at_slow_rates() {
     let sm2 = enforced::simulate(&t, &sched, params.deadline, &strict, Hooks::default()).unwrap();
     let vm2 = enforced::simulate(&t, &sched, params.deadline, &vacation, Hooks::default()).unwrap();
     assert_eq!(sm2.items_completed, vm2.items_completed);
+}
+
+/// The logalytics DAG (fan-out and fan-in) the CI gates run.
+fn logalytics() -> Topology {
+    rtsdf::apps::logalytics::synthesize(&rtsdf::apps::logalytics::LogalyticsConfig::default(), 7)
+        .expect("valid synthesis")
+}
+
+#[test]
+fn enforced_frontier_is_exact_on_a_dag() {
+    // The DAG form of the chain frontier check: just above the analytic
+    // minimum deadline the point is feasible, just below it is not.
+    let t = logalytics();
+    assert!(t.as_chain().is_none(), "logalytics is not a chain");
+    let b = EnforcedProblem::optimistic_backlog(&t);
+    let tau0_min = enforced_min_tau0(&t);
+    for tau0 in [tau0_min, 1.5 * tau0_min, 40.0_f64.max(tau0_min)] {
+        let d_min = enforced_min_deadline(&t, &b, tau0).expect("sustainable rate");
+        let at = |d: f64| check_feasibility(&t, &RtParams::new(tau0, d).unwrap(), &b);
+        assert!(at(d_min * (1.0 + 1e-9)).is_ok(), "tau0={tau0}, d={d_min}");
+        assert!(
+            matches!(
+                at(d_min * (1.0 - 1e-9)),
+                Err(FeasibilityError::DeadlineTooTight { .. })
+            ),
+            "tau0={tau0}, d={d_min}"
+        );
+    }
+    // Below the arrival-rate wall there is no frontier at all.
+    assert!(enforced_min_deadline(&t, &b, tau0_min * 0.99).is_none());
+    assert!(matches!(
+        check_feasibility(&t, &RtParams::new(tau0_min * 0.99, 1e9).unwrap(), &b),
+        Err(FeasibilityError::ArrivalRateTooHigh { .. })
+    ));
+}
+
+#[test]
+fn flexible_shares_never_worse_than_equal_shares_on_a_dag() {
+    let t = logalytics();
+    let b = EnforcedProblem::optimistic_backlog(&t);
+    let tau0 = 40.0;
+    let d_min = enforced_min_deadline(&t, &b, tau0).expect("sustainable rate");
+    for slack in [1.05, 1.5, 3.0, 10.0] {
+        let params = RtParams::new(tau0, d_min * slack).unwrap();
+        let prob = FlexibleSharesProblem::new(&t, params, b.clone());
+        let equal = prob
+            .equal_share_baseline()
+            .expect("feasible above the frontier");
+        let flexible = prob.solve().expect("flexible is feasible where equal is");
+        assert!(
+            flexible.utilization <= equal + 1e-6,
+            "D = {:.0}: flexible {} vs equal {equal}",
+            params.deadline,
+            flexible.utilization
+        );
+        assert!(flexible.shares.iter().sum::<f64>() <= 1.0 + 1e-9);
+    }
 }

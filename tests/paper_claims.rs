@@ -112,7 +112,8 @@ fn claim_fig4_win_regions() {
         &p,
         RtParams::new(100.0, 2.4e4).unwrap(),
         &SweepConfig::paper_blast(),
-    );
+    )
+    .unwrap();
     assert!(corner.difference().unwrap() < -0.4, "{corner:?}");
 }
 
@@ -140,13 +141,13 @@ fn claim_enforced_exploits_deadline_slack_monolithic_cannot() {
 fn claim_asymptotic_n_fold_advantage() {
     // The analytic counterpart of Fig. 3's gap: with unbounded deadline
     // slack, enforced waits approach 1/N of the monolithic limit.
-    let p = blast();
+    let p = Topology::chain(&blast());
     let params = RtParams::new(10.0, 1e12).unwrap();
     let e = analysis::enforced_limit_active_fraction(&p, &params);
     let m = analysis::monolithic_limit_active_fraction(&p, &params);
     assert!((m / e - p.len() as f64).abs() < 1e-9);
     // The optimizer actually attains the enforced limit.
-    let sched = EnforcedProblem::new(&Topology::chain(&p), params, PAPER_B.to_vec())
+    let sched = EnforcedProblem::new(&p, params, PAPER_B.to_vec())
         .solve()
         .unwrap();
     assert!((sched.active_fraction - e).abs() / e < 1e-6);

@@ -16,7 +16,7 @@ fn optimizer_and_simulator_agree_for_both_strategies() {
     // §6.2: "the active fractions measured in the simulator closely
     // matched those predicted by the optimizer for each approach and
     // set of parameters tested."
-    let p = blast();
+    let p = Topology::chain(&blast());
     let points = [
         RtParams::new(10.0, 1e5).unwrap(),
         RtParams::new(30.0, 2e5).unwrap(),
@@ -147,7 +147,7 @@ fn monolithic_nearly_miss_free_at_b1_s1() {
 
 #[test]
 fn calibration_loop_reaches_target_and_beats_start() {
-    let p = blast();
+    let p = Topology::chain(&blast());
     let grid = vec![RtParams::new(8.0, 8e4).unwrap()];
     let result = calibrate_enforced(&p, &CalibrationConfig::quick(grid)).unwrap();
     assert!(result.converged, "{:?}", result.rounds);
