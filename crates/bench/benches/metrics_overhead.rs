@@ -25,10 +25,10 @@
 //! with window-to-window load the way two separate windows did.
 //!
 //! ```text
-//! cargo bench -p bench --bench metrics_overhead -- [--metrics json|csv]
+//! cargo bench -p bench --bench metrics_overhead -- [--metrics json]
 //! ```
 
-use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
+use bench::manifest::RunManifest;
 use rtsdf::prelude::*;
 use rtsdf::sim::SimLiveMetrics;
 use serde_json::json;
@@ -163,81 +163,47 @@ fn main() {
         100.0 * overhead(mono_off, mono_on),
     );
 
-    let Some(format) = metrics else { return };
-    match format {
-        MetricsFormat::Json => {
-            // `items_per_sec` on the disabled paths is the gated key
-            // (Throughput direction); the enabled rates use a
-            // non-gated name on purpose — instrumented throughput is
-            // informational.
-            let results_blob = json!({
-                "items": items,
-                "sim": json!({
-                    "enforced": json!({
-                        "wall_micros": enf_off.min_ns / 1e3,
-                        "mean_wall_micros": enf_off.mean_ns / 1e3,
-                        "items_per_sec": rate(enf_off),
-                        "enabled_wall_micros": enf_on.min_ns / 1e3,
-                        "enabled_rate": rate(enf_on),
-                        "publish_overhead_fraction": overhead(enf_off, enf_on),
-                    }),
-                    "monolithic": json!({
-                        "wall_micros": mono_off.min_ns / 1e3,
-                        "mean_wall_micros": mono_off.mean_ns / 1e3,
-                        "items_per_sec": rate(mono_off),
-                        "enabled_wall_micros": mono_on.min_ns / 1e3,
-                        "enabled_rate": rate(mono_on),
-                        "publish_overhead_fraction": overhead(mono_off, mono_on),
-                    }),
-                }),
-            });
-            let config_blob = json!({
-                "items": items,
-                "enforced_tau0": 10.0,
-                "monolithic_tau0": 50.0,
-                "deadline": 1e5,
-                "seed": 7,
-            });
-            let manifest = RunManifest::new("metrics_overhead", config_blob, results_blob);
-            match manifest.write() {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write manifest: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        MetricsFormat::Csv => {
-            let row = |name: &str, off: Timing, on: Timing| {
-                vec![
-                    name.to_string(),
-                    format!("{:.1}", off.min_ns / 1e3),
-                    format!("{:.1}", on.min_ns / 1e3),
-                    format!("{:.0}", rate(off)),
-                    format!("{:.0}", rate(on)),
-                    format!("{:.6}", overhead(off, on)),
-                ]
-            };
-            let path = write_metrics_csv(
-                "metrics_overhead",
-                &[
-                    "simulator",
-                    "disabled_wall_us",
-                    "enabled_wall_us",
-                    "disabled_items_per_sec",
-                    "enabled_items_per_sec",
-                    "publish_overhead_fraction",
-                ],
-                &[
-                    row("enforced", enf_off, enf_on),
-                    row("monolithic", mono_off, mono_on),
-                ],
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write csv: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("wrote {}", path.display());
+    if !metrics {
+        return;
+    }
+    // `items_per_sec` on the disabled paths is the gated key
+    // (Throughput direction); the enabled rates use a
+    // non-gated name on purpose — instrumented throughput is
+    // informational.
+    let results_blob = json!({
+        "items": items,
+        "sim": json!({
+            "enforced": json!({
+                "wall_micros": enf_off.min_ns / 1e3,
+                "mean_wall_micros": enf_off.mean_ns / 1e3,
+                "items_per_sec": rate(enf_off),
+                "enabled_wall_micros": enf_on.min_ns / 1e3,
+                "enabled_rate": rate(enf_on),
+                "publish_overhead_fraction": overhead(enf_off, enf_on),
+            }),
+            "monolithic": json!({
+                "wall_micros": mono_off.min_ns / 1e3,
+                "mean_wall_micros": mono_off.mean_ns / 1e3,
+                "items_per_sec": rate(mono_off),
+                "enabled_wall_micros": mono_on.min_ns / 1e3,
+                "enabled_rate": rate(mono_on),
+                "publish_overhead_fraction": overhead(mono_off, mono_on),
+            }),
+        }),
+    });
+    let config_blob = json!({
+        "items": items,
+        "enforced_tau0": 10.0,
+        "monolithic_tau0": 50.0,
+        "deadline": 1e5,
+        "seed": 7,
+    });
+    let manifest = RunManifest::new("metrics_overhead", config_blob, results_blob);
+    match manifest.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("cannot write manifest: {e}");
+            std::process::exit(2);
         }
     }
 }

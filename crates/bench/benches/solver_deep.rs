@@ -18,10 +18,10 @@
 //! informational) so CI tracks the trajectory.
 //!
 //! ```text
-//! cargo bench -p bench --bench solver_deep -- [--metrics json|csv]
+//! cargo bench -p bench --bench solver_deep -- [--metrics json]
 //! ```
 
-use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
+use bench::manifest::RunManifest;
 use rtsdf::core::minimal_periods;
 use rtsdf::prelude::*;
 use serde_json::json;
@@ -150,60 +150,36 @@ fn main() {
     let wall_ratio = at(1000).min_wall_micros / at(64).min_wall_micros;
     println!("scaling: min wall N=1000 / N=64 = {wall_ratio:.2}x (gate: <= {MAX_WALL_RATIO}x)");
 
-    if let Some(format) = metrics {
-        match format {
-            MetricsFormat::Json => {
-                let mut depths = serde_json::Map::new();
-                for row in &rows {
-                    depths.insert(
-                        format!("n{}", row.n),
-                        json!({
-                            "wall_micros": row.wall_micros,
-                            "min_wall_micros": row.min_wall_micros,
-                            "iterations": row.iterations,
-                            "active_fraction_value": row.active_fraction,
-                            "kkt_stationarity_residual": row.stationarity,
-                        }),
-                    );
-                }
-                let results_blob = json!({
-                    "depths": depths,
-                    "scaling": json!({
-                        "min_wall_ratio_1000_over_64": wall_ratio,
-                        "max_allowed_wall_ratio": MAX_WALL_RATIO,
-                    }),
-                });
-                let config_blob = json!({
-                    "depths": DEPTHS,
-                    "tau0": 5.0,
-                    "deadline_over_minimum": 2.0,
-                });
-                let path = RunManifest::new("deep", config_blob, results_blob)
-                    .write()
-                    .expect("metrics written");
-                eprintln!("wrote {}", path.display());
-            }
-            MetricsFormat::Csv => {
-                let csv_rows: Vec<Vec<String>> = rows
-                    .iter()
-                    .map(|r| {
-                        vec![
-                            format!("n{}", r.n),
-                            format!("{:.3}", r.wall_micros),
-                            format!("{:.3}", r.min_wall_micros),
-                            r.iterations.to_string(),
-                        ]
-                    })
-                    .collect();
-                let path = write_metrics_csv(
-                    "deep",
-                    &["id", "wall_micros", "min_wall_micros", "iterations"],
-                    &csv_rows,
-                )
-                .expect("metrics written");
-                eprintln!("wrote {}", path.display());
-            }
+    if metrics {
+        let mut depths = serde_json::Map::new();
+        for row in &rows {
+            depths.insert(
+                format!("n{}", row.n),
+                json!({
+                    "wall_micros": row.wall_micros,
+                    "min_wall_micros": row.min_wall_micros,
+                    "iterations": row.iterations,
+                    "active_fraction_value": row.active_fraction,
+                    "kkt_stationarity_residual": row.stationarity,
+                }),
+            );
         }
+        let results_blob = json!({
+            "depths": depths,
+            "scaling": json!({
+                "min_wall_ratio_1000_over_64": wall_ratio,
+                "max_allowed_wall_ratio": MAX_WALL_RATIO,
+            }),
+        });
+        let config_blob = json!({
+            "depths": DEPTHS,
+            "tau0": 5.0,
+            "deadline_over_minimum": 2.0,
+        });
+        let path = RunManifest::new("deep", config_blob, results_blob)
+            .write()
+            .expect("metrics written");
+        eprintln!("wrote {}", path.display());
     }
 
     if !uncertified.is_empty() {

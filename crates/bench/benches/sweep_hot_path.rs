@@ -17,14 +17,13 @@
 //!
 //! `--metrics json` writes a `BENCH_perf.json` run manifest (wall times
 //! informational, solver iteration counts gated) so `bench_diff` tracks
-//! the perf trajectory across commits; `--metrics csv` writes the raw
-//! timing rows instead.
+//! the perf trajectory across commits.
 //!
 //! ```text
-//! cargo bench -p bench --bench sweep_hot_path -- [--grid RxC] [--metrics json|csv]
+//! cargo bench -p bench --bench sweep_hot_path -- [--grid RxC] [--metrics json]
 //! ```
 
-use bench::manifest::{write_metrics_csv, MetricsFormat, RunManifest};
+use bench::manifest::RunManifest;
 use criterion::{black_box, Criterion};
 use rtsdf::core::comparison::{sweep, SweepConfig, SweepProgress};
 use rtsdf::core::threads::THREADS_ENV;
@@ -259,96 +258,78 @@ fn main() {
         prof_ws.as_secs_f64(),
     );
 
-    let Some(format) = metrics else { return };
-    match format {
-        MetricsFormat::Json => {
-            let timing = |ns: f64| {
-                json!({
-                    "wall_micros": ns / 1e3,
-                    "cells_per_sec": cells_per_sec(ns),
-                })
-            };
-            let results_blob = json!({
-                "tau0s": tau0s,
-                "deadlines": ds,
-                "sweep": json!({
-                    "cells": cells,
-                    "work_stealing": timing(ws),
-                    "paper_64x64": json!({
-                        "wall_micros": paper / 1e3,
-                        "cells_per_sec": paper_cells / (paper / 1e9),
-                    }),
-                }),
-                "solver": json!({
-                    "cold": json!({
-                        "iterations": cold_iters,
-                        "wall_micros": mean_ns(&results, "solver/cold") / 1e3,
-                    }),
-                    "monolithic": json!({
-                        "iterations": mono_iters,
-                        "wall_micros": mean_ns(&results, "solver/monolithic") / 1e3,
-                    }),
-                }),
-                "sim": json!({
-                    "enforced": json!({
-                        "wall_micros": mean_ns(&results, "sim/enforced") / 1e3,
-                        "items_per_sec": per_sec(sim_items as f64, mean_ns(&results, "sim/enforced")),
-                    }),
-                    "enforced_200k": json!({
-                        "wall_micros": mean_ns(&results, "sim/enforced_200k") / 1e3,
-                        "items_per_sec": per_sec(long_items as f64, mean_ns(&results, "sim/enforced_200k")),
-                    }),
-                    "monolithic": json!({
-                        "wall_micros": mean_ns(&results, "sim/monolithic") / 1e3,
-                        "items_per_sec": per_sec(sim_items as f64, mean_ns(&results, "sim/monolithic")),
-                    }),
-                }),
-                "stats": json!({
-                    "histogram": json!({
-                        "wall_micros": mean_ns(&results, "stats/histogram") / 1e3,
-                        "samples_per_sec": per_sec(stats_samples as f64, mean_ns(&results, "stats/histogram")),
-                    }),
-                }),
-                "work_steal_profile": json!({
-                    "grid_rows": prof_rows,
-                    "grid_cols": prof_cols,
-                    "work_stealing": json!({
-                        "wall_micros": prof_ws.as_secs_f64() * 1e6,
-                        "cells_per_sec": (prof_rows * prof_cols) as f64 / prof_ws.as_secs_f64(),
-                    }),
-                    "steals": prof_steals,
-                    "cells_claimed": prof_claims,
-                    "busy_fraction_min": busy_min,
-                    "busy_fraction_mean": busy_mean,
-                }),
-            });
-            let config_blob = json!({
-                "grid_rows": rows,
-                "grid_cols": cols,
-                "sweep": sweep_config,
-                "sim_items": sim_items,
-                "sim_long_items": long_items,
-            });
-            let path = RunManifest::new("perf", config_blob, results_blob)
-                .write()
-                .expect("metrics written");
-            eprintln!("wrote {}", path.display());
-        }
-        MetricsFormat::Csv => {
-            let rows: Vec<Vec<String>> = results
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.id.clone(),
-                        format!("{:.0}", r.mean_ns),
-                        format!("{:.0}", r.min_ns),
-                        r.samples.to_string(),
-                    ]
-                })
-                .collect();
-            let path = write_metrics_csv("perf", &["id", "mean_ns", "min_ns", "samples"], &rows)
-                .expect("metrics written");
-            eprintln!("wrote {}", path.display());
-        }
+    if !metrics {
+        return;
     }
+    let timing = |ns: f64| {
+        json!({
+            "wall_micros": ns / 1e3,
+            "cells_per_sec": cells_per_sec(ns),
+        })
+    };
+    let results_blob = json!({
+        "tau0s": tau0s,
+        "deadlines": ds,
+        "sweep": json!({
+            "cells": cells,
+            "work_stealing": timing(ws),
+            "paper_64x64": json!({
+                "wall_micros": paper / 1e3,
+                "cells_per_sec": paper_cells / (paper / 1e9),
+            }),
+        }),
+        "solver": json!({
+            "cold": json!({
+                "iterations": cold_iters,
+                "wall_micros": mean_ns(&results, "solver/cold") / 1e3,
+            }),
+            "monolithic": json!({
+                "iterations": mono_iters,
+                "wall_micros": mean_ns(&results, "solver/monolithic") / 1e3,
+            }),
+        }),
+        "sim": json!({
+            "enforced": json!({
+                "wall_micros": mean_ns(&results, "sim/enforced") / 1e3,
+                "items_per_sec": per_sec(sim_items as f64, mean_ns(&results, "sim/enforced")),
+            }),
+            "enforced_200k": json!({
+                "wall_micros": mean_ns(&results, "sim/enforced_200k") / 1e3,
+                "items_per_sec": per_sec(long_items as f64, mean_ns(&results, "sim/enforced_200k")),
+            }),
+            "monolithic": json!({
+                "wall_micros": mean_ns(&results, "sim/monolithic") / 1e3,
+                "items_per_sec": per_sec(sim_items as f64, mean_ns(&results, "sim/monolithic")),
+            }),
+        }),
+        "stats": json!({
+            "histogram": json!({
+                "wall_micros": mean_ns(&results, "stats/histogram") / 1e3,
+                "samples_per_sec": per_sec(stats_samples as f64, mean_ns(&results, "stats/histogram")),
+            }),
+        }),
+        "work_steal_profile": json!({
+            "grid_rows": prof_rows,
+            "grid_cols": prof_cols,
+            "work_stealing": json!({
+                "wall_micros": prof_ws.as_secs_f64() * 1e6,
+                "cells_per_sec": (prof_rows * prof_cols) as f64 / prof_ws.as_secs_f64(),
+            }),
+            "steals": prof_steals,
+            "cells_claimed": prof_claims,
+            "busy_fraction_min": busy_min,
+            "busy_fraction_mean": busy_mean,
+        }),
+    });
+    let config_blob = json!({
+        "grid_rows": rows,
+        "grid_cols": cols,
+        "sweep": sweep_config,
+        "sim_items": sim_items,
+        "sim_long_items": long_items,
+    });
+    let path = RunManifest::new("perf", config_blob, results_blob)
+        .write()
+        .expect("metrics written");
+    eprintln!("wrote {}", path.display());
 }

@@ -3,13 +3,12 @@
 //! ```text
 //! cargo run --release -p bench --bin bench_diff -- \
 //!     results/baseline/BENCH_fig3.json BENCH_fig3.json \
-//!     [--threshold 0.05] [--throughput-threshold 0.5] [--gate-wall] [--all] \
-//!     [--json-verdict verdict.json]
+//!     [--throughput-threshold 0.5] [--all] [--json-verdict verdict.json]
 //! ```
 //!
 //! Prints a delta table (changed leaves only; `--all` includes
 //! unchanged ones) and exits 0 when clean, 1 on a regression past the
-//! threshold, 2 when the manifests are not comparable (different
+//! threshold (5% on gated keys, `--throughput-threshold` on rates), 2 when the manifests are not comparable (different
 //! experiment or grid) or on usage errors. On a regression the full
 //! table is followed by a `FAILED GATES` table holding only the keys
 //! that gated, with the threshold each was judged against.
@@ -21,8 +20,7 @@ use bench::{diff_manifests, diff_verdict, render_diff, render_failures, DiffConf
 fn usage() -> ! {
     eprintln!(
         "usage: bench_diff <baseline.json> <candidate.json> \
-         [--threshold FRACTION] [--throughput-threshold FRACTION] \
-         [--gate-wall] [--all] [--json-verdict PATH]"
+         [--throughput-threshold FRACTION] [--all] [--json-verdict PATH]"
     );
     std::process::exit(2);
 }
@@ -52,15 +50,6 @@ fn main() {
                 };
                 json_verdict = Some(path.clone());
             }
-            "--threshold" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    usage();
-                };
-                if !(v.is_finite() && v >= 0.0) {
-                    usage();
-                }
-                config.threshold = v;
-            }
             "--throughput-threshold" => {
                 let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
                     usage();
@@ -70,7 +59,6 @@ fn main() {
                 }
                 config.throughput_threshold = v;
             }
-            "--gate-wall" => config.gate_wall = true,
             "--all" => config.show_unchanged = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
@@ -90,7 +78,7 @@ fn main() {
         new.git_rev.as_deref().unwrap_or("unknown rev"),
     );
     let report = diff_manifests(&old, &new, &config);
-    print!("{}", render_diff(&report, &config));
+    print!("{}", render_diff(&report));
     // A developer reading a red CI log wants the failed gates alone,
     // not the whole delta table: repeat just those at the end.
     print!("{}", render_failures(&report, &config));

@@ -11,10 +11,10 @@
 //!
 //! Paper scale means 50 000-item streams and 100 seeds per grid point
 //! (several minutes); the scaled-down run preserves the methodology at
-//! a fraction of the cost. `--metrics json|csv` writes a
-//! `BENCH_calibrate` run manifest with the per-round history.
+//! a fraction of the cost. `--metrics json` writes a
+//! `BENCH_calibrate.json` run manifest with the per-round history.
 
-use bench::{MetricsFormat, RunManifest};
+use bench::RunManifest;
 use rtsdf::prelude::*;
 use rtsdf::sim::calibration::{calibrate_enforced, CalibrationConfig};
 
@@ -75,38 +75,14 @@ fn main() {
         std::process::exit(1);
     });
 
-    if let Some(format) = metrics {
-        let path = match format {
-            MetricsFormat::Json => RunManifest::new(
-                "calibrate",
-                serde_json::to_value(&config).expect("config serializes"),
-                serde_json::to_value(&result).expect("result serializes"),
-            )
-            .write()
-            .expect("manifest written"),
-            MetricsFormat::Csv => {
-                let rows: Vec<Vec<String>> = result
-                    .rounds
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        vec![
-                            i.to_string(),
-                            format!("{:?}", r.b).replace(',', ";"),
-                            format!("{:.4}", r.worst_miss_free),
-                            r.worst_point
-                                .map_or("-".into(), |(t, d)| format!("({t:.0}; {d:.0})")),
-                        ]
-                    })
-                    .collect();
-                bench::manifest::write_metrics_csv(
-                    "calibrate",
-                    &["round", "b", "worst_miss_free", "worst_point"],
-                    &rows,
-                )
-                .expect("metrics csv written")
-            }
-        };
+    if metrics {
+        let path = RunManifest::new(
+            "calibrate",
+            serde_json::to_value(&config).expect("config serializes"),
+            serde_json::to_value(&result).expect("result serializes"),
+        )
+        .write()
+        .expect("manifest written");
         eprintln!("wrote {}", path.display());
     }
 

@@ -4,15 +4,14 @@
 //! Prints two ASCII surfaces plus the underlying CSV so the numbers can
 //! be replotted. `--metrics json` additionally writes a `BENCH_fig3.json`
 //! run manifest with per-cell solver telemetry (method, iterations,
-//! wall time); `--metrics csv` writes the same data flat to
-//! `BENCH_fig3.csv`.
+//! wall time).
 //!
 //! `--grid RxC` shrinks the τ0 × D grid from the paper's 16x16 (CI
 //! runs a small grid and diffs the manifest against the committed
 //! baseline with `bench_diff`).
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig3 [-- --csv] [--metrics json|csv] [--grid RxC]
+//! cargo run --release -p bench --bin fig3 [-- --csv] [--metrics json] [--grid RxC]
 //! ```
 
 use bench::manifest::emit_sweep_metrics;
@@ -47,9 +46,8 @@ fn main() {
     let sweep_config = SweepConfig::paper_blast();
     let result = sweep(&topology, &tau0s, &ds, &sweep_config, None).expect("paper grid is valid");
 
-    if let Some(format) = metrics {
-        let path =
-            emit_sweep_metrics("fig3", &result, &sweep_config, format).expect("metrics written");
+    if metrics {
+        let path = emit_sweep_metrics("fig3", &result, &sweep_config).expect("metrics written");
         eprintln!("wrote {}", path.display());
     }
 

@@ -1,10 +1,10 @@
 //! Experiment E5 — regenerate Figure 4: the difference surface
 //! (monolithic − enforced active fraction) and its zero crossing.
-//! `--metrics json|csv` writes a `BENCH_fig4` run manifest with
+//! `--metrics json` writes a `BENCH_fig4.json` run manifest with
 //! per-cell solver telemetry.
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig4 [-- --csv] [--metrics json|csv]
+//! cargo run --release -p bench --bin fig4 [-- --csv] [--metrics json]
 //! ```
 
 use bench::manifest::emit_sweep_metrics;
@@ -23,9 +23,8 @@ fn main() {
     let sweep_config = SweepConfig::paper_blast();
     let result = sweep(&topology, &tau0s, &ds, &sweep_config, None).expect("paper grid is valid");
 
-    if let Some(format) = metrics {
-        let path =
-            emit_sweep_metrics("fig4", &result, &sweep_config, format).expect("metrics written");
+    if metrics {
+        let path = emit_sweep_metrics("fig4", &result, &sweep_config).expect("metrics written");
         eprintln!("wrote {}", path.display());
     }
 

@@ -4,14 +4,14 @@
 //! running the synthetic BLAST workload through the real stage
 //! computations (for gains) and the SIMT kernels (for service times).
 //!
-//! `--metrics json|csv` additionally writes a `BENCH_table1` run
+//! `--metrics json` additionally writes a `BENCH_table1.json` run
 //! manifest with the paper and measured rows side by side.
 //!
 //! ```text
-//! cargo run --release -p bench --bin table1 [-- --json] [--metrics json|csv]
+//! cargo run --release -p bench --bin table1 [-- --json] [--metrics json]
 //! ```
 
-use bench::{MetricsFormat, RunManifest};
+use bench::RunManifest;
 use rtsdf::blast::{measure_pipeline, paper_table1, MeasurementConfig};
 
 fn main() {
@@ -25,51 +25,18 @@ fn main() {
     let config = MeasurementConfig::default();
     let (_, measured) = measure_pipeline(&config).expect("measurement");
 
-    if let Some(format) = metrics {
-        let path = match format {
-            MetricsFormat::Json => RunManifest::new(
-                "table1",
-                serde_json::to_value(&config).expect("config serializes"),
-                serde_json::to_value(&serde_json::json!({
-                    "paper": paper,
-                    "measured": measured,
-                }))
-                .expect("rows serialize"),
-            )
-            .write()
-            .expect("manifest written"),
-            MetricsFormat::Csv => {
-                let rows: Vec<Vec<String>> = paper
-                    .rows
-                    .iter()
-                    .zip(&measured.rows)
-                    .enumerate()
-                    .map(|(i, (p, m))| {
-                        vec![
-                            i.to_string(),
-                            p.name.clone(),
-                            format!("{:.0}", p.service_time),
-                            bench::opt_fmt(p.mean_gain, 4),
-                            format!("{:.0}", m.service_time),
-                            bench::opt_fmt(m.mean_gain, 4),
-                        ]
-                    })
-                    .collect();
-                bench::manifest::write_metrics_csv(
-                    "table1",
-                    &[
-                        "node",
-                        "stage",
-                        "t_paper",
-                        "g_paper",
-                        "t_measured",
-                        "g_measured",
-                    ],
-                    &rows,
-                )
-                .expect("metrics csv written")
-            }
-        };
+    if metrics {
+        let path = RunManifest::new(
+            "table1",
+            serde_json::to_value(&config).expect("config serializes"),
+            serde_json::to_value(&serde_json::json!({
+                "paper": paper,
+                "measured": measured,
+            }))
+            .expect("rows serialize"),
+        )
+        .write()
+        .expect("manifest written");
         eprintln!("wrote {}", path.display());
     }
 

@@ -3,8 +3,8 @@
 //! Compares two [`RunManifest`]s cell-by-cell: the `results` blob of
 //! each is flattened to leaf paths (`cells[3].enforced_telemetry.
 //! iterations`), matching leaves are classified by their final key
-//! segment, and numeric drift past a relative threshold on a *gated*
-//! key counts as a regression. The `bench-diff` binary renders the
+//! segment, and numeric drift past a relative threshold ([`THRESHOLD`],
+//! 5%) on a *gated* key counts as a regression. The `bench-diff` binary renders the
 //! delta table and exits non-zero so CI can gate on it:
 //!
 //! - exit 0 — no regressions (improvements and informational drift OK)
@@ -22,8 +22,7 @@
 //! | `items_shed`, `resolves`, `total_shed`, `total_misses`, `total_dropped`, `total_resolves` | higher is worse (gated) |
 //! | `conservation_violations`, `agreement_failures` | higher is worse (gated) |
 //! | `items_per_sec`, `samples_per_sec`, `sweep.paper_64x64.cells_per_sec` | lower is worse (gated at the wider `--throughput-threshold`) |
-//! | `wall_micros`                          | info (gated with `--gate-wall`) |
-//! | everything else                        | informational             |
+//! | everything else, `wall_micros` included | informational            |
 //!
 //! Feasibility flips on gated keys (`null` ↔ number) gate too: losing a
 //! feasible cell is a regression, gaining one is an improvement.
@@ -43,14 +42,13 @@ pub enum Direction {
     /// "lower is better" objectives and "higher is worse" counters).
     Gated,
     /// Gated throughput metric where a *decrease* is a regression.
-    /// Gated at [`DiffConfig::throughput_threshold`] — wider than the
-    /// main threshold because rates are machine-load sensitive, but
-    /// unlike wall times they gate by default: losing half the
-    /// simulator's items/s is a hot-path regression, not noise.
+    /// Gated at [`DiffConfig::throughput_threshold`] — wider than
+    /// [`THRESHOLD`] because rates are machine-load sensitive, but
+    /// unlike wall times they gate: losing half the simulator's items/s
+    /// is a hot-path regression, not noise.
     Throughput,
-    /// Wall-clock timing: informational unless `gate_wall` is set.
-    Wall,
-    /// Reported but never gated.
+    /// Reported but never gated (wall-clock timings among them: they
+    /// are machine-dependent).
     Info,
 }
 
@@ -74,7 +72,6 @@ pub fn direction(path: &str) -> Direction {
         // the one-worker paper-grid sweep's does not, so it gates.
         "items_per_sec" | "samples_per_sec" => Direction::Throughput,
         "cells_per_sec" if path == "sweep.paper_64x64.cells_per_sec" => Direction::Throughput,
-        "wall_micros" => Direction::Wall,
         _ => Direction::Info,
     }
 }
@@ -183,20 +180,17 @@ pub struct DeltaRow {
     pub verdict: Verdict,
 }
 
+/// Relative drift on a gated key beyond which the change gates (5%).
+pub const THRESHOLD: f64 = 0.05;
+
 /// Diff configuration.
 #[derive(Debug, Clone)]
 pub struct DiffConfig {
-    /// Relative drift on a gated key beyond which the change gates
-    /// (default 0.05 = 5%).
-    pub threshold: f64,
     /// Relative *drop* on a throughput key (`items_per_sec`,
     /// `samples_per_sec`) beyond which the change gates (default 0.5:
     /// losing half the rate is a hot-path regression; smaller swings
     /// are machine noise).
     pub throughput_threshold: f64,
-    /// Gate on `wall_micros` drift too (off by default: timings are
-    /// machine-dependent).
-    pub gate_wall: bool,
     /// Include unchanged rows in the report.
     pub show_unchanged: bool,
 }
@@ -204,9 +198,7 @@ pub struct DiffConfig {
 impl Default for DiffConfig {
     fn default() -> Self {
         DiffConfig {
-            threshold: 0.05,
             throughput_threshold: 0.5,
-            gate_wall: false,
             show_unchanged: false,
         }
     }
@@ -262,11 +254,10 @@ fn compare_leaf(path: &str, old: &Leaf, new: &Leaf, config: &DiffConfig) -> (Ver
                         (Verdict::Incomparable, delta)
                     }
                 }
-                Direction::Gated | Direction::Wall => {
-                    let gated = dir == Direction::Gated || config.gate_wall;
+                Direction::Gated => {
                     if rel.abs() <= IDENTITY_TOL {
                         (Verdict::Unchanged, String::new())
-                    } else if !gated || rel.abs() <= config.threshold {
+                    } else if rel.abs() <= THRESHOLD {
                         (Verdict::Drift, delta)
                     } else if rel > 0.0 {
                         (Verdict::Regression, delta)
@@ -380,7 +371,7 @@ pub fn diff_manifests(old: &RunManifest, new: &RunManifest, config: &DiffConfig)
 }
 
 /// Render the delta table plus a one-line summary.
-pub fn render_diff(report: &DiffReport, config: &DiffConfig) -> String {
+pub fn render_diff(report: &DiffReport) -> String {
     let mut out = String::new();
     if !report.rows.is_empty() {
         let rows: Vec<Vec<String>> = report
@@ -414,18 +405,18 @@ pub fn render_diff(report: &DiffReport, config: &DiffConfig) -> String {
         report.regressions,
         report.improvements,
         report.incomparable,
-        config.threshold * 100.0,
+        THRESHOLD * 100.0,
     ));
     out
 }
 
 /// The relative threshold that applies to `path` under `config`:
 /// throughput keys gate at the wider throughput threshold, everything
-/// else at the main one.
+/// else at [`THRESHOLD`].
 pub fn applied_threshold(path: &str, config: &DiffConfig) -> f64 {
     match direction(path) {
         Direction::Throughput => config.throughput_threshold,
-        _ => config.threshold,
+        _ => THRESHOLD,
     }
 }
 
@@ -561,7 +552,7 @@ mod tests {
         );
         assert_eq!(
             direction("cells[0].enforced_telemetry.wall_micros"),
-            Direction::Wall
+            Direction::Info
         );
         assert_eq!(direction("runs[2].items_shed"), Direction::Gated);
         assert_eq!(direction("runs[2].resolves"), Direction::Gated);
@@ -709,14 +700,9 @@ mod tests {
         let old = json(r#"{"cells": [{"enforced_telemetry": {"wall_micros": 100.0}}]}"#);
         let new = json(r#"{"cells": [{"enforced_telemetry": {"wall_micros": 900.0}}]}"#);
         let cfg = DiffConfig::default();
-        let rep = diff_manifests(&manifest(old.clone()), &manifest(new.clone()), &cfg);
+        let rep = diff_manifests(&manifest(old), &manifest(new), &cfg);
         assert_eq!(rep.exit_code(), 0);
-        let gated = DiffConfig {
-            gate_wall: true,
-            ..DiffConfig::default()
-        };
-        let rep = diff_manifests(&manifest(old), &manifest(new), &gated);
-        assert_eq!(rep.exit_code(), 1);
+        assert_eq!(rep.rows[0].verdict, Verdict::Drift);
     }
 
     #[test]
@@ -734,7 +720,7 @@ mod tests {
         let new = json(r#"{"cells": [{"enforced": 0.9}]}"#);
         let cfg = DiffConfig::default();
         let rep = diff_manifests(&manifest(old), &manifest(new), &cfg);
-        let text = render_diff(&rep, &cfg);
+        let text = render_diff(&rep);
         assert!(text.contains("REGRESSION"));
         assert!(text.contains("1 regression(s)"));
         assert!(text.contains("threshold 5.0%"));
@@ -762,7 +748,7 @@ mod tests {
         let failures = gate_failures(&rep, &cfg);
         assert_eq!(failures.len(), 2);
         assert_eq!(failures[0].path, "cells[0].enforced");
-        assert_eq!(failures[0].threshold, cfg.threshold);
+        assert_eq!(failures[0].threshold, THRESHOLD);
         assert_eq!(failures[1].path, "sim.enforced.items_per_sec");
         assert_eq!(failures[1].threshold, cfg.throughput_threshold);
 

@@ -15,7 +15,7 @@ pub use diff::{
     diff_manifests, diff_verdict, render_diff, render_failures, DiffConfig, DiffReport,
     DiffVerdict, GateFailure,
 };
-pub use manifest::{parse_metrics_flag, MetricsFormat, RunManifest};
+pub use manifest::{parse_metrics_flag, RunManifest};
 
 use std::fmt::Write as _;
 

@@ -5,38 +5,27 @@
 //! run (experiment name, argv, git revision), with which configuration,
 //! and what came out (per-cell results, solver telemetry aggregates) —
 //! to `BENCH_<name>.json` in the current directory (override with the
-//! `BENCH_OUT_DIR` environment variable). The `--metrics json|csv`
-//! flag on the binaries selects the format; `csv` writes a flat
-//! `BENCH_<name>.csv` instead, with one row per cell.
+//! `BENCH_OUT_DIR` environment variable) when the binary is given
+//! `--metrics json`.
 
 use rtsdf::core::comparison::{SweepConfig, SweepResult};
-use rtsdf::core::CellTelemetry;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::path::PathBuf;
 
-/// Machine-readable metrics format selected by `--metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// Full manifest to `BENCH_<name>.json`.
-    Json,
-    /// Flat per-cell rows to `BENCH_<name>.csv`.
-    Csv,
-}
-
-/// Parse a `--metrics json|csv` flag out of `args`.
+/// Parse a `--metrics json` flag out of `args`: whether to write the
+/// run manifest.
 ///
-/// Returns `Ok(None)` when the flag is absent, `Err` on a missing or
-/// unknown value.
-pub fn parse_metrics_flag(args: &[String]) -> Result<Option<MetricsFormat>, String> {
+/// Returns `Ok(false)` when the flag is absent, `Err` on a missing
+/// value or any value but `json`.
+pub fn parse_metrics_flag(args: &[String]) -> Result<bool, String> {
     let Some(pos) = args.iter().position(|a| a == "--metrics") else {
-        return Ok(None);
+        return Ok(false);
     };
     match args.get(pos + 1).map(String::as_str) {
-        Some("json") => Ok(Some(MetricsFormat::Json)),
-        Some("csv") => Ok(Some(MetricsFormat::Csv)),
-        Some(other) => Err(format!("--metrics expects 'json' or 'csv', got '{other}'")),
-        None => Err("--metrics expects a value: json or csv".into()),
+        Some("json") => Ok(true),
+        Some(other) => Err(format!("--metrics expects 'json', got '{other}'")),
+        None => Err("--metrics expects a value: json".into()),
     }
 }
 
@@ -85,94 +74,41 @@ impl RunManifest {
     }
 }
 
-/// Write flat per-cell metrics to `BENCH_<name>.csv`; returns the path.
-pub fn write_metrics_csv(
-    name: &str,
-    header: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<PathBuf> {
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{name}.csv"));
-    std::fs::write(&path, crate::render_csv(header, rows))?;
-    Ok(path)
-}
-
-/// Emit metrics for a sweep-shaped experiment (fig3/fig4): a full run
-/// manifest with per-cell solve counts and the sweep's layer totals
-/// (`results.layers`) for [`MetricsFormat::Json`], or flat per-cell
-/// rows for [`MetricsFormat::Csv`]. Returns the path
-/// written.
+/// Write the manifest of a sweep-shaped experiment (fig3/fig4): the
+/// configuration, per-cell results with solve counts, and the sweep's
+/// layer totals (`results.layers`). Returns the path written.
 pub fn emit_sweep_metrics(
     name: &str,
     result: &SweepResult,
     config: &SweepConfig,
-    format: MetricsFormat,
 ) -> std::io::Result<PathBuf> {
-    emit_sweep_metrics_live(name, result, config, format, None)
+    emit_sweep_metrics_live(name, result, config, None)
 }
 
 /// [`emit_sweep_metrics`] plus an optional live-metrics snapshot: when
-/// present (and the format is JSON), the final registry state is
-/// embedded in the manifest's results under the `live_metrics` key, so
-/// the scheduler's cells-claimed / steal / busy-fraction counters land
-/// next to the per-cell results they describe. CSV output ignores the
-/// snapshot (its schema is per-cell rows).
+/// present, the final registry state is embedded in the manifest's
+/// results under the `live_metrics` key, so the scheduler's
+/// cells-claimed / steal / busy-fraction counters land next to the
+/// per-cell results they describe.
 pub fn emit_sweep_metrics_live(
     name: &str,
     result: &SweepResult,
     config: &SweepConfig,
-    format: MetricsFormat,
     live: Option<&rtsdf::metrics::MetricsSnapshot>,
 ) -> std::io::Result<PathBuf> {
-    match format {
-        MetricsFormat::Json => {
-            let mut results = serde_json::to_value(result).expect("sweep serializes");
-            if let (Some(snap), Value::Object(m)) = (live, &mut results) {
-                m.insert(
-                    "live_metrics".into(),
-                    serde_json::to_value(snap).expect("snapshot serializes"),
-                );
-            }
-            RunManifest::new(
-                name,
-                serde_json::to_value(config).expect("config serializes"),
-                results,
-            )
-            .write()
-        }
-        MetricsFormat::Csv => {
-            let iters = |t: Option<CellTelemetry>| {
-                t.map_or_else(|| "-".into(), |t| t.iterations.to_string())
-            };
-            let rows: Vec<Vec<String>> = result
-                .cells
-                .iter()
-                .map(|c| {
-                    vec![
-                        format!("{:.4}", c.tau0),
-                        format!("{:.0}", c.deadline),
-                        crate::opt_fmt(c.enforced, 6),
-                        crate::opt_fmt(c.monolithic, 6),
-                        iters(c.enforced_telemetry),
-                        iters(c.monolithic_telemetry),
-                    ]
-                })
-                .collect();
-            write_metrics_csv(
-                name,
-                &[
-                    "tau0",
-                    "deadline",
-                    "enforced_af",
-                    "monolithic_af",
-                    "enf_iters",
-                    "mono_iters",
-                ],
-                &rows,
-            )
-        }
+    let mut results = serde_json::to_value(result).expect("sweep serializes");
+    if let (Some(snap), Value::Object(m)) = (live, &mut results) {
+        m.insert(
+            "live_metrics".into(),
+            serde_json::to_value(snap).expect("snapshot serializes"),
+        );
     }
+    RunManifest::new(
+        name,
+        serde_json::to_value(config).expect("config serializes"),
+        results,
+    )
+    .write()
 }
 
 /// Output directory for manifests: `$BENCH_OUT_DIR` or the current
@@ -211,15 +147,10 @@ mod tests {
     #[test]
     fn parse_metrics_flag_variants() {
         let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_metrics_flag(&args(&["--csv"])), Ok(None));
-        assert_eq!(
-            parse_metrics_flag(&args(&["--metrics", "json"])),
-            Ok(Some(MetricsFormat::Json))
-        );
-        assert_eq!(
-            parse_metrics_flag(&args(&["x", "--metrics", "csv"])),
-            Ok(Some(MetricsFormat::Csv))
-        );
+        assert_eq!(parse_metrics_flag(&args(&["--csv"])), Ok(false));
+        assert_eq!(parse_metrics_flag(&args(&["--metrics", "json"])), Ok(true));
+        let csv = parse_metrics_flag(&args(&["x", "--metrics", "csv"])).unwrap_err();
+        assert!(csv.contains("json"), "{csv}");
         assert!(parse_metrics_flag(&args(&["--metrics"])).is_err());
         assert!(parse_metrics_flag(&args(&["--metrics", "xml"])).is_err());
     }

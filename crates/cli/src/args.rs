@@ -1,7 +1,6 @@
 //! Argument parsing (hand-rolled: the surface is small and a parser
 //! dependency would dwarf it).
 
-use bench::MetricsFormat;
 use std::fmt;
 
 /// Top-level usage text.
@@ -14,9 +13,9 @@ USAGE:
                       [--b B1,B2,...] [--strategy enforced|monolithic|flexible|all] [--json]
   rtsdf-cli simulate  (--pipeline FILE | --workload NAME) --tau0 T --deadline D
                       [--b B1,B2,...] [--items N] [--seeds K] [--json]
-                      [--metrics json|csv]
+                      [--metrics json]
   rtsdf-cli sweep     (--pipeline FILE | --workload NAME)
-                      [--grid RxC] [--csv] [--metrics json|csv]
+                      [--grid RxC] [--csv] [--metrics json]
                       [--live] [--live-interval MS] [--metrics-listen ADDR]
   rtsdf-cli calibrate --pipeline FILE --points T1:D1,T2:D2,...
                       [--seeds K] [--items N]
@@ -29,12 +28,12 @@ USAGE:
   rtsdf-cli stress    (--pipeline FILE | --workload NAME) --tau0 T --deadline D
                       [--b B1,B2,...] [--items N] [--seeds K]
                       [--intensities I1,I2,...] [--target F] [--json]
-                      [--metrics json|csv]
+                      [--metrics json]
                       [--live] [--live-interval MS] [--metrics-listen ADDR]
   rtsdf-cli execute   (--pipeline FILE | --workload NAME) --tau0 T --deadline D
                       [--b B1,B2,...] [--items N] [--seed S] [--duration SECS]
                       [--strategy enforced|monolithic] [--sim-seeds K]
-                      [--tolerance F] [--gate] [--json] [--metrics json|csv]
+                      [--tolerance F] [--gate] [--json] [--metrics json]
 
 OPTIONS:
   --pipeline FILE   JSON file holding a PipelineSpec (see example-pipeline)
@@ -52,8 +51,8 @@ OPTIONS:
   --grid RxC        sweep resolution over the paper's (tau0, D) ranges (default: 8x8)
   --points LIST     calibration operating points as tau0:deadline pairs
   --json / --csv    machine-readable output
-  --metrics FMT     also write a BENCH_<cmd> run manifest (json) or flat
-                    per-cell/per-seed rows (csv) to $BENCH_OUT_DIR or .
+  --metrics json    also write a BENCH_<cmd>.json run manifest
+                    to $BENCH_OUT_DIR or .
   --seed S          RNG seed for a single traced run (default: 0)
   --format FMT      trace output: 'chrome' (Chrome/Perfetto trace-event
                     JSON, the default) or 'json' (metrics + blame report)
@@ -197,8 +196,8 @@ pub enum Command {
         seeds: u64,
         /// Emit JSON.
         json: bool,
-        /// Also write a run manifest / metrics file.
-        metrics: Option<MetricsFormat>,
+        /// Also write a `BENCH_<cmd>.json` run manifest.
+        metrics: bool,
     },
     /// Fig-3/4 style grid sweep.
     Sweep {
@@ -211,8 +210,8 @@ pub enum Command {
         grid: (usize, usize),
         /// Emit CSV.
         csv: bool,
-        /// Also write a run manifest / metrics file.
-        metrics: Option<MetricsFormat>,
+        /// Also write a `BENCH_<cmd>.json` run manifest.
+        metrics: bool,
         /// Live progress / `/metrics` serving.
         live: LiveOpts,
     },
@@ -277,8 +276,8 @@ pub enum Command {
         target: f64,
         /// Emit JSON.
         json: bool,
-        /// Also write a run manifest / metrics file.
-        metrics: Option<MetricsFormat>,
+        /// Also write a `BENCH_<cmd>.json` run manifest.
+        metrics: bool,
         /// Live progress / `/metrics` serving.
         live: LiveOpts,
     },
@@ -311,8 +310,8 @@ pub enum Command {
         gate: bool,
         /// Emit JSON.
         json: bool,
-        /// Also write a run manifest / metrics file.
-        metrics: Option<MetricsFormat>,
+        /// Also write a `BENCH_<cmd>.json` run manifest.
+        metrics: bool,
     },
     /// §6.2 calibration.
     Calibrate {
@@ -372,7 +371,7 @@ impl<'a> Scanner<'a> {
             .map_err(|_| ParseError(format!("{flag}: '{raw}' is not a number")))
     }
 
-    fn parse_metrics(&self) -> Result<Option<MetricsFormat>, ParseError> {
+    fn parse_metrics(&self) -> Result<bool, ParseError> {
         bench::parse_metrics_flag(self.args).map_err(ParseError)
     }
 
@@ -1016,7 +1015,7 @@ mod tests {
                 assert_eq!(intensities, vec![0.0, 0.5, 1.0]);
                 assert_eq!(target, 0.95);
                 assert!(!json);
-                assert_eq!(metrics, None);
+                assert!(!metrics);
             }
             other => panic!("{other:?}"),
         }
@@ -1038,7 +1037,7 @@ mod tests {
                 assert_eq!(intensities, vec![0.0, 1.0, 2.0]);
                 assert_eq!(target, 0.9);
                 assert!(json);
-                assert_eq!(metrics, Some(MetricsFormat::Json));
+                assert!(metrics);
             }
             other => panic!("{other:?}"),
         }
@@ -1072,7 +1071,7 @@ mod tests {
                 workload: None,
                 grid: (12, 6),
                 csv: true,
-                metrics: None,
+                metrics: false,
                 live: LiveOpts::off(),
             }
         );
@@ -1261,17 +1260,17 @@ mod tests {
     fn parses_metrics_flag() {
         let cmd = parse(&argv("sweep --pipeline p.json --metrics json")).unwrap();
         match cmd {
-            Command::Sweep { metrics, .. } => assert_eq!(metrics, Some(MetricsFormat::Json)),
+            Command::Sweep { metrics, .. } => assert!(metrics),
             other => panic!("{other:?}"),
         }
-        let cmd = parse(&argv(
+        // JSON is the one manifest format; `csv` is a parse error that
+        // names it.
+        let msg = parse(&argv(
             "simulate --pipeline p --tau0 1 --deadline 1e5 --metrics csv",
         ))
-        .unwrap();
-        match cmd {
-            Command::Simulate { metrics, .. } => assert_eq!(metrics, Some(MetricsFormat::Csv)),
-            other => panic!("{other:?}"),
-        }
+        .unwrap_err()
+        .to_string();
+        assert!(msg.contains("json"), "{msg}");
         assert!(parse(&argv("sweep --pipeline p --metrics xml")).is_err());
         assert!(parse(&argv("sweep --pipeline p --metrics")).is_err());
     }
@@ -1391,7 +1390,7 @@ mod tests {
                 assert_eq!(sim_seeds, 4);
                 assert_eq!(tolerance, 0.10);
                 assert!(!gate && !json);
-                assert_eq!(metrics, None);
+                assert!(!metrics);
             }
             other => panic!("{other:?}"),
         }
@@ -1420,7 +1419,7 @@ mod tests {
                 assert_eq!(sim_seeds, 8);
                 assert_eq!(tolerance, 0.2);
                 assert!(gate && json);
-                assert_eq!(metrics, Some(MetricsFormat::Json));
+                assert!(metrics);
             }
             other => panic!("{other:?}"),
         }

@@ -3,7 +3,7 @@
 
 use crate::args::{Command, Strategy, TraceFormat};
 use crate::live::{render_stress, render_sweep, LiveSession};
-use bench::{MetricsFormat, RunManifest};
+use bench::RunManifest;
 use obs_trace::{
     analyze, chrome_trace_string, render_blame, ForensicsConfig, SpanSink, TraceConfig,
 };
@@ -270,62 +270,29 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             let report = run_seeds(&cfg, seeds, None, |c, h| {
                 enforced::simulate(&topology, &sched, deadline, c, h)
             })?;
-            if let Some(format) = metrics {
-                let path = match format {
-                    MetricsFormat::Json => {
-                        let mut config = serde_json::json!({
-                            "tau0": tau0,
-                            "deadline": deadline,
-                            "b": b,
-                            "items": items,
-                            "seeds": seeds,
-                        });
-                        if let serde_json::Value::Object(m) = &mut config {
-                            m.insert(
-                                source_key.to_string(),
-                                serde_json::Value::String(source.clone()),
-                            );
-                        }
-                        RunManifest::new(
-                            experiment,
-                            config,
-                            serde_json::json!({
-                                "schedule": sched,
-                                "runs": report,
-                            }),
-                        )
-                        .write()?
-                    }
-                    MetricsFormat::Csv => {
-                        let rows: Vec<Vec<String>> = report
-                            .runs
-                            .iter()
-                            .enumerate()
-                            .map(|(i, r)| {
-                                vec![
-                                    i.to_string(),
-                                    format!("{:.6}", r.active_fraction),
-                                    r.deadline_misses.to_string(),
-                                    r.items_arrived.to_string(),
-                                    r.items_completed.to_string(),
-                                    r.items_dropped.to_string(),
-                                ]
-                            })
-                            .collect();
-                        bench::manifest::write_metrics_csv(
-                            experiment,
-                            &[
-                                "seed",
-                                "active_fraction",
-                                "deadline_misses",
-                                "items_arrived",
-                                "items_completed",
-                                "items_dropped",
-                            ],
-                            &rows,
-                        )?
-                    }
-                };
+            if metrics {
+                let mut config = serde_json::json!({
+                    "tau0": tau0,
+                    "deadline": deadline,
+                    "b": b,
+                    "items": items,
+                    "seeds": seeds,
+                });
+                if let serde_json::Value::Object(m) = &mut config {
+                    m.insert(
+                        source_key.to_string(),
+                        serde_json::Value::String(source.clone()),
+                    );
+                }
+                let path = RunManifest::new(
+                    experiment,
+                    config,
+                    serde_json::json!({
+                        "schedule": sched,
+                        "runs": report,
+                    }),
+                )
+                .write()?;
                 eprintln!("wrote {}", path.display());
             }
             if json {
@@ -393,12 +360,11 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             if let Some(s) = session {
                 s.finish();
             }
-            if let Some(format) = metrics {
+            if metrics {
                 let path = bench::manifest::emit_sweep_metrics_live(
                     experiment,
                     &r,
                     &config,
-                    format,
                     snap.as_ref(),
                 )?;
                 eprintln!("wrote {}", path.display());
@@ -589,79 +555,30 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             if let Some(s) = session {
                 s.finish();
             }
-            if let Some(format) = metrics {
-                let path = match format {
-                    MetricsFormat::Json => {
-                        let mut results = serde_json::to_value(&report).expect("report serializes");
-                        if let (Some(snap), serde_json::Value::Object(m)) = (&snap, &mut results) {
-                            m.insert(
-                                "live_metrics".into(),
-                                serde_json::to_value(snap).expect("snapshot serializes"),
-                            );
-                        }
-                        let mut config = serde_json::json!({
-                            "tau0": tau0,
-                            "deadline": deadline,
-                            "b": b,
-                            "items": items,
-                            "seeds": seeds,
-                            "intensities": intensities,
-                            "target": target,
-                        });
-                        if let serde_json::Value::Object(m) = &mut config {
-                            m.insert(
-                                source_key.to_string(),
-                                serde_json::Value::String(source.clone()),
-                            );
-                        }
-                        RunManifest::new(experiment, config, results).write()?
-                    }
-                    MetricsFormat::Csv => {
-                        let cell = |name: &str,
-                                    pt: &rtsdf::sim::robustness::RobustnessPoint,
-                                    s: &rtsdf::sim::robustness::StressSummary| {
-                            vec![
-                                format!("{:.4}", pt.intensity),
-                                name.to_string(),
-                                format!("{:.6}", s.miss_free_fraction),
-                                format!("{:.6}", s.worst_miss_rate),
-                                format!("{:.6}", s.worst_admitted_miss_rate),
-                                s.total_shed.to_string(),
-                                s.total_misses.to_string(),
-                                s.total_dropped.to_string(),
-                                s.total_resolves.to_string(),
-                                s.any_truncated.to_string(),
-                            ]
-                        };
-                        let rows: Vec<Vec<String>> = report
-                            .points
-                            .iter()
-                            .flat_map(|pt| {
-                                vec![
-                                    cell("enforced_mitigated", pt, &pt.enforced_mitigated),
-                                    cell("enforced_unmitigated", pt, &pt.enforced_unmitigated),
-                                    cell("monolithic", pt, &pt.monolithic),
-                                ]
-                            })
-                            .collect();
-                        bench::manifest::write_metrics_csv(
-                            experiment,
-                            &[
-                                "intensity",
-                                "strategy",
-                                "miss_free_fraction",
-                                "worst_miss_rate",
-                                "worst_admitted_miss_rate",
-                                "total_shed",
-                                "total_misses",
-                                "total_dropped",
-                                "total_resolves",
-                                "any_truncated",
-                            ],
-                            &rows,
-                        )?
-                    }
-                };
+            if metrics {
+                let mut results = serde_json::to_value(&report).expect("report serializes");
+                if let (Some(snap), serde_json::Value::Object(m)) = (&snap, &mut results) {
+                    m.insert(
+                        "live_metrics".into(),
+                        serde_json::to_value(snap).expect("snapshot serializes"),
+                    );
+                }
+                let mut config = serde_json::json!({
+                    "tau0": tau0,
+                    "deadline": deadline,
+                    "b": b,
+                    "items": items,
+                    "seeds": seeds,
+                    "intensities": intensities,
+                    "target": target,
+                });
+                if let serde_json::Value::Object(m) = &mut config {
+                    m.insert(
+                        source_key.to_string(),
+                        serde_json::Value::String(source.clone()),
+                    );
+                }
+                let path = RunManifest::new(experiment, config, results).write()?;
                 eprintln!("wrote {}", path.display());
             }
             if json {
@@ -741,56 +658,32 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), CommandError> {
             let seeds: Vec<u64> = (1..=sim_seeds).collect();
             let report = sim_vs_real(&topology, &schedule, &config, &seeds, tolerance)
                 .map_err(|e| CommandError::Params(e.to_string()))?;
-            if let Some(format) = metrics {
-                let path = match format {
-                    MetricsFormat::Json => {
-                        let mut config_json = serde_json::json!({
-                            "tau0": tau0,
-                            "deadline": deadline,
-                            "b": b,
-                            "items": items,
-                            "seed": seed,
-                            "duration": duration,
-                            "strategy": report.strategy,
-                            "sim_seeds": sim_seeds,
-                            "tolerance": tolerance,
-                        });
-                        if let serde_json::Value::Object(m) = &mut config_json {
-                            let key = if pipeline.is_some() {
-                                "pipeline"
-                            } else {
-                                "workload"
-                            };
-                            m.insert(key.into(), serde_json::Value::String(source.clone()));
-                        }
-                        RunManifest::new(
-                            "exec",
-                            config_json,
-                            serde_json::to_value(&report).expect("report serializes"),
-                        )
-                        .write()?
-                    }
-                    MetricsFormat::Csv => {
-                        let rows: Vec<Vec<String>> = report
-                            .quantities
-                            .iter()
-                            .map(|q| {
-                                vec![
-                                    q.quantity.clone(),
-                                    format!("{:.6}", q.sim),
-                                    format!("{:.6}", q.real),
-                                    format!("{:.6}", q.error),
-                                    q.within.to_string(),
-                                ]
-                            })
-                            .collect();
-                        bench::manifest::write_metrics_csv(
-                            "exec",
-                            &["quantity", "sim", "real", "error", "within"],
-                            &rows,
-                        )?
-                    }
-                };
+            if metrics {
+                let mut config_json = serde_json::json!({
+                    "tau0": tau0,
+                    "deadline": deadline,
+                    "b": b,
+                    "items": items,
+                    "seed": seed,
+                    "duration": duration,
+                    "strategy": report.strategy,
+                    "sim_seeds": sim_seeds,
+                    "tolerance": tolerance,
+                });
+                if let serde_json::Value::Object(m) = &mut config_json {
+                    let key = if pipeline.is_some() {
+                        "pipeline"
+                    } else {
+                        "workload"
+                    };
+                    m.insert(key.into(), serde_json::Value::String(source.clone()));
+                }
+                let path = RunManifest::new(
+                    "exec",
+                    config_json,
+                    serde_json::to_value(&report).expect("report serializes"),
+                )
+                .write()?;
                 eprintln!("wrote {}", path.display());
             }
             if json {

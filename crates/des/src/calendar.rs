@@ -61,8 +61,6 @@ pub struct Calendar<P> {
     heap: BinaryHeap<Entry<P>>,
     next_seq: u64,
     now: SimTime,
-    scheduled: u64,
-    fired: u64,
 }
 
 impl<P> Default for Calendar<P> {
@@ -78,8 +76,6 @@ impl<P> Calendar<P> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            scheduled: 0,
-            fired: 0,
         }
     }
 
@@ -109,18 +105,6 @@ impl<P> Calendar<P> {
         self.heap.is_empty()
     }
 
-    /// Total events ever scheduled.
-    #[inline]
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Total events ever popped.
-    #[inline]
-    pub fn total_fired(&self) -> u64 {
-        self.fired
-    }
-
     /// Schedule `payload` to fire at absolute time `at`.
     ///
     /// # Panics
@@ -135,17 +119,11 @@ impl<P> Calendar<P> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
         self.heap.push(Entry {
             time: at,
             seq,
             payload,
         });
-    }
-
-    /// Schedule `payload` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, payload: P) {
-        self.schedule(self.now + delay, payload);
     }
 
     /// Reserve capacity for at least `additional` more pending events.
@@ -170,24 +148,11 @@ impl<P> Calendar<P> {
             "heap returned an out-of-order event"
         );
         self.now = entry.time;
-        self.fired += 1;
         Some(Event {
             time: entry.time,
             seq: entry.seq,
             payload: entry.payload,
         })
-    }
-
-    /// Pop the next event only if it fires at or before `horizon`.
-    ///
-    /// Events beyond the horizon stay pending; the clock does not advance
-    /// past them. Simulations use this to cut off a run at a fixed
-    /// measurement window.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<Event<P>> {
-        match self.peek_time() {
-            Some(t) if t <= horizon => self.pop(),
-            _ => None,
-        }
     }
 
     /// Drop every pending event, leaving the clock where it is.
@@ -254,34 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut cal = Calendar::new();
-        cal.schedule(t(10), 0u32);
-        cal.pop();
-        cal.schedule_after(t(5), 1u32);
-        let e = cal.pop().unwrap();
-        assert_eq!(e.time, t(15));
-    }
-
-    #[test]
-    fn pop_until_respects_horizon() {
-        let mut cal = Calendar::new();
-        cal.schedule(t(10), "in");
-        cal.schedule(t(20), "out");
-        assert_eq!(cal.pop_until(t(15)).unwrap().payload, "in");
-        assert!(cal.pop_until(t(15)).is_none());
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.now(), t(10));
-    }
-
-    #[test]
     fn counters_track_activity() {
         let mut cal = Calendar::new();
         cal.schedule(t(1), ());
         cal.schedule(t(2), ());
         cal.pop();
-        assert_eq!(cal.total_scheduled(), 2);
-        assert_eq!(cal.total_fired(), 1);
         assert_eq!(cal.len(), 1);
         assert!(!cal.is_empty());
         cal.clear();
@@ -296,7 +238,7 @@ mod tests {
         cal.schedule(t(2), "b");
         assert_eq!(cal.pop().unwrap().payload, "a");
         assert_eq!(cal.pop().unwrap().payload, "b");
-        assert_eq!(cal.total_scheduled(), 2);
+        assert!(cal.is_empty());
     }
 
     #[test]

@@ -68,18 +68,6 @@ impl SimTime {
         SimTime(self.0.saturating_add(span.0))
     }
 
-    /// Checked addition of a span; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, span: SimTime) -> Option<SimTime> {
-        self.0.checked_add(span.0).map(SimTime)
-    }
-
-    /// Multiply a span by an integer count (e.g. `period * k`), saturating.
-    #[inline]
-    pub fn saturating_mul(self, k: u64) -> SimTime {
-        SimTime(self.0.saturating_mul(k))
-    }
-
     /// Round a `f64` cycle quantity to the nearest integer time.
     ///
     /// Values are clamped to `[0, u64::MAX]`; NaN maps to zero. This is
@@ -161,17 +149,6 @@ mod tests {
         assert_eq!(
             SimTime::MAX.saturating_add(SimTime::from_cycles(1)),
             SimTime::MAX
-        );
-        assert_eq!(SimTime::from_cycles(3).saturating_mul(4).cycles(), 12);
-        assert_eq!(SimTime::MAX.saturating_mul(2), SimTime::MAX);
-    }
-
-    #[test]
-    fn checked_add_overflow() {
-        assert!(SimTime::MAX.checked_add(SimTime::from_cycles(1)).is_none());
-        assert_eq!(
-            SimTime::from_cycles(1).checked_add(SimTime::from_cycles(2)),
-            Some(SimTime::from_cycles(3))
         );
     }
 

@@ -10,17 +10,18 @@
 //!   *stable* tie-break: events scheduled for the same timestamp fire in
 //!   the order they were scheduled. Determinism of the whole simulation
 //!   rests on this property.
-//! * [`clock::SimTime`] — the simulated clock, a `u64` cycle count with
-//!   saturating/checked helpers so arithmetic bugs surface as panics in
-//!   debug builds rather than silent wraparound.
+//! * [`clock::SimTime`] — the simulated clock, a `u64` cycle count whose
+//!   `+` and `-` panic on overflow and on negative spans, so arithmetic
+//!   bugs surface as panics rather than silent wraparound.
 //! * [`rng::RngStream`] — splittable deterministic random-number streams.
 //!   Each simulation entity derives its own stream from a master seed, so
 //!   adding a new entity never perturbs the random draws of existing ones.
 //! * [`stats`] — online statistics (mean/variance via Welford, or folded
 //!   per 256-sample chunk by [`stats::MomentAccumulator`]; min/max,
-//!   fixed-bin histograms, time-weighted averages) used to accumulate
-//!   measurements without storing full traces.
-//! * [`trace`] — an optional bounded ring-buffer trace for debugging.
+//!   fixed-bin histograms) used to accumulate measurements without
+//!   storing full traces.
+//! * [`obs::ObsSink`] — per-stage distributions and event counters a
+//!   simulator fills through its hooks.
 //!
 //! ## Example
 //!
@@ -50,14 +51,12 @@ pub mod clock;
 pub mod obs;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 /// Convenience re-exports of the most commonly used engine types.
 pub mod prelude {
     pub use crate::calendar::{Calendar, Event};
     pub use crate::clock::SimTime;
-    pub use crate::obs::{ObsConfig, ObsReport, ObsSink};
+    pub use crate::obs::{ObsReport, ObsSink};
     pub use crate::rng::RngStream;
-    pub use crate::stats::{Histogram, MomentAccumulator, OnlineStats, TimeWeighted};
-    pub use crate::trace::{TraceBuffer, TraceRecord};
+    pub use crate::stats::{Histogram, MomentAccumulator, OnlineStats};
 }

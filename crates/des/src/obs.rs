@@ -1,76 +1,41 @@
 //! Structured observability for simulations.
 //!
 //! An [`ObsSink`] collects per-stage distributions (queue depth, firing
-//! occupancy, sojourn time), global event counters, and a bounded trace
-//! of recent events. Simulators thread an `Option<&mut ObsSink>` through
-//! their hot loop; when the option is `None` the cost of the layer is a
-//! single untaken branch per hook, so the disabled path stays within
-//! noise of an uninstrumented build (verified by the `obs_overhead`
-//! criterion bench in `pipeline-sim`).
+//! occupancy, sojourn time) and global event counters. Simulators
+//! thread an `Option<&mut ObsSink>` through their hot loop; when the
+//! option is `None` the cost of the layer is a single untaken branch
+//! per hook, so the disabled path stays within noise of an
+//! uninstrumented build (verified by the `obs_overhead` criterion bench
+//! in `pipeline-sim`).
 //!
 //! At the end of a run, [`ObsSink::report`] folds the accumulators into
 //! a serializable [`ObsReport`] that downstream harnesses embed in run
-//! manifests.
+//! manifests. Event-level tracing (one span per firing) is the
+//! `obs-trace` crate's job; this sink only aggregates.
 
-use crate::clock::SimTime;
 use crate::stats::{nearest_rank, Histogram, OnlineStats};
-use crate::trace::{TraceBuffer, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 
-/// Shape of the accumulators an [`ObsSink`] allocates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObsConfig {
-    /// Bins of the per-stage queue-depth histogram.
-    pub depth_bins: usize,
-    /// Upper bound of the queue-depth histogram range `[0, depth_max)`;
-    /// deeper queues land in the overflow bin.
-    pub depth_bins_max: f64,
-    /// Bins of the per-stage occupancy histogram over `[0, 1)`. Full
-    /// firings (occupancy exactly 1) land in the overflow bin, so the
-    /// overflow count doubles as a full-firing counter.
-    pub occupancy_bins: usize,
-    /// Bins of the per-stage sojourn-time histogram.
-    pub sojourn_bins: usize,
-    /// Upper bound of the sojourn histogram range `[0, sojourn_max)`
-    /// in cycles; longer sojourns land in the overflow bin.
-    pub sojourn_max: f64,
-    /// Capacity of the recent-event trace ring; `0` disables tracing
-    /// entirely (trace hooks become no-ops).
-    pub trace_capacity: usize,
-    /// Distributions keep raw samples up to this count and report
-    /// *exact* quantiles from them; past the cutoff the raw samples are
-    /// discarded and quantiles fall back to the histogram
-    /// approximation. `0` disables the exact path.
-    pub exact_cutoff: usize,
-}
+/// Bins of the per-stage queue-depth histogram.
+const DEPTH_BINS: usize = 64;
+/// Upper bound of the queue-depth histogram range `[0, DEPTH_MAX)`;
+/// deeper queues land in the overflow bin.
+const DEPTH_MAX: f64 = 1024.0;
+/// Bins of the per-stage occupancy histogram over `[0, 1)`. Full
+/// firings (occupancy exactly 1) land in the overflow bin, so the
+/// overflow count doubles as a full-firing counter.
+const OCCUPANCY_BINS: usize = 32;
+/// Bins of the per-stage sojourn-time histogram.
+const SOJOURN_BINS: usize = 64;
+/// Upper bound of the sojourn histogram range `[0, SOJOURN_MAX)` in
+/// cycles; longer sojourns land in the overflow bin.
+const SOJOURN_MAX: f64 = 1e6;
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            depth_bins: 64,
-            depth_bins_max: 1024.0,
-            occupancy_bins: 32,
-            sojourn_bins: 64,
-            sojourn_max: 1e6,
-            trace_capacity: 0,
-            exact_cutoff: DEFAULT_EXACT_CUTOFF,
-        }
-    }
-}
-
-/// Default raw-sample budget for exact quantiles (per distribution).
+/// Default raw-sample budget for exact quantiles (per distribution):
+/// distributions keep raw samples up to this count and report *exact*
+/// quantiles from them; past it they fall back to the histogram.
 pub const DEFAULT_EXACT_CUTOFF: usize = 4096;
-
-impl ObsConfig {
-    /// Default shapes plus a trace ring of `capacity` recent events.
-    pub fn with_trace(capacity: usize) -> Self {
-        ObsConfig {
-            trace_capacity: capacity,
-            ..ObsConfig::default()
-        }
-    }
-}
 
 /// A sampled distribution: exact moments plus a fixed-bin histogram for
 /// quantiles.
@@ -242,12 +207,11 @@ pub struct StageObs {
 }
 
 impl StageObs {
-    fn new(config: &ObsConfig) -> Self {
-        let cut = config.exact_cutoff;
+    fn new() -> Self {
         StageObs {
-            queue_depth: Dist::with_cutoff(0.0, config.depth_bins_max, config.depth_bins, cut),
-            occupancy: Dist::with_cutoff(0.0, 1.0, config.occupancy_bins, cut),
-            sojourn: Dist::with_cutoff(0.0, config.sojourn_max, config.sojourn_bins, cut),
+            queue_depth: Dist::new(0.0, DEPTH_MAX, DEPTH_BINS),
+            occupancy: Dist::new(0.0, 1.0, OCCUPANCY_BINS),
+            sojourn: Dist::new(0.0, SOJOURN_MAX, SOJOURN_BINS),
         }
     }
 
@@ -294,27 +258,17 @@ pub struct ObsCounters {
 /// simulator as `Option<&mut ObsSink>`, then call [`ObsSink::report`].
 #[derive(Debug, Clone)]
 pub struct ObsSink {
-    config: ObsConfig,
     stages: Vec<StageObs>,
     counters: ObsCounters,
-    trace: Option<TraceBuffer>,
 }
 
 impl ObsSink {
     /// Sink for a pipeline with `num_stages` stages.
-    pub fn new(num_stages: usize, config: ObsConfig) -> Self {
-        let trace = (config.trace_capacity > 0).then(|| TraceBuffer::new(config.trace_capacity));
+    pub fn new(num_stages: usize) -> Self {
         ObsSink {
-            stages: (0..num_stages).map(|_| StageObs::new(&config)).collect(),
+            stages: (0..num_stages).map(|_| StageObs::new()).collect(),
             counters: ObsCounters::default(),
-            trace,
-            config,
         }
-    }
-
-    /// Sink with default shapes and no trace.
-    pub fn with_defaults(num_stages: usize) -> Self {
-        ObsSink::new(num_stages, ObsConfig::default())
     }
 
     /// Number of instrumented stages.
@@ -377,30 +331,11 @@ impl ObsSink {
         self.counters.drops += 1;
     }
 
-    /// Whether trace hooks record anything (lets callers skip building
-    /// trace messages when they would be thrown away).
-    pub fn tracing(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Record a trace event (no-op unless a trace ring was configured).
-    pub fn trace(&mut self, time: SimTime, tag: u32, message: impl Into<String>) {
-        if let Some(tb) = self.trace.as_mut() {
-            tb.push(time, tag, message);
-        }
-    }
-
     /// Fold into a serializable report.
     pub fn report(&self) -> ObsReport {
         ObsReport {
-            config: self.config.clone(),
             counters: self.counters.clone(),
             stages: self.stages.iter().map(StageObs::report).collect(),
-            trace: self
-                .trace
-                .as_ref()
-                .map_or_else(Vec::new, |tb| tb.iter().cloned().collect()),
-            trace_dropped: self.trace.as_ref().map_or(0, TraceBuffer::dropped),
         }
     }
 }
@@ -408,16 +343,10 @@ impl ObsSink {
 /// Serializable end-of-run observability report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsReport {
-    /// Accumulator shapes the run used.
-    pub config: ObsConfig,
     /// Global counters.
     pub counters: ObsCounters,
     /// Per-stage summaries.
     pub stages: Vec<StageReport>,
-    /// Most recent trace records (empty unless tracing was enabled).
-    pub trace: Vec<TraceRecord>,
-    /// Trace records evicted from the ring.
-    pub trace_dropped: u64,
 }
 
 #[cfg(test)]
@@ -426,7 +355,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut s = ObsSink::with_defaults(2);
+        let mut s = ObsSink::new(2);
         s.on_event();
         s.on_enqueue(0, 3, 3);
         s.on_fire(0, 2, 4);
@@ -502,7 +431,7 @@ mod tests {
 
     #[test]
     fn default_summaries_report_p999() {
-        let mut s = ObsSink::with_defaults(1);
+        let mut s = ObsSink::new(1);
         for i in 1..=1000 {
             s.on_sojourn(0, i as f64);
         }
@@ -552,48 +481,26 @@ mod tests {
     #[test]
     fn sojourn_batch_matches_scalar_hook() {
         let cycles: Vec<f64> = (0..120).map(|i| f64::from(i) * 3.5).collect();
-        let mut scalar = ObsSink::with_defaults(2);
+        let mut scalar = ObsSink::new(2);
         for &c in &cycles {
             scalar.on_sojourn(1, c);
         }
-        let mut batched = ObsSink::with_defaults(2);
+        let mut batched = ObsSink::new(2);
         batched.on_sojourn_batch(1, &cycles);
         assert_eq!(scalar.report(), batched.report());
         // Counter batch hook, same deal.
-        let mut a = ObsSink::with_defaults(1);
+        let mut a = ObsSink::new(1);
         for _ in 0..7 {
             a.on_completion();
         }
-        let mut b = ObsSink::with_defaults(1);
+        let mut b = ObsSink::new(1);
         b.on_completions(7);
         assert_eq!(a.report(), b.report());
     }
 
     #[test]
-    fn trace_disabled_by_default() {
-        let mut s = ObsSink::with_defaults(1);
-        assert!(!s.tracing());
-        s.trace(SimTime::from_cycles(1), 0, "ignored");
-        assert!(s.report().trace.is_empty());
-    }
-
-    #[test]
-    fn trace_ring_keeps_most_recent() {
-        let mut s = ObsSink::new(1, ObsConfig::with_trace(2));
-        assert!(s.tracing());
-        for i in 0..4u64 {
-            s.trace(SimTime::from_cycles(i), 0, format!("e{i}"));
-        }
-        let r = s.report();
-        assert_eq!(r.trace.len(), 2);
-        assert_eq!(r.trace_dropped, 2);
-        assert_eq!(r.trace[0].message, "e2");
-        assert_eq!(r.trace[1].message, "e3");
-    }
-
-    #[test]
     fn full_firing_counts_as_occupancy_overflow() {
-        let mut s = ObsSink::with_defaults(1);
+        let mut s = ObsSink::new(1);
         s.on_fire(0, 4, 4);
         let sum = s.report().stages[0].occupancy.clone();
         assert_eq!(sum.count, 1);
@@ -602,10 +509,10 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut s = ObsSink::new(2, ObsConfig::with_trace(4));
+        let mut s = ObsSink::new(2);
         s.on_enqueue(1, 1, 1);
         s.on_fire(1, 1, 8);
-        s.trace(SimTime::from_cycles(7), 1, "fire");
+        s.on_sojourn(1, 7.0);
         let r = s.report();
         let v = serde_json::to_value(&r).unwrap();
         let back: ObsReport = serde_json::from_value(&v).unwrap();

@@ -93,12 +93,6 @@ impl RngStream {
         (self.next_u64_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
     /// Uniform integer in `[0, n)`; `n` must be nonzero.
     #[inline]
     pub fn uniform_below(&mut self, n: u64) -> u64 {
@@ -209,22 +203,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches_p() {
-        let mut r = RngStream::new(8);
-        let n = 100_000;
-        let hits = (0..n).filter(|_| r.bernoulli(0.379)).count();
-        let freq = hits as f64 / n as f64;
-        assert!((freq - 0.379).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn bernoulli_clamps_out_of_range_p() {
-        let mut r = RngStream::new(8);
-        assert!(!r.bernoulli(-0.5));
-        assert!(r.bernoulli(1.5));
     }
 
     #[test]

@@ -448,69 +448,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue
-/// length over simulated time).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_t: f64,
-    last_v: f64,
-    area: f64,
-    t0: f64,
-    started: bool,
-    max: f64,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// New accumulator; the signal starts when [`TimeWeighted::record`]
-    /// is first called.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_t: 0.0,
-            last_v: 0.0,
-            area: 0.0,
-            t0: 0.0,
-            started: false,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record that the signal takes value `v` from time `t` onward.
-    ///
-    /// Times must be nondecreasing.
-    pub fn record(&mut self, t: f64, v: f64) {
-        if !self.started {
-            self.t0 = t;
-            self.started = true;
-        } else {
-            assert!(t >= self.last_t, "time went backwards");
-            self.area += self.last_v * (t - self.last_t);
-        }
-        self.last_t = t;
-        self.last_v = v;
-        self.max = self.max.max(v);
-    }
-
-    /// Time-weighted mean of the signal up to time `t_end`.
-    pub fn mean_until(&self, t_end: f64) -> f64 {
-        if !self.started || t_end <= self.t0 {
-            return 0.0;
-        }
-        let area = self.area + self.last_v * (t_end - self.last_t).max(0.0);
-        area / (t_end - self.t0)
-    }
-
-    /// Maximum recorded value (`None` before any record).
-    pub fn max(&self) -> Option<f64> {
-        self.started.then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,29 +746,5 @@ mod tests {
         assert_eq!(scalar.variance(), sliced.variance());
         assert_eq!(scalar.min(), sliced.min());
         assert_eq!(scalar.max(), sliced.max());
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.record(0.0, 2.0); // v=2 on [0,10)
-        tw.record(10.0, 4.0); // v=4 on [10,20)
-        assert!((tw.mean_until(20.0) - 3.0).abs() < 1e-12);
-        assert_eq!(tw.max(), Some(4.0));
-    }
-
-    #[test]
-    fn time_weighted_before_start_is_zero() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean_until(5.0), 0.0);
-        assert!(tw.max().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "time went backwards")]
-    fn time_weighted_rejects_backwards_time() {
-        let mut tw = TimeWeighted::new();
-        tw.record(5.0, 1.0);
-        tw.record(4.0, 1.0);
     }
 }

@@ -84,24 +84,6 @@ proptest! {
         let matches = (0..16).filter(|_| a.next_u64_raw() == b.next_u64_raw()).count();
         prop_assert!(matches < 2, "substreams {l1} and {l2} coincide");
     }
-
-    #[test]
-    fn time_weighted_mean_is_within_signal_range(
-        steps in prop::collection::vec((0.0..100.0f64, -50.0..50.0f64), 1..50),
-    ) {
-        let mut tw = TimeWeighted::new();
-        let mut t = 0.0;
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &(dt, v) in &steps {
-            t += dt + 1e-9;
-            tw.record(t, v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let mean = tw.mean_until(t + 10.0);
-        prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9, "mean {mean} outside [{lo}, {hi}]");
-    }
 }
 
 proptest! {
@@ -137,55 +119,5 @@ proptest! {
             (hist - exact).abs() <= bin_width + 1e-9,
             "q={q}: histogram {hist} vs exact {exact} (bin width {bin_width})"
         );
-    }
-}
-
-proptest! {
-    /// Randomized overfill of the trace ring: for any capacity and any
-    /// number of pushes (often far past capacity), the report must
-    /// account for every record — `trace_dropped` is exactly the
-    /// overflow, and the ring retains exactly the newest `capacity`
-    /// records in chronological order. This is the accounting the
-    /// `rtsdf_sim` drop counters and `/metrics` exposition rely on:
-    /// nothing is silently lost, nothing is double-counted.
-    #[test]
-    fn trace_ring_overfill_accounts_for_every_record(
-        capacity in 1usize..64,
-        pushes in 0usize..512,
-    ) {
-        let mut sink = ObsSink::new(1, ObsConfig::with_trace(capacity));
-        for i in 0..pushes {
-            sink.trace(SimTime::from_cycles(i as u64), 7, format!("e{i}"));
-        }
-        let report = sink.report();
-        let kept = pushes.min(capacity);
-        prop_assert_eq!(report.trace.len(), kept);
-        prop_assert_eq!(
-            report.trace_dropped,
-            pushes.saturating_sub(capacity) as u64,
-            "dropped must be exactly the overflow"
-        );
-        // Retained records are the newest `kept`, oldest first.
-        let expect: Vec<String> =
-            (pushes - kept..pushes).map(|i| format!("e{i}")).collect();
-        let got: Vec<String> =
-            report.trace.iter().map(|r| r.message.clone()).collect();
-        prop_assert_eq!(got, expect);
-        // Total accounting: retained + dropped == pushed.
-        prop_assert_eq!(report.trace.len() as u64 + report.trace_dropped, pushes as u64);
-    }
-
-    /// A zero-capacity config disables tracing: hooks are no-ops and
-    /// nothing is ever counted as dropped, however many events fire.
-    #[test]
-    fn disabled_trace_never_records_or_drops(pushes in 0usize..256) {
-        let mut sink = ObsSink::new(1, ObsConfig::default());
-        prop_assert!(!sink.tracing());
-        for i in 0..pushes {
-            sink.trace(SimTime::from_cycles(i as u64), 1, "ignored");
-        }
-        let report = sink.report();
-        prop_assert_eq!(report.trace.len(), 0);
-        prop_assert_eq!(report.trace_dropped, 0);
     }
 }

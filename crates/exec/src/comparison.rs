@@ -18,7 +18,7 @@
 use crate::executor::{run_enforced, run_monolithic, ExecConfig, ExecError};
 use crate::report::ExecMetrics;
 use dataflow_model::Topology;
-use des::obs::{ObsConfig, ObsSink};
+use des::obs::ObsSink;
 use pipeline_sim::config::FiringDiscipline;
 use pipeline_sim::{enforced, monolithic, Hooks, SimConfig, SimMetrics};
 use rtsdf_core::AnySchedule;
@@ -118,7 +118,6 @@ fn sim_config(exec: &ExecConfig, seed: u64) -> SimConfig {
         stream_length: exec.stream_length,
         seed,
         arrivals: exec.arrivals.clone(),
-        charge_empty_firings: true,
         drain_factor: 50.0,
         discipline: FiringDiscipline::StrictPeriodic,
     }
@@ -196,7 +195,7 @@ pub fn sim_vs_real(
 
     // Observed sim run at the executor's own seed: distributional
     // comparison of per-stage sojourn.
-    let mut sink = ObsSink::new(topology.len(), ObsConfig::default());
+    let mut sink = ObsSink::new(topology.len());
     run_sim(
         topology,
         schedule,

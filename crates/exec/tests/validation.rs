@@ -8,7 +8,7 @@
 //! tight 10% gate runs in CI against release builds with longer runs.
 
 use dataflow_model::{ArrivalProcess, GainModel, PipelineSpecBuilder, RtParams, Topology};
-use des::obs::{ObsConfig, ObsSink};
+use des::obs::ObsSink;
 use pipeline_sim::{enforced, monolithic, Hooks, SimConfig};
 use rtsdf_core::{AnySchedule, EnforcedProblem, MonolithicProblem};
 use rtsdf_exec::{run_enforced, run_monolithic, sim_vs_real, ExecConfig};
@@ -61,7 +61,7 @@ fn enforced_chain_item_counts_match_simulator_exactly() {
 
     let seed = 11;
     let stream = 300;
-    let mut sink = ObsSink::new(topology.len(), ObsConfig::default());
+    let mut sink = ObsSink::new(topology.len());
     let sim = enforced::simulate(
         &topology,
         &schedule,

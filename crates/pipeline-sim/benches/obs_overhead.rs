@@ -1,17 +1,16 @@
 //! Overhead of the observability layer on the enforced-waits simulator.
 //!
-//! Three variants of the same run:
+//! Two variants of the same run:
 //!
 //! - `obs_disabled` — [`enforced::simulate`] with `Hooks::default()`,
 //!   which passes `None` for the sink. The per-event cost of
 //!   instrumentation is a branch on an `Option` that is never taken;
 //!   this must stay within noise (≤2%) of the seed simulator.
 //! - `obs_enabled` — full per-stage histograms and counters.
-//! - `obs_enabled_traced` — histograms plus a 256-event ring trace.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams, Topology};
-use des::obs::{ObsConfig, ObsSink};
+use des::obs::ObsSink;
 use pipeline_sim::{enforced, Hooks, SimConfig};
 use rtsdf_core::{EnforcedProblem, WaitSchedule};
 use std::hint::black_box;
@@ -45,8 +44,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let t = Topology::chain(&p);
     let sched = schedule(&p);
     let cfg = SimConfig::quick(20.0, 7, 2_000);
-    let observed = |obs_config: ObsConfig| {
-        let mut sink = ObsSink::new(t.len(), obs_config);
+    let observed = || {
+        let mut sink = ObsSink::new(t.len());
         let hooks = Hooks {
             obs: Some(&mut sink),
             ..Hooks::default()
@@ -58,12 +57,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     c.bench_function("enforced_obs_disabled", |b| {
         b.iter(|| black_box(enforced::simulate(&t, &sched, 2e5, &cfg, Hooks::default())))
     });
-    c.bench_function("enforced_obs_enabled", |b| {
-        b.iter(|| black_box(observed(ObsConfig::default())))
-    });
-    c.bench_function("enforced_obs_enabled_traced", |b| {
-        b.iter(|| black_box(observed(ObsConfig::with_trace(256))))
-    });
+    c.bench_function("enforced_obs_enabled", |b| b.iter(|| black_box(observed())));
 }
 
 criterion_group!(benches, bench_obs_overhead);

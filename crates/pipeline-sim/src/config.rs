@@ -28,10 +28,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// How items arrive. The paper's model is periodic.
     pub arrivals: ArrivalProcess,
-    /// Charge firings that consumed zero items as active time (the
-    /// paper's analysis convention; the alternative "vacation" metric is
-    /// always reported alongside).
-    pub charge_empty_firings: bool,
     /// Safety multiplier: the run aborts (counting unfinished inputs as
     /// deadline misses) if simulated time exceeds
     /// `last_arrival + drain_factor × deadline`. Guards against
@@ -49,7 +45,6 @@ impl SimConfig {
             stream_length: 50_000,
             seed,
             arrivals: ArrivalProcess::Periodic { tau0 },
-            charge_empty_firings: true,
             drain_factor: 50.0,
             discipline: FiringDiscipline::StrictPeriodic,
         }
@@ -61,7 +56,6 @@ impl SimConfig {
             stream_length,
             seed,
             arrivals: ArrivalProcess::Periodic { tau0 },
-            charge_empty_firings: true,
             drain_factor: 50.0,
             discipline: FiringDiscipline::StrictPeriodic,
         }
@@ -77,7 +71,6 @@ mod tests {
         let c = SimConfig::paper(10.0, 7);
         assert_eq!(c.stream_length, 50_000);
         assert_eq!(c.seed, 7);
-        assert!(c.charge_empty_firings);
         match c.arrivals {
             ArrivalProcess::Periodic { tau0 } => assert_eq!(tau0, 10.0),
             other => panic!("unexpected {other:?}"),

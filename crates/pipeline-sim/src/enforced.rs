@@ -928,9 +928,6 @@ fn simulate_enforced_full(
                         soj_buf.clear();
                         soj_buf.extend(waited.iter().map(|&enq| now.since(enq).as_f64()));
                         sink.on_sojourn_batch(node, &soj_buf);
-                        if sink.tracing() {
-                            sink.trace(now, node as u32, format!("fire n{node} take={take}"));
-                        }
                     }
                     let completion = now + SimTime::from_cycles(svc);
                     if let Some(sink) = spans.as_deref_mut() {
@@ -1085,8 +1082,6 @@ fn simulate_enforced_full(
     .max(1.0);
     ledger.set_horizon(horizon);
 
-    let active_fraction = ledger.active_fraction();
-    let active_fraction_nonempty = ledger.active_fraction_nonempty();
     let items_shed = stress.as_ref().map_or(0, |st| st.items_shed);
     SimMetrics {
         items_arrived: arrivals.len() as u64,
@@ -1097,12 +1092,8 @@ fn simulate_enforced_full(
         deadline_misses: misses,
         items_shed,
         resolves: stress.as_ref().map_or(0, |st| st.resolves),
-        active_fraction: if config.charge_empty_firings {
-            active_fraction
-        } else {
-            active_fraction_nonempty
-        },
-        active_fraction_nonempty,
+        active_fraction: ledger.active_fraction(),
+        active_fraction_nonempty: ledger.active_fraction_nonempty(),
         latency: latency.finish(),
         max_backlog_vectors: max_depth.iter().map(|&d| d as f64 / v as f64).collect(),
         max_queue_depth: max_depth,
@@ -1119,7 +1110,6 @@ mod tests {
     use super::*;
     use crate::reference::simulate_enforced_reference;
     use dataflow_model::{GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams};
-    use des::obs::ObsConfig;
     use obs_trace::{analyze, ForensicsConfig, TraceConfig, TraceLog};
     use rtsdf_core::EnforcedProblem;
 
@@ -1329,7 +1319,7 @@ mod tests {
         let sched = schedule(&p, 20.0, 2e5);
         let cfg = SimConfig::quick(20.0, 1, 500);
         let plain = run_chain(&p, &sched, 2e5, &cfg);
-        let mut sink = ObsSink::new(p.len(), ObsConfig::with_trace(32));
+        let mut sink = ObsSink::new(p.len());
         let hooks = Hooks {
             obs: Some(&mut sink),
             ..Hooks::default()
@@ -1352,7 +1342,6 @@ mod tests {
         assert_eq!(report.stages[0].sojourn.count, observed.items_arrived);
         assert!(report.stages[0].queue_depth.count > 0);
         assert!(report.stages[0].occupancy.count > 0);
-        assert!(!report.trace.is_empty());
     }
 
     #[test]

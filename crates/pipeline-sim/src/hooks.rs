@@ -25,8 +25,8 @@ use std::fmt;
 #[derive(Default)]
 pub struct Hooks<'a> {
     /// Aggregate observability: per-node queue-depth, occupancy and
-    /// sojourn distributions, event counters and (if configured) a
-    /// recent-event trace. Must be sized for the topology's node count.
+    /// sojourn distributions and event counters. Must be sized for the
+    /// topology's node count.
     pub obs: Option<&'a mut ObsSink>,
     /// Causal span tracing: per-firing spans, per-item stage visits (the
     /// enforced-wait / queue-wait / service sojourn decomposition) and
@@ -127,7 +127,6 @@ mod tests {
     use crate::config::SimConfig;
     use crate::{enforced, monolithic};
     use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
-    use des::obs::ObsConfig;
     use rtsdf_core::{EnforcedProblem, MonolithicProblem};
 
     /// Each bad input, fed to both strategies, is an `Err` naming it,
@@ -169,7 +168,7 @@ mod tests {
         ] {
             for on_enforced in [true, false] {
                 let mut sched = waits.clone();
-                let mut sink = ObsSink::new(3, ObsConfig::default());
+                let mut sink = ObsSink::new(3);
                 let mut hooks = Hooks::default();
                 let want = match bad {
                     Bad::Periods => {

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use dataflow_model::{GainModel, PipelineSpecBuilder, RtParams, Topology};
-//! use des::obs::{ObsConfig, ObsSink};
+//! use des::obs::ObsSink;
 //! use pipeline_sim::{enforced, Hooks, SimConfig};
 //! use rtsdf_core::EnforcedProblem;
 //!
@@ -35,7 +35,7 @@
 //! let cfg = SimConfig::quick(10.0, 1, 500);
 //!
 //! let plain = enforced::simulate(&t, &sched, 1e4, &cfg, Hooks::default())?;
-//! let mut sink = ObsSink::new(t.len(), ObsConfig::default());
+//! let mut sink = ObsSink::new(t.len());
 //! let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
 //! let observed = enforced::simulate(&t, &sched, 1e4, &cfg, hooks)?;
 //! assert_eq!(plain.active_fraction, observed.active_fraction);

@@ -15,7 +15,6 @@ use crate::hooks::{Hooks, SimError};
 use crate::metrics::SimMetrics;
 use dataflow_model::gain::{draw53, unit_threshold};
 use dataflow_model::{GainSampler, Topology};
-use des::clock::SimTime;
 use des::rng::RngStream;
 use des::stats::MomentAccumulator;
 use obs_trace::{ItemFate, ItemVisit, Track};
@@ -149,13 +148,6 @@ fn simulate_monolithic_full(
             soj_buf.clear();
             soj_buf.extend(block.iter().map(|&arr| start - arr));
             sink.on_sojourn_batch(src, &soj_buf);
-            if sink.tracing() {
-                sink.trace(
-                    SimTime::from_f64_rounded(start),
-                    src as u32,
-                    format!("block of {} starts", block.len()),
-                );
-            }
         }
 
         // Push the block through all nodes in topological order, sampling
@@ -331,7 +323,7 @@ fn simulate_monolithic_full(
 mod tests {
     use super::*;
     use dataflow_model::{GainModel, PipelineSpec, PipelineSpecBuilder, RtParams};
-    use des::obs::{ObsConfig, ObsSink};
+    use des::obs::ObsSink;
     use obs_trace::{analyze, ForensicsConfig, SpanSink, TraceConfig, TraceLog};
     use rtsdf_core::MonolithicProblem;
 
@@ -390,7 +382,7 @@ mod tests {
         let sched = schedule(&p, 50.0, 1e5);
         let cfg = SimConfig::quick(50.0, 3, 2_000);
         let plain = run_chain(&p, &sched, 1e5, &cfg);
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let hooks = Hooks {
             obs: Some(&mut sink),
             ..Hooks::default()

@@ -389,9 +389,6 @@ pub fn simulate_enforced_reference(
                         for enq in enq_times[node].drain(..take) {
                             sink.on_sojourn(node, now.since(enq).as_f64());
                         }
-                        if sink.tracing() {
-                            sink.trace(now, node as u32, format!("fire n{node} take={take}"));
-                        }
                     }
                     let completion = now + SimTime::from_cycles(svc);
                     let is_last = node + 1 == n;
@@ -476,8 +473,6 @@ pub fn simulate_enforced_reference(
     .max(1.0);
     ledger.set_horizon(horizon);
 
-    let active_fraction = ledger.active_fraction();
-    let active_fraction_nonempty = ledger.active_fraction_nonempty();
     let items_shed = stress.as_ref().map_or(0, |st| st.items_shed);
     SimMetrics {
         items_arrived: arrivals.len() as u64,
@@ -486,12 +481,8 @@ pub fn simulate_enforced_reference(
         deadline_misses: misses,
         items_shed,
         resolves: stress.as_ref().map_or(0, |st| st.resolves),
-        active_fraction: if config.charge_empty_firings {
-            active_fraction
-        } else {
-            active_fraction_nonempty
-        },
-        active_fraction_nonempty,
+        active_fraction: ledger.active_fraction(),
+        active_fraction_nonempty: ledger.active_fraction_nonempty(),
         latency: latency.finish(),
         max_backlog_vectors: max_depth.iter().map(|&d| d as f64 / v as f64).collect(),
         max_queue_depth: max_depth,
@@ -566,13 +557,6 @@ pub fn simulate_monolithic_reference(
             sink.on_enqueue(0, block.len() as u64, arrived - processed_before);
             for &arr in block {
                 sink.on_sojourn(0, start - arr);
-            }
-            if sink.tracing() {
-                sink.trace(
-                    SimTime::from_f64_rounded(start),
-                    0,
-                    format!("block of {} starts", block.len()),
-                );
             }
         }
 

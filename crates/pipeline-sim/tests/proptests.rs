@@ -4,7 +4,7 @@
 use dataflow_model::{
     ArrivalProcess, GainModel, Perturbation, PipelineSpec, PipelineSpecBuilder, RtParams, Topology,
 };
-use des::obs::{ObsConfig, ObsSink};
+use des::obs::ObsSink;
 use obs_trace::{SpanSink, TraceConfig, TraceLog};
 use pipeline_sim::config::FiringDiscipline;
 use pipeline_sim::{
@@ -184,7 +184,7 @@ proptest! {
             .unwrap();
         let cfg = SimConfig::quick(tau0, seed, 300);
         let plain = enforced::simulate(&t, &sched, params.deadline, &cfg, Hooks::default()).unwrap();
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
         let observed = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks).unwrap();
         prop_assert_eq!(plain.active_fraction, observed.active_fraction);
@@ -564,7 +564,7 @@ proptest! {
         let perturb = Perturbation::standard(1.0).at_intensity(intensity);
         let policy = MitigationPolicy::full();
 
-        let mut obs = ObsSink::new(p.len(), ObsConfig::default());
+        let mut obs = ObsSink::new(p.len());
         let mut spans = SpanSink::new(TraceConfig::default());
         let live_metrics = SimLiveMetrics::new(p.len(), 1);
         let handle = live_metrics.handle(0);
@@ -577,7 +577,7 @@ proptest! {
         let mut live = enforced::simulate(&Topology::chain(&p), &sched, params.deadline, &cfg, hooks)
             .unwrap();
         live.obs = Some(obs.report());
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let mut oracle = simulate_enforced_reference(
             &p, &sched, params.deadline, &cfg, Some(&mut sink), Some((&perturb, &policy)),
         );
@@ -603,7 +603,7 @@ proptest! {
         let perturb = Perturbation::standard(1.0).at_intensity(intensity);
         let none = MitigationPolicy::none();
 
-        let mut obs = ObsSink::new(p.len(), ObsConfig::default());
+        let mut obs = ObsSink::new(p.len());
         let mut spans = SpanSink::new(TraceConfig::default());
         let live_metrics = SimLiveMetrics::new(p.len(), 1);
         let handle = live_metrics.handle(0);
@@ -616,7 +616,7 @@ proptest! {
         let mut live = monolithic::simulate(&Topology::chain(&p), &sched, deadline, &cfg, hooks)
             .unwrap();
         live.obs = Some(obs.report());
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let mut oracle = simulate_monolithic_reference(
             &p, &sched, deadline, &cfg, Some(&mut sink), Some(&perturb),
         );
@@ -655,11 +655,11 @@ proptest! {
         prop_assert_eq!(metrics_json(&live), metrics_json(&oracle));
 
         // Observed run: SimMetrics + full ObsReport must agree.
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
         let mut live = enforced::simulate(&t, &sched, params.deadline, &cfg, hooks).unwrap();
         live.obs = Some(sink.report());
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let mut oracle = simulate_enforced_reference(
             &p, &sched, params.deadline, &cfg, Some(&mut sink), None,
         );
@@ -692,11 +692,11 @@ proptest! {
         let cfg = SimConfig::quick(tau0, seed, 400);
         let deadline = 1e15;
 
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let hooks = Hooks { obs: Some(&mut sink), ..Hooks::default() };
         let mut live = monolithic::simulate(&t, &sched, deadline, &cfg, hooks).unwrap();
         live.obs = Some(sink.report());
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let mut oracle = simulate_monolithic_reference(
             &p, &sched, deadline, &cfg, Some(&mut sink), None,
         );
@@ -820,7 +820,7 @@ proptest! {
             let plain = run(Hooks::default());
             // Bit 0: obs, bit 1: spans, bit 2: live, bit 3: zero faults.
             for subset in 1u8..16 {
-                let mut obs = ObsSink::new(t.len(), ObsConfig::default());
+                let mut obs = ObsSink::new(t.len());
                 let mut spans = SpanSink::new(TraceConfig::default());
                 let handle = live.handle(0);
                 let m = run(Hooks {
@@ -921,7 +921,7 @@ proptest! {
         let oracle = simulate_enforced_reference(&p, &sched, d, &cfg, None, faults);
         prop_assert_eq!(metrics_json(&stressed), metrics_json(&oracle));
 
-        let mut obs = ObsSink::new(p.len(), ObsConfig::default());
+        let mut obs = ObsSink::new(p.len());
         let mut spans = SpanSink::new(TraceConfig::default());
         let live_metrics = SimLiveMetrics::new(p.len(), 1);
         let handle = live_metrics.handle(0);
@@ -933,7 +933,7 @@ proptest! {
         };
         let mut hooked = enforced::simulate(&t, &sched, d, &cfg, hooks).unwrap();
         hooked.obs = Some(obs.report());
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let mut oracle = simulate_enforced_reference(&p, &sched, d, &cfg, Some(&mut sink), faults);
         oracle.obs = Some(sink.report());
         prop_assert_eq!(metrics_json(&hooked), metrics_json(&oracle));
@@ -984,7 +984,7 @@ proptest! {
         let oracle = simulate_enforced_reference(&p, &sched, d, &cfg, None, faults);
         prop_assert_eq!(metrics_json(&stressed), metrics_json(&oracle));
 
-        let mut obs = ObsSink::new(p.len(), ObsConfig::default());
+        let mut obs = ObsSink::new(p.len());
         let live_metrics = SimLiveMetrics::new(p.len(), 1);
         let handle = live_metrics.handle(0);
         let hooks = Hooks {
@@ -995,7 +995,7 @@ proptest! {
         };
         let mut hooked = enforced::simulate(&t, &sched, d, &cfg, hooks).unwrap();
         hooked.obs = Some(obs.report());
-        let mut sink = ObsSink::new(p.len(), ObsConfig::default());
+        let mut sink = ObsSink::new(p.len());
         let mut oracle = simulate_enforced_reference(&p, &sched, d, &cfg, Some(&mut sink), faults);
         oracle.obs = Some(sink.report());
         prop_assert_eq!(metrics_json(&hooked), metrics_json(&oracle));

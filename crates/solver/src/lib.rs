@@ -17,7 +17,6 @@
 //! * [`convex`] — a log-barrier interior-point Newton method for smooth
 //!   convex objectives over linear constraints, with a phase-1 routine to
 //!   find a strictly feasible start.
-//! * [`scalar`] — bisection and golden-section search.
 //! * [`integer`] — exact integer minimization by exhaustive scan.
 //!
 //! Independent methods are cross-checked in this workspace's tests: the
@@ -32,7 +31,6 @@ pub mod convex;
 pub mod integer;
 pub mod linalg;
 pub mod linear;
-pub mod scalar;
 
 pub use convex::{minimize, ConvexProblem, Solution, SolveError, SolverOptions};
 pub use linear::{Constraint, ConstraintSet};

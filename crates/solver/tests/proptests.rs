@@ -5,7 +5,6 @@ use solver::convex::{find_interior_point, minimize, ConvexProblem, SolverOptions
 use solver::integer::minimize_scan;
 use solver::linalg::Mat;
 use solver::linear::ConstraintSet;
-use solver::scalar::{bisect, golden_section};
 
 /// Separable quadratic Σ (x_i − c_i)² for solver tests.
 struct Quadratic {
@@ -34,22 +33,6 @@ impl ConvexProblem for Quadratic {
 }
 
 proptest! {
-    #[test]
-    fn golden_section_finds_quadratic_minimum(c in -50.0..50.0f64, half_width in 1.0..100.0f64) {
-        let lo = c - half_width;
-        let hi = c + half_width;
-        let (x, v) = golden_section(|x| (x - c) * (x - c), lo, hi, 1e-10);
-        prop_assert!((x - c).abs() < 1e-6, "argmin {x} vs {c}");
-        prop_assert!((0.0..1e-10).contains(&v));
-    }
-
-    #[test]
-    fn bisect_finds_root_of_shifted_cubic(r in -10.0..10.0f64) {
-        // f(x) = (x - r)^3 is monotone with a root at r.
-        let root = bisect(|x| (x - r).powi(3), r - 20.0, r + 30.0, 100);
-        prop_assert!((root - r).abs() < 1e-9, "{root} vs {r}");
-    }
-
     #[test]
     fn scan_result_never_beaten_by_any_point(
         seed in 0u64..1000,

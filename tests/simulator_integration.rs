@@ -179,3 +179,82 @@ fn empty_firings_metric_ordering() {
         "expected empty firings at a slow arrival rate"
     );
 }
+
+/// Spans and the aggregate sink watch the same firings. With both
+/// attached to one run, each stage's `fire` spans (enforced) or the
+/// `firings=` totals of its `block` spans (monolithic) count exactly
+/// the firings the sink sampled occupancy for, and the items the spans
+/// report consumed sum to the sink's `items_consumed`. So span tracing
+/// alone covers the per-firing event record.
+#[test]
+fn span_trace_matches_obs_sink_firing_for_firing() {
+    use rtsdf::engine::obs::ObsSink;
+    use rtsdf::trace::{SpanSink, Track};
+
+    let detail = |d: &str, key: &str| -> u64 {
+        d.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(key))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("span detail {d:?} lacks {key}"))
+    };
+    let logalytics = rtsdf::apps::logalytics::synthesize(
+        &rtsdf::apps::logalytics::LogalyticsConfig::default(),
+        7,
+    )
+    .expect("valid synthesis");
+    let cases = [
+        ("blast", Topology::chain(&blast()), 20.0, 2e5),
+        ("logalytics", logalytics, 40.0, 4e5),
+    ];
+    for (name, t, tau0, deadline) in cases {
+        let params = RtParams::new(tau0, deadline).unwrap();
+        let cfg = SimConfig::quick(tau0, 1, 2_000);
+        let b = EnforcedProblem::optimistic_backlog(&t);
+        let waits = EnforcedProblem::new(&t, params, b).solve().unwrap();
+        let blocks = MonolithicProblem::new(&t, params, 1.0, 1.0)
+            .solve_fast()
+            .unwrap();
+        for enforced_run in [true, false] {
+            let mut obs = ObsSink::new(t.len());
+            let mut spans = SpanSink::with_defaults();
+            let hooks = Hooks {
+                obs: Some(&mut obs),
+                spans: Some(&mut spans),
+                ..Hooks::default()
+            };
+            if enforced_run {
+                enforced::simulate(&t, &waits, deadline, &cfg, hooks).unwrap();
+            } else {
+                monolithic::simulate(&t, &blocks, deadline, &cfg, hooks).unwrap();
+            }
+            let (report, log) = (obs.report(), spans.finish());
+            let case = format!("{name}, enforced={enforced_run}");
+            assert_eq!(log.dropped_spans, 0, "{case}");
+            let (span_name, firings_key, items_key) = if enforced_run {
+                ("fire", None, "take=")
+            } else {
+                ("block", Some("firings="), "items=")
+            };
+            let mut consumed = 0;
+            for (i, stage) in report.stages.iter().enumerate() {
+                let stage_spans: Vec<&str> = log
+                    .spans
+                    .iter()
+                    .filter(|s| s.track == Track::stage(i) && s.name == span_name)
+                    .map(|s| s.detail.as_str())
+                    .collect();
+                let firings: u64 = match firings_key {
+                    None => stage_spans.len() as u64,
+                    Some(key) => stage_spans.iter().map(|d| detail(d, key)).sum(),
+                };
+                assert_eq!(firings, stage.occupancy.count, "{case}, stage {i}");
+                consumed += stage_spans
+                    .iter()
+                    .map(|d| detail(d, items_key))
+                    .sum::<u64>();
+            }
+            assert!(consumed > 0, "{case}");
+            assert_eq!(consumed, report.counters.items_consumed, "{case}");
+        }
+    }
+}

@@ -22,7 +22,7 @@
 
 use rtsdf::apps::logalytics::{synthesize, LogalyticsConfig};
 use rtsdf::core::EnforcedProblem;
-use rtsdf::engine::obs::{ObsConfig, ObsSink};
+use rtsdf::engine::obs::ObsSink;
 use rtsdf::model::TopologyBuilder;
 use rtsdf::prelude::*;
 use rtsdf::sim::config::FiringDiscipline;
@@ -154,6 +154,25 @@ fn fnv1a(s: &str) -> String {
     format!("{h:016x}")
 }
 
+/// Digest of a run's obs report in the layout the fixture was recorded
+/// in. The report then also carried the sink's accumulator shapes and
+/// an always-empty event ring; the shapes are now fixed constants and
+/// the ring is gone, so those fields are written back verbatim around
+/// the counters and per-stage summaries, which must match bit for bit.
+fn obs_digest(obs: &ObsSink) -> String {
+    let report = obs.report();
+    let counters = serde_json::to_string(&report.counters).expect("serializes");
+    let stages = serde_json::to_string(&report.stages).expect("serializes");
+    fnv1a(&format!(
+        concat!(
+            r#"{{"config":{{"depth_bins":64,"depth_bins_max":1024.0,"occupancy_bins":32,"#,
+            r#""sojourn_bins":64,"sojourn_max":1000000.0,"trace_capacity":0,"exact_cutoff":4096}},"#,
+            r#""counters":{},"stages":{},"trace":[],"trace_dropped":0}}"#
+        ),
+        counters, stages
+    ))
+}
+
 /// Every run of one case, as compact JSON records in a fixed order.
 fn records(case: &Case, schedule: &WaitSchedule) -> Vec<String> {
     let t = &case.topology;
@@ -170,7 +189,7 @@ fn records(case: &Case, schedule: &WaitSchedule) -> Vec<String> {
                             cfg.discipline = FiringDiscipline::Vacation;
                         }
                         let faults = Some((&perturb, &policy));
-                        let mut obs = ObsSink::new(t.len(), ObsConfig::default());
+                        let mut obs = ObsSink::new(t.len());
                         let live = SimLiveMetrics::new(t.len(), 1);
                         let handle = live.handle(0);
                         let hooks = Hooks {
@@ -183,11 +202,7 @@ fn records(case: &Case, schedule: &WaitSchedule) -> Vec<String> {
                             .expect("valid run");
                         drop(handle);
                         let extra = match hooks_name {
-                            "obs" => {
-                                let report = obs.report();
-                                let json = serde_json::to_string(&report).expect("serializes");
-                                format!(r#","obs":"{}""#, fnv1a(&json))
-                            }
+                            "obs" => format!(r#","obs":"{}""#, obs_digest(&obs)),
                             "live" => {
                                 let (arrived, completed, shed) = live.item_counts();
                                 format!(r#","live":[{arrived},{completed},{shed}]"#)
